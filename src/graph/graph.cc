@@ -54,8 +54,15 @@ uint32_t Graph::MaxDegree() const {
 std::vector<Edge> Graph::CanonicalEdges() const {
   std::vector<Edge> edges;
   edges.reserve(num_edges_);
-  ForEachEdge([&edges](NodeId u, NodeId v) { edges.emplace_back(u, v); });
-  std::sort(edges.begin(), edges.end());
+  // u ascends, so sorting each node's (u, v > u) run by v alone yields the
+  // global lexicographic order without a global sort.
+  for (NodeId u = 0; u < num_nodes(); ++u) {
+    const size_t begin = edges.size();
+    for (NodeId v : adj_[u]) {
+      if (u < v) edges.emplace_back(u, v);
+    }
+    std::sort(edges.begin() + static_cast<ptrdiff_t>(begin), edges.end());
+  }
   return edges;
 }
 

@@ -131,22 +131,22 @@ agm::AgmSampleOptions ReleaseEngine::RequestOptions(
 
 util::Result<graph::AttributedGraph> ReleaseEngine::Sample(
     const SampleRequest& request) const {
-  if (sampler_ != nullptr) {
-    // Same request keying as the AGM path; the sampler is immutable, so
-    // concurrent requests need no coordination.
-    util::Rng rng = util::Rng::Substream(request.seed, request.sequence);
-    return sampler_->Sample(rng);
-  }
-  agm::AgmSampleOptions resolved = RequestOptions(request.refine_iterations);
+  // Same request keying on both paths; a mechanism sampler is immutable,
+  // so concurrent requests need no coordination.
   util::Rng rng = util::Rng::Substream(request.seed, request.sequence);
-  if (request.threads <= 1) {
-    // Inline sequential sampling: no shared state, so concurrent requests
-    // proceed in parallel without coordination.
+  if (sampler_ != nullptr) return sampler_->Sample(rng);
+  return SampleAgm(RequestOptions(request.refine_iterations), rng,
+                   /*borrow_pool=*/request.threads > 1);
+}
+
+util::Result<graph::AttributedGraph> ReleaseEngine::SampleAgm(
+    agm::AgmSampleOptions resolved, util::Rng& rng, bool borrow_pool) const {
+  std::unique_lock<std::mutex> lock(pool_mutex_, std::defer_lock);
+  if (borrow_pool && pool_.num_workers() > 1 && lock.try_lock()) {
+    resolved.pool = &pool_;
+  } else {
     resolved.threads = 1;
-    return agm::SampleAgmGraph(artifact_.params, resolved, rng);
   }
-  const std::lock_guard<std::mutex> lock(pool_mutex_);
-  resolved.pool = &pool_;
   return agm::SampleAgmGraph(artifact_.params, resolved, rng);
 }
 
@@ -172,14 +172,10 @@ util::Result<std::vector<graph::AttributedGraph>> ReleaseEngine::SampleMany(
     return graphs;
   }
   if (n == 1) {
-    // A single request gains nothing from cross-sample fan-out; hand it
-    // the whole pool for intra-sample parallelism instead. The pool never
-    // affects bits, so the result is identical either way.
-    agm::AgmSampleOptions resolved = RequestOptions(base.refine_iterations);
+    // A single request gains nothing from cross-sample fan-out.
     util::Rng rng = util::Rng::Substream(base.seed, base.sequence);
-    const std::lock_guard<std::mutex> lock(pool_mutex_);
-    resolved.pool = &pool_;
-    auto sample = agm::SampleAgmGraph(artifact_.params, resolved, rng);
+    auto sample = SampleAgm(RequestOptions(base.refine_iterations), rng,
+                            /*borrow_pool=*/true);
     if (!sample.ok()) return sample.status();
     std::vector<graph::AttributedGraph> graphs;
     graphs.push_back(std::move(sample).value());
@@ -188,16 +184,16 @@ util::Result<std::vector<graph::AttributedGraph>> ReleaseEngine::SampleMany(
   std::vector<graph::AttributedGraph> graphs(static_cast<size_t>(n));
   std::vector<util::Status> statuses(static_cast<size_t>(n));
   {
-    const std::lock_guard<std::mutex> lock(pool_mutex_);
+    // A single-worker pool runs the batch inline and shares no state.
+    std::unique_lock<std::mutex> lock(pool_mutex_, std::defer_lock);
+    if (pool_.num_workers() > 1) lock.lock();
     pool_.Run(n, [&](int i) {
       // Task i is exactly Sample({seed, sequence + i, refine, threads: 1})
       // — a pure function of the request, so scheduling cannot change it.
-      agm::AgmSampleOptions resolved =
-          RequestOptions(base.refine_iterations);
-      resolved.threads = 1;
       util::Rng rng = util::Rng::Substream(
           base.seed, base.sequence + static_cast<uint64_t>(i));
-      auto sample = agm::SampleAgmGraph(artifact_.params, resolved, rng);
+      auto sample = SampleAgm(RequestOptions(base.refine_iterations), rng,
+                              /*borrow_pool=*/false);
       if (sample.ok()) {
         graphs[static_cast<size_t>(i)] = std::move(sample).value();
       } else {
@@ -214,10 +210,8 @@ util::Result<std::vector<graph::AttributedGraph>> ReleaseEngine::SampleMany(
 util::Result<graph::AttributedGraph> ReleaseEngine::SampleFromStream(
     util::Rng& rng) const {
   if (sampler_ != nullptr) return sampler_->Sample(rng);
-  agm::AgmSampleOptions resolved = RequestOptions(/*refine_iterations=*/-1);
-  const std::lock_guard<std::mutex> lock(pool_mutex_);
-  resolved.pool = &pool_;
-  return agm::SampleAgmGraph(artifact_.params, resolved, rng);
+  return SampleAgm(RequestOptions(/*refine_iterations=*/-1), rng,
+                   /*borrow_pool=*/true);
 }
 
 }  // namespace agmdp::pipeline

@@ -20,7 +20,9 @@
 // them sequentially. SampleMany fans a contiguous block of sequence numbers
 // out over the engine pool and returns the graphs in sequence order; its
 // output is bitwise-identical at any pool size, and equal to a sequential
-// Sample loop over the same requests.
+// Sample loop over the same requests. A single sample borrows the pool only
+// when it has more than one worker and is free; otherwise it runs inline on
+// the calling thread, with the same bits either way.
 #pragma once
 
 #include <memory>
@@ -67,8 +69,8 @@ struct SampleRequest {
   /// (full cold loop) when the engine is not calibrated.
   int refine_iterations = -1;
   /// Intra-sample sampler workers: 1 (default) runs inline on the calling
-  /// thread — fully concurrent with other requests; > 1 borrows the
-  /// engine pool (requests then serialize on it). Never changes the bits.
+  /// thread; > 1 borrows the engine pool when it is free (inline
+  /// otherwise), so requests never wait on each other. Never changes bits.
   int threads = 1;
 };
 
@@ -115,15 +117,13 @@ class ReleaseEngine {
   /// Serves requests (seed, sequence), ..., (seed, sequence + n - 1) over
   /// the engine pool and returns the graphs in sequence order. Equal to a
   /// sequential Sample loop, at any pool size. A batch of one skips the
-  /// fan-out and gives the single request the whole pool for intra-sample
-  /// parallelism (same bits either way).
+  /// fan-out and is served like Sample with threads > 1.
   util::Result<std::vector<graph::AttributedGraph>> SampleMany(
       int n, const SampleRequest& base = {}) const;
 
   /// Samples consuming the caller's master stream instead of a request
   /// substream — the contract of the legacy pipeline::SampleRelease, which
-  /// wraps this. Thread-safe, but concurrent callers serialize on the
-  /// engine pool.
+  /// wraps this. Thread-safe; borrows the pool like Sample with threads > 1.
   util::Result<graph::AttributedGraph> SampleFromStream(util::Rng& rng) const;
 
  private:
@@ -133,6 +133,11 @@ class ReleaseEngine {
   /// The resolved sampler options for one request (warm start + refinement
   /// count applied when calibrated).
   agm::AgmSampleOptions RequestOptions(int refine_iterations) const;
+
+  /// One AGM sample from `rng`: on the pool when `borrow_pool`, the pool
+  /// has more than one worker and is free; inline otherwise.
+  util::Result<graph::AttributedGraph> SampleAgm(
+      agm::AgmSampleOptions resolved, util::Rng& rng, bool borrow_pool) const;
 
   const ReleaseArtifact artifact_;
   const EngineOptions options_;
@@ -147,8 +152,8 @@ class ReleaseEngine {
   /// delegates to it.
   std::shared_ptr<const mechanisms::ArtifactSampler> sampler_;
   /// The persistent serving pool. WorkerPool::Run is not reentrant, so
-  /// every use holds pool_mutex_; requests with threads <= 1 never touch
-  /// it and run fully concurrently.
+  /// every multi-worker use holds pool_mutex_; single samples only
+  /// try-lock it, so they never wait for each other.
   mutable std::mutex pool_mutex_;
   mutable util::WorkerPool pool_;
 };

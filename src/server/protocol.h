@@ -45,6 +45,10 @@ inline constexpr int kProtocolVersion = 1;
 /// and far below anything that could pressure the parser.
 inline constexpr size_t kMaxRequestBytes = 64 * 1024;
 inline constexpr int kMaxRequestDepth = 8;
+/// Most graphs one sample request may ask for. Every graph of a request is
+/// held in memory until the response is written, so an unbounded count
+/// would let one line exhaust the daemon's memory.
+inline constexpr int kMaxSampleCount = 4096;
 
 enum class RequestOp {
   kLoad,      // build + admit an engine from an artifact file
@@ -86,7 +90,8 @@ struct Request {
 
 /// Parses one request line under the protocol caps. Any malformed input —
 /// bad JSON, adversarial nesting, oversized line, unknown op, wrong field
-/// type, negative count — is a typed InvalidArgument.
+/// type, count outside [1, kMaxSampleCount], a sequence range that wraps
+/// uint64 — is a typed InvalidArgument.
 util::Result<Request> ParseRequest(const std::string& line);
 
 /// Serializes a request as one line (no trailing newline) — the client

@@ -445,16 +445,20 @@ void Server::ExecuteBatch(std::vector<Job>& batch) {
     return a->request.sequence < b->request.sequence;
   });
 
-  // Coalesce contiguous sequence ranges into single SampleMany calls.
-  // Each graph is a pure function of (seed, sequence), so the regrouping
-  // is bitwise-identical to serving every request alone.
+  // Coalesce contiguous sequence ranges into single SampleMany calls of at
+  // most kMaxSampleCount graphs (ParseRequest caps each count, and the
+  // sum stays an int). Each graph is a pure function of (seed, sequence),
+  // so the regrouping is bitwise-identical to serving every request alone.
   size_t i = 0;
   while (i < active.size()) {
     const uint64_t run_start = active[i]->request.sequence;
     uint64_t run_end = run_start + static_cast<uint64_t>(
                                        active[i]->request.count);
     size_t j = i + 1;
-    while (j < active.size() && active[j]->request.sequence == run_end) {
+    while (j < active.size() && active[j]->request.sequence == run_end &&
+           run_end - run_start + static_cast<uint64_t>(
+                                     active[j]->request.count) <=
+               static_cast<uint64_t>(kMaxSampleCount)) {
       run_end += static_cast<uint64_t>(active[j]->request.count);
       ++j;
     }

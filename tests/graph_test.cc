@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <random>
 #include <set>
 #include <string>
 
@@ -75,6 +77,31 @@ TEST(GraphTest, CanonicalEdgesSortedAndComplete) {
   EXPECT_TRUE(edges[0] == Edge(0, 4));
   EXPECT_TRUE(edges[1] == Edge(1, 2));
   EXPECT_TRUE(edges[2] == Edge(1, 3));
+}
+
+TEST(GraphTest, CanonicalEdgesMatchGlobalSortAfterChurn) {
+  // Swap-pop removal leaves adjacency lists unordered; the per-node sort in
+  // CanonicalEdges must still reproduce a global lexicographic sort.
+  std::mt19937 gen(12345);
+  std::uniform_int_distribution<NodeId> node(0, 39);
+  Graph g(40);
+  for (int step = 0; step < 4000; ++step) {
+    const NodeId u = node(gen);
+    const NodeId v = node(gen);
+    if (step % 3 == 2) {
+      g.RemoveEdge(u, v);
+    } else {
+      g.AddEdge(u, v);
+    }
+    if (step % 500 != 499) continue;
+    std::vector<Edge> expected;
+    g.ForEachEdge([&expected](NodeId a, NodeId b) {
+      expected.emplace_back(a, b);
+    });
+    std::sort(expected.begin(), expected.end());
+    ASSERT_EQ(g.CanonicalEdges(), expected) << "after step " << step;
+  }
+  EXPECT_GT(g.num_edges(), 0u);
 }
 
 TEST(GraphTest, MaxDegree) {

@@ -20,6 +20,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -161,6 +162,11 @@ TEST(ProtocolTest, MalformedRequestsAreTypedErrors) {
       "{\"op\":\"load\",\"id\":1,\"name\":\"m\"}",  // missing artifact
       "{\"op\":\"sample\",\"id\":\"x\",\"name\":\"m\"}",  // id not a number
       "[1,2,3]",                                  // not an object
+      // Above the count cap: would allocate ~2e9 graphs.
+      "{\"op\":\"sample\",\"id\":1,\"name\":\"m\",\"count\":2000000000}",
+      // sequence + count wraps uint64.
+      "{\"op\":\"sample\",\"id\":1,\"name\":\"m\","
+      "\"sequence\":\"18446744073709551615\",\"count\":1}",
   };
   for (const char* line : bad) {
     auto parsed = server::ParseRequest(line);
@@ -176,6 +182,26 @@ TEST(ProtocolTest, MalformedRequestsAreTypedErrors) {
   std::string deep = "{\"op\":\"stats\",\"id\":";
   for (int i = 0; i < 64; ++i) deep += "[";
   EXPECT_FALSE(server::ParseRequest(deep).ok());
+
+  // The caps themselves are accepted.
+  const std::string at_cap =
+      "{\"op\":\"sample\",\"id\":1,\"name\":\"m\",\"count\":" +
+      std::to_string(server::kMaxSampleCount) +
+      ",\"sequence\":\"" +
+      std::to_string(UINT64_MAX - server::kMaxSampleCount) + "\"}";
+  EXPECT_TRUE(server::ParseRequest(at_cap).ok()) << at_cap;
+}
+
+TEST(ProtocolTest, GraphChecksumWireValueIsPinned) {
+  // Clients store checksums: any change to this value is a protocol break.
+  graph::AttributedGraph g(5, 2);
+  g.structure().AddEdge(3, 1);
+  g.structure().AddEdge(4, 0);
+  g.structure().AddEdge(2, 1);
+  g.structure().AddEdge(1, 0);
+  g.structure().AddEdge(3, 2);
+  ASSERT_TRUE(g.SetAttributes({0, 1, 2, 3, 1}).ok());
+  EXPECT_EQ(server::GraphChecksum(g), 10640730778975414816ULL);
 }
 
 TEST(ProtocolTest, ResponseRoundTripsStatusGraphsAndStats) {
@@ -525,6 +551,77 @@ TEST(ServerTcpTest, ConcurrentClientsMatchSequentialOracle) {
 
   daemon.Stop();
   daemon.Wait();
+}
+
+TEST(ServerTcpTest, ConcurrentSingleSampleClientsMatchOracle) {
+  // Distinct seeds keep the batcher out, so every request is its own
+  // SampleMany(1): inline on a one-worker engine pool, and racing for a
+  // four-worker one (the loser runs inline). Neither may change a bit.
+  constexpr int kClients = 4;
+  constexpr int kPerClient = 3;
+  std::vector<std::vector<uint64_t>> oracle;
+  for (int c = 0; c < kClients; ++c) {
+    oracle.push_back(OracleChecksums(5, 500 + c, 0, kPerClient));
+  }
+  for (int engine_threads : {1, 4}) {
+    SCOPED_TRACE("engine_threads=" + std::to_string(engine_threads));
+    server::ServerOptions options = TestServerOptions();
+    options.engine_threads = engine_threads;
+    auto started = server::Server::Start(options);
+    ASSERT_TRUE(started.ok()) << started.status().ToString();
+    server::Server& daemon = *started.value();
+    server::Request load;
+    load.op = server::RequestOp::kLoad;
+    load.id = 1;
+    load.tenant = "alice";
+    load.name = "m";
+    load.artifact = ArtifactFile(5);
+    ASSERT_TRUE(daemon.Handle(load).status.ok());
+
+    std::vector<std::vector<uint64_t>> got(kClients);
+    std::vector<std::string> errors(kClients);
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([c, &daemon, &got, &errors] {
+        std::string& error = errors[static_cast<size_t>(c)];
+        auto client = server::Client::Connect("127.0.0.1", daemon.port());
+        if (!client.ok()) {
+          error = client.status().ToString();
+          return;
+        }
+        for (int i = 0; i < kPerClient; ++i) {
+          server::Request request;
+          request.op = server::RequestOp::kSample;
+          request.id = static_cast<uint64_t>(c * kPerClient + i) + 100;
+          request.tenant = "alice";
+          request.name = "m";
+          request.seed = static_cast<uint64_t>(500 + c);
+          request.sequence = static_cast<uint64_t>(i);
+          auto response = client.value().Call(request);
+          if (!response.ok()) {
+            error = response.status().ToString();
+            return;
+          }
+          if (!response.value().status.ok() ||
+              response.value().graphs.size() != 1) {
+            error = "bad response: " + response.value().status.ToString();
+            return;
+          }
+          got[static_cast<size_t>(c)].push_back(
+              response.value().graphs[0].checksum);
+        }
+      });
+    }
+    for (std::thread& thread : clients) thread.join();
+    for (int c = 0; c < kClients; ++c) {
+      ASSERT_TRUE(errors[static_cast<size_t>(c)].empty())
+          << "client " << c << ": " << errors[static_cast<size_t>(c)];
+      EXPECT_EQ(got[static_cast<size_t>(c)], oracle[static_cast<size_t>(c)])
+          << "client " << c;
+    }
+    daemon.Stop();
+    daemon.Wait();
+  }
 }
 
 TEST(ServerTcpTest, BatchedServingIsBitIdenticalToSequential) {

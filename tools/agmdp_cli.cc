@@ -1016,9 +1016,10 @@ int CmdClient(const util::Flags& flags) {
   request.sequence = static_cast<uint64_t>(sequence.value());
   auto samples = flags.GetCheckedInt("samples", 1);
   if (!samples.ok()) return FailUsage(samples.status());
-  if (samples.value() < 1) {
+  if (samples.value() < 1 || samples.value() > server::kMaxSampleCount) {
     return FailUsage(util::Status::InvalidArgument(
-        "--samples=" + std::to_string(samples.value()) + " must be >= 1"));
+        "--samples=" + std::to_string(samples.value()) + " must be in [1, " +
+        std::to_string(server::kMaxSampleCount) + "]"));
   }
   request.count = static_cast<int>(samples.value());
   auto refine = flags.GetCheckedInt("refine_iters", -1);
