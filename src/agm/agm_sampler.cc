@@ -121,13 +121,15 @@ util::Result<FclPlan> BuildFclPlan(const std::vector<uint32_t>& degrees,
 // (seed_base, stream_offset) alone — the pool only changes which worker
 // runs which shard.
 graph::Graph ShardedProposalPass(const util::AliasSampler& sampler,
-                                 graph::NodeId n, uint64_t target_edges,
+                                 const std::vector<uint32_t>& degrees,
+                                 uint64_t target_edges,
                                  uint64_t max_proposals_per_edge,
                                  const models::EdgeFilter& filter,
                                  util::WorkerPool& pool, uint64_t seed_base,
                                  uint64_t stream_offset,
                                  std::vector<graph::Edge>* insertion_order) {
   if (insertion_order != nullptr) insertion_order->clear();
+  const auto n = static_cast<graph::NodeId>(degrees.size());
   // A simple graph over n nodes cannot hold more edges than this; clamping
   // the caller's raw target bounds every quota- and reservation-derived
   // allocation below.
@@ -167,6 +169,7 @@ graph::Graph ShardedProposalPass(const util::AliasSampler& sampler,
 
   graph::Graph g(n);
   g.ReserveEdges(target_edges);
+  g.ReserveNeighbors(degrees);
   for (const auto& shard : accepted) {
     for (const graph::Edge& e : shard) {
       if (g.num_edges() >= target_edges) return g;
@@ -195,7 +198,7 @@ util::Result<graph::Graph> ShardedFastChungLu(
   }
 
   graph::Graph first = ShardedProposalPass(
-      *plan.sampler, n, plan.target, options.max_proposals_per_edge,
+      *plan.sampler, degrees, plan.target, options.max_proposals_per_edge,
       options.filter, pool, seed_base, /*stream_offset=*/0,
       options.insertion_order);
   if (!options.bias_correction) return first;
@@ -220,7 +223,7 @@ util::Result<graph::Graph> ShardedFastChungLu(
   if (!calibrated.ok()) return calibrated.status();
   // The calibrated pass re-clears insertion_order, so the caller sees only
   // the returned graph's edges, in merge order.
-  return ShardedProposalPass(calibrated.value(), n, plan.target,
+  return ShardedProposalPass(calibrated.value(), degrees, plan.target,
                              options.max_proposals_per_edge, options.filter,
                              pool, seed_base,
                              /*stream_offset=*/kProposalShards,
@@ -294,10 +297,8 @@ util::Result<graph::Graph> GenerateStructure(
   // swap depends on the full edge-age state); it stays on the master stream.
   models::TriCycLeOptions tri = options.tricycle;
   tri.filter = filter;
-  auto result = models::GenerateTriCycLe(params.degree_sequence,
-                                         params.target_triangles, rng, tri);
-  if (!result.ok()) return result.status();
-  return std::move(result).value().graph;
+  return models::GenerateTriCycLeGraph(params.degree_sequence,
+                                       params.target_triangles, rng, tri);
 }
 
 }  // namespace
@@ -308,9 +309,17 @@ std::vector<double> MeasureThetaF(const graph::AttributedGraph& g,
   return MeasureThetaFWithPool(g, pool);
 }
 
-util::Result<graph::AttributedGraph> SampleAgmGraph(
-    const AgmParams& params, const AgmSampleOptions& options,
-    util::Rng& rng) {
+namespace {
+
+// Algorithm 3 lines 6-18, shared by SampleAgmGraph and CalibrateAcceptance:
+// returns the final acceptance vector and moves the last generated graph
+// into `graph_out` when non-null. Without `graph_out` nothing reads that
+// graph, so the last iteration (iteration limit or tolerance exit) stops
+// once it has computed the vector, before its structural generation; the
+// stream up to that point, and so the vector, is the same either way.
+util::Result<std::vector<double>> RunAcceptanceLoop(
+    const AgmParams& params, const AgmSampleOptions& options, util::Rng& rng,
+    graph::AttributedGraph* graph_out) {
   if (params.degree_sequence.empty()) {
     return util::Status::InvalidArgument("SampleAgmGraph: empty degree sequence");
   }
@@ -325,6 +334,8 @@ util::Result<graph::AttributedGraph> SampleAgmGraph(
     return util::Status::InvalidArgument(
         "SampleAgmGraph: initial_acceptance dimension does not match w");
   }
+  std::vector<double> a_old =
+      warm != nullptr ? *warm : std::vector<double>{};
 
   // The pool and the FCL invariants (pi weights + alias table) live for the
   // whole sample: one thread spawn and one alias build per sample, not one
@@ -352,13 +363,9 @@ util::Result<graph::AttributedGraph> SampleAgmGraph(
 
   // Line 7: temporary edge set. The cold start generates it unfiltered;
   // a warm start (serving layer) filters it by the calibrated acceptance
-  // vector straight away. (kNoAcceptance keeps the ternary from copying
-  // the warm vector — a mixed-category ternary materializes a prvalue.)
-  static const std::vector<double> kNoAcceptance;
-  auto structure =
-      GenerateStructure(params, options, attrs.value(),
-                        warm != nullptr ? *warm : kNoAcceptance,
-                        fcl_plan, pool, rng);
+  // vector straight away.
+  auto structure = GenerateStructure(params, options, attrs.value(), a_old,
+                                     fcl_plan, pool, rng);
   if (!structure.ok()) return structure.status();
 
   graph::AttributedGraph synthetic(std::move(structure).value(), params.w);
@@ -366,8 +373,6 @@ util::Result<graph::AttributedGraph> SampleAgmGraph(
 
   // Lines 9-18: iterate acceptance probabilities to convergence (starting
   // from the warm-start vector when one was supplied).
-  std::vector<double> a_old =
-      warm != nullptr ? *warm : std::vector<double>{};
   for (int iter = 0; iter < options.acceptance_iterations; ++iter) {
     const std::vector<double> observed =
         MeasureThetaFWithPool(synthetic, pool);
@@ -380,20 +385,39 @@ util::Result<graph::AttributedGraph> SampleAgmGraph(
         delta = std::max(delta, std::fabs(acceptance[y] - a_old[y]));
       }
     }
+    const bool converged = iter > 0 && delta < options.acceptance_tolerance;
+    a_old = std::move(acceptance);
+    if (graph_out == nullptr &&
+        (converged || iter + 1 == options.acceptance_iterations)) {
+      break;
+    }
 
-    auto refreshed = GenerateStructure(params, options, attrs.value(),
-                                       acceptance, fcl_plan, pool, rng);
+    auto refreshed = GenerateStructure(params, options, attrs.value(), a_old,
+                                       fcl_plan, pool, rng);
     if (!refreshed.ok()) return refreshed.status();
     synthetic = graph::AttributedGraph(std::move(refreshed).value(), params.w);
     AGMDP_CHECK_OK(synthetic.SetAttributes(attrs.value()));
+    if (converged) break;
+  }
+  if (graph_out != nullptr) *graph_out = std::move(synthetic);
+  return a_old;
+}
 
-    a_old = std::move(acceptance);
-    if (iter > 0 && delta < options.acceptance_tolerance) break;
-  }
-  if (options.final_acceptance != nullptr) {
-    *options.final_acceptance = a_old;
-  }
+}  // namespace
+
+util::Result<graph::AttributedGraph> SampleAgmGraph(
+    const AgmParams& params, const AgmSampleOptions& options,
+    util::Rng& rng) {
+  graph::AttributedGraph synthetic;
+  auto acceptance = RunAcceptanceLoop(params, options, rng, &synthetic);
+  if (!acceptance.ok()) return acceptance.status();
   return synthetic;
+}
+
+util::Result<std::vector<double>> CalibrateAcceptance(
+    const AgmParams& params, const AgmSampleOptions& options,
+    util::Rng& rng) {
+  return RunAcceptanceLoop(params, options, rng, /*graph_out=*/nullptr);
 }
 
 }  // namespace agmdp::agm

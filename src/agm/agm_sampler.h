@@ -38,6 +38,13 @@ enum class StructuralModelKind { kFcl, kTriCycLe };
 /// shards that can ever run at once.
 inline constexpr int kSamplerProposalShards = 64;
 
+/// Upper bound on any acceptance loop count — a fit's
+/// acceptance_iterations and a serving request's refinements alike. Far
+/// beyond any useful setting (the paper's loop converges in a few
+/// iterations), but each iteration regenerates the full synthetic graph,
+/// so an unbounded count would pin a worker indefinitely.
+inline constexpr int kMaxAcceptanceIterations = 1000;
+
 /// The three AGM parameter sets (plus w); ΘM is the degree sequence and —
 /// for TriCycLe — the triangle count.
 struct AgmParams {
@@ -92,23 +99,26 @@ struct AgmSampleOptions {
   /// Warm-start acceptance vector A (size NumEdgeConfigs(w)). When set, the
   /// first structural generation is already filtered by it and the
   /// refinement loop starts from it as A_old — the serving layer passes the
-  /// acceptance vector a calibration sample converged to, so steady-state
-  /// samples skip the cold iterations. Null reproduces the paper's cold
-  /// start (unfiltered first generation).
+  /// vector CalibrateAcceptance converged to, so steady-state samples skip
+  /// the cold iterations. Null reproduces the paper's cold start
+  /// (unfiltered first generation).
   const std::vector<double>* initial_acceptance = nullptr;
-  /// When non-null, receives the final acceptance vector of this sample —
-  /// what a warm start of the next sample should pass as
-  /// `initial_acceptance`. With zero iterations this is the warm-start
-  /// vector passed straight through (so chained warm starts keep their
-  /// calibration); it is empty only on a cold start where no iteration
-  /// ran.
-  std::vector<double>* final_acceptance = nullptr;
   models::TriCycLeOptions tricycle;
   models::ChungLuOptions fcl;
 };
 
 /// Runs the sampling loop and returns the synthetic attributed graph.
 util::Result<graph::AttributedGraph> SampleAgmGraph(
+    const AgmParams& params, const AgmSampleOptions& options, util::Rng& rng);
+
+/// Runs the same loop for its final acceptance vector alone — what a warm
+/// start should pass as `initial_acceptance` (the serving layer's
+/// calibration). Bit-identical to the vector SampleAgmGraph converges to
+/// from the same stream, but the loop stops before the structural
+/// generation of its last iteration, whose graph only SampleAgmGraph
+/// returns. With zero iterations this is the warm-start vector passed
+/// straight through (empty on a cold start).
+util::Result<std::vector<double>> CalibrateAcceptance(
     const AgmParams& params, const AgmSampleOptions& options, util::Rng& rng);
 
 /// Builds the acceptance vector A from target ΘF, observed Θ'F and the

@@ -66,6 +66,14 @@ std::vector<Edge> Graph::CanonicalEdges() const {
   return edges;
 }
 
+void Graph::ReserveNeighbors(const std::vector<uint32_t>& degrees) {
+  AGMDP_CHECK(degrees.size() == adj_.size());
+  const uint32_t max_degree = num_nodes() > 0 ? num_nodes() - 1 : 0;
+  for (size_t v = 0; v < adj_.size(); ++v) {
+    adj_[v].reserve(std::min(degrees[v], max_degree));
+  }
+}
+
 void Graph::ClearEdges() {
   for (auto& list : adj_) list.clear();
   edge_set_.Clear();

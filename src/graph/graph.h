@@ -117,6 +117,11 @@ class Graph {
         std::min(expected_edges, MaxPossibleEdges(num_nodes()))));
   }
 
+  /// Pre-sizes each node's neighbor list for the degree it is expected to
+  /// reach (`degrees[v]`, one entry per node, clamped to n - 1), so a
+  /// generator adding edges one by one stops reallocating the lists.
+  void ReserveNeighbors(const std::vector<uint32_t>& degrees);
+
  private:
   std::vector<std::vector<NodeId>> adj_;
   util::FlatEdgeSet edge_set_;

@@ -39,15 +39,15 @@ uint64_t CountWedgesImpl(const AnyGraph& g) {
   return wedges;
 }
 
-// Rank-directed adjacency of the snapshot in CSR form: neighbors of higher
-// rank only, so each triangle has exactly one node that sees its other two
-// corners here.
+// Rank-directed adjacency in CSR form: neighbors of higher rank only, so
+// each triangle has exactly one node that sees its other two corners here.
 struct ForwardCsr {
   std::vector<uint64_t> offsets;
   std::vector<NodeId> neighbors;
 };
 
-ForwardCsr BuildForward(const CsrGraph& g, const std::vector<uint32_t>& rank) {
+template <typename AnyGraph>
+ForwardCsr BuildForward(const AnyGraph& g, const std::vector<uint32_t>& rank) {
   const NodeId n = g.num_nodes();
   ForwardCsr fwd;
   fwd.offsets.resize(static_cast<size_t>(n) + 1, 0);
@@ -68,43 +68,15 @@ ForwardCsr BuildForward(const CsrGraph& g, const std::vector<uint32_t>& rank) {
   return fwd;
 }
 
-}  // namespace
-
-uint64_t CountTriangles(const Graph& g) {
+// The forward kernel of both representations. Workers own contiguous node
+// ranges; the triangle total is an integer, so the atomic accumulation is
+// exact and partition-independent (and adjacency order is irrelevant).
+template <typename AnyGraph>
+uint64_t CountTrianglesImpl(const AnyGraph& g, int threads) {
   const NodeId n = g.num_nodes();
   if (n == 0) return 0;
-  std::vector<uint32_t> rank = DegreeRanks(g);
+  const ForwardCsr fwd = BuildForward(g, DegreeRanks(g));
 
-  // Forward adjacency: only neighbors of higher rank.
-  std::vector<std::vector<NodeId>> forward(n);
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v : g.Neighbors(u)) {
-      if (rank[u] < rank[v]) forward[u].push_back(v);
-    }
-  }
-
-  uint64_t triangles = 0;
-  std::vector<uint8_t> mark(n, 0);
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v : forward[u]) mark[v] = 1;
-    for (NodeId v : forward[u]) {
-      for (NodeId w : forward[v]) {
-        if (mark[w]) ++triangles;
-      }
-    }
-    for (NodeId v : forward[u]) mark[v] = 0;
-  }
-  return triangles;
-}
-
-uint64_t CountTriangles(const CsrGraph& g, int threads) {
-  const NodeId n = g.num_nodes();
-  if (n == 0) return 0;
-  const std::vector<uint32_t> rank = DegreeRanks(g);
-  const ForwardCsr fwd = BuildForward(g, rank);
-
-  // Workers own contiguous node ranges; the triangle total is an integer,
-  // so the atomic accumulation is exact and partition-independent.
   std::atomic<uint64_t> triangles{0};
   util::ParallelNodeRanges(n, threads, [&](uint64_t begin, uint64_t end) {
     std::vector<uint8_t> mark(n, 0);
@@ -125,6 +97,14 @@ uint64_t CountTriangles(const CsrGraph& g, int threads) {
     triangles.fetch_add(local, std::memory_order_relaxed);
   });
   return triangles.load();
+}
+
+}  // namespace
+
+uint64_t CountTriangles(const Graph& g) { return CountTrianglesImpl(g, 1); }
+
+uint64_t CountTriangles(const CsrGraph& g, int threads) {
+  return CountTrianglesImpl(g, threads);
 }
 
 uint64_t CountTrianglesBrute(const Graph& g) {

@@ -6,13 +6,13 @@
 // the local sensitivity of the triangle count at an edge {u, v} is
 // |Γ(u) ∩ Γ(v)|, so its maximum over all node pairs is the graph's local
 // sensitivity.
-// The CsrGraph overloads are the parallel snapshot kernels: forward
-// adjacency ordered by (degree, id) rank for the triangle total, and
-// merge-joins on sorted neighbor ranges (instead of hash probes) for the
-// per-edge common-neighbor counts behind PerNodeTriangles. All counts are
-// integers, so any static work partition reduces to the same result —
-// bitwise-identical to the Graph path at every thread count (threads <= 0
-// selects hardware concurrency).
+// Both CountTriangles overloads run one kernel over a forward adjacency in
+// CSR form, ordered by (degree, id) rank; the CsrGraph overload may split
+// it over threads. PerNodeTriangles on a CsrGraph merge-joins sorted
+// neighbor ranges (instead of hash probes) for the per-edge
+// common-neighbor counts. All counts are integers, so any static work
+// partition reduces to the same result — bitwise-identical to the Graph
+// path at every thread count (threads <= 0 selects hardware concurrency).
 #pragma once
 
 #include <cstdint>

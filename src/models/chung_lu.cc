@@ -11,8 +11,8 @@ namespace agmdp::models {
 namespace {
 
 util::Result<graph::Graph> GenerateOnce(
-    const std::vector<double>& weights, uint64_t target_edges,
-    uint64_t max_proposals, const EdgeFilter& filter,
+    const std::vector<uint32_t>& degrees, const std::vector<double>& weights,
+    uint64_t target_edges, uint64_t max_proposals, const EdgeFilter& filter,
     std::vector<graph::Edge>* insertion_order, util::Rng& rng) {
   auto sampler = util::AliasSampler::Build(weights);
   if (!sampler.ok()) return sampler.status();
@@ -25,6 +25,7 @@ util::Result<graph::Graph> GenerateOnce(
   }
   graph::Graph g(static_cast<graph::NodeId>(weights.size()));
   g.ReserveEdges(target_edges);  // no rehash churn inside the proposal loop
+  g.ReserveNeighbors(degrees);
   uint64_t proposals = 0;
   while (g.num_edges() < target_edges && proposals < max_proposals) {
     ++proposals;
@@ -68,8 +69,8 @@ util::Result<graph::Graph> FastChungLu(const std::vector<uint32_t>& degrees,
       util::SaturatingMul(options.max_proposals_per_edge, target);
   std::vector<double> weights(degrees.begin(), degrees.end());
 
-  auto first = GenerateOnce(weights, target, max_proposals, options.filter,
-                            options.insertion_order, rng);
+  auto first = GenerateOnce(degrees, weights, target, max_proposals,
+                            options.filter, options.insertion_order, rng);
   if (!first.ok() || !options.bias_correction) return first;
 
   // cFCL calibration: proposal collisions (duplicate edges) reject
@@ -93,8 +94,8 @@ util::Result<graph::Graph> FastChungLu(const std::vector<uint32_t>& degrees,
     weights[i] *= ratio;
   }
   if (!any_adjusted) return first;
-  return GenerateOnce(weights, target, max_proposals, options.filter,
-                      options.insertion_order, rng);
+  return GenerateOnce(degrees, weights, target, max_proposals,
+                      options.filter, options.insertion_order, rng);
 }
 
 }  // namespace agmdp::models

@@ -50,11 +50,12 @@ class NeighborStamp {
   uint32_t epoch_ = 0;
 };
 
-}  // namespace
-
-util::Result<TriCycLeResult> GenerateTriCycLe(
-    const std::vector<uint32_t>& degrees, uint64_t target_triangles,
-    util::Rng& rng, const TriCycLeOptions& options) {
+// Everything GenerateTriCycLe returns except the final triangle recount:
+// achieved_triangles stays 0 and reached_target reflects the loop's own
+// running count alone.
+util::Result<TriCycLeResult> Rewire(const std::vector<uint32_t>& degrees,
+                                    uint64_t target_triangles, util::Rng& rng,
+                                    const TriCycLeOptions& options) {
   if (degrees.empty()) {
     return util::Status::InvalidArgument("TriCycLe: empty degree sequence");
   }
@@ -169,11 +170,31 @@ util::Result<TriCycLeResult> GenerateTriCycLe(
                      options.post_process_options, nullptr);
   }
 
-  result.achieved_triangles = graph::CountTriangles(g);
   result.proposals = proposals;
-  result.reached_target = result.achieved_triangles >= target_triangles ||
-                          tau >= target_triangles;
+  result.reached_target = tau >= target_triangles;
   result.graph = std::move(g);
+  return result;
+}
+
+}  // namespace
+
+util::Result<graph::Graph> GenerateTriCycLeGraph(
+    const std::vector<uint32_t>& degrees, uint64_t target_triangles,
+    util::Rng& rng, const TriCycLeOptions& options) {
+  auto result = Rewire(degrees, target_triangles, rng, options);
+  if (!result.ok()) return result.status();
+  return std::move(result).value().graph;
+}
+
+util::Result<TriCycLeResult> GenerateTriCycLe(
+    const std::vector<uint32_t>& degrees, uint64_t target_triangles,
+    util::Rng& rng, const TriCycLeOptions& options) {
+  auto result = Rewire(degrees, target_triangles, rng, options);
+  if (!result.ok()) return result;
+  TriCycLeResult& r = result.value();
+  r.achieved_triangles = graph::CountTriangles(r.graph);
+  r.reached_target =
+      r.reached_target || r.achieved_triangles >= target_triangles;
   return result;
 }
 

@@ -54,7 +54,14 @@ struct TriCycLeResult {
 
 /// Generates a TriCycLe graph whose expected degrees follow `degrees`
 /// (indexed by synthetic node id) and whose triangle count approaches
-/// `target_triangles`.
+/// `target_triangles`. The graph alone — what the AGM sampler reads; no
+/// final triangle recount.
+util::Result<graph::Graph> GenerateTriCycLeGraph(
+    const std::vector<uint32_t>& degrees, uint64_t target_triangles,
+    util::Rng& rng, const TriCycLeOptions& options = {});
+
+/// GenerateTriCycLeGraph plus the achieved triangle count, recounted on the
+/// final graph (same graph from the same stream).
 util::Result<TriCycLeResult> GenerateTriCycLe(
     const std::vector<uint32_t>& degrees, uint64_t target_triangles,
     util::Rng& rng, const TriCycLeOptions& options = {});

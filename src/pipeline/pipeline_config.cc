@@ -49,12 +49,12 @@ class Fnv1a {
 util::Status ValidateAcceptanceKnobs(int acceptance_iterations,
                                      double acceptance_tolerance,
                                      double min_acceptance) {
-  // The upper bound is far beyond any useful setting (the paper's loop
-  // converges in a few iterations) but keeps a tampered artifact from
-  // hanging ReleaseEngine::Create in a ~1e9-iteration calibration loop —
-  // each iteration regenerates the full synthetic graph.
-  if (acceptance_iterations < 0 || acceptance_iterations > 1000) {
-    return Invalid("acceptance_iterations must be in [0, 1000]");
+  // The upper bound keeps a tampered artifact from hanging
+  // ReleaseEngine::Create in a ~1e9-iteration calibration loop.
+  if (acceptance_iterations < 0 ||
+      acceptance_iterations > agm::kMaxAcceptanceIterations) {
+    return Invalid("acceptance_iterations must be in [0, " +
+                   std::to_string(agm::kMaxAcceptanceIterations) + "]");
   }
   if (!std::isfinite(acceptance_tolerance) || acceptance_tolerance < 0.0) {
     return Invalid("acceptance_tolerance must be >= 0");

@@ -1,6 +1,7 @@
 #include "src/pipeline/release_engine.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "src/mechanisms/release_mechanism.h"
@@ -19,14 +20,27 @@ constexpr uint64_t kCalibrationSeed = 0xa6dca11b7a7e5eedULL;
 /// More workers than sampler shards can never be scheduled at once.
 constexpr int kMaxPoolWorkers = agm::kSamplerProposalShards;
 
+/// A request's refinements run as acceptance loops, so they share its
+/// bound (-1 and below select the engine default).
+util::Status CheckRefineIterations(int refine_iterations) {
+  if (refine_iterations > agm::kMaxAcceptanceIterations) {
+    return util::Status::InvalidArgument(
+        "release engine: refine iterations must be <= " +
+        std::to_string(agm::kMaxAcceptanceIterations));
+  }
+  return util::Status::OK();
+}
+
 }  // namespace
 
 util::Result<std::unique_ptr<ReleaseEngine>> ReleaseEngine::Create(
     ReleaseArtifact artifact, const EngineOptions& options) {
   if (auto st = ValidateReleaseArtifact(artifact); !st.ok()) return st;
-  if (options.default_refine_iterations < 0) {
+  if (options.default_refine_iterations < 0 ||
+      options.default_refine_iterations > agm::kMaxAcceptanceIterations) {
     return util::Status::InvalidArgument(
-        "release engine: default_refine_iterations must be >= 0");
+        "release engine: default_refine_iterations must be in [0, " +
+        std::to_string(agm::kMaxAcceptanceIterations) + "]");
   }
 
   // Non-AGM mechanisms: resolve the sampling handle from the mechanism
@@ -67,7 +81,6 @@ util::Result<std::unique_ptr<ReleaseEngine>> ReleaseEngine::Create(
   base.min_acceptance = artifact.min_acceptance;
   base.pool = nullptr;
   base.initial_acceptance = nullptr;
-  base.final_acceptance = nullptr;
   if (spec->builtin) {
     base.model = spec->kind;
     base.generator = nullptr;
@@ -83,12 +96,12 @@ util::Result<std::unique_ptr<ReleaseEngine>> ReleaseEngine::Create(
   if (options.calibrate && engine->base_options_.acceptance_iterations > 0) {
     agm::AgmSampleOptions calibration = engine->base_options_;
     calibration.pool = &engine->pool_;
-    calibration.final_acceptance = &engine->calibrated_acceptance_;
     util::Rng rng = util::Rng::Substream(
         kCalibrationSeed, engine->artifact_.config_fingerprint);
-    auto sample =
-        agm::SampleAgmGraph(engine->artifact_.params, calibration, rng);
-    if (!sample.ok()) return sample.status();
+    auto acceptance =
+        agm::CalibrateAcceptance(engine->artifact_.params, calibration, rng);
+    if (!acceptance.ok()) return acceptance.status();
+    engine->calibrated_acceptance_ = std::move(acceptance).value();
   }
   return engine;
 }
@@ -131,6 +144,9 @@ agm::AgmSampleOptions ReleaseEngine::RequestOptions(
 
 util::Result<graph::AttributedGraph> ReleaseEngine::Sample(
     const SampleRequest& request) const {
+  if (auto st = CheckRefineIterations(request.refine_iterations); !st.ok()) {
+    return st;
+  }
   // Same request keying on both paths; a mechanism sampler is immutable,
   // so concurrent requests need no coordination.
   util::Rng rng = util::Rng::Substream(request.seed, request.sequence);
@@ -155,6 +171,9 @@ util::Result<std::vector<graph::AttributedGraph>> ReleaseEngine::SampleMany(
   if (n < 0) {
     return util::Status::InvalidArgument(
         "release engine: SampleMany needs n >= 0");
+  }
+  if (auto st = CheckRefineIterations(base.refine_iterations); !st.ok()) {
+    return st;
   }
   if (sampler_ != nullptr) {
     // Each task is exactly Sample({seed, sequence + i}); per-sample cost

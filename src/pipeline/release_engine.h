@@ -8,10 +8,13 @@
 //
 //   * one persistent util::WorkerPool for the sampler hot path (no thread
 //     spawn per request);
-//   * optionally, one calibration run at construction whose converged
-//     acceptance vector A warm-starts every request — steady-state serving
-//     then generates the structure once through the calibrated filter
-//     instead of iterating the full cold acceptance loop per sample.
+//   * optionally, one calibration run at construction
+//     (agm::CalibrateAcceptance) whose converged acceptance vector A
+//     warm-starts every request — steady-state serving then generates the
+//     structure once through the calibrated filter instead of iterating
+//     the full cold acceptance loop per sample. The calibration stops
+//     before the last iteration's structural generation, whose graph it
+//     would only discard.
 //
 // Determinism / threading contract: Sample(request) is thread-safe and
 // draws exclusively from util::Rng::Substream(request.seed,
@@ -45,14 +48,15 @@ struct EngineOptions {
   /// Serving pool workers (0 = hardware concurrency, capped at the sampler
   /// shard count). The pool size never affects sampled bits.
   int threads = 0;
-  /// Run one calibration sample at construction (full acceptance loop,
+  /// Run the acceptance loop once at construction (agm::CalibrateAcceptance
   /// from the fixed calibration substream) and warm-start every request
   /// with its converged acceptance vector. Disable to reproduce the
   /// paper's cold per-sample loop exactly (the legacy free functions do).
   bool calibrate = true;
   /// Acceptance refinements per request once calibrated (requests may
   /// override). 0 = trust the calibrated vector: the loop had converged,
-  /// so steady-state serving is one filtered generation per sample.
+  /// so steady-state serving is one filtered generation per sample. At
+  /// most agm::kMaxAcceptanceIterations.
   int default_refine_iterations = 0;
   /// Model-specific sampler knobs (FCL/TriCycLe options etc.). The model /
   /// generator / acceptance settings inside are overridden by the registry
@@ -65,8 +69,9 @@ struct SampleRequest {
   /// Substream family; the request draws from Substream(seed, sequence).
   uint64_t seed = 1;
   uint64_t sequence = 0;
-  /// Acceptance refinements for this request; -1 = engine default. Ignored
-  /// (full cold loop) when the engine is not calibrated.
+  /// Acceptance refinements for this request; -1 = engine default, at most
+  /// agm::kMaxAcceptanceIterations (larger values are InvalidArgument).
+  /// Ignored (full cold loop) when the engine is not calibrated.
   int refine_iterations = -1;
   /// Intra-sample sampler workers: 1 (default) runs inline on the calling
   /// thread; > 1 borrows the engine pool when it is free (inline
@@ -86,7 +91,7 @@ class ReleaseEngine {
  public:
   /// Validates the artifact (schema version, mechanism tag, registry
   /// model, parameter sanity), spawns the persistent pool, and runs the
-  /// calibration sample when requested (AGM only; other mechanisms have
+  /// calibration when requested (AGM only; other mechanisms have
   /// no acceptance loop to calibrate).
   static util::Result<std::unique_ptr<ReleaseEngine>> Create(
       ReleaseArtifact artifact, const EngineOptions& options = {});
@@ -144,8 +149,8 @@ class ReleaseEngine {
   /// Registry-resolved sampler options (model kind / generator bound,
   /// artifact acceptance defaults applied).
   agm::AgmSampleOptions base_options_;
-  /// Converged acceptance vector of the calibration sample; empty when the
-  /// engine is not calibrated.
+  /// Converged acceptance vector of the calibration; empty when the engine
+  /// is not calibrated.
   std::vector<double> calibrated_acceptance_;
   /// Mechanism-registry sampling handle; null for "agm" artifacts (which
   /// use the sampler path below). When set, every Sample* method

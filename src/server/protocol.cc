@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "src/agm/agm_sampler.h"
+
 namespace agmdp::server {
 
 namespace {
@@ -216,8 +218,10 @@ util::Result<Request> ParseRequest(const std::string& line) {
           UINT64_MAX - static_cast<uint64_t>(request.count)) {
         return Invalid("'sequence' + 'count' overflows uint64");
       }
-      if (request.refine_iterations < -1) {
-        return Invalid("'refine' must be >= -1");
+      if (request.refine_iterations < -1 ||
+          request.refine_iterations > agm::kMaxAcceptanceIterations) {
+        return Invalid("'refine' must be in [-1, " +
+                       std::to_string(agm::kMaxAcceptanceIterations) + "]");
       }
       break;
     case RequestOp::kPin:

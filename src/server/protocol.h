@@ -81,7 +81,8 @@ struct Request {
   uint64_t seed = 1;
   uint64_t sequence = 0;
   int count = 1;
-  /// Acceptance refinements per sample; -1 = engine default.
+  /// Acceptance refinements per sample; -1 = engine default, at most
+  /// agm::kMaxAcceptanceIterations.
   int refine_iterations = -1;
   /// Optional server-side output prefix; when set the server writes each
   /// sampled graph via graph::WriteAttributedGraph and returns the paths.
@@ -91,7 +92,8 @@ struct Request {
 /// Parses one request line under the protocol caps. Any malformed input —
 /// bad JSON, adversarial nesting, oversized line, unknown op, wrong field
 /// type, count outside [1, kMaxSampleCount], a sequence range that wraps
-/// uint64 — is a typed InvalidArgument.
+/// uint64, refine outside [-1, agm::kMaxAcceptanceIterations] — is a typed
+/// InvalidArgument.
 util::Result<Request> ParseRequest(const std::string& line);
 
 /// Serializes a request as one line (no trailing newline) — the client

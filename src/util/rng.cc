@@ -15,8 +15,6 @@ uint64_t SplitMix64(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
-uint64_t RotL(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -27,57 +25,11 @@ Rng::Rng(uint64_t seed) {
   if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) state_[0] = 1;
 }
 
-uint64_t Rng::Next() {
-  const uint64_t result = RotL(state_[0] + state_[3], 23) + state_[0];
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = RotL(state_[3], 45);
-  return result;
-}
-
-double Rng::UniformDouble() {
-  // 53 random bits into [0, 1).
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
-
-uint64_t Rng::UniformIndex(uint64_t n) {
-  AGMDP_CHECK(n > 0);
-  // Lemire's nearly-divisionless method: map the 64-bit draw to [0, n) via
-  // the high half of a 128-bit product, rejecting the (rare) low-half
-  // values that would bias the result. The common path costs one multiply;
-  // the two integer divisions of the classic modulo-rejection scheme only
-  // run when a rejection check is actually needed. Exactly uniform, like
-  // the scheme it replaces (draw values differ; every consumer derives its
-  // fixtures at runtime).
-  unsigned __int128 m = static_cast<unsigned __int128>(Next()) *
-                        static_cast<unsigned __int128>(n);
-  auto low = static_cast<uint64_t>(m);
-  if (low < n) {
-    const uint64_t threshold = (0ULL - n) % n;
-    while (low < threshold) {
-      m = static_cast<unsigned __int128>(Next()) *
-          static_cast<unsigned __int128>(n);
-      low = static_cast<uint64_t>(m);
-    }
-  }
-  return static_cast<uint64_t>(m >> 64);
-}
-
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   AGMDP_CHECK(lo <= hi);
   const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
   if (span == 0) return static_cast<int64_t>(Next());  // full 64-bit range
   return lo + static_cast<int64_t>(UniformIndex(span));
-}
-
-bool Rng::Bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return UniformDouble() < p;
 }
 
 double Rng::Laplace(double scale) {

@@ -4,12 +4,19 @@
 // seed the entire pipeline (graph generation, DP noise, model sampling) is
 // reproducible. The generator is xoshiro256++ seeded via SplitMix64 — fast,
 // high quality, and trivially copyable for sub-streams.
+//
+// The draws the generators make per proposal (Next, UniformDouble,
+// UniformIndex, Bernoulli) are defined inline here, so an alias draw or a
+// filter decision compiles to straight-line code instead of two or three
+// out-of-line calls.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
+
+#include "src/util/check.h"
 
 namespace agmdp::util {
 
@@ -20,19 +27,55 @@ class Rng {
   explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
   /// Returns the next raw 64-bit output.
-  uint64_t Next();
+  uint64_t Next() {
+    const uint64_t result = RotL(state_[0] + state_[3], 23) + state_[0];
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = RotL(state_[3], 45);
+    return result;
+  }
 
   /// Returns a uniform double in [0, 1).
-  double UniformDouble();
+  double UniformDouble() {
+    // 53 random bits into [0, 1).
+    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+  }
 
   /// Returns a uniform integer in [0, n). Requires n > 0.
-  uint64_t UniformIndex(uint64_t n);
+  uint64_t UniformIndex(uint64_t n) {
+    AGMDP_CHECK(n > 0);
+    // Lemire's nearly-divisionless method: map the 64-bit draw to [0, n)
+    // via the high half of a 128-bit product, rejecting the (rare) low-half
+    // values that would bias the result. The common path costs one
+    // multiply; the two integer divisions of the classic modulo-rejection
+    // scheme only run when a rejection check is actually needed.
+    unsigned __int128 m = static_cast<unsigned __int128>(Next()) *
+                          static_cast<unsigned __int128>(n);
+    auto low = static_cast<uint64_t>(m);
+    if (low < n) {
+      const uint64_t threshold = (0ULL - n) % n;
+      while (low < threshold) {
+        m = static_cast<unsigned __int128>(Next()) *
+            static_cast<unsigned __int128>(n);
+        low = static_cast<uint64_t>(m);
+      }
+    }
+    return static_cast<uint64_t>(m >> 64);
+  }
 
   /// Returns a uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
   int64_t UniformInt(int64_t lo, int64_t hi);
 
   /// Returns true with probability p (p clamped to [0, 1]).
-  bool Bernoulli(double p);
+  bool Bernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return UniformDouble() < p;
+  }
 
   /// Samples Laplace(0, scale): density (1/2b) exp(-|x|/b). Requires
   /// scale > 0.
@@ -73,6 +116,10 @@ class Rng {
   }
 
  private:
+  static uint64_t RotL(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t state_[4];
 };
 

@@ -164,6 +164,31 @@ TEST(CsrKernelsTest, TriangleKernelsMatchLegacyAtEveryThreadCount) {
   }
 }
 
+TEST(CsrKernelsTest, TriangleKernelAgreesAfterAddRemoveChurn) {
+  // Swap-pop removal leaves adjacency lists unordered; the shared forward
+  // kernel must not depend on neighbor order in either representation.
+  Graph g = RandomGraph(48, 0.2, 29);
+  util::Rng rng(31);
+  for (int step = 0; step < 3000; ++step) {
+    const auto u = static_cast<NodeId>(rng.UniformIndex(g.num_nodes()));
+    const auto v = static_cast<NodeId>(rng.UniformIndex(g.num_nodes()));
+    if (rng.Bernoulli(0.5)) {
+      g.AddEdge(u, v);
+    } else {
+      g.RemoveEdge(u, v);
+    }
+    if (step % 500 != 499) continue;
+    const uint64_t brute = CountTrianglesBrute(g);
+    ASSERT_GT(brute, 0u);
+    EXPECT_EQ(CountTriangles(g), brute) << "step " << step;
+    const CsrGraph csr = CsrGraph::FromGraph(g);
+    for (int threads : {1, 4}) {
+      EXPECT_EQ(CountTriangles(csr, threads), brute)
+          << "step " << step << " threads " << threads;
+    }
+  }
+}
+
 TEST(CsrKernelsTest, ClusteringBitwiseEqualAtEveryThreadCount) {
   const Graph g = RandomGraph(60, 0.12, 14);
   const CsrGraph csr = CsrGraph::FromGraph(g);

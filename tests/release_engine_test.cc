@@ -8,15 +8,18 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/agm/agm_sampler.h"
 #include "src/datasets/datasets.h"
 #include "src/eval/sweep_engine.h"
 #include "src/pipeline/release_engine.h"
 #include "src/pipeline/release_pipeline.h"
+#include "src/server/protocol.h"
 #include "src/util/rng.h"
 
 namespace agmdp {
@@ -281,6 +284,37 @@ TEST(ReleaseEngineTest, TriangleModelServesWellFormedGraphs) {
   }
 }
 
+TEST(ReleaseEngineTest, RefineIterationsAreBoundedByTheLoopCap) {
+  const pipeline::ReleaseArtifact artifact = FitArtifact("fcl");
+  pipeline::EngineOptions options;
+  options.threads = 1;
+  options.default_refine_iterations = agm::kMaxAcceptanceIterations + 1;
+  auto rejected = pipeline::ReleaseEngine::Create(artifact, options);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), util::StatusCode::kInvalidArgument);
+
+  options.default_refine_iterations = 0;
+  auto engine = pipeline::ReleaseEngine::Create(artifact, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  // An unbounded request count would pin the serving thread; it fails
+  // before any sampling work, on both entry points.
+  for (int refine : {agm::kMaxAcceptanceIterations + 1, 2000000000}) {
+    pipeline::SampleRequest request;
+    request.refine_iterations = refine;
+    auto one = engine.value()->Sample(request);
+    ASSERT_FALSE(one.ok());
+    EXPECT_EQ(one.status().code(), util::StatusCode::kInvalidArgument);
+    for (int n : {1, 3}) {
+      auto many = engine.value()->SampleMany(n, request);
+      ASSERT_FALSE(many.ok());
+      EXPECT_EQ(many.status().code(), util::StatusCode::kInvalidArgument);
+    }
+  }
+  pipeline::SampleRequest one_refinement;
+  one_refinement.refine_iterations = 1;
+  EXPECT_TRUE(engine.value()->Sample(one_refinement).ok());
+}
+
 TEST(ReleaseEngineTest, RejectsTamperedArtifacts) {
   pipeline::ReleaseArtifact artifact = FitArtifact("fcl");
   artifact.model = "no_such_model";
@@ -293,6 +327,105 @@ TEST(ReleaseEngineTest, RejectsTamperedArtifacts) {
   artifact = FitArtifact("fcl");
   artifact.schema_version = pipeline::kReleaseArtifactSchemaVersion + 1;
   EXPECT_FALSE(pipeline::ReleaseEngine::Create(artifact).ok());
+}
+
+// --------------------------------------------------------------- golden --
+
+// FNV-1a over the IEEE-754 bit patterns, so a last-ulp change shows.
+uint64_t AcceptanceBitsHash(const std::vector<double>& acceptance) {
+  uint64_t hash = 1469598103934665603ULL;
+  for (double value : acceptance) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(bits));
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ULL;
+    }
+  }
+  return hash;
+}
+
+struct GoldenCase {
+  const char* model;
+  int acceptance_iterations;
+  double acceptance_tolerance;
+  uint64_t acceptance_hash;
+  uint64_t sample_checksums[4];  // SampleMany(4), seed 7, sequence 0..3
+  uint64_t cold_checksum;        // one uncalibrated (full cold loop) sample
+};
+
+// Literal calibration and sample bits on a fixed non-private input. Other
+// engine tests only compare runs with each other; these pin the absolute
+// values, so a refactor of the acceptance loop or the generators that
+// changes any calibrated vector or sampled graph fails here. The cases
+// cover both loop exits: the iteration limit (1 and 3 iterations) and the
+// tolerance exit at the second iteration (a tolerance above 1 always
+// holds, as acceptance values lie in [0, 1]).
+TEST(ReleaseEngineGoldenTest, CalibrationAndSamplesMatchPinnedLiterals) {
+  static const GoldenCase kCases[] = {
+      {"tricycle", 1, 0.01, 0xe6b40968d5ddc147ULL,
+       {0xf7f25f37cc815260ULL, 0x1901e5a166a4807fULL,
+        0x5b70522e4687987bULL, 0x11948c409945778eULL},
+       0x95c343f3c5ec44a0ULL},
+      {"tricycle", 3, 0.01, 0xcf2b5237f9ba3953ULL,
+       {0xb16562079165f764ULL, 0x6af32ad07cf7ba3aULL,
+        0x424573af7572f571ULL, 0x30d5182bc7a092d3ULL},
+       0x961c20acffda2732ULL},
+      {"tricycle", 4, 1.5, 0x54f163fdef7c2316ULL,
+       {0xb6dd1631cf3701c3ULL, 0x98af06c6b00bd9a2ULL,
+        0xbe378568c62d0ddcULL, 0xa769397d2ca74511ULL},
+       0x7805d8c49717f6c7ULL},
+      {"fcl", 1, 0.01, 0xc35e8e5b0e4d579aULL,
+       {0xf91a877537b1f17dULL, 0x2591fd87dec3251dULL,
+        0x2c86621c7fe8c41cULL, 0x619b85fbf9cba842ULL},
+       0xf8f710802e15f307ULL},
+      {"fcl", 3, 0.01, 0xa41610b1c47b8752ULL,
+       {0xf208ec4b4287df8fULL, 0x4e70eed19f92fad4ULL,
+        0x38eadb7f0f689b08ULL, 0x73d5d6e651336b5bULL},
+       0x1a86a8d675614dc3ULL},
+      {"fcl", 4, 1.5, 0xae2c5a11e17a27ecULL,
+       {0x7812d2606f75b4a4ULL, 0x7efd06201194875eULL,
+        0xccfa4e7719793043ULL, 0xd5cb4dc2620b85e5ULL},
+       0x1e53251995df1fdcULL},
+  };
+  auto input = datasets::GenerateDataset(datasets::DatasetId::kPetster, 0.1, 4);
+  ASSERT_TRUE(input.ok()) << input.status().ToString();
+  const agm::AgmParams params = agm::LearnAgmParams(input.value());
+
+  for (const GoldenCase& c : kCases) {
+    SCOPED_TRACE(std::string(c.model) + " iterations " +
+                 std::to_string(c.acceptance_iterations) + " tolerance " +
+                 std::to_string(c.acceptance_tolerance));
+    pipeline::PipelineConfig config;
+    config.model = c.model;
+    config.sample.acceptance_iterations = c.acceptance_iterations;
+    config.sample.acceptance_tolerance = c.acceptance_tolerance;
+    const pipeline::ReleaseArtifact artifact =
+        pipeline::MakeReleaseArtifact(params, config);
+
+    pipeline::EngineOptions options;
+    options.threads = 2;
+    auto engine = pipeline::ReleaseEngine::Create(artifact, options);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    EXPECT_EQ(AcceptanceBitsHash(engine.value()->calibrated_acceptance()),
+              c.acceptance_hash);
+    pipeline::SampleRequest base;
+    base.seed = 7;
+    auto graphs = engine.value()->SampleMany(4, base);
+    ASSERT_TRUE(graphs.ok()) << graphs.status().ToString();
+    for (size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(server::GraphChecksum(graphs.value()[i]),
+                c.sample_checksums[i])
+          << "sample " << i;
+    }
+
+    options.calibrate = false;
+    auto cold = pipeline::ReleaseEngine::Create(artifact, options);
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    auto cold_graph = cold.value()->Sample(base);
+    ASSERT_TRUE(cold_graph.ok()) << cold_graph.status().ToString();
+    EXPECT_EQ(server::GraphChecksum(cold_graph.value()), c.cold_checksum);
+  }
 }
 
 // ------------------------------------------------------------- validate --

@@ -29,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/agm/agm_sampler.h"
 #include "src/datasets/datasets.h"
 #include "src/pipeline/release_engine.h"
 #include "src/pipeline/release_pipeline.h"
@@ -167,6 +168,10 @@ TEST(ProtocolTest, MalformedRequestsAreTypedErrors) {
       // sequence + count wraps uint64.
       "{\"op\":\"sample\",\"id\":1,\"name\":\"m\","
       "\"sequence\":\"18446744073709551615\",\"count\":1}",
+      // Refinements beyond the acceptance-loop cap would pin a worker.
+      "{\"op\":\"sample\",\"id\":1,\"name\":\"m\",\"refine\":2000000000}",
+      "{\"op\":\"sample\",\"id\":1,\"name\":\"m\",\"refine\":1001}",
+      "{\"op\":\"sample\",\"id\":1,\"name\":\"m\",\"refine\":-2}",
   };
   for (const char* line : bad) {
     auto parsed = server::ParseRequest(line);
@@ -190,6 +195,10 @@ TEST(ProtocolTest, MalformedRequestsAreTypedErrors) {
       ",\"sequence\":\"" +
       std::to_string(UINT64_MAX - server::kMaxSampleCount) + "\"}";
   EXPECT_TRUE(server::ParseRequest(at_cap).ok()) << at_cap;
+  const std::string refine_at_cap =
+      "{\"op\":\"sample\",\"id\":1,\"name\":\"m\",\"refine\":" +
+      std::to_string(agm::kMaxAcceptanceIterations) + "}";
+  EXPECT_TRUE(server::ParseRequest(refine_at_cap).ok()) << refine_at_cap;
 }
 
 TEST(ProtocolTest, GraphChecksumWireValueIsPinned) {

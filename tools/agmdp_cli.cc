@@ -139,6 +139,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/agm/agm_sampler.h"
 #include "src/agm/params_io.h"
 #include "src/datasets/datasets.h"
 #include "src/eval/sweep_engine.h"
@@ -470,12 +471,18 @@ int CmdSample(const util::Flags& flags) {
   if (!serve_threads.ok()) return FailUsage(serve_threads.status());
   auto refine_iters = flags.GetCheckedInt("refine_iters", 0);
   if (!refine_iters.ok()) return FailUsage(refine_iters.status());
+  const int64_t refine = flags.Has("refine_iters")
+                             ? refine_iters.value()
+                             : flags.GetInt("refine-iters", 0);
+  if (refine < 0 || refine > agm::kMaxAcceptanceIterations) {
+    return FailUsage(util::Status::InvalidArgument(
+        "--refine_iters=" + std::to_string(refine) + " must be in [0, " +
+        std::to_string(agm::kMaxAcceptanceIterations) + "]"));
+  }
   pipeline::EngineOptions options;
   options.threads = static_cast<int>(serve_threads.value());
   options.calibrate = !flags.GetBool("cold", false);
-  options.default_refine_iterations = static_cast<int>(
-      flags.Has("refine_iters") ? refine_iters.value()
-                                : flags.GetInt("refine-iters", 0));
+  options.default_refine_iterations = static_cast<int>(refine);
   options.sample = config.sample;
   auto engine = pipeline::ReleaseEngine::Create(std::move(artifact), options);
   if (!engine.ok()) return Fail(engine.status());
@@ -1024,6 +1031,13 @@ int CmdClient(const util::Flags& flags) {
   request.count = static_cast<int>(samples.value());
   auto refine = flags.GetCheckedInt("refine_iters", -1);
   if (!refine.ok()) return FailUsage(refine.status());
+  if (refine.value() < -1 ||
+      refine.value() > agm::kMaxAcceptanceIterations) {
+    return FailUsage(util::Status::InvalidArgument(
+        "--refine_iters=" + std::to_string(refine.value()) +
+        " must be in [-1, " +
+        std::to_string(agm::kMaxAcceptanceIterations) + "]"));
+  }
   request.refine_iterations = static_cast<int>(refine.value());
   request.out = flags.GetString("out", "");
 
