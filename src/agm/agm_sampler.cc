@@ -86,13 +86,12 @@ int SamplerWorkers(int threads) {
 // The per-sample invariants of the sharded FCL path, built once per
 // SampleAgmGraph call and reused across every acceptance iteration: the pi
 // weights, the alias table over them, and the edge target. Only the cFCL
-// calibration pass (whose weights depend on the pilot graph of the current
+// calibration pass (whose weights depend on the pilot of the current
 // iteration) still builds a fresh alias table.
 struct FclPlan {
   std::vector<double> weights;
   std::optional<util::AliasSampler> sampler;  // engaged iff target > 0
   uint64_t target = 0;
-  uint64_t total_degree = 0;
 };
 
 util::Result<FclPlan> BuildFclPlan(const std::vector<uint32_t>& degrees,
@@ -100,10 +99,14 @@ util::Result<FclPlan> BuildFclPlan(const std::vector<uint32_t>& degrees,
   if (degrees.empty()) {
     return util::Status::InvalidArgument("FastChungLu: empty degree sequence");
   }
+  uint64_t total_degree = 0;
+  for (uint32_t d : degrees) total_degree += d;
   FclPlan plan;
-  for (uint32_t d : degrees) plan.total_degree += d;
-  plan.target = options.target_edges > 0 ? options.target_edges
-                                         : plan.total_degree / 2;
+  // A simple graph cannot hold more edges than this; the clamp bounds every
+  // quota- and reservation-derived allocation of the passes.
+  plan.target = std::min(
+      options.target_edges > 0 ? options.target_edges : total_degree / 2,
+      graph::MaxPossibleEdges(static_cast<graph::NodeId>(degrees.size())));
   if (plan.target == 0) return plan;  // empty result; no pi table needed
   plan.weights.assign(degrees.begin(), degrees.end());
   auto sampler = util::AliasSampler::Build(plan.weights);
@@ -112,30 +115,26 @@ util::Result<FclPlan> BuildFclPlan(const std::vector<uint32_t>& degrees,
   return plan;
 }
 
-// One sharded proposal pass of the parallel Fast Chung-Lu sampler. Shard s
-// draws exclusively from util::Rng::Substream(seed_base, stream_offset + s)
-// and collects its accepted edges locally (deduplicating, like the
-// sequential sampler, only among *accepted* edges, so a filter-rejected
-// pair can be re-proposed); the shards are then merged in shard order with
-// cross-shard duplicates dropped. Every quantity here is a function of
-// (seed_base, stream_offset) alone — the pool only changes which worker
-// runs which shard.
-graph::Graph ShardedProposalPass(const util::AliasSampler& sampler,
-                                 const std::vector<uint32_t>& degrees,
-                                 uint64_t target_edges,
-                                 uint64_t max_proposals_per_edge,
-                                 const models::EdgeFilter& filter,
-                                 util::WorkerPool& pool, uint64_t seed_base,
-                                 uint64_t stream_offset,
-                                 std::vector<graph::Edge>* insertion_order) {
-  if (insertion_order != nullptr) insertion_order->clear();
-  const auto n = static_cast<graph::NodeId>(degrees.size());
-  // A simple graph over n nodes cannot hold more edges than this; clamping
-  // the caller's raw target bounds every quota- and reservation-derived
-  // allocation below.
-  target_edges = std::min(target_edges, graph::MaxPossibleEdges(n));
-  if (target_edges == 0) return graph::Graph(n);
-
+// One sharded proposal pass of the parallel Fast Chung-Lu sampler, merged
+// into `out` (a graph::Graph or a models::FclPilot). Shard s draws
+// exclusively from util::Rng::Substream(seed_base, stream_offset + s) and
+// collects its accepted edges locally (deduplicating, like the sequential
+// sampler, only among *accepted* edges, so a filter-rejected pair can be
+// re-proposed); the shards are merged in shard order with cross-shard
+// duplicates dropped, stopping at the target. Shards are drawn lazily, in
+// merge order: first the ceil(target / quota) shards the merge needs at the
+// least, then one shard per worker at a time until the merge reaches the
+// target, so shards after that point are never drawn. Every quantity here
+// is a function of (seed_base, stream_offset) alone — the pool only changes
+// which worker runs which shard and how many are drawn ahead of the merge.
+template <typename Out>
+void ShardedProposalPass(const util::AliasSampler& sampler,
+                         uint64_t target_edges,
+                         uint64_t max_proposals_per_edge,
+                         const models::EdgeFilter& filter,
+                         util::WorkerPool& pool, uint64_t seed_base,
+                         uint64_t stream_offset, Out& out,
+                         std::vector<graph::Edge>* insertion_order) {
   // Over-provision each shard a little beyond target/shards: cross-shard
   // duplicates only surface at merge time, and the surplus lets the merge
   // still reach the target. (Falling short is permitted — FCL's contract —
@@ -149,7 +148,7 @@ graph::Graph ShardedProposalPass(const util::AliasSampler& sampler,
   const bool filtered = filter.active();
 
   std::vector<std::vector<graph::Edge>> accepted(kProposalShards);
-  pool.Run(kProposalShards, [&](int s) {
+  const auto draw_shard = [&](int s) {
     util::Rng rng = util::Rng::Substream(
         seed_base, stream_offset + static_cast<uint64_t>(s));
     util::FlatEdgeSet seen(quota);
@@ -165,69 +164,52 @@ graph::Graph ShardedProposalPass(const util::AliasSampler& sampler,
       seen.Insert(graph::PackEdge(u, v));
       edges.emplace_back(u, v);
     }
-  });
+  };
 
-  graph::Graph g(n);
-  g.ReserveEdges(target_edges);
-  g.ReserveNeighbors(degrees);
-  for (const auto& shard : accepted) {
-    for (const graph::Edge& e : shard) {
-      if (g.num_edges() >= target_edges) return g;
-      if (g.AddEdge(e.u, e.v) && insertion_order != nullptr) {
-        insertion_order->push_back(e);
+  int wave = static_cast<int>(std::min<uint64_t>(
+      (target_edges + quota - 1) / quota, kProposalShards));
+  int drawn = 0;
+  while (drawn < kProposalShards) {
+    const int first = drawn;
+    drawn = std::min(kProposalShards, drawn + wave);
+    pool.Run(drawn - first, [&](int i) { draw_shard(first + i); });
+    for (int s = first; s < drawn; ++s) {
+      for (const graph::Edge& e : accepted[s]) {
+        if (out.num_edges() >= target_edges) return;
+        if (out.AddEdge(e.u, e.v) && insertion_order != nullptr) {
+          insertion_order->push_back(e);
+        }
       }
+      std::vector<graph::Edge>().swap(accepted[s]);  // merged; free it
     }
+    wave = pool.num_workers();
   }
-  return g;
 }
 
-// Parallel counterpart of models::FastChungLu, including the cFCL hub
-// calibration pass (same reweighting rule; the pilot graph it reads is the
-// deterministic shard merge, so the calibration is reproducible too). The
-// second pass uses the next block of sub-streams. The first pass reuses the
-// plan's prebuilt alias table; only the calibrated pass, whose weights
-// depend on the pilot, builds a fresh one.
+// Parallel counterpart of models::FastChungLu through the same cFCL routine
+// (models::RunFcl; the pilot it measures is the deterministic shard merge,
+// so the calibration is reproducible too). The calibrated pass uses the
+// next block of sub-streams. The first pass reuses the plan's prebuilt
+// alias table; only the calibrated pass, whose weights depend on the pilot,
+// builds a fresh one.
 util::Result<graph::Graph> ShardedFastChungLu(
     const std::vector<uint32_t>& degrees, const FclPlan& plan,
     const models::ChungLuOptions& options, util::WorkerPool& pool,
     uint64_t seed_base) {
-  const auto n = static_cast<graph::NodeId>(degrees.size());
-  if (plan.target == 0) {
+  const uint64_t target = plan.target;
+  if (target == 0) {
     if (options.insertion_order != nullptr) options.insertion_order->clear();
-    return graph::Graph(n);
+    return graph::Graph(static_cast<graph::NodeId>(degrees.size()));
   }
-
-  graph::Graph first = ShardedProposalPass(
-      *plan.sampler, degrees, plan.target, options.max_proposals_per_edge,
-      options.filter, pool, seed_base, /*stream_offset=*/0,
-      options.insertion_order);
-  if (!options.bias_correction) return first;
-
-  const double avg_degree = static_cast<double>(plan.total_degree) /
-                            static_cast<double>(degrees.size());
-  const double hub_threshold = std::max(10.0, 3.0 * avg_degree);
-  std::vector<double> weights = plan.weights;
-  bool any_adjusted = false;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    const double desired = degrees[i];
-    if (weights[i] <= 0.0 || desired <= hub_threshold) continue;
-    const double realized = std::max(
-        1.0, static_cast<double>(first.Degree(static_cast<graph::NodeId>(i))));
-    const double ratio = std::clamp(desired / realized, 1.0, 4.0);
-    if (ratio > 1.0 + 1e-9) any_adjusted = true;
-    weights[i] *= ratio;
-  }
-  if (!any_adjusted) return first;
-
-  auto calibrated = util::AliasSampler::Build(weights);
-  if (!calibrated.ok()) return calibrated.status();
-  // The calibrated pass re-clears insertion_order, so the caller sees only
-  // the returned graph's edges, in merge order.
-  return ShardedProposalPass(calibrated.value(), degrees, plan.target,
-                             options.max_proposals_per_edge, options.filter,
-                             pool, seed_base,
-                             /*stream_offset=*/kProposalShards,
-                             options.insertion_order);
+  return models::RunFcl(
+      degrees, target, plan.weights, *plan.sampler, options,
+      [&](const util::AliasSampler& sampler, auto& out,
+          std::vector<graph::Edge>* insertion_order, bool calibrated) {
+        ShardedProposalPass(sampler, target, options.max_proposals_per_edge,
+                            options.filter, pool, seed_base,
+                            calibrated ? kProposalShards : 0, out,
+                            insertion_order);
+      });
 }
 
 // Θ'F counted over the pool's workers (node-range partition; exact integer

@@ -1,5 +1,6 @@
 #include "src/agm/params_io.h"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -43,6 +44,7 @@ bool ReadDoubles(std::istream& in, uint64_t count, std::vector<double>* out) {
   }
   return true;
 }
+
 }  // namespace
 
 util::Status ValidateAgmParams(const AgmParams& params) {
@@ -70,6 +72,21 @@ util::Status ValidateAgmParams(const AgmParams& params) {
   }
   if (params.degree_sequence.empty()) {
     return util::Status::InvalidArgument("params: empty degree sequence");
+  }
+  // No simple graph over n nodes has a degree above n - 1 or more than
+  // C(n, 3) triangles, and the generators would chase either until their
+  // budgets run out (the DP fit clamps to the same bounds). C(n, 3) is
+  // taken in 128 bits: the 64-bit product overflows from n ~ 2.6M on.
+  const uint64_t n = params.degree_sequence.size();
+  const uint32_t max_degree = *std::max_element(params.degree_sequence.begin(),
+                                                params.degree_sequence.end());
+  const unsigned __int128 max_triangles =
+      n < 3 ? 0 : static_cast<unsigned __int128>(n) * (n - 1) * (n - 2) / 6;
+  if (max_degree > n - 1 || params.target_triangles > max_triangles) {
+    return util::Status::InvalidArgument(
+        "params: degree " + std::to_string(max_degree) + " or " +
+        std::to_string(params.target_triangles) +
+        " triangles infeasible over n = " + std::to_string(n) + " nodes");
   }
   return util::Status::OK();
 }

@@ -3,63 +3,66 @@
 // Both models repeatedly delete the *oldest* edge in the evolving graph, and
 // TriCycLe's undo step re-inserts a deleted edge as the *youngest* (the
 // paper stresses this detail — without it Algorithm 1 can live-lock). The
-// queue uses lazy invalidation: each (edge, sequence) entry is valid only if
-// the edge's latest sequence number still matches, so deletions and undo
-// re-insertions are O(1).
+// queue is a plain FIFO holding each live edge exactly once: it is built
+// from the graph's history with only live edges, each at its latest
+// insertion (FromHistory), and the rewiring loops remove an edge only by
+// popping it and push only edges that are absent or were just popped. So
+// every pop yields a live edge, with no liveness check or per-edge index.
 #pragma once
 
-#include <cstdint>
 #include <deque>
+#include <vector>
 
 #include "src/graph/graph.h"
 #include "src/util/flat_edge_set.h"
 
 namespace agmdp::models {
 
-/// \brief FIFO of edges by insertion age with O(1) touch/invalidate.
+/// \brief FIFO of a graph's live edges, oldest first.
 class EdgeAgeQueue {
  public:
-  /// Registers `e` as the youngest edge (fresh insertion or undo).
-  void Push(const graph::Edge& e) {
-    const uint64_t seq = ++counter_;
-    latest_.Put(graph::PackEdge(e.u, e.v), seq);
-    queue_.push_back({e, seq});
-  }
-
-  /// Marks `e` as no longer tracked (its queue entry becomes stale).
-  void Invalidate(const graph::Edge& e) {
-    latest_.Erase(graph::PackEdge(e.u, e.v));
-  }
-
-  /// Pops and returns the oldest valid edge; false if none remain.
-  bool PopOldest(graph::Edge* out) {
-    while (!queue_.empty()) {
-      const Entry entry = queue_.front();
-      queue_.pop_front();
-      const uint64_t key = graph::PackEdge(entry.edge.u, entry.edge.v);
-      const uint64_t* seq = latest_.Find(key);
-      if (seq != nullptr && *seq == entry.seq) {
-        latest_.Erase(key);
-        *out = entry.edge;
-        return true;
+  /// The queue of `g`'s live edges from the history that built `g`:
+  /// `seed_order` (distinct edges in insertion order), then `added` (later
+  /// insertions in order, which may repeat each other or re-insert seed
+  /// edges deleted in between). An edge is kept only if it is live in `g`,
+  /// and only at its latest insertion; deleted edges are dropped.
+  static EdgeAgeQueue FromHistory(const graph::Graph& g,
+                                  const std::vector<graph::Edge>& seed_order,
+                                  const std::vector<graph::Edge>& added) {
+    // Scanned newest first and pushed to the front, so each edge's first
+    // hit is its latest insertion and the queue ends up oldest first.
+    util::FlatEdgeSet in_added(added.size());
+    EdgeAgeQueue queue;
+    for (auto it = added.rbegin(); it != added.rend(); ++it) {
+      if (in_added.Insert(graph::PackEdge(it->u, it->v)) &&
+          g.HasEdge(it->u, it->v)) {
+        queue.queue_.push_front(*it);
       }
     }
-    return false;
+    for (auto it = seed_order.rbegin(); it != seed_order.rend(); ++it) {
+      if (!in_added.Contains(graph::PackEdge(it->u, it->v)) &&
+          g.HasEdge(it->u, it->v)) {
+        queue.queue_.push_front(*it);
+      }
+    }
+    return queue;
   }
 
-  /// Number of live (valid) edges tracked.
-  size_t live_size() const { return latest_.size(); }
+  /// Registers `e` as the youngest edge (fresh insertion or undo).
+  void Push(const graph::Edge& e) { queue_.push_back(e); }
+
+  /// Pops and returns the oldest edge; false if the queue is empty.
+  bool PopOldest(graph::Edge* out) {
+    if (queue_.empty()) return false;
+    *out = queue_.front();
+    queue_.pop_front();
+    return true;
+  }
+
+  size_t size() const { return queue_.size(); }
 
  private:
-  struct Entry {
-    graph::Edge edge;
-    uint64_t seq;
-  };
-
-  std::deque<Entry> queue_;
-  util::FlatEdgeMap latest_;  // flat map: PopOldest/Push run once per
-                              // rewiring proposal in the TriCycLe/TCL loops
-  uint64_t counter_ = 0;
+  std::deque<graph::Edge> queue_;
 };
 
 }  // namespace agmdp::models

@@ -4,7 +4,6 @@
 
 #include "src/models/edge_age_queue.h"
 #include "src/util/check.h"
-#include "src/util/flat_edge_set.h"
 #include "src/util/math_util.h"
 
 namespace agmdp::models {
@@ -35,17 +34,16 @@ util::Result<graph::Graph> GenerateTcl(const std::vector<uint32_t>& degrees,
   if (!seed.ok()) return seed.status();
   graph::Graph g = std::move(seed).value();
 
+  // The seed edges are the oldest queue entries and each swap pops exactly
+  // one live edge, so the seed is gone once that many edges were popped.
   EdgeAgeQueue age;
-  util::FlatEdgeSet live_seed_edges(insertion_order.size());
-  for (const graph::Edge& e : insertion_order) {
-    age.Push(e);
-    live_seed_edges.Insert(graph::PackEdge(e.u, e.v));
-  }
+  for (const graph::Edge& e : insertion_order) age.Push(e);
+  uint64_t seed_edges_left = insertion_order.size();
 
   const uint64_t max_proposals =
       util::SaturatingMul(options.max_proposals_factor, m_target);
   uint64_t proposals = 0;
-  while (!live_seed_edges.empty() && proposals < max_proposals) {
+  while (seed_edges_left > 0 && proposals < max_proposals) {
     ++proposals;
     auto vi = static_cast<graph::NodeId>(pi.value().Sample(rng));
     graph::NodeId vj;
@@ -66,17 +64,9 @@ util::Result<graph::Graph> GenerateTcl(const std::vector<uint32_t>& degrees,
     age.Push(graph::Edge(vi, vj));
 
     graph::Edge oldest;
-    bool have_oldest = false;
-    while (age.PopOldest(&oldest)) {
-      if (g.HasEdge(oldest.u, oldest.v)) {
-        have_oldest = true;
-        break;
-      }
-    }
-    if (!have_oldest) break;  // cannot happen (the new edge is live) but
-                              // guards against future invariant changes
+    AGMDP_CHECK(age.PopOldest(&oldest));  // holds at least the new edge
     g.RemoveEdge(oldest.u, oldest.v);
-    live_seed_edges.Erase(graph::PackEdge(oldest.u, oldest.v));
+    --seed_edges_left;
   }
 
   if (options.post_process) {

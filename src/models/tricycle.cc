@@ -67,7 +67,10 @@ util::Result<TriCycLeResult> Rewire(const std::vector<uint32_t>& degrees,
     total_degree += d;
     if (d == 1) ++degree_one;
   }
-  const uint64_t m_target = total_degree / 2;
+  // A simple graph holds at most C(n, 2) edges; the clamp also bounds the
+  // default rewiring budget.
+  const uint64_t m_target =
+      std::min(total_degree / 2, graph::MaxPossibleEdges(n));
   if (m_target == 0) {
     TriCycLeResult empty{graph::Graph(n), target_triangles, 0, 0,
                          target_triangles == 0};
@@ -103,15 +106,15 @@ util::Result<TriCycLeResult> Rewire(const std::vector<uint32_t>& degrees,
   if (!seed.ok()) return seed.status();
   graph::Graph g = std::move(seed).value();
 
-  EdgeAgeQueue age;
-  for (const graph::Edge& e : insertion_order) age.Push(e);
-
+  // Post-processing deletes and re-adds edges, so the age queue is built
+  // afterwards from the whole history, holding each live edge once.
+  std::vector<graph::Edge> added;
   if (options.post_process) {
-    std::vector<graph::Edge> added;
     PostProcessGraph(&g, degrees, pi.value(), rng,
                      options.post_process_options, &added);
-    for (const graph::Edge& e : added) age.Push(e);
   }
+  EdgeAgeQueue age = EdgeAgeQueue::FromHistory(g, insertion_order, added);
+  std::vector<graph::Edge>().swap(insertion_order);  // the queue holds it now
 
   uint64_t tau = graph::CountTriangles(g);
   const uint64_t max_proposals =
@@ -137,17 +140,10 @@ util::Result<TriCycLeResult> Rewire(const std::vector<uint32_t>& degrees,
     // proposed edge (Section 4, footnote 4).
     if (!AcceptEdge(options.filter, vi, vj, rng)) continue;
 
-    // Line 11: oldest live edge. Entries whose edge was deleted by
-    // post-processing are skipped lazily.
+    // Line 11: the oldest edge. The queue holds exactly the live edges (a
+    // swap pops one and pushes one), so the popped edge is live.
     graph::Edge oldest;
-    bool have_oldest = false;
-    while (age.PopOldest(&oldest)) {
-      if (g.HasEdge(oldest.u, oldest.v)) {
-        have_oldest = true;
-        break;
-      }
-    }
-    if (!have_oldest) break;  // nothing left to replace
+    if (!age.PopOldest(&oldest)) break;  // edgeless: nothing to replace
 
     // Lines 12-19: keep the swap only if the net triangle count would not
     // decrease. The old edge is removed before evaluating the proposal

@@ -1,25 +1,21 @@
-// Open-addressing hash tables over packed 64-bit edge keys — the
-// flat-memory replacement for std::unordered_set / std::unordered_map on
-// the sampler hot path.
+// Open-addressing hash set over packed 64-bit edge keys — the flat-memory
+// replacement for std::unordered_set on the sampler hot path.
 //
-// Layout: one contiguous power-of-two array of keys (plus a parallel value
-// array for the map), linear probing, and backward-shift deletion (no
-// tombstones, so probe chains never degrade under the insert/erase churn
-// of the rewiring models). A membership test costs a handful of adjacent
-// cache lines instead of a node allocation plus a pointer chase per
-// bucket, which is where the FCL/TriCycLe inner loops spent their time
-// before this existed. FlatEdgeSet and FlatEdgeMap share one probing core
-// (internal::FlatEdgeTable) so the deletion-shift invariant and growth
-// policy cannot drift between them.
+// Layout: one contiguous power-of-two array of keys, linear probing, and
+// backward-shift deletion (no tombstones, so probe chains never degrade
+// under the insert/erase churn of the rewiring models). A membership test
+// costs a handful of adjacent cache lines instead of a node allocation
+// plus a pointer chase per bucket, which is where the FCL/TriCycLe inner
+// loops spent their time before this existed.
 //
 // Key 0 is reserved as the empty-slot sentinel. Packed edge keys cannot be
 // 0: graph::PackEdge(u, v) == 0 only for the self-loop {0, 0}, which every
 // caller rejects before deduplicating.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -27,22 +23,29 @@
 
 namespace agmdp::util {
 
-namespace internal {
-
-/// Shared probing core: key storage, hashing, lookup, insert-or-find,
-/// backward-shift erase, and growth under a 5/8 max load factor. `Value`
-/// is void for a set; otherwise a parallel slot-indexed value array is
-/// maintained through every shift and rehash.
-template <typename Value>
-class FlatEdgeTable {
+/// \brief Flat linear-probing set of non-zero uint64_t keys, growing under
+/// a 5/8 max load factor.
+class FlatEdgeSet {
  public:
-  static constexpr size_t kNpos = static_cast<size_t>(-1);
+  FlatEdgeSet() = default;
+
+  /// Pre-sizes the table for `expected` keys without rehashing on the way.
+  explicit FlatEdgeSet(size_t expected) { Reserve(expected); }
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   size_t capacity() const { return keys_.size(); }
 
-  bool Contains(uint64_t key) const { return FindSlot(key) != kNpos; }
+  bool Contains(uint64_t key) const {
+    if (keys_.empty()) return false;
+    const size_t mask = keys_.size() - 1;
+    size_t i = Hash(key) & mask;
+    while (keys_[i] != 0) {
+      if (keys_[i] == key) return true;
+      i = (i + 1) & mask;
+    }
+    return false;
+  }
 
   /// Drops every key, keeping the current capacity.
   void Clear() {
@@ -68,30 +71,9 @@ class FlatEdgeTable {
     }
   }
 
- protected:
-  static constexpr size_t kMinCapacity = 16;
-  static constexpr size_t kMaxCapacity = static_cast<size_t>(1) << 62;
-  static constexpr bool kHasValue = !std::is_void_v<Value>;
-  // The value array element; an empty placeholder type keeps the set's
-  // template instantiation value-free without a second implementation.
-  struct NoValue {};
-  using Stored = std::conditional_t<kHasValue, Value, NoValue>;
-
-  /// Slot of `key`, or kNpos if absent.
-  size_t FindSlot(uint64_t key) const {
-    if (keys_.empty()) return kNpos;
-    const size_t mask = keys_.size() - 1;
-    size_t i = Hash(key) & mask;
-    while (keys_[i] != 0) {
-      if (keys_[i] == key) return i;
-      i = (i + 1) & mask;
-    }
-    return kNpos;
-  }
-
-  /// Inserts `key` if absent; returns (slot, inserted). `key` must be
+  /// Inserts `key`; returns false if it was already present. `key` must be
   /// non-zero (0 is the empty-slot sentinel).
-  std::pair<size_t, bool> InsertSlot(uint64_t key) {
+  bool Insert(uint64_t key) {
     AGMDP_CHECK(key != 0);
     if ((size_ + 1) * 8 > keys_.size() * 5) {
       Rehash(keys_.empty() ? kMinCapacity : keys_.size() * 2);
@@ -99,19 +81,18 @@ class FlatEdgeTable {
     const size_t mask = keys_.size() - 1;
     size_t i = Hash(key) & mask;
     while (keys_[i] != 0) {
-      if (keys_[i] == key) return {i, false};
+      if (keys_[i] == key) return false;
       i = (i + 1) & mask;
     }
     keys_[i] = key;
     ++size_;
-    return {i, true};
+    return true;
   }
 
   /// Removes `key`; returns false if it was not present. Deletion shifts
-  /// the tail of the probe chain back over the hole (values move with
-  /// their keys), so no tombstones are left behind and lookups stay
-  /// O(chain length) forever.
-  bool EraseKey(uint64_t key) {
+  /// the tail of the probe chain back over the hole, so no tombstones are
+  /// left behind and lookups stay O(chain length) forever.
+  bool Erase(uint64_t key) {
     if (keys_.empty()) return false;
     const size_t mask = keys_.size() - 1;
     size_t i = Hash(key) & mask;
@@ -131,7 +112,6 @@ class FlatEdgeTable {
       // the key can fill the hole iff the hole is on its probe path.
       if (((j - home) & mask) >= ((j - i) & mask)) {
         keys_[i] = k;
-        if constexpr (kHasValue) values_[i] = values_[j];
         i = j;
       }
     }
@@ -140,11 +120,10 @@ class FlatEdgeTable {
     return true;
   }
 
-  std::vector<uint64_t> keys_;
-  std::vector<Stored> values_;  // slot-parallel; unused (empty) for sets
-  size_t size_ = 0;
-
  private:
+  static constexpr size_t kMinCapacity = 16;
+  static constexpr size_t kMaxCapacity = static_cast<size_t>(1) << 62;
+
   // SplitMix64 finalizer: packed edges are highly structured (node ids in
   // both halves), so the table index needs a full-avalanche mix.
   static size_t Hash(uint64_t key) {
@@ -156,61 +135,17 @@ class FlatEdgeTable {
   void Rehash(size_t new_capacity) {
     std::vector<uint64_t> old_keys = std::move(keys_);
     keys_.assign(new_capacity, 0);
-    std::vector<Stored> old_values;
-    if constexpr (kHasValue) {
-      old_values = std::move(values_);
-      values_.assign(new_capacity, Stored{});
-    }
     const size_t mask = new_capacity - 1;
-    for (size_t s = 0; s < old_keys.size(); ++s) {
-      const uint64_t key = old_keys[s];
+    for (uint64_t key : old_keys) {
       if (key == 0) continue;
       size_t i = Hash(key) & mask;
       while (keys_[i] != 0) i = (i + 1) & mask;
       keys_[i] = key;
-      if constexpr (kHasValue) values_[i] = old_values[s];
     }
   }
-};
 
-}  // namespace internal
-
-/// \brief Flat linear-probing set of non-zero uint64_t keys.
-class FlatEdgeSet : public internal::FlatEdgeTable<void> {
- public:
-  FlatEdgeSet() = default;
-
-  /// Pre-sizes the table for `expected` keys without rehashing on the way.
-  explicit FlatEdgeSet(size_t expected) { Reserve(expected); }
-
-  /// Inserts `key`; returns false if it was already present.
-  bool Insert(uint64_t key) { return InsertSlot(key).second; }
-
-  /// Removes `key`; returns false if it was not present.
-  bool Erase(uint64_t key) { return EraseKey(key); }
-};
-
-/// \brief Flat linear-probing map from non-zero uint64_t keys to uint64_t
-/// values — the companion of FlatEdgeSet for hot paths that need a payload
-/// per edge (the edge-age queue's latest-sequence index).
-class FlatEdgeMap : public internal::FlatEdgeTable<uint64_t> {
- public:
-  FlatEdgeMap() = default;
-
-  /// Sets `key` -> `value`, inserting or overwriting.
-  void Put(uint64_t key, uint64_t value) {
-    values_[InsertSlot(key).first] = value;
-  }
-
-  /// Returns the value stored for `key`, or nullptr if absent. The pointer
-  /// is invalidated by the next mutation.
-  const uint64_t* Find(uint64_t key) const {
-    const size_t slot = FindSlot(key);
-    return slot == kNpos ? nullptr : &values_[slot];
-  }
-
-  /// Removes `key`; returns false if it was not present.
-  bool Erase(uint64_t key) { return EraseKey(key); }
+  std::vector<uint64_t> keys_;
+  size_t size_ = 0;
 };
 
 }  // namespace agmdp::util

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "src/agm/agm_dp.h"
 #include "src/agm/agm_sampler.h"
@@ -11,7 +12,9 @@
 #include "src/graph/triangle_count.h"
 #include "src/models/erdos_renyi.h"
 #include "src/stats/metrics.h"
+#include "src/util/parallel.h"
 #include "src/util/rng.h"
+#include "tests/golden_hash.h"
 
 namespace agmdp::agm {
 namespace {
@@ -400,6 +403,77 @@ TEST(AgmDpTest, AllThetaFMethodsRunEndToEnd) {
     options.sample.acceptance_iterations = 1;
     auto result = SynthesizeAgmDp(g, options, rng);
     EXPECT_TRUE(result.ok()) << "method " << static_cast<int>(method);
+  }
+}
+
+// ---------------------------------------------------------------- golden --
+
+// Literal outputs of the sharded FCL path, pinned at worker pools of 1, 2,
+// 4 and 64: the shard schedule must never show in the output, and a change
+// to how shards are drawn or merged must keep every bit. The cases cover a
+// hub-reweighting calibration over two filtered iterations, a proposal
+// budget so tight that no shard fills its quota (the merge reads all 64
+// shards and still falls short), and a small dense sequence whose
+// cross-shard duplicates make the merge read well past the minimum shard
+// count without hub reweighting (the pilot itself is returned).
+TEST(ShardedFclGoldenTest, SampleMatchesPinnedLiteralsAtAnyPoolSize) {
+  struct Case {
+    const char* name;
+    graph::NodeId nodes;
+    bool skewed;  // heavy-tailed with hubs, else every degree is 12
+    uint64_t max_proposals_per_edge;
+    int acceptance_iterations;
+    uint64_t attributes_hash;
+    uint64_t adjacency_hash;
+    uint64_t canonical_hash;
+    uint64_t next_draw;
+  };
+  static const Case kCases[] = {
+      {"skewed", 3000, true, 200, 2, 0xbc8dca6f77576fc3ULL,
+       0x3874c104e600e7f9ULL, 0x14e1144c60381ff7ULL, 0x8adb7853e62975f2ULL},
+      {"budget-starved", 3000, true, 1, 1, 0xbc8dca6f77576fc3ULL,
+       0x2209e450c06014d8ULL, 0x6e320c5196bde0a6ULL, 0x52692091915360f0ULL},
+      {"duplicate-heavy", 24, false, 200, 1, 0xb10c03b8634d1742ULL,
+       0xf3093de613d5d0adULL, 0xd7e8a3b5274f3f11ULL, 0xcb91462c98dd0872ULL},
+  };
+  for (const Case& c : kCases) {
+    AgmParams params;
+    params.w = 1;
+    params.theta_x = {0.6, 0.4};
+    params.theta_f = {0.5, 0.2, 0.3};
+    util::Rng degree_rng(29);
+    params.degree_sequence.resize(c.nodes);
+    for (graph::NodeId i = 0; i < c.nodes; ++i) {
+      params.degree_sequence[i] =
+          !c.skewed ? 12
+          : i % 40 == 0
+              ? static_cast<uint32_t>(40 + degree_rng.UniformIndex(41))
+              : static_cast<uint32_t>(1 + degree_rng.UniformIndex(6));
+    }
+    for (int workers : {1, 2, 4, 64}) {
+      SCOPED_TRACE(std::string(c.name) + " workers " +
+                   std::to_string(workers));
+      util::WorkerPool pool(workers);
+      AgmSampleOptions options;
+      options.model = StructuralModelKind::kFcl;
+      options.pool = &pool;
+      options.acceptance_iterations = c.acceptance_iterations;
+      options.fcl.max_proposals_per_edge = c.max_proposals_per_edge;
+      util::Rng rng(31);
+      auto sampled = SampleAgmGraph(params, options, rng);
+      ASSERT_TRUE(sampled.ok()) << sampled.status().ToString();
+      const graph::AttributedGraph& g = sampled.value();
+      golden::GoldenHash attributes;
+      for (graph::AttrConfig x : g.attributes()) attributes.Add(x);
+      const uint64_t adjacency = golden::HashAdjacency(g.structure());
+      const uint64_t canonical =
+          golden::HashEdges(g.structure().CanonicalEdges());
+      const uint64_t next = rng.Next();
+      EXPECT_EQ(attributes.value(), c.attributes_hash);
+      EXPECT_EQ(adjacency, c.adjacency_hash);
+      EXPECT_EQ(canonical, c.canonical_hash);
+      EXPECT_EQ(next, c.next_draw);
+    }
   }
 }
 

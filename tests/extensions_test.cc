@@ -205,7 +205,9 @@ TEST(ParamsIoTest, RoundTrip) {
   params.w = 2;
   params.theta_x = {0.4, 0.3, 0.2, 0.1};
   params.theta_f.assign(10, 0.1);
+  // 21 nodes, so 1234 triangles is feasible (C(21, 3) = 1330).
   params.degree_sequence = {1, 2, 2, 3, 7};
+  params.degree_sequence.resize(21, 2);
   params.target_triangles = 1234;
 
   const std::string path = testing::TempDir() + "/params_roundtrip.txt";

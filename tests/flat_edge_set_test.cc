@@ -1,12 +1,11 @@
-// util::FlatEdgeSet / FlatEdgeMap contract tests: randomized oracle checks
-// against the std containers they replaced, collision/growth edge cases,
+// util::FlatEdgeSet contract tests: randomized oracle checks against the
+// std container it replaced, collision/growth edge cases,
 // Graph behavioral equivalence under mixed mutation, and the 1/2/4-thread
 // bitwise-determinism contract of the rewritten sampler hot path (FCL and
 // TriCycLe, with and without acceptance filtering).
 #include <gtest/gtest.h>
 
 #include <set>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -129,36 +128,6 @@ TEST(FlatEdgeSetTest, ReserveAvoidsGrowthAndClearKeepsCapacity) {
   EXPECT_TRUE(set.empty());
   EXPECT_EQ(set.capacity(), reserved);
   EXPECT_FALSE(set.Contains(1));
-}
-
-// ---------------------------------------------------------- FlatEdgeMap --
-
-TEST(FlatEdgeMapTest, RandomizedOracleAgainstUnorderedMap) {
-  util::Rng rng(202);
-  util::FlatEdgeMap map;
-  std::unordered_map<uint64_t, uint64_t> oracle;
-  for (int op = 0; op < 200000; ++op) {
-    const uint64_t key = 1 + rng.UniformIndex(2048);
-    switch (rng.UniformIndex(3)) {
-      case 0: {
-        const uint64_t value = rng.Next();
-        map.Put(key, value);
-        oracle[key] = value;
-        break;
-      }
-      case 1:
-        EXPECT_EQ(map.Erase(key), oracle.erase(key) > 0);
-        break;
-      default: {
-        const uint64_t* found = map.Find(key);
-        auto it = oracle.find(key);
-        ASSERT_EQ(found != nullptr, it != oracle.end());
-        if (found != nullptr) EXPECT_EQ(*found, it->second);
-        break;
-      }
-    }
-    ASSERT_EQ(map.size(), oracle.size());
-  }
 }
 
 // ------------------------------------------------- Graph equivalence ----

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "src/graph/clustering.h"
 #include "src/graph/components.h"
@@ -16,6 +17,7 @@
 #include "src/models/tcl.h"
 #include "src/models/tricycle.h"
 #include "src/util/rng.h"
+#include "tests/golden_hash.h"
 
 namespace agmdp::models {
 namespace {
@@ -76,25 +78,68 @@ TEST(EdgeAgeQueueTest, RePushMakesYoungest) {
   EXPECT_TRUE(e == graph::Edge(0, 1));
 }
 
-TEST(EdgeAgeQueueTest, InvalidateSkipsEntry) {
-  EdgeAgeQueue q;
-  q.Push(graph::Edge(0, 1));
-  q.Push(graph::Edge(1, 2));
-  q.Invalidate(graph::Edge(0, 1));
-  graph::Edge e;
-  ASSERT_TRUE(q.PopOldest(&e));
-  EXPECT_TRUE(e == graph::Edge(1, 2));
-  EXPECT_EQ(q.live_size(), 0u);
-}
-
-TEST(EdgeAgeQueueTest, StaleDuplicateEntriesResolved) {
-  EdgeAgeQueue q;
-  q.Push(graph::Edge(0, 1));
-  q.Push(graph::Edge(0, 1));  // re-push same edge: older entry is stale
+// FromHistory compacts a build history into one entry per live edge, so
+// the rewiring loops never pop a dead edge.
+TEST(EdgeAgeQueueTest, HistoryDropsEdgesDeletedAfterInsertion) {
+  graph::Graph g(5);
+  const std::vector<graph::Edge> seed = {{0, 1}, {1, 2}, {2, 3}};
+  for (const graph::Edge& e : seed) g.AddEdge(e.u, e.v);
+  g.RemoveEdge(1, 2);  // post-processing deleted a seed edge
+  g.AddEdge(3, 4);
+  EdgeAgeQueue q = EdgeAgeQueue::FromHistory(g, seed, {{3, 4}});
+  EXPECT_EQ(q.size(), g.num_edges());
   graph::Edge e;
   ASSERT_TRUE(q.PopOldest(&e));
   EXPECT_TRUE(e == graph::Edge(0, 1));
-  EXPECT_FALSE(q.PopOldest(&e));  // only one live entry existed
+  ASSERT_TRUE(q.PopOldest(&e));
+  EXPECT_TRUE(e == graph::Edge(2, 3));
+  ASSERT_TRUE(q.PopOldest(&e));
+  EXPECT_TRUE(e == graph::Edge(3, 4));
+  EXPECT_FALSE(q.PopOldest(&e));
+}
+
+TEST(EdgeAgeQueueTest, HistoryKeepsOnlyTheNewestReinsertion) {
+  graph::Graph g(6);
+  const std::vector<graph::Edge> seed = {{0, 1}, {1, 2}, {2, 3}};
+  for (const graph::Edge& e : seed) g.AddEdge(e.u, e.v);
+  // Seed edge 0-1 deleted and re-added; 4-5 added, deleted, added again;
+  // 3-4 added and then deleted for good.
+  g.RemoveEdge(0, 1);
+  g.AddEdge(4, 5);
+  g.AddEdge(0, 1);
+  g.RemoveEdge(4, 5);
+  g.AddEdge(3, 4);
+  g.AddEdge(4, 5);
+  g.RemoveEdge(3, 4);
+  const std::vector<graph::Edge> added = {{4, 5}, {0, 1}, {3, 4}, {4, 5}};
+  EdgeAgeQueue q = EdgeAgeQueue::FromHistory(g, seed, added);
+  EXPECT_EQ(q.size(), g.num_edges());
+  const std::vector<graph::Edge> want = {{1, 2}, {2, 3}, {0, 1}, {4, 5}};
+  for (const graph::Edge& expected : want) {
+    graph::Edge e;
+    ASSERT_TRUE(q.PopOldest(&e));
+    EXPECT_TRUE(e == expected) << e.u << "-" << e.v;
+  }
+  graph::Edge e;
+  EXPECT_FALSE(q.PopOldest(&e));
+}
+
+TEST(EdgeAgeQueueTest, UndoneEdgeIsYoungestAfterCompaction) {
+  graph::Graph g(4);
+  const std::vector<graph::Edge> seed = {{0, 1}, {1, 2}};
+  for (const graph::Edge& e : seed) g.AddEdge(e.u, e.v);
+  g.AddEdge(2, 3);
+  EdgeAgeQueue q = EdgeAgeQueue::FromHistory(g, seed, {{2, 3}});
+  graph::Edge e;
+  ASSERT_TRUE(q.PopOldest(&e));  // TriCycLe's swap: oldest out ...
+  EXPECT_TRUE(e == graph::Edge(0, 1));
+  q.Push(e);                     // ... rejected, so undone as the youngest
+  const std::vector<graph::Edge> want = {{1, 2}, {2, 3}, {0, 1}};
+  for (const graph::Edge& expected : want) {
+    ASSERT_TRUE(q.PopOldest(&e));
+    EXPECT_TRUE(e == expected) << e.u << "-" << e.v;
+  }
+  EXPECT_FALSE(q.PopOldest(&e));
 }
 
 // --------------------------------------------------------------- ChungLu --
@@ -212,6 +257,28 @@ TEST(ChungLuTest, InsertionOrderRecorded) {
   EXPECT_EQ(order.size(), g.value().num_edges());
   for (const graph::Edge& e : order) {
     EXPECT_TRUE(g.value().HasEdge(e.u, e.v));
+  }
+}
+
+// On a complete graph every further proposal is a duplicate: the target
+// is clamped to C(n, 2) so the call returns the triangle at once instead of
+// proposing for 200 x sum(degrees) / 2 rounds, and TriCycLe's default
+// rewiring budget is bounded the same way.
+TEST(ChungLuTest, TargetClampedToCompleteGraph) {
+  for (uint32_t d : {100000u, 4000000000u}) {
+    util::Rng rng(12);
+    std::vector<graph::Edge> order;
+    ChungLuOptions options;
+    options.insertion_order = &order;
+    auto g = FastChungLu({d, d, d}, rng, options);
+    ASSERT_TRUE(g.ok());
+    EXPECT_EQ(g.value().num_edges(), 3u);
+    EXPECT_EQ(order.size(), 3u);
+
+    auto tri = GenerateTriCycLe({d, d, d}, /*target_triangles=*/2, rng);
+    ASSERT_TRUE(tri.ok());
+    EXPECT_EQ(tri.value().achieved_triangles, 1u);
+    EXPECT_EQ(tri.value().proposals, 200u * 3u);
   }
 }
 
@@ -482,6 +549,179 @@ TEST(HolmeKimTest, MaxDegreeCapHolds) {
   ASSERT_TRUE(g.ok());
   EXPECT_LE(g.value().MaxDegree(), 25u);
   EXPECT_TRUE(graph::IsConnected(g.value()));
+}
+
+// ---------------------------------------------------------------- golden --
+
+// Literal outputs of the sequential generators the AGM goldens do not
+// reach, pinned so that a rewrite of their internals (pilot pass, edge-age
+// queue, dedup structures) must keep every draw, every decision and the
+// final stream position. Each case records the insertion order (FCL only),
+// the neighbor lists in stored order, the sorted edge list and the next
+// draw of the caller's stream.
+struct GeneratorGolden {
+  uint64_t insertion_hash;  // 0 where the generator exposes no order
+  uint64_t adjacency_hash;
+  uint64_t canonical_hash;
+  uint64_t next_draw;
+};
+
+GeneratorGolden Digest(const graph::Graph& g,
+                       const std::vector<graph::Edge>* order,
+                       util::Rng& rng) {
+  return {order != nullptr ? golden::HashEdges(*order) : 0,
+          golden::HashAdjacency(g), golden::HashEdges(g.CanonicalEdges()),
+          rng.Next()};
+}
+
+void ExpectGolden(const GeneratorGolden& got, const GeneratorGolden& want) {
+  EXPECT_EQ(got.insertion_hash, want.insertion_hash);
+  EXPECT_EQ(got.adjacency_hash, want.adjacency_hash);
+  EXPECT_EQ(got.canonical_hash, want.canonical_hash);
+  EXPECT_EQ(got.next_draw, want.next_draw);
+}
+
+// Heavy-tailed sequence: ~30% degree-one nodes, a body of degree 2-6 and a
+// hub every 40th node, so cFCL reweights hubs and TriCycLe's
+// post-processing has orphans to rewire.
+std::vector<uint32_t> SkewedDegrees(graph::NodeId n, uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<uint32_t> degrees(n);
+  for (graph::NodeId i = 0; i < n; ++i) {
+    if (i % 40 == 0) {
+      degrees[i] = static_cast<uint32_t>(40 + rng.UniformIndex(41));
+    } else if (rng.Bernoulli(0.3)) {
+      degrees[i] = 1;
+    } else {
+      degrees[i] = static_cast<uint32_t>(2 + rng.UniformIndex(5));
+    }
+  }
+  return degrees;
+}
+
+// AGM-style acceptance filter over two alternating attribute values.
+EdgeFilter AlternatingFilter(graph::NodeId n) {
+  std::vector<graph::AttrConfig> configs(n);
+  for (graph::NodeId i = 0; i < n; ++i) configs[i] = i % 2;
+  return EdgeFilter::FromAcceptanceTable(std::move(configs), {1.0, 0.35, 0.8},
+                                         /*w=*/1);
+}
+
+TEST(GeneratorGoldenTest, FastChungLuMatchesPinnedLiterals) {
+  // cFCL's three branches: hubs reweighted (skewed); no hub candidate at
+  // all (flat, every degree 4); and one candidate (degree 14 among 4s)
+  // whose pilot degree already reaches its target, so the pilot is kept.
+  enum Sequence { kSkewed, kFlat, kReachedHub };
+  struct Case {
+    Sequence sequence;
+    bool filtered;
+    uint64_t seed;
+    bool pilot_kept;
+    GeneratorGolden want;
+  };
+  static const Case kCases[] = {
+      {kSkewed, false, 17, false,
+       {0x5277081228f40718ULL, 0x518f0cf1f2ec8136ULL, 0xb6e467ae758a789cULL,
+        0xbb503b5b41e8739dULL}},
+      {kSkewed, true, 17, false,
+       {0xe505a2272d741f3dULL, 0x2ec1b740e42af4bfULL, 0x026b9782d48511e1ULL,
+        0xa677cdfa0e3ad26cULL}},
+      {kFlat, false, 18, true,
+       {0x087f974bd4905a3dULL, 0x7a4f3dfd95b1680dULL, 0x8bf5572d266cd625ULL,
+        0xd0cb9c46de350cfbULL}},
+      {kFlat, true, 18, true,
+       {0x80cebce33e92a0f1ULL, 0x2e596bf5dad27987ULL, 0x3def6aa1c1f190f5ULL,
+        0x903a07a76b863bcbULL}},
+      {kReachedHub, false, 18, true,
+       {0x9a3e6671cca410d6ULL, 0xb86dd36a46f7189aULL, 0x6e1efc9db6ca78b6ULL,
+        0x1bc81871ce0b3479ULL}},
+  };
+  constexpr graph::NodeId kNodes = 600;
+  for (const Case& c : kCases) {
+    SCOPED_TRACE("sequence " + std::to_string(c.sequence) +
+                 (c.filtered ? " filtered" : " unfiltered"));
+    std::vector<uint32_t> degrees(kNodes, 4);
+    if (c.sequence == kSkewed) degrees = SkewedDegrees(kNodes, 41);
+    if (c.sequence == kReachedHub) degrees[0] = 14;
+    ChungLuOptions options;
+    if (c.filtered) options.filter = AlternatingFilter(kNodes);
+    std::vector<graph::Edge> order;
+    options.insertion_order = &order;
+    util::Rng rng(c.seed);
+    auto g = FastChungLu(degrees, rng, options);
+    ASSERT_TRUE(g.ok());
+    EXPECT_EQ(order.size(), g.value().num_edges());
+    ExpectGolden(Digest(g.value(), &order, rng), c.want);
+
+    // Which branch ran: a kept pilot is exactly the uncorrected run from
+    // the same seed.
+    options.bias_correction = false;
+    std::vector<graph::Edge> uncorrected_order;
+    options.insertion_order = &uncorrected_order;
+    util::Rng uncorrected_rng(c.seed);
+    auto uncorrected = FastChungLu(degrees, uncorrected_rng, options);
+    ASSERT_TRUE(uncorrected.ok());
+    EXPECT_EQ(uncorrected_order == order, c.pilot_kept);
+  }
+}
+
+TEST(GeneratorGoldenTest, TriCycLeMatchesPinnedLiterals) {
+  struct Case {
+    bool filtered;
+    GeneratorGolden want;
+    uint64_t achieved_triangles;
+    uint64_t proposals;
+  };
+  static const Case kCases[] = {
+      {false,
+       {0, 0x528ba8f3c11acc4fULL, 0x730f459ba309f879ULL,
+        0xbd272f6347fd6307ULL},
+       1464, 3241},
+      {true,
+       {0, 0xc44aa7f8dfd3689cULL, 0xf9b4349e02657828ULL,
+        0x09692ddbcd8744baULL},
+       1443, 3197},
+  };
+  constexpr graph::NodeId kNodes = 600;
+  const std::vector<uint32_t> degrees = SkewedDegrees(kNodes, 43);
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(c.filtered ? "filtered" : "unfiltered");
+    TriCycLeOptions options;  // post-processing on: deletes and re-adds
+    if (c.filtered) options.filter = AlternatingFilter(kNodes);
+    util::Rng rng(19);
+    auto result = GenerateTriCycLe(degrees, /*target_triangles=*/2500, rng,
+                                   options);
+    ASSERT_TRUE(result.ok());
+    ExpectGolden(Digest(result.value().graph, nullptr, rng), c.want);
+    EXPECT_EQ(result.value().achieved_triangles, c.achieved_triangles);
+    EXPECT_EQ(result.value().proposals, c.proposals);
+  }
+}
+
+TEST(GeneratorGoldenTest, TclMatchesPinnedLiterals) {
+  struct Case {
+    bool filtered;
+    GeneratorGolden want;
+  };
+  static const Case kCases[] = {
+      {false,
+       {0, 0xdb15a7a25ac42c6eULL, 0x52ff7ef37ef685beULL,
+        0xb7199d37dd597bc4ULL}},
+      {true,
+       {0, 0x52520cd772b079feULL, 0x63d8abb2bb0e5918ULL,
+        0x008a10edb474a6ccULL}},
+  };
+  constexpr graph::NodeId kNodes = 600;
+  const std::vector<uint32_t> degrees = SkewedDegrees(kNodes, 47);
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(c.filtered ? "filtered" : "unfiltered");
+    TclOptions options;
+    if (c.filtered) options.filter = AlternatingFilter(kNodes);
+    util::Rng rng(23);
+    auto g = GenerateTcl(degrees, /*rho=*/0.6, rng, options);
+    ASSERT_TRUE(g.ok());
+    ExpectGolden(Digest(g.value(), nullptr, rng), c.want);
+  }
 }
 
 }  // namespace

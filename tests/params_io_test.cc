@@ -19,7 +19,7 @@ AgmParams ValidParams() {
   params.w = 2;
   params.theta_x = {0.4, 0.3, 0.2, 0.1};
   params.theta_f.assign(10, 0.1);
-  params.degree_sequence = {1, 2, 2, 3, 7};
+  params.degree_sequence = {1, 2, 2, 3, 4};
   params.target_triangles = 9;
   return params;
 }
@@ -65,6 +65,30 @@ TEST(ParamsValidationTest, RejectsNanNegativeAndMismatchedParams) {
 
   params = ValidParams();
   params.degree_sequence.clear();
+  EXPECT_FALSE(ValidateAgmParams(params).ok());
+}
+
+// No simple graph over n nodes has a degree above n - 1 or more than
+// C(n, 3) triangles; both bounds are inclusive.
+TEST(ParamsValidationTest, RejectsInfeasibleDegreesAndTriangles) {
+  AgmParams params = ValidParams();  // n = 5: degree <= 4, C(5, 3) = 10
+  params.degree_sequence[4] = 5;
+  EXPECT_EQ(ValidateAgmParams(params).code(),
+            util::StatusCode::kInvalidArgument);
+
+  params = ValidParams();
+  params.target_triangles = 10;
+  EXPECT_TRUE(ValidateAgmParams(params).ok());
+  params.target_triangles = 11;
+  EXPECT_EQ(ValidateAgmParams(params).code(),
+            util::StatusCode::kInvalidArgument);
+
+  // n = 2^22: C(n, 3) is exact although n^3 overflows 64 bits.
+  params = ValidParams();
+  params.degree_sequence.assign(uint64_t{1} << 22, 1);
+  params.target_triangles = 12297820586381410304ULL;
+  EXPECT_TRUE(ValidateAgmParams(params).ok());
+  params.target_triangles += 1;
   EXPECT_FALSE(ValidateAgmParams(params).ok());
 }
 

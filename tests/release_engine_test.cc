@@ -147,6 +147,47 @@ TEST(ReleaseArtifactTest, RejectsGarbageDocumentsAndValues) {
       pipeline::ReleaseArtifactFromJson(json.substr(0, json.size() / 2)).ok());
 }
 
+// A degree above n - 1 or a triangle target above C(n, 3) is a typed
+// error when a release is read or loaded, never a generator chasing a count
+// no simple graph has: a 3-node tricycle release with degrees of 4e9 used
+// to pin its loader inside calibration for hours.
+TEST(ReleaseArtifactTest, RejectsInfeasibleStructure) {
+  const pipeline::ReleaseArtifact fitted = FitArtifact("tricycle");
+  struct Case {
+    std::vector<uint32_t> degrees;
+    uint64_t triangles;
+    bool feasible;
+  };
+  const Case cases[] = {
+      {{4000000000u, 4000000000u, 4000000000u}, 1, false},
+      {{2, 2, 3}, 1, false},
+      {{2, 2, 2}, 2, false},
+      {{2, 2, 2}, 1, true},
+  };
+  const std::string path = testing::TempDir() + "/artifact_infeasible.json";
+  for (const Case& c : cases) {
+    pipeline::ReleaseArtifact artifact = fitted;
+    artifact.params.degree_sequence = c.degrees;
+    artifact.params.target_triangles = c.triangles;
+    {
+      std::ofstream out(path, std::ios::trunc);
+      out << pipeline::ReleaseArtifactToJson(artifact);
+    }
+    auto read = pipeline::ReadReleaseArtifact(path);
+    auto engine = pipeline::ReleaseEngine::Create(artifact);
+    if (c.feasible) {
+      EXPECT_TRUE(read.ok()) << read.status().ToString();
+      EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+      continue;
+    }
+    ASSERT_FALSE(read.ok());
+    EXPECT_EQ(read.status().code(), util::StatusCode::kInvalidArgument);
+    ASSERT_FALSE(engine.ok());
+    EXPECT_EQ(engine.status().code(), util::StatusCode::kInvalidArgument);
+  }
+  std::remove(path.c_str());
+}
+
 TEST(ReleaseArtifactTest, RejectsInconsistentPrivacyAccounting) {
   // The audit fields must agree with each other: a doctored epsilon_spent
   // that contradicts the ledger (or overdraws the budget) is a tampered
