@@ -5,10 +5,10 @@
 // thread sweep (1/2/4 workers over the same seed) with its wall-clock
 // speedup — the determinism contract is asserted on the way.
 //
-// The csr_analytics_seconds section compares the immutable CsrGraph
-// snapshot kernels (1/2/4 analytics threads) against the adjacency-list
-// path on the same graph, asserting the determinism contract (results
-// bitwise-identical to the legacy path at every thread count).
+// The csr_analytics_seconds section times the immutable CsrGraph snapshot
+// kernels (1/2/4 analytics threads) next to the adjacency-list kernels the
+// generators use, on the same graph, asserting the determinism contract
+// (results bitwise-identical at every thread count).
 // hardware_concurrency is recorded so speedup numbers from 1-core
 // containers are interpretable.
 //
@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
   // the same graph: snapshot construction, then triangle counting + local
   // clustering (the dominant eval kernels) and the full EvaluateRelease
   // metric suite. CSR kernels run at 1/2/4 analytics threads; the
-  // determinism contract — bitwise-identical to the legacy path at every
+  // determinism contract — bitwise-identical to the 1-thread run at every
   // thread count — is asserted on the way.
   {
     json.Key("csr_analytics_seconds").BeginObject();
@@ -182,9 +182,6 @@ int main(int argc, char** argv) {
       snapshot = graph::AttributedCsrGraph::FromGraph(input);
     }));
 
-    const uint64_t triangles_legacy = graph::CountTriangles(input.structure());
-    const std::vector<double> clustering_legacy =
-        graph::LocalClusteringCoefficients(input.structure());
     const double adjacency_triangles_seconds = TimeBest(trials, [&] {
       graph::CountTriangles(input.structure());
     });
@@ -196,6 +193,8 @@ int main(int argc, char** argv) {
 
     bool deterministic = true;
     double csr_triangles_1t = 0.0, csr_clustering_1t = 0.0;
+    uint64_t triangles_1t = 0;
+    std::vector<double> clustering_1t;
     for (int threads : {1, 2, 4}) {
       uint64_t triangles_csr = 0;
       const double tri_seconds = TimeBest(trials, [&] {
@@ -206,12 +205,14 @@ int main(int argc, char** argv) {
         clustering_csr =
             graph::LocalClusteringCoefficients(snapshot.structure, threads);
       });
-      deterministic = deterministic && triangles_csr == triangles_legacy &&
-                      clustering_csr == clustering_legacy;
       if (threads == 1) {
         csr_triangles_1t = tri_seconds;
         csr_clustering_1t = cc_seconds;
+        triangles_1t = triangles_csr;
+        clustering_1t = clustering_csr;
       }
+      deterministic = deterministic && triangles_csr == triangles_1t &&
+                      clustering_csr == clustering_1t;
       entry("triangles_" + std::to_string(threads) + "t", tri_seconds);
       entry("clustering_" + std::to_string(threads) + "t", cc_seconds);
     }
@@ -221,16 +222,12 @@ int main(int argc, char** argv) {
     // overload builds one internally, exactly like a sweep cell does).
     const eval::ReferenceProfile reference =
         eval::ProfileReference(snapshot, /*analytics_threads=*/1);
-    eval::UtilityReport report_legacy, report_csr;
-    entry("evaluate_adjacency", TimeBest(trials, [&] {
-      report_legacy = eval::EvaluateReleaseLegacy(reference, input);
-    }));
+    eval::UtilityReport report_csr;
     entry("evaluate_csr_1t", TimeBest(trials, [&] {
       report_csr = eval::EvaluateRelease(reference, input,
                                          /*analytics_threads=*/1);
     }));
-    deterministic =
-        deterministic && report_csr.Flatten() == report_legacy.Flatten();
+    const auto flat_1t = report_csr.Flatten();
     json.EndObject();
 
     const double adjacency_total =
@@ -243,14 +240,12 @@ int main(int argc, char** argv) {
                 csr_total > 0.0 ? adjacency_total / csr_total : 0.0,
                 deterministic ? "yes" : "NO");
     AGMDP_CHECK_MSG(deterministic,
-                    "CSR analytics differ from the adjacency-list path");
+                    "CSR analytics differ across thread counts");
 
     // ------------------------------------------- fused evaluation kernel
-    // The production EvaluateRelease (fused two-sweep kernel) vs the
-    // pre-fusion one-pass-per-metric CSR path, on the SAME prebuilt
-    // snapshot and reference profile, so fused_eval_speedup isolates the
-    // kernel fusion itself. Both dispatch arms and 1/2/4 threads must all
-    // flatten to the multipass report bit for bit.
+    // EvaluateRelease on the SAME prebuilt snapshot and reference profile
+    // (no snapshot build timed). Both dispatch arms and 1/2/4 threads must
+    // all flatten to the 1-thread report above bit for bit.
     {
       json.Key("fused_eval_seconds").BeginObject();
       auto fused_entry = [&](const std::string& name, double seconds) {
@@ -258,14 +253,6 @@ int main(int argc, char** argv) {
         std::printf("%-28s %10.3f ms\n", ("fused/" + name).c_str(),
                     1e3 * seconds);
       };
-
-      eval::UtilityReport report_multipass;
-      const double multipass_1t = TimeBest(trials, [&] {
-        report_multipass = eval::EvaluateReleaseMultipassCsr(
-            reference, snapshot, /*analytics_threads=*/1);
-      });
-      fused_entry("multipass_1t", multipass_1t);
-      const auto flat_multipass = report_multipass.Flatten();
 
       bool fused_deterministic = true;
       double fused_1t = 0.0, fused_4t = 0.0;
@@ -275,7 +262,7 @@ int main(int argc, char** argv) {
           report_fused = eval::EvaluateRelease(reference, snapshot, threads);
         });
         fused_deterministic = fused_deterministic &&
-                              report_fused.Flatten() == flat_multipass;
+                              report_fused.Flatten() == flat_1t;
         if (threads == 1) fused_1t = seconds;
         if (threads == 4) fused_4t = seconds;
         fused_entry("fused_" + std::to_string(threads) + "t", seconds);
@@ -297,22 +284,19 @@ int main(int argc, char** argv) {
         });
         util::SetSimdIsaOverride(util::SimdIsa::kAuto);
         fused_deterministic = fused_deterministic &&
-                              report_arm.Flatten() == flat_multipass;
+                              report_arm.Flatten() == flat_1t;
         fused_entry(std::string("fused_") + util::SimdIsaName(arm) + "_1t",
                     seconds);
       }
       json.EndObject();
 
-      const double fused_speedup =
-          fused_1t > 0.0 ? multipass_1t / fused_1t : 0.0;
-      json.Key("fused_eval_speedup").Value(fused_speedup);
-      json.Key("fused_eval_parallel_speedup_4t")
-          .Value(fused_4t > 0.0 ? fused_1t / fused_4t : 0.0);
+      const double parallel_speedup = fused_4t > 0.0 ? fused_1t / fused_4t : 0.0;
+      json.Key("fused_eval_parallel_speedup_4t").Value(parallel_speedup);
       json.Key("fused_deterministic").Value(fused_deterministic);
-      std::printf("fused eval speedup            %10.2fx (deterministic: %s)\n",
-                  fused_speedup, fused_deterministic ? "yes" : "NO");
+      std::printf("fused eval 4t speedup         %10.2fx (deterministic: %s)\n",
+                  parallel_speedup, fused_deterministic ? "yes" : "NO");
       AGMDP_CHECK_MSG(fused_deterministic,
-                      "fused evaluation differs from the multipass CSR path");
+                      "fused evaluation differs across threads or arms");
     }
   }
 
@@ -817,8 +801,11 @@ int main(int argc, char** argv) {
       json.Key(name).Value(seconds);
       std::printf("storage %-20s %10.3f ms\n", name.c_str(), 1e3 * seconds);
     };
+    // Paths resolve once, outside the timing: only the parse is timed.
+    auto text_paths = graph::ResolveTextGraphPaths(text_prefix);
+    AGMDP_CHECK_MSG(text_paths.ok(), "storage bench text paths missing");
     const double text_load = TimeBest(trials, [&] {
-      auto g = graph::ReadAttributedGraph(text_prefix);
+      auto g = graph::ReadAttributedGraphFiles(text_paths.value());
       AGMDP_CHECK_MSG(g.ok(), "storage bench text load failed");
     });
     entry("text_load", text_load);

@@ -7,6 +7,7 @@
 //   5. Ladder mechanism                         (triangle count, Alg. 6)
 //
 //   ./dp_mechanisms_tour [--epsilon=0.5] [--seed=9]
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -75,7 +76,8 @@ int main(int argc, char** argv) {
   // 4. Constrained inference on the degree sequence.
   const auto degrees = graph::DegreeSequence(g.structure());
   const auto private_degrees = dp::DpDegreeSequence(degrees, eps, rng);
-  auto sorted = graph::SortedDegreeSequence(g.structure());
+  std::vector<uint32_t> sorted = degrees;
+  std::sort(sorted.begin(), sorted.end());
   double l1 = 0.0;
   for (size_t i = 0; i < sorted.size(); ++i) {
     l1 += std::fabs(static_cast<double>(private_degrees[i]) -

@@ -23,6 +23,7 @@
 #include <string>
 
 #include "src/datasets/datasets.h"
+#include "src/eval/utility_report.h"
 #include "src/graph/graph_source.h"
 #include "src/pipeline/release_engine.h"
 #include "src/pipeline/release_pipeline.h"
@@ -50,10 +51,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", input.status().ToString().c_str());
     return 1;
   }
-  std::printf("%s\n",
-              stats::FormatSummary("input",
-                                   stats::Summarize(input.value().structure()))
-                  .c_str());
+  std::printf("%s\n", stats::FormatSummary(
+                         "input", stats::Summarize(graph::CsrGraph::FromGraph(
+                                      input.value().structure())))
+                         .c_str());
 
   // IMPORTANT privacy note: the parameters are the release. Fitting them
   // consumes epsilon once; every sample drawn afterwards is free
@@ -116,6 +117,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // The input is profiled once; each release is scored against it.
+  const eval::ReferenceProfile reference =
+      eval::ProfileReference(input.value());
   for (int i = 0; i < releases; ++i) {
     const graph::AttributedGraph& g = graphs.value()[static_cast<size_t>(i)];
     // WriteGraph routes on the extension: pass --out=release.agmbin to
@@ -126,12 +130,14 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "write: %s\n", st.ToString().c_str());
       return 1;
     }
-    stats::UtilityErrors e = stats::CompareGraphs(input.value(), g);
+    const graph::AttributedCsrGraph snapshot =
+        graph::AttributedCsrGraph::FromGraph(g);
+    const stats::UtilityErrors e =
+        eval::EvaluateRelease(reference, snapshot).errors;
     std::printf("release %d -> %s\n", i, prefix.c_str());
-    std::printf("%s\n",
-                stats::FormatSummary("  synthetic",
-                                     stats::Summarize(g.structure()))
-                    .c_str());
+    std::printf("%s\n", stats::FormatSummary(
+                           "  synthetic", stats::Summarize(snapshot.structure))
+                           .c_str());
     std::printf("  H_ThetaF=%.4f KS_S=%.4f tri_re=%.4f m_re=%.4f\n\n",
                 e.theta_f_hellinger, e.degree_ks, e.triangles_re, e.edges_re);
   }

@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "src/datasets/datasets.h"
+#include "src/eval/utility_report.h"
 #include "src/pipeline/release_engine.h"
 #include "src/pipeline/release_pipeline.h"
 #include "src/stats/summary.h"
@@ -44,18 +45,20 @@ int main(int argc, char** argv) {
   for (const auto& [label, eps] : result.value().ledger) {
     std::printf("  %-16s eps = %.4f\n", label.c_str(), eps);
   }
-  std::printf("\n%s\n",
-              stats::FormatSummary("input",
-                                   stats::Summarize(input.value().structure()))
-                  .c_str());
-  std::printf("%s\n",
-              stats::FormatSummary(
-                  "synthetic",
-                  stats::Summarize(result.value().graph.structure()))
-                  .c_str());
+  // Analytics read immutable CSR snapshots of both graphs.
+  const auto original = graph::AttributedCsrGraph::FromGraph(input.value());
+  const auto synthetic =
+      graph::AttributedCsrGraph::FromGraph(result.value().graph);
+  std::printf("\n%s\n", stats::FormatSummary(
+                             "input", stats::Summarize(original.structure))
+                             .c_str());
+  std::printf("%s\n", stats::FormatSummary(
+                         "synthetic", stats::Summarize(synthetic.structure))
+                         .c_str());
 
-  stats::UtilityErrors errors =
-      stats::CompareGraphs(input.value(), result.value().graph);
+  const stats::UtilityErrors errors =
+      eval::EvaluateRelease(eval::ProfileReference(original), synthetic)
+          .errors;
   std::printf("\nutility (lower is better):\n");
   std::printf("  Theta_F MAE        %.4f\n", errors.theta_f_mae);
   std::printf("  Theta_F Hellinger  %.4f\n", errors.theta_f_hellinger);

@@ -21,15 +21,16 @@ namespace {
 
 using namespace agmdp;
 
-void Report(const char* name, const graph::Graph& original,
+void Report(const char* name, const graph::CsrGraph& original,
             const graph::Graph& synthetic) {
-  std::printf("%s\n", stats::FormatSummary(name,
-                                           stats::Summarize(synthetic))
-                          .c_str());
+  const graph::CsrGraph snapshot = graph::CsrGraph::FromGraph(synthetic);
+  std::printf("%s\n",
+              stats::FormatSummary(name, stats::Summarize(snapshot)).c_str());
   std::printf("    degree KS=%.4f  degree Hellinger=%.4f\n",
-              stats::KsStatistic(graph::SortedDegreeSequence(synthetic),
+              stats::KsStatistic(graph::SortedDegreeSequence(snapshot),
                                  graph::SortedDegreeSequence(original)),
-              stats::DegreeHellinger(synthetic, original));
+              stats::HellingerDistance(stats::DegreeDistribution(snapshot),
+                                       stats::DegreeDistribution(original)));
 }
 
 }  // namespace
@@ -48,8 +49,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   const graph::Graph& g = input.value().structure();
-  std::printf("%s\n",
-              stats::FormatSummary("original", stats::Summarize(g)).c_str());
+  const graph::CsrGraph original = graph::CsrGraph::FromGraph(g);
+  std::printf(
+      "%s\n",
+      stats::FormatSummary("original", stats::Summarize(original)).c_str());
   std::printf("\n");
 
   const std::vector<uint32_t> degrees = graph::DegreeSequence(g);
@@ -58,14 +61,14 @@ int main(int argc, char** argv) {
   // FCL: degrees only, no clustering mechanism.
   auto fcl = models::FastChungLu(degrees, rng);
   if (!fcl.ok()) return 1;
-  Report("FCL", g, fcl.value());
+  Report("FCL", original, fcl.value());
 
   // TCL: degrees + EM-fitted transitive closure probability.
   const double rho = models::FitTclRho(g, rng);
   std::printf("\nTCL fitted rho = %.3f\n", rho);
   auto tcl = models::GenerateTcl(degrees, rho, rng);
   if (!tcl.ok()) return 1;
-  Report("TCL", g, tcl.value());
+  Report("TCL", original, tcl.value());
 
   // TriCycLe: degrees + triangle-count target.
   auto tricycle = models::GenerateTriCycLe(degrees, triangles, rng);
@@ -75,13 +78,13 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   tricycle.value().achieved_triangles),
               static_cast<unsigned long long>(tricycle.value().proposals));
-  Report("TriCycLe", g, tricycle.value().graph);
+  Report("TriCycLe", original, tricycle.value().graph);
 
   // BTER: degrees + degree-wise clustering profile (non-private baseline;
   // the paper rejects it for DP because of the profile's sensitivity).
   auto bter = models::GenerateBter(models::FitBter(g), rng);
   if (!bter.ok()) return 1;
   std::printf("\n");
-  Report("BTER", g, bter.value());
+  Report("BTER", original, bter.value());
   return 0;
 }

@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <sstream>
+#include <string>
 #include <utility>
 
 #include "src/agm/theta_f.h"
 #include "src/agm/theta_x.h"
 #include "src/dp/laplace_mechanism.h"
+#include "src/graph/attribute_encoding.h"
 #include "src/graph/degree.h"
 #include "src/graph/triangle_count.h"
 #include "src/util/alias_sampler.h"
@@ -26,6 +29,61 @@ AgmParams LearnAgmParams(const graph::AttributedGraph& g) {
   params.degree_sequence = graph::DegreeSequence(g.structure());
   params.target_triangles = graph::CountTriangles(g.structure());
   return params;
+}
+
+namespace {
+
+util::Status BadTheta(const char* which, size_t index, double value) {
+  std::ostringstream message;
+  message << which << "[" << index << "] = " << value
+          << " is not a finite non-negative probability mass";
+  return util::Status::InvalidArgument(message.str());
+}
+
+}  // namespace
+
+util::Status ValidateAgmParams(const AgmParams& params) {
+  // w is capped at 16: beyond that the triangular edge-config count
+  // C(2^w + 1, 2) overflows NumEdgeConfigs's uint32 range, so a dimension
+  // check against the truncated value would wave through short theta_f
+  // vectors that the sampler then indexes out of bounds.
+  if (params.w < 0 || params.w > 16) {
+    return util::Status::InvalidArgument(
+        "params: w must be in [0, 16], got " + std::to_string(params.w));
+  }
+  if (params.theta_x.size() != graph::NumNodeConfigs(params.w) ||
+      params.theta_f.size() != graph::NumEdgeConfigs(params.w)) {
+    return util::Status::InvalidArgument(
+        "params: theta dimensions inconsistent with w=" +
+        std::to_string(params.w));
+  }
+  for (size_t y = 0; y < params.theta_x.size(); ++y) {
+    const double p = params.theta_x[y];
+    if (!std::isfinite(p) || p < 0.0) return BadTheta("theta_x", y, p);
+  }
+  for (size_t y = 0; y < params.theta_f.size(); ++y) {
+    const double p = params.theta_f[y];
+    if (!std::isfinite(p) || p < 0.0) return BadTheta("theta_f", y, p);
+  }
+  if (params.degree_sequence.empty()) {
+    return util::Status::InvalidArgument("params: empty degree sequence");
+  }
+  // No simple graph over n nodes has a degree above n - 1 or more than
+  // C(n, 3) triangles, and the generators would chase either until their
+  // budgets run out (the DP fit clamps to the same bounds). C(n, 3) is
+  // taken in 128 bits: the 64-bit product overflows from n ~ 2.6M on.
+  const uint64_t n = params.degree_sequence.size();
+  const uint32_t max_degree = *std::max_element(params.degree_sequence.begin(),
+                                                params.degree_sequence.end());
+  const unsigned __int128 max_triangles =
+      n < 3 ? 0 : static_cast<unsigned __int128>(n) * (n - 1) * (n - 2) / 6;
+  if (max_degree > n - 1 || params.target_triangles > max_triangles) {
+    return util::Status::InvalidArgument(
+        "params: degree " + std::to_string(max_degree) + " or " +
+        std::to_string(params.target_triangles) +
+        " triangles infeasible over n = " + std::to_string(n) + " nodes");
+  }
+  return util::Status::OK();
 }
 
 std::vector<double> ComputeAcceptanceProbabilities(

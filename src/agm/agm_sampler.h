@@ -55,6 +55,15 @@ struct AgmParams {
   uint64_t target_triangles = 0;          // used by TriCycLe only
 };
 
+/// Structural validation of a parameter set: w in [0, 16] (beyond that the
+/// triangular edge-config count overflows uint32), theta dimensions
+/// consistent with w, every theta entry finite and non-negative, and a
+/// degree sequence and triangle target some simple graph can realize.
+/// Shared by the release-artifact codec and pipeline::ReleaseEngine, so
+/// garbage parameters are rejected at every boundary instead of
+/// propagating into the sampler.
+util::Status ValidateAgmParams(const AgmParams& params);
+
 /// Exact (non-private) parameter estimation — the AGM-FCL / AGM-TriCL
 /// baselines of Tables 2-5.
 AgmParams LearnAgmParams(const graph::AttributedGraph& g);

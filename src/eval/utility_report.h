@@ -19,16 +19,14 @@
 // Everything is a pure function of the two graphs; all heavy lifting is
 // delegated to src/stats and src/graph primitives.
 //
-// The production path runs on immutable CsrGraph snapshots through the
-// fused evaluation kernel (graph/fused_eval.h): every per-node partial is
-// collected in two sweeps over the neighbor arrays (SIMD-dispatched,
+// There is one evaluator: it runs on immutable CsrGraph snapshots through
+// the fused evaluation kernel (graph/fused_eval.h). Every per-node partial
+// is collected in two sweeps over the neighbor arrays (SIMD-dispatched,
 // sharded over `analytics_threads` workers; <= 0 selects hardware
-// concurrency) and the metric families derive from those partials through
-// the same formula tails the standalone kernels use — so results are
+// concurrency), and the metric families derive from those partials through
+// the same formula tails the per-metric CSR kernels use, so results are
 // bitwise-identical at any thread count and on either dispatch arm. The
-// EvaluateReleaseMultipassCsr and *Legacy variants keep the per-metric CSR
-// and adjacency-list paths alive as cross-check oracles for tests and the
-// perf bench — all three agree exactly, metric for metric.
+// AttributedGraph entry points snapshot their input and delegate.
 #pragma once
 
 #include <cstddef>
@@ -80,9 +78,7 @@ struct UtilityReport {
 /// every cell.
 struct ReferenceProfile {
   std::vector<double> theta_f;
-  std::vector<uint32_t> sorted_degrees;
   std::vector<double> degree_distribution;
-  std::vector<double> local_clustering;
   double avg_clustering = 0.0;
   double global_clustering = 0.0;
   double triangles = 0.0;
@@ -92,15 +88,11 @@ struct ReferenceProfile {
   /// Per attribute bit: same-value edge fraction.
   std::vector<double> homophily;
 
-  // Hoisted evaluation scratch: both fields are pure functions of the
-  // vectors above, precomputed once here so EvaluateRelease neither
-  // re-sorts the reference side per repeat nor expands a degree sequence
-  // to take a KS statistic. Every profiler fills them.
-
   /// hist[d] = number of original nodes of degree d (MaxDegree + 1 bins);
   /// the degree KS statistic runs directly on histograms.
   std::vector<uint64_t> degree_histogram;
-  /// local_clustering sorted ascending, ready for KsDistanceSorted.
+  /// The local clustering coefficients sorted ascending, ready for
+  /// KsDistanceSorted (sorted once here, not once per evaluated release).
   std::vector<double> sorted_local_clustering;
 };
 
@@ -111,10 +103,6 @@ ReferenceProfile ProfileReference(const graph::AttributedGraph& original,
 ReferenceProfile ProfileReference(const graph::AttributedCsrGraph& original,
                                   int analytics_threads = 1);
 
-/// Adjacency-list reference implementation (tests / perf bench only):
-/// identical output, computed with the mutable-Graph kernels.
-ReferenceProfile ProfileReferenceLegacy(const graph::AttributedGraph& original);
-
 /// Computes the full metric suite against a precomputed original profile.
 /// The AttributedGraph entry point builds one snapshot of the released
 /// graph and reuses it across all metrics.
@@ -124,20 +112,6 @@ UtilityReport EvaluateRelease(const ReferenceProfile& original,
 UtilityReport EvaluateRelease(const ReferenceProfile& original,
                               const graph::AttributedCsrGraph& released,
                               int analytics_threads = 1);
-
-/// Adjacency-list reference implementation (tests / perf bench only):
-/// bitwise-identical UtilityReport, computed with the mutable-Graph
-/// kernels.
-UtilityReport EvaluateReleaseLegacy(const ReferenceProfile& original,
-                                    const graph::AttributedGraph& released);
-
-/// The pre-fusion CSR implementation — one kernel pass per metric family
-/// over the snapshot (tests / perf bench only). Bitwise-identical to
-/// EvaluateRelease; bench_perf times the fused path against it for the
-/// fused_eval_speedup gate.
-UtilityReport EvaluateReleaseMultipassCsr(
-    const ReferenceProfile& original,
-    const graph::AttributedCsrGraph& released, int analytics_threads = 1);
 
 /// One-shot convenience: ProfileReference(original) + the overload above.
 /// The released graph may have a different attribute dimension than the
@@ -183,14 +157,10 @@ StructuralProfile ProfileGraph(const graph::AttributedCsrGraph& g,
                                int analytics_threads = 1);
 
 /// Degree CCDF of a graph, downsampled to at most `max_points` (Figure 2).
-std::vector<std::pair<double, double>> DegreeCcdfSeries(const graph::Graph& g,
-                                                        size_t max_points);
 std::vector<std::pair<double, double>> DegreeCcdfSeries(
     const graph::CsrGraph& g, size_t max_points);
 
 /// Local-clustering-coefficient CCDF, downsampled likewise (Figure 3).
-std::vector<std::pair<double, double>> ClusteringCcdfSeries(
-    const graph::Graph& g, size_t max_points);
 std::vector<std::pair<double, double>> ClusteringCcdfSeries(
     const graph::CsrGraph& g, size_t max_points, int analytics_threads = 1);
 

@@ -8,9 +8,10 @@ namespace agmdp::graph {
 
 namespace {
 
-// Shared formula bodies: the Graph and CsrGraph entry points must stay
-// bitwise-identical (DESIGN.md snapshot contract), so each formula exists
-// exactly once, templated over the representation.
+// Shared formula bodies: the Graph kernels the generators call and the
+// CsrGraph kernels must stay bitwise-identical (DESIGN.md snapshot
+// contract), so each formula exists exactly once, templated over the
+// representation.
 
 template <typename AnyGraph>
 std::vector<double> CoefficientsFromTriangles(
@@ -70,10 +71,6 @@ double AverageLocalClustering(const Graph& g) {
 
 double AverageLocalClustering(const CsrGraph& g, int threads) {
   return MeanCoefficient(LocalClusteringCoefficients(g, threads));
-}
-
-double GlobalClusteringCoefficient(const Graph& g) {
-  return GlobalFromCounts(CountTriangles(g), CountWedges(g));
 }
 
 double GlobalClusteringCoefficient(const CsrGraph& g, int threads) {

@@ -27,7 +27,6 @@ double AverageLocalClustering(const CsrGraph& g, int threads = 1);
 
 /// Global clustering coefficient (transitivity): C = 3 n∆ / n_W. Returns 0
 /// for wedge-free graphs.
-double GlobalClusteringCoefficient(const Graph& g);
 double GlobalClusteringCoefficient(const CsrGraph& g, int threads = 1);
 
 /// Degree-wise clustering profile c_d: the mean local clustering

@@ -4,27 +4,6 @@
 
 namespace agmdp::graph {
 
-namespace {
-
-// Shared formula bodies, templated over the representation so the Graph
-// and CsrGraph entry points cannot drift apart.
-
-template <typename AnyGraph>
-std::vector<uint64_t> DegreeHistogramImpl(const AnyGraph& g) {
-  std::vector<uint64_t> hist(g.MaxDegree() + 1, 0);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) ++hist[g.Degree(v)];
-  return hist;
-}
-
-template <typename AnyGraph>
-double AverageDegreeImpl(const AnyGraph& g) {
-  if (g.num_nodes() == 0) return 0.0;
-  return 2.0 * static_cast<double>(g.num_edges()) /
-         static_cast<double>(g.num_nodes());
-}
-
-}  // namespace
-
 std::vector<uint32_t> DegreeSequence(const Graph& g) {
   std::vector<uint32_t> degrees(g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v) degrees[v] = g.Degree(v);
@@ -35,28 +14,22 @@ std::vector<uint32_t> DegreeSequence(const CsrGraph& g) {
   return g.degrees();
 }
 
-std::vector<uint32_t> SortedDegreeSequence(const Graph& g) {
-  std::vector<uint32_t> degrees = DegreeSequence(g);
-  std::sort(degrees.begin(), degrees.end());
-  return degrees;
-}
-
 std::vector<uint32_t> SortedDegreeSequence(const CsrGraph& g) {
   std::vector<uint32_t> degrees = g.degrees();
   std::sort(degrees.begin(), degrees.end());
   return degrees;
 }
 
-std::vector<uint64_t> DegreeHistogram(const Graph& g) {
-  return DegreeHistogramImpl(g);
-}
-
 std::vector<uint64_t> DegreeHistogram(const CsrGraph& g) {
-  return DegreeHistogramImpl(g);
+  std::vector<uint64_t> hist(g.MaxDegree() + 1, 0);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) ++hist[g.Degree(v)];
+  return hist;
 }
 
-double AverageDegree(const Graph& g) { return AverageDegreeImpl(g); }
-
-double AverageDegree(const CsrGraph& g) { return AverageDegreeImpl(g); }
+double AverageDegree(const CsrGraph& g) {
+  if (g.num_nodes() == 0) return 0.0;
+  return 2.0 * static_cast<double>(g.num_edges()) /
+         static_cast<double>(g.num_nodes());
+}
 
 }  // namespace agmdp::graph

@@ -1,7 +1,7 @@
 // Degree sequences, histograms and summary statistics.
 //
-// Each function has a CsrGraph overload that returns exactly the same
-// values (the snapshot caches the degree array, so those are plain reads).
+// The snapshot caches its degree array, so the CsrGraph functions are
+// plain reads; DegreeSequence also reads the generators' mutable Graph.
 #pragma once
 
 #include <cstdint>
@@ -18,16 +18,13 @@ std::vector<uint32_t> DegreeSequence(const CsrGraph& g);
 
 /// Degree sequence sorted ascending (the paper's S, sorted for constrained
 /// inference).
-std::vector<uint32_t> SortedDegreeSequence(const Graph& g);
 std::vector<uint32_t> SortedDegreeSequence(const CsrGraph& g);
 
 /// Histogram over degree values: hist[d] = number of nodes with degree d,
 /// length MaxDegree + 1 (length 1 for edgeless graphs).
-std::vector<uint64_t> DegreeHistogram(const Graph& g);
 std::vector<uint64_t> DegreeHistogram(const CsrGraph& g);
 
 /// Average degree 2m/n (0 for empty graphs).
-double AverageDegree(const Graph& g);
 double AverageDegree(const CsrGraph& g);
 
 }  // namespace agmdp::graph

@@ -98,42 +98,6 @@ bool FileExists(const std::string& path) {
   return std::ifstream(path).good();
 }
 
-}  // namespace
-
-util::Result<TextGraphPaths> ResolveTextGraphPaths(const std::string& path) {
-  TextGraphPaths out;
-  const std::string kExt = ".edges";
-  if (path.size() > kExt.size() &&
-      path.compare(path.size() - kExt.size(), kExt.size(), kExt) == 0) {
-    out.edges = path;
-    out.attrs = path.substr(0, path.size() - kExt.size()) + ".attrs";
-  } else if (FileExists(path + kExt)) {
-    out.edges = path + kExt;
-    out.attrs = path + ".attrs";
-  } else {
-    out.edges = path;
-    out.attrs = path + ".attrs";
-  }
-  if (!FileExists(out.edges)) {
-    return util::Status::NotFound("no text graph at " + path + " (looked for " +
-                                  out.edges + ")");
-  }
-  out.has_attrs = FileExists(out.attrs);
-  return out;
-}
-
-util::Status WriteEdgeList(const Graph& g, const std::string& path) {
-  std::ofstream out;
-  if (auto st = OpenForWrite(path, &out); !st.ok()) return st;
-  out << "n " << g.num_nodes() << "\n";
-  for (const Edge& e : g.CanonicalEdges()) {
-    out << e.u << " " << e.v << "\n";
-  }
-  out.flush();
-  if (!out.good()) return util::Status::IoError("write failed: " + path);
-  return util::Status::OK();
-}
-
 util::Result<Graph> ReadEdgeList(const std::string& path) {
   std::ifstream in;
   if (auto st = OpenForRead(path, &in); !st.ok()) return st;
@@ -177,6 +141,42 @@ util::Result<Graph> ReadEdgeList(const std::string& path) {
     return util::Status::IoError("missing edge-list header in " + path);
   }
   return g;
+}
+
+}  // namespace
+
+util::Result<TextGraphPaths> ResolveTextGraphPaths(const std::string& path) {
+  TextGraphPaths out;
+  const std::string kExt = ".edges";
+  if (path.size() > kExt.size() &&
+      path.compare(path.size() - kExt.size(), kExt.size(), kExt) == 0) {
+    out.edges = path;
+    out.attrs = path.substr(0, path.size() - kExt.size()) + ".attrs";
+  } else if (FileExists(path + kExt)) {
+    out.edges = path + kExt;
+    out.attrs = path + ".attrs";
+  } else {
+    out.edges = path;
+    out.attrs = path + ".attrs";
+  }
+  if (!FileExists(out.edges)) {
+    return util::Status::NotFound("no text graph at " + path + " (looked for " +
+                                  out.edges + ")");
+  }
+  out.has_attrs = FileExists(out.attrs);
+  return out;
+}
+
+util::Status WriteEdgeList(const Graph& g, const std::string& path) {
+  std::ofstream out;
+  if (auto st = OpenForWrite(path, &out); !st.ok()) return st;
+  out << "n " << g.num_nodes() << "\n";
+  for (const Edge& e : g.CanonicalEdges()) {
+    out << e.u << " " << e.v << "\n";
+  }
+  out.flush();
+  if (!out.good()) return util::Status::IoError("write failed: " + path);
+  return util::Status::OK();
 }
 
 util::Status WriteAttributedGraph(const AttributedGraph& g,
@@ -227,15 +227,6 @@ util::Status WriteGraphMl(const AttributedGraph& g, const std::string& path) {
   out.flush();
   if (!out.good()) return util::Status::IoError("write failed: " + path);
   return util::Status::OK();
-}
-
-util::Result<AttributedGraph> ReadAttributedGraph(
-    const std::string& path_prefix) {
-  TextGraphPaths paths;
-  paths.edges = path_prefix + ".edges";
-  paths.attrs = path_prefix + ".attrs";
-  paths.has_attrs = true;  // historical contract: the .attrs file is required
-  return ReadAttributedGraphFiles(paths);
 }
 
 util::Result<AttributedGraph> ReadAttributedGraphFiles(

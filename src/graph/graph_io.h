@@ -9,13 +9,12 @@
 //   n <num_nodes> w <num_attributes>
 //   <node_id> <config>   config is the bit-packed attribute vector
 //
-// DEPRECATION NOTE: these readers are the *text backend* behind the
-// unified ingestion entry point graph::GraphSource::Open
-// (src/graph/graph_source.h), which auto-detects text vs the binary
-// container (src/graph/graph_container.h) by magic bytes. New call sites
-// should open graphs through GraphSource and write them through
-// graph::WriteGraph; ReadEdgeList/ReadAttributedGraph remain available as
-// a thin compatibility shim for one release.
+// The reader here is the *text backend* behind the unified ingestion entry
+// point graph::GraphSource::Open (src/graph/graph_source.h), which
+// auto-detects text vs the binary container (src/graph/graph_container.h)
+// by magic bytes. Call sites open graphs through GraphSource (or, with
+// already-resolved paths, ReadAttributedGraphFiles) and write them through
+// graph::WriteGraph.
 #pragma once
 
 #include <cstdint>
@@ -28,13 +27,10 @@
 namespace agmdp::graph {
 
 util::Status WriteEdgeList(const Graph& g, const std::string& path);
-util::Result<Graph> ReadEdgeList(const std::string& path);
 
 /// Writes <path>.edges and <path>.attrs.
 util::Status WriteAttributedGraph(const AttributedGraph& g,
                                   const std::string& path_prefix);
-util::Result<AttributedGraph> ReadAttributedGraph(
-    const std::string& path_prefix);
 
 /// Exports to GraphML (one <data> key per binary attribute) for external
 /// tools — Gephi, NetworkX, igraph all ingest this directly.
@@ -55,8 +51,7 @@ util::Result<TextGraphPaths> ResolveTextGraphPaths(const std::string& path);
 
 /// Reads a text graph from already-resolved file paths. When
 /// `paths.has_attrs` is false the result has zero attributes (all
-/// configs 0). ReadAttributedGraph is this with the `<prefix>.edges` /
-/// `<prefix>.attrs` convention (and the attribute file required).
+/// configs 0). Every parse error names its `path:line`.
 util::Result<AttributedGraph> ReadAttributedGraphFiles(
     const TextGraphPaths& paths);
 

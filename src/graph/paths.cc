@@ -12,12 +12,9 @@ namespace {
 
 constexpr uint32_t kUnreachable = std::numeric_limits<uint32_t>::max();
 
-// Works for both representations: Graph's Neighbors returns a vector,
-// CsrGraph's a contiguous range — both iterate with a range-for. BFS depths
-// are independent of the neighbor visit order, so the two instantiations
-// return identical distance vectors.
-template <typename AnyGraph>
-std::vector<uint32_t> BfsDistancesImpl(const AnyGraph& g, NodeId source) {
+}  // namespace
+
+std::vector<uint32_t> BfsDistances(const CsrGraph& g, NodeId source) {
   AGMDP_CHECK(source < g.num_nodes());
   std::vector<uint32_t> dist(g.num_nodes(), kUnreachable);
   std::vector<NodeId> frontier = {source};
@@ -40,9 +37,8 @@ std::vector<uint32_t> BfsDistancesImpl(const AnyGraph& g, NodeId source) {
   return dist;
 }
 
-template <typename AnyGraph>
-PathStats EstimatePathStatsImpl(const AnyGraph& g, uint32_t sample_sources,
-                                util::Rng& rng) {
+PathStats EstimatePathStats(const CsrGraph& g, uint32_t sample_sources,
+                            util::Rng& rng) {
   PathStats stats;
   const NodeId n = g.num_nodes();
   if (n == 0) return stats;
@@ -62,7 +58,7 @@ PathStats EstimatePathStatsImpl(const AnyGraph& g, uint32_t sample_sources,
   uint64_t count = 0;
   std::vector<uint64_t> depth_histogram;
   for (NodeId s : sources) {
-    for (uint32_t d : BfsDistancesImpl(g, s)) {
+    for (uint32_t d : BfsDistances(g, s)) {
       if (d == kUnreachable || d == 0) continue;
       sum += d;
       ++count;
@@ -91,34 +87,6 @@ PathStats EstimatePathStatsImpl(const AnyGraph& g, uint32_t sample_sources,
     covered = next_covered;
   }
   return stats;
-}
-
-}  // namespace
-
-std::vector<uint32_t> BfsDistances(const Graph& g, NodeId source) {
-  return BfsDistancesImpl(g, source);
-}
-
-std::vector<uint32_t> BfsDistances(const CsrGraph& g, NodeId source) {
-  return BfsDistancesImpl(g, source);
-}
-
-uint32_t Eccentricity(const Graph& g, NodeId source) {
-  uint32_t ecc = 0;
-  for (uint32_t d : BfsDistances(g, source)) {
-    if (d != kUnreachable) ecc = std::max(ecc, d);
-  }
-  return ecc;
-}
-
-PathStats EstimatePathStats(const Graph& g, uint32_t sample_sources,
-                            util::Rng& rng) {
-  return EstimatePathStatsImpl(g, sample_sources, rng);
-}
-
-PathStats EstimatePathStats(const CsrGraph& g, uint32_t sample_sources,
-                            util::Rng& rng) {
-  return EstimatePathStatsImpl(g, sample_sources, rng);
 }
 
 }  // namespace agmdp::graph

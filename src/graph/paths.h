@@ -2,26 +2,21 @@
 // diameter are standard structural-fidelity checks for synthetic social
 // graphs; the extended-stats bench uses them to stress AGM-DP beyond the
 // statistics its models explicitly target.
-// The CsrGraph overloads are drop-in: BFS depths do not depend on the
-// neighbor visit order, so distances — and every statistic derived from
-// them — are identical to the Graph path (given the same rng sequence).
+// BFS depths do not depend on the neighbor visit order, so distances, and
+// every statistic derived from them, are a pure function of the edge set
+// (given the same rng sequence).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "src/graph/csr.h"
-#include "src/graph/graph.h"
 #include "src/util/rng.h"
 
 namespace agmdp::graph {
 
 /// BFS distances from `source` (unreachable nodes get UINT32_MAX).
-std::vector<uint32_t> BfsDistances(const Graph& g, NodeId source);
 std::vector<uint32_t> BfsDistances(const CsrGraph& g, NodeId source);
-
-/// Longest shortest path from `source` to any reachable node.
-uint32_t Eccentricity(const Graph& g, NodeId source);
 
 struct PathStats {
   /// Mean finite pairwise distance over the sampled sources.
@@ -36,8 +31,6 @@ struct PathStats {
 /// Estimates path statistics by running BFS from `sample_sources` uniformly
 /// random sources (all nodes when sample_sources >= n; deterministic given
 /// rng). Unreachable pairs are excluded from the averages.
-PathStats EstimatePathStats(const Graph& g, uint32_t sample_sources,
-                            util::Rng& rng);
 PathStats EstimatePathStats(const CsrGraph& g, uint32_t sample_sources,
                             util::Rng& rng);
 

@@ -28,17 +28,6 @@ std::vector<uint32_t> DegreeRanks(const AnyGraph& g) {
   return rank;
 }
 
-// Wedge count from degrees only — shared by both representations.
-template <typename AnyGraph>
-uint64_t CountWedgesImpl(const AnyGraph& g) {
-  uint64_t wedges = 0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    uint64_t d = g.Degree(v);
-    wedges += d * (d - 1) / 2;
-  }
-  return wedges;
-}
-
 // Rank-directed adjacency in CSR form: neighbors of higher rank only, so
 // each triangle has exactly one node that sees its other two corners here.
 struct ForwardCsr {
@@ -121,9 +110,14 @@ uint64_t CountTrianglesBrute(const Graph& g) {
   return triangles;
 }
 
-uint64_t CountWedges(const Graph& g) { return CountWedgesImpl(g); }
-
-uint64_t CountWedges(const CsrGraph& g) { return CountWedgesImpl(g); }
+uint64_t CountWedges(const CsrGraph& g) {
+  uint64_t wedges = 0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    uint64_t d = g.Degree(v);
+    wedges += d * (d - 1) / 2;
+  }
+  return wedges;
+}
 
 std::vector<uint64_t> PerNodeTriangles(const Graph& g) {
   const NodeId n = g.num_nodes();

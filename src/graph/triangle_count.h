@@ -31,7 +31,6 @@ uint64_t CountTriangles(const CsrGraph& g, int threads = 1);
 uint64_t CountTrianglesBrute(const Graph& g);
 
 /// Number of wedges (paths of length two), n_W = sum_v C(d_v, 2).
-uint64_t CountWedges(const Graph& g);
 uint64_t CountWedges(const CsrGraph& g);
 
 /// Per-node triangle participation counts (each triangle contributes one to

@@ -7,7 +7,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "src/agm/params_io.h"
 #include "src/util/json.h"
 
 namespace agmdp::pipeline {

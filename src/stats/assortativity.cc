@@ -9,12 +9,10 @@
 
 namespace agmdp::stats {
 
-namespace {
-
-// Shared tail of both DegreeAssortativity paths: Pearson correlation over
-// the 2m ordered endpoint pairs from the three accumulated sums.
-double PearsonFromSums(double sum_xy, double sum_x, double sum_x2,
-                       uint64_t num_edges) {
+double DegreeAssortativityFromSums(double sum_xy, double sum_x,
+                                   double sum_x2, uint64_t num_edges) {
+  if (num_edges == 0) return 0.0;
+  // Pearson correlation over the 2m ordered endpoint pairs.
   const double count = 2.0 * static_cast<double>(num_edges);
   const double mean = sum_x / count;
   const double var = sum_x2 / count - mean * mean;
@@ -23,9 +21,16 @@ double PearsonFromSums(double sum_xy, double sum_x, double sum_x2,
   return cov / var;
 }
 
-// Shared tail of both AttributeAssortativity paths: Newman's coefficient
-// from the integer-valued (exact) mixing tallies over ordered endpoints.
-double NewmanFromMixing(const std::vector<double>& mixing, uint32_t k) {
+double AttributeAssortativityFromMixingCounts(
+    const std::vector<uint64_t>& counts, uint32_t k, uint64_t num_edges) {
+  if (num_edges == 0) return 0.0;
+  // Normalized mixing matrix e over ordered endpoints; the integer tallies
+  // make it exact.
+  const double total = 2.0 * static_cast<double>(num_edges);
+  std::vector<double> mixing(counts.size());
+  for (size_t i = 0; i < counts.size(); ++i) {
+    mixing[i] = static_cast<double>(counts[i]) / total;
+  }
   double trace = 0.0, squared = 0.0;
   for (uint32_t a = 0; a < k; ++a) {
     trace += mixing[static_cast<size_t>(a) * k + a];
@@ -39,25 +44,6 @@ double NewmanFromMixing(const std::vector<double>& mixing, uint32_t k) {
   return (trace - squared) / (1.0 - squared);
 }
 
-}  // namespace
-
-double DegreeAssortativityFromSums(double sum_xy, double sum_x,
-                                   double sum_x2, uint64_t num_edges) {
-  if (num_edges == 0) return 0.0;
-  return PearsonFromSums(sum_xy, sum_x, sum_x2, num_edges);
-}
-
-double AttributeAssortativityFromMixingCounts(
-    const std::vector<uint64_t>& counts, uint32_t k, uint64_t num_edges) {
-  if (num_edges == 0) return 0.0;
-  const double total = 2.0 * static_cast<double>(num_edges);
-  std::vector<double> mixing(counts.size());
-  for (size_t i = 0; i < counts.size(); ++i) {
-    mixing[i] = static_cast<double>(counts[i]) / total;
-  }
-  return NewmanFromMixing(mixing, k);
-}
-
 std::vector<double> PerAttributeHomophilyFromCounts(
     const std::vector<uint64_t>& counts, uint64_t num_edges) {
   std::vector<double> same(counts.size(), 0.0);
@@ -69,39 +55,11 @@ std::vector<double> PerAttributeHomophilyFromCounts(
   return same;
 }
 
-double DegreeAssortativity(const graph::Graph& g) {
-  if (g.num_edges() == 0) return 0.0;
-  const graph::NodeId n = g.num_nodes();
-  // Summation contract (see header): per-source-node partials over sorted
-  // forward neighbors, reduced in node order.
-  double sum_xy = 0.0, sum_x = 0.0, sum_x2 = 0.0;
-  std::vector<graph::NodeId> forward;
-  for (graph::NodeId u = 0; u < n; ++u) {
-    forward.clear();
-    for (graph::NodeId v : g.Neighbors(u)) {
-      if (v > u) forward.push_back(v);
-    }
-    std::sort(forward.begin(), forward.end());
-    const double du = g.Degree(u);
-    double pxy = 0.0, px = 0.0, px2 = 0.0;
-    for (graph::NodeId v : forward) {
-      const double dv = g.Degree(v);
-      pxy += 2.0 * du * dv;
-      px += du + dv;
-      px2 += du * du + dv * dv;
-    }
-    sum_xy += pxy;
-    sum_x += px;
-    sum_x2 += px2;
-  }
-  return PearsonFromSums(sum_xy, sum_x, sum_x2, g.num_edges());
-}
-
 double DegreeAssortativity(const graph::CsrGraph& g, int threads) {
   if (g.num_edges() == 0) return 0.0;
   const graph::NodeId n = g.num_nodes();
-  // Per-node partials are written by exactly one worker; the node-order
-  // reduce below matches the Graph path's chain exactly.
+  // Per-node partials are written by exactly one worker and reduce in node
+  // order, so every thread count yields the same chain of additions.
   std::vector<double> pxy(n), px(n), px2(n);
   util::ParallelNodeRanges(n, threads, [&](uint64_t begin, uint64_t end) {
     for (uint64_t ui = begin; ui < end; ++ui) {
@@ -131,22 +89,6 @@ double DegreeAssortativity(const graph::CsrGraph& g, int threads) {
   return DegreeAssortativityFromSums(sum_xy, sum_x, sum_x2, g.num_edges());
 }
 
-double AttributeAssortativity(const graph::AttributedGraph& g) {
-  if (g.num_edges() == 0) return 0.0;
-  const uint32_t k = graph::NumNodeConfigs(g.num_attributes());
-  // Mixing matrix e[a][b]: fraction of (ordered) edge endpoints with
-  // configurations a and b. The tallies are integer-valued, hence exact.
-  std::vector<double> mixing(static_cast<size_t>(k) * k, 0.0);
-  g.structure().ForEachEdge([&](graph::NodeId u, graph::NodeId v) {
-    const graph::AttrConfig a = g.attribute(u), b = g.attribute(v);
-    mixing[static_cast<size_t>(a) * k + b] += 1.0;
-    mixing[static_cast<size_t>(b) * k + a] += 1.0;
-  });
-  const double total = 2.0 * static_cast<double>(g.num_edges());
-  for (double& x : mixing) x /= total;
-  return NewmanFromMixing(mixing, k);
-}
-
 double AttributeAssortativity(const graph::AttributedCsrGraph& g,
                               int threads) {
   if (g.num_edges() == 0) return 0.0;
@@ -172,20 +114,6 @@ double AttributeAssortativity(const graph::AttributedCsrGraph& g,
         for (size_t i = 0; i < counts.size(); ++i) counts[i] += local[i];
       });
   return AttributeAssortativityFromMixingCounts(counts, k, g.num_edges());
-}
-
-std::vector<double> PerAttributeHomophily(const graph::AttributedGraph& g) {
-  std::vector<double> same(static_cast<size_t>(g.num_attributes()), 0.0);
-  if (g.num_edges() == 0 || g.num_attributes() == 0) return same;
-  g.structure().ForEachEdge([&](graph::NodeId u, graph::NodeId v) {
-    const graph::AttrConfig agree = ~(g.attribute(u) ^ g.attribute(v));
-    for (int a = 0; a < g.num_attributes(); ++a) {
-      if ((agree >> a) & 1u) same[static_cast<size_t>(a)] += 1.0;
-    }
-  });
-  const double m = static_cast<double>(g.num_edges());
-  for (double& x : same) x /= m;
-  return same;
 }
 
 std::vector<double> PerAttributeHomophily(const graph::AttributedCsrGraph& g,

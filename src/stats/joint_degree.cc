@@ -6,46 +6,7 @@
 
 namespace agmdp::stats {
 
-namespace {
-
 using JointDegreeMap = std::map<std::pair<uint32_t, uint32_t>, double>;
-
-// Shared tail: Hellinger distance between two sorted-support mass maps.
-double HellingerOfMaps(const JointDegreeMap& pa, const JointDegreeMap& pb) {
-  double sum = 0.0;
-  auto ia = pa.begin();
-  auto ib = pb.begin();
-  // Merge-walk the two sorted supports.
-  while (ia != pa.end() || ib != pb.end()) {
-    double x = 0.0, y = 0.0;
-    if (ib == pb.end() || (ia != pa.end() && ia->first < ib->first)) {
-      x = (ia++)->second;
-    } else if (ia == pa.end() || ib->first < ia->first) {
-      y = (ib++)->second;
-    } else {
-      x = (ia++)->second;
-      y = (ib++)->second;
-    }
-    const double d = std::sqrt(x) - std::sqrt(y);
-    sum += d * d;
-  }
-  return std::sqrt(sum) / std::sqrt(2.0);
-}
-
-}  // namespace
-
-JointDegreeMap JointDegreeDistribution(const graph::Graph& g) {
-  JointDegreeMap dist;
-  if (g.num_edges() == 0) return dist;
-  g.ForEachEdge([&](graph::NodeId u, graph::NodeId v) {
-    uint32_t du = g.Degree(u), dv = g.Degree(v);
-    if (du > dv) std::swap(du, dv);
-    dist[{du, dv}] += 1.0;
-  });
-  const double m = static_cast<double>(g.num_edges());
-  for (auto& [key, mass] : dist) mass /= m;
-  return dist;
-}
 
 JointDegreeMap JointDegreeDistribution(const graph::CsrGraph& g,
                                        int threads) {
@@ -77,15 +38,28 @@ JointDegreeMap JointDegreeDistribution(const graph::CsrGraph& g,
   return dist;
 }
 
-double JointDegreeDistance(const graph::Graph& a, const graph::Graph& b) {
-  return HellingerOfMaps(JointDegreeDistribution(a),
-                         JointDegreeDistribution(b));
-}
-
 double JointDegreeDistance(const graph::CsrGraph& a, const graph::CsrGraph& b,
                            int threads) {
-  return HellingerOfMaps(JointDegreeDistribution(a, threads),
-                         JointDegreeDistribution(b, threads));
+  const JointDegreeMap pa = JointDegreeDistribution(a, threads);
+  const JointDegreeMap pb = JointDegreeDistribution(b, threads);
+  double sum = 0.0;
+  auto ia = pa.begin();
+  auto ib = pb.begin();
+  // Merge-walk the two sorted supports.
+  while (ia != pa.end() || ib != pb.end()) {
+    double x = 0.0, y = 0.0;
+    if (ib == pb.end() || (ia != pa.end() && ia->first < ib->first)) {
+      x = (ia++)->second;
+    } else if (ia == pa.end() || ib->first < ia->first) {
+      y = (ib++)->second;
+    } else {
+      x = (ia++)->second;
+      y = (ib++)->second;
+    }
+    const double d = std::sqrt(x) - std::sqrt(y);
+    sum += d * d;
+  }
+  return std::sqrt(sum) / std::sqrt(2.0);
 }
 
 }  // namespace agmdp::stats

@@ -136,18 +136,6 @@ double KlDivergence(std::vector<double> p, std::vector<double> q,
   return kl;
 }
 
-namespace {
-
-// Shared body: the Graph and CsrGraph entry points must not drift apart
-// (DESIGN.md snapshot contract).
-template <typename AnyGraph>
-std::vector<double> DegreeDistributionImpl(const AnyGraph& g) {
-  return DegreeDistributionFromHistogram(graph::DegreeHistogram(g),
-                                         g.num_nodes());
-}
-
-}  // namespace
-
 std::vector<double> DegreeDistributionFromHistogram(
     const std::vector<uint64_t>& hist, uint64_t num_nodes) {
   std::vector<double> dist(hist.size(), 0.0);
@@ -159,16 +147,9 @@ std::vector<double> DegreeDistributionFromHistogram(
   return dist;
 }
 
-std::vector<double> DegreeDistribution(const graph::Graph& g) {
-  return DegreeDistributionImpl(g);
-}
-
 std::vector<double> DegreeDistribution(const graph::CsrGraph& g) {
-  return DegreeDistributionImpl(g);
-}
-
-double DegreeHellinger(const graph::Graph& a, const graph::Graph& b) {
-  return HellingerDistance(DegreeDistribution(a), DegreeDistribution(b));
+  return DegreeDistributionFromHistogram(graph::DegreeHistogram(g),
+                                         g.num_nodes());
 }
 
 }  // namespace agmdp::stats

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "src/graph/csr.h"
-#include "src/graph/graph.h"
 
 namespace agmdp::stats {
 
@@ -57,16 +56,11 @@ double KlDivergence(std::vector<double> p, std::vector<double> q,
                     double floor = 1e-12);
 
 /// Normalized degree histogram of a graph (mass at each degree value).
-std::vector<double> DegreeDistribution(const graph::Graph& g);
 std::vector<double> DegreeDistribution(const graph::CsrGraph& g);
 
 /// The same distribution from an already-computed degree histogram — the
-/// shared tail of the graph overloads and the fused evaluation path.
+/// shared tail of DegreeDistribution and the fused evaluation path.
 std::vector<double> DegreeDistributionFromHistogram(
     const std::vector<uint64_t>& hist, uint64_t num_nodes);
-
-/// Hellinger distance between the degree distributions of two graphs (the
-/// paper's H_S).
-double DegreeHellinger(const graph::Graph& a, const graph::Graph& b);
 
 }  // namespace agmdp::stats

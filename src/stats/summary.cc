@@ -2,26 +2,10 @@
 
 #include <cstdio>
 
-#include "src/agm/theta_f.h"
-#include "src/graph/clustering.h"
 #include "src/graph/degree.h"
 #include "src/graph/fused_eval.h"
-#include "src/graph/triangle_count.h"
-#include "src/stats/metrics.h"
 
 namespace agmdp::stats {
-
-GraphSummary Summarize(const graph::Graph& g) {
-  GraphSummary s;
-  s.num_nodes = g.num_nodes();
-  s.num_edges = g.num_edges();
-  s.max_degree = g.MaxDegree();
-  s.avg_degree = graph::AverageDegree(g);
-  s.triangles = graph::CountTriangles(g);
-  s.avg_local_clustering = graph::AverageLocalClustering(g);
-  s.global_clustering = graph::GlobalClusteringCoefficient(g);
-  return s;
-}
 
 GraphSummary Summarize(const graph::CsrGraph& g, int threads) {
   GraphSummary s;
@@ -77,33 +61,6 @@ UtilityErrors UtilityErrors::operator/(double k) const {
   out.global_clustering_re /= k;
   out.edges_re /= k;
   return out;
-}
-
-UtilityErrors CompareGraphs(const graph::AttributedGraph& original,
-                            const graph::AttributedGraph& synthetic) {
-  UtilityErrors e;
-  const graph::Graph& g0 = original.structure();
-  const graph::Graph& g1 = synthetic.structure();
-
-  const std::vector<double> theta0 = agm::ComputeThetaF(original);
-  const std::vector<double> theta1 = agm::ComputeThetaF(synthetic);
-  e.theta_f_mae = MeanAbsoluteError(theta1, theta0);
-  e.theta_f_hellinger = HellingerDistance(theta1, theta0);
-
-  e.degree_ks = KsStatistic(graph::SortedDegreeSequence(g1),
-                            graph::SortedDegreeSequence(g0));
-  e.degree_hellinger = DegreeHellinger(g1, g0);
-
-  e.triangles_re =
-      RelativeError(static_cast<double>(graph::CountTriangles(g1)),
-                    static_cast<double>(graph::CountTriangles(g0)));
-  e.avg_clustering_re = RelativeError(graph::AverageLocalClustering(g1),
-                                      graph::AverageLocalClustering(g0));
-  e.global_clustering_re = RelativeError(graph::GlobalClusteringCoefficient(g1),
-                                         graph::GlobalClusteringCoefficient(g0));
-  e.edges_re = RelativeError(static_cast<double>(g1.num_edges()),
-                             static_cast<double>(g0.num_edges()));
-  return e;
 }
 
 }  // namespace agmdp::stats

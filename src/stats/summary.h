@@ -5,9 +5,7 @@
 #include <cstdint>
 #include <string>
 
-#include "src/graph/attributed_graph.h"
 #include "src/graph/csr.h"
-#include "src/graph/graph.h"
 
 namespace agmdp::stats {
 
@@ -21,8 +19,7 @@ struct GraphSummary {
   double global_clustering = 0.0;
 };
 
-GraphSummary Summarize(const graph::Graph& g);
-/// Snapshot path: identical values, with the triangle work parallelized
+/// Structural summary of a snapshot, with the triangle work parallelized
 /// over `threads` workers (<= 0 selects hardware concurrency).
 GraphSummary Summarize(const graph::CsrGraph& g, int threads = 1);
 
@@ -30,7 +27,8 @@ GraphSummary Summarize(const graph::CsrGraph& g, int threads = 1);
 std::string FormatSummary(const std::string& name, const GraphSummary& s);
 
 /// The error columns of Tables 2-5, comparing a synthetic graph against the
-/// original input (Section 5.1 statistics).
+/// original input (Section 5.1 statistics); eval::EvaluateRelease fills
+/// them.
 struct UtilityErrors {
   // ΘF column. The paper's text says MRE but the reported magnitudes (and
   // Figures 1/5) match the MAE of the correlation probability vectors, so
@@ -47,9 +45,5 @@ struct UtilityErrors {
   UtilityErrors& operator+=(const UtilityErrors& o);
   UtilityErrors operator/(double k) const;
 };
-
-/// Computes all Tables 2-5 statistics for a synthetic graph vs the input.
-UtilityErrors CompareGraphs(const graph::AttributedGraph& original,
-                            const graph::AttributedGraph& synthetic);
 
 }  // namespace agmdp::stats

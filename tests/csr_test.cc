@@ -1,8 +1,8 @@
 // CsrGraph snapshot layer: FromGraph round-trip equivalence against the
 // mutable Graph, edge cases (empty / star / complete), and the determinism
 // contract of the parallel analytics kernels — every metric computed via
-// the snapshot must be bitwise-identical to the legacy adjacency-list path,
-// and identical across 1/2/4 analytics threads.
+// the snapshot must match the Graph kernels the generators use where both
+// exist, and be bitwise-identical across 1/2/4 analytics threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,9 +15,9 @@
 #include "src/graph/csr.h"
 #include "src/graph/degree.h"
 #include "src/graph/graph.h"
-#include "src/graph/paths.h"
 #include "src/graph/triangle_count.h"
 #include "src/stats/assortativity.h"
+#include "src/stats/ccdf.h"
 #include "src/stats/joint_degree.h"
 #include "src/stats/metrics.h"
 #include "src/util/rng.h"
@@ -135,10 +135,15 @@ TEST(CsrGraphTest, RoundTripMatchesGraph) {
       }
     }
   }
-  EXPECT_EQ(DegreeSequence(csr), DegreeSequence(g));
-  EXPECT_EQ(SortedDegreeSequence(csr), SortedDegreeSequence(g));
-  EXPECT_EQ(DegreeHistogram(csr), DegreeHistogram(g));
-  EXPECT_EQ(AverageDegree(csr), AverageDegree(g));
+  std::vector<uint32_t> sorted = DegreeSequence(g);
+  EXPECT_EQ(DegreeSequence(csr), sorted);
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(SortedDegreeSequence(csr), sorted);
+  std::vector<uint64_t> hist(g.MaxDegree() + 1, 0);
+  for (uint32_t d : sorted) ++hist[d];
+  EXPECT_EQ(DegreeHistogram(csr), hist);
+  EXPECT_EQ(AverageDegree(csr), 2.0 * static_cast<double>(g.num_edges()) /
+                                    static_cast<double>(g.num_nodes()));
 }
 
 TEST(CsrGraphTest, ForEachEdgeIsCanonicalOrder) {
@@ -151,13 +156,15 @@ TEST(CsrGraphTest, ForEachEdgeIsCanonicalOrder) {
 
 // ----------------------------------------------------------- kernels --
 
-TEST(CsrKernelsTest, TriangleKernelsMatchLegacyAtEveryThreadCount) {
+TEST(CsrKernelsTest, TriangleKernelsMatchGraphKernelsAtEveryThreadCount) {
   const Graph g = RandomGraph(60, 0.12, 13);
   const CsrGraph csr = CsrGraph::FromGraph(g);
   const uint64_t brute = CountTrianglesBrute(g);
   EXPECT_EQ(CountTriangles(g), brute);
   const std::vector<uint64_t> per_node = PerNodeTriangles(g);
-  EXPECT_EQ(CountWedges(csr), CountWedges(g));
+  uint64_t wedges = 0;
+  for (uint64_t d : DegreeSequence(g)) wedges += d * (d - 1) / 2;
+  EXPECT_EQ(CountWedges(csr), wedges);
   for (int threads : {1, 2, 4}) {
     EXPECT_EQ(CountTriangles(csr, threads), brute);
     EXPECT_EQ(PerNodeTriangles(csr, threads), per_node);
@@ -193,12 +200,13 @@ TEST(CsrKernelsTest, ClusteringBitwiseEqualAtEveryThreadCount) {
   const Graph g = RandomGraph(60, 0.12, 14);
   const CsrGraph csr = CsrGraph::FromGraph(g);
   const std::vector<double> cc = LocalClusteringCoefficients(g);
+  const double global = 3.0 * static_cast<double>(CountTriangles(g)) /
+                        static_cast<double>(CountWedges(csr));
   for (int threads : {1, 2, 4}) {
     EXPECT_EQ(LocalClusteringCoefficients(csr, threads), cc);
     EXPECT_EQ(AverageLocalClustering(csr, threads),
               AverageLocalClustering(g));
-    EXPECT_EQ(GlobalClusteringCoefficient(csr, threads),
-              GlobalClusteringCoefficient(g));
+    EXPECT_EQ(GlobalClusteringCoefficient(csr, threads), global);
     EXPECT_EQ(DegreeWiseClustering(csr, threads), DegreeWiseClustering(g));
   }
 }
@@ -211,74 +219,58 @@ TEST(CsrKernelsTest, ClusteringStatsBundleMatchesStandaloneKernels) {
     EXPECT_EQ(stats.per_node_triangles, PerNodeTriangles(g));
     EXPECT_EQ(stats.local_coefficients, LocalClusteringCoefficients(g));
     EXPECT_EQ(stats.triangles, CountTriangles(g));
-    EXPECT_EQ(stats.wedges, CountWedges(g));
-    EXPECT_EQ(stats.global_clustering, GlobalClusteringCoefficient(g));
+    EXPECT_EQ(stats.wedges, CountWedges(csr));
+    EXPECT_EQ(stats.global_clustering, GlobalClusteringCoefficient(csr));
   }
 }
 
+// The kernels' values are checked against brute-force definitions in
+// fuzz_test.cc; here every thread count must reproduce the 1-thread bits.
 TEST(CsrKernelsTest, StatsBitwiseEqualAtEveryThreadCount) {
   const AttributedGraph g = RandomAttributed(70, 0.1, 3, 15);
   const AttributedCsrGraph snapshot = AttributedCsrGraph::FromGraph(g);
-  const Graph& s = g.structure();
   const CsrGraph& csr = snapshot.structure;
+  const double degree_assort = stats::DegreeAssortativity(csr);
+  const double attr_assort = stats::AttributeAssortativity(snapshot);
+  const std::vector<double> homophily = stats::PerAttributeHomophily(snapshot);
+  const auto joint = stats::JointDegreeDistribution(csr);
   for (int threads : {1, 2, 4}) {
-    EXPECT_EQ(stats::DegreeAssortativity(csr, threads),
-              stats::DegreeAssortativity(s));
-    EXPECT_EQ(stats::AttributeAssortativity(snapshot, threads),
-              stats::AttributeAssortativity(g));
-    EXPECT_EQ(stats::PerAttributeHomophily(snapshot, threads),
-              stats::PerAttributeHomophily(g));
-    EXPECT_EQ(stats::JointDegreeDistribution(csr, threads),
-              stats::JointDegreeDistribution(s));
+    EXPECT_EQ(stats::DegreeAssortativity(csr, threads), degree_assort);
+    EXPECT_EQ(stats::AttributeAssortativity(snapshot, threads), attr_assort);
+    EXPECT_EQ(stats::PerAttributeHomophily(snapshot, threads), homophily);
+    EXPECT_EQ(stats::JointDegreeDistribution(csr, threads), joint);
     EXPECT_EQ(agm::ComputeConnectionCounts(snapshot, threads),
               agm::ComputeConnectionCounts(g));
     EXPECT_EQ(agm::ComputeThetaF(snapshot, threads), agm::ComputeThetaF(g));
   }
-  EXPECT_EQ(stats::DegreeDistribution(csr), stats::DegreeDistribution(s));
-  EXPECT_EQ(stats::JointDegreeDistance(csr, csr),
-            stats::JointDegreeDistance(s, s));
-}
-
-TEST(CsrKernelsTest, BfsAndPathStatsMatchLegacy) {
-  const Graph g = RandomGraph(50, 0.08, 16);
-  const CsrGraph csr = CsrGraph::FromGraph(g);
-  for (NodeId s : {NodeId{0}, NodeId{17}, NodeId{49}}) {
-    EXPECT_EQ(BfsDistances(csr, s), BfsDistances(g, s));
-  }
-  util::Rng rng_legacy(99), rng_csr(99);
-  const PathStats legacy = EstimatePathStats(g, 16, rng_legacy);
-  const PathStats snapshot = EstimatePathStats(csr, 16, rng_csr);
-  EXPECT_EQ(snapshot.avg_path_length, legacy.avg_path_length);
-  EXPECT_EQ(snapshot.effective_diameter, legacy.effective_diameter);
-  EXPECT_EQ(snapshot.diameter_lower_bound, legacy.diameter_lower_bound);
+  EXPECT_EQ(stats::JointDegreeDistance(csr, csr), 0.0);
 }
 
 // -------------------------------------------------------------- eval --
 
-TEST(CsrEvalTest, EvaluateReleaseBitwiseEqualsLegacyAtEveryThreadCount) {
+TEST(CsrEvalTest, EvaluateReleaseBitwiseEqualAtEveryThreadCount) {
   // A random "original" and a random "released" graph, with different
   // attribute dimensions to exercise the common-prefix homophily path.
+  // Report values are checked against a per-metric oracle in
+  // fused_eval_test.cc; here threads and entry points must agree.
   const AttributedGraph original = RandomAttributed(80, 0.08, 3, 21);
   const AttributedGraph released = RandomAttributed(70, 0.1, 2, 22);
 
-  const eval::ReferenceProfile ref_legacy =
-      eval::ProfileReferenceLegacy(original);
-  const eval::UtilityReport report_legacy =
-      eval::EvaluateReleaseLegacy(ref_legacy, released);
-  const auto flat_legacy = report_legacy.Flatten();
+  const eval::ReferenceProfile ref_1t = eval::ProfileReference(original);
+  const auto flat_1t = eval::EvaluateRelease(ref_1t, released).Flatten();
 
   for (int threads : {1, 2, 4}) {
     const eval::ReferenceProfile ref = eval::ProfileReference(original, threads);
-    EXPECT_EQ(ref.theta_f, ref_legacy.theta_f);
-    EXPECT_EQ(ref.sorted_degrees, ref_legacy.sorted_degrees);
-    EXPECT_EQ(ref.degree_distribution, ref_legacy.degree_distribution);
-    EXPECT_EQ(ref.local_clustering, ref_legacy.local_clustering);
-    EXPECT_EQ(ref.avg_clustering, ref_legacy.avg_clustering);
-    EXPECT_EQ(ref.global_clustering, ref_legacy.global_clustering);
-    EXPECT_EQ(ref.triangles, ref_legacy.triangles);
-    EXPECT_EQ(ref.degree_assortativity, ref_legacy.degree_assortativity);
-    EXPECT_EQ(ref.attribute_assortativity, ref_legacy.attribute_assortativity);
-    EXPECT_EQ(ref.homophily, ref_legacy.homophily);
+    EXPECT_EQ(ref.theta_f, ref_1t.theta_f);
+    EXPECT_EQ(ref.degree_distribution, ref_1t.degree_distribution);
+    EXPECT_EQ(ref.sorted_local_clustering, ref_1t.sorted_local_clustering);
+    EXPECT_EQ(ref.avg_clustering, ref_1t.avg_clustering);
+    EXPECT_EQ(ref.global_clustering, ref_1t.global_clustering);
+    EXPECT_EQ(ref.triangles, ref_1t.triangles);
+    EXPECT_EQ(ref.degree_assortativity, ref_1t.degree_assortativity);
+    EXPECT_EQ(ref.attribute_assortativity, ref_1t.attribute_assortativity);
+    EXPECT_EQ(ref.homophily, ref_1t.homophily);
+    EXPECT_EQ(ref.degree_histogram, ref_1t.degree_histogram);
 
     // Both entry points: the AttributedGraph wrapper (one snapshot built
     // internally) and a caller-built snapshot.
@@ -288,18 +280,23 @@ TEST(CsrEvalTest, EvaluateReleaseBitwiseEqualsLegacyAtEveryThreadCount) {
         eval::EvaluateRelease(ref, graph::AttributedCsrGraph::FromGraph(released),
                               threads)
             .Flatten();
-    EXPECT_EQ(flat_wrapped, flat_legacy);
-    EXPECT_EQ(flat_snapshot, flat_legacy);
+    EXPECT_EQ(flat_wrapped, flat_1t);
+    EXPECT_EQ(flat_snapshot, flat_1t);
   }
 }
 
-TEST(CsrEvalTest, CcdfSeriesMatchLegacy) {
+TEST(CsrEvalTest, CcdfSeriesMatchTheirDefinitions) {
   const Graph g = RandomGraph(60, 0.1, 23);
   const CsrGraph csr = CsrGraph::FromGraph(g);
-  EXPECT_EQ(eval::DegreeCcdfSeries(csr, 30), eval::DegreeCcdfSeries(g, 30));
+  const std::vector<uint32_t> degrees = DegreeSequence(g);
+  EXPECT_EQ(eval::DegreeCcdfSeries(csr, 30),
+            stats::DownsampleCcdf(
+                stats::Ccdf(std::vector<double>(degrees.begin(), degrees.end())),
+                30));
   for (int threads : {1, 2, 4}) {
     EXPECT_EQ(eval::ClusteringCcdfSeries(csr, 30, threads),
-              eval::ClusteringCcdfSeries(g, 30));
+              stats::DownsampleCcdf(
+                  stats::Ccdf(LocalClusteringCoefficients(g)), 30));
   }
 }
 

@@ -11,6 +11,7 @@
 #include "src/dp/privacy_budget.h"
 #include "src/dp/sample_aggregate.h"
 #include "src/dp/smooth_sensitivity.h"
+#include "src/graph/csr.h"
 #include "src/graph/degree.h"
 #include "src/models/erdos_renyi.h"
 #include "src/util/rng.h"
@@ -293,7 +294,7 @@ TEST(DpDegreeSequenceTest, ConstrainedInferenceBeatsRawNoise) {
   // the Laplace noise. Compare L1 errors against the sorted true sequence.
   util::Rng rng(17);
   graph::Graph g = models::ErdosRenyiGnp(400, 0.02, rng);
-  std::vector<uint32_t> truth = graph::SortedDegreeSequence(g);
+  std::vector<uint32_t> truth = graph::SortedDegreeSequence(graph::CsrGraph::FromGraph(g));
   const double eps = 0.1;
   double err_ci = 0.0, err_raw = 0.0;
   for (int trial = 0; trial < 10; ++trial) {
@@ -310,7 +311,7 @@ TEST(DpDegreeSequenceTest, ConstrainedInferenceBeatsRawNoise) {
 TEST(DpDegreeSequenceTest, AccurateAtLargeEpsilon) {
   util::Rng rng(18);
   graph::Graph g = models::ErdosRenyiGnp(200, 0.05, rng);
-  std::vector<uint32_t> truth = graph::SortedDegreeSequence(g);
+  std::vector<uint32_t> truth = graph::SortedDegreeSequence(graph::CsrGraph::FromGraph(g));
   std::vector<uint32_t> s =
       DpDegreeSequence(graph::DegreeSequence(g), 1000.0, rng);
   EXPECT_EQ(s, truth);

@@ -14,6 +14,7 @@
 #include "src/dp/ladder_mechanism.h"
 #include "src/graph/clustering.h"
 #include "src/graph/components.h"
+#include "src/graph/csr.h"
 #include "src/graph/degree.h"
 #include "src/graph/paths.h"
 #include "src/graph/triangle_count.h"
@@ -31,10 +32,11 @@ namespace {
 TEST(EdgeCasesTest, EmptyGraphAlgorithms) {
   graph::Graph g(0);
   EXPECT_EQ(graph::CountTriangles(g), 0u);
-  EXPECT_EQ(graph::CountWedges(g), 0u);
   EXPECT_DOUBLE_EQ(graph::AverageLocalClustering(g), 0.0);
-  EXPECT_DOUBLE_EQ(graph::GlobalClusteringCoefficient(g), 0.0);
-  EXPECT_DOUBLE_EQ(graph::AverageDegree(g), 0.0);
+  const graph::CsrGraph csr = graph::CsrGraph::FromGraph(g);
+  EXPECT_EQ(graph::CountWedges(csr), 0u);
+  EXPECT_DOUBLE_EQ(graph::GlobalClusteringCoefficient(csr), 0.0);
+  EXPECT_DOUBLE_EQ(graph::AverageDegree(csr), 0.0);
   uint32_t components = 99;
   graph::ConnectedComponents(g, &components);
   EXPECT_EQ(components, 0u);
@@ -47,7 +49,7 @@ TEST(EdgeCasesTest, SingleNodeGraph) {
   EXPECT_EQ(g.MaxDegree(), 0u);
   EXPECT_FALSE(g.AddEdge(0, 0));
   util::Rng rng(1);
-  graph::PathStats stats = graph::EstimatePathStats(g, 10, rng);
+  graph::PathStats stats = graph::EstimatePathStats(graph::CsrGraph::FromGraph(g), 10, rng);
   EXPECT_DOUBLE_EQ(stats.avg_path_length, 0.0);
 }
 

@@ -32,6 +32,10 @@ graph::AttributedGraph Path() {
   return g;
 }
 
+graph::AttributedCsrGraph Snap(const graph::AttributedGraph& g) {
+  return graph::AttributedCsrGraph::FromGraph(g);
+}
+
 // --------------------------------------------------- stats primitives --
 
 TEST(MetricPrimitivesTest, KsDistanceClosedForms) {
@@ -60,13 +64,13 @@ TEST(MetricPrimitivesTest, KlDivergenceClosedForms) {
 
 TEST(MetricPrimitivesTest, PerAttributeHomophilyClosedForms) {
   // Triangle with bits 0,1,0: edges (0,1) differ, (0,2) agree, (1,2) differ.
-  const std::vector<double> h = stats::PerAttributeHomophily(Triangle());
+  const std::vector<double> h = stats::PerAttributeHomophily(Snap(Triangle()));
   ASSERT_EQ(h.size(), 1u);
   EXPECT_NEAR(h[0], 1.0 / 3.0, 1e-12);
 
   // Edgeless graph: all zeros.
   graph::AttributedGraph empty(3, 2);
-  const std::vector<double> h0 = stats::PerAttributeHomophily(empty);
+  const std::vector<double> h0 = stats::PerAttributeHomophily(Snap(empty));
   ASSERT_EQ(h0.size(), 2u);
   EXPECT_DOUBLE_EQ(h0[0], 0.0);
   EXPECT_DOUBLE_EQ(h0[1], 0.0);
@@ -76,7 +80,7 @@ TEST(MetricPrimitivesTest, PerAttributeHomophilyClosedForms) {
   two.structure().AddEdge(0, 1);
   two.set_attribute(0, 0b01);
   two.set_attribute(1, 0b11);
-  const std::vector<double> h2 = stats::PerAttributeHomophily(two);
+  const std::vector<double> h2 = stats::PerAttributeHomophily(Snap(two));
   ASSERT_EQ(h2.size(), 2u);
   EXPECT_DOUBLE_EQ(h2[0], 1.0);  // both have bit 0 set
   EXPECT_DOUBLE_EQ(h2[1], 0.0);  // bit 1 differs
@@ -153,9 +157,9 @@ TEST(ProfileGraphTest, MatchesDirectStatistics) {
   util::Rng rng(3);
   const StructuralProfile profile = ProfileGraph(g, 8, rng);
   EXPECT_DOUBLE_EQ(profile.degree_assortativity,
-                   stats::DegreeAssortativity(g.structure()));
+                   stats::DegreeAssortativity(Snap(g).structure));
   EXPECT_DOUBLE_EQ(profile.attribute_assortativity,
-                   stats::AttributeAssortativity(g));
+                   stats::AttributeAssortativity(Snap(g)));
   ASSERT_EQ(profile.homophily.size(), 1u);
   EXPECT_NEAR(profile.homophily[0], 1.0 / 3.0, 1e-12);
   // K3: every pair at distance 1.
@@ -169,9 +173,9 @@ TEST(ProfileGraphTest, MatchesDirectStatistics) {
 }
 
 TEST(CcdfSeriesTest, DegreeAndClusteringSeriesAreCcdfs) {
-  const graph::AttributedGraph g = Path();
+  const graph::AttributedCsrGraph g = Snap(Path());
   // Degrees {1, 2, 1}: CCDF points (1, 1/3), (2, 0).
-  const auto series = DegreeCcdfSeries(g.structure(), 30);
+  const auto series = DegreeCcdfSeries(g.structure, 30);
   ASSERT_EQ(series.size(), 2u);
   EXPECT_DOUBLE_EQ(series[0].first, 1.0);
   EXPECT_NEAR(series[0].second, 1.0 / 3.0, 1e-12);
@@ -179,7 +183,7 @@ TEST(CcdfSeriesTest, DegreeAndClusteringSeriesAreCcdfs) {
   EXPECT_DOUBLE_EQ(series[1].second, 0.0);
 
   // All clustering coefficients are 0: a single point (0, 0).
-  const auto cc = ClusteringCcdfSeries(g.structure(), 30);
+  const auto cc = ClusteringCcdfSeries(g.structure, 30);
   ASSERT_EQ(cc.size(), 1u);
   EXPECT_DOUBLE_EQ(cc[0].first, 0.0);
   EXPECT_DOUBLE_EQ(cc[0].second, 0.0);

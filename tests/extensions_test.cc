@@ -8,7 +8,6 @@
 #include <string>
 
 #include "src/agm/agm_sampler.h"
-#include "src/agm/params_io.h"
 #include "src/dp/geometric_mechanism.h"
 #include "src/dp/ladder_mechanism.h"
 #include "src/graph/clustering.h"
@@ -20,6 +19,7 @@
 #include "src/models/chung_lu.h"
 #include "src/models/erdos_renyi.h"
 #include "src/models/holme_kim.h"
+#include "src/pipeline/release_artifact.h"
 #include "src/stats/metrics.h"
 #include "src/util/rng.h"
 
@@ -193,14 +193,23 @@ TEST(BterTest, DegreeDistributionTracked) {
   ASSERT_TRUE(input.ok());
   auto g = models::GenerateBter(models::FitBter(input.value()), rng);
   ASSERT_TRUE(g.ok());
-  EXPECT_LT(stats::KsStatistic(graph::SortedDegreeSequence(g.value()),
-                               graph::SortedDegreeSequence(input.value())),
+  EXPECT_LT(stats::KsStatistic(
+                graph::SortedDegreeSequence(graph::CsrGraph::FromGraph(g.value())),
+                graph::SortedDegreeSequence(
+                    graph::CsrGraph::FromGraph(input.value()))),
             0.25);
 }
 
-// --------------------------------------------------------------- ParamsIo --
+// ---------------------------------------------------------- StoredParams --
+// Parameters persist inside release artifacts (pipeline/release_artifact.h).
 
-TEST(ParamsIoTest, RoundTrip) {
+pipeline::ReleaseArtifact ArtifactOf(const agm::AgmParams& params) {
+  pipeline::PipelineConfig config;
+  config.model = "fcl";
+  return pipeline::MakeReleaseArtifact(params, config);
+}
+
+TEST(StoredParamsTest, RoundTrip) {
   agm::AgmParams params;
   params.w = 2;
   params.theta_x = {0.4, 0.3, 0.2, 0.1};
@@ -210,42 +219,49 @@ TEST(ParamsIoTest, RoundTrip) {
   params.degree_sequence.resize(21, 2);
   params.target_triangles = 1234;
 
-  const std::string path = testing::TempDir() + "/params_roundtrip.txt";
-  ASSERT_TRUE(agm::WriteAgmParams(params, path).ok());
-  auto back = agm::ReadAgmParams(path);
+  const std::string path = testing::TempDir() + "/params_roundtrip.json";
+  ASSERT_TRUE(pipeline::WriteReleaseArtifact(ArtifactOf(params), path).ok());
+  auto back = pipeline::ReadReleaseArtifact(path);
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back.value().w, 2);
-  EXPECT_EQ(back.value().theta_x, params.theta_x);
-  EXPECT_EQ(back.value().theta_f, params.theta_f);
-  EXPECT_EQ(back.value().degree_sequence, params.degree_sequence);
-  EXPECT_EQ(back.value().target_triangles, 1234u);
+  EXPECT_EQ(back.value().params.w, 2);
+  EXPECT_EQ(back.value().params.theta_x, params.theta_x);
+  EXPECT_EQ(back.value().params.theta_f, params.theta_f);
+  EXPECT_EQ(back.value().params.degree_sequence, params.degree_sequence);
+  EXPECT_EQ(back.value().params.target_triangles, 1234u);
   std::remove(path.c_str());
 }
 
-TEST(ParamsIoTest, RejectsCorruptFiles) {
-  const std::string path = testing::TempDir() + "/params_bad.txt";
+TEST(StoredParamsTest, RejectsCorruptFiles) {
+  agm::AgmParams params;
+  params.w = 1;
+  params.theta_x = {0.5, 0.5};
+  params.theta_f = {0.3, 0.3, 0.4};
+  params.degree_sequence = {1, 1};
+  const std::string json = pipeline::ReleaseArtifactToJson(ArtifactOf(params));
+  const std::string path = testing::TempDir() + "/params_bad.json";
   {
     std::ofstream out(path);
-    out << "agmdp-params v1\nw 2\ntheta_x 4 0.4 0.3\n";  // truncated
+    out << json.substr(0, json.size() / 2);  // truncated
   }
-  EXPECT_FALSE(agm::ReadAgmParams(path).ok());
+  EXPECT_FALSE(pipeline::ReadReleaseArtifact(path).ok());
   std::remove(path.c_str());
-  EXPECT_FALSE(agm::ReadAgmParams("/nonexistent/params").ok());
+  EXPECT_FALSE(pipeline::ReadReleaseArtifact("/nonexistent/params").ok());
 }
 
-TEST(ParamsIoTest, RejectsDimensionMismatch) {
-  const std::string path = testing::TempDir() + "/params_dim.txt";
-  {
-    std::ofstream out(path);
-    // theta_f should have 10 entries for w=2, not 3.
-    out << "agmdp-params v1\nw 2\ntheta_x 4 0.25 0.25 0.25 0.25\n"
-        << "theta_f 3 0.3 0.3 0.4\ndegrees 2 1 1\ntriangles 0\n";
-  }
-  EXPECT_FALSE(agm::ReadAgmParams(path).ok());
-  std::remove(path.c_str());
+TEST(StoredParamsTest, RejectsDimensionMismatch) {
+  agm::AgmParams params;
+  params.w = 2;
+  params.theta_x = {0.25, 0.25, 0.25, 0.25};
+  params.theta_f = {0.3, 0.3, 0.4};  // w=2 needs 10 entries, not 3
+  params.degree_sequence = {1, 1};
+  EXPECT_FALSE(agm::ValidateAgmParams(params).ok());
+  EXPECT_FALSE(
+      pipeline::ReleaseArtifactFromJson(
+          pipeline::ReleaseArtifactToJson(ArtifactOf(params)))
+          .ok());
 }
 
-TEST(ParamsIoTest, SampledGraphFromStoredParamsMatchesDirect) {
+TEST(StoredParamsTest, SampledGraphFromStoredParamsMatchesDirect) {
   // fit -> save -> load -> sample must equal fit -> sample with equal seeds.
   agm::AgmParams params;
   params.w = 1;
@@ -254,16 +270,16 @@ TEST(ParamsIoTest, SampledGraphFromStoredParamsMatchesDirect) {
   params.degree_sequence.assign(60, 3);
   params.target_triangles = 20;
 
-  const std::string path = testing::TempDir() + "/params_sample.txt";
-  ASSERT_TRUE(agm::WriteAgmParams(params, path).ok());
-  auto loaded = agm::ReadAgmParams(path);
+  const std::string path = testing::TempDir() + "/params_sample.json";
+  ASSERT_TRUE(pipeline::WriteReleaseArtifact(ArtifactOf(params), path).ok());
+  auto loaded = pipeline::ReadReleaseArtifact(path);
   ASSERT_TRUE(loaded.ok());
 
   agm::AgmSampleOptions options;
   options.acceptance_iterations = 1;
   util::Rng rng1(77), rng2(77);
   auto direct = agm::SampleAgmGraph(params, options, rng1);
-  auto via_disk = agm::SampleAgmGraph(loaded.value(), options, rng2);
+  auto via_disk = agm::SampleAgmGraph(loaded.value().params, options, rng2);
   ASSERT_TRUE(direct.ok());
   ASSERT_TRUE(via_disk.ok());
   EXPECT_EQ(direct.value().structure().CanonicalEdges(),

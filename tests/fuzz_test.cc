@@ -1,20 +1,23 @@
 // Randomized differential tests: every fast graph algorithm is checked
 // against a brute-force reference on random graphs across seeds and
-// densities, and the dynamic Graph structure is fuzzed against a simple
-// edge-set model.
+// densities (the CSR analytics kernels on snapshots of those graphs), and
+// the dynamic Graph structure is fuzzed against a simple edge-set model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 #include <vector>
 
+#include "src/graph/attributed_graph.h"
 #include "src/graph/clustering.h"
 #include "src/graph/components.h"
+#include "src/graph/csr.h"
 #include "src/graph/degree.h"
 #include "src/graph/paths.h"
 #include "src/graph/subgraph_counts.h"
 #include "src/graph/triangle_count.h"
 #include "src/models/erdos_renyi.h"
+#include "src/stats/assortativity.h"
 #include "src/util/rng.h"
 
 namespace agmdp::graph {
@@ -89,6 +92,14 @@ class DifferentialTest : public ::testing::TestWithParam<uint64_t> {
     const NodeId n = 20 + rng.UniformIndex(25);
     const double p = 0.02 + rng.UniformDouble() * 0.4;
     return models::ErdosRenyiGnp(static_cast<NodeId>(n), p, rng);
+  }
+
+  AttributedGraph RandomAttributed(util::Rng& rng, int w) {
+    AttributedGraph g(RandomGraph(rng), w);
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      g.set_attribute(v, static_cast<AttrConfig>(rng.UniformIndex(1u << w)));
+    }
+    return g;
   }
 };
 
@@ -193,7 +204,7 @@ TEST_P(DifferentialTest, BfsMatchesFloydWarshallOnSmallGraphs) {
     }
   }
   for (NodeId s = 0; s < n; ++s) {
-    std::vector<uint32_t> bfs = BfsDistances(g, s);
+    std::vector<uint32_t> bfs = BfsDistances(CsrGraph::FromGraph(g), s);
     for (NodeId t = 0; t < n; ++t) {
       if (dist[s][t] >= kInf) {
         EXPECT_EQ(bfs[t], std::numeric_limits<uint32_t>::max());
@@ -213,6 +224,83 @@ TEST_P(DifferentialTest, KStarsMatchDirectBinomialSum) {
       direct += BinomialOrSaturate(g.Degree(v), k);
     }
     EXPECT_EQ(CountKStars(g, k), direct);
+  }
+}
+
+TEST_P(DifferentialTest, DegreeAssortativityMatchesPearsonDefinition) {
+  util::Rng rng(GetParam() + 7000);
+  for (int trial = 0; trial < 4; ++trial) {
+    const Graph g = RandomGraph(rng);
+    // Two-pass Pearson correlation of the endpoint degrees over both
+    // orientations of every edge (so both marginals share one mean).
+    std::vector<std::pair<double, double>> pairs;
+    g.ForEachEdge([&](NodeId u, NodeId v) {
+      pairs.emplace_back(g.Degree(u), g.Degree(v));
+      pairs.emplace_back(g.Degree(v), g.Degree(u));
+    });
+    double mean = 0.0;
+    for (const auto& [x, y] : pairs) mean += x / pairs.size();
+    double cov = 0.0, var = 0.0;
+    for (const auto& [x, y] : pairs) {
+      cov += (x - mean) * (y - mean);
+      var += (x - mean) * (x - mean);
+    }
+    const double expected = var > 0.0 ? cov / var : 0.0;
+    const CsrGraph csr = CsrGraph::FromGraph(g);
+    for (int threads : {1, 4}) {
+      EXPECT_NEAR(stats::DegreeAssortativity(csr, threads), expected, 1e-9);
+    }
+  }
+}
+
+TEST_P(DifferentialTest, AttributeAssortativityMatchesMixingDefinition) {
+  util::Rng rng(GetParam() + 8000);
+  for (int w : {1, 2, 3}) {
+    const AttributedGraph g = RandomAttributed(rng, w);
+    // The documented coefficient over the normalized mixing matrix e of
+    // ordered edge endpoints: (tr(e) - sum of e_ab^2) / (1 - sum of e_ab^2).
+    const uint32_t k = NumNodeConfigs(w);
+    std::vector<double> e(static_cast<size_t>(k) * k, 0.0);
+    const double total = 2.0 * static_cast<double>(g.num_edges());
+    g.structure().ForEachEdge([&](NodeId u, NodeId v) {
+      e[g.attribute(u) * k + g.attribute(v)] += 1.0 / total;
+      e[g.attribute(v) * k + g.attribute(u)] += 1.0 / total;
+    });
+    double trace = 0.0, squared = 0.0;
+    for (uint32_t a = 0; a < k; ++a) {
+      trace += e[a * k + a];
+      for (uint32_t b = 0; b < k; ++b) squared += e[a * k + b] * e[a * k + b];
+    }
+    const double expected = g.num_edges() == 0 || 1.0 - squared <= 1e-12
+                                ? 0.0
+                                : (trace - squared) / (1.0 - squared);
+    const AttributedCsrGraph snapshot = AttributedCsrGraph::FromGraph(g);
+    for (int threads : {1, 4}) {
+      EXPECT_NEAR(stats::AttributeAssortativity(snapshot, threads), expected,
+                  1e-9);
+    }
+  }
+}
+
+TEST_P(DifferentialTest, PerAttributeHomophilyMatchesEdgeFractions) {
+  util::Rng rng(GetParam() + 9000);
+  for (int w : {1, 3}) {
+    const AttributedGraph g = RandomAttributed(rng, w);
+    std::vector<double> expected(static_cast<size_t>(w), 0.0);
+    for (const Edge& edge : g.structure().CanonicalEdges()) {
+      for (int a = 0; a < w; ++a) {
+        const bool same = ((g.attribute(edge.u) >> a) & 1u) ==
+                          ((g.attribute(edge.v) >> a) & 1u);
+        if (same) expected[a] += 1.0 / static_cast<double>(g.num_edges());
+      }
+    }
+    const AttributedCsrGraph snapshot = AttributedCsrGraph::FromGraph(g);
+    for (int threads : {1, 4}) {
+      const std::vector<double> fast =
+          stats::PerAttributeHomophily(snapshot, threads);
+      ASSERT_EQ(fast.size(), expected.size());
+      for (int a = 0; a < w; ++a) EXPECT_NEAR(fast[a], expected[a], 1e-9);
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include "src/graph/clustering.h"
 #include "src/graph/components.h"
+#include "src/graph/csr.h"
 #include "src/graph/degree.h"
 #include "src/graph/triangle_count.h"
 #include "src/models/erdos_renyi.h"
@@ -71,8 +72,8 @@ INSTANTIATE_TEST_SUITE_P(Densities, TriangleAgreementTest,
 TEST(WedgeCountTest, StarAndTriangle) {
   Graph star(5);
   for (NodeId v = 1; v < 5; ++v) star.AddEdge(0, v);
-  EXPECT_EQ(CountWedges(star), 6u);  // C(4,2)
-  EXPECT_EQ(CountWedges(Triangle()), 3u);
+  EXPECT_EQ(CountWedges(CsrGraph::FromGraph(star)), 6u);  // C(4,2)
+  EXPECT_EQ(CountWedges(CsrGraph::FromGraph(Triangle())), 3u);
 }
 
 TEST(PerNodeTrianglesTest, MatchesTotal) {
@@ -129,14 +130,14 @@ TEST(ClusteringTest, TriangleIsFullyClustered) {
   std::vector<double> local = LocalClusteringCoefficients(g);
   for (double c : local) EXPECT_DOUBLE_EQ(c, 1.0);
   EXPECT_DOUBLE_EQ(AverageLocalClustering(g), 1.0);
-  EXPECT_DOUBLE_EQ(GlobalClusteringCoefficient(g), 1.0);
+  EXPECT_DOUBLE_EQ(GlobalClusteringCoefficient(CsrGraph::FromGraph(g)), 1.0);
 }
 
 TEST(ClusteringTest, StarHasZeroClustering) {
   Graph g(5);
   for (NodeId v = 1; v < 5; ++v) g.AddEdge(0, v);
   EXPECT_DOUBLE_EQ(AverageLocalClustering(g), 0.0);
-  EXPECT_DOUBLE_EQ(GlobalClusteringCoefficient(g), 0.0);
+  EXPECT_DOUBLE_EQ(GlobalClusteringCoefficient(CsrGraph::FromGraph(g)), 0.0);
 }
 
 TEST(ClusteringTest, PaperFormulaOnMixedGraph) {
@@ -152,7 +153,7 @@ TEST(ClusteringTest, PaperFormulaOnMixedGraph) {
   EXPECT_DOUBLE_EQ(local[3], 0.0);        // degree 1
   // Global: 3 * 1 triangle / (3 + C(3,2)) wedges = 3 / 5... wedges: node0
   // C(3,2)=3, node1 C(2,2)=1, node2 C(2,2)=1 -> 5 wedges.
-  EXPECT_DOUBLE_EQ(GlobalClusteringCoefficient(g), 3.0 / 5.0);
+  EXPECT_DOUBLE_EQ(GlobalClusteringCoefficient(CsrGraph::FromGraph(g)), 3.0 / 5.0);
 }
 
 TEST(ClusteringTest, GlobalVsLocalEmphasis) {
@@ -165,7 +166,7 @@ TEST(ClusteringTest, GlobalVsLocalEmphasis) {
   g.AddEdge(0, 3);
   g.AddEdge(0, 4);
   g.AddEdge(0, 5);  // hub 0
-  EXPECT_NE(AverageLocalClustering(g), GlobalClusteringCoefficient(g));
+  EXPECT_NE(AverageLocalClustering(g), GlobalClusteringCoefficient(CsrGraph::FromGraph(g)));
 }
 
 // ------------------------------------------------------------- Components --
@@ -230,13 +231,14 @@ TEST(DegreeTest, SequencesAndHistogram) {
   g.AddEdge(0, 2);
   g.AddEdge(0, 3);
   EXPECT_EQ(DegreeSequence(g), (std::vector<uint32_t>{3, 1, 1, 1}));
-  EXPECT_EQ(SortedDegreeSequence(g), (std::vector<uint32_t>{1, 1, 1, 3}));
-  EXPECT_EQ(DegreeHistogram(g), (std::vector<uint64_t>{0, 3, 0, 1}));
-  EXPECT_DOUBLE_EQ(AverageDegree(g), 1.5);
+  const CsrGraph csr = CsrGraph::FromGraph(g);
+  EXPECT_EQ(SortedDegreeSequence(csr), (std::vector<uint32_t>{1, 1, 1, 3}));
+  EXPECT_EQ(DegreeHistogram(csr), (std::vector<uint64_t>{0, 3, 0, 1}));
+  EXPECT_DOUBLE_EQ(AverageDegree(csr), 1.5);
 }
 
 TEST(DegreeTest, HandlesEdgelessGraph) {
-  Graph g(3);
+  const CsrGraph g = CsrGraph::FromGraph(Graph(3));
   EXPECT_EQ(DegreeHistogram(g), (std::vector<uint64_t>{3}));
   EXPECT_DOUBLE_EQ(AverageDegree(g), 0.0);
 }

@@ -10,6 +10,7 @@
 #include "src/graph/attributed_graph.h"
 #include "src/graph/graph.h"
 #include "src/graph/graph_io.h"
+#include "src/graph/graph_source.h"
 
 namespace agmdp::graph {
 namespace {
@@ -230,6 +231,13 @@ class GraphIoTest : public ::testing::Test {
   std::string TempPath(const std::string& name) {
     return testing::TempDir() + "/" + name;
   }
+
+  // A bare edge-list file through the text reader (zero attributes).
+  static util::Result<AttributedGraph> ReadEdges(const std::string& path) {
+    TextGraphPaths paths;
+    paths.edges = path;
+    return ReadAttributedGraphFiles(paths);
+  }
 };
 
 TEST_F(GraphIoTest, EdgeListRoundTrip) {
@@ -239,16 +247,17 @@ TEST_F(GraphIoTest, EdgeListRoundTrip) {
   g.AddEdge(3, 4);
   const std::string path = TempPath("roundtrip.edges");
   ASSERT_TRUE(WriteEdgeList(g, path).ok());
-  auto back = ReadEdgeList(path);
+  auto back = ReadEdges(path);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().num_nodes(), 6u);
   EXPECT_EQ(back.value().num_edges(), 3u);
-  EXPECT_TRUE(back.value().HasEdge(2, 5));
+  EXPECT_EQ(back.value().num_attributes(), 0);
+  EXPECT_TRUE(back.value().structure().HasEdge(2, 5));
   std::remove(path.c_str());
 }
 
 TEST_F(GraphIoTest, ReadRejectsMissingFile) {
-  EXPECT_FALSE(ReadEdgeList("/nonexistent/path.edges").ok());
+  EXPECT_FALSE(ReadEdges("/nonexistent/path.edges").ok());
 }
 
 TEST_F(GraphIoTest, ReadRejectsMalformedEdges) {
@@ -256,7 +265,7 @@ TEST_F(GraphIoTest, ReadRejectsMalformedEdges) {
   FILE* f = fopen(path.c_str(), "w");
   fputs("n 3\n0 7\n", f);  // node 7 out of range
   fclose(f);
-  EXPECT_FALSE(ReadEdgeList(path).ok());
+  EXPECT_FALSE(ReadEdges(path).ok());
   std::remove(path.c_str());
 }
 
@@ -267,12 +276,13 @@ TEST_F(GraphIoTest, AttributedRoundTrip) {
   ASSERT_TRUE(g.SetAttributes({3, 0, 1, 2}).ok());
   const std::string prefix = TempPath("attr_roundtrip");
   ASSERT_TRUE(WriteAttributedGraph(g, prefix).ok());
-  auto back = ReadAttributedGraph(prefix);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back.value().num_attributes(), 2);
-  EXPECT_EQ(back.value().attribute(0), 3u);
-  EXPECT_EQ(back.value().attribute(3), 2u);
-  EXPECT_TRUE(back.value().structure().HasEdge(1, 2));
+  auto source = GraphSource::Open(prefix);
+  ASSERT_TRUE(source.ok());
+  const AttributedGraph back = source.value().Materialize();
+  EXPECT_EQ(back.num_attributes(), 2);
+  EXPECT_EQ(back.attribute(0), 3u);
+  EXPECT_EQ(back.attribute(3), 2u);
+  EXPECT_TRUE(back.structure().HasEdge(1, 2));
   std::remove((prefix + ".edges").c_str());
   std::remove((prefix + ".attrs").c_str());
 }

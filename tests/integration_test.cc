@@ -9,7 +9,9 @@
 #include "src/agm/agm_dp.h"
 #include "src/agm/theta_f.h"
 #include "src/datasets/datasets.h"
+#include "src/eval/utility_report.h"
 #include "src/graph/graph_io.h"
+#include "src/graph/graph_source.h"
 #include "src/stats/metrics.h"
 #include "src/stats/summary.h"
 #include "src/util/rng.h"
@@ -44,8 +46,8 @@ TEST_F(EndToEndTest, TriCycLePipelinePreservesUtility) {
   auto result = agm::SynthesizeAgmDp(*input_, options, rng);
   ASSERT_TRUE(result.ok());
 
-  stats::UtilityErrors errors =
-      stats::CompareGraphs(*input_, result.value().graph);
+  const stats::UtilityErrors errors =
+      eval::EvaluateRelease(*input_, result.value().graph).errors;
   // Coarse utility gates mirroring the shape of Table 2 at eps = ln 3 (wide
   // tolerances: a single trial on a quarter-scale stand-in).
   EXPECT_LT(errors.theta_f_hellinger, 0.45);
@@ -73,8 +75,10 @@ TEST_F(EndToEndTest, TriCycLeBeatsFclOnClustering) {
     auto rf = agm::SynthesizeAgmDp(*input_, fcl, rng);
     ASSERT_TRUE(rt.ok());
     ASSERT_TRUE(rf.ok());
-    tri_err += stats::CompareGraphs(*input_, rt.value().graph).triangles_re;
-    fcl_err += stats::CompareGraphs(*input_, rf.value().graph).triangles_re;
+    tri_err += eval::EvaluateRelease(*input_, rt.value().graph)
+                   .errors.triangles_re;
+    fcl_err += eval::EvaluateRelease(*input_, rf.value().graph)
+                   .errors.triangles_re;
   }
   EXPECT_LT(tri_err, fcl_err);
 }
@@ -89,10 +93,11 @@ TEST_F(EndToEndTest, SyntheticGraphRoundTripsThroughDisk) {
 
   const std::string prefix = testing::TempDir() + "/synthetic_release";
   ASSERT_TRUE(graph::WriteAttributedGraph(result.value().graph, prefix).ok());
-  auto back = graph::ReadAttributedGraph(prefix);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back.value().num_edges(), result.value().graph.num_edges());
-  EXPECT_EQ(back.value().attributes(), result.value().graph.attributes());
+  auto source = graph::GraphSource::Open(prefix);
+  ASSERT_TRUE(source.ok());
+  const graph::AttributedGraph back = source.value().Materialize();
+  EXPECT_EQ(back.num_edges(), result.value().graph.num_edges());
+  EXPECT_EQ(back.attributes(), result.value().graph.attributes());
   std::remove((prefix + ".edges").c_str());
   std::remove((prefix + ".attrs").c_str());
 }
@@ -112,10 +117,10 @@ TEST_F(EndToEndTest, StrongerPrivacyDegradesGracefully) {
     auto rs = agm::SynthesizeAgmDp(*input_, strong, rng);
     ASSERT_TRUE(rw.ok());
     ASSERT_TRUE(rs.ok());
-    err_weak +=
-        stats::CompareGraphs(*input_, rw.value().graph).theta_f_hellinger;
-    err_strong +=
-        stats::CompareGraphs(*input_, rs.value().graph).theta_f_hellinger;
+    err_weak += eval::EvaluateRelease(*input_, rw.value().graph)
+                    .errors.theta_f_hellinger;
+    err_strong += eval::EvaluateRelease(*input_, rs.value().graph)
+                      .errors.theta_f_hellinger;
   }
   EXPECT_LT(err_weak, err_strong);
 }

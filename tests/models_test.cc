@@ -7,6 +7,7 @@
 
 #include "src/graph/clustering.h"
 #include "src/graph/components.h"
+#include "src/graph/csr.h"
 #include "src/graph/degree.h"
 #include "src/graph/triangle_count.h"
 #include "src/models/chung_lu.h"
@@ -501,7 +502,7 @@ TEST(HolmeKimTest, AverageDegreeTracksTwiceEdgesPerNode) {
   options.edges_per_node = 3.45;
   auto g = HolmeKim(2000, options, rng);
   ASSERT_TRUE(g.ok());
-  EXPECT_NEAR(graph::AverageDegree(g.value()), 2.0 * 3.45, 0.5);
+  EXPECT_NEAR(graph::AverageDegree(graph::CsrGraph::FromGraph(g.value())), 2.0 * 3.45, 0.5);
 }
 
 TEST(HolmeKimTest, HeavyTailedDegrees) {
@@ -511,7 +512,7 @@ TEST(HolmeKimTest, HeavyTailedDegrees) {
   auto g = HolmeKim(3000, options, rng);
   ASSERT_TRUE(g.ok());
   // Preferential attachment: the max degree should far exceed the mean.
-  EXPECT_GT(g.value().MaxDegree(), 8 * graph::AverageDegree(g.value()));
+  EXPECT_GT(g.value().MaxDegree(), 8 * graph::AverageDegree(graph::CsrGraph::FromGraph(g.value())));
 }
 
 TEST(HolmeKimTest, TriadProbabilityRaisesClustering) {

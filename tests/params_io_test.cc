@@ -1,6 +1,8 @@
-// Regression tests for the hardened params reader/writer: NaN, negative
-// and wrapped-negative values, truncated files, and absurd length fields
-// must come back as util::Status errors — never as garbage AgmParams.
+// Regression tests for stored AGM parameters: agm::ValidateAgmParams and
+// the release-artifact reader/writer that persists them. NaN, negative and
+// wrapped-negative values, truncated files, mismatched dimensions and
+// overflowing counts must come back as util::Status errors — never as
+// garbage AgmParams.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +11,8 @@
 #include <limits>
 #include <string>
 
-#include "src/agm/params_io.h"
+#include "src/agm/agm_sampler.h"
+#include "src/pipeline/release_artifact.h"
 
 namespace agmdp::agm {
 namespace {
@@ -29,6 +32,36 @@ std::string WriteFile(const std::string& name, const std::string& body) {
   std::ofstream out(path, std::ios::trunc);
   out << body;
   return path;
+}
+
+pipeline::ReleaseArtifact ArtifactOf(const AgmParams& params) {
+  pipeline::PipelineConfig config;
+  config.model = "fcl";
+  return pipeline::MakeReleaseArtifact(params, config);
+}
+
+// The artifact document of ValidParams(), with the first value after
+// `"key": [` (or `"key": `) replaced by `value` — the serializer writes
+// whatever the struct holds, so this reaches values no struct can carry.
+std::string JsonWithValue(const std::string& key, const std::string& value) {
+  std::string json = pipeline::ReleaseArtifactToJson(ArtifactOf(ValidParams()));
+  size_t begin = json.find("\"" + key + "\"");
+  EXPECT_NE(begin, std::string::npos) << key;
+  begin = json.find_first_of("-0123456789\"", json.find(':', begin) + 1);
+  if (json[begin] == '"') {
+    json.replace(begin, json.find('"', begin + 1) + 1 - begin, value);
+  } else {
+    json.replace(begin, json.find_first_of(",\n]", begin) - begin, value);
+  }
+  return json;
+}
+
+// Writes `json` to a file and reads it back through ReadReleaseArtifact.
+bool ReadsBack(const std::string& name, const std::string& json) {
+  const std::string path = WriteFile(name, json);
+  const bool ok = pipeline::ReadReleaseArtifact(path).ok();
+  std::remove(path.c_str());
+  return ok;
 }
 
 TEST(ParamsValidationTest, AcceptsValidParams) {
@@ -95,93 +128,81 @@ TEST(ParamsValidationTest, RejectsInfeasibleDegreesAndTriangles) {
 TEST(ParamsIoHardeningTest, WriteRejectsGarbageParams) {
   AgmParams params = ValidParams();
   params.theta_x[0] = std::nan("");
-  const std::string path = testing::TempDir() + "/params_nan_write.txt";
-  auto status = WriteAgmParams(params, path);
+  const std::string path = testing::TempDir() + "/params_nan_write.json";
+  auto status = pipeline::WriteReleaseArtifact(ArtifactOf(params), path);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST(ParamsIoHardeningTest, ReadRejectsNanTheta) {
-  // istream extraction happily parses "nan" into a double; the validator
-  // must catch it.
-  const std::string path = WriteFile(
-      "params_nan.txt",
-      "agmdp-params v1\nw 1\ntheta_x 2 nan 0.5\ntheta_f 3 0.3 0.3 0.4\n"
-      "degrees 2 1 1\ntriangles 0\n");
-  auto result = ReadAgmParams(path);
-  ASSERT_FALSE(result.ok());
-  std::remove(path.c_str());
+  // NaN serializes as null; an overflowing literal parses to infinity.
+  AgmParams params = ValidParams();
+  params.theta_x[1] = std::nan("");
+  EXPECT_FALSE(ReadsBack("params_nan.json", pipeline::ReleaseArtifactToJson(
+                                                ArtifactOf(params))));
+  EXPECT_FALSE(ReadsBack("params_inf.json", JsonWithValue("theta_x", "1e999")));
 }
 
 TEST(ParamsIoHardeningTest, ReadRejectsNegativeTheta) {
-  const std::string path = WriteFile(
-      "params_neg.txt",
-      "agmdp-params v1\nw 1\ntheta_x 2 -0.5 1.5\ntheta_f 3 0.3 0.3 0.4\n"
-      "degrees 2 1 1\ntriangles 0\n");
-  EXPECT_FALSE(ReadAgmParams(path).ok());
-  std::remove(path.c_str());
+  ASSERT_TRUE(ReadsBack("params_ctl.json", JsonWithValue("theta_x", "0.4")));
+  EXPECT_FALSE(ReadsBack("params_neg.json", JsonWithValue("theta_x", "-0.5")));
+  EXPECT_FALSE(ReadsBack("params_negf.json", JsonWithValue("theta_f", "-0.5")));
 }
 
 TEST(ParamsIoHardeningTest, ReadRejectsNegativeDegreesInsteadOfWrapping) {
-  // "-3" read into uint32_t wraps to 4294967293 on most stdlibs; the
-  // reader must reject it, not store a four-billion degree.
-  const std::string path = WriteFile(
-      "params_negdeg.txt",
-      "agmdp-params v1\nw 1\ntheta_x 2 0.5 0.5\ntheta_f 3 0.3 0.3 0.4\n"
-      "degrees 2 -3 1\ntriangles 0\n");
-  EXPECT_FALSE(ReadAgmParams(path).ok());
-  std::remove(path.c_str());
-}
-
-TEST(ParamsIoHardeningTest, ReadRejectsTruncatedFiles) {
-  const char* bodies[] = {
-      // Cut mid-theta.
-      "agmdp-params v1\nw 1\ntheta_x 2 0.5\n",
-      // Cut before degrees.
-      "agmdp-params v1\nw 1\ntheta_x 2 0.5 0.5\ntheta_f 3 0.3 0.3 0.4\n",
-      // Cut mid-degrees.
-      "agmdp-params v1\nw 1\ntheta_x 2 0.5 0.5\ntheta_f 3 0.3 0.3 0.4\n"
-      "degrees 5 1 2\n",
-      // Missing the triangles value.
-      "agmdp-params v1\nw 1\ntheta_x 2 0.5 0.5\ntheta_f 3 0.3 0.3 0.4\n"
-      "degrees 2 1 1\ntriangles\n",
-      // Empty file.
-      "",
-  };
-  int index = 0;
-  for (const char* body : bodies) {
-    const std::string path =
-        WriteFile("params_trunc_" + std::to_string(index++) + ".txt", body);
-    EXPECT_FALSE(ReadAgmParams(path).ok()) << body;
-    std::remove(path.c_str());
+  // "-3" must be rejected, not stored as a four-billion degree; so must
+  // fractional and beyond-uint32 degrees.
+  ASSERT_TRUE(ReadsBack("params_ctl.json",
+                        JsonWithValue("degree_sequence", "2")));
+  for (const char* degree : {"-3", "1.5", "4294967296"}) {
+    EXPECT_FALSE(ReadsBack("params_negdeg.json",
+                           JsonWithValue("degree_sequence", degree)))
+        << degree;
   }
 }
 
-TEST(ParamsIoHardeningTest, ReadRejectsAbsurdLengthFieldsWithoutAllocating) {
-  // A corrupted count must fail fast instead of resize()-ing to petabytes.
-  const std::string path = WriteFile(
-      "params_hugecount.txt",
-      "agmdp-params v1\nw 1\ntheta_x 99999999999999 0.5 0.5\n");
-  EXPECT_FALSE(ReadAgmParams(path).ok());
-  std::remove(path.c_str());
+TEST(ParamsIoHardeningTest, ReadRejectsTruncatedFiles) {
+  const std::string json =
+      pipeline::ReleaseArtifactToJson(ArtifactOf(ValidParams()));
+  ASSERT_TRUE(ReadsBack("params_full.json", json));
+  for (size_t cut : {size_t{0}, json.size() / 4, json.size() / 2,
+                     json.find("\"degree_sequence\""), json.size() - 2}) {
+    EXPECT_FALSE(ReadsBack("params_trunc.json", json.substr(0, cut))) << cut;
+  }
+  EXPECT_FALSE(pipeline::ReadReleaseArtifact("/nonexistent/params").ok());
+}
 
-  const std::string negative_count = WriteFile(
-      "params_negcount.txt",
-      "agmdp-params v1\nw 1\ntheta_x -2 0.5 0.5\n");
-  EXPECT_FALSE(ReadAgmParams(negative_count).ok());
-  std::remove(negative_count.c_str());
+TEST(ParamsIoHardeningTest, ReadRejectsMismatchedDimensionsAndOverflowingCounts) {
+  // Theta vectors too short or too long for w, and w beyond the cap.
+  AgmParams params = ValidParams();
+  params.theta_f.resize(3);
+  EXPECT_FALSE(ReadsBack("params_dim.json", pipeline::ReleaseArtifactToJson(
+                                                ArtifactOf(params))));
+  params = ValidParams();
+  params.theta_x.push_back(0.0);
+  EXPECT_FALSE(ReadsBack("params_dimx.json", pipeline::ReleaseArtifactToJson(
+                                                 ArtifactOf(params))));
+  ASSERT_TRUE(ReadsBack("params_ctl.json", JsonWithValue("w", "2")));
+  EXPECT_FALSE(ReadsBack("params_w.json", JsonWithValue("w", "99999999999")));
+  // A triangle target beyond uint64 must not wrap.
+  ASSERT_TRUE(ReadsBack("params_ctl.json",
+                        JsonWithValue("target_triangles", "\"9\"")));
+  EXPECT_FALSE(ReadsBack("params_tri.json",
+                         JsonWithValue("target_triangles",
+                                       "\"99999999999999999999999\"")));
 }
 
 TEST(ParamsIoHardeningTest, ValidRoundTripStillWorks) {
   const AgmParams params = ValidParams();
-  const std::string path = testing::TempDir() + "/params_ok.txt";
-  ASSERT_TRUE(WriteAgmParams(params, path).ok());
-  auto back = ReadAgmParams(path);
+  const std::string path = testing::TempDir() + "/params_ok.json";
+  ASSERT_TRUE(pipeline::WriteReleaseArtifact(ArtifactOf(params), path).ok());
+  auto back = pipeline::ReadReleaseArtifact(path);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back.value().theta_x, params.theta_x);
-  EXPECT_EQ(back.value().theta_f, params.theta_f);
-  EXPECT_EQ(back.value().degree_sequence, params.degree_sequence);
-  EXPECT_EQ(back.value().target_triangles, params.target_triangles);
+  EXPECT_EQ(back.value().params.w, params.w);
+  EXPECT_EQ(back.value().params.theta_x, params.theta_x);
+  EXPECT_EQ(back.value().params.theta_f, params.theta_f);
+  EXPECT_EQ(back.value().params.degree_sequence, params.degree_sequence);
+  EXPECT_EQ(back.value().params.target_triangles, params.target_triangles);
   std::remove(path.c_str());
 }
 

@@ -28,32 +28,34 @@ graph::Graph StarGraph(graph::NodeId n) {
   return g;
 }
 
+// Analytics read immutable snapshots; the generators build mutable Graphs.
+graph::CsrGraph Snap(const graph::Graph& g) {
+  return graph::CsrGraph::FromGraph(g);
+}
+graph::AttributedCsrGraph Snap(const graph::AttributedGraph& g) {
+  return graph::AttributedCsrGraph::FromGraph(g);
+}
+
 // ------------------------------------------------------------------ Paths --
 
 TEST(PathsTest, BfsDistancesOnPath) {
   graph::Graph g = PathGraph(5);
-  std::vector<uint32_t> dist = graph::BfsDistances(g, 0);
+  std::vector<uint32_t> dist = graph::BfsDistances(Snap(g), 0);
   for (graph::NodeId v = 0; v < 5; ++v) EXPECT_EQ(dist[v], v);
 }
 
 TEST(PathsTest, UnreachableMarked) {
   graph::Graph g(4);
   g.AddEdge(0, 1);
-  std::vector<uint32_t> dist = graph::BfsDistances(g, 0);
+  std::vector<uint32_t> dist = graph::BfsDistances(Snap(g), 0);
   EXPECT_EQ(dist[1], 1u);
   EXPECT_EQ(dist[2], std::numeric_limits<uint32_t>::max());
-}
-
-TEST(PathsTest, EccentricityOfPathEnds) {
-  graph::Graph g = PathGraph(7);
-  EXPECT_EQ(graph::Eccentricity(g, 0), 6u);
-  EXPECT_EQ(graph::Eccentricity(g, 3), 3u);
 }
 
 TEST(PathsTest, PathStatsOnStar) {
   util::Rng rng(1);
   graph::Graph g = StarGraph(11);
-  graph::PathStats stats = graph::EstimatePathStats(g, 11, rng);
+  graph::PathStats stats = graph::EstimatePathStats(Snap(g), 11, rng);
   // Star: 10 pairs at distance 1 from hub; leaf-to-leaf distance 2.
   EXPECT_EQ(stats.diameter_lower_bound, 2u);
   EXPECT_GT(stats.avg_path_length, 1.0);
@@ -63,8 +65,8 @@ TEST(PathsTest, PathStatsOnStar) {
 TEST(PathsTest, SampledStatsApproximateFull) {
   util::Rng rng(2);
   graph::Graph g = models::ErdosRenyiGnp(300, 0.03, rng);
-  graph::PathStats full = graph::EstimatePathStats(g, 300, rng);
-  graph::PathStats sampled = graph::EstimatePathStats(g, 60, rng);
+  graph::PathStats full = graph::EstimatePathStats(Snap(g), 300, rng);
+  graph::PathStats sampled = graph::EstimatePathStats(Snap(g), 60, rng);
   EXPECT_NEAR(sampled.avg_path_length, full.avg_path_length,
               full.avg_path_length * 0.1);
 }
@@ -75,7 +77,7 @@ TEST(PathsTest, SmallWorldDiameter) {
   options.edges_per_node = 4;
   auto g = models::HolmeKim(2000, options, rng);
   ASSERT_TRUE(g.ok());
-  graph::PathStats stats = graph::EstimatePathStats(g.value(), 50, rng);
+  graph::PathStats stats = graph::EstimatePathStats(Snap(g.value()), 50, rng);
   EXPECT_LT(stats.avg_path_length, 6.0);  // small world
   EXPECT_GT(stats.avg_path_length, 1.5);
 }
@@ -83,20 +85,20 @@ TEST(PathsTest, SmallWorldDiameter) {
 // ---------------------------------------------------------- Assortativity --
 
 TEST(AssortativityTest, StarIsDisassortative) {
-  EXPECT_LT(stats::DegreeAssortativity(StarGraph(10)), -0.99);
+  EXPECT_LT(stats::DegreeAssortativity(Snap(StarGraph(10))), -0.99);
 }
 
 TEST(AssortativityTest, RegularGraphIsDegenerate) {
   // A cycle: constant degrees, zero variance -> defined as 0.
   graph::Graph g(6);
   for (graph::NodeId v = 0; v < 6; ++v) g.AddEdge(v, (v + 1) % 6);
-  EXPECT_DOUBLE_EQ(stats::DegreeAssortativity(g), 0.0);
+  EXPECT_DOUBLE_EQ(stats::DegreeAssortativity(Snap(g)), 0.0);
 }
 
 TEST(AssortativityTest, ErdosRenyiNearZero) {
   util::Rng rng(4);
   graph::Graph g = models::ErdosRenyiGnp(800, 0.02, rng);
-  EXPECT_NEAR(stats::DegreeAssortativity(g), 0.0, 0.08);
+  EXPECT_NEAR(stats::DegreeAssortativity(Snap(g)), 0.0, 0.08);
 }
 
 TEST(AssortativityTest, PerfectAttributeHomophily) {
@@ -109,7 +111,7 @@ TEST(AssortativityTest, PerfectAttributeHomophily) {
   g.structure().AddEdge(4, 5);
   g.structure().AddEdge(3, 5);
   ASSERT_TRUE(g.SetAttributes({0, 0, 0, 1, 1, 1}).ok());
-  EXPECT_NEAR(stats::AttributeAssortativity(g), 1.0, 1e-9);
+  EXPECT_NEAR(stats::AttributeAssortativity(Snap(g)), 1.0, 1e-9);
 }
 
 TEST(AssortativityTest, PerfectHeterophilyIsNegative) {
@@ -118,7 +120,7 @@ TEST(AssortativityTest, PerfectHeterophilyIsNegative) {
   g.structure().AddEdge(0, 2);
   g.structure().AddEdge(1, 3);
   ASSERT_TRUE(g.SetAttributes({0, 0, 1, 1}).ok());
-  EXPECT_LT(stats::AttributeAssortativity(g), -0.99);
+  EXPECT_LT(stats::AttributeAssortativity(Snap(g)), -0.99);
 }
 
 TEST(AssortativityTest, HomophilySwapsRaiseAssortativity) {
@@ -129,18 +131,18 @@ TEST(AssortativityTest, HomophilySwapsRaiseAssortativity) {
   weak.max_swaps = 1;
   ASSERT_TRUE(
       datasets::AssignHomophilousAttributes(&g, theta, weak, rng).ok());
-  const double before = stats::AttributeAssortativity(g);
+  const double before = stats::AttributeAssortativity(Snap(g));
   datasets::HomophilyOptions strong;
   strong.target_same_fraction = 0.7;
   ASSERT_TRUE(
       datasets::AssignHomophilousAttributes(&g, theta, strong, rng).ok());
-  EXPECT_GT(stats::AttributeAssortativity(g), before + 0.1);
+  EXPECT_GT(stats::AttributeAssortativity(Snap(g)), before + 0.1);
 }
 
 TEST(AssortativityTest, SingleConfigIsDegenerate) {
   graph::AttributedGraph g(3, 1);
   g.structure().AddEdge(0, 1);
-  EXPECT_DOUBLE_EQ(stats::AttributeAssortativity(g), 0.0);
+  EXPECT_DOUBLE_EQ(stats::AttributeAssortativity(Snap(g)), 0.0);
 }
 
 // --------------------------------------------------------- SubgraphCounts --
@@ -160,7 +162,7 @@ TEST(SubgraphCountsTest, BinomialSaturatesInsteadOfOverflowing) {
 TEST(SubgraphCountsTest, TwoStarsAreWedges) {
   util::Rng rng(6);
   graph::Graph g = models::ErdosRenyiGnp(100, 0.05, rng);
-  EXPECT_EQ(graph::CountKStars(g, 2), graph::CountWedges(g));
+  EXPECT_EQ(graph::CountKStars(g, 2), graph::CountWedges(Snap(g)));
 }
 
 TEST(SubgraphCountsTest, StarGraphKStars) {
@@ -179,7 +181,7 @@ TEST(SubgraphCountsTest, OneStarsAreEdgeEndpoints) {
 
 TEST(JointDegreeTest, PathGraphDistribution) {
   graph::Graph g = PathGraph(4);  // degrees 1,2,2,1; edges (1,2),(2,2),(2,1)
-  auto dist = stats::JointDegreeDistribution(g);
+  auto dist = stats::JointDegreeDistribution(Snap(g));
   ASSERT_EQ(dist.size(), 2u);
   EXPECT_NEAR((dist[{1, 2}]), 2.0 / 3.0, 1e-12);
   EXPECT_NEAR((dist[{2, 2}]), 1.0 / 3.0, 1e-12);
@@ -189,7 +191,7 @@ TEST(JointDegreeTest, MassSumsToOne) {
   util::Rng rng(20);
   graph::Graph g = models::ErdosRenyiGnp(100, 0.06, rng);
   double total = 0.0;
-  for (const auto& [key, mass] : stats::JointDegreeDistribution(g)) {
+  for (const auto& [key, mass] : stats::JointDegreeDistribution(Snap(g))) {
     total += mass;
   }
   EXPECT_NEAR(total, 1.0, 1e-9);
@@ -198,7 +200,7 @@ TEST(JointDegreeTest, MassSumsToOne) {
 TEST(JointDegreeTest, DistanceZeroForSameGraph) {
   util::Rng rng(21);
   graph::Graph g = models::ErdosRenyiGnp(80, 0.08, rng);
-  EXPECT_DOUBLE_EQ(stats::JointDegreeDistance(g, g), 0.0);
+  EXPECT_DOUBLE_EQ(stats::JointDegreeDistance(Snap(g), Snap(g)), 0.0);
 }
 
 TEST(JointDegreeTest, DisjointSupportsHaveDistanceOne) {
@@ -206,7 +208,7 @@ TEST(JointDegreeTest, DisjointSupportsHaveDistanceOne) {
   graph::Graph cycle(6);
   for (graph::NodeId v = 0; v < 6; ++v) cycle.AddEdge(v, (v + 1) % 6);
   graph::Graph star = StarGraph(6);
-  EXPECT_NEAR(stats::JointDegreeDistance(cycle, star), 1.0, 1e-12);
+  EXPECT_NEAR(stats::JointDegreeDistance(Snap(cycle), Snap(star)), 1.0, 1e-12);
 }
 
 TEST(JointDegreeTest, SeparatesAssortativeFromRandom) {
@@ -218,8 +220,8 @@ TEST(JointDegreeTest, SeparatesAssortativeFromRandom) {
   ASSERT_TRUE(hk.ok());
   // Same graph family is closer to itself than to a different family.
   graph::Graph er2 = models::ErdosRenyiGnp(500, 0.02, rng);
-  EXPECT_LT(stats::JointDegreeDistance(er, er2),
-            stats::JointDegreeDistance(er, hk.value()));
+  EXPECT_LT(stats::JointDegreeDistance(Snap(er), Snap(er2)),
+            stats::JointDegreeDistance(Snap(er), Snap(hk.value())));
 }
 
 // --------------------------------------------------- DegreeWiseClustering --

@@ -21,6 +21,7 @@
 #include "src/agm/theta_f.h"
 #include "src/agm/theta_x.h"
 #include "src/dp/edge_truncation.h"
+#include "src/graph/csr.h"
 #include "src/graph/degree.h"
 #include "src/graph/triangle_count.h"
 #include "src/models/erdos_renyi.h"
@@ -166,10 +167,10 @@ TEST_P(SensitivityTest, TriangleCountEdgeChangeWithinLadderBase) {
 TEST_P(SensitivityTest, SortedDegreeSequenceEdgeChangeBoundedByTwo) {
   util::Rng rng(GetParam() + 600);
   graph::AttributedGraph g = RandomInput(60, 0.1, 1, rng);
-  std::vector<uint32_t> s1 = graph::SortedDegreeSequence(g.structure());
+  std::vector<uint32_t> s1 = graph::SortedDegreeSequence(graph::CsrGraph::FromGraph(g.structure()));
   for (int trial = 0; trial < 30; ++trial) {
     graph::AttributedGraph h = ToggleOneEdge(g, rng);
-    std::vector<uint32_t> s2 = graph::SortedDegreeSequence(h.structure());
+    std::vector<uint32_t> s2 = graph::SortedDegreeSequence(graph::CsrGraph::FromGraph(h.structure()));
     double diff = 0.0;
     for (size_t i = 0; i < s1.size(); ++i) {
       diff += std::fabs(static_cast<double>(s1[i]) -

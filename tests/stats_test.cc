@@ -68,7 +68,8 @@ TEST(MetricsTest, KsHandlesDifferentLengths) {
 
 TEST(MetricsTest, DegreeDistributionSumsToOne) {
   util::Rng rng(1);
-  graph::Graph g = models::ErdosRenyiGnp(100, 0.05, rng);
+  const graph::CsrGraph g =
+      graph::CsrGraph::FromGraph(models::ErdosRenyiGnp(100, 0.05, rng));
   std::vector<double> dist = DegreeDistribution(g);
   double sum = 0.0;
   for (double x : dist) sum += x;
@@ -77,8 +78,10 @@ TEST(MetricsTest, DegreeDistributionSumsToOne) {
 
 TEST(MetricsTest, DegreeHellingerZeroForSameGraph) {
   util::Rng rng(2);
-  graph::Graph g = models::ErdosRenyiGnp(80, 0.05, rng);
-  EXPECT_DOUBLE_EQ(DegreeHellinger(g, g), 0.0);
+  const graph::CsrGraph g =
+      graph::CsrGraph::FromGraph(models::ErdosRenyiGnp(80, 0.05, rng));
+  EXPECT_DOUBLE_EQ(
+      HellingerDistance(DegreeDistribution(g), DegreeDistribution(g)), 0.0);
 }
 
 // -------------------------------------------------------------------- CCDF --
@@ -127,7 +130,7 @@ TEST(SummaryTest, TriangleGraph) {
   g.AddEdge(0, 1);
   g.AddEdge(1, 2);
   g.AddEdge(0, 2);
-  GraphSummary s = Summarize(g);
+  GraphSummary s = Summarize(graph::CsrGraph::FromGraph(g));
   EXPECT_EQ(s.num_nodes, 3u);
   EXPECT_EQ(s.num_edges, 3u);
   EXPECT_EQ(s.max_degree, 2u);
@@ -156,30 +159,6 @@ TEST(UtilityErrorsTest, AccumulateAndAverage) {
   UtilityErrors mean = a / 2.0;
   EXPECT_DOUBLE_EQ(mean.degree_ks, 0.3);
   EXPECT_DOUBLE_EQ(mean.edges_re, 0.2);
-}
-
-TEST(CompareGraphsTest, IdenticalGraphsHaveZeroError) {
-  util::Rng rng(4);
-  graph::AttributedGraph g(models::ErdosRenyiGnp(60, 0.1, rng), 2);
-  std::vector<graph::AttrConfig> attrs(60);
-  for (auto& a : attrs) a = static_cast<graph::AttrConfig>(rng.UniformIndex(4));
-  ASSERT_TRUE(g.SetAttributes(attrs).ok());
-  UtilityErrors e = CompareGraphs(g, g);
-  EXPECT_DOUBLE_EQ(e.theta_f_mae, 0.0);
-  EXPECT_DOUBLE_EQ(e.theta_f_hellinger, 0.0);
-  EXPECT_DOUBLE_EQ(e.degree_ks, 0.0);
-  EXPECT_DOUBLE_EQ(e.degree_hellinger, 0.0);
-  EXPECT_DOUBLE_EQ(e.triangles_re, 0.0);
-  EXPECT_DOUBLE_EQ(e.edges_re, 0.0);
-}
-
-TEST(CompareGraphsTest, DetectsStructuralDifferences) {
-  util::Rng rng(5);
-  graph::AttributedGraph a(models::ErdosRenyiGnp(60, 0.05, rng), 1);
-  graph::AttributedGraph b(models::ErdosRenyiGnp(60, 0.2, rng), 1);
-  UtilityErrors e = CompareGraphs(a, b);
-  EXPECT_GT(e.degree_ks, 0.0);
-  EXPECT_GT(e.edges_re, 0.0);
 }
 
 }  // namespace

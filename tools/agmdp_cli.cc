@@ -10,7 +10,7 @@
 //              PREFIX.attrs).
 //   fit        --in=PREFIX --epsilon=0.69 [--mechanism=NAME] [--model=NAME]
 //              [--k-anonymity=K] [--t-closeness=T] [--community-blocks=B]
-//              [--artifact-out=FILE] [--params-out=FILE]
+//              [--artifact-out=FILE]
 //              Fit a private release under the named mechanism (default
 //              agm; see `agmdp models` for the registry) and write it as a
 //              mechanism-tagged release artifact (JSON: parameters + budget
@@ -27,13 +27,13 @@
 //              samples by --serve-threads; with N = 1, --threads still
 //              sets the intra-sample sampler workers. --cold disables the
 //              calibrated warm start (full per-sample acceptance loop).
-//              --params=FILE consumes a legacy raw-params file instead.
 //   synthesize --in=PREFIX --epsilon=0.69 --out=PREFIX2 [--model=NAME]
 //              [--threads=T]
 //              fit + sample in one step, with stage timings.
 //   models     List the registered release mechanisms and structural
 //              models.
-//   stats      --in=PREFIX [--analytics-threads=T]
+//   stats      --in=PREFIX [--analytics-threads=T] [--bfs_samples=64]
+//              [--seed=1]
 //              Structural summary, assortativity and path statistics,
 //              computed on an immutable CsrGraph snapshot.
 //   evaluate   --in=PREFIX --synthetic=PREFIX2 [--analytics-threads=T]
@@ -123,7 +123,9 @@
 //
 // Exit codes: 0 success, 1 runtime failure (a fit/sample/serve step
 // returned an error), 2 usage error (unknown subcommand, malformed or
-// out-of-range flag value, unreadable input named on the command line).
+// out-of-range flag value, unreadable input named on the command line, or
+// a retired flag: fit --params-out and sample --params were superseded by
+// release artifacts).
 #include <unistd.h>
 
 #include <algorithm>
@@ -140,7 +142,6 @@
 #include <vector>
 
 #include "src/agm/agm_sampler.h"
-#include "src/agm/params_io.h"
 #include "src/datasets/datasets.h"
 #include "src/eval/sweep_engine.h"
 #include "src/eval/utility_report.h"
@@ -287,6 +288,38 @@ int Usage() {
   return 2;
 }
 
+/// Every numeric flag goes through a checked getter plus a range check: a
+/// malformed or out-of-range value ("--seed=abc", "--bfs_samples=-1") is a
+/// typed InvalidArgument naming the flag, never a silent 0 or a wrapped
+/// unsigned value.
+util::Result<int64_t> IntFlag(const util::Flags& flags,
+                              const std::string& name, int64_t fallback,
+                              int64_t min,
+                              int64_t max = std::numeric_limits<int>::max()) {
+  auto value = flags.GetCheckedInt(name, fallback);
+  if (value.ok() && (value.value() < min || value.value() > max)) {
+    return util::Status::InvalidArgument(
+        "--" + name + "=" + std::to_string(value.value()) + " must be in [" +
+        std::to_string(min) + ", " + std::to_string(max) + "]");
+  }
+  return value;
+}
+
+/// Seeds are uint64 internally; negative values are rejected rather than
+/// wrapped.
+util::Result<int64_t> SeedFlag(const util::Flags& flags, int64_t fallback) {
+  return IntFlag(flags, "seed", fallback, 0,
+                 std::numeric_limits<int64_t>::max());
+}
+
+/// The raw-params sidecar was retired in favor of release artifacts; its
+/// flags are rejected by name instead of being silently ignored.
+int RetiredFlag(const std::string& flag, const std::string& replacement) {
+  return FailUsage(util::Status::InvalidArgument(
+      "--" + flag + " was removed; release artifacts replace raw params "
+      "files, use --" + replacement + "=FILE"));
+}
+
 util::Result<pipeline::PipelineConfig> ConfigFromFlags(
     const util::Flags& flags) {
   pipeline::PipelineConfig config;
@@ -297,35 +330,24 @@ util::Result<pipeline::PipelineConfig> ConfigFromFlags(
   config.epsilon = epsilon.value();
   config.mechanism = flags.GetString("mechanism", "agm");
   config.model = flags.GetString("model", "tricycle");
-  auto k_anonymity = flags.GetCheckedInt("k-anonymity", 0);
+  auto k_anonymity = IntFlag(flags, "k-anonymity", 0, 0);
   if (!k_anonymity.ok()) return k_anonymity.status();
-  if (k_anonymity.value() < 0) {
-    return util::Status::InvalidArgument("--k-anonymity must be >= 0");
-  }
   config.k_anonymity = static_cast<uint32_t>(k_anonymity.value());
   auto t_closeness = flags.GetCheckedDouble("t-closeness", 0.2);
   if (!t_closeness.ok()) return t_closeness.status();
   config.t_closeness = t_closeness.value();
-  auto community_blocks = flags.GetCheckedInt("community-blocks", 0);
+  auto community_blocks = IntFlag(flags, "community-blocks", 0, 0);
   if (!community_blocks.ok()) return community_blocks.status();
-  if (community_blocks.value() < 0) {
-    return util::Status::InvalidArgument("--community-blocks must be >= 0");
-  }
   config.community_blocks = static_cast<uint32_t>(community_blocks.value());
-  auto threads = flags.GetCheckedInt("threads", 1);
+  auto threads = IntFlag(flags, "threads", 1, 0);
   if (!threads.ok()) return threads.status();
-  if (threads.value() < 0) {
-    return util::Status::InvalidArgument("--threads must be >= 0");
-  }
   config.sample.threads = static_cast<int>(threads.value());
-  auto accept_iters = flags.GetCheckedInt("accept_iters", 3);
+  auto accept_iters =
+      IntFlag(flags, "accept_iters", 3, 0, agm::kMaxAcceptanceIterations);
   if (!accept_iters.ok()) return accept_iters.status();
   config.sample.acceptance_iterations = static_cast<int>(accept_iters.value());
-  auto truncation_k = flags.GetCheckedInt("truncation_k", 0);
+  auto truncation_k = IntFlag(flags, "truncation_k", 0, 0);
   if (!truncation_k.ok()) return truncation_k.status();
-  if (truncation_k.value() < 0) {
-    return util::Status::InvalidArgument("--truncation_k must be >= 0");
-  }
   config.truncation_k = static_cast<uint32_t>(truncation_k.value());
   return config;
 }
@@ -369,8 +391,12 @@ util::Result<graph::AttributedGraph> LoadInput(const util::Flags& flags,
 int CmdGenerate(const util::Flags& flags) {
   const auto id =
       datasets::DatasetByName(flags.GetString("dataset", "lastfm"));
-  auto g = datasets::GenerateDataset(id, flags.GetDouble("scale", 1.0),
-                                     flags.GetInt("seed", 7));
+  auto scale = flags.GetCheckedDouble("scale", 1.0);
+  if (!scale.ok()) return FailUsage(scale.status());
+  auto seed = SeedFlag(flags, 7);
+  if (!seed.ok()) return FailUsage(seed.status());
+  auto g = datasets::GenerateDataset(id, scale.value(),
+                                     static_cast<uint64_t>(seed.value()));
   if (!g.ok()) return Fail(g.status());
   const std::string out = flags.GetString("out", "dataset");
   if (auto st = graph::WriteGraph(g.value(), out); !st.ok()) {
@@ -385,110 +411,77 @@ int CmdGenerate(const util::Flags& flags) {
 }
 
 int CmdFit(const util::Flags& flags) {
+  if (flags.Has("params-out")) return RetiredFlag("params-out", "artifact-out");
   auto parsed = ConfigFromFlags(flags);
   if (!parsed.ok()) return FailUsage(parsed.status());
   const pipeline::PipelineConfig config = parsed.value();
   auto input = LoadInput(flags, "in");
   if (!input.ok()) return FailUsage(input.status());
-  auto seed = flags.GetCheckedInt("seed", 1);
+  auto seed = SeedFlag(flags, 1);
   if (!seed.ok()) return FailUsage(seed.status());
   util::Rng rng(static_cast<uint64_t>(seed.value()));
 
   auto artifact = pipeline::FitReleaseArtifact(input.value(), config, rng);
   if (!artifact.ok()) return Fail(artifact.status());
-  // A purely legacy invocation (--params-out given, no --artifact-out)
-  // writes only the raw params — no surprise release.artifact.json
-  // clobbered in the working directory. Everyone else gets the artifact,
-  // at --artifact-out or the default that `agmdp sample` reads flaglessly.
-  const bool legacy_only =
-      flags.Has("params-out") && !flags.Has("artifact-out");
-  if (!legacy_only) {
-    const std::string out =
-        flags.GetString("artifact-out", "release.artifact.json");
-    if (auto st = pipeline::WriteReleaseArtifact(artifact.value(), out);
-        !st.ok()) {
-      return Fail(st);
-    }
-    std::printf("fitted eps=%.4f release artifact (mechanism=%s, model=%s, "
-                "fingerprint=%llu) -> %s\n",
-                config.epsilon, artifact.value().mechanism.c_str(),
-                artifact.value().model.c_str(),
-                static_cast<unsigned long long>(
-                    artifact.value().config_fingerprint),
-                out.c_str());
+  // The default path is the one `agmdp sample` reads flaglessly.
+  const std::string out =
+      flags.GetString("artifact-out", "release.artifact.json");
+  if (auto st = pipeline::WriteReleaseArtifact(artifact.value(), out);
+      !st.ok()) {
+    return Fail(st);
   }
-  if (flags.Has("params-out")) {
-    // Legacy raw-params sidecar for tools that predate artifacts.
-    const std::string params_out = flags.GetString("params-out", "");
-    if (auto st =
-            agm::WriteAgmParams(artifact.value().params, params_out);
-        !st.ok()) {
-      return Fail(st);
-    }
-    std::printf("fitted eps=%.4f params (model=%s) -> %s\n", config.epsilon,
-                config.model.c_str(), params_out.c_str());
-  }
+  std::printf("fitted eps=%.4f release artifact (mechanism=%s, model=%s, "
+              "fingerprint=%llu) -> %s\n",
+              config.epsilon, artifact.value().mechanism.c_str(),
+              artifact.value().model.c_str(),
+              static_cast<unsigned long long>(
+                  artifact.value().config_fingerprint),
+              out.c_str());
   PrintLedger(artifact.value().ledger, artifact.value().epsilon_budget);
   return 0;
 }
 
 int CmdSample(const util::Flags& flags) {
+  if (flags.Has("params")) return RetiredFlag("params", "artifact");
   auto parsed = ConfigFromFlags(flags);
   if (!parsed.ok()) return FailUsage(parsed.status());
   const pipeline::PipelineConfig config = parsed.value();
-  auto samples_flag = flags.GetCheckedInt("samples", 1);
+  auto samples_flag = IntFlag(flags, "samples", 1, 1);
   if (!samples_flag.ok()) return FailUsage(samples_flag.status());
-  if (samples_flag.value() < 1) {
-    return FailUsage(util::Status::InvalidArgument(
-        "--samples=" + std::to_string(samples_flag.value()) +
-        " must be >= 1"));
-  }
   const int samples = static_cast<int>(samples_flag.value());
+  auto serve_threads =
+      IntFlag(flags, "serve-threads", config.sample.threads, 0);
+  if (!serve_threads.ok()) return FailUsage(serve_threads.status());
+  // Both spellings accepted (the table harness flags use underscores).
+  const std::string refine_name =
+      flags.Has("refine_iters") ? "refine_iters" : "refine-iters";
+  auto refine =
+      IntFlag(flags, refine_name, 0, 0, agm::kMaxAcceptanceIterations);
+  if (!refine.ok()) return FailUsage(refine.status());
+  auto seed = SeedFlag(flags, 1);
+  if (!seed.ok()) return FailUsage(seed.status());
 
-  pipeline::ReleaseArtifact artifact;
-  if (flags.Has("params")) {
-    // Legacy path: raw params + the model named on the command line.
-    auto params = agm::ReadAgmParams(flags.GetString("params", "agm.params"));
-    if (!params.ok()) return FailUsage(params.status());
-    artifact = pipeline::MakeReleaseArtifact(params.value(), config);
-  } else {
-    // Default matches fit's --artifact-out, so the flagless
-    // `agmdp fit` -> `agmdp sample` round trip works out of the box.
-    // A nonexistent or unparseable artifact is a usage error: the caller
-    // named the wrong file, the pipeline never ran.
-    auto loaded = pipeline::ReadReleaseArtifact(
-        flags.GetString("artifact", "release.artifact.json"));
-    if (!loaded.ok()) return FailUsage(loaded.status());
-    artifact = std::move(loaded).value();
-    if (flags.Has("model")) artifact.model = config.model;
-  }
+  // Default matches fit's --artifact-out, so the flagless
+  // `agmdp fit` -> `agmdp sample` round trip works out of the box. A
+  // nonexistent or unparseable artifact is a usage error: the caller named
+  // the wrong file, the pipeline never ran.
+  auto loaded = pipeline::ReadReleaseArtifact(
+      flags.GetString("artifact", "release.artifact.json"));
+  if (!loaded.ok()) return FailUsage(loaded.status());
+  pipeline::ReleaseArtifact artifact = std::move(loaded).value();
+  if (flags.Has("model")) artifact.model = config.model;
   if (flags.Has("accept_iters")) {
     artifact.acceptance_iterations = config.sample.acceptance_iterations;
   }
 
-  auto serve_threads =
-      flags.GetCheckedInt("serve-threads", config.sample.threads);
-  if (!serve_threads.ok()) return FailUsage(serve_threads.status());
-  auto refine_iters = flags.GetCheckedInt("refine_iters", 0);
-  if (!refine_iters.ok()) return FailUsage(refine_iters.status());
-  const int64_t refine = flags.Has("refine_iters")
-                             ? refine_iters.value()
-                             : flags.GetInt("refine-iters", 0);
-  if (refine < 0 || refine > agm::kMaxAcceptanceIterations) {
-    return FailUsage(util::Status::InvalidArgument(
-        "--refine_iters=" + std::to_string(refine) + " must be in [0, " +
-        std::to_string(agm::kMaxAcceptanceIterations) + "]"));
-  }
   pipeline::EngineOptions options;
   options.threads = static_cast<int>(serve_threads.value());
   options.calibrate = !flags.GetBool("cold", false);
-  options.default_refine_iterations = static_cast<int>(refine);
+  options.default_refine_iterations = static_cast<int>(refine.value());
   options.sample = config.sample;
   auto engine = pipeline::ReleaseEngine::Create(std::move(artifact), options);
   if (!engine.ok()) return Fail(engine.status());
 
-  auto seed = flags.GetCheckedInt("seed", 1);
-  if (!seed.ok()) return FailUsage(seed.status());
   pipeline::SampleRequest base;
   base.seed = static_cast<uint64_t>(seed.value());
   util::Result<std::vector<graph::AttributedGraph>> graphs =
@@ -532,7 +525,7 @@ int CmdSynthesize(const util::Flags& flags) {
   const pipeline::PipelineConfig config = parsed.value();
   auto input = LoadInput(flags, "in");
   if (!input.ok()) return FailUsage(input.status());
-  auto seed = flags.GetCheckedInt("seed", 1);
+  auto seed = SeedFlag(flags, 1);
   if (!seed.ok()) return FailUsage(seed.status());
   util::Rng rng(static_cast<uint64_t>(seed.value()));
   auto result = pipeline::RunPrivateRelease(input.value(), config, rng);
@@ -572,22 +565,27 @@ int CmdModels(const util::Flags&) {
 }
 
 int CmdStats(const util::Flags& flags) {
+  auto analytics_threads = IntFlag(flags, "analytics-threads", 1, 0);
+  if (!analytics_threads.ok()) return FailUsage(analytics_threads.status());
+  auto seed = SeedFlag(flags, 1);
+  if (!seed.ok()) return FailUsage(seed.status());
+  auto bfs_samples = IntFlag(flags, "bfs_samples", 64, 0,
+                             std::numeric_limits<uint32_t>::max());
+  if (!bfs_samples.ok()) return FailUsage(bfs_samples.status());
   auto input = LoadSource(flags, "in");
   if (!input.ok()) return Fail(input.status());
-  const int analytics_threads =
-      static_cast<int>(flags.GetInt("analytics-threads", 1));
+  const int threads = static_cast<int>(analytics_threads.value());
   // One immutable snapshot serves the summary and the structural profile
   // (for a binary container this aliases the mapping — no copy).
   const graph::AttributedCsrGraph& snapshot = input.value().snapshot();
   std::printf("%s\n",
               stats::FormatSummary(
                   flags.GetString("in", ""),
-                  stats::Summarize(snapshot.structure, analytics_threads))
+                  stats::Summarize(snapshot.structure, threads))
                   .c_str());
-  util::Rng rng(flags.GetInt("seed", 1));
+  util::Rng rng(static_cast<uint64_t>(seed.value()));
   const eval::StructuralProfile profile = eval::ProfileGraph(
-      snapshot, static_cast<uint32_t>(flags.GetInt("bfs_samples", 64)), rng,
-      analytics_threads);
+      snapshot, static_cast<uint32_t>(bfs_samples.value()), rng, threads);
   std::printf("degree assortativity:    %+.4f\n",
               profile.degree_assortativity);
   std::printf("attribute assortativity: %+.4f\n",
@@ -602,12 +600,13 @@ int CmdStats(const util::Flags& flags) {
 }
 
 int CmdEvaluate(const util::Flags& flags) {
+  auto threads_flag = IntFlag(flags, "analytics-threads", 1, 0);
+  if (!threads_flag.ok()) return FailUsage(threads_flag.status());
+  const int analytics_threads = static_cast<int>(threads_flag.value());
   auto input = LoadSource(flags, "in");
   if (!input.ok()) return Fail(input.status());
   auto synthetic = LoadSource(flags, "synthetic");
   if (!synthetic.ok()) return Fail(synthetic.status());
-  const int analytics_threads =
-      static_cast<int>(flags.GetInt("analytics-threads", 1));
   // One immutable snapshot per side, reused across every metric (binary
   // inputs evaluate straight off the mapping).
   const graph::AttributedCsrGraph& original = input.value().snapshot();
@@ -628,20 +627,43 @@ int CmdEvaluate(const util::Flags& flags) {
 int CmdSweep(const util::Flags& flags) {
   eval::SweepSpec spec;
   spec.datasets = flags.GetStringList("datasets", {"lastfm"});
-  spec.dataset_scale = flags.GetDouble("scale", 0.1);
+  auto scale = flags.GetCheckedDouble("scale", 0.1);
+  if (!scale.ok()) return FailUsage(scale.status());
+  spec.dataset_scale = scale.value();
   spec.mechanisms = flags.GetStringList("mechanisms", {"agm"});
   spec.models = flags.GetStringList("models", {"fcl", "tricycle"});
-  spec.epsilons =
-      flags.GetDoubleList("eps", {0.2, std::log(2.0), std::log(3.0)});
-  spec.repeats = static_cast<int>(flags.GetInt("repeats", 3));
-  spec.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  spec.threads = static_cast<int>(flags.GetInt("threads", 1));
-  spec.sampler_threads =
-      static_cast<int>(flags.GetInt("sampler-threads", 1));
-  spec.acceptance_iterations =
-      static_cast<int>(flags.GetInt("accept_iters", 2));
-  spec.analytics_threads =
-      static_cast<int>(flags.GetInt("analytics-threads", 1));
+  spec.epsilons.clear();
+  for (const std::string& token : flags.GetStringList("eps", {})) {
+    char* end = nullptr;
+    const double epsilon = std::strtod(token.c_str(), &end);
+    if (*end != '\0' || !std::isfinite(epsilon) || epsilon <= 0.0) {
+      return FailUsage(util::Status::InvalidArgument(
+          "--eps entry '" + token + "' must be a positive number"));
+    }
+    spec.epsilons.push_back(epsilon);
+  }
+  if (spec.epsilons.empty()) {
+    spec.epsilons = {0.2, std::log(2.0), std::log(3.0)};
+  }
+  auto repeats = IntFlag(flags, "repeats", 3, 1);
+  if (!repeats.ok()) return FailUsage(repeats.status());
+  spec.repeats = static_cast<int>(repeats.value());
+  auto threads = IntFlag(flags, "threads", 1, 0);
+  if (!threads.ok()) return FailUsage(threads.status());
+  spec.threads = static_cast<int>(threads.value());
+  auto sampler_threads = IntFlag(flags, "sampler-threads", 1, 0);
+  if (!sampler_threads.ok()) return FailUsage(sampler_threads.status());
+  spec.sampler_threads = static_cast<int>(sampler_threads.value());
+  auto accept_iters =
+      IntFlag(flags, "accept_iters", 2, 0, agm::kMaxAcceptanceIterations);
+  if (!accept_iters.ok()) return FailUsage(accept_iters.status());
+  spec.acceptance_iterations = static_cast<int>(accept_iters.value());
+  auto analytics_threads = IntFlag(flags, "analytics-threads", 1, 0);
+  if (!analytics_threads.ok()) return FailUsage(analytics_threads.status());
+  spec.analytics_threads = static_cast<int>(analytics_threads.value());
+  auto seed = SeedFlag(flags, 1);
+  if (!seed.ok()) return FailUsage(seed.status());
+  spec.seed = static_cast<uint64_t>(seed.value());
   // Both spellings accepted (the table harness flags use underscores).
   spec.reuse_fit =
       flags.GetBool("reuse-fit", flags.GetBool("reuse_fit", false));
@@ -851,27 +873,20 @@ extern "C" void ServeSignalHandler(int) {
 int CmdServe(const util::Flags& flags) {
   server::ServerOptions options;
   options.host = flags.GetString("host", "127.0.0.1");
-  auto port = flags.GetCheckedInt("port", 0);
+  auto port = IntFlag(flags, "port", 0, 0, 65535);
   if (!port.ok()) return FailUsage(port.status());
   options.port = static_cast<int>(port.value());
-  auto workers = flags.GetCheckedInt("workers", 2);
+  auto workers = IntFlag(flags, "workers", 2, 1);
   if (!workers.ok()) return FailUsage(workers.status());
   options.worker_threads = static_cast<int>(workers.value());
-  auto engine_threads = flags.GetCheckedInt("engine-threads", 1);
+  auto engine_threads = IntFlag(flags, "engine-threads", 1, 0);
   if (!engine_threads.ok()) return FailUsage(engine_threads.status());
   options.engine_threads = static_cast<int>(engine_threads.value());
-  auto queue = flags.GetCheckedInt("queue", 64);
+  auto queue = IntFlag(flags, "queue", 64, 1);
   if (!queue.ok()) return FailUsage(queue.status());
-  if (queue.value() < 1) {
-    return FailUsage(util::Status::InvalidArgument("--queue must be >= 1"));
-  }
   options.max_queue = static_cast<size_t>(queue.value());
-  auto cache_mb = flags.GetCheckedInt("cache-mb", 256);
+  auto cache_mb = IntFlag(flags, "cache-mb", 256, 0);  // 0 = no cap
   if (!cache_mb.ok()) return FailUsage(cache_mb.status());
-  if (cache_mb.value() < 0) {
-    return FailUsage(
-        util::Status::InvalidArgument("--cache-mb must be >= 0 (0 = no cap)"));
-  }
   options.cache_bytes =
       static_cast<uint64_t>(cache_mb.value()) * 1024 * 1024;
   auto tenant_budget = flags.GetCheckedDouble("tenant-budget", 0.0);
@@ -888,13 +903,13 @@ int CmdServe(const util::Flags& flags) {
   options.default_dataset_cap = registry_options.value().default_dataset_cap;
   options.dataset_caps = std::move(registry_options.value().dataset_caps);
   options.registry_fsync = registry_options.value().fsync;
-  auto read_timeout = flags.GetCheckedInt("read-timeout-ms", 30'000);
+  auto read_timeout = IntFlag(flags, "read-timeout-ms", 30'000, 0);
   if (!read_timeout.ok()) return FailUsage(read_timeout.status());
   options.read_timeout_ms = static_cast<int>(read_timeout.value());
-  auto idle_timeout = flags.GetCheckedInt("idle-timeout-ms", 300'000);
+  auto idle_timeout = IntFlag(flags, "idle-timeout-ms", 300'000, 0);
   if (!idle_timeout.ok()) return FailUsage(idle_timeout.status());
   options.idle_timeout_ms = static_cast<int>(idle_timeout.value());
-  auto write_timeout = flags.GetCheckedInt("write-timeout-ms", 30'000);
+  auto write_timeout = IntFlag(flags, "write-timeout-ms", 30'000, 0);
   if (!write_timeout.ok()) return FailUsage(write_timeout.status());
   options.write_timeout_ms = static_cast<int>(write_timeout.value());
 
@@ -977,12 +992,8 @@ int CmdServe(const util::Flags& flags) {
 }
 
 int CmdClient(const util::Flags& flags) {
-  auto port = flags.GetCheckedInt("port", 0);
+  auto port = IntFlag(flags, "port", 0, 1, 65535);  // required
   if (!port.ok()) return FailUsage(port.status());
-  if (port.value() <= 0) {
-    return FailUsage(
-        util::Status::InvalidArgument("client needs --port=PORT (> 0)"));
-  }
   const std::string op_name = flags.GetString("op", "");
   server::Request request;
   if (op_name == "load") {
@@ -1015,40 +1026,26 @@ int CmdClient(const util::Flags& flags) {
       request.dataset.empty()
           ? flags.GetString("artifact", "release.artifact.json")
           : flags.GetString("artifact", "");
-  auto seed = flags.GetCheckedInt("seed", 1);
+  auto seed = SeedFlag(flags, 1);
   if (!seed.ok()) return FailUsage(seed.status());
   request.seed = static_cast<uint64_t>(seed.value());
-  auto sequence = flags.GetCheckedInt("sequence", 0);
+  auto sequence = IntFlag(flags, "sequence", 0, 0,
+                          std::numeric_limits<int64_t>::max());
   if (!sequence.ok()) return FailUsage(sequence.status());
   request.sequence = static_cast<uint64_t>(sequence.value());
-  auto samples = flags.GetCheckedInt("samples", 1);
+  auto samples = IntFlag(flags, "samples", 1, 1, server::kMaxSampleCount);
   if (!samples.ok()) return FailUsage(samples.status());
-  if (samples.value() < 1 || samples.value() > server::kMaxSampleCount) {
-    return FailUsage(util::Status::InvalidArgument(
-        "--samples=" + std::to_string(samples.value()) + " must be in [1, " +
-        std::to_string(server::kMaxSampleCount) + "]"));
-  }
   request.count = static_cast<int>(samples.value());
-  auto refine = flags.GetCheckedInt("refine_iters", -1);
+  auto refine =
+      IntFlag(flags, "refine_iters", -1, -1, agm::kMaxAcceptanceIterations);
   if (!refine.ok()) return FailUsage(refine.status());
-  if (refine.value() < -1 ||
-      refine.value() > agm::kMaxAcceptanceIterations) {
-    return FailUsage(util::Status::InvalidArgument(
-        "--refine_iters=" + std::to_string(refine.value()) +
-        " must be in [-1, " +
-        std::to_string(agm::kMaxAcceptanceIterations) + "]"));
-  }
   request.refine_iterations = static_cast<int>(refine.value());
   request.out = flags.GetString("out", "");
 
-  auto timeout_ms = flags.GetCheckedInt("timeout-ms", 30'000);
+  auto timeout_ms = IntFlag(flags, "timeout-ms", 30'000, 0);
   if (!timeout_ms.ok()) return FailUsage(timeout_ms.status());
-  auto retries = flags.GetCheckedInt("retries", 1);
+  auto retries = IntFlag(flags, "retries", 1, 1);
   if (!retries.ok()) return FailUsage(retries.status());
-  if (retries.value() < 1) {
-    return FailUsage(
-        util::Status::InvalidArgument("--retries must be >= 1"));
-  }
   server::ClientOptions client_options;
   client_options.io_timeout_ms = static_cast<int>(timeout_ms.value());
   server::RetryPolicy retry_policy;
@@ -1091,13 +1088,9 @@ int CmdConvert(const util::Flags& flags) {
         "usage: agmdp convert <text-prefix-or-edges> <out.agmbin>"));
   }
   graph::ConvertOptions options;
-  auto page_size = flags.GetCheckedInt("page-size", options.binary.page_size);
+  auto page_size = IntFlag(flags, "page-size", options.binary.page_size,
+                           4096, std::numeric_limits<uint32_t>::max());
   if (!page_size.ok()) return FailUsage(page_size.status());
-  if (page_size.value() < 4096 ||
-      page_size.value() > std::numeric_limits<uint32_t>::max()) {
-    return FailUsage(util::Status::InvalidArgument(
-        "--page-size out of range: " + std::to_string(page_size.value())));
-  }
   options.binary.page_size = static_cast<uint32_t>(page_size.value());
   auto info = graph::ConvertTextToBinary(in, out, options);
   if (!info.ok()) {

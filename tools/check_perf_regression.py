@@ -79,10 +79,6 @@ MIN_EDGE_SET_SPEEDUP = 1.0
 # core (measured ~3-4x); cross-sample pool parallelism on multi-core
 # runners only adds to it.
 MIN_SERVING_SPEEDUP = 2.0
-# Fused evaluation kernel (PR 6): the two-sweep fused EvaluateRelease vs
-# the pre-fusion one-pass-per-metric CSR path, same snapshot, same
-# reference profile, 1 thread, both in this process (measured ~2x).
-MIN_FUSED_SPEEDUP = 1.5
 # Binary graph container (PR 8): a verified mmap open (header CRC + page
 # CRC sweep + semantic validation) vs parsing the same graph from the text
 # pair, same process, same runner. Measured well over an order of
@@ -147,9 +143,6 @@ def main(argv):
         ("serving_throughput_speedup", MIN_SERVING_SPEEDUP,
          "ReleaseEngine.SampleMany must serve releases at least 2x faster "
          "than repeated RunPrivateRelease (fit amortized away)"),
-        ("fused_eval_speedup", MIN_FUSED_SPEEDUP,
-         "the fused evaluation kernel must beat the one-pass-per-metric "
-         "CSR path"),
         ("binary_load_speedup", MIN_BINARY_LOAD_SPEEDUP,
          "a verified mmap open of the binary container must beat parsing "
          "the text pair"),
