@@ -4,6 +4,8 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "src/graph/graph.h"
@@ -28,6 +30,27 @@ class GoldenHash {
 inline uint64_t HashEdges(const std::vector<graph::Edge>& edges) {
   GoldenHash hash;
   for (const graph::Edge& e : edges) hash.Add(graph::PackEdge(e.u, e.v));
+  return hash.value();
+}
+
+/// Byte-wise FNV-1a of a serialized document (an artifact file, say).
+inline uint64_t HashBytes(const std::string& bytes) {
+  uint64_t hash = 1469598103934665603ULL;
+  for (unsigned char byte : bytes) {
+    hash ^= byte;
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+/// Digest of the bit patterns of a vector of doubles.
+inline uint64_t HashDoubles(const std::vector<double>& values) {
+  GoldenHash hash;
+  for (double value : values) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(bits));
+    hash.Add(bits);
+  }
   return hash.value();
 }
 

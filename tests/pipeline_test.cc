@@ -4,14 +4,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "src/agm/agm_sampler.h"
 #include "src/agm/theta_f.h"
 #include "src/datasets/datasets.h"
+#include "src/dp/edge_truncation.h"
+#include "src/dp/ladder_mechanism.h"
+#include "src/graph/graph_container.h"
+#include "src/graph/graph_source.h"
 #include "src/pipeline/release_pipeline.h"
 #include "src/util/rng.h"
+#include "tests/golden_hash.h"
 
 namespace agmdp {
 namespace {
@@ -249,6 +256,118 @@ TEST(GoldenReleaseTest, ChecksummedReleaseAndLedgerReproduceAcrossThreads) {
       EXPECT_DOUBLE_EQ(result.value().epsilon_spent, config.epsilon) << model;
     }
     EXPECT_NE(golden, 0u) << model;
+  }
+}
+
+// ------------------------------------------------------------ fit goldens --
+
+// The two forms every fit golden reads: an in-memory copy of Input() and
+// the same graph written to a binary container and reopened from the
+// mapping. Equal digests on both prove the fit is a function of the graph
+// alone, not of how it was stored.
+std::vector<std::pair<std::string, graph::AttributedGraph>> FitInputs() {
+  const std::string path = testing::TempDir() + "/fit_golden_input.agmbin";
+  EXPECT_TRUE(graph::WriteBinaryGraph(Input(), path).ok());
+  auto source = graph::GraphSource::Open(path);
+  EXPECT_TRUE(source.ok()) << source.status().ToString();
+  return {{"in-memory", graph::MaterializeSnapshot(
+                            graph::AttributedCsrGraph::FromGraph(Input()))},
+          {"agmbin", source.value().Materialize()}};
+}
+
+struct FitGoldenCase {
+  const char* name;
+  pipeline::PipelineConfig config;
+  uint64_t artifact_hash;  // FNV-1a of the WriteReleaseArtifact bytes
+};
+
+std::vector<FitGoldenCase> FitGoldenCases() {
+  std::vector<FitGoldenCase> cases;
+  const std::pair<agm::ThetaFMethod, const char*> methods[] = {
+      {agm::ThetaFMethod::kEdgeTruncation, "truncation"},
+      {agm::ThetaFMethod::kSmoothSensitivity, "smooth"},
+      {agm::ThetaFMethod::kSampleAggregate, "sample_aggregate"},
+      {agm::ThetaFMethod::kNaiveLaplace, "naive"}};
+  const uint64_t agm_hashes[2][4] = {
+      {0x9e8b45d98f02609cULL, 0x1e8776d1085b31c1ULL,
+       0x34903694c7976b41ULL, 0x9a4c1b337199f2d6ULL},
+      {0x262114d1d156e71aULL, 0xd7286e24f936e84fULL,
+       0xa537d20913ee0f23ULL, 0xb6383d2862fac731ULL}};
+  const char* models[] = {"fcl", "tricycle"};
+  for (int m = 0; m < 2; ++m) {
+    for (int t = 0; t < 4; ++t) {
+      pipeline::PipelineConfig config;
+      config.model = models[m];
+      config.theta_f_method = methods[t].first;
+      cases.push_back({methods[t].second, config, agm_hashes[m][t]});
+    }
+  }
+  pipeline::PipelineConfig forced;
+  forced.model = "tricycle";
+  forced.ladder.force_degree_bound = true;
+  cases.push_back({"tricycle force_degree_bound", forced, 0xc0827ddc06f80b69ULL});
+  pipeline::PipelineConfig fallback;
+  fallback.model = "tricycle";
+  fallback.ladder.max_exact_work = 1;
+  cases.push_back({"tricycle degree fallback", fallback, 0xc95d23fe52279e04ULL});
+  pipeline::PipelineConfig community;
+  community.mechanism = "community_dp";
+  cases.push_back({"community_dp", community, 0xfaf60b12027d2d98ULL});
+  pipeline::PipelineConfig kanon;
+  kanon.mechanism = "kanon_baseline";
+  cases.push_back({"kanon_baseline", kanon, 0xfc5520bb2735fc05ULL});
+  return cases;
+}
+
+// Literal artifact bytes of every fit path: both structural models under
+// all four ΘF estimators, both Ladder bases of the triangle count, and the
+// two rival mechanisms.
+TEST(FitGoldenTest, ReleaseArtifactsMatchPinnedLiterals) {
+  const std::string path = testing::TempDir() + "/fit_golden.artifact.json";
+  for (const auto& [form, input] : FitInputs()) {
+    for (const FitGoldenCase& c : FitGoldenCases()) {
+      SCOPED_TRACE(form + " " + c.config.mechanism + "/" + c.config.model +
+                   " " + c.name);
+      util::Rng rng(20261017);
+      auto artifact = pipeline::FitReleaseArtifact(input, c.config, rng);
+      ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+      ASSERT_TRUE(pipeline::WriteReleaseArtifact(artifact.value(), path).ok());
+      std::ifstream in(path, std::ios::binary);
+      const std::string bytes((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+      EXPECT_EQ(golden::HashBytes(bytes), c.artifact_hash)
+          << std::hex << golden::HashBytes(bytes);
+    }
+  }
+}
+
+// Literal outputs of the DP learners no artifact above covers: the
+// node-DP ΘF estimator, the k-star Ladder and the truncated edge list.
+TEST(FitGoldenTest, LearnerOutputsMatchPinnedLiterals) {
+  for (const auto& [form, input] : FitInputs()) {
+    SCOPED_TRACE(form);
+    util::Rng node_rng(20261017);
+    const std::vector<double> node_dp = agm::LearnCorrelationsNodeDp(
+        input, 0.5, 1e-6, /*k=*/0, node_rng);
+    EXPECT_EQ(golden::HashDoubles(node_dp), 0x5ebdf4d21c700e98ULL)
+        << std::hex << golden::HashDoubles(node_dp);
+
+    const uint64_t kstar_hashes[] = {0xf4351a56a0390b32ULL,
+                                     0x1cee91f90d45d4a6ULL};
+    for (uint32_t k : {2u, 3u}) {
+      util::Rng rng(20261017 + k);
+      auto stars = dp::DpKStarCount(input.structure(), k, 0.5, rng);
+      ASSERT_TRUE(stars.ok()) << stars.status().ToString();
+      EXPECT_EQ(golden::HashDoubles({stars.value()}), kstar_hashes[k - 2])
+          << "k=" << k << " " << std::hex
+          << golden::HashDoubles({stars.value()});
+    }
+
+    const uint32_t k = dp::HeuristicTruncationK(input.num_nodes());
+    const std::vector<graph::Edge> kept =
+        dp::TruncateEdges(input.structure(), k).CanonicalEdges();
+    EXPECT_EQ(golden::HashEdges(kept), 0x1cff8cd41cd0b17bULL)
+        << std::hex << golden::HashEdges(kept);
   }
 }
 
