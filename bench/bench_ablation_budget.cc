@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   bench::PrintRule();
 
   for (datasets::DatasetId id : bench::SelectedDatasets(flags)) {
-    graph::AttributedGraph input = bench::LoadDataset(id, flags);
+    const graph::AttributedCsrGraph input = bench::LoadSnapshot(id, flags);
     const eval::ReferenceProfile reference = eval::ProfileReference(input);
     util::Rng rng(flags.GetInt("seed", 10) + static_cast<int>(id));
     for (const SplitSpec& split : splits) {

@@ -24,9 +24,8 @@ int main(int argc, char** argv) {
   bench::PrintRule();
 
   for (datasets::DatasetId id : bench::SelectedDatasets(flags)) {
-    graph::AttributedGraph g = bench::LoadDataset(id, flags);
-    const auto truth =
-        static_cast<double>(graph::CountTriangles(g.structure()));
+    const graph::CsrGraph g = bench::LoadSnapshot(id, flags).structure;
+    const auto truth = static_cast<double>(graph::CountTriangles(g));
     util::Rng rng(flags.GetInt("seed", 9) + static_cast<int>(id));
 
     for (double eps : epsilons) {
@@ -35,8 +34,7 @@ int main(int argc, char** argv) {
       for (int t = 0; t < trials; ++t) {
         dp::LadderOptions exact;
         dp::LadderDiagnostics diag_exact;
-        auto r1 = dp::DpTriangleCount(g.structure(), eps, rng, exact,
-                                      &diag_exact);
+        auto r1 = dp::DpTriangleCount(g, eps, rng, exact, &diag_exact);
         AGMDP_CHECK(r1.ok());
         base_exact = diag_exact.ladder_base;
         mre_exact +=
@@ -45,8 +43,7 @@ int main(int argc, char** argv) {
         dp::LadderOptions degree;
         degree.force_degree_bound = true;
         dp::LadderDiagnostics diag_deg;
-        auto r2 = dp::DpTriangleCount(g.structure(), eps, rng, degree,
-                                      &diag_deg);
+        auto r2 = dp::DpTriangleCount(g, eps, rng, degree, &diag_deg);
         AGMDP_CHECK(r2.ok());
         base_deg = diag_deg.ladder_base;
         mre_deg +=

@@ -42,14 +42,17 @@ int main(int argc, char** argv) {
         std::min(0.9, 2.0 / configs + 0.3);  // achievable homophily per w
     AGMDP_CHECK_OK(
         datasets::AssignHomophilousAttributes(&g, theta_x, homophily, rng));
+    const graph::AttributedCsrGraph snapshot =
+        graph::AttributedCsrGraph::FromGraph(g);
 
-    const std::vector<double> exact_x = agm::ComputeThetaX(g);
-    const std::vector<double> exact_f = agm::ComputeThetaF(g);
+    const std::vector<double> exact_x = agm::ComputeThetaX(snapshot);
+    const std::vector<double> exact_f = agm::ComputeThetaF(snapshot);
     double mae_x = 0.0, mae_f = 0.0, hell_f = 0.0;
     for (int t = 0; t < trials; ++t) {
-      mae_x += stats::MeanAbsoluteError(agm::LearnAttributesDp(g, eps, rng),
-                                        exact_x);
-      std::vector<double> theta_f = agm::LearnCorrelationsDp(g, eps, 0, rng);
+      mae_x += stats::MeanAbsoluteError(
+          agm::LearnAttributesDp(snapshot, eps, rng), exact_x);
+      std::vector<double> theta_f =
+          agm::LearnCorrelationsDp(snapshot, eps, 0, rng);
       mae_f += stats::MeanAbsoluteError(theta_f, exact_f);
       hell_f += stats::HellingerDistance(theta_f, exact_f);
     }

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   bench::PrintRule();
 
   for (datasets::DatasetId id : bench::SelectedDatasets(flags)) {
-    graph::AttributedGraph input = bench::LoadDataset(id, flags);
+    const graph::AttributedCsrGraph input = bench::LoadSnapshot(id, flags);
     const char* name = datasets::PaperSpec(id).name.c_str();
     util::Rng rng(flags.GetInt("seed", 14) + static_cast<int>(id));
     PrintRow(name, "input", eval::ProfileGraph(input, kPathSamples, rng));

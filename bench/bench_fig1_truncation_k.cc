@@ -18,7 +18,7 @@ namespace {
 
 using namespace agmdp;
 
-double MaeAtK(const graph::AttributedGraph& g,
+double MaeAtK(const graph::AttributedCsrGraph& g,
               const std::vector<double>& exact, double eps, uint32_t k,
               int trials, util::Rng& rng) {
   double total = 0.0;
@@ -45,10 +45,10 @@ int main(int argc, char** argv) {
   bench::PrintRule();
 
   for (datasets::DatasetId id : bench::SelectedDatasets(flags)) {
-    graph::AttributedGraph g = bench::LoadDataset(id, flags);
+    const graph::AttributedCsrGraph g = bench::LoadSnapshot(id, flags);
     const std::vector<double> exact = agm::ComputeThetaF(g);
     const uint32_t k_heur = dp::HeuristicTruncationK(g.num_nodes());
-    const uint32_t dmax = g.structure().MaxDegree();
+    const uint32_t dmax = g.structure.MaxDegree();
     util::Rng rng(flags.GetInt("seed", 1) + static_cast<int>(id));
 
     // Candidate grid for the "best k" sweep: geometric between 2 and dmax.

@@ -48,11 +48,11 @@ int main(int argc, char** argv) {
   bench::PrintRule();
 
   for (datasets::DatasetId id : bench::SelectedDatasets(flags)) {
-    graph::AttributedGraph g = bench::LoadDataset(id, flags);
+    const graph::AttributedCsrGraph g = bench::LoadSnapshot(id, flags);
     const std::vector<double> exact = agm::ComputeThetaF(g);
     util::Rng rng(flags.GetInt("seed", 6) + static_cast<int>(id));
     const graph::NodeId n = g.num_nodes();
-    const uint32_t dmax = g.structure().MaxDegree();
+    const uint32_t dmax = g.structure.MaxDegree();
 
     // Tuning grids.
     std::vector<uint32_t> k_grid;

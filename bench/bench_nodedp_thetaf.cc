@@ -73,11 +73,11 @@ int main(int argc, char** argv) {
                    loaded.status().ToString().c_str());
       return 1;
     }
-    const graph::AttributedGraph& g = loaded.value();
+    const graph::AttributedCsrGraph g =
+        graph::AttributedCsrGraph::FromGraph(loaded.value());
     const std::vector<double> exact = agm::ComputeThetaF(g);
-    std::vector<double> uniform(
-        graph::NumEdgeConfigs(g.num_attributes()),
-        1.0 / graph::NumEdgeConfigs(g.num_attributes()));
+    const auto configs = graph::NumEdgeConfigs(g.num_attributes);
+    std::vector<double> uniform(configs, 1.0 / configs);
     const double baseline = stats::HellingerDistance(uniform, exact);
     util::Rng rng(flags.GetInt("seed", 8) + static_cast<int>(id));
 

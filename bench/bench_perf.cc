@@ -103,6 +103,9 @@ int main(int argc, char** argv) {
 
   const auto id = datasets::DatasetId::kEpinions;
   graph::AttributedGraph input = bench::LoadDataset(id, flags);
+  // The fit's input form; `input` stays for the generator-side timings.
+  const graph::AttributedCsrGraph input_csr =
+      graph::AttributedCsrGraph::FromGraph(input);
   const std::vector<uint32_t> degrees = graph::DegreeSequence(input.structure());
   const uint64_t triangles = graph::CountTriangles(input.structure());
 
@@ -125,10 +128,10 @@ int main(int argc, char** argv) {
     std::printf("%-28s %10.3f ms\n", name.c_str(), 1e3 * seconds);
   };
   component("edge_truncation_k17", TimeBest(trials, [&] {
-    dp::TruncateEdges(input.structure(), 17);
+    dp::TruncateEdges(input_csr.structure, 17);
   }));
   component("connection_counts", TimeBest(trials, [&] {
-    agm::ComputeConnectionCounts(input);
+    agm::ComputeConnectionCounts(input_csr);
   }));
   component("theta_f_parallel_measure", TimeBest(trials, [&] {
     agm::MeasureThetaF(input, /*threads=*/0);
@@ -139,7 +142,7 @@ int main(int argc, char** argv) {
   {
     util::Rng rng(1);
     component("ladder_mechanism", TimeBest(trials, [&] {
-      dp::DpTriangleCount(input.structure(), 0.25, rng).value();
+      dp::DpTriangleCount(input_csr.structure, 0.25, rng).value();
     }));
   }
   {
@@ -419,7 +422,7 @@ int main(int argc, char** argv) {
     // The sample stage itself, FCL model (the TriCycLe-model stage timing
     // already lands in pipeline_stages_seconds.sample below).
     {
-      const agm::AgmParams params = agm::LearnAgmParams(input);
+      const agm::AgmParams params = agm::LearnAgmParams(input_csr);
       pipeline::PipelineConfig config;
       config.model = "fcl";
       config.sample.acceptance_iterations = 2;
@@ -452,7 +455,7 @@ int main(int argc, char** argv) {
     config.epsilon = std::log(2.0);
     config.sample.acceptance_iterations = 2;
     util::Rng rng(5);
-    auto release = pipeline::RunPrivateRelease(input, config, rng);
+    auto release = pipeline::RunPrivateRelease(input_csr, config, rng);
     AGMDP_CHECK_MSG(release.ok(), release.status().ToString().c_str());
     json.Key("pipeline_model").Value(config.model);
     json.Key("pipeline_epsilon").Value(config.epsilon);
@@ -471,7 +474,7 @@ int main(int argc, char** argv) {
   // bitwise-identical (the sharded sampler's determinism contract) and the
   // wall-clock ratio is the parallel speedup of the hot path.
   {
-    const agm::AgmParams params = agm::LearnAgmParams(input);
+    const agm::AgmParams params = agm::LearnAgmParams(input_csr);
     bool deterministic = true;
     double seconds_1t = 0.0, seconds_4t = 0.0;
     graph::AttributedGraph reference;
@@ -538,7 +541,7 @@ int main(int argc, char** argv) {
     const double baseline_seconds = TimeBest(trials, [&] {
       util::Rng rng(31);
       for (int i = 0; i < kReleases; ++i) {
-        auto release = pipeline::RunPrivateRelease(input, config, rng);
+        auto release = pipeline::RunPrivateRelease(input_csr, config, rng);
         AGMDP_CHECK_MSG(release.ok(), release.status().ToString().c_str());
       }
     });
@@ -547,7 +550,7 @@ int main(int argc, char** argv) {
 
     // The artifact exchange `agmdp fit` / `agmdp sample` perform.
     util::Rng fit_rng(32);
-    auto fitted = pipeline::FitReleaseArtifact(input, config, fit_rng);
+    auto fitted = pipeline::FitReleaseArtifact(input_csr, config, fit_rng);
     AGMDP_CHECK_MSG(fitted.ok(), fitted.status().ToString().c_str());
     const std::string artifact_path = out_path + ".artifact";
     entry("artifact_write", TimeBest(trials, [&] {
@@ -649,7 +652,7 @@ int main(int argc, char** argv) {
     config.model = "fcl";
     config.sample.acceptance_iterations = 2;
     util::Rng fit_rng(41);
-    auto fitted = pipeline::FitReleaseArtifact(input, config, fit_rng);
+    auto fitted = pipeline::FitReleaseArtifact(input_csr, config, fit_rng);
     AGMDP_CHECK_MSG(fitted.ok(), fitted.status().ToString().c_str());
     const std::string artifact_path = out_path + ".server_artifact";
     {
@@ -868,7 +871,7 @@ int main(int argc, char** argv) {
   // with no timestamps or randomness in the journal.
   {
     constexpr int kRegArtifacts = 16;
-    const agm::AgmParams reg_params = agm::LearnAgmParams(input);
+    const agm::AgmParams reg_params = agm::LearnAgmParams(input_csr);
     std::vector<pipeline::ReleaseArtifact> artifacts;
     for (int i = 0; i < kRegArtifacts; ++i) {
       pipeline::PipelineConfig config;
@@ -1013,7 +1016,7 @@ int main(int argc, char** argv) {
       pipeline::ReleaseArtifact artifact;
       entry(std::string(mechanism) + "_fit", TimeBest(trials, [&] {
         util::Rng rng = util::Rng::Substream(2026, 8);
-        auto fit = pipeline::FitReleaseArtifact(input, config, rng);
+        auto fit = pipeline::FitReleaseArtifact(input_csr, config, rng);
         AGMDP_CHECK_MSG(fit.ok(), fit.status().ToString().c_str());
         artifact = std::move(fit).value();
       }));
@@ -1030,7 +1033,7 @@ int main(int argc, char** argv) {
             }));
 
       util::Rng rng = util::Rng::Substream(2026, 8);
-      auto refit = pipeline::FitReleaseArtifact(input, config, rng);
+      auto refit = pipeline::FitReleaseArtifact(input_csr, config, rng);
       AGMDP_CHECK_MSG(refit.ok(), refit.status().ToString().c_str());
       mechanisms_deterministic =
           mechanisms_deterministic &&

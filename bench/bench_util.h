@@ -16,6 +16,7 @@
 
 #include "src/datasets/datasets.h"
 #include "src/graph/attributed_graph.h"
+#include "src/graph/csr.h"
 #include "src/util/check.h"
 #include "src/util/flags.h"
 
@@ -94,6 +95,12 @@ inline graph::AttributedGraph LoadDataset(datasets::DatasetId id,
               g.value().num_nodes(),
               static_cast<unsigned long long>(g.value().num_edges()));
   return std::move(g).value();
+}
+
+/// LoadDataset as the snapshot every fit and metric reads.
+inline graph::AttributedCsrGraph LoadSnapshot(datasets::DatasetId id,
+                                              const util::Flags& flags) {
+  return graph::AttributedCsrGraph::FromGraph(LoadDataset(id, flags));
 }
 
 inline void PrintRule() {

@@ -71,20 +71,23 @@ std::vector<std::string> TableModels(const util::Flags& flags) {
 // Section 5.2's text baselines, routed through the eval metric suite:
 // a uniform ΘF vector and a uniform-random edge assignment with the
 // original attributes.
-void PrintBaselines(const graph::AttributedGraph& input,
+void PrintBaselines(const graph::AttributedCsrGraph& input,
                     const eval::ReferenceProfile& reference,
                     const util::Flags& flags) {
-  std::vector<double> uniform(
-      graph::NumEdgeConfigs(input.num_attributes()),
-      1.0 / graph::NumEdgeConfigs(input.num_attributes()));
+  const auto configs = graph::NumEdgeConfigs(input.num_attributes);
+  std::vector<double> uniform(configs, 1.0 / configs);
   const eval::ThetaFError uniform_error =
       eval::CompareThetaF(uniform, reference.theta_f);
   std::printf("# baseline uniform-ThetaF: MAE=%.4f Hellinger=%.4f\n",
               uniform_error.mae, uniform_error.hellinger);
 
   util::Rng rng(flags.GetInt("seed", 4));
-  graph::AttributedGraph random(input.num_nodes(), input.num_attributes());
-  AGMDP_CHECK(random.SetAttributes(input.attributes()).ok());
+  graph::AttributedGraph random(input.num_nodes(), input.num_attributes);
+  AGMDP_CHECK(random
+                  .SetAttributes(std::vector<graph::AttrConfig>(
+                      input.attributes_data(),
+                      input.attributes_data() + input.num_nodes()))
+                  .ok());
   while (random.num_edges() < input.num_edges()) {
     auto u = static_cast<graph::NodeId>(rng.UniformIndex(input.num_nodes()));
     auto v = static_cast<graph::NodeId>(rng.UniformIndex(input.num_nodes()));
@@ -110,7 +113,8 @@ int RunAgmDpTable(datasets::DatasetId id, const util::Flags& flags) {
 
   std::printf("# Tables 2-5 harness: dataset=%s trials=%d\n",
               spec.name.c_str(), trials);
-  graph::AttributedGraph input = LoadDataset(id, flags);
+  graph::AttributedCsrGraph input =
+      graph::AttributedCsrGraph::FromGraph(LoadDataset(id, flags));
 
   // One profile of the original (computed on one CsrGraph snapshot) serves
   // the baselines, the non-private reference rows and — handed to RunSweep
@@ -145,8 +149,8 @@ int RunAgmDpTable(datasets::DatasetId id, const util::Flags& flags) {
     config.sample.threads = threads;
     pipeline::EngineOptions engine_options;
     engine_options.threads = threads;
-    // No calibration warm start: each trial runs the same cold acceptance
-    // loop SynthesizeAgmNonPrivate did — only the exact-parameter fit is
+    // No calibration warm start: each trial runs the cold acceptance loop
+    // of SampleAgmGraph on the exact parameters — only the fit is
     // amortized across trials.
     engine_options.calibrate = false;
     engine_options.sample = config.sample;

@@ -18,7 +18,6 @@
 #include "src/dp/edge_truncation.h"
 #include "src/dp/ladder_mechanism.h"
 #include "src/dp/smooth_sensitivity.h"
-#include "src/graph/degree.h"
 #include "src/graph/triangle_count.h"
 #include "src/stats/metrics.h"
 #include "src/util/flags.h"
@@ -33,10 +32,12 @@ int main(int argc, char** argv) {
   auto input = datasets::GenerateDataset(datasets::DatasetId::kPetster,
                                          /*scale=*/0.5, /*seed=*/5);
   if (!input.ok()) return 1;
-  const graph::AttributedGraph& g = input.value();
+  // Every DP learner reads the immutable snapshot of the input.
+  const graph::AttributedCsrGraph g =
+      graph::AttributedCsrGraph::FromGraph(input.value());
   std::printf("demo graph: n=%u m=%llu dmax=%u\n\n", g.num_nodes(),
               static_cast<unsigned long long>(g.num_edges()),
-              g.structure().MaxDegree());
+              g.structure.MaxDegree());
 
   // 1. Laplace mechanism on the attribute histogram (GS = 2).
   std::printf("[1] Laplace mechanism: Theta_X at eps=%.2f\n", eps);
@@ -49,12 +50,12 @@ int main(int argc, char** argv) {
 
   // 2. Edge truncation: k-bounded projection shrinks sensitivity 2n-2 -> 2k.
   const uint32_t k = dp::HeuristicTruncationK(g.num_nodes());
-  const graph::AttributedGraph truncated = dp::TruncateEdges(g, k);
+  const graph::CsrGraph truncated = dp::TruncateEdges(g.structure, k);
   std::printf("\n[2] edge truncation: k = n^(1/3) = %u\n", k);
   std::printf("    edges kept %llu / %llu, dmax %u -> %u\n",
               static_cast<unsigned long long>(truncated.num_edges()),
               static_cast<unsigned long long>(g.num_edges()),
-              g.structure().MaxDegree(), truncated.structure().MaxDegree());
+              g.structure.MaxDegree(), truncated.MaxDegree());
   std::printf("    naive GS = 2n-2 = %u, truncated GS = 2k = %u\n",
               2 * g.num_nodes() - 2, 2 * k);
   const auto exact_f = agm::ComputeThetaF(g);
@@ -66,7 +67,7 @@ int main(int argc, char** argv) {
   const double delta = 1e-6;
   const double beta = dp::SmoothSensitivityBeta(eps, delta);
   const double smooth =
-      dp::SmoothSensitivityQF(g.structure().MaxDegree(), g.num_nodes(), beta);
+      dp::SmoothSensitivityQF(g.structure.MaxDegree(), g.num_nodes(), beta);
   std::printf("\n[3] smooth sensitivity: beta=%.4f S*=%.1f (vs GS %u)\n",
               beta, smooth, 2 * g.num_nodes() - 2);
   const auto smooth_f = agm::LearnCorrelationsSmooth(g, eps, delta, rng);
@@ -74,7 +75,7 @@ int main(int argc, char** argv) {
               stats::MeanAbsoluteError(smooth_f, exact_f));
 
   // 4. Constrained inference on the degree sequence.
-  const auto degrees = graph::DegreeSequence(g.structure());
+  const std::vector<uint32_t>& degrees = g.structure.degrees();
   const auto private_degrees = dp::DpDegreeSequence(degrees, eps, rng);
   std::vector<uint32_t> sorted = degrees;
   std::sort(sorted.begin(), sorted.end());
@@ -88,10 +89,10 @@ int main(int argc, char** argv) {
               l1 / sorted.size(), 2.0 / eps);
 
   // 5. Ladder mechanism for the triangle count.
-  const uint64_t tri = graph::CountTriangles(g.structure());
+  const uint64_t tri = graph::CountTriangles(g.structure);
   dp::LadderDiagnostics diag;
   auto private_tri =
-      dp::DpTriangleCount(g.structure(), eps, rng, dp::LadderOptions{}, &diag);
+      dp::DpTriangleCount(g.structure, eps, rng, dp::LadderOptions{}, &diag);
   std::printf("\n[5] ladder mechanism: true n_tri=%llu private=%lld "
               "(ladder base %u, %s)\n",
               static_cast<unsigned long long>(tri),

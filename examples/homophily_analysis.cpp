@@ -84,18 +84,21 @@ int main(int argc, char** argv) {
   std::printf("relational accuracy on input graph: %.3f\n\n",
               RelationalAccuracy(g));
 
+  // The private fit reads the input's immutable snapshot.
+  const graph::AttributedCsrGraph snapshot =
+      graph::AttributedCsrGraph::FromGraph(g);
   pipeline::PipelineConfig options;
   options.epsilon = epsilon;
   options.model = "tricycle";
   options.sample.acceptance_iterations = 3;
-  auto tricl = pipeline::RunPrivateRelease(g, options, rng);
+  auto tricl = pipeline::RunPrivateRelease(snapshot, options, rng);
   if (!tricl.ok()) return 1;
   std::printf("AGMDP-TriCL synthetic (eps=%.2f):    %.3f (homophily %.3f)\n",
               epsilon, RelationalAccuracy(tricl.value().graph),
               datasets::SameConfigEdgeFraction(tricl.value().graph));
 
   options.model = "fcl";
-  auto fcl = pipeline::RunPrivateRelease(g, options, rng);
+  auto fcl = pipeline::RunPrivateRelease(snapshot, options, rng);
   if (!fcl.ok()) return 1;
   std::printf("AGMDP-FCL synthetic (eps=%.2f):      %.3f (homophily %.3f)\n",
               epsilon, RelationalAccuracy(fcl.value().graph),

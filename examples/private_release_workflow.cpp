@@ -51,9 +51,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", input.status().ToString().c_str());
     return 1;
   }
+  // The fit and the analytics read the input's immutable snapshot.
+  const graph::AttributedCsrGraph snapshot =
+      graph::AttributedCsrGraph::FromGraph(input.value());
   std::printf("%s\n", stats::FormatSummary(
-                         "input", stats::Summarize(graph::CsrGraph::FromGraph(
-                                      input.value().structure())))
+                         "input", stats::Summarize(snapshot.structure))
                          .c_str());
 
   // IMPORTANT privacy note: the parameters are the release. Fitting them
@@ -63,7 +65,7 @@ int main(int argc, char** argv) {
               config.epsilon, releases);
 
   // ---- fit once (the only step that touches the sensitive graph) ----
-  auto fitted = pipeline::FitReleaseArtifact(input.value(), config, rng);
+  auto fitted = pipeline::FitReleaseArtifact(snapshot, config, rng);
   if (!fitted.ok()) {
     std::fprintf(stderr, "fit failed: %s\n",
                  fitted.status().ToString().c_str());
@@ -118,8 +120,7 @@ int main(int argc, char** argv) {
   }
 
   // The input is profiled once; each release is scored against it.
-  const eval::ReferenceProfile reference =
-      eval::ProfileReference(input.value());
+  const eval::ReferenceProfile reference = eval::ProfileReference(snapshot);
   for (int i = 0; i < releases; ++i) {
     const graph::AttributedGraph& g = graphs.value()[static_cast<size_t>(i)];
     // WriteGraph routes on the extension: pass --out=release.agmbin to

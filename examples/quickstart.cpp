@@ -19,21 +19,22 @@ int main(int argc, char** argv) {
   util::Rng rng(flags.GetInt("seed", 42));
 
   // 1. A sensitive input graph. Here: the Last.fm stand-in — in a real
-  //    deployment this is your private attributed graph, e.g. opened with
-  //    graph::GraphSource::Open(path) (text prefix or .agmbin container)
-  //    and materialized via .Materialize().
+  //    deployment this is your private attributed graph, opened with
+  //    graph::GraphSource::Open(path) (text prefix or .agmbin container);
+  //    its snapshot() is what the pipeline and the analytics read.
   auto input = datasets::GenerateDataset(datasets::DatasetId::kLastFm,
                                          /*scale=*/0.5, /*seed=*/7);
   if (!input.ok()) {
     std::fprintf(stderr, "dataset: %s\n", input.status().ToString().c_str());
     return 1;
   }
+  const auto original = graph::AttributedCsrGraph::FromGraph(input.value());
 
   // 2. One call: the release pipeline learns all AGM parameters under
   //    epsilon-DP and samples a synthetic graph (TriCycLe by default).
   pipeline::PipelineConfig config;
   config.epsilon = flags.GetDouble("epsilon", std::log(2.0));
-  auto result = pipeline::RunPrivateRelease(input.value(), config, rng);
+  auto result = pipeline::RunPrivateRelease(original, config, rng);
   if (!result.ok()) {
     std::fprintf(stderr, "AGM-DP: %s\n", result.status().ToString().c_str());
     return 1;
@@ -46,7 +47,6 @@ int main(int argc, char** argv) {
     std::printf("  %-16s eps = %.4f\n", label.c_str(), eps);
   }
   // Analytics read immutable CSR snapshots of both graphs.
-  const auto original = graph::AttributedCsrGraph::FromGraph(input.value());
   const auto synthetic =
       graph::AttributedCsrGraph::FromGraph(result.value().graph);
   std::printf("\n%s\n", stats::FormatSummary(

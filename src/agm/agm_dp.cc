@@ -6,8 +6,6 @@
 #include "src/agm/theta_f.h"
 #include "src/agm/theta_x.h"
 #include "src/dp/constrained_inference.h"
-#include "src/dp/edge_truncation.h"
-#include "src/graph/degree.h"
 #include "src/util/check.h"
 
 namespace agmdp::agm {
@@ -30,16 +28,35 @@ auto TimedStage(const char* stage, std::vector<StageSeconds>* timings,
 
 }  // namespace
 
-util::Result<AgmParams> LearnAgmParamsDp(const graph::AttributedGraph& input,
-                                         const AgmDpOptions& options,
-                                         dp::PrivacyAccountant& accountant,
-                                         util::Rng& rng,
-                                         std::vector<StageSeconds>* timings) {
+util::Result<AgmParams> LearnAgmParamsDp(
+    const graph::AttributedCsrGraph& input, const AgmDpOptions& options,
+    dp::PrivacyAccountant& accountant, util::Rng& rng,
+    std::vector<StageSeconds>* timings) {
   if (options.epsilon <= 0.0) {
     return util::Status::InvalidArgument("AGM-DP: epsilon must be positive");
   }
-  if (input.num_nodes() < 2) {
+  const graph::NodeId n = input.num_nodes();
+  if (n < 2) {
     return util::Status::InvalidArgument("AGM-DP: graph too small");
+  }
+  // Estimator preconditions, checked before the first spend.
+  if (options.theta_f_method == ThetaFMethod::kSmoothSensitivity &&
+      !(options.smooth_delta > 0.0 && options.smooth_delta < 1.0)) {
+    return util::Status::InvalidArgument(
+        "AGM-DP: smooth_delta must lie in (0, 1)");
+  }
+  uint32_t sa_group = options.sa_group_size;
+  if (options.theta_f_method == ThetaFMethod::kSampleAggregate) {
+    if (sa_group == 0) {
+      sa_group = static_cast<uint32_t>(
+          std::lround(std::sqrt(static_cast<double>(n))));
+      if (sa_group < 2) sa_group = 2;
+    }
+    if (sa_group > n) {
+      return util::Status::InvalidArgument(
+          "AGM-DP: sa_group_size " + std::to_string(sa_group) +
+          " exceeds the node count " + std::to_string(n));
+    }
   }
   const bool tricycle = options.model == StructuralModelKind::kTriCycLe;
 
@@ -54,7 +71,7 @@ util::Result<AgmParams> LearnAgmParamsDp(const graph::AttributedGraph& input,
   }
 
   AgmParams params;
-  params.w = input.num_attributes();
+  params.w = input.num_attributes;
 
   // Line 3: Θ̃X (Algorithm 5).
   if (auto st = accountant.Spend(split.theta_x, "theta_x"); !st.ok()) return st;
@@ -72,16 +89,9 @@ util::Result<AgmParams> LearnAgmParamsDp(const graph::AttributedGraph& input,
       case ThetaFMethod::kSmoothSensitivity:
         return LearnCorrelationsSmooth(input, split.theta_f,
                                        options.smooth_delta, rng);
-      case ThetaFMethod::kSampleAggregate: {
-        uint32_t group = options.sa_group_size;
-        if (group == 0) {
-          group = static_cast<uint32_t>(
-              std::lround(std::sqrt(static_cast<double>(input.num_nodes()))));
-          if (group < 2) group = 2;
-        }
-        return LearnCorrelationsSampleAggregate(input, split.theta_f, group,
-                                                rng);
-      }
+      case ThetaFMethod::kSampleAggregate:
+        return LearnCorrelationsSampleAggregate(input, split.theta_f,
+                                                sa_group, rng);
       case ThetaFMethod::kNaiveLaplace:
         return LearnCorrelationsNaive(input, split.theta_f, rng);
     }
@@ -96,8 +106,8 @@ util::Result<AgmParams> LearnAgmParamsDp(const graph::AttributedGraph& input,
     return st;
   }
   params.degree_sequence = TimedStage("degree_sequence", timings, [&] {
-    return dp::DpDegreeSequence(graph::DegreeSequence(input.structure()),
-                                split.degree_seq, rng);
+    return dp::DpDegreeSequence(input.structure.degrees(), split.degree_seq,
+                                rng);
   });
 
   if (tricycle) {
@@ -105,7 +115,7 @@ util::Result<AgmParams> LearnAgmParamsDp(const graph::AttributedGraph& input,
       return st;
     }
     auto triangles = TimedStage("triangles", timings, [&] {
-      return dp::DpTriangleCount(input.structure(), split.triangles, rng,
+      return dp::DpTriangleCount(input.structure, split.triangles, rng,
                                  options.ladder);
     });
     if (!triangles.ok()) return triangles.status();
@@ -113,33 +123,6 @@ util::Result<AgmParams> LearnAgmParamsDp(const graph::AttributedGraph& input,
         static_cast<uint64_t>(std::max<int64_t>(0, triangles.value()));
   }
   return params;
-}
-
-util::Result<AgmDpResult> SynthesizeAgmDp(const graph::AttributedGraph& input,
-                                          const AgmDpOptions& options,
-                                          util::Rng& rng) {
-  if (options.epsilon <= 0.0) {
-    return util::Status::InvalidArgument("AGM-DP: epsilon must be positive");
-  }
-  dp::PrivacyAccountant accountant(options.epsilon);
-  auto params = LearnAgmParamsDp(input, options, accountant, rng);
-  if (!params.ok()) return params.status();
-
-  // Lines 6-18: sampling is pure post-processing of the learned parameters.
-  AgmSampleOptions sample = options.sample;
-  sample.model = options.model;
-  auto synthetic = SampleAgmGraph(params.value(), sample, rng);
-  if (!synthetic.ok()) return synthetic.status();
-
-  AgmDpResult result{std::move(synthetic).value(), std::move(params).value(),
-                     accountant.ledger()};
-  return result;
-}
-
-util::Result<graph::AttributedGraph> SynthesizeAgmNonPrivate(
-    const graph::AttributedGraph& input, const AgmSampleOptions& options,
-    util::Rng& rng) {
-  return SampleAgmGraph(LearnAgmParams(input), options, rng);
 }
 
 }  // namespace agmdp::agm

@@ -1,5 +1,4 @@
-// AGM-DP — the end-to-end differentially private synthesis workflow
-// (Algorithm 3, Theorem 2).
+// AGM-DP parameter learning — the private half of Algorithm 3 (Theorem 2).
 //
 // The global privacy budget is split among the parameter learners (Section
 // 5: even four-way for TriCycLe; S gets half for FCL), each parameter is
@@ -10,13 +9,12 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/agm/agm_sampler.h"
 #include "src/dp/ladder_mechanism.h"
 #include "src/dp/privacy_budget.h"
-#include "src/graph/attributed_graph.h"
+#include "src/graph/csr.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
 
@@ -37,22 +35,13 @@ struct AgmDpOptions {
   ThetaFMethod theta_f_method = ThetaFMethod::kEdgeTruncation;
   /// Truncation parameter for ΘF; 0 selects the paper's n^(1/3) heuristic.
   uint32_t truncation_k = 0;
-  /// delta for the smooth-sensitivity ΘF variant.
+  /// delta for the smooth-sensitivity ΘF variant, in (0, 1).
   double smooth_delta = 1e-6;
-  /// Group size for sample-and-aggregate; 0 selects sqrt(n).
+  /// Group size for sample-and-aggregate, at most n; 0 selects sqrt(n).
   uint32_t sa_group_size = 0;
   /// Budget split; a zero-total split selects the model's default.
   dp::BudgetSplit split;
   dp::LadderOptions ladder;
-  AgmSampleOptions sample;
-};
-
-struct AgmDpResult {
-  graph::AttributedGraph graph;
-  /// The private parameters the graph was sampled from.
-  AgmParams params;
-  /// (label, epsilon) spends, summing to <= options.epsilon.
-  std::vector<std::pair<std::string, double>> budget_ledger;
 };
 
 /// Wall-clock seconds spent in one named stage of the workflow.
@@ -65,26 +54,14 @@ struct StageSeconds {
 /// (Θ̃X, Θ̃F, Θ̃M) under the split budget, recording every spend against the
 /// caller's accountant — this is the only function that touches the
 /// sensitive input, so auditing `accountant.ledger()` audits the entire
-/// release. Appends per-stage wall-clock timings to `timings` when non-null.
-/// Fails on invalid options or if a spend would overdraw the accountant.
-util::Result<AgmParams> LearnAgmParamsDp(const graph::AttributedGraph& input,
-                                         const AgmDpOptions& options,
-                                         dp::PrivacyAccountant& accountant,
-                                         util::Rng& rng,
-                                         std::vector<StageSeconds>* timings =
-                                             nullptr);
-
-/// Runs Algorithm 3. Fails on invalid options (non-positive epsilon,
-/// missing attributes, inconsistent split). Equivalent to LearnAgmParamsDp
-/// on a fresh accountant followed by SampleAgmGraph.
-util::Result<AgmDpResult> SynthesizeAgmDp(const graph::AttributedGraph& input,
-                                          const AgmDpOptions& options,
-                                          util::Rng& rng);
-
-/// Convenience: the non-private AGM baselines (AGM-FCL / AGM-TriCL) via the
-/// same sampling machinery.
-util::Result<graph::AttributedGraph> SynthesizeAgmNonPrivate(
-    const graph::AttributedGraph& input, const AgmSampleOptions& options,
-    util::Rng& rng);
+/// release. Sampling the synthetic graph (lines 6-18) is pure
+/// post-processing: pipeline::RunPrivateRelease composes the two halves.
+/// Appends per-stage wall-clock timings to `timings` when non-null.
+/// Fails on invalid options before any spend, or if a spend would
+/// overdraw the accountant.
+util::Result<AgmParams> LearnAgmParamsDp(
+    const graph::AttributedCsrGraph& input, const AgmDpOptions& options,
+    dp::PrivacyAccountant& accountant, util::Rng& rng,
+    std::vector<StageSeconds>* timings = nullptr);
 
 }  // namespace agmdp::agm

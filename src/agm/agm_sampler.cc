@@ -11,7 +11,6 @@
 #include "src/agm/theta_x.h"
 #include "src/dp/laplace_mechanism.h"
 #include "src/graph/attribute_encoding.h"
-#include "src/graph/degree.h"
 #include "src/graph/triangle_count.h"
 #include "src/util/alias_sampler.h"
 #include "src/util/check.h"
@@ -21,13 +20,13 @@
 
 namespace agmdp::agm {
 
-AgmParams LearnAgmParams(const graph::AttributedGraph& g) {
+AgmParams LearnAgmParams(const graph::AttributedCsrGraph& g) {
   AgmParams params;
-  params.w = g.num_attributes();
+  params.w = g.num_attributes;
   params.theta_x = ComputeThetaX(g);
   params.theta_f = ComputeThetaF(g);
-  params.degree_sequence = graph::DegreeSequence(g.structure());
-  params.target_triangles = graph::CountTriangles(g.structure());
+  params.degree_sequence = g.structure.degrees();
+  params.target_triangles = graph::CountTriangles(g.structure);
   return params;
 }
 

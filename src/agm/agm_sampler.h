@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/graph/attributed_graph.h"
+#include "src/graph/csr.h"
 #include "src/models/chung_lu.h"
 #include "src/models/edge_filter.h"
 #include "src/models/tricycle.h"
@@ -66,7 +67,7 @@ util::Status ValidateAgmParams(const AgmParams& params);
 
 /// Exact (non-private) parameter estimation — the AGM-FCL / AGM-TriCL
 /// baselines of Tables 2-5.
-AgmParams LearnAgmParams(const graph::AttributedGraph& g);
+AgmParams LearnAgmParams(const graph::AttributedCsrGraph& g);
 
 /// Pluggable structural-model hook: given the (private) AGM parameters and
 /// the attribute-acceptance filter, generate an edge set. Used by the
@@ -137,9 +138,10 @@ std::vector<double> ComputeAcceptanceProbabilities(
     const std::vector<double>& theta_f_observed,
     const std::vector<double>& a_old, double min_acceptance);
 
-/// Θ'F measured over `threads` workers (node-range partition; exact integer
-/// counts, so the result is identical at any thread count). Equals
-/// ComputeThetaF(g) and is exposed so benches can time the parallel path.
+/// Θ'F of a generated graph, measured over `threads` workers (node-range
+/// partition; exact integer counts, so the result is identical at any
+/// thread count). Equals ComputeThetaF on the graph's snapshot and is
+/// exposed so benches can time the parallel path.
 std::vector<double> MeasureThetaF(const graph::AttributedGraph& g,
                                   int threads);
 

@@ -4,20 +4,10 @@
 #include "src/dp/laplace_mechanism.h"
 #include "src/dp/sample_aggregate.h"
 #include "src/dp/smooth_sensitivity.h"
-#include "src/graph/components.h"
 #include "src/util/check.h"
 #include "src/util/parallel.h"
 
 namespace agmdp::agm {
-
-std::vector<double> ComputeConnectionCounts(const graph::AttributedGraph& g) {
-  const int w = g.num_attributes();
-  std::vector<double> counts(graph::NumEdgeConfigs(w), 0.0);
-  g.structure().ForEachEdge([&](graph::NodeId u, graph::NodeId v) {
-    counts[graph::EncodeEdgeConfig(g.attribute(u), g.attribute(v), w)] += 1.0;
-  });
-  return counts;
-}
 
 std::vector<double> ComputeConnectionCounts(const graph::AttributedCsrGraph& g,
                                             int threads) {
@@ -39,8 +29,7 @@ std::vector<double> ComputeConnectionCounts(const graph::AttributedCsrGraph& g,
       [&](const std::vector<uint64_t>& local) {
         for (size_t i = 0; i < tally.size(); ++i) tally[i] += local[i];
       });
-  // The Graph path accumulates +1.0 per edge — exact, so casting the
-  // integer tallies reproduces it bit-for-bit.
+  // Integer tallies cast exactly, like a +1.0-per-edge accumulation.
   std::vector<double> counts(tally.size());
   for (size_t i = 0; i < tally.size(); ++i) {
     counts[i] = static_cast<double>(tally[i]);
@@ -48,11 +37,16 @@ std::vector<double> ComputeConnectionCounts(const graph::AttributedCsrGraph& g,
   return counts;
 }
 
-std::vector<double> ComputeThetaF(const graph::AttributedGraph& g) {
-  std::vector<double> counts = ComputeConnectionCounts(g);
-  // Edgeless graphs normalize to uniform inside ClampAndNormalize.
-  return dp::ClampAndNormalize(std::move(counts), 0.0,
-                               static_cast<double>(g.num_edges() + 1));
+std::vector<double> ComputeTruncatedConnectionCounts(
+    const graph::AttributedCsrGraph& g, uint32_t k) {
+  const int w = g.num_attributes;
+  std::vector<double> counts(graph::NumEdgeConfigs(w), 0.0);
+  dp::ForEachTruncatedEdge(
+      g.structure, k, [&](graph::NodeId u, graph::NodeId v) {
+        counts[graph::EncodeEdgeConfig(g.attribute(u), g.attribute(v), w)] +=
+            1.0;
+      });
+  return counts;
 }
 
 std::vector<double> ComputeThetaF(const graph::AttributedCsrGraph& g,
@@ -72,26 +66,26 @@ std::vector<double> ThetaFFromConnectionCounts(
                                static_cast<double>(num_edges + 1));
 }
 
-std::vector<double> LearnCorrelationsDp(const graph::AttributedGraph& g,
+std::vector<double> LearnCorrelationsDp(const graph::AttributedCsrGraph& g,
                                         double epsilon, uint32_t k,
                                         util::Rng& rng) {
   AGMDP_CHECK(epsilon > 0.0);
   if (k == 0) k = dp::HeuristicTruncationK(g.num_nodes());
-  const graph::AttributedGraph truncated = dp::TruncateEdges(g, k);
-  std::vector<double> counts = ComputeConnectionCounts(truncated);
+  std::vector<double> counts = ComputeTruncatedConnectionCounts(g, k);
   std::vector<double> noisy =
       dp::NoisyCounts(counts, /*sensitivity=*/2.0 * k, epsilon, rng);
   return dp::ClampAndNormalize(std::move(noisy), 0.0,
                                static_cast<double>(g.num_nodes()));
 }
 
-std::vector<double> LearnCorrelationsSmooth(const graph::AttributedGraph& g,
+std::vector<double> LearnCorrelationsSmooth(const graph::AttributedCsrGraph& g,
                                             double epsilon, double delta,
                                             util::Rng& rng) {
   AGMDP_CHECK(epsilon > 0.0);
   std::vector<double> counts = ComputeConnectionCounts(g);
   // Lap(2 S / eps) == Laplace mechanism with sensitivity 2 S.
-  const double scale = dp::SmoothLaplaceScaleQF(g.structure(), epsilon, delta);
+  const double scale = dp::SmoothLaplaceScaleQF(
+      g.structure.MaxDegree(), g.num_nodes(), epsilon, delta);
   std::vector<double> noisy(counts.size());
   for (size_t i = 0; i < counts.size(); ++i) {
     noisy[i] = counts[i] + rng.Laplace(scale);
@@ -101,18 +95,36 @@ std::vector<double> LearnCorrelationsSmooth(const graph::AttributedGraph& g,
 }
 
 std::vector<double> LearnCorrelationsSampleAggregate(
-    const graph::AttributedGraph& g, double epsilon, uint32_t group_size,
+    const graph::AttributedCsrGraph& g, double epsilon, uint32_t group_size,
     util::Rng& rng) {
   AGMDP_CHECK(epsilon > 0.0);
   const graph::NodeId n = g.num_nodes();
   auto partition = dp::RandomNodePartition(n, group_size, rng);
   AGMDP_CHECK_MSG(partition.ok(), "invalid sample-and-aggregate group size");
+  const std::vector<std::vector<graph::NodeId>>& groups = partition.value();
+
+  // One pass over the edges tallies every group's induced subgraph: an edge
+  // belongs to a group's subgraph iff both endpoints are in that group.
+  std::vector<uint32_t> group_of(n);
+  for (uint32_t i = 0; i < groups.size(); ++i) {
+    for (graph::NodeId v : groups[i]) group_of[v] = i;
+  }
+  const int w = g.num_attributes;
+  std::vector<std::vector<uint64_t>> tally(
+      groups.size(), std::vector<uint64_t>(graph::NumEdgeConfigs(w), 0));
+  std::vector<uint64_t> group_edges(groups.size(), 0);
+  g.structure.ForEachEdge([&](graph::NodeId u, graph::NodeId v) {
+    const uint32_t group = group_of[u];
+    if (group != group_of[v]) return;
+    ++tally[group][graph::EncodeEdgeConfig(g.attribute(u), g.attribute(v), w)];
+    ++group_edges[group];
+  });
 
   std::vector<std::vector<double>> per_group;
-  per_group.reserve(partition.value().size());
-  for (const auto& group : partition.value()) {
-    graph::AttributedGraph sub = graph::InducedSubgraph(g, group);
-    per_group.push_back(ComputeThetaF(sub));  // uniform if edgeless
+  per_group.reserve(groups.size());
+  for (size_t i = 0; i < groups.size(); ++i) {
+    // Uniform if the group's subgraph is edgeless.
+    per_group.push_back(ThetaFFromConnectionCounts(tally[i], group_edges[i]));
   }
   auto mean = dp::AverageVectors(per_group);
   AGMDP_CHECK(mean.ok());
@@ -123,7 +135,7 @@ std::vector<double> LearnCorrelationsSampleAggregate(
   return dp::ClampAndNormalize(std::move(noisy), 0.0, 1.0);
 }
 
-std::vector<double> LearnCorrelationsNaive(const graph::AttributedGraph& g,
+std::vector<double> LearnCorrelationsNaive(const graph::AttributedCsrGraph& g,
                                            double epsilon, util::Rng& rng) {
   AGMDP_CHECK(epsilon > 0.0);
   std::vector<double> counts = ComputeConnectionCounts(g);
@@ -134,15 +146,14 @@ std::vector<double> LearnCorrelationsNaive(const graph::AttributedGraph& g,
                                static_cast<double>(g.num_nodes()));
 }
 
-std::vector<double> LearnCorrelationsNodeDp(const graph::AttributedGraph& g,
+std::vector<double> LearnCorrelationsNodeDp(const graph::AttributedCsrGraph& g,
                                             double epsilon, double delta,
                                             uint32_t k, util::Rng& rng) {
   AGMDP_CHECK(epsilon > 0.0);
   if (k == 0) k = dp::HeuristicTruncationK(g.num_nodes());
-  const graph::AttributedGraph truncated = dp::TruncateEdges(g, k);
-  std::vector<double> counts = ComputeConnectionCounts(truncated);
+  std::vector<double> counts = ComputeTruncatedConnectionCounts(g, k);
   const double scale = dp::NodeDpSmoothLaplaceScaleQF(
-      g.structure().MaxDegree(), k, g.num_nodes(), epsilon, delta);
+      g.structure.MaxDegree(), k, g.num_nodes(), epsilon, delta);
   std::vector<double> noisy(counts.size());
   for (size_t i = 0; i < counts.size(); ++i) {
     noisy[i] = counts[i] + rng.Laplace(scale);

@@ -5,21 +5,22 @@
 
 namespace agmdp::agm {
 
-std::vector<double> ComputeAttributeCounts(const graph::AttributedGraph& g) {
-  std::vector<double> counts(graph::NumNodeConfigs(g.num_attributes()), 0.0);
+std::vector<double> ComputeAttributeCounts(
+    const graph::AttributedCsrGraph& g) {
+  std::vector<double> counts(graph::NumNodeConfigs(g.num_attributes), 0.0);
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
     counts[g.attribute(v)] += 1.0;
   }
   return counts;
 }
 
-std::vector<double> ComputeThetaX(const graph::AttributedGraph& g) {
+std::vector<double> ComputeThetaX(const graph::AttributedCsrGraph& g) {
   std::vector<double> counts = ComputeAttributeCounts(g);
   return dp::ClampAndNormalize(std::move(counts), 0.0,
                                static_cast<double>(g.num_nodes()));
 }
 
-std::vector<double> LearnAttributesDp(const graph::AttributedGraph& g,
+std::vector<double> LearnAttributesDp(const graph::AttributedCsrGraph& g,
                                       double epsilon, util::Rng& rng) {
   std::vector<double> counts = ComputeAttributeCounts(g);
   std::vector<double> noisy =

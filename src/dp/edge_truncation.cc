@@ -1,41 +1,15 @@
 #include "src/dp/edge_truncation.h"
 
 #include <cmath>
-#include <vector>
-
-#include "src/util/check.h"
 
 namespace agmdp::dp {
 
-graph::Graph TruncateEdges(const graph::Graph& g, uint32_t k) {
-  AGMDP_CHECK_MSG(k >= 1, "truncation parameter must be >= 1");
-  // Degrees evolve as edges are deleted; an edge survives iff both endpoint
-  // degrees are <= k at the moment it is processed. Equivalently, build up
-  // the surviving graph while tracking how many edges remain to be decided.
-  std::vector<uint32_t> degree(g.num_nodes());
-  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) degree[v] = g.Degree(v);
-
-  graph::Graph out(g.num_nodes());
-  for (const graph::Edge& e : g.CanonicalEdges()) {
-    if (degree[e.u] > k || degree[e.v] > k) {
-      // Delete: the endpoints' current degrees drop.
-      --degree[e.u];
-      --degree[e.v];
-    } else {
-      out.AddEdge(e.u, e.v);
-    }
-  }
-  return out;
-}
-
-graph::AttributedGraph TruncateEdges(const graph::AttributedGraph& g,
-                                     uint32_t k) {
-  graph::AttributedGraph out(TruncateEdges(g.structure(), k),
-                             g.num_attributes());
-  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    out.set_attribute(v, g.attribute(v));
-  }
-  return out;
+graph::CsrGraph TruncateEdges(const graph::CsrGraph& g, uint32_t k) {
+  std::vector<graph::Edge> kept;
+  ForEachTruncatedEdge(g, k, [&](graph::NodeId u, graph::NodeId v) {
+    kept.emplace_back(u, v);
+  });
+  return graph::CsrGraph::FromCanonicalEdges(g.num_nodes(), kept);
 }
 
 uint32_t HeuristicTruncationK(graph::NodeId n) {

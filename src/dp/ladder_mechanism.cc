@@ -13,10 +13,9 @@ namespace agmdp::dp {
 namespace {
 
 // Top two degrees (0 if absent).
-std::pair<uint32_t, uint32_t> TopTwoDegrees(const graph::Graph& g) {
+std::pair<uint32_t, uint32_t> TopTwoDegrees(const graph::CsrGraph& g) {
   uint32_t first = 0, second = 0;
-  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    uint32_t d = g.Degree(v);
+  for (uint32_t d : g.degrees()) {
     if (d >= first) {
       second = first;
       first = d;
@@ -30,7 +29,7 @@ std::pair<uint32_t, uint32_t> TopTwoDegrees(const graph::Graph& g) {
 // Second-largest degree. A valid upper bound on the max common-neighbor
 // count: |Γ(u) ∩ Γ(v)| <= min(d_u, d_v), and the min over any pair is at
 // most the second-largest degree.
-uint32_t SecondLargestDegree(const graph::Graph& g) {
+uint32_t SecondLargestDegree(const graph::CsrGraph& g) {
   return TopTwoDegrees(g).second;
 }
 
@@ -44,7 +43,7 @@ double BinomialDouble(double n, double k) {
 
 }  // namespace
 
-util::Result<int64_t> DpTriangleCount(const graph::Graph& g, double epsilon,
+util::Result<int64_t> DpTriangleCount(const graph::CsrGraph& g, double epsilon,
                                       util::Rng& rng,
                                       const LadderOptions& options,
                                       LadderDiagnostics* diagnostics) {
@@ -149,7 +148,7 @@ util::Result<int64_t> DpTriangleCount(const graph::Graph& g, double epsilon,
   return result;
 }
 
-util::Result<double> DpKStarCount(const graph::Graph& g, uint32_t k,
+util::Result<double> DpKStarCount(const graph::CsrGraph& g, uint32_t k,
                                   double epsilon, util::Rng& rng) {
   if (epsilon <= 0.0) {
     return util::Status::InvalidArgument("DpKStarCount: epsilon <= 0");

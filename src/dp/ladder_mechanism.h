@@ -23,7 +23,7 @@
 
 #include <cstdint>
 
-#include "src/graph/graph.h"
+#include "src/graph/csr.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
 
@@ -45,7 +45,7 @@ struct LadderDiagnostics {
 /// eps-DP estimate of the triangle count. The result is clamped to
 /// [0, C(n,3)]. `diagnostics`, if non-null, reports which ladder base was
 /// used. Fails on non-positive epsilon.
-util::Result<int64_t> DpTriangleCount(const graph::Graph& g, double epsilon,
+util::Result<int64_t> DpTriangleCount(const graph::CsrGraph& g, double epsilon,
                                       util::Rng& rng,
                                       const LadderOptions& options = {},
                                       LadderDiagnostics* diagnostics = nullptr);
@@ -56,7 +56,7 @@ util::Result<int64_t> DpTriangleCount(const graph::Graph& g, double epsilon,
 /// with d1, d2 the two largest degrees. Returns a double: k-star counts
 /// overflow 64-bit integers on large graphs, and at that magnitude the
 /// rung offsets are sampled continuously (documented approximation).
-util::Result<double> DpKStarCount(const graph::Graph& g, uint32_t k,
+util::Result<double> DpKStarCount(const graph::CsrGraph& g, uint32_t k,
                                   double epsilon, util::Rng& rng);
 
 }  // namespace agmdp::dp

@@ -48,10 +48,10 @@ double SmoothSensitivityQF(uint32_t dmax, graph::NodeId n, double beta) {
                                beta);
 }
 
-double SmoothLaplaceScaleQF(const graph::Graph& g, double epsilon,
+double SmoothLaplaceScaleQF(uint32_t dmax, graph::NodeId n, double epsilon,
                             double delta) {
   const double beta = SmoothSensitivityBeta(epsilon, delta);
-  const double smooth = SmoothSensitivityQF(g.MaxDegree(), g.num_nodes(), beta);
+  const double smooth = SmoothSensitivityQF(dmax, n, beta);
   return 2.0 * smooth / epsilon;
 }
 

@@ -24,8 +24,9 @@ double SmoothSensitivityBeta(double epsilon, double delta);
 double SmoothSensitivityQF(uint32_t dmax, graph::NodeId n, double beta);
 
 /// Scale of the Laplace noise for an (epsilon, delta)-DP release of Q_F via
-/// smooth sensitivity: 2 * S / epsilon.
-double SmoothLaplaceScaleQF(const graph::Graph& g, double epsilon,
+/// smooth sensitivity at a graph with maximum degree dmax and n nodes:
+/// 2 * S / epsilon.
+double SmoothLaplaceScaleQF(uint32_t dmax, graph::NodeId n, double epsilon,
                             double delta);
 
 /// Reconstruction of the paper's Section-7 preliminary node-DP experiment:

@@ -6,9 +6,8 @@
 #include <thread>
 
 #include "src/datasets/datasets.h"
-#include "src/graph/csr.h"
-#include "src/mechanisms/release_mechanism.h"
 #include "src/graph/graph_source.h"
+#include "src/mechanisms/release_mechanism.h"
 #include "src/pipeline/release_engine.h"
 #include "src/pipeline/release_pipeline.h"
 #include "src/util/json.h"
@@ -272,7 +271,8 @@ util::Result<SweepResult> RunSweepOnDatasets(const SweepSpec& spec) {
       if (datasets::PaperSpec(id).name != name) continue;
       auto g = datasets::GenerateDataset(id, spec.dataset_scale, spec.seed);
       if (!g.ok()) return g.status();
-      inputs.push_back(SweepInput{name, std::move(g).value(), nullptr});
+      inputs.push_back(SweepInput{
+          name, graph::AttributedCsrGraph::FromGraph(g.value()), nullptr});
       found = true;
       break;
     }
@@ -289,8 +289,7 @@ util::Result<SweepResult> RunSweepOnDatasets(const SweepSpec& spec) {
         }
         return source.status();
       }
-      inputs.push_back(
-          SweepInput{name, source.value().Materialize(), nullptr});
+      inputs.push_back(SweepInput{name, source.value().snapshot(), nullptr});
       found = true;
     }
   }

@@ -25,7 +25,7 @@
 
 #include "src/dp/privacy_budget.h"
 #include "src/eval/aggregate.h"
-#include "src/graph/attributed_graph.h"
+#include "src/graph/csr.h"
 #include "src/pipeline/pipeline_config.h"
 #include "src/util/status.h"
 
@@ -77,10 +77,11 @@ struct SweepSpec {
   dp::BudgetSplit split;
 };
 
-/// A named evaluation input.
+/// A named evaluation input: the snapshot every cell fits from and
+/// profiles against.
 struct SweepInput {
   std::string name;
-  graph::AttributedGraph graph;
+  graph::AttributedCsrGraph graph;
   /// Optional precomputed profile of `graph` (callers that already
   /// profiled the original — e.g. the table harness — pass it here);
   /// RunSweep profiles the graph itself when absent.

@@ -1,9 +1,7 @@
 #include "src/graph/components.h"
 
 #include <algorithm>
-#include <unordered_map>
 
-#include "src/util/check.h"
 
 namespace agmdp::graph {
 
@@ -55,34 +53,6 @@ std::vector<NodeId> LargestComponent(const Graph& g) {
     if (label[v] == best) nodes.push_back(v);
   }
   return nodes;
-}
-
-Graph InducedSubgraph(const Graph& g, const std::vector<NodeId>& nodes) {
-  std::unordered_map<NodeId, NodeId> remap;
-  remap.reserve(nodes.size());
-  for (NodeId i = 0; i < nodes.size(); ++i) {
-    AGMDP_CHECK(nodes[i] < g.num_nodes());
-    bool inserted = remap.emplace(nodes[i], i).second;
-    AGMDP_CHECK_MSG(inserted, "InducedSubgraph: duplicate node id");
-  }
-  Graph sub(static_cast<NodeId>(nodes.size()));
-  for (NodeId i = 0; i < nodes.size(); ++i) {
-    for (NodeId v : g.Neighbors(nodes[i])) {
-      auto it = remap.find(v);
-      if (it != remap.end() && i < it->second) sub.AddEdge(i, it->second);
-    }
-  }
-  return sub;
-}
-
-AttributedGraph InducedSubgraph(const AttributedGraph& g,
-                                const std::vector<NodeId>& nodes) {
-  AttributedGraph sub(InducedSubgraph(g.structure(), nodes),
-                      g.num_attributes());
-  for (NodeId i = 0; i < nodes.size(); ++i) {
-    sub.set_attribute(i, g.attribute(nodes[i]));
-  }
-  return sub;
 }
 
 }  // namespace agmdp::graph

@@ -1,13 +1,11 @@
-// Connected components, largest-component extraction, induced subgraphs.
+// Connected components and largest-component extraction.
 //
 // Used for dataset preprocessing (the paper keeps only the main connected
-// component), for TriCycLe's orphan post-processing, and for the
-// sample-and-aggregate ΘF estimator (node-partition induced subgraphs).
+// component) and for TriCycLe's orphan post-processing.
 #pragma once
 
 #include <vector>
 
-#include "src/graph/attributed_graph.h"
 #include "src/graph/graph.h"
 
 namespace agmdp::graph {
@@ -23,12 +21,5 @@ bool IsConnected(const Graph& g);
 
 /// Node ids of the largest connected component, ascending.
 std::vector<NodeId> LargestComponent(const Graph& g);
-
-/// Subgraph induced by `nodes` (ids relabeled to 0..k-1 in the given order).
-Graph InducedSubgraph(const Graph& g, const std::vector<NodeId>& nodes);
-
-/// Attributed version: structure and attribute vectors restricted to `nodes`.
-AttributedGraph InducedSubgraph(const AttributedGraph& g,
-                                const std::vector<NodeId>& nodes);
 
 }  // namespace agmdp::graph

@@ -60,6 +60,33 @@ CsrGraph CsrGraph::FromGraph(const Graph& g) {
   return csr;
 }
 
+CsrGraph CsrGraph::FromCanonicalEdges(NodeId n,
+                                      const std::vector<Edge>& edges) {
+  CsrGraph csr;
+  csr.num_nodes_ = n;
+  csr.num_edges_ = edges.size();
+  csr.owned_offsets_.resize(static_cast<size_t>(n) + 1, 0);
+  for (const Edge& e : edges) {
+    ++csr.owned_offsets_[e.u + 1];
+    ++csr.owned_offsets_[e.v + 1];
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    csr.owned_offsets_[v + 1] += csr.owned_offsets_[v];
+  }
+  // Canonical order visits every edge {w, x} with w < x before any edge
+  // {x, y}, each group ascending — so appending both endpoints in that
+  // order leaves every neighbor range sorted.
+  std::vector<uint64_t> cursor(csr.owned_offsets_.begin(),
+                               csr.owned_offsets_.end() - 1);
+  csr.owned_neighbors_.resize(csr.owned_offsets_[n]);
+  for (const Edge& e : edges) {
+    csr.owned_neighbors_[cursor[e.u]++] = e.v;
+    csr.owned_neighbors_[cursor[e.v]++] = e.u;
+  }
+  csr.FinishFromViews();
+  return csr;
+}
+
 CsrGraph CsrGraph::FromExternal(const uint64_t* offsets,
                                 const NodeId* neighbors, NodeId num_nodes,
                                 uint64_t num_edges,

@@ -57,6 +57,12 @@ class CsrGraph {
   /// sort of each neighbor range (ascending by node id).
   static CsrGraph FromGraph(const Graph& g);
 
+  /// Builds an owning snapshot of n nodes from edges given in canonical
+  /// order (u < v, sorted by (u, v)) — the order ForEachEdge emits, so a
+  /// filtered ForEachEdge walk (dp::TruncateEdges) rebuilds into sorted
+  /// ranges without a sort.
+  static CsrGraph FromCanonicalEdges(NodeId n, const std::vector<Edge>& edges);
+
   /// Wraps externally owned arrays without copying: `offsets` has
   /// num_nodes + 1 entries, `neighbors` has 2 * num_edges, and `owner`
   /// keeps the backing storage (e.g. a util::MappedFile) alive for the

@@ -200,29 +200,30 @@ util::Status WriteAttributedGraph(const AttributedGraph& g,
   return util::Status::OK();
 }
 
-util::Status WriteGraphMl(const AttributedGraph& g, const std::string& path) {
+util::Status WriteGraphMl(const AttributedCsrGraph& g,
+                          const std::string& path) {
   std::ofstream out;
   if (auto st = OpenForWrite(path, &out); !st.ok()) return st;
   out << "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"
       << "<graphml xmlns=\"http://graphml.graphdrawing.org/xmlns\">\n";
-  for (int a = 0; a < g.num_attributes(); ++a) {
+  for (int a = 0; a < g.num_attributes; ++a) {
     out << "  <key id=\"a" << a << "\" for=\"node\" attr.name=\"attr" << a
         << "\" attr.type=\"int\"/>\n";
   }
   out << "  <graph id=\"G\" edgedefault=\"undirected\">\n";
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     out << "    <node id=\"n" << v << "\">";
-    for (int a = 0; a < g.num_attributes(); ++a) {
+    for (int a = 0; a < g.num_attributes; ++a) {
       out << "<data key=\"a" << a << "\">" << ((g.attribute(v) >> a) & 1u)
           << "</data>";
     }
     out << "</node>\n";
   }
   uint64_t edge_id = 0;
-  for (const Edge& e : g.structure().CanonicalEdges()) {
-    out << "    <edge id=\"e" << edge_id++ << "\" source=\"n" << e.u
-        << "\" target=\"n" << e.v << "\"/>\n";
-  }
+  g.structure.ForEachEdge([&](NodeId u, NodeId v) {
+    out << "    <edge id=\"e" << edge_id++ << "\" source=\"n" << u
+        << "\" target=\"n" << v << "\"/>\n";
+  });
   out << "  </graph>\n</graphml>\n";
   out.flush();
   if (!out.good()) return util::Status::IoError("write failed: " + path);

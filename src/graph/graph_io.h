@@ -21,6 +21,7 @@
 #include <string>
 
 #include "src/graph/attributed_graph.h"
+#include "src/graph/csr.h"
 #include "src/graph/graph.h"
 #include "src/util/status.h"
 
@@ -33,8 +34,10 @@ util::Status WriteAttributedGraph(const AttributedGraph& g,
                                   const std::string& path_prefix);
 
 /// Exports to GraphML (one <data> key per binary attribute) for external
-/// tools — Gephi, NetworkX, igraph all ingest this directly.
-util::Status WriteGraphMl(const AttributedGraph& g, const std::string& path);
+/// tools — Gephi, NetworkX, igraph all ingest this directly. Edges are
+/// written in canonical order.
+util::Status WriteGraphMl(const AttributedCsrGraph& g,
+                          const std::string& path);
 
 /// Resolved locations of a text graph on disk.
 struct TextGraphPaths {

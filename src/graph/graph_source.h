@@ -11,9 +11,11 @@
 //     file, with `<prefix>.attrs` optional (missing means w = 0) —
 //     parsed once into an owned snapshot.
 //
-// Consumers that only *analyze* use snapshot() (works identically for
-// both formats); consumers that must mutate or re-serialize call
-// Materialize() for a mutable AttributedGraph copy.
+// Consumers read snapshot(), which works identically for both formats:
+// analytics, the private fit and the GraphML export all take it as is.
+// Materialize() builds a mutable AttributedGraph copy; only the tests and
+// perfbench, which feeds the fit through its AttributedGraph shims, still
+// call it.
 //
 // The write-side counterpart WriteGraph(g, path) routes on the file
 // extension: `.agmbin` writes the container, anything else writes the

@@ -20,7 +20,7 @@ uint64_t BinomialOrSaturate(uint64_t n, uint64_t k) {
   return result;
 }
 
-uint64_t CountKStars(const Graph& g, uint32_t k) {
+uint64_t CountKStars(const CsrGraph& g, uint32_t k) {
   AGMDP_CHECK(k >= 1);
   constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
   uint64_t total = 0;

@@ -7,7 +7,7 @@
 
 #include <cstdint>
 
-#include "src/graph/graph.h"
+#include "src/graph/csr.h"
 
 namespace agmdp::graph {
 
@@ -16,6 +16,6 @@ uint64_t BinomialOrSaturate(uint64_t n, uint64_t k);
 
 /// Number of k-stars: sum over nodes of C(degree, k). Requires k >= 1.
 /// (k = 2 equals the wedge count.)
-uint64_t CountKStars(const Graph& g, uint32_t k);
+uint64_t CountKStars(const CsrGraph& g, uint32_t k);
 
 }  // namespace agmdp::graph

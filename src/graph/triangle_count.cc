@@ -190,7 +190,7 @@ std::vector<uint64_t> PerNodeTriangles(const CsrGraph& g, int threads) {
   return counts;
 }
 
-util::Result<uint32_t> MaxCommonNeighborCount(const Graph& g,
+util::Result<uint32_t> MaxCommonNeighborCount(const CsrGraph& g,
                                               uint64_t max_work) {
   const NodeId n = g.num_nodes();
   // Work is sum over nodes of degree^2 (each node, via its neighbors'

@@ -42,7 +42,7 @@ std::vector<uint64_t> PerNodeTriangles(const CsrGraph& g, int threads = 1);
 /// distance <= 2 can have a nonzero count, so the scan enumerates wedges).
 /// Returns FailedPrecondition if the wedge work exceeds `max_work` (callers
 /// then fall back to the degree bound; see dp/ladder_mechanism.h).
-util::Result<uint32_t> MaxCommonNeighborCount(const Graph& g,
+util::Result<uint32_t> MaxCommonNeighborCount(const CsrGraph& g,
                                               uint64_t max_work);
 
 }  // namespace agmdp::graph

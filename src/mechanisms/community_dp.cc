@@ -146,11 +146,11 @@ class CommunitySampler final : public ArtifactSampler {
 }  // namespace
 
 util::Result<pipeline::ReleaseArtifact> FitCommunityDp(
-    const graph::AttributedGraph& input, const pipeline::PipelineConfig& config,
-    util::Rng& rng) {
+    const graph::AttributedCsrGraph& input,
+    const pipeline::PipelineConfig& config, util::Rng& rng) {
   const graph::NodeId n = input.num_nodes();
   if (n == 0) return Invalid("input graph has no nodes");
-  const int w = input.num_attributes();
+  const int w = input.num_attributes;
   const size_t configs = graph::NumNodeConfigs(w);
   const uint32_t blocks = ResolveBlocks(config.community_blocks, n);
 
@@ -175,7 +175,7 @@ util::Result<pipeline::ReleaseArtifact> FitCommunityDp(
     std::vector<double> scores(blocks);
     for (graph::NodeId v = 0; v < n; ++v) {
       std::fill(scores.begin(), scores.end(), 0.0);
-      for (graph::NodeId u : input.structure().Neighbors(v)) {
+      for (graph::NodeId u : input.structure.Neighbors(v)) {
         scores[labels[u]] += 1.0;
       }
       auto choice = dp::ExponentialMechanism(scores, /*sensitivity=*/1.0,
@@ -192,7 +192,7 @@ util::Result<pipeline::ReleaseArtifact> FitCommunityDp(
   // noising every count at the full stage share is parallel composition.
   if (auto st = accountant.Spend(share, "block_edges"); !st.ok()) return st;
   std::vector<double> block_edges(size_t{blocks} * (blocks + 1) / 2, 0.0);
-  input.structure().ForEachEdge([&](graph::NodeId u, graph::NodeId v) {
+  input.structure.ForEachEdge([&](graph::NodeId u, graph::NodeId v) {
     block_edges[PairIndex(labels[u], labels[v], blocks)] += 1.0;
   });
   for (size_t i = 0; i < blocks; ++i) {

@@ -31,8 +31,8 @@
 namespace agmdp::mechanisms {
 
 util::Result<pipeline::ReleaseArtifact> FitCommunityDp(
-    const graph::AttributedGraph& input, const pipeline::PipelineConfig& config,
-    util::Rng& rng);
+    const graph::AttributedCsrGraph& input,
+    const pipeline::PipelineConfig& config, util::Rng& rng);
 
 util::Result<std::shared_ptr<const ArtifactSampler>> MakeCommunitySampler(
     const pipeline::ReleaseArtifact& artifact);

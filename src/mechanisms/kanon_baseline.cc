@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/graph/degree.h"
 #include "src/models/chung_lu.h"
 #include "src/util/alias_sampler.h"
 
@@ -82,20 +81,19 @@ class KanonSampler final : public ArtifactSampler {
 }  // namespace
 
 util::Result<pipeline::ReleaseArtifact> FitKanonBaseline(
-    const graph::AttributedGraph& input, const pipeline::PipelineConfig& config,
-    util::Rng& rng) {
+    const graph::AttributedCsrGraph& input,
+    const pipeline::PipelineConfig& config, util::Rng& rng) {
   (void)rng;  // Syntactic anonymization is deterministic: no noise drawn.
   const graph::NodeId n = input.num_nodes();
   if (n < 2) return Invalid("input graph needs at least 2 nodes");
-  const int w = input.num_attributes();
+  const int w = input.num_attributes;
   const size_t configs = graph::NumNodeConfigs(w);
   const uint32_t k = ResolveK(config.k_anonymity, config.epsilon, n);
 
   // Degree k-anonymization: group the degree-sorted nodes k at a time and
   // publish each group's median. Sorting is stable by node index so the
   // grouping — hence the whole fit — is deterministic.
-  const std::vector<uint32_t> degrees =
-      graph::DegreeSequence(input.structure());
+  const std::vector<uint32_t>& degrees = input.structure.degrees();
   std::vector<graph::NodeId> order(n);
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(),

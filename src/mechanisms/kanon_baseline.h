@@ -29,8 +29,8 @@
 namespace agmdp::mechanisms {
 
 util::Result<pipeline::ReleaseArtifact> FitKanonBaseline(
-    const graph::AttributedGraph& input, const pipeline::PipelineConfig& config,
-    util::Rng& rng);
+    const graph::AttributedCsrGraph& input,
+    const pipeline::PipelineConfig& config, util::Rng& rng);
 
 util::Result<std::shared_ptr<const ArtifactSampler>> MakeKanonSampler(
     const pipeline::ReleaseArtifact& artifact);

@@ -23,7 +23,7 @@ std::vector<MechanismSpec> BuildRegistry() {
     // Identical to the pre-registry FitReleaseArtifact path: fit under the
     // accountant, package with the config fingerprint. Serving stays on
     // ReleaseEngine's dedicated calibrated path (no make_sampler).
-    spec.fit = [](const graph::AttributedGraph& input,
+    spec.fit = [](const graph::AttributedCsrGraph& input,
                   const pipeline::PipelineConfig& config, util::Rng& rng) {
       auto fit = pipeline::FitPrivateParams(input, config, rng);
       if (!fit.ok()) return util::Result<pipeline::ReleaseArtifact>(

@@ -20,9 +20,14 @@
 //
 // The registry mirrors pipeline's structural-model registry: a static
 // spec table, FindMechanism by tag, and name listings for error messages.
-// To add a scheme: implement Fit/MakeSampler, add the tag to
-// mechanism_tags.h, append a spec in release_mechanism.cc, and extend the
-// per-mechanism branch of pipeline::ValidateReleaseArtifact.
+// To add a scheme: implement
+//   Fit(const graph::AttributedCsrGraph& input,
+//       const pipeline::PipelineConfig& config, util::Rng& rng)
+//     -> util::Result<pipeline::ReleaseArtifact>
+// reading the input snapshot (in RAM or memory-mapped from .agmbin) and
+// nothing else, and MakeSampler; add the tag to mechanism_tags.h, append a
+// spec in release_mechanism.cc, and extend the per-mechanism branch of
+// pipeline::ValidateReleaseArtifact.
 #pragma once
 
 #include <functional>
@@ -31,6 +36,7 @@
 #include <vector>
 
 #include "src/graph/attributed_graph.h"
+#include "src/graph/csr.h"
 #include "src/mechanisms/mechanism_tags.h"
 #include "src/pipeline/pipeline_config.h"
 #include "src/pipeline/release_artifact.h"
@@ -65,7 +71,7 @@ struct MechanismSpec {
   /// no make_sampler.
   bool builtin_agm = false;
   std::function<util::Result<pipeline::ReleaseArtifact>(
-      const graph::AttributedGraph& input,
+      const graph::AttributedCsrGraph& input,
       const pipeline::PipelineConfig& config, util::Rng& rng)>
       fit;
   std::function<util::Result<std::shared_ptr<const ArtifactSampler>>(

@@ -113,8 +113,8 @@ util::Status PipelineConfig::Validate() const {
                      "gives triangles a zero share");
     }
   }
-  if (!std::isfinite(smooth_delta) || smooth_delta <= 0.0) {
-    return Invalid("smooth_delta must be a positive finite number");
+  if (!(smooth_delta > 0.0 && smooth_delta < 1.0)) {
+    return Invalid("smooth_delta must lie in (0, 1)");
   }
   return ValidateAcceptanceKnobs(sample.acceptance_iterations,
                                  sample.acceptance_tolerance,

@@ -47,9 +47,10 @@ struct PipelineConfig {
   agm::ThetaFMethod theta_f_method = agm::ThetaFMethod::kEdgeTruncation;
   /// Truncation parameter for ΘF; 0 selects the paper's n^(1/3) heuristic.
   uint32_t truncation_k = 0;
-  /// delta for the smooth-sensitivity ΘF variant.
+  /// delta for the smooth-sensitivity ΘF variant, in (0, 1).
   double smooth_delta = 1e-6;
-  /// Group size for sample-and-aggregate; 0 selects sqrt(n).
+  /// Group size for sample-and-aggregate, at most n (checked by the fit,
+  /// before any spend); 0 selects sqrt(n).
   uint32_t sa_group_size = 0;
   dp::LadderOptions ladder;
   /// Sampler options (acceptance iterations, threads, model-specific

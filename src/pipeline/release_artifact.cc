@@ -283,8 +283,12 @@ util::Status ValidateReleaseArtifact(const ReleaseArtifact& artifact) {
   return ValidateKanonPayload(artifact);
 }
 
-std::string ReleaseArtifactToJson(const ReleaseArtifact& artifact) {
-  util::JsonWriter json;
+namespace {
+
+// The one serialization of an artifact, into either an in-memory or a
+// streaming writer.
+void EmitReleaseArtifact(const ReleaseArtifact& artifact,
+                         util::JsonWriter& json) {
   json.BeginObject();
   json.Key("schema").Value(kSchemaName);
   json.Key("schema_version").Value(artifact.schema_version);
@@ -345,6 +349,13 @@ std::string ReleaseArtifactToJson(const ReleaseArtifact& artifact) {
     json.EndObject();
   }
   json.EndObject();
+}
+
+}  // namespace
+
+std::string ReleaseArtifactToJson(const ReleaseArtifact& artifact) {
+  util::JsonWriter json;
+  EmitReleaseArtifact(artifact, json);
   return json.Finish();
 }
 
@@ -548,8 +559,10 @@ util::Status WriteReleaseArtifact(const ReleaseArtifact& artifact,
   if (!out.is_open()) {
     return util::Status::IoError("cannot open for writing: " + path);
   }
-  const std::string body = ReleaseArtifactToJson(artifact);
-  out.write(body.data(), static_cast<std::streamsize>(body.size()));
+  // Streamed: a length-n artifact never sits whole in memory.
+  util::JsonWriter json(&out);
+  EmitReleaseArtifact(artifact, json);
+  json.Finish();
   out.flush();
   if (!out.good()) return util::Status::IoError("write failed: " + path);
   return util::Status::OK();

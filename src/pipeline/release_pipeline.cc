@@ -50,7 +50,7 @@ util::Result<std::unique_ptr<ReleaseEngine>> MakeOneShotEngine(
 // The fit half, with the config already validated (shared by
 // FitPrivateParams and RunPrivateRelease so validation happens in exactly
 // one place, before any budget is spent).
-util::Result<FitResult> FitValidated(const graph::AttributedGraph& input,
+util::Result<FitResult> FitValidated(const graph::AttributedCsrGraph& input,
                                      const PipelineConfig& config,
                                      util::Rng& rng) {
   const StructuralModelSpec* spec = FindStructuralModel(config.model);
@@ -72,35 +72,42 @@ util::Result<FitResult> FitValidated(const graph::AttributedGraph& input,
 
 }  // namespace
 
-util::Result<FitResult> FitPrivateParams(const graph::AttributedGraph& input,
-                                         const PipelineConfig& config,
-                                         util::Rng& rng) {
+util::Result<FitResult> FitPrivateParams(
+    const graph::AttributedCsrGraph& input, const PipelineConfig& config,
+    util::Rng& rng) {
   if (auto st = config.Validate(); !st.ok()) return st;
   return FitValidated(input, config, rng);
 }
 
 util::Result<ReleaseArtifact> FitReleaseArtifact(
+    const graph::AttributedCsrGraph& input, const PipelineConfig& config,
+    util::Rng& rng) {
+  // Every mechanism — "agm" included — fits through its registry entry,
+  // each charging its own accountant.
+  if (auto st = config.Validate(); !st.ok()) return st;
+  const mechanisms::MechanismSpec* mech =
+      mechanisms::FindMechanism(config.mechanism);
+  if (mech == nullptr || !mech->fit) {
+    return util::Status::InvalidArgument(
+        "release pipeline: mechanism '" + config.mechanism +
+        "' has no registered fit (registered: " +
+        mechanisms::MechanismNameList() + ")");
+  }
+  return mech->fit(input, config, rng);
+}
+
+util::Result<FitResult> FitPrivateParams(const graph::AttributedGraph& input,
+                                         const PipelineConfig& config,
+                                         util::Rng& rng) {
+  return FitPrivateParams(graph::AttributedCsrGraph::FromGraph(input), config,
+                          rng);
+}
+
+util::Result<ReleaseArtifact> FitReleaseArtifact(
     const graph::AttributedGraph& input, const PipelineConfig& config,
     util::Rng& rng) {
-  // Mechanism dispatch: non-AGM schemes fit through their registry entry
-  // (each charging its own accountant); the AGM path below is byte-for-byte
-  // the pre-registry pipeline, so existing artifacts and golden checksums
-  // are untouched.
-  if (config.mechanism != "agm") {
-    if (auto st = config.Validate(); !st.ok()) return st;
-    const mechanisms::MechanismSpec* mech =
-        mechanisms::FindMechanism(config.mechanism);
-    if (mech == nullptr || !mech->fit) {
-      return util::Status::InvalidArgument(
-          "release pipeline: mechanism '" + config.mechanism +
-          "' has no registered fit (registered: " +
-          mechanisms::MechanismNameList() + ")");
-    }
-    return mech->fit(input, config, rng);
-  }
-  auto fit = FitPrivateParams(input, config, rng);
-  if (!fit.ok()) return fit.status();
-  return MakeReleaseArtifact(fit.value(), config);
+  return FitReleaseArtifact(graph::AttributedCsrGraph::FromGraph(input),
+                            config, rng);
 }
 
 util::Result<graph::AttributedGraph> SampleRelease(
@@ -116,7 +123,7 @@ util::Result<graph::AttributedGraph> SampleRelease(
 }
 
 util::Result<ReleaseResult> RunPrivateRelease(
-    const graph::AttributedGraph& input, const PipelineConfig& config,
+    const graph::AttributedCsrGraph& input, const PipelineConfig& config,
     util::Rng& rng) {
   const Clock::time_point start = Clock::now();
   if (auto st = config.Validate(); !st.ok()) return st;

@@ -23,6 +23,7 @@
 // of looping over these — see DESIGN.md "Serving layer".
 #pragma once
 
+#include "src/graph/csr.h"
 #include "src/pipeline/model_registry.h"
 #include "src/pipeline/pipeline_config.h"
 #include "src/pipeline/release_artifact.h"
@@ -35,13 +36,23 @@ namespace agmdp::pipeline {
 /// sensitive input) and returns them with the accountant ledger and stage
 /// timings. Fails on an invalid config (PipelineConfig::Validate) before
 /// any budget is spent.
+util::Result<FitResult> FitPrivateParams(
+    const graph::AttributedCsrGraph& input, const PipelineConfig& config,
+    util::Rng& rng);
+
+/// Fit + packaging through the mechanism registry: the artifact a
+/// ReleaseEngine (or `agmdp sample`) consumes, carrying the parameters, the
+/// full ledger, and the config fingerprint.
+util::Result<ReleaseArtifact> FitReleaseArtifact(
+    const graph::AttributedCsrGraph& input, const PipelineConfig& config,
+    util::Rng& rng);
+
+/// Snapshot-and-delegate shims for perfbench, which materializes its input
+/// and may not change outside a benchmark change. Nothing else calls them;
+/// the benchmark change that retires bench_perf deletes them.
 util::Result<FitResult> FitPrivateParams(const graph::AttributedGraph& input,
                                          const PipelineConfig& config,
                                          util::Rng& rng);
-
-/// Fit + packaging: the artifact a ReleaseEngine (or `agmdp sample`)
-/// consumes, carrying the parameters, the full ledger, and the config
-/// fingerprint.
 util::Result<ReleaseArtifact> FitReleaseArtifact(
     const graph::AttributedGraph& input, const PipelineConfig& config,
     util::Rng& rng);
@@ -55,7 +66,7 @@ util::Result<graph::AttributedGraph> SampleRelease(
 /// The end-to-end private release: fit + sample under one accountant, with
 /// per-stage wall-clock metrics in the result.
 util::Result<ReleaseResult> RunPrivateRelease(
-    const graph::AttributedGraph& input, const PipelineConfig& config,
+    const graph::AttributedCsrGraph& input, const PipelineConfig& config,
     util::Rng& rng);
 
 }  // namespace agmdp::pipeline

@@ -46,7 +46,14 @@ std::string JsonNumberExact(double value) {
   return buffer;
 }
 
+void JsonWriter::Flush() {
+  if (sink_ == nullptr) return;
+  sink_->write(out_.data(), static_cast<std::streamsize>(out_.size()));
+  out_.clear();
+}
+
 void JsonWriter::BeforeValue() {
+  if (out_.size() >= (size_t{1} << 16)) Flush();
   if (counts_.empty()) return;  // top-level value
   if (pending_key_) {
     pending_key_ = false;
@@ -149,7 +156,9 @@ JsonWriter& JsonWriter::Value(const std::string& v) {
 
 std::string JsonWriter::Finish() {
   AGMDP_CHECK(counts_.empty() && !pending_key_);
-  return out_ + "\n";
+  out_ += "\n";
+  Flush();
+  return std::move(out_);
 }
 
 // ----------------------------------------------------------------- reader

@@ -11,6 +11,7 @@
 // significant digits, so doubles written that way round-trip bit-exactly.
 #pragma once
 
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,6 +45,11 @@ std::string JsonNumberExact(double value);
 ///   std::string doc = json.Finish();
 class JsonWriter {
  public:
+  JsonWriter() = default;
+  /// Streams the document into `sink` in chunks as it is built, so a large
+  /// document never sits whole in memory; Finish() then returns "".
+  explicit JsonWriter(std::ostream* sink) : sink_(sink) {}
+
   JsonWriter& BeginObject();
   JsonWriter& EndObject();
   JsonWriter& BeginArray();
@@ -68,7 +74,10 @@ class JsonWriter {
 
  private:
   void BeforeValue();
+  /// Hands the buffered text to the sink, if any.
+  void Flush();
 
+  std::ostream* sink_ = nullptr;
   std::string out_;
   /// One entry per open container: the number of elements written so far.
   std::vector<int> counts_;

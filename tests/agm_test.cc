@@ -9,8 +9,11 @@
 #include "src/agm/theta_f.h"
 #include "src/agm/theta_x.h"
 #include "src/datasets/homophily.h"
+#include "src/dp/laplace_mechanism.h"
+#include "src/dp/sample_aggregate.h"
 #include "src/graph/triangle_count.h"
 #include "src/models/erdos_renyi.h"
+#include "src/pipeline/release_pipeline.h"
 #include "src/stats/metrics.h"
 #include "src/util/parallel.h"
 #include "src/util/rng.h"
@@ -19,20 +22,21 @@
 namespace agmdp::agm {
 namespace {
 
+using Snapshot = graph::AttributedCsrGraph;
+
 // A small attributed graph with known parameters: 4 nodes, w=1.
-graph::AttributedGraph TinyGraph() {
+Snapshot TinyGraph() {
   graph::AttributedGraph g(4, 1);
   g.structure().AddEdge(0, 1);
   g.structure().AddEdge(1, 2);
   g.structure().AddEdge(2, 3);
   // attrs: 0 -> 0, 1 -> 1, 2 -> 1, 3 -> 0
   EXPECT_TRUE(g.SetAttributes({0, 1, 1, 0}).ok());
-  return g;
+  return Snapshot::FromGraph(g);
 }
 
 // A homophilous random attributed graph for statistical tests.
-graph::AttributedGraph RandomAttributed(graph::NodeId n, double p, int w,
-                                        uint64_t seed) {
+Snapshot RandomAttributed(graph::NodeId n, double p, int w, uint64_t seed) {
   util::Rng rng(seed);
   graph::AttributedGraph g(models::ErdosRenyiGnp(n, p, rng), w);
   std::vector<double> theta_x(graph::NumNodeConfigs(w),
@@ -41,13 +45,13 @@ graph::AttributedGraph RandomAttributed(graph::NodeId n, double p, int w,
   options.target_same_fraction = 0.6;
   EXPECT_TRUE(
       datasets::AssignHomophilousAttributes(&g, theta_x, options, rng).ok());
-  return g;
+  return Snapshot::FromGraph(g);
 }
 
 // ----------------------------------------------------------------- ThetaX --
 
 TEST(ThetaXTest, ExactCountsAndDistribution) {
-  graph::AttributedGraph g = TinyGraph();
+  const Snapshot g = TinyGraph();
   std::vector<double> counts = ComputeAttributeCounts(g);
   EXPECT_DOUBLE_EQ(counts[0], 2.0);
   EXPECT_DOUBLE_EQ(counts[1], 2.0);
@@ -58,7 +62,7 @@ TEST(ThetaXTest, ExactCountsAndDistribution) {
 
 TEST(ThetaXTest, DpVersionIsDistribution) {
   util::Rng rng(1);
-  graph::AttributedGraph g = RandomAttributed(100, 0.05, 2, 7);
+  const Snapshot g = RandomAttributed(100, 0.05, 2, 7);
   std::vector<double> theta = LearnAttributesDp(g, 0.5, rng);
   ASSERT_EQ(theta.size(), 4u);
   double sum = std::accumulate(theta.begin(), theta.end(), 0.0);
@@ -68,14 +72,14 @@ TEST(ThetaXTest, DpVersionIsDistribution) {
 
 TEST(ThetaXTest, DpConvergesToExactAtLargeEpsilon) {
   util::Rng rng(2);
-  graph::AttributedGraph g = RandomAttributed(500, 0.02, 2, 8);
+  const Snapshot g = RandomAttributed(500, 0.02, 2, 8);
   std::vector<double> exact = ComputeThetaX(g);
   std::vector<double> noisy = LearnAttributesDp(g, 1000.0, rng);
   EXPECT_LT(stats::MeanAbsoluteError(noisy, exact), 0.001);
 }
 
 TEST(ThetaXTest, DpErrorShrinksWithEpsilon) {
-  graph::AttributedGraph g = RandomAttributed(300, 0.03, 2, 9);
+  const Snapshot g = RandomAttributed(300, 0.03, 2, 9);
   std::vector<double> exact = ComputeThetaX(g);
   auto mean_error = [&](double eps, uint64_t seed) {
     util::Rng rng(seed);
@@ -107,7 +111,7 @@ TEST(SampleAttributesTest, FailsOnDegenerateTheta) {
 // ----------------------------------------------------------------- ThetaF --
 
 TEST(ThetaFTest, ExactCountsOnTinyGraph) {
-  graph::AttributedGraph g = TinyGraph();
+  const Snapshot g = TinyGraph();
   // Edges: (0,1): configs {0,1}; (1,2): {1,1}; (2,3): {1,0}.
   // w=1 edge configs: {0,0} -> 0, {0,1} -> 1, {1,1} -> 2.
   std::vector<double> counts = ComputeConnectionCounts(g);
@@ -121,15 +125,14 @@ TEST(ThetaFTest, ExactCountsOnTinyGraph) {
 }
 
 TEST(ThetaFTest, EdgelessGraphGivesUniform) {
-  graph::AttributedGraph g(5, 1);
+  const Snapshot g = Snapshot::FromGraph(graph::AttributedGraph(5, 1));
   std::vector<double> theta = ComputeThetaF(g);
   for (double p : theta) EXPECT_DOUBLE_EQ(p, 1.0 / 3.0);
 }
 
 class ThetaFDpMethodsTest : public ::testing::TestWithParam<int> {
  protected:
-  std::vector<double> Learn(const graph::AttributedGraph& g, double eps,
-                            util::Rng& rng) {
+  std::vector<double> Learn(const Snapshot& g, double eps, util::Rng& rng) {
     switch (GetParam()) {
       case 0:
         return LearnCorrelationsDp(g, eps, /*k=*/0, rng);
@@ -145,7 +148,7 @@ class ThetaFDpMethodsTest : public ::testing::TestWithParam<int> {
 
 TEST_P(ThetaFDpMethodsTest, ProducesValidDistribution) {
   util::Rng rng(10);
-  graph::AttributedGraph g = RandomAttributed(200, 0.05, 2, 11);
+  const Snapshot g = RandomAttributed(200, 0.05, 2, 11);
   std::vector<double> theta = Learn(g, 0.5, rng);
   ASSERT_EQ(theta.size(), 10u);  // C(5,2) for w=2
   double sum = std::accumulate(theta.begin(), theta.end(), 0.0);
@@ -154,7 +157,7 @@ TEST_P(ThetaFDpMethodsTest, ProducesValidDistribution) {
 }
 
 TEST_P(ThetaFDpMethodsTest, ErrorShrinksWithEpsilon) {
-  graph::AttributedGraph g = RandomAttributed(400, 0.03, 2, 12);
+  const Snapshot g = RandomAttributed(400, 0.03, 2, 12);
   std::vector<double> exact = ComputeThetaF(g);
   auto mean_error = [&](double eps, uint64_t seed) {
     util::Rng rng(seed);
@@ -178,7 +181,7 @@ INSTANTIATE_TEST_SUITE_P(AllMethods, ThetaFDpMethodsTest,
 
 TEST(ThetaFComparisonTest, TruncationBeatsNaiveBaseline) {
   // Figure 5's qualitative claim at moderate epsilon on a small graph.
-  graph::AttributedGraph g = RandomAttributed(300, 0.04, 2, 15);
+  const Snapshot g = RandomAttributed(300, 0.04, 2, 15);
   std::vector<double> exact = ComputeThetaF(g);
   util::Rng rng(16);
   double err_trunc = 0.0, err_naive = 0.0;
@@ -191,9 +194,56 @@ TEST(ThetaFComparisonTest, TruncationBeatsNaiveBaseline) {
   EXPECT_LT(err_trunc, err_naive);
 }
 
+// Appendix B.2 by its definition: per group, materialize the induced
+// subgraph, take its exact ΘF, then average and noise. The estimator's
+// one-pass group tally must reproduce it bit for bit from the same stream.
+std::vector<double> SampleAggregateOracle(const graph::AttributedGraph& g,
+                                          double epsilon, uint32_t group_size,
+                                          util::Rng& rng) {
+  auto partition = dp::RandomNodePartition(g.num_nodes(), group_size, rng);
+  EXPECT_TRUE(partition.ok());
+  std::vector<std::vector<double>> per_group;
+  for (const std::vector<graph::NodeId>& group : partition.value()) {
+    graph::AttributedGraph sub(static_cast<graph::NodeId>(group.size()),
+                               g.num_attributes());
+    for (graph::NodeId i = 0; i < group.size(); ++i) {
+      sub.set_attribute(i, g.attribute(group[i]));
+      for (graph::NodeId j = i + 1; j < group.size(); ++j) {
+        if (g.structure().HasEdge(group[i], group[j])) {
+          sub.structure().AddEdge(i, j);
+        }
+      }
+    }
+    per_group.push_back(ComputeThetaF(Snapshot::FromGraph(sub)));
+  }
+  const std::vector<double> mean = dp::AverageVectors(per_group).value();
+  const double t = static_cast<double>(per_group.size());
+  return dp::ClampAndNormalize(
+      dp::NoisyCounts(mean, 2.0 / t, epsilon, rng), 0.0, 1.0);
+}
+
+TEST(ThetaFTest, SampleAggregateMatchesInducedSubgraphOracle) {
+  for (uint64_t seed : {40u, 41u, 42u}) {
+    util::Rng graph_rng(seed);
+    graph::AttributedGraph g(models::ErdosRenyiGnp(120, 0.08, graph_rng), 2);
+    std::vector<graph::AttrConfig> attrs(g.num_nodes());
+    for (graph::AttrConfig& a : attrs) {
+      a = static_cast<graph::AttrConfig>(graph_rng.UniformIndex(4));
+    }
+    ASSERT_TRUE(g.SetAttributes(attrs).ok());
+    for (uint32_t group_size : {1u, 7u, 25u, 120u}) {
+      util::Rng a(seed * 10 + group_size), b(seed * 10 + group_size);
+      EXPECT_EQ(LearnCorrelationsSampleAggregate(Snapshot::FromGraph(g), 0.5,
+                                                 group_size, a),
+                SampleAggregateOracle(g, 0.5, group_size, b))
+          << "seed " << seed << " group " << group_size;
+    }
+  }
+}
+
 TEST(ThetaFTest, NodeDpVariantIsValidDistribution) {
   util::Rng rng(17);
-  graph::AttributedGraph g = RandomAttributed(200, 0.05, 2, 18);
+  const Snapshot g = RandomAttributed(200, 0.05, 2, 18);
   std::vector<double> theta = LearnCorrelationsNodeDp(g, 0.7, 0.01, 0, rng);
   double sum = std::accumulate(theta.begin(), theta.end(), 0.0);
   EXPECT_NEAR(sum, 1.0, 1e-9);
@@ -246,7 +296,7 @@ TEST(AcceptanceTest, DeadConfigStaysDead) {
 // -------------------------------------------------------------- AGM sampler --
 
 TEST(AgmSamplerTest, LearnParamsExact) {
-  graph::AttributedGraph g = TinyGraph();
+  const Snapshot g = TinyGraph();
   AgmParams params = LearnAgmParams(g);
   EXPECT_EQ(params.w, 1);
   EXPECT_EQ(params.degree_sequence, (std::vector<uint32_t>{1, 2, 2, 1}));
@@ -267,7 +317,7 @@ TEST(AgmSamplerTest, ValidatesDimensions) {
 TEST(AgmSamplerTest, AcceptanceIterationsImproveCorrelations) {
   // The accept/reject loop is what pulls Θ'F toward the target; compare the
   // filtered pipeline against the structural model alone (0 iterations).
-  graph::AttributedGraph g = RandomAttributed(400, 0.03, 2, 21);
+  const Snapshot g = RandomAttributed(400, 0.03, 2, 21);
   AgmParams params = LearnAgmParams(g);
   AgmSampleOptions no_filter;
   no_filter.model = StructuralModelKind::kFcl;
@@ -284,16 +334,16 @@ TEST(AgmSamplerTest, AcceptanceIterationsImproveCorrelations) {
     ASSERT_TRUE(b.ok());
     EXPECT_EQ(b.value().num_nodes(), 400u);
     EXPECT_GT(b.value().num_edges(), 0u);
-    err_plain += stats::HellingerDistance(ComputeThetaF(a.value()),
-                                          params.theta_f);
-    err_filtered += stats::HellingerDistance(ComputeThetaF(b.value()),
-                                             params.theta_f);
+    err_plain += stats::HellingerDistance(
+        ComputeThetaF(Snapshot::FromGraph(a.value())), params.theta_f);
+    err_filtered += stats::HellingerDistance(
+        ComputeThetaF(Snapshot::FromGraph(b.value())), params.theta_f);
   }
   EXPECT_LT(err_filtered, err_plain);
 }
 
 TEST(AgmSamplerTest, TriCycLePipelineApproachesTriangleTarget) {
-  graph::AttributedGraph g = RandomAttributed(200, 0.06, 2, 23);
+  const Snapshot g = RandomAttributed(200, 0.06, 2, 23);
   AgmParams params = LearnAgmParams(g);
   AgmSampleOptions options;
   options.model = StructuralModelKind::kTriCycLe;
@@ -308,47 +358,58 @@ TEST(AgmSamplerTest, TriCycLePipelineApproachesTriangleTarget) {
 
 // ------------------------------------------------------------------ AGM-DP --
 
+// Algorithm 3 end to end is pipeline::RunPrivateRelease: LearnAgmParamsDp
+// under one accountant, then SampleAgmGraph's loop on a one-shot engine.
+pipeline::PipelineConfig DpConfig(double epsilon, const char* model) {
+  pipeline::PipelineConfig config;
+  config.epsilon = epsilon;
+  config.model = model;
+  config.sample.acceptance_iterations = 1;
+  return config;
+}
+
 TEST(AgmDpTest, ValidatesOptions) {
   util::Rng rng(25);
-  graph::AttributedGraph g = RandomAttributed(50, 0.1, 2, 26);
+  const Snapshot g = RandomAttributed(50, 0.1, 2, 26);
   AgmDpOptions options;
   options.epsilon = 0.0;
-  EXPECT_FALSE(SynthesizeAgmDp(g, options, rng).ok());
+  dp::PrivacyAccountant accountant(1.0);
+  EXPECT_FALSE(LearnAgmParamsDp(g, options, accountant, rng).ok());
+  EXPECT_FALSE(
+      pipeline::RunPrivateRelease(g, DpConfig(0.0, "tricycle"), rng).ok());
 
   options.epsilon = 1.0;
   options.split.theta_x = 2.0;  // exceeds epsilon
   options.split.theta_f = 0.1;
   options.split.degree_seq = 0.1;
   options.split.triangles = 0.1;
-  EXPECT_FALSE(SynthesizeAgmDp(g, options, rng).ok());
+  EXPECT_FALSE(LearnAgmParamsDp(g, options, accountant, rng).ok());
+  EXPECT_EQ(accountant.spent(), 0.0);
+  pipeline::PipelineConfig config = DpConfig(1.0, "tricycle");
+  config.split = options.split;
+  EXPECT_FALSE(pipeline::RunPrivateRelease(g, config, rng).ok());
 }
 
 TEST(AgmDpTest, LedgerSumsToBudget) {
   util::Rng rng(27);
-  graph::AttributedGraph g = RandomAttributed(150, 0.05, 2, 28);
-  AgmDpOptions options;
-  options.epsilon = 0.8;
-  options.sample.acceptance_iterations = 1;
-  auto result = SynthesizeAgmDp(g, options, rng);
+  const Snapshot g = RandomAttributed(150, 0.05, 2, 28);
+  auto result =
+      pipeline::RunPrivateRelease(g, DpConfig(0.8, "tricycle"), rng);
   ASSERT_TRUE(result.ok());
   double spent = 0.0;
-  for (const auto& [label, eps] : result.value().budget_ledger) spent += eps;
+  for (const auto& [label, eps] : result.value().ledger) spent += eps;
   EXPECT_NEAR(spent, 0.8, 1e-9);
-  EXPECT_EQ(result.value().budget_ledger.size(), 4u);  // TriCycLe: 4 params
+  EXPECT_EQ(result.value().ledger.size(), 4u);  // TriCycLe: 4 params
 }
 
 TEST(AgmDpTest, FclLedgerHasThreeSpends) {
   util::Rng rng(29);
-  graph::AttributedGraph g = RandomAttributed(150, 0.05, 2, 30);
-  AgmDpOptions options;
-  options.epsilon = 0.8;
-  options.model = StructuralModelKind::kFcl;
-  options.sample.acceptance_iterations = 1;
-  auto result = SynthesizeAgmDp(g, options, rng);
+  const Snapshot g = RandomAttributed(150, 0.05, 2, 30);
+  auto result = pipeline::RunPrivateRelease(g, DpConfig(0.8, "fcl"), rng);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value().budget_ledger.size(), 3u);
+  EXPECT_EQ(result.value().ledger.size(), 3u);
   double degree_share = 0.0;
-  for (const auto& [label, eps] : result.value().budget_ledger) {
+  for (const auto& [label, eps] : result.value().ledger) {
     if (label == "degree_sequence") degree_share = eps;
   }
   EXPECT_DOUBLE_EQ(degree_share, 0.4);  // half the budget
@@ -356,24 +417,19 @@ TEST(AgmDpTest, FclLedgerHasThreeSpends) {
 
 TEST(AgmDpTest, OutputPreservesNodeCountAndW) {
   util::Rng rng(31);
-  graph::AttributedGraph g = RandomAttributed(120, 0.06, 2, 32);
-  AgmDpOptions options;
-  options.epsilon = 1.0;
-  options.sample.acceptance_iterations = 1;
-  auto result = SynthesizeAgmDp(g, options, rng);
+  const Snapshot g = RandomAttributed(120, 0.06, 2, 32);
+  auto result =
+      pipeline::RunPrivateRelease(g, DpConfig(1.0, "tricycle"), rng);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().graph.num_nodes(), 120u);
   EXPECT_EQ(result.value().graph.num_attributes(), 2);
 }
 
 TEST(AgmDpTest, DeterministicGivenSeed) {
-  graph::AttributedGraph g = RandomAttributed(100, 0.06, 2, 33);
-  AgmDpOptions options;
-  options.epsilon = 0.5;
-  options.sample.acceptance_iterations = 1;
+  const Snapshot g = RandomAttributed(100, 0.06, 2, 33);
   util::Rng rng1(99), rng2(99);
-  auto r1 = SynthesizeAgmDp(g, options, rng1);
-  auto r2 = SynthesizeAgmDp(g, options, rng2);
+  auto r1 = pipeline::RunPrivateRelease(g, DpConfig(0.5, "tricycle"), rng1);
+  auto r2 = pipeline::RunPrivateRelease(g, DpConfig(0.5, "tricycle"), rng2);
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r1.value().graph.structure().CanonicalEdges(),
@@ -383,25 +439,23 @@ TEST(AgmDpTest, DeterministicGivenSeed) {
 
 TEST(AgmDpTest, NonPrivateBaselineRuns) {
   util::Rng rng(34);
-  graph::AttributedGraph g = RandomAttributed(100, 0.06, 2, 35);
+  const Snapshot g = RandomAttributed(100, 0.06, 2, 35);
   AgmSampleOptions options;
   options.model = StructuralModelKind::kFcl;
-  auto result = SynthesizeAgmNonPrivate(g, options, rng);
+  auto result = SampleAgmGraph(LearnAgmParams(g), options, rng);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().num_nodes(), 100u);
 }
 
 TEST(AgmDpTest, AllThetaFMethodsRunEndToEnd) {
-  graph::AttributedGraph g = RandomAttributed(100, 0.06, 2, 36);
+  const Snapshot g = RandomAttributed(100, 0.06, 2, 36);
   for (ThetaFMethod method :
        {ThetaFMethod::kEdgeTruncation, ThetaFMethod::kSmoothSensitivity,
         ThetaFMethod::kSampleAggregate, ThetaFMethod::kNaiveLaplace}) {
     util::Rng rng(37);
-    AgmDpOptions options;
-    options.epsilon = 1.0;
-    options.theta_f_method = method;
-    options.sample.acceptance_iterations = 1;
-    auto result = SynthesizeAgmDp(g, options, rng);
+    pipeline::PipelineConfig config = DpConfig(1.0, "tricycle");
+    config.theta_f_method = method;
+    auto result = pipeline::RunPrivateRelease(g, config, rng);
     EXPECT_TRUE(result.ok()) << "method " << static_cast<int>(method);
   }
 }

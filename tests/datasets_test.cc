@@ -111,7 +111,8 @@ TEST(GenerateDatasetTest, ScaleShrinksNodeCount) {
 TEST(GenerateDatasetTest, AttributeMarginalsMatchSpec) {
   auto g = GenerateDataset(DatasetId::kEpinions, 0.1, 11);
   ASSERT_TRUE(g.ok());
-  std::vector<double> theta = agm::ComputeThetaX(g.value());
+  std::vector<double> theta =
+      agm::ComputeThetaX(graph::AttributedCsrGraph::FromGraph(g.value()));
   const DatasetSpec& spec = PaperSpec(DatasetId::kEpinions);
   for (size_t i = 0; i < theta.size(); ++i) {
     EXPECT_NEAR(theta[i], spec.theta_x[i], 0.01) << "config " << i;

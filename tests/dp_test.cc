@@ -143,11 +143,40 @@ TEST(ExponentialMechanismTest, NearUniformAtTinyEpsilon) {
 
 // ----------------------------------------------------------- EdgeTruncation --
 
+graph::CsrGraph Csr(const graph::Graph& g) {
+  return graph::CsrGraph::FromGraph(g);
+}
+
+std::vector<graph::Edge> Edges(const graph::CsrGraph& g) {
+  std::vector<graph::Edge> edges;
+  g.ForEachEdge(
+      [&](graph::NodeId u, graph::NodeId v) { edges.emplace_back(u, v); });
+  return edges;
+}
+
+// Definition 2 verbatim on the mutable graph: walk the canonical edge list,
+// deleting an edge (and decrementing both current degrees) when either
+// endpoint's current degree exceeds k.
+std::vector<graph::Edge> TruncateOracle(const graph::Graph& g, uint32_t k) {
+  std::vector<uint32_t> degree(g.num_nodes());
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) degree[v] = g.Degree(v);
+  std::vector<graph::Edge> kept;
+  for (const graph::Edge& e : g.CanonicalEdges()) {
+    if (degree[e.u] > k || degree[e.v] > k) {
+      --degree[e.u];
+      --degree[e.v];
+    } else {
+      kept.push_back(e);
+    }
+  }
+  return kept;
+}
+
 TEST(EdgeTruncationTest, BoundsAllDegrees) {
   util::Rng rng(10);
   graph::Graph g = models::ErdosRenyiGnp(60, 0.3, rng);
   for (uint32_t k : {2u, 5u, 10u}) {
-    graph::Graph t = TruncateEdges(g, k);
+    graph::CsrGraph t = TruncateEdges(Csr(g), k);
     EXPECT_LE(t.MaxDegree(), k) << "k=" << k;
   }
 }
@@ -155,23 +184,20 @@ TEST(EdgeTruncationTest, BoundsAllDegrees) {
 TEST(EdgeTruncationTest, IdentityWhenKAtLeastMaxDegree) {
   util::Rng rng(11);
   graph::Graph g = models::ErdosRenyiGnp(40, 0.2, rng);
-  graph::Graph t = TruncateEdges(g, g.MaxDegree());
+  graph::CsrGraph t = TruncateEdges(Csr(g), g.MaxDegree());
   EXPECT_EQ(t.num_edges(), g.num_edges());
 }
 
 TEST(EdgeTruncationTest, Deterministic) {
   util::Rng rng(12);
   graph::Graph g = models::ErdosRenyiGnp(50, 0.3, rng);
-  graph::Graph t1 = TruncateEdges(g, 4);
-  graph::Graph t2 = TruncateEdges(g, 4);
-  EXPECT_EQ(t1.CanonicalEdges(), t2.CanonicalEdges());
+  EXPECT_EQ(Edges(TruncateEdges(Csr(g), 4)), Edges(TruncateEdges(Csr(g), 4)));
 }
 
 TEST(EdgeTruncationTest, OnlyRemovesEdges) {
   util::Rng rng(13);
   graph::Graph g = models::ErdosRenyiGnp(50, 0.3, rng);
-  graph::Graph t = TruncateEdges(g, 3);
-  for (const graph::Edge& e : t.CanonicalEdges()) {
+  for (const graph::Edge& e : Edges(TruncateEdges(Csr(g), 3))) {
     EXPECT_TRUE(g.HasEdge(e.u, e.v));
   }
 }
@@ -179,11 +205,35 @@ TEST(EdgeTruncationTest, OnlyRemovesEdges) {
 TEST(EdgeTruncationTest, StarTruncatesToKEdges) {
   graph::Graph star(10);
   for (graph::NodeId v = 1; v < 10; ++v) star.AddEdge(0, v);
-  graph::Graph t = TruncateEdges(star, 3);
+  graph::CsrGraph t = TruncateEdges(Csr(star), 3);
   // Hub degree shrinks as edges are deleted; once it reaches k the
   // remaining edges survive.
   EXPECT_EQ(t.num_edges(), 3u);
   EXPECT_EQ(t.Degree(0), 3u);
+}
+
+// The one-pass snapshot truncation keeps exactly the edges of the
+// canonical-walk definition, and its output is a valid snapshot: sorted
+// neighbor ranges, symmetric adjacency, degrees matching the edge list.
+TEST(EdgeTruncationTest, SnapshotPassMatchesCanonicalWalkOracle) {
+  util::Rng rng(15);
+  for (int trial = 0; trial < 10; ++trial) {
+    graph::Graph g = models::ErdosRenyiGnp(80, 0.15, rng);
+    for (uint32_t k : {1u, 3u, 8u}) {
+      const graph::CsrGraph t = TruncateEdges(Csr(g), k);
+      const std::vector<graph::Edge> kept = TruncateOracle(g, k);
+      EXPECT_EQ(Edges(t), kept) << "k=" << k;
+      EXPECT_EQ(t.num_edges(), kept.size());
+      uint64_t degree_sum = 0;
+      for (graph::NodeId v = 0; v < t.num_nodes(); ++v) {
+        const graph::NeighborRange range = t.Neighbors(v);
+        EXPECT_TRUE(std::is_sorted(range.begin(), range.end()));
+        for (graph::NodeId w : range) EXPECT_TRUE(t.HasEdge(w, v));
+        degree_sum += t.Degree(v);
+      }
+      EXPECT_EQ(degree_sum, 2 * kept.size());
+    }
+  }
 }
 
 TEST(EdgeTruncationTest, EdgeAdditionPerturbsAtMostThreeEdges) {
@@ -203,8 +253,8 @@ TEST(EdgeTruncationTest, EdgeAdditionPerturbsAtMostThreeEdges) {
       }
     }
     const uint32_t k = 5;
-    auto t1 = TruncateEdges(g, k).CanonicalEdges();
-    auto t2 = TruncateEdges(g2, k).CanonicalEdges();
+    auto t1 = Edges(TruncateEdges(Csr(g), k));
+    auto t2 = Edges(TruncateEdges(Csr(g2), k));
     std::vector<graph::Edge> diff;
     std::set_symmetric_difference(t1.begin(), t1.end(), t2.begin(), t2.end(),
                                   std::back_inserter(diff));
@@ -217,17 +267,6 @@ TEST(EdgeTruncationTest, HeuristicKIsCubeRoot) {
   EXPECT_EQ(HeuristicTruncationK(26427), 30u);  // Epinions
   EXPECT_EQ(HeuristicTruncationK(592627), 84u); // Pokec
   EXPECT_GE(HeuristicTruncationK(1), 2u);       // floor at 2
-}
-
-TEST(EdgeTruncationTest, AttributedVariantKeepsAttributes) {
-  graph::AttributedGraph g(5, 2);
-  for (graph::NodeId v = 1; v < 5; ++v) g.structure().AddEdge(0, v);
-  ASSERT_TRUE(g.SetAttributes({0, 1, 2, 3, 1}).ok());
-  graph::AttributedGraph t = TruncateEdges(g, 2);
-  EXPECT_LE(t.structure().MaxDegree(), 2u);
-  for (graph::NodeId v = 0; v < 5; ++v) {
-    EXPECT_EQ(t.attribute(v), g.attribute(v));
-  }
 }
 
 // ----------------------------------------------------- ConstrainedInference --
@@ -351,8 +390,10 @@ TEST(SmoothSensitivityTest, NeverBelowLocalAndNeverAboveGlobal) {
 TEST(SmoothSensitivityTest, ScaleDecreasesWithEpsilon) {
   util::Rng rng(19);
   graph::Graph g = models::ErdosRenyiGnp(100, 0.1, rng);
-  const double s1 = SmoothLaplaceScaleQF(g, 0.1, 1e-6);
-  const double s2 = SmoothLaplaceScaleQF(g, 1.0, 1e-6);
+  const double s1 = SmoothLaplaceScaleQF(g.MaxDegree(), g.num_nodes(), 0.1,
+                                        1e-6);
+  const double s2 = SmoothLaplaceScaleQF(g.MaxDegree(), g.num_nodes(), 1.0,
+                                        1e-6);
   EXPECT_GT(s1, s2);
 }
 

@@ -20,6 +20,7 @@
 #include "src/graph/triangle_count.h"
 #include "src/models/chung_lu.h"
 #include "src/models/tricycle.h"
+#include "src/pipeline/release_pipeline.h"
 #include "src/stats/ccdf.h"
 #include "src/stats/metrics.h"
 #include "src/util/rng.h"
@@ -55,7 +56,7 @@ TEST(EdgeCasesTest, SingleNodeGraph) {
 
 TEST(EdgeCasesTest, TruncationOnEdgelessGraph) {
   graph::Graph g(10);
-  graph::Graph t = dp::TruncateEdges(g, 3);
+  graph::CsrGraph t = dp::TruncateEdges(graph::CsrGraph::FromGraph(g), 3);
   EXPECT_EQ(t.num_edges(), 0u);
   EXPECT_EQ(t.num_nodes(), 10u);
 }
@@ -65,7 +66,8 @@ TEST(EdgeCasesTest, AttributedGraphWithZeroAttributes) {
   EXPECT_EQ(graph::NumNodeConfigs(0), 1u);
   EXPECT_EQ(graph::NumEdgeConfigs(0), 1u);
   g.structure().AddEdge(0, 1);
-  std::vector<double> theta_f = agm::ComputeThetaF(g);
+  std::vector<double> theta_f =
+      agm::ComputeThetaF(graph::AttributedCsrGraph::FromGraph(g));
   ASSERT_EQ(theta_f.size(), 1u);
   EXPECT_DOUBLE_EQ(theta_f[0], 1.0);
 }
@@ -91,8 +93,9 @@ TEST(EdgeCasesTest, LadderOnTriangleFreeGraph) {
   g.AddEdge(2, 3);
   g.AddEdge(4, 5);  // perfect matching: no two-hop pairs
   util::Rng rng(3);
+  const graph::CsrGraph csr = graph::CsrGraph::FromGraph(g);
   for (int i = 0; i < 50; ++i) {
-    auto r = dp::DpTriangleCount(g, 0.5, rng);
+    auto r = dp::DpTriangleCount(csr, 0.5, rng);
     ASSERT_TRUE(r.ok());
     EXPECT_GE(r.value(), 0);
   }
@@ -102,13 +105,14 @@ TEST(EdgeCasesTest, LadderAtExtremeEpsilons) {
   util::Rng rng(4);
   graph::Graph g(10);
   for (graph::NodeId v = 1; v < 10; ++v) g.AddEdge(0, v);
+  const graph::CsrGraph csr = graph::CsrGraph::FromGraph(g);
   // Very small epsilon must terminate and stay in range.
-  auto tiny = dp::DpTriangleCount(g, 1e-4, rng);
+  auto tiny = dp::DpTriangleCount(csr, 1e-4, rng);
   ASSERT_TRUE(tiny.ok());
   EXPECT_GE(tiny.value(), 0);
   EXPECT_LE(tiny.value(), 120);  // C(10,3)
   // Very large epsilon returns the exact count (0 for a star).
-  auto huge = dp::DpTriangleCount(g, 1e6, rng);
+  auto huge = dp::DpTriangleCount(csr, 1e6, rng);
   ASSERT_TRUE(huge.ok());
   EXPECT_EQ(huge.value(), 0);
 }
@@ -120,7 +124,7 @@ TEST(EdgeCasesTest, TruncationWithKOne) {
   util::Rng rng(5);
   graph::Graph g(20);
   for (graph::NodeId v = 1; v < 20; ++v) g.AddEdge(0, v);
-  graph::Graph t = dp::TruncateEdges(g, 1);
+  graph::CsrGraph t = dp::TruncateEdges(graph::CsrGraph::FromGraph(g), 1);
   EXPECT_LE(t.MaxDegree(), 1u);
 }
 
@@ -157,10 +161,11 @@ TEST(EdgeCasesTest, AgmDpOnMinimalGraph) {
   g.structure().AddEdge(0, 1);
   ASSERT_TRUE(g.SetAttributes({0, 1}).ok());
   util::Rng rng(9);
-  agm::AgmDpOptions options;
-  options.epsilon = 1.0;
-  options.sample.acceptance_iterations = 1;
-  auto result = agm::SynthesizeAgmDp(g, options, rng);
+  pipeline::PipelineConfig config;
+  config.epsilon = 1.0;
+  config.sample.acceptance_iterations = 1;
+  auto result = pipeline::RunPrivateRelease(
+      graph::AttributedCsrGraph::FromGraph(g), config, rng);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().graph.num_nodes(), 2u);
 }
@@ -168,8 +173,10 @@ TEST(EdgeCasesTest, AgmDpOnMinimalGraph) {
 TEST(EdgeCasesTest, AgmDpRejectsSingleNode) {
   graph::AttributedGraph g(1, 1);
   util::Rng rng(10);
-  agm::AgmDpOptions options;
-  EXPECT_FALSE(agm::SynthesizeAgmDp(g, options, rng).ok());
+  EXPECT_FALSE(pipeline::RunPrivateRelease(
+                   graph::AttributedCsrGraph::FromGraph(g),
+                   pipeline::PipelineConfig{}, rng)
+                   .ok());
 }
 
 // ------------------------------------------------------------- statistics --

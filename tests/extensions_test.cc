@@ -77,21 +77,23 @@ TEST(GeometricMechanismTest, IntegerOutput) {
 
 TEST(DpKStarCountTest, ValidatesInput) {
   util::Rng rng(5);
-  graph::Graph g(10);
+  const graph::CsrGraph g = graph::CsrGraph::FromGraph(graph::Graph(10));
   EXPECT_FALSE(dp::DpKStarCount(g, 2, 0.0, rng).ok());
   EXPECT_FALSE(dp::DpKStarCount(g, 1, 1.0, rng).ok());
 }
 
 TEST(DpKStarCountTest, TinyGraphReturnsZero) {
   util::Rng rng(6);
-  auto r = dp::DpKStarCount(graph::Graph(3), 3, 1.0, rng);
+  auto r =
+      dp::DpKStarCount(graph::CsrGraph::FromGraph(graph::Graph(3)), 3, 1.0, rng);
   ASSERT_TRUE(r.ok());
   EXPECT_DOUBLE_EQ(r.value(), 0.0);
 }
 
 TEST(DpKStarCountTest, NonNegativeAndBounded) {
   util::Rng rng(7);
-  graph::Graph g = models::ErdosRenyiGnp(50, 0.2, rng);
+  const graph::CsrGraph g =
+      graph::CsrGraph::FromGraph(models::ErdosRenyiGnp(50, 0.2, rng));
   const double max_stars =
       50.0 * static_cast<double>(graph::BinomialOrSaturate(49, 3));
   for (double eps : {0.05, 0.5, 5.0}) {
@@ -106,7 +108,8 @@ TEST(DpKStarCountTest, NonNegativeAndBounded) {
 
 TEST(DpKStarCountTest, ConcentratesAtLargeEpsilon) {
   util::Rng rng(8);
-  graph::Graph g = models::ErdosRenyiGnp(80, 0.1, rng);
+  const graph::CsrGraph g =
+      graph::CsrGraph::FromGraph(models::ErdosRenyiGnp(80, 0.1, rng));
   const auto truth = static_cast<double>(graph::CountKStars(g, 2));
   double sum = 0.0;
   const int trials = 200;
@@ -118,7 +121,8 @@ TEST(DpKStarCountTest, ConcentratesAtLargeEpsilon) {
 
 TEST(DpKStarCountTest, ErrorShrinksWithEpsilon) {
   util::Rng rng(9);
-  graph::Graph g = models::ErdosRenyiGnp(100, 0.08, rng);
+  const graph::CsrGraph g =
+      graph::CsrGraph::FromGraph(models::ErdosRenyiGnp(100, 0.08, rng));
   const auto truth = static_cast<double>(graph::CountKStars(g, 3));
   auto mean_err = [&](double eps) {
     double total = 0.0;
@@ -295,7 +299,8 @@ TEST(GraphMlTest, WritesWellFormedDocument) {
   g.structure().AddEdge(1, 2);
   ASSERT_TRUE(g.SetAttributes({3, 0, 1}).ok());
   const std::string path = testing::TempDir() + "/export.graphml";
-  ASSERT_TRUE(graph::WriteGraphMl(g, path).ok());
+  ASSERT_TRUE(
+      graph::WriteGraphMl(graph::AttributedCsrGraph::FromGraph(g), path).ok());
 
   std::ifstream in(path);
   std::string content((std::istreambuf_iterator<char>(in)),

@@ -110,7 +110,7 @@ TEST(FusedEvalTest, MatchesPerMetricKernelsOnEveryArmAndThreadCount) {
     const double degree_assort = stats::DegreeAssortativity(csr);
     const double attr_assort = stats::AttributeAssortativity(g);
     const std::vector<double> homophily = stats::PerAttributeHomophily(g);
-    const std::vector<double> connection = agm::ComputeConnectionCounts(legacy);
+    const std::vector<double> connection = agm::ComputeConnectionCounts(g);
     const auto joint = stats::JointDegreeDistribution(csr);
 
     for (util::SimdIsa isa : TestableArms()) {
@@ -159,7 +159,7 @@ TEST(FusedEvalTest, MatchesPerMetricKernelsOnEveryArmAndThreadCount) {
         }
         EXPECT_EQ(agm::ThetaFFromConnectionCounts(fused.connection_counts,
                                                   fused.num_edges),
-                  agm::ComputeThetaF(legacy));
+                  agm::ComputeThetaF(g));
 
         // Joint-degree tallies normalize to the dK-2 mass map exactly.
         std::map<std::pair<uint32_t, uint32_t>, double> fused_joint;

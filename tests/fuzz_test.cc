@@ -158,7 +158,7 @@ TEST_P(DifferentialTest, MaxCommonNeighborMatchesBrute) {
       brute = std::max(brute, g.CommonNeighborCount(u, v));
     }
   }
-  auto fast = MaxCommonNeighborCount(g, 1u << 30);
+  auto fast = MaxCommonNeighborCount(CsrGraph::FromGraph(g), 1u << 30);
   ASSERT_TRUE(fast.ok());
   EXPECT_EQ(fast.value(), brute);
 }
@@ -223,7 +223,7 @@ TEST_P(DifferentialTest, KStarsMatchDirectBinomialSum) {
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       direct += BinomialOrSaturate(g.Degree(v), k);
     }
-    EXPECT_EQ(CountKStars(g, k), direct);
+    EXPECT_EQ(CountKStars(CsrGraph::FromGraph(g), k), direct);
   }
 }
 

@@ -92,13 +92,13 @@ TEST(MaxCommonNeighborTest, KnownValues) {
     g.AddEdge(0, w);
     g.AddEdge(1, w);
   }
-  auto result = MaxCommonNeighborCount(g, 1'000'000);
+  auto result = MaxCommonNeighborCount(CsrGraph::FromGraph(g), 1'000'000);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value(), 3u);
 }
 
 TEST(MaxCommonNeighborTest, RespectsWorkBudget) {
-  Graph g = CompleteGraph(30);
+  const CsrGraph g = CsrGraph::FromGraph(CompleteGraph(30));
   EXPECT_FALSE(MaxCommonNeighborCount(g, 10).ok());
   auto full = MaxCommonNeighborCount(g, 10'000'000);
   ASSERT_TRUE(full.ok());
@@ -111,7 +111,7 @@ TEST(MaxCommonNeighborTest, UpperBoundsEveryEdgeEffect) {
   // local sensitivity argument).
   util::Rng rng(7);
   Graph g = models::ErdosRenyiGnp(40, 0.25, rng);
-  auto amax = MaxCommonNeighborCount(g, 10'000'000);
+  auto amax = MaxCommonNeighborCount(CsrGraph::FromGraph(g), 10'000'000);
   ASSERT_TRUE(amax.ok());
   const uint64_t before = CountTriangles(g);
   std::vector<Edge> edges = g.CanonicalEdges();
@@ -197,30 +197,6 @@ TEST(ComponentsTest, LargestComponentExtraction) {
   g.AddEdge(4, 5);  // component of 2
   std::vector<NodeId> largest = LargestComponent(g);
   EXPECT_EQ(largest, (std::vector<NodeId>{0, 1, 2, 3}));
-}
-
-TEST(ComponentsTest, InducedSubgraphRelabels) {
-  Graph g(6);
-  g.AddEdge(1, 3);
-  g.AddEdge(3, 5);
-  g.AddEdge(1, 5);
-  g.AddEdge(0, 1);  // outside the induced set
-  Graph sub = InducedSubgraph(g, {1, 3, 5});
-  EXPECT_EQ(sub.num_nodes(), 3u);
-  EXPECT_EQ(sub.num_edges(), 3u);
-  EXPECT_TRUE(sub.HasEdge(0, 1));
-  EXPECT_TRUE(sub.HasEdge(1, 2));
-  EXPECT_TRUE(sub.HasEdge(0, 2));
-}
-
-TEST(ComponentsTest, InducedAttributedSubgraphCarriesAttributes) {
-  AttributedGraph g(4, 2);
-  g.structure().AddEdge(0, 2);
-  ASSERT_TRUE(g.SetAttributes({1, 0, 3, 2}).ok());
-  AttributedGraph sub = InducedSubgraph(g, {2, 0});
-  EXPECT_EQ(sub.attribute(0), 3u);  // node 2's config
-  EXPECT_EQ(sub.attribute(1), 1u);  // node 0's config
-  EXPECT_TRUE(sub.structure().HasEdge(0, 1));
 }
 
 // ----------------------------------------------------------------- Degree --

@@ -6,12 +6,12 @@
 #include <cstdio>
 #include <string>
 
-#include "src/agm/agm_dp.h"
 #include "src/agm/theta_f.h"
 #include "src/datasets/datasets.h"
 #include "src/eval/utility_report.h"
 #include "src/graph/graph_io.h"
 #include "src/graph/graph_source.h"
+#include "src/pipeline/release_pipeline.h"
 #include "src/stats/metrics.h"
 #include "src/stats/summary.h"
 #include "src/util/rng.h"
@@ -27,23 +27,38 @@ class EndToEndTest : public ::testing::Test {
     auto g = datasets::GenerateDataset(datasets::DatasetId::kLastFm, 0.5, 7);
     ASSERT_TRUE(g.ok());
     input_ = new graph::AttributedGraph(std::move(g).value());
+    snapshot_ = new graph::AttributedCsrGraph(
+        graph::AttributedCsrGraph::FromGraph(*input_));
   }
   static void TearDownTestSuite() {
+    delete snapshot_;
+    snapshot_ = nullptr;
     delete input_;
     input_ = nullptr;
   }
 
+  // Algorithm 3 end to end: the fit reads the snapshot, the one-shot
+  // engine samples under the same accountant.
+  static util::Result<pipeline::ReleaseResult> Release(
+      double epsilon, const char* model, int acceptance_iterations,
+      util::Rng& rng) {
+    pipeline::PipelineConfig config;
+    config.epsilon = epsilon;
+    config.model = model;
+    config.sample.acceptance_iterations = acceptance_iterations;
+    return pipeline::RunPrivateRelease(*snapshot_, config, rng);
+  }
+
   static graph::AttributedGraph* input_;
+  static graph::AttributedCsrGraph* snapshot_;
 };
 
 graph::AttributedGraph* EndToEndTest::input_ = nullptr;
+graph::AttributedCsrGraph* EndToEndTest::snapshot_ = nullptr;
 
 TEST_F(EndToEndTest, TriCycLePipelinePreservesUtility) {
   util::Rng rng(101);
-  agm::AgmDpOptions options;
-  options.epsilon = std::log(3.0);
-  options.sample.acceptance_iterations = 2;
-  auto result = agm::SynthesizeAgmDp(*input_, options, rng);
+  auto result = Release(std::log(3.0), "tricycle", 2, rng);
   ASSERT_TRUE(result.ok());
 
   const stats::UtilityErrors errors =
@@ -56,23 +71,17 @@ TEST_F(EndToEndTest, TriCycLePipelinePreservesUtility) {
   // The uniform-ΘF baseline should be beaten.
   std::vector<double> uniform(10, 0.1);
   const double baseline = stats::HellingerDistance(
-      uniform, agm::ComputeThetaF(*input_));
+      uniform, agm::ComputeThetaF(*snapshot_));
   EXPECT_LT(errors.theta_f_hellinger, baseline + 0.05);
 }
 
 TEST_F(EndToEndTest, TriCycLeBeatsFclOnClustering) {
   // The paper's headline: TriCycLe reproduces clustering, FCL cannot.
   util::Rng rng(103);
-  agm::AgmDpOptions tri;
-  tri.epsilon = std::log(3.0);
-  tri.sample.acceptance_iterations = 2;
-  agm::AgmDpOptions fcl = tri;
-  fcl.model = agm::StructuralModelKind::kFcl;
-
   double tri_err = 0.0, fcl_err = 0.0;
   for (int trial = 0; trial < 3; ++trial) {
-    auto rt = agm::SynthesizeAgmDp(*input_, tri, rng);
-    auto rf = agm::SynthesizeAgmDp(*input_, fcl, rng);
+    auto rt = Release(std::log(3.0), "tricycle", 2, rng);
+    auto rf = Release(std::log(3.0), "fcl", 2, rng);
     ASSERT_TRUE(rt.ok());
     ASSERT_TRUE(rf.ok());
     tri_err += eval::EvaluateRelease(*input_, rt.value().graph)
@@ -85,10 +94,7 @@ TEST_F(EndToEndTest, TriCycLeBeatsFclOnClustering) {
 
 TEST_F(EndToEndTest, SyntheticGraphRoundTripsThroughDisk) {
   util::Rng rng(105);
-  agm::AgmDpOptions options;
-  options.epsilon = 1.0;
-  options.sample.acceptance_iterations = 1;
-  auto result = agm::SynthesizeAgmDp(*input_, options, rng);
+  auto result = Release(1.0, "tricycle", 1, rng);
   ASSERT_TRUE(result.ok());
 
   const std::string prefix = testing::TempDir() + "/synthetic_release";
@@ -108,13 +114,8 @@ TEST_F(EndToEndTest, StrongerPrivacyDegradesGracefully) {
   double err_weak = 0.0, err_strong = 0.0;
   for (int trial = 0; trial < 3; ++trial) {
     util::Rng rng(200 + trial);
-    agm::AgmDpOptions weak;
-    weak.epsilon = 5.0;
-    weak.sample.acceptance_iterations = 1;
-    agm::AgmDpOptions strong = weak;
-    strong.epsilon = 0.1;
-    auto rw = agm::SynthesizeAgmDp(*input_, weak, rng);
-    auto rs = agm::SynthesizeAgmDp(*input_, strong, rng);
+    auto rw = Release(5.0, "tricycle", 1, rng);
+    auto rs = Release(0.1, "tricycle", 1, rng);
     ASSERT_TRUE(rw.ok());
     ASSERT_TRUE(rs.ok());
     err_weak += eval::EvaluateRelease(*input_, rw.value().graph)

@@ -12,17 +12,25 @@
 namespace agmdp::dp {
 namespace {
 
-graph::Graph CompleteGraph(graph::NodeId n) {
+graph::CsrGraph CompleteGraph(graph::NodeId n) {
   graph::Graph g(n);
   for (graph::NodeId u = 0; u < n; ++u) {
     for (graph::NodeId v = u + 1; v < n; ++v) g.AddEdge(u, v);
   }
-  return g;
+  return graph::CsrGraph::FromGraph(g);
+}
+
+graph::CsrGraph Gnp(graph::NodeId n, double p, util::Rng& rng) {
+  return graph::CsrGraph::FromGraph(models::ErdosRenyiGnp(n, p, rng));
+}
+
+graph::CsrGraph Edgeless(graph::NodeId n) {
+  return graph::CsrGraph::FromGraph(graph::Graph(n));
 }
 
 TEST(LadderMechanismTest, RejectsBadEpsilon) {
   util::Rng rng(1);
-  graph::Graph g(10);
+  const graph::CsrGraph g = Edgeless(10);
   EXPECT_FALSE(DpTriangleCount(g, 0.0, rng).ok());
   EXPECT_FALSE(DpTriangleCount(g, -1.0, rng).ok());
 }
@@ -30,7 +38,7 @@ TEST(LadderMechanismTest, RejectsBadEpsilon) {
 TEST(LadderMechanismTest, TinyGraphsReturnZero) {
   util::Rng rng(2);
   for (graph::NodeId n : {0u, 1u, 2u}) {
-    auto r = DpTriangleCount(graph::Graph(n), 1.0, rng);
+    auto r = DpTriangleCount(Edgeless(n), 1.0, rng);
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r.value(), 0);
   }
@@ -38,7 +46,7 @@ TEST(LadderMechanismTest, TinyGraphsReturnZero) {
 
 TEST(LadderMechanismTest, OutputAlwaysInFeasibleRange) {
   util::Rng rng(3);
-  graph::Graph g = models::ErdosRenyiGnp(30, 0.3, rng);
+  const graph::CsrGraph g = Gnp(30, 0.3, rng);
   const int64_t max_triangles = 30LL * 29 * 28 / 6;
   for (double eps : {0.01, 0.1, 1.0}) {
     for (int i = 0; i < 200; ++i) {
@@ -52,7 +60,7 @@ TEST(LadderMechanismTest, OutputAlwaysInFeasibleRange) {
 
 TEST(LadderMechanismTest, ConcentratesAtLargeEpsilon) {
   util::Rng rng(4);
-  graph::Graph g = models::ErdosRenyiGnp(60, 0.2, rng);
+  const graph::CsrGraph g = Gnp(60, 0.2, rng);
   const auto truth = static_cast<int64_t>(graph::CountTriangles(g));
   int exact = 0;
   const int trials = 200;
@@ -67,7 +75,7 @@ TEST(LadderMechanismTest, ConcentratesAtLargeEpsilon) {
 
 TEST(LadderMechanismTest, ErrorShrinksWithEpsilon) {
   util::Rng rng(5);
-  graph::Graph g = models::ErdosRenyiGnp(80, 0.15, rng);
+  const graph::CsrGraph g = Gnp(80, 0.15, rng);
   const auto truth = static_cast<double>(graph::CountTriangles(g));
   auto mean_abs_error = [&](double eps) {
     double sum = 0.0;
@@ -83,7 +91,7 @@ TEST(LadderMechanismTest, ErrorShrinksWithEpsilon) {
 
 TEST(LadderMechanismTest, ExactBaseUsedForSmallGraphs) {
   util::Rng rng(6);
-  graph::Graph g = models::ErdosRenyiGnp(40, 0.2, rng);
+  const graph::CsrGraph g = Gnp(40, 0.2, rng);
   LadderDiagnostics diag;
   auto r = DpTriangleCount(g, 1.0, rng, LadderOptions{}, &diag);
   ASSERT_TRUE(r.ok());
@@ -95,7 +103,7 @@ TEST(LadderMechanismTest, ExactBaseUsedForSmallGraphs) {
 
 TEST(LadderMechanismTest, DegreeBoundFallbackKicksIn) {
   util::Rng rng(7);
-  graph::Graph g = models::ErdosRenyiGnp(40, 0.2, rng);
+  const graph::CsrGraph g = Gnp(40, 0.2, rng);
   LadderOptions options;
   options.max_exact_work = 1;  // force the fallback
   LadderDiagnostics diag;
@@ -109,7 +117,7 @@ TEST(LadderMechanismTest, DegreeBoundFallbackKicksIn) {
 
 TEST(LadderMechanismTest, ForcedDegreeBoundStillAccurate) {
   util::Rng rng(8);
-  graph::Graph g = models::ErdosRenyiGnp(100, 0.1, rng);
+  const graph::CsrGraph g = Gnp(100, 0.1, rng);
   const auto truth = static_cast<double>(graph::CountTriangles(g));
   LadderOptions options;
   options.force_degree_bound = true;
@@ -125,7 +133,7 @@ TEST(LadderMechanismTest, ForcedDegreeBoundStillAccurate) {
 
 TEST(LadderMechanismTest, LadderBaseOnCompleteGraphIsNMinusTwo) {
   util::Rng rng(9);
-  graph::Graph g = CompleteGraph(12);
+  const graph::CsrGraph g = CompleteGraph(12);
   LadderDiagnostics diag;
   auto r = DpTriangleCount(g, 1.0, rng, LadderOptions{}, &diag);
   ASSERT_TRUE(r.ok());
@@ -137,7 +145,7 @@ TEST(LadderMechanismTest, UnbiasedishAtModerateEpsilon) {
   // over many draws should sit near the truth (clamping at zero introduces
   // slight upward bias only for tiny counts).
   util::Rng rng(10);
-  graph::Graph g = models::ErdosRenyiGnp(70, 0.2, rng);
+  const graph::CsrGraph g = Gnp(70, 0.2, rng);
   const auto truth = static_cast<double>(graph::CountTriangles(g));
   double sum = 0.0;
   const int trials = 400;

@@ -162,18 +162,18 @@ TEST(SubgraphCountsTest, BinomialSaturatesInsteadOfOverflowing) {
 TEST(SubgraphCountsTest, TwoStarsAreWedges) {
   util::Rng rng(6);
   graph::Graph g = models::ErdosRenyiGnp(100, 0.05, rng);
-  EXPECT_EQ(graph::CountKStars(g, 2), graph::CountWedges(Snap(g)));
+  EXPECT_EQ(graph::CountKStars(Snap(g), 2), graph::CountWedges(Snap(g)));
 }
 
 TEST(SubgraphCountsTest, StarGraphKStars) {
-  graph::Graph g = StarGraph(6);  // hub degree 5
+  const graph::CsrGraph g = Snap(StarGraph(6));  // hub degree 5
   EXPECT_EQ(graph::CountKStars(g, 3), 10u);  // C(5,3); leaves contribute 0
   EXPECT_EQ(graph::CountKStars(g, 5), 1u);
   EXPECT_EQ(graph::CountKStars(g, 6), 0u);
 }
 
 TEST(SubgraphCountsTest, OneStarsAreEdgeEndpoints) {
-  graph::Graph g = PathGraph(4);
+  const graph::CsrGraph g = Snap(PathGraph(4));
   EXPECT_EQ(graph::CountKStars(g, 1), 2 * g.num_edges());
 }
 

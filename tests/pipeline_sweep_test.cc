@@ -8,12 +8,12 @@
 #include <numeric>
 #include <tuple>
 
-#include "src/agm/agm_dp.h"
 #include "src/agm/theta_f.h"
 #include "src/agm/theta_x.h"
 #include "src/datasets/datasets.h"
 #include "src/graph/attribute_encoding.h"
 #include "src/graph/components.h"
+#include "src/pipeline/release_pipeline.h"
 #include "src/util/rng.h"
 
 namespace agmdp {
@@ -27,35 +27,35 @@ class PipelineSweepTest : public ::testing::TestWithParam<SweepParam> {
   static void SetUpTestSuite() {
     auto g = datasets::GenerateDataset(datasets::DatasetId::kPetster, 0.2, 3);
     ASSERT_TRUE(g.ok());
-    input_ = new graph::AttributedGraph(std::move(g).value());
+    input_ = new graph::AttributedCsrGraph(
+        graph::AttributedCsrGraph::FromGraph(g.value()));
   }
   static void TearDownTestSuite() {
     delete input_;
     input_ = nullptr;
   }
-  static graph::AttributedGraph* input_;
+  static graph::AttributedCsrGraph* input_;
 };
 
-graph::AttributedGraph* PipelineSweepTest::input_ = nullptr;
+graph::AttributedCsrGraph* PipelineSweepTest::input_ = nullptr;
 
 TEST_P(PipelineSweepTest, ReleaseIsWellFormedAndBudgetExact) {
   const auto [model, method, epsilon] = GetParam();
-  agm::AgmDpOptions options;
-  options.epsilon = epsilon;
-  options.model = model == 0 ? agm::StructuralModelKind::kFcl
-                             : agm::StructuralModelKind::kTriCycLe;
-  options.theta_f_method = static_cast<agm::ThetaFMethod>(method);
-  options.sample.acceptance_iterations = 1;
+  pipeline::PipelineConfig config;
+  config.epsilon = epsilon;
+  config.model = model == 0 ? "fcl" : "tricycle";
+  config.theta_f_method = static_cast<agm::ThetaFMethod>(method);
+  config.sample.acceptance_iterations = 1;
   util::Rng rng(1000 + model * 100 + method * 10 +
                 static_cast<uint64_t>(epsilon * 7));
 
-  auto result = agm::SynthesizeAgmDp(*input_, options, rng);
+  auto result = pipeline::RunPrivateRelease(*input_, config, rng);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const graph::AttributedGraph& out = result.value().graph;
 
   // Node set and attribute dimension are preserved.
   EXPECT_EQ(out.num_nodes(), input_->num_nodes());
-  EXPECT_EQ(out.num_attributes(), input_->num_attributes());
+  EXPECT_EQ(out.num_attributes(), input_->num_attributes);
 
   // Simple graph: no self-loops / duplicates by construction; verify the
   // degree-sum identity as a structural checksum.
@@ -87,14 +87,14 @@ TEST_P(PipelineSweepTest, ReleaseIsWellFormedAndBudgetExact) {
 
   // Budget ledger: spends are positive and total exactly epsilon.
   double spent = 0.0;
-  for (const auto& [label, eps] : result.value().budget_ledger) {
+  for (const auto& [label, eps] : result.value().ledger) {
     EXPECT_GT(eps, 0.0) << label;
     spent += eps;
   }
   EXPECT_NEAR(spent, epsilon, 1e-9);
 
   // TriCycLe keeps the synthetic graph connected (orphan post-processing).
-  if (options.model == agm::StructuralModelKind::kTriCycLe) {
+  if (model != 0) {
     EXPECT_TRUE(graph::IsConnected(out.structure()));
   }
 }

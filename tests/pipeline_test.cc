@@ -32,6 +32,14 @@ const graph::AttributedGraph& Input() {
   return *input;
 }
 
+// Input() as the snapshot every fit reads.
+const graph::AttributedCsrGraph& Snapshot() {
+  static const graph::AttributedCsrGraph* snapshot =
+      new graph::AttributedCsrGraph(
+          graph::AttributedCsrGraph::FromGraph(Input()));
+  return *snapshot;
+}
+
 bool SameGraph(const graph::AttributedGraph& a,
                const graph::AttributedGraph& b) {
   return a.num_nodes() == b.num_nodes() &&
@@ -56,7 +64,7 @@ TEST(ModelRegistryTest, UnknownModelFailsCleanly) {
   pipeline::PipelineConfig config;
   config.model = "no_such_model";
   util::Rng rng(1);
-  auto result = pipeline::RunPrivateRelease(Input(), config, rng);
+  auto result = pipeline::RunPrivateRelease(Snapshot(), config, rng);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
   // The error lists the registered names to guide the caller.
@@ -74,7 +82,7 @@ TEST(ReleasePipelineTest, LedgerSumsExactlyToEpsilonForEveryModel) {
     config.model = model;
     config.sample.acceptance_iterations = 1;
     util::Rng rng(7);
-    auto result = pipeline::RunPrivateRelease(Input(), config, rng);
+    auto result = pipeline::RunPrivateRelease(Snapshot(), config, rng);
     ASSERT_TRUE(result.ok()) << model << ": " << result.status().ToString();
 
     double sum = 0.0;
@@ -103,7 +111,7 @@ TEST(ReleasePipelineTest, FitAloneCarriesFullLedgerAndStageTimings) {
   config.epsilon = 1.0;
   config.model = "tricycle";
   util::Rng rng(11);
-  auto fit = pipeline::FitPrivateParams(Input(), config, rng);
+  auto fit = pipeline::FitPrivateParams(Snapshot(), config, rng);
   ASSERT_TRUE(fit.ok()) << fit.status().ToString();
 
   double sum = 0.0;
@@ -120,7 +128,7 @@ TEST(ReleasePipelineTest, ReleaseRecordsSampleStageAndTotalTime) {
   config.model = "fcl";
   config.sample.acceptance_iterations = 1;
   util::Rng rng(13);
-  auto result = pipeline::RunPrivateRelease(Input(), config, rng);
+  auto result = pipeline::RunPrivateRelease(Snapshot(), config, rng);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_FALSE(result.value().stage_seconds.empty());
   EXPECT_EQ(result.value().stage_seconds.back().stage, "sample");
@@ -134,9 +142,53 @@ TEST(ReleasePipelineTest, OverdrawnSplitIsRejected) {
   config.split.theta_f = 0.4;
   config.split.degree_seq = 0.4;
   util::Rng rng(17);
-  auto result = pipeline::RunPrivateRelease(Input(), config, rng);
+  auto result = pipeline::RunPrivateRelease(Snapshot(), config, rng);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
+}
+
+// A delta outside (0, 1) is a typed config error, not an abort inside the
+// smooth-sensitivity calculus after theta_x was already charged.
+TEST(ReleasePipelineTest, SmoothDeltaOutsideUnitIntervalIsRejected) {
+  for (double delta : {1.0, 1.5, 0.0, -1e-6, std::nan(""), HUGE_VAL}) {
+    SCOPED_TRACE(delta);
+    pipeline::PipelineConfig config;
+    config.theta_f_method = agm::ThetaFMethod::kSmoothSensitivity;
+    config.smooth_delta = delta;
+    EXPECT_EQ(config.Validate().code(), util::StatusCode::kInvalidArgument);
+    util::Rng rng(19);
+    auto result = pipeline::RunPrivateRelease(Snapshot(), config, rng);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
+  }
+}
+
+// A sample-and-aggregate group larger than the graph fails before the
+// first spend instead of aborting in the partition after two stages paid.
+TEST(ReleasePipelineTest, OversizedSampleAggregateGroupFailsBeforeAnySpend) {
+  const graph::NodeId n = Snapshot().num_nodes();
+  agm::AgmDpOptions options;
+  options.theta_f_method = agm::ThetaFMethod::kSampleAggregate;
+  options.sa_group_size = n + 1;
+  dp::PrivacyAccountant accountant(options.epsilon);
+  util::Rng rng(31);
+  auto params = agm::LearnAgmParamsDp(Snapshot(), options, accountant, rng);
+  ASSERT_FALSE(params.ok());
+  EXPECT_EQ(params.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(accountant.spent(), 0.0);
+  EXPECT_TRUE(accountant.ledger().empty());
+
+  pipeline::PipelineConfig config;
+  config.theta_f_method = agm::ThetaFMethod::kSampleAggregate;
+  config.sa_group_size = n + 1;
+  auto release = pipeline::RunPrivateRelease(Snapshot(), config, rng);
+  ASSERT_FALSE(release.ok());
+  EXPECT_EQ(release.status().code(), util::StatusCode::kInvalidArgument);
+
+  // One group of all n nodes is the largest valid partition.
+  options.sa_group_size = n;
+  dp::PrivacyAccountant fresh(options.epsilon);
+  EXPECT_TRUE(agm::LearnAgmParamsDp(Snapshot(), options, fresh, rng).ok());
 }
 
 // ---------------------------------------------------------- determinism --
@@ -149,7 +201,7 @@ TEST(SamplerDeterminismTest, IdenticalGraphAcross124Threads) {
     pipeline::PipelineConfig fit_config;
     fit_config.model = model;
     util::Rng fit_rng(23);
-    auto fit = pipeline::FitPrivateParams(Input(), fit_config, fit_rng);
+    auto fit = pipeline::FitPrivateParams(Snapshot(), fit_config, fit_rng);
     ASSERT_TRUE(fit.ok()) << fit.status().ToString();
 
     graph::AttributedGraph reference;
@@ -180,7 +232,7 @@ TEST(SamplerDeterminismTest, EndToEndReleaseIsThreadCountInvariant) {
     config.sample.acceptance_iterations = 2;
     config.sample.threads = threads;
     util::Rng rng(29);
-    auto result = pipeline::RunPrivateRelease(Input(), config, rng);
+    auto result = pipeline::RunPrivateRelease(Snapshot(), config, rng);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     if (threads == 1) {
       reference = std::move(result).value().graph;
@@ -191,7 +243,7 @@ TEST(SamplerDeterminismTest, EndToEndReleaseIsThreadCountInvariant) {
 }
 
 TEST(SamplerDeterminismTest, ParallelThetaFMatchesSequential) {
-  const std::vector<double> expected = agm::ComputeThetaF(Input());
+  const std::vector<double> expected = agm::ComputeThetaF(Snapshot());
   for (int threads : {1, 2, 4, 0}) {
     const std::vector<double> measured = agm::MeasureThetaF(Input(), threads);
     ASSERT_EQ(measured.size(), expected.size());
@@ -237,7 +289,7 @@ TEST(GoldenReleaseTest, ChecksummedReleaseAndLedgerReproduceAcrossThreads) {
       config.sample.acceptance_iterations = 2;
       config.sample.threads = threads;
       util::Rng rng(kSeed);
-      auto result = pipeline::RunPrivateRelease(Input(), config, rng);
+      auto result = pipeline::RunPrivateRelease(Snapshot(), config, rng);
       ASSERT_TRUE(result.ok()) << model << ": " << result.status().ToString();
 
       const uint64_t checksum = GraphChecksum(result.value().graph);
@@ -265,14 +317,13 @@ TEST(GoldenReleaseTest, ChecksummedReleaseAndLedgerReproduceAcrossThreads) {
 // the same graph written to a binary container and reopened from the
 // mapping. Equal digests on both prove the fit is a function of the graph
 // alone, not of how it was stored.
-std::vector<std::pair<std::string, graph::AttributedGraph>> FitInputs() {
+std::vector<std::pair<std::string, graph::AttributedCsrGraph>> FitInputs() {
   const std::string path = testing::TempDir() + "/fit_golden_input.agmbin";
   EXPECT_TRUE(graph::WriteBinaryGraph(Input(), path).ok());
   auto source = graph::GraphSource::Open(path);
   EXPECT_TRUE(source.ok()) << source.status().ToString();
-  return {{"in-memory", graph::MaterializeSnapshot(
-                            graph::AttributedCsrGraph::FromGraph(Input()))},
-          {"agmbin", source.value().Materialize()}};
+  EXPECT_TRUE(source.value().snapshot().structure.is_external());
+  return {{"in-memory", Snapshot()}, {"agmbin", source.value().snapshot()}};
 }
 
 struct FitGoldenCase {
@@ -356,7 +407,7 @@ TEST(FitGoldenTest, LearnerOutputsMatchPinnedLiterals) {
                                      0x1cee91f90d45d4a6ULL};
     for (uint32_t k : {2u, 3u}) {
       util::Rng rng(20261017 + k);
-      auto stars = dp::DpKStarCount(input.structure(), k, 0.5, rng);
+      auto stars = dp::DpKStarCount(input.structure, k, 0.5, rng);
       ASSERT_TRUE(stars.ok()) << stars.status().ToString();
       EXPECT_EQ(golden::HashDoubles({stars.value()}), kstar_hashes[k - 2])
           << "k=" << k << " " << std::hex
@@ -364,8 +415,11 @@ TEST(FitGoldenTest, LearnerOutputsMatchPinnedLiterals) {
     }
 
     const uint32_t k = dp::HeuristicTruncationK(input.num_nodes());
-    const std::vector<graph::Edge> kept =
-        dp::TruncateEdges(input.structure(), k).CanonicalEdges();
+    std::vector<graph::Edge> kept;
+    dp::TruncateEdges(input.structure, k)
+        .ForEachEdge([&](graph::NodeId u, graph::NodeId v) {
+          kept.emplace_back(u, v);
+        });
     EXPECT_EQ(golden::HashEdges(kept), 0x1cff8cd41cd0b17bULL)
         << std::hex << golden::HashEdges(kept);
   }

@@ -47,7 +47,8 @@ const agm::AgmParams& BaseParams() {
     auto g = datasets::GenerateDataset(datasets::DatasetId::kLastFm,
                                        /*scale=*/0.05, /*seed=*/7);
     AGMDP_CHECK_MSG(g.ok(), g.status().ToString().c_str());
-    return new agm::AgmParams(agm::LearnAgmParams(g.value()));
+    return new agm::AgmParams(agm::LearnAgmParams(
+        graph::AttributedCsrGraph::FromGraph(g.value())));
   }();
   return *params;
 }

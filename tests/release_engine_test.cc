@@ -25,11 +25,13 @@
 namespace agmdp {
 namespace {
 
-const graph::AttributedGraph& Input() {
-  static const graph::AttributedGraph* input = [] {
+// The fit input, as the snapshot every fit reads.
+const graph::AttributedCsrGraph& Input() {
+  static const graph::AttributedCsrGraph* input = [] {
     auto g = datasets::GenerateDataset(datasets::DatasetId::kPetster, 0.2, 3);
     AGMDP_CHECK_MSG(g.ok(), g.status().ToString().c_str());
-    return new graph::AttributedGraph(std::move(g).value());
+    return new graph::AttributedCsrGraph(
+        graph::AttributedCsrGraph::FromGraph(g.value()));
   }();
   return *input;
 }
@@ -321,7 +323,7 @@ TEST(ReleaseEngineTest, TriangleModelServesWellFormedGraphs) {
   for (const graph::AttributedGraph& g : graphs.value()) {
     EXPECT_EQ(g.num_nodes(), Input().num_nodes());
     EXPECT_GT(g.num_edges(), 0u);
-    EXPECT_EQ(g.num_attributes(), Input().num_attributes());
+    EXPECT_EQ(g.num_attributes(), Input().num_attributes);
   }
 }
 
@@ -431,7 +433,8 @@ TEST(ReleaseEngineGoldenTest, CalibrationAndSamplesMatchPinnedLiterals) {
   };
   auto input = datasets::GenerateDataset(datasets::DatasetId::kPetster, 0.1, 4);
   ASSERT_TRUE(input.ok()) << input.status().ToString();
-  const agm::AgmParams params = agm::LearnAgmParams(input.value());
+  const agm::AgmParams params = agm::LearnAgmParams(
+      graph::AttributedCsrGraph::FromGraph(input.value()));
 
   for (const GoldenCase& c : kCases) {
     SCOPED_TRACE(std::string(c.model) + " iterations " +

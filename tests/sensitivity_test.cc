@@ -20,7 +20,6 @@
 
 #include "src/agm/theta_f.h"
 #include "src/agm/theta_x.h"
-#include "src/dp/edge_truncation.h"
 #include "src/graph/csr.h"
 #include "src/graph/degree.h"
 #include "src/graph/triangle_count.h"
@@ -80,6 +79,10 @@ graph::AttributedGraph ToggleOneEdge(const graph::AttributedGraph& g,
   }
 }
 
+graph::AttributedCsrGraph Snap(const graph::AttributedGraph& g) {
+  return graph::AttributedCsrGraph::FromGraph(g);
+}
+
 class SensitivityTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SensitivityTest, QxAttributeChangeBoundedByTwo) {
@@ -87,8 +90,8 @@ TEST_P(SensitivityTest, QxAttributeChangeBoundedByTwo) {
   graph::AttributedGraph g = RandomInput(60, 0.1, 2, rng);
   for (int trial = 0; trial < 30; ++trial) {
     graph::AttributedGraph h = FlipOneAttribute(g, rng);
-    EXPECT_LE(L1Diff(agm::ComputeAttributeCounts(g),
-                     agm::ComputeAttributeCounts(h)),
+    EXPECT_LE(L1Diff(agm::ComputeAttributeCounts(Snap(g)),
+                     agm::ComputeAttributeCounts(Snap(h))),
               2.0 + 1e-9);
   }
 }
@@ -97,8 +100,8 @@ TEST_P(SensitivityTest, QxEdgeChangeHasNoEffect) {
   util::Rng rng(GetParam() + 100);
   graph::AttributedGraph g = RandomInput(60, 0.1, 2, rng);
   graph::AttributedGraph h = ToggleOneEdge(g, rng);
-  EXPECT_DOUBLE_EQ(L1Diff(agm::ComputeAttributeCounts(g),
-                          agm::ComputeAttributeCounts(h)),
+  EXPECT_DOUBLE_EQ(L1Diff(agm::ComputeAttributeCounts(Snap(g)),
+                          agm::ComputeAttributeCounts(Snap(h))),
                    0.0);
 }
 
@@ -108,9 +111,9 @@ TEST_P(SensitivityTest, TruncatedQfEdgeChangeBoundedByThree) {
   for (uint32_t k : {3u, 5u, 9u}) {
     for (int trial = 0; trial < 15; ++trial) {
       graph::AttributedGraph h = ToggleOneEdge(g, rng);
-      const double diff = L1Diff(
-          agm::ComputeConnectionCounts(dp::TruncateEdges(g, k)),
-          agm::ComputeConnectionCounts(dp::TruncateEdges(h, k)));
+      const double diff =
+          L1Diff(agm::ComputeTruncatedConnectionCounts(Snap(g), k),
+                 agm::ComputeTruncatedConnectionCounts(Snap(h), k));
       EXPECT_LE(diff, 3.0 + 1e-9) << "k=" << k;
     }
   }
@@ -120,15 +123,15 @@ TEST_P(SensitivityTest, TruncatedQfAttributeChangeBoundedByTwoK) {
   util::Rng rng(GetParam() + 300);
   graph::AttributedGraph g = RandomInput(50, 0.15, 2, rng);
   for (uint32_t k : {2u, 4u, 8u}) {
-    const graph::AttributedGraph truncated_g = dp::TruncateEdges(g, k);
+    const std::vector<double> truncated_g =
+        agm::ComputeTruncatedConnectionCounts(Snap(g), k);
     for (int trial = 0; trial < 15; ++trial) {
       graph::AttributedGraph h = FlipOneAttribute(g, rng);
       // Attribute changes do not move edges, so truncation commutes and the
       // count shift is bounded by the changed node's (truncated) degree,
       // twice.
       const double diff = L1Diff(
-          agm::ComputeConnectionCounts(truncated_g),
-          agm::ComputeConnectionCounts(dp::TruncateEdges(h, k)));
+          truncated_g, agm::ComputeTruncatedConnectionCounts(Snap(h), k));
       EXPECT_LE(diff, 2.0 * k + 1e-9) << "k=" << k;
     }
   }
@@ -143,15 +146,15 @@ TEST_P(SensitivityTest, UntruncatedQfAttributeChangeCanExceedTwoK) {
   ASSERT_TRUE(g.SetAttributes(std::vector<graph::AttrConfig>(30, 0)).ok());
   graph::AttributedGraph h = g;
   h.set_attribute(0, 1);  // flip the hub
-  const double diff = L1Diff(agm::ComputeConnectionCounts(g),
-                             agm::ComputeConnectionCounts(h));
+  const double diff = L1Diff(agm::ComputeConnectionCounts(Snap(g)),
+                             agm::ComputeConnectionCounts(Snap(h)));
   EXPECT_DOUBLE_EQ(diff, 2.0 * 29);  // full hub degree, both directions
 }
 
 TEST_P(SensitivityTest, TriangleCountEdgeChangeWithinLadderBase) {
   util::Rng rng(GetParam() + 500);
   graph::AttributedGraph g = RandomInput(40, 0.2, 1, rng);
-  auto base = graph::MaxCommonNeighborCount(g.structure(), 1u << 30);
+  auto base = graph::MaxCommonNeighborCount(Snap(g).structure, 1u << 30);
   ASSERT_TRUE(base.ok());
   const auto before =
       static_cast<int64_t>(graph::CountTriangles(g.structure()));

@@ -44,11 +44,13 @@
 namespace agmdp {
 namespace {
 
-const graph::AttributedGraph& Input() {
-  static const graph::AttributedGraph* input = [] {
+// The fit input, as the snapshot every fit reads.
+const graph::AttributedCsrGraph& Input() {
+  static const graph::AttributedCsrGraph* input = [] {
     auto g = datasets::GenerateDataset(datasets::DatasetId::kPetster, 0.2, 3);
     AGMDP_CHECK_MSG(g.ok(), g.status().ToString().c_str());
-    return new graph::AttributedGraph(std::move(g).value());
+    return new graph::AttributedCsrGraph(
+        graph::AttributedCsrGraph::FromGraph(g.value()));
   }();
   return *input;
 }

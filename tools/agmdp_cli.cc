@@ -369,7 +369,9 @@ void PrintStageTimings(const std::vector<agm::StageSeconds>& stages) {
 }
 
 /// All graph inputs come through GraphSource: `--in=` accepts a text
-/// PREFIX or a binary .agmbin container interchangeably.
+/// PREFIX or a binary .agmbin container interchangeably, and every
+/// subcommand reads its snapshot() — a binary input is never copied out
+/// of the mapping.
 util::Result<graph::GraphSource> LoadSource(const util::Flags& flags,
                                             const std::string& flag_name) {
   const std::string path = flags.GetString(flag_name, "");
@@ -377,15 +379,6 @@ util::Result<graph::GraphSource> LoadSource(const util::Flags& flags,
     return util::Status::InvalidArgument("missing --" + flag_name + "=PATH");
   }
   return graph::GraphSource::Open(path);
-}
-
-/// Materialized variant for subcommands that need a mutable graph
-/// (fit/synthesize read adjacency lists; export walks canonical edges).
-util::Result<graph::AttributedGraph> LoadInput(const util::Flags& flags,
-                                               const std::string& flag_name) {
-  auto source = LoadSource(flags, flag_name);
-  if (!source.ok()) return source.status();
-  return source.value().Materialize();
 }
 
 int CmdGenerate(const util::Flags& flags) {
@@ -415,13 +408,14 @@ int CmdFit(const util::Flags& flags) {
   auto parsed = ConfigFromFlags(flags);
   if (!parsed.ok()) return FailUsage(parsed.status());
   const pipeline::PipelineConfig config = parsed.value();
-  auto input = LoadInput(flags, "in");
+  auto input = LoadSource(flags, "in");
   if (!input.ok()) return FailUsage(input.status());
   auto seed = SeedFlag(flags, 1);
   if (!seed.ok()) return FailUsage(seed.status());
   util::Rng rng(static_cast<uint64_t>(seed.value()));
 
-  auto artifact = pipeline::FitReleaseArtifact(input.value(), config, rng);
+  auto artifact =
+      pipeline::FitReleaseArtifact(input.value().snapshot(), config, rng);
   if (!artifact.ok()) return Fail(artifact.status());
   // The default path is the one `agmdp sample` reads flaglessly.
   const std::string out =
@@ -523,12 +517,13 @@ int CmdSynthesize(const util::Flags& flags) {
   auto parsed = ConfigFromFlags(flags);
   if (!parsed.ok()) return FailUsage(parsed.status());
   const pipeline::PipelineConfig config = parsed.value();
-  auto input = LoadInput(flags, "in");
+  auto input = LoadSource(flags, "in");
   if (!input.ok()) return FailUsage(input.status());
   auto seed = SeedFlag(flags, 1);
   if (!seed.ok()) return FailUsage(seed.status());
   util::Rng rng(static_cast<uint64_t>(seed.value()));
-  auto result = pipeline::RunPrivateRelease(input.value(), config, rng);
+  auto result =
+      pipeline::RunPrivateRelease(input.value().snapshot(), config, rng);
   if (!result.ok()) return Fail(result.status());
   const std::string out = flags.GetString("out", "synthetic");
   if (auto st = graph::WriteGraph(result.value().graph, out); !st.ok()) {
@@ -1150,10 +1145,11 @@ int CmdInfo(const util::Flags& flags) {
 }
 
 int CmdExport(const util::Flags& flags) {
-  auto input = LoadInput(flags, "in");
+  auto input = LoadSource(flags, "in");
   if (!input.ok()) return Fail(input.status());
   const std::string out = flags.GetString("out", "graph.graphml");
-  if (auto st = graph::WriteGraphMl(input.value(), out); !st.ok()) {
+  if (auto st = graph::WriteGraphMl(input.value().snapshot(), out);
+      !st.ok()) {
     return Fail(st);
   }
   std::printf("wrote %s\n", out.c_str());
