@@ -1,5 +1,6 @@
 #include "src/agm/agm_dp.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 
@@ -48,9 +49,8 @@ util::Result<AgmParams> LearnAgmParamsDp(
   uint32_t sa_group = options.sa_group_size;
   if (options.theta_f_method == ThetaFMethod::kSampleAggregate) {
     if (sa_group == 0) {
-      sa_group = static_cast<uint32_t>(
-          std::lround(std::sqrt(static_cast<double>(n))));
-      if (sa_group < 2) sa_group = 2;
+      sa_group = std::max<uint32_t>(
+          2, static_cast<uint32_t>(std::lround(std::sqrt(n))));
     }
     if (sa_group > n) {
       return util::Status::InvalidArgument(

@@ -44,12 +44,6 @@ std::vector<std::pair<std::string, double>> UtilityReport::Flatten() const {
   return flat;
 }
 
-ReferenceProfile ProfileReference(const graph::AttributedGraph& original,
-                                  int analytics_threads) {
-  return ProfileReference(graph::AttributedCsrGraph::FromGraph(original),
-                          analytics_threads);
-}
-
 ReferenceProfile ProfileReference(const graph::AttributedCsrGraph& original,
                                   int analytics_threads) {
   ReferenceProfile ref;
@@ -146,11 +140,6 @@ UtilityReport EvaluateRelease(const ReferenceProfile& original,
     report.homophily_delta[a] = h1[a] - original.homophily[a];
   }
   return report;
-}
-
-UtilityReport EvaluateRelease(const graph::AttributedGraph& original,
-                              const graph::AttributedGraph& released) {
-  return EvaluateRelease(ProfileReference(original), released);
 }
 
 ThetaFError CompareThetaF(std::vector<double> estimate,

@@ -96,16 +96,15 @@ struct ReferenceProfile {
   std::vector<double> sorted_local_clustering;
 };
 
-/// Profiles the original once for repeated evaluation. The AttributedGraph
-/// entry point snapshots the graph and delegates to the CSR overload.
-ReferenceProfile ProfileReference(const graph::AttributedGraph& original,
-                                  int analytics_threads = 1);
+/// Profiles the original's snapshot once for repeated evaluation.
 ReferenceProfile ProfileReference(const graph::AttributedCsrGraph& original,
                                   int analytics_threads = 1);
 
 /// Computes the full metric suite against a precomputed original profile.
 /// The AttributedGraph entry point builds one snapshot of the released
-/// graph and reuses it across all metrics.
+/// graph and reuses it across all metrics. The released graph may have a
+/// different attribute dimension than the original (homophily deltas are
+/// then over the common prefix of bits).
 UtilityReport EvaluateRelease(const ReferenceProfile& original,
                               const graph::AttributedGraph& released,
                               int analytics_threads = 1);
@@ -113,11 +112,6 @@ UtilityReport EvaluateRelease(const ReferenceProfile& original,
                               const graph::AttributedCsrGraph& released,
                               int analytics_threads = 1);
 
-/// One-shot convenience: ProfileReference(original) + the overload above.
-/// The released graph may have a different attribute dimension than the
-/// original (homophily deltas are then over the common prefix of bits).
-UtilityReport EvaluateRelease(const graph::AttributedGraph& original,
-                              const graph::AttributedGraph& released);
 
 /// \brief Error of one ΘF estimate against the exact correlation vector
 /// (the y-axes of Figures 1 and 5).

@@ -10,10 +10,6 @@ std::vector<uint32_t> DegreeSequence(const Graph& g) {
   return degrees;
 }
 
-std::vector<uint32_t> DegreeSequence(const CsrGraph& g) {
-  return g.degrees();
-}
-
 std::vector<uint32_t> SortedDegreeSequence(const CsrGraph& g) {
   std::vector<uint32_t> degrees = g.degrees();
   std::sort(degrees.begin(), degrees.end());

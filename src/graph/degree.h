@@ -1,7 +1,8 @@
 // Degree sequences, histograms and summary statistics.
 //
-// The snapshot caches its degree array, so the CsrGraph functions are
-// plain reads; DegreeSequence also reads the generators' mutable Graph.
+// The snapshot caches its degree array (CsrGraph::degrees()), so the
+// CsrGraph functions are plain reads; DegreeSequence reads the generators'
+// mutable Graph.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +15,6 @@ namespace agmdp::graph {
 
 /// Degree of every node, indexed by node id.
 std::vector<uint32_t> DegreeSequence(const Graph& g);
-std::vector<uint32_t> DegreeSequence(const CsrGraph& g);
 
 /// Degree sequence sorted ascending (the paper's S, sorted for constrained
 /// inference).

@@ -45,10 +45,9 @@ std::string JsonNumberExact(double value);
 ///   std::string doc = json.Finish();
 class JsonWriter {
  public:
-  JsonWriter() = default;
-  /// Streams the document into `sink` in chunks as it is built, so a large
-  /// document never sits whole in memory; Finish() then returns "".
-  explicit JsonWriter(std::ostream* sink) : sink_(sink) {}
+  /// With a `sink`, the document streams into it in chunks as it is built,
+  /// so a large one never sits whole in memory; Finish() then returns "".
+  explicit JsonWriter(std::ostream* sink = nullptr) : sink_(sink) {}
 
   JsonWriter& BeginObject();
   JsonWriter& EndObject();

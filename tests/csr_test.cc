@@ -21,6 +21,7 @@
 #include "src/stats/joint_degree.h"
 #include "src/stats/metrics.h"
 #include "src/util/rng.h"
+#include "tests/brute_force.h"
 
 namespace agmdp::graph {
 namespace {
@@ -136,7 +137,7 @@ TEST(CsrGraphTest, RoundTripMatchesGraph) {
     }
   }
   std::vector<uint32_t> sorted = DegreeSequence(g);
-  EXPECT_EQ(DegreeSequence(csr), sorted);
+  EXPECT_EQ(csr.degrees(), sorted);
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(SortedDegreeSequence(csr), sorted);
   std::vector<uint64_t> hist(g.MaxDegree() + 1, 0);
@@ -254,7 +255,8 @@ TEST(CsrEvalTest, EvaluateReleaseBitwiseEqualAtEveryThreadCount) {
   // attribute dimensions to exercise the common-prefix homophily path.
   // Report values are checked against a per-metric oracle in
   // fused_eval_test.cc; here threads and entry points must agree.
-  const AttributedGraph original = RandomAttributed(80, 0.08, 3, 21);
+  const AttributedCsrGraph original =
+      AttributedCsrGraph::FromGraph(RandomAttributed(80, 0.08, 3, 21));
   const AttributedGraph released = RandomAttributed(70, 0.1, 2, 22);
 
   const eval::ReferenceProfile ref_1t = eval::ProfileReference(original);

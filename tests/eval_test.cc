@@ -36,6 +36,12 @@ graph::AttributedCsrGraph Snap(const graph::AttributedGraph& g) {
   return graph::AttributedCsrGraph::FromGraph(g);
 }
 
+// Profiles the original's snapshot, then scores the release against it.
+UtilityReport Evaluate(const graph::AttributedGraph& original,
+                       const graph::AttributedGraph& released) {
+  return EvaluateRelease(ProfileReference(Snap(original)), released);
+}
+
 // --------------------------------------------------- stats primitives --
 
 TEST(MetricPrimitivesTest, KsDistanceClosedForms) {
@@ -90,14 +96,14 @@ TEST(MetricPrimitivesTest, PerAttributeHomophilyClosedForms) {
 
 TEST(EvaluateReleaseTest, IdenticalGraphsScoreZeroEverywhere) {
   const graph::AttributedGraph g = Triangle();
-  const UtilityReport report = EvaluateRelease(g, g);
+  const UtilityReport report = Evaluate(g, g);
   for (const auto& [name, value] : report.Flatten()) {
     EXPECT_DOUBLE_EQ(value, 0.0) << name;
   }
 }
 
 TEST(EvaluateReleaseTest, TriangleVsPathClosedForms) {
-  const UtilityReport report = EvaluateRelease(Triangle(), Path());
+  const UtilityReport report = Evaluate(Triangle(), Path());
 
   // Degrees: K3 = {2,2,2}, P3 = {1,2,1}. KS/CCDF sup distance = 2/3.
   EXPECT_NEAR(report.errors.degree_ks, 2.0 / 3.0, 1e-12);
@@ -125,7 +131,7 @@ TEST(EvaluateReleaseTest, TriangleVsPathClosedForms) {
 }
 
 TEST(EvaluateReleaseTest, FlattenHasStableNamesAndHomophilySummary) {
-  const UtilityReport report = EvaluateRelease(Triangle(), Path());
+  const UtilityReport report = Evaluate(Triangle(), Path());
   const auto flat = report.Flatten();
   ASSERT_FALSE(flat.empty());
   EXPECT_EQ(flat.front().first, "theta_f_mae");
@@ -195,8 +201,8 @@ TEST(ReportAccumulatorTest, MeanAndStddevOverReports) {
   // Two reports: identical-graphs (all zeros) and triangle-vs-path.
   ReportAccumulator acc;
   const graph::AttributedGraph tri = Triangle();
-  acc.Add(EvaluateRelease(tri, tri));
-  acc.Add(EvaluateRelease(tri, Path()));
+  acc.Add(Evaluate(tri, tri));
+  acc.Add(Evaluate(tri, Path()));
   EXPECT_EQ(acc.count(), 2);
 
   const std::vector<MetricStats> stats = acc.Stats();
@@ -213,7 +219,7 @@ TEST(ReportAccumulatorTest, MeanAndStddevOverReports) {
 
 TEST(ReportAccumulatorTest, SingleReportHasZeroStddev) {
   ReportAccumulator acc;
-  acc.Add(EvaluateRelease(Triangle(), Path()));
+  acc.Add(Evaluate(Triangle(), Path()));
   for (const MetricStats& s : acc.Stats()) {
     EXPECT_DOUBLE_EQ(s.stddev, 0.0) << s.name;
   }

@@ -10,6 +10,7 @@
 #include "src/graph/triangle_count.h"
 #include "src/models/erdos_renyi.h"
 #include "src/util/rng.h"
+#include "tests/brute_force.h"
 
 namespace agmdp::graph {
 namespace {

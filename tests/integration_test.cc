@@ -26,15 +26,15 @@ class EndToEndTest : public ::testing::Test {
     // count stays well below the FCL-vs-TriCycLe clustering gap.
     auto g = datasets::GenerateDataset(datasets::DatasetId::kLastFm, 0.5, 7);
     ASSERT_TRUE(g.ok());
-    input_ = new graph::AttributedGraph(std::move(g).value());
     snapshot_ = new graph::AttributedCsrGraph(
-        graph::AttributedCsrGraph::FromGraph(*input_));
+        graph::AttributedCsrGraph::FromGraph(g.value()));
+    profile_ = new eval::ReferenceProfile(eval::ProfileReference(*snapshot_));
   }
   static void TearDownTestSuite() {
+    delete profile_;
+    profile_ = nullptr;
     delete snapshot_;
     snapshot_ = nullptr;
-    delete input_;
-    input_ = nullptr;
   }
 
   // Algorithm 3 end to end: the fit reads the snapshot, the one-shot
@@ -49,12 +49,12 @@ class EndToEndTest : public ::testing::Test {
     return pipeline::RunPrivateRelease(*snapshot_, config, rng);
   }
 
-  static graph::AttributedGraph* input_;
   static graph::AttributedCsrGraph* snapshot_;
+  static eval::ReferenceProfile* profile_;
 };
 
-graph::AttributedGraph* EndToEndTest::input_ = nullptr;
 graph::AttributedCsrGraph* EndToEndTest::snapshot_ = nullptr;
+eval::ReferenceProfile* EndToEndTest::profile_ = nullptr;
 
 TEST_F(EndToEndTest, TriCycLePipelinePreservesUtility) {
   util::Rng rng(101);
@@ -62,7 +62,7 @@ TEST_F(EndToEndTest, TriCycLePipelinePreservesUtility) {
   ASSERT_TRUE(result.ok());
 
   const stats::UtilityErrors errors =
-      eval::EvaluateRelease(*input_, result.value().graph).errors;
+      eval::EvaluateRelease(*profile_, result.value().graph).errors;
   // Coarse utility gates mirroring the shape of Table 2 at eps = ln 3 (wide
   // tolerances: a single trial on a quarter-scale stand-in).
   EXPECT_LT(errors.theta_f_hellinger, 0.45);
@@ -84,9 +84,9 @@ TEST_F(EndToEndTest, TriCycLeBeatsFclOnClustering) {
     auto rf = Release(std::log(3.0), "fcl", 2, rng);
     ASSERT_TRUE(rt.ok());
     ASSERT_TRUE(rf.ok());
-    tri_err += eval::EvaluateRelease(*input_, rt.value().graph)
+    tri_err += eval::EvaluateRelease(*profile_, rt.value().graph)
                    .errors.triangles_re;
-    fcl_err += eval::EvaluateRelease(*input_, rf.value().graph)
+    fcl_err += eval::EvaluateRelease(*profile_, rf.value().graph)
                    .errors.triangles_re;
   }
   EXPECT_LT(tri_err, fcl_err);
@@ -118,9 +118,9 @@ TEST_F(EndToEndTest, StrongerPrivacyDegradesGracefully) {
     auto rs = Release(0.1, "tricycle", 1, rng);
     ASSERT_TRUE(rw.ok());
     ASSERT_TRUE(rs.ok());
-    err_weak += eval::EvaluateRelease(*input_, rw.value().graph)
+    err_weak += eval::EvaluateRelease(*profile_, rw.value().graph)
                     .errors.theta_f_hellinger;
-    err_strong += eval::EvaluateRelease(*input_, rs.value().graph)
+    err_strong += eval::EvaluateRelease(*profile_, rs.value().graph)
                       .errors.theta_f_hellinger;
   }
   EXPECT_LT(err_weak, err_strong);

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 
@@ -203,6 +204,24 @@ TEST(ParamsIoHardeningTest, ValidRoundTripStillWorks) {
   EXPECT_EQ(back.value().params.theta_f, params.theta_f);
   EXPECT_EQ(back.value().params.degree_sequence, params.degree_sequence);
   EXPECT_EQ(back.value().params.target_triangles, params.target_triangles);
+  std::remove(path.c_str());
+}
+
+// WriteReleaseArtifact streams its document in chunks; the file must hold
+// exactly the in-memory serialization even when it spans many chunks.
+TEST(ParamsIoHardeningTest, StreamedWriteEqualsInMemorySerialization) {
+  AgmParams params = ValidParams();
+  params.degree_sequence.assign(60000, 2);  // a ~0.5 MB document
+  params.target_triangles = 0;
+  const pipeline::ReleaseArtifact artifact = ArtifactOf(params);
+  const std::string path = testing::TempDir() + "/params_streamed.json";
+  ASSERT_TRUE(pipeline::WriteReleaseArtifact(artifact, path).ok());
+  std::ifstream in(path, std::ios::binary);
+  const std::string written((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  const std::string expected = pipeline::ReleaseArtifactToJson(artifact);
+  EXPECT_GT(expected.size(), size_t{1} << 18);
+  EXPECT_EQ(written, expected);
   std::remove(path.c_str());
 }
 

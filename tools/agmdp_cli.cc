@@ -369,9 +369,8 @@ void PrintStageTimings(const std::vector<agm::StageSeconds>& stages) {
 }
 
 /// All graph inputs come through GraphSource: `--in=` accepts a text
-/// PREFIX or a binary .agmbin container interchangeably, and every
-/// subcommand reads its snapshot() — a binary input is never copied out
-/// of the mapping.
+/// PREFIX or a binary .agmbin container interchangeably; every subcommand
+/// reads its snapshot(), so a binary input stays in the mapping.
 util::Result<graph::GraphSource> LoadSource(const util::Flags& flags,
                                             const std::string& flag_name) {
   const std::string path = flags.GetString(flag_name, "");
