@@ -83,11 +83,9 @@ void PrintBaselines(const graph::AttributedCsrGraph& input,
 
   util::Rng rng(flags.GetInt("seed", 4));
   graph::AttributedGraph random(input.num_nodes(), input.num_attributes);
-  AGMDP_CHECK(random
-                  .SetAttributes(std::vector<graph::AttrConfig>(
-                      input.attributes_data(),
-                      input.attributes_data() + input.num_nodes()))
-                  .ok());
+  for (graph::NodeId v = 0; v < input.num_nodes(); ++v) {
+    random.set_attribute(v, input.attribute(v));
+  }
   while (random.num_edges() < input.num_edges()) {
     auto u = static_cast<graph::NodeId>(rng.UniformIndex(input.num_nodes()));
     auto v = static_cast<graph::NodeId>(rng.UniformIndex(input.num_nodes()));

@@ -96,6 +96,20 @@ uint64_t CountTriangles(const CsrGraph& g, int threads) {
   return CountTrianglesImpl(g, threads);
 }
 
+uint64_t CountTrianglesBrute(const Graph& g) {
+  const NodeId n = g.num_nodes();
+  uint64_t triangles = 0;
+  for (NodeId a = 0; a < n; ++a) {
+    for (NodeId b = a + 1; b < n; ++b) {
+      if (!g.HasEdge(a, b)) continue;
+      for (NodeId c = b + 1; c < n; ++c) {
+        if (g.HasEdge(a, c) && g.HasEdge(b, c)) ++triangles;
+      }
+    }
+  }
+  return triangles;
+}
+
 uint64_t CountWedges(const CsrGraph& g) {
   uint64_t wedges = 0;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {

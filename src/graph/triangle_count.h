@@ -1,7 +1,7 @@
 // Triangle and wedge counting.
 //
 // CountTriangles is the degree-ordered edge-iterator ("forward") algorithm,
-// O(m^{3/2}).
+// O(m^{3/2}); CountTrianglesBrute is the O(n^3) reference used in tests.
 // MaxCommonNeighborCount supports the Ladder mechanism (dp/ladder_mechanism):
 // the local sensitivity of the triangle count at an edge {u, v} is
 // |Γ(u) ∩ Γ(v)|, so its maximum over all node pairs is the graph's local
@@ -26,6 +26,9 @@ namespace agmdp::graph {
 /// Exact triangle count n∆.
 uint64_t CountTriangles(const Graph& g);
 uint64_t CountTriangles(const CsrGraph& g, int threads = 1);
+
+/// O(n^3) reference implementation (tests only; keep graphs tiny).
+uint64_t CountTrianglesBrute(const Graph& g);
 
 /// Number of wedges (paths of length two), n_W = sum_v C(d_v, 2).
 uint64_t CountWedges(const CsrGraph& g);

@@ -39,12 +39,12 @@ agm::AgmDpOptions MakeLearnOptions(const PipelineConfig& config,
 // sampling semantics exactly: cold acceptance loop, config sample knobs,
 // pool sized by config.sample.threads.
 util::Result<std::unique_ptr<ReleaseEngine>> MakeOneShotEngine(
-    const agm::AgmParams& params, const PipelineConfig& config) {
+    ReleaseArtifact artifact, const PipelineConfig& config) {
   EngineOptions options;
   options.threads = config.sample.threads;
   options.calibrate = false;
   options.sample = config.sample;
-  return ReleaseEngine::Create(MakeReleaseArtifact(params, config), options);
+  return ReleaseEngine::Create(std::move(artifact), options);
 }
 
 // The fit half, with the config already validated (shared by
@@ -117,7 +117,7 @@ util::Result<graph::AttributedGraph> SampleRelease(
   // estimator knobs) are deliberately not validated here; engine creation
   // checks everything sampling actually reads (model resolution,
   // acceptance knobs, parameter sanity).
-  auto engine = MakeOneShotEngine(params, config);
+  auto engine = MakeOneShotEngine(MakeReleaseArtifact(params, config), config);
   if (!engine.ok()) return engine.status();
   return engine.value()->SampleFromStream(rng);
 }
@@ -128,55 +128,38 @@ util::Result<ReleaseResult> RunPrivateRelease(
   const Clock::time_point start = Clock::now();
   if (auto st = config.Validate(); !st.ok()) return st;
 
-  // Non-AGM mechanisms: fit through the registry, serve one sample from
-  // the stream via an uncalibrated engine, and report the artifact's
-  // ledger (empty with zero spend for syntactic baselines).
-  if (config.mechanism != "agm") {
-    auto artifact = FitReleaseArtifact(input, config, rng);
-    if (!artifact.ok()) return artifact.status();
-    const double fit_seconds = SecondsSince(start);
-
-    const Clock::time_point sample_start = Clock::now();
-    EngineOptions engine_options;
-    engine_options.calibrate = false;
-    auto engine =
-        ReleaseEngine::Create(std::move(artifact).value(), engine_options);
-    if (!engine.ok()) return engine.status();
-    auto synthetic = engine.value()->SampleFromStream(rng);
-    if (!synthetic.ok()) return synthetic.status();
-
-    const ReleaseArtifact& fitted = engine.value()->artifact();
-    ReleaseResult result{std::move(synthetic).value(),
-                         fitted.params,
-                         fitted.ledger,
-                         fitted.epsilon_budget,
-                         fitted.epsilon_spent,
-                         {},
-                         0.0,
-                         config.mechanism};
-    result.stage_seconds.push_back({"fit", fit_seconds});
-    result.stage_seconds.push_back({"sample", SecondsSince(sample_start)});
-    result.total_seconds = SecondsSince(start);
-    return result;
+  // AGM reports its per-stage fit timings; every other mechanism fits
+  // through the registry as one "fit" stage.
+  ReleaseArtifact artifact;
+  std::vector<agm::StageSeconds> stages;
+  if (config.mechanism == "agm") {
+    auto fit = FitValidated(input, config, rng);
+    if (!fit.ok()) return fit.status();
+    artifact = MakeReleaseArtifact(fit.value(), config);
+    stages = std::move(fit.value().stage_seconds);
+  } else {
+    auto fitted = FitReleaseArtifact(input, config, rng);
+    if (!fitted.ok()) return fitted.status();
+    artifact = std::move(fitted).value();
+    stages.push_back({"fit", SecondsSince(start)});
   }
 
-  auto fit = FitValidated(input, config, rng);
-  if (!fit.ok()) return fit.status();
-
+  // One draw from the stream, through an uncalibrated engine.
   const Clock::time_point sample_start = Clock::now();
-  auto engine = MakeOneShotEngine(fit.value().params, config);
+  auto engine = MakeOneShotEngine(std::move(artifact), config);
   if (!engine.ok()) return engine.status();
   auto synthetic = engine.value()->SampleFromStream(rng);
   if (!synthetic.ok()) return synthetic.status();
 
+  const ReleaseArtifact& fitted = engine.value()->artifact();
   ReleaseResult result{std::move(synthetic).value(),
-                       std::move(fit.value().params),
-                       std::move(fit.value().ledger),
-                       fit.value().epsilon_budget,
-                       fit.value().epsilon_spent,
-                       std::move(fit.value().stage_seconds),
+                       fitted.params,
+                       fitted.ledger,
+                       fitted.epsilon_budget,
+                       fitted.epsilon_spent,
+                       std::move(stages),
                        0.0,
-                       config.model};
+                       fitted.model};
   result.stage_seconds.push_back({"sample", SecondsSince(sample_start)});
   result.total_seconds = SecondsSince(start);
   return result;

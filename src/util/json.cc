@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <ostream>
 
 #include "src/util/check.h"
 

@@ -11,7 +11,7 @@
 // significant digits, so doubles written that way round-trip bit-exactly.
 #pragma once
 
-#include <ostream>
+#include <iosfwd>
 #include <string>
 #include <utility>
 #include <vector>

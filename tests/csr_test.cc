@@ -21,7 +21,6 @@
 #include "src/stats/joint_degree.h"
 #include "src/stats/metrics.h"
 #include "src/util/rng.h"
-#include "tests/brute_force.h"
 
 namespace agmdp::graph {
 namespace {

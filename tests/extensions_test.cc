@@ -84,8 +84,8 @@ TEST(DpKStarCountTest, ValidatesInput) {
 
 TEST(DpKStarCountTest, TinyGraphReturnsZero) {
   util::Rng rng(6);
-  auto r =
-      dp::DpKStarCount(graph::CsrGraph::FromGraph(graph::Graph(3)), 3, 1.0, rng);
+  const graph::CsrGraph g = graph::CsrGraph::FromGraph(graph::Graph(3));
+  auto r = dp::DpKStarCount(g, 3, 1.0, rng);
   ASSERT_TRUE(r.ok());
   EXPECT_DOUBLE_EQ(r.value(), 0.0);
 }

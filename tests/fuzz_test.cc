@@ -19,7 +19,6 @@
 #include "src/models/erdos_renyi.h"
 #include "src/stats/assortativity.h"
 #include "src/util/rng.h"
-#include "tests/brute_force.h"
 
 namespace agmdp::graph {
 namespace {

@@ -10,7 +10,6 @@
 #include "src/graph/triangle_count.h"
 #include "src/models/erdos_renyi.h"
 #include "src/util/rng.h"
-#include "tests/brute_force.h"
 
 namespace agmdp::graph {
 namespace {

@@ -356,11 +356,13 @@ std::vector<FitGoldenCase> FitGoldenCases() {
   pipeline::PipelineConfig forced;
   forced.model = "tricycle";
   forced.ladder.force_degree_bound = true;
-  cases.push_back({"tricycle force_degree_bound", forced, 0xc0827ddc06f80b69ULL});
+  cases.push_back(
+      {"tricycle force_degree_bound", forced, 0xc0827ddc06f80b69ULL});
   pipeline::PipelineConfig fallback;
   fallback.model = "tricycle";
   fallback.ladder.max_exact_work = 1;
-  cases.push_back({"tricycle degree fallback", fallback, 0xc95d23fe52279e04ULL});
+  cases.push_back(
+      {"tricycle degree fallback", fallback, 0xc95d23fe52279e04ULL});
   pipeline::PipelineConfig community;
   community.mechanism = "community_dp";
   cases.push_back({"community_dp", community, 0xfaf60b12027d2d98ULL});
