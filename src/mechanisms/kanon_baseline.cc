@@ -20,8 +20,10 @@ util::Status Invalid(const std::string& what) {
 uint32_t ResolveK(uint32_t configured, double epsilon, graph::NodeId n) {
   uint64_t k = configured;
   if (k == 0) {
+    // Clamp before rounding: for tiny epsilon 2 / epsilon exceeds int64,
+    // where llround would return LLONG_MIN and select the weakest k.
     k = static_cast<uint64_t>(std::max<int64_t>(
-        2, std::llround(2.0 / epsilon)));
+        2, std::llround(std::min(2.0 / epsilon, static_cast<double>(n)))));
   }
   return static_cast<uint32_t>(std::min<uint64_t>(k, n));
 }

@@ -137,6 +137,18 @@ TEST(MechanismLedgerTest, KanonBaselineAssertsZeroSpend) {
   EXPECT_FALSE(pipeline::ValidateReleaseArtifact(doctored).ok());
 }
 
+TEST(MechanismLedgerTest, KanonBaselineTakesTheStrongestKAtTinyEpsilon) {
+  // 2 / epsilon is far beyond any integer here; the heuristic still means
+  // "as strong as possible", i.e. one group of all n nodes.
+  for (double epsilon : {1e-20, 1e-300}) {
+    auto artifact = Fit("kanon_baseline", epsilon, 11);
+    ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+    EXPECT_EQ(artifact.value().payload.k_anonymity, Input().num_nodes())
+        << epsilon;
+    EXPECT_EQ(artifact.value().payload.num_blocks, 1u) << epsilon;
+  }
+}
+
 TEST(MechanismArtifactTest, TaggedRoundTripIsBitExact) {
   for (const char* mechanism : {"community_dp", "kanon_baseline"}) {
     auto artifact = Fit(mechanism, 0.7, 21);
