@@ -93,7 +93,9 @@ class CommunitySampler final : public ArtifactSampler {
     return std::shared_ptr<const ArtifactSampler>(std::move(sampler));
   }
 
-  util::Result<graph::AttributedGraph> Sample(util::Rng& rng) const override {
+  util::Result<graph::AttributedGraph> Sample(
+      util::Rng& rng, int /*refine_iterations*/,
+      util::WorkerPool* /*pool*/) const override {
     const auto n = static_cast<graph::NodeId>(node_blocks_.size());
     graph::AttributedGraph out(graph::Graph(n), w_);
     for (graph::NodeId v = 0; v < n; ++v) {
@@ -142,8 +144,6 @@ class CommunitySampler final : public ArtifactSampler {
   std::vector<uint64_t> pair_targets_;
   std::vector<util::AliasSampler> attr_samplers_;
 };
-
-}  // namespace
 
 util::Result<pipeline::ReleaseArtifact> FitCommunityDp(
     const graph::AttributedCsrGraph& input,
@@ -250,12 +250,44 @@ util::Result<pipeline::ReleaseArtifact> FitCommunityDp(
   return artifact;
 }
 
-util::Result<std::shared_ptr<const ArtifactSampler>> MakeCommunitySampler(
-    const pipeline::ReleaseArtifact& artifact) {
-  if (artifact.mechanism != "community_dp") {
-    return Invalid("artifact is tagged '" + artifact.mechanism + "'");
+// A private partition of n nodes into num_blocks communities, a noised
+// count per unordered block pair, and the shared block-payload checks.
+util::Status ValidateCommunityPayload(const pipeline::ReleaseArtifact& artifact) {
+  const pipeline::MechanismPayload& p = artifact.payload;
+  const size_t blocks = p.num_blocks;
+  if (blocks == 0 || p.node_blocks.empty()) {
+    return InvalidArtifact("community_dp payload needs num_blocks >= 1 and a "
+                           "non-empty node partition");
   }
-  return CommunitySampler::Build(artifact);
+  if (p.block_edges.size() != blocks * (blocks + 1) / 2) {
+    return InvalidArtifact("community_dp block_edges must have one entry per "
+                           "unordered block pair");
+  }
+  for (double count : p.block_edges) {
+    if (!std::isfinite(count) || count < 0.0) {
+      return InvalidArtifact("community_dp block_edges must be finite and "
+                             "non-negative");
+    }
+  }
+  return ValidateBlockPayload(artifact);
+}
+
+}  // namespace
+
+MechanismSpec CommunityDpMechanism() {
+  MechanismSpec spec;
+  spec.name = "community_dp";
+  spec.description =
+      "community-preserving DP release: exponential-mechanism partition, "
+      "geometric-noised per-block edge/attribute model (edge-DP)";
+  spec.privacy_model = PrivacyModel::kEdgeDp;
+  spec.fit = FitCommunityDp;
+  spec.validate = ValidateCommunityPayload;
+  spec.make_sampler = [](const pipeline::ReleaseArtifact& artifact,
+                         const pipeline::EngineOptions&, util::WorkerPool*) {
+    return CommunitySampler::Build(artifact);
+  };
+  return spec;
 }
 
 }  // namespace agmdp::mechanisms

@@ -24,17 +24,10 @@
 // with its noised count of distinct random edges.
 #pragma once
 
-#include <memory>
-
 #include "src/mechanisms/release_mechanism.h"
 
 namespace agmdp::mechanisms {
 
-util::Result<pipeline::ReleaseArtifact> FitCommunityDp(
-    const graph::AttributedCsrGraph& input,
-    const pipeline::PipelineConfig& config, util::Rng& rng);
-
-util::Result<std::shared_ptr<const ArtifactSampler>> MakeCommunitySampler(
-    const pipeline::ReleaseArtifact& artifact);
+MechanismSpec CommunityDpMechanism();
 
 }  // namespace agmdp::mechanisms

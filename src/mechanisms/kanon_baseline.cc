@@ -52,7 +52,9 @@ class KanonSampler final : public ArtifactSampler {
     return std::shared_ptr<const ArtifactSampler>(std::move(sampler));
   }
 
-  util::Result<graph::AttributedGraph> Sample(util::Rng& rng) const override {
+  util::Result<graph::AttributedGraph> Sample(
+      util::Rng& rng, int /*refine_iterations*/,
+      util::WorkerPool* /*pool*/) const override {
     // Attributes first, structure second — a fixed draw order so the
     // sample is a pure function of the stream.
     std::vector<graph::AttrConfig> attrs(degrees_.size());
@@ -79,8 +81,6 @@ class KanonSampler final : public ArtifactSampler {
   std::vector<uint32_t> node_blocks_;
   std::vector<util::AliasSampler> attr_samplers_;
 };
-
-}  // namespace
 
 util::Result<pipeline::ReleaseArtifact> FitKanonBaseline(
     const graph::AttributedCsrGraph& input,
@@ -160,12 +160,55 @@ util::Result<pipeline::ReleaseArtifact> FitKanonBaseline(
   return artifact;
 }
 
-util::Result<std::shared_ptr<const ArtifactSampler>> MakeKanonSampler(
-    const pipeline::ReleaseArtifact& artifact) {
-  if (artifact.mechanism != "kanon_baseline") {
-    return Invalid("artifact is tagged '" + artifact.mechanism + "'");
+// kanon_baseline is syntactic: it must assert *zero* epsilon spend (the
+// "equivalent protection" ledger is epsilon-free), a well-formed grouping
+// of the anonymized degree sequence, and the shared block-payload checks.
+util::Status ValidateKanonPayload(const pipeline::ReleaseArtifact& artifact) {
+  const pipeline::MechanismPayload& p = artifact.payload;
+  if (!artifact.ledger.empty() || artifact.epsilon_budget != 0.0 ||
+      artifact.epsilon_spent != 0.0) {
+    return InvalidArtifact("kanon_baseline artifacts must carry zero epsilon "
+                           "spend and an empty ledger");
   }
-  return KanonSampler::Build(artifact);
+  if (p.k_anonymity < 2) {
+    return InvalidArtifact("kanon_baseline needs k_anonymity >= 2");
+  }
+  if (!std::isfinite(p.t_closeness) || p.t_closeness < 0.0 ||
+      p.t_closeness > 1.0) {
+    return InvalidArtifact("kanon_baseline needs t_closeness in [0, 1]");
+  }
+  const size_t n = artifact.params.degree_sequence.size();
+  if (n == 0 || p.node_blocks.size() != n) {
+    return InvalidArtifact("kanon_baseline payload needs one anonymity group "
+                           "per degree-sequence entry");
+  }
+  if (p.num_blocks == 0) {
+    return InvalidArtifact("kanon_baseline payload needs num_blocks >= 1");
+  }
+  for (uint32_t d : artifact.params.degree_sequence) {
+    if (d >= n) {
+      return InvalidArtifact("kanon_baseline anonymized degree exceeds n - 1");
+    }
+  }
+  return ValidateBlockPayload(artifact);
+}
+
+}  // namespace
+
+MechanismSpec KanonBaselineMechanism() {
+  MechanismSpec spec;
+  spec.name = "kanon_baseline";
+  spec.description =
+      "degree k-anonymization with t-closeness on attributes: syntactic "
+      "protection, zero epsilon spend";
+  spec.privacy_model = PrivacyModel::kSyntactic;
+  spec.fit = FitKanonBaseline;
+  spec.validate = ValidateKanonPayload;
+  spec.make_sampler = [](const pipeline::ReleaseArtifact& artifact,
+                         const pipeline::EngineOptions&, util::WorkerPool*) {
+    return KanonSampler::Build(artifact);
+  };
+  return spec;
 }
 
 }  // namespace agmdp::mechanisms

@@ -10,9 +10,9 @@
 //      by index) are grouped k at a time (the last group absorbs the
 //      remainder); every member publishes its group's median degree, so
 //      each published degree is shared by >= k nodes. k defaults to
-//      max(2, round(2 / epsilon)) — the "equivalent protection" heuristic
-//      that makes the baseline comparable across the epsilon axis of a
-//      sweep (stronger DP <-> larger k).
+//      min(n, max(2, round(2 / epsilon))) — the "equivalent protection"
+//      heuristic that makes the baseline comparable across the epsilon
+//      axis of a sweep (stronger DP <-> larger k).
 //   2. t-closeness on attributes: each group's attribute-configuration
 //      distribution q is blended toward the global distribution p just
 //      enough that TV(q', p) <= t: q' = p + lambda (q - p) with
@@ -22,17 +22,10 @@
 // structure from models::FastChungLu over the anonymized degree sequence.
 #pragma once
 
-#include <memory>
-
 #include "src/mechanisms/release_mechanism.h"
 
 namespace agmdp::mechanisms {
 
-util::Result<pipeline::ReleaseArtifact> FitKanonBaseline(
-    const graph::AttributedCsrGraph& input,
-    const pipeline::PipelineConfig& config, util::Rng& rng);
-
-util::Result<std::shared_ptr<const ArtifactSampler>> MakeKanonSampler(
-    const pipeline::ReleaseArtifact& artifact);
+MechanismSpec KanonBaselineMechanism();
 
 }  // namespace agmdp::mechanisms

@@ -1,69 +1,19 @@
 #include "src/mechanisms/release_mechanism.h"
 
+#include <cmath>
+
+#include "src/mechanisms/agm_mechanism.h"
 #include "src/mechanisms/community_dp.h"
 #include "src/mechanisms/kanon_baseline.h"
-#include "src/pipeline/release_pipeline.h"
 
 namespace agmdp::mechanisms {
 
 namespace {
 
-std::vector<MechanismSpec> BuildRegistry() {
-  std::vector<MechanismSpec> specs;
-
-  {
-    MechanismSpec spec;
-    spec.name = "agm";
-    spec.description =
-        "the paper's AGM pipeline: DP theta_x/theta_f/degree-sequence fit, "
-        "structural-model sampling (edge-DP; node-DP theta_f variants via "
-        "theta_f_method)";
-    spec.privacy_model = PrivacyModel::kEdgeDp;
-    spec.builtin_agm = true;
-    // Identical to the pre-registry FitReleaseArtifact path: fit under the
-    // accountant, package with the config fingerprint. Serving stays on
-    // ReleaseEngine's dedicated calibrated path (no make_sampler).
-    spec.fit = [](const graph::AttributedCsrGraph& input,
-                  const pipeline::PipelineConfig& config, util::Rng& rng) {
-      auto fit = pipeline::FitPrivateParams(input, config, rng);
-      if (!fit.ok()) return util::Result<pipeline::ReleaseArtifact>(
-          fit.status());
-      return util::Result<pipeline::ReleaseArtifact>(
-          pipeline::MakeReleaseArtifact(fit.value(), config));
-    };
-    specs.push_back(std::move(spec));
-  }
-
-  {
-    MechanismSpec spec;
-    spec.name = "community_dp";
-    spec.description =
-        "community-preserving DP release: exponential-mechanism partition, "
-        "geometric-noised per-block edge/attribute model (edge-DP)";
-    spec.privacy_model = PrivacyModel::kEdgeDp;
-    spec.fit = FitCommunityDp;
-    spec.make_sampler = MakeCommunitySampler;
-    specs.push_back(std::move(spec));
-  }
-
-  {
-    MechanismSpec spec;
-    spec.name = "kanon_baseline";
-    spec.description =
-        "degree k-anonymization with t-closeness on attributes: syntactic "
-        "protection, zero epsilon spend";
-    spec.privacy_model = PrivacyModel::kSyntactic;
-    spec.fit = FitKanonBaseline;
-    spec.make_sampler = MakeKanonSampler;
-    specs.push_back(std::move(spec));
-  }
-
-  return specs;
-}
-
 const std::vector<MechanismSpec>& Registry() {
   static const std::vector<MechanismSpec>* registry =
-      new std::vector<MechanismSpec>(BuildRegistry());
+      new std::vector<MechanismSpec>{AgmMechanism(), CommunityDpMechanism(),
+                                     KanonBaselineMechanism()};
   return *registry;
 }
 
@@ -90,6 +40,43 @@ std::string MechanismNameList() {
     out += spec.name;
   }
   return out;
+}
+
+util::Status InvalidArtifact(const std::string& what) {
+  return util::Status::InvalidArgument("release artifact: " + what);
+}
+
+util::Status ValidateBlockPayload(const pipeline::ReleaseArtifact& artifact) {
+  const pipeline::MechanismPayload& p = artifact.payload;
+  const std::string& tag = artifact.mechanism;
+  for (uint32_t block : p.node_blocks) {
+    if (block >= p.num_blocks) {
+      return InvalidArtifact(tag + " node_blocks entry out of range");
+    }
+  }
+  if (artifact.params.w < 0 || artifact.params.w > 20) {
+    return InvalidArtifact(tag + " payload needs 0 <= w <= 20");
+  }
+  const size_t configs = size_t{1} << artifact.params.w;
+  if (p.block_attr.size() != size_t{p.num_blocks} * configs) {
+    return InvalidArtifact(tag + " block_attr must be num_blocks * 2^w");
+  }
+  for (size_t b = 0; b < p.num_blocks; ++b) {
+    double row_sum = 0.0;
+    for (size_t y = 0; y < configs; ++y) {
+      const double mass = p.block_attr[b * configs + y];
+      if (!std::isfinite(mass) || mass < 0.0) {
+        return InvalidArtifact(tag +
+                               " block_attr must be finite and non-negative");
+      }
+      row_sum += mass;
+    }
+    if (row_sum <= 0.0) {
+      return InvalidArtifact(tag + " block_attr row " + std::to_string(b) +
+                             " has no mass");
+    }
+  }
+  return util::Status::OK();
 }
 
 }  // namespace agmdp::mechanisms

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <cstring>
 
-#include "src/mechanisms/mechanism_tags.h"
+#include "src/mechanisms/release_mechanism.h"
 #include "src/pipeline/model_registry.h"
 
 namespace agmdp::pipeline {
@@ -67,9 +67,9 @@ util::Status ValidateAcceptanceKnobs(int acceptance_iterations,
 }
 
 util::Status PipelineConfig::Validate() const {
-  if (!mechanisms::IsKnownMechanismTag(mechanism)) {
+  if (mechanisms::FindMechanism(mechanism) == nullptr) {
     return Invalid("unknown mechanism '" + mechanism + "' (registered: " +
-                   mechanisms::KnownMechanismTagList() + ")");
+                   mechanisms::MechanismNameList() + ")");
   }
   if (!std::isfinite(t_closeness) || t_closeness < 0.0 || t_closeness > 1.0) {
     return Invalid("t_closeness must be in [0, 1]");

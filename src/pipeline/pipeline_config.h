@@ -27,7 +27,7 @@ struct PipelineConfig {
   /// four-way when the model learns a triangle target, S-heavy three-way
   /// otherwise — Section 5 of the paper).
   dp::BudgetSplit split;
-  /// Release mechanism by tag (mechanisms::KnownMechanismTags): "agm" is
+  /// Release mechanism by tag (mechanisms::FindMechanism): "agm" is
   /// the paper's pipeline; "community_dp" and "kanon_baseline" are the
   /// competing publication schemes in src/mechanisms/.
   std::string mechanism = "agm";

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "src/mechanisms/release_mechanism.h"
 #include "src/util/json.h"
 
 namespace agmdp::pipeline {
@@ -111,122 +112,6 @@ ReleaseArtifact MakeReleaseArtifact(const agm::AgmParams& params,
   return artifact;
 }
 
-namespace {
-
-// Shape/value checks of the community_dp payload: a private partition of n
-// nodes into num_blocks communities, a noised count per unordered block
-// pair, and a per-block attribute-config histogram each alias-samplable
-// (non-negative, finite, positive row sum).
-util::Status ValidateCommunityPayload(const ReleaseArtifact& artifact) {
-  const MechanismPayload& p = artifact.payload;
-  const size_t n = p.node_blocks.size();
-  const size_t blocks = p.num_blocks;
-  if (blocks == 0 || n == 0) {
-    return Invalid("community_dp payload needs num_blocks >= 1 and a "
-                   "non-empty node partition");
-  }
-  for (uint32_t block : p.node_blocks) {
-    if (block >= blocks) {
-      return Invalid("community_dp node_blocks entry out of range");
-    }
-  }
-  if (p.block_edges.size() != blocks * (blocks + 1) / 2) {
-    return Invalid("community_dp block_edges must have one entry per "
-                   "unordered block pair");
-  }
-  for (double count : p.block_edges) {
-    if (!std::isfinite(count) || count < 0.0) {
-      return Invalid("community_dp block_edges must be finite and "
-                     "non-negative");
-    }
-  }
-  if (artifact.params.w < 0 || artifact.params.w > 20) {
-    return Invalid("community_dp payload needs 0 <= w <= 20");
-  }
-  const size_t configs = size_t{1} << artifact.params.w;
-  if (p.block_attr.size() != blocks * configs) {
-    return Invalid("community_dp block_attr must be num_blocks * 2^w");
-  }
-  for (size_t b = 0; b < blocks; ++b) {
-    double row_sum = 0.0;
-    for (size_t y = 0; y < configs; ++y) {
-      const double mass = p.block_attr[b * configs + y];
-      if (!std::isfinite(mass) || mass < 0.0) {
-        return Invalid("community_dp block_attr must be finite and "
-                       "non-negative");
-      }
-      row_sum += mass;
-    }
-    if (row_sum <= 0.0) {
-      return Invalid("community_dp block_attr row " + std::to_string(b) +
-                     " has no mass");
-    }
-  }
-  return util::Status::OK();
-}
-
-// kanon_baseline is syntactic: it must assert *zero* epsilon spend (the
-// "equivalent protection" ledger is epsilon-free) and a well-formed
-// grouping of the anonymized degree sequence.
-util::Status ValidateKanonPayload(const ReleaseArtifact& artifact) {
-  const MechanismPayload& p = artifact.payload;
-  if (!artifact.ledger.empty() || artifact.epsilon_budget != 0.0 ||
-      artifact.epsilon_spent != 0.0) {
-    return Invalid("kanon_baseline artifacts must carry zero epsilon spend "
-                   "and an empty ledger");
-  }
-  if (p.k_anonymity < 2) {
-    return Invalid("kanon_baseline needs k_anonymity >= 2");
-  }
-  if (!std::isfinite(p.t_closeness) || p.t_closeness < 0.0 ||
-      p.t_closeness > 1.0) {
-    return Invalid("kanon_baseline needs t_closeness in [0, 1]");
-  }
-  const size_t n = artifact.params.degree_sequence.size();
-  if (n == 0 || p.node_blocks.size() != n) {
-    return Invalid("kanon_baseline payload needs one anonymity group per "
-                   "degree-sequence entry");
-  }
-  if (p.num_blocks == 0) {
-    return Invalid("kanon_baseline payload needs num_blocks >= 1");
-  }
-  for (uint32_t block : p.node_blocks) {
-    if (block >= p.num_blocks) {
-      return Invalid("kanon_baseline node_blocks entry out of range");
-    }
-  }
-  if (artifact.params.w < 0 || artifact.params.w > 20) {
-    return Invalid("kanon_baseline payload needs 0 <= w <= 20");
-  }
-  const size_t configs = size_t{1} << artifact.params.w;
-  if (p.block_attr.size() != size_t{p.num_blocks} * configs) {
-    return Invalid("kanon_baseline block_attr must be num_blocks * 2^w");
-  }
-  for (size_t b = 0; b < p.num_blocks; ++b) {
-    double row_sum = 0.0;
-    for (size_t y = 0; y < configs; ++y) {
-      const double mass = p.block_attr[b * configs + y];
-      if (!std::isfinite(mass) || mass < 0.0) {
-        return Invalid("kanon_baseline block_attr must be finite and "
-                       "non-negative");
-      }
-      row_sum += mass;
-    }
-    if (row_sum <= 0.0) {
-      return Invalid("kanon_baseline block_attr row " + std::to_string(b) +
-                     " has no mass");
-    }
-  }
-  for (uint32_t d : artifact.params.degree_sequence) {
-    if (d >= n) {
-      return Invalid("kanon_baseline anonymized degree exceeds n - 1");
-    }
-  }
-  return util::Status::OK();
-}
-
-}  // namespace
-
 util::Status ValidateReleaseArtifact(const ReleaseArtifact& artifact) {
   if (auto st = CheckSchemaVersion(artifact.schema_version); !st.ok()) {
     return st;
@@ -234,10 +119,12 @@ util::Status ValidateReleaseArtifact(const ReleaseArtifact& artifact) {
   // The mechanism tag gates everything downstream (engine construction,
   // registry rows, sweep cells), so an unknown tag is rejected here — at
   // every read boundary — with the set of tags this build can serve.
-  if (!mechanisms::IsKnownMechanismTag(artifact.mechanism)) {
+  const mechanisms::MechanismSpec* mechanism =
+      mechanisms::FindMechanism(artifact.mechanism);
+  if (mechanism == nullptr) {
     return Invalid("unknown mechanism '" + artifact.mechanism +
                    "' (this build serves: " +
-                   mechanisms::KnownMechanismTagList() + ")");
+                   mechanisms::MechanismNameList() + ")");
   }
   if (artifact.model.empty()) return Invalid("empty model name");
   if (!std::isfinite(artifact.epsilon_budget) ||
@@ -271,16 +158,7 @@ util::Status ValidateReleaseArtifact(const ReleaseArtifact& artifact) {
       !st.ok()) {
     return st;
   }
-  if (artifact.mechanism == "agm") {
-    if (!artifact.payload.Empty()) {
-      return Invalid("agm artifacts must not carry a mechanism payload");
-    }
-    return agm::ValidateAgmParams(artifact.params);
-  }
-  if (artifact.mechanism == "community_dp") {
-    return ValidateCommunityPayload(artifact);
-  }
-  return ValidateKanonPayload(artifact);
+  return mechanism->validate(artifact);
 }
 
 namespace {

@@ -1,20 +1,16 @@
 // The serving half of the release pipeline: a handle built once from a
 // ReleaseArtifact that samples synthetic graphs on demand.
 //
-// Fit once / sample many (Theorem 2): the artifact's parameters were
-// learned under the accountant, so every sample the engine serves is pure
-// post-processing at zero additional privacy cost. The engine amortizes
-// everything that does not depend on the individual sample:
-//
-//   * one persistent util::WorkerPool for the sampler hot path (no thread
-//     spawn per request);
-//   * optionally, one calibration run at construction
-//     (agm::CalibrateAcceptance) whose converged acceptance vector A
-//     warm-starts every request — steady-state serving then generates the
-//     structure once through the calibrated filter instead of iterating
-//     the full cold acceptance loop per sample. The calibration stops
-//     before the last iteration's structural generation, whose graph it
-//     would only discard.
+// Fit once / sample many (Theorem 2): the artifact was learned under the
+// accountant, so every sample the engine serves is pure post-processing at
+// zero additional privacy cost. The engine serves every registered
+// mechanism the same way: it validates the artifact, builds the scheme's
+// mechanisms::ArtifactSampler through the registry, and owns what every
+// request shares — one persistent util::WorkerPool (no thread spawn per
+// request), the Substream(seed, sequence) request keying and the batch
+// fan-out. What a scheme amortizes on top (agm's one calibration run,
+// whose converged acceptance vector warm-starts every request) lives in
+// its sampler.
 //
 // Determinism / threading contract: Sample(request) is thread-safe and
 // draws exclusively from util::Rng::Substream(request.seed,
@@ -44,6 +40,9 @@ class ArtifactSampler;
 
 namespace agmdp::pipeline {
 
+/// Engine construction knobs. The engine sizes its pool from `threads`
+/// and forwards all four to the scheme's make_sampler; the other three
+/// steer agm's sampler, and schemes without an acceptance loop ignore them.
 struct EngineOptions {
   /// Serving pool workers (0 = hardware concurrency, capped at the sampler
   /// shard count). The pool size never affects sampled bits.
@@ -81,18 +80,15 @@ struct SampleRequest {
 
 /// \brief A fit-once / sample-many serving handle over a ReleaseArtifact.
 ///
-/// The engine serves every registered release mechanism behind one
-/// interface: "agm" artifacts take the dedicated calibrated path below,
-/// any other tag resolves a mechanisms::ArtifactSampler from the mechanism
-/// registry and delegates to it under the same Substream(seed, sequence)
-/// request keying — so the cache, the daemon, and the CLI never branch on
-/// the mechanism themselves.
+/// The engine never branches on the mechanism: every tag resolves its
+/// mechanisms::ArtifactSampler from the mechanism registry, so the cache,
+/// the daemon, and the CLI serve every scheme through one path.
 class ReleaseEngine {
  public:
-  /// Validates the artifact (schema version, mechanism tag, registry
-  /// model, parameter sanity), spawns the persistent pool, and runs the
-  /// calibration when requested (AGM only; other mechanisms have
-  /// no acceptance loop to calibrate).
+  /// Validates the artifact (schema version, mechanism tag, the scheme's
+  /// own checks), spawns the persistent pool, and builds the scheme's
+  /// sampler with `options` (agm resolves its structural model and runs
+  /// the calibration here when requested).
   static util::Result<std::unique_ptr<ReleaseEngine>> Create(
       ReleaseArtifact artifact, const EngineOptions& options = {});
 
@@ -100,20 +96,15 @@ class ReleaseEngine {
   ReleaseEngine& operator=(const ReleaseEngine&) = delete;
 
   const ReleaseArtifact& artifact() const { return artifact_; }
+  const mechanisms::ArtifactSampler& sampler() const { return *sampler_; }
 
   /// Approximate resident bytes of this serving handle: the artifact's
-  /// parameter vectors plus the calibrated acceptance vector and a fixed
+  /// parameter vectors plus the sampler's state and a fixed
   /// per-pool-worker overhead (thread stack + bookkeeping). The sizing
   /// hook the server's byte-budgeted engine cache charges admissions by;
   /// an estimate, not an audit — stable for a given artifact and pool
   /// size, which is what budget arithmetic needs.
   uint64_t ApproxBytes() const;
-
-  /// Whether requests are served from a calibrated acceptance vector.
-  bool calibrated() const { return !calibrated_acceptance_.empty(); }
-  const std::vector<double>& calibrated_acceptance() const {
-    return calibrated_acceptance_;
-  }
 
   /// Serves one request. Thread-safe; see the determinism contract above.
   util::Result<graph::AttributedGraph> Sample(
@@ -132,29 +123,16 @@ class ReleaseEngine {
   util::Result<graph::AttributedGraph> SampleFromStream(util::Rng& rng) const;
 
  private:
-  ReleaseEngine(ReleaseArtifact artifact, const EngineOptions& options,
-                agm::AgmSampleOptions base_options, int pool_workers);
+  ReleaseEngine(ReleaseArtifact artifact, int pool_workers);
 
-  /// The resolved sampler options for one request (warm start + refinement
-  /// count applied when calibrated).
-  agm::AgmSampleOptions RequestOptions(int refine_iterations) const;
+  /// One sample from `rng`: on the pool when `borrow_pool`, the pool has
+  /// more than one worker and is free; inline otherwise.
+  util::Result<graph::AttributedGraph> Draw(util::Rng& rng,
+                                            int refine_iterations,
+                                            bool borrow_pool) const;
 
-  /// One AGM sample from `rng`: on the pool when `borrow_pool`, the pool
-  /// has more than one worker and is free; inline otherwise.
-  util::Result<graph::AttributedGraph> SampleAgm(
-      agm::AgmSampleOptions resolved, util::Rng& rng, bool borrow_pool) const;
-
+  /// Declared before the sampler, which may reference it.
   const ReleaseArtifact artifact_;
-  const EngineOptions options_;
-  /// Registry-resolved sampler options (model kind / generator bound,
-  /// artifact acceptance defaults applied).
-  agm::AgmSampleOptions base_options_;
-  /// Converged acceptance vector of the calibration; empty when the engine
-  /// is not calibrated.
-  std::vector<double> calibrated_acceptance_;
-  /// Mechanism-registry sampling handle; null for "agm" artifacts (which
-  /// use the sampler path below). When set, every Sample* method
-  /// delegates to it.
   std::shared_ptr<const mechanisms::ArtifactSampler> sampler_;
   /// The persistent serving pool. WorkerPool::Run is not reentrant, so
   /// every multi-worker use holds pool_mutex_; single samples only

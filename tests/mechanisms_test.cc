@@ -75,10 +75,10 @@ TEST(MechanismRegistryTest, ListsEveryKnownTagWithItsPrivacyModel) {
     const mechanisms::MechanismSpec* spec = mechanisms::FindMechanism(tag);
     ASSERT_NE(spec, nullptr) << tag;
     EXPECT_EQ(spec->name, tag);
+    // One contract for every scheme, agm included.
     EXPECT_TRUE(spec->fit != nullptr) << tag;
-    // AGM keeps its dedicated engine path; every other mechanism must
-    // provide the sampler the engine delegates to.
-    EXPECT_EQ(spec->make_sampler == nullptr, spec->builtin_agm) << tag;
+    EXPECT_TRUE(spec->validate != nullptr) << tag;
+    EXPECT_TRUE(spec->make_sampler != nullptr) << tag;
   }
   EXPECT_EQ(mechanisms::FindMechanism("agm")->privacy_model,
             mechanisms::PrivacyModel::kEdgeDp);

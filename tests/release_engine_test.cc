@@ -17,6 +17,7 @@
 #include "src/agm/agm_sampler.h"
 #include "src/datasets/datasets.h"
 #include "src/eval/sweep_engine.h"
+#include "src/mechanisms/agm_mechanism.h"
 #include "src/pipeline/release_engine.h"
 #include "src/pipeline/release_pipeline.h"
 #include "src/server/protocol.h"
@@ -34,6 +35,12 @@ const graph::AttributedCsrGraph& Input() {
         graph::AttributedCsrGraph::FromGraph(g.value()));
   }();
   return *input;
+}
+
+// The calibration state lives in the "agm" scheme's sampler.
+const mechanisms::AgmSampler& AgmSamplerOf(
+    const pipeline::ReleaseEngine& engine) {
+  return dynamic_cast<const mechanisms::AgmSampler&>(engine.sampler());
 }
 
 bool SameGraph(const graph::AttributedGraph& a,
@@ -309,9 +316,9 @@ TEST(ReleaseEngineTest, CalibrationIsAPureFunctionOfTheArtifact) {
   auto a = pipeline::ReleaseEngine::Create(artifact, one);
   auto b = pipeline::ReleaseEngine::Create(artifact, four);
   ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_TRUE(a.value()->calibrated());
-  EXPECT_EQ(a.value()->calibrated_acceptance(),
-            b.value()->calibrated_acceptance());
+  EXPECT_TRUE(AgmSamplerOf(*a.value()).calibrated());
+  EXPECT_EQ(AgmSamplerOf(*a.value()).calibrated_acceptance(),
+            AgmSamplerOf(*b.value()).calibrated_acceptance());
 }
 
 TEST(ReleaseEngineTest, TriangleModelServesWellFormedGraphs) {
@@ -451,7 +458,8 @@ TEST(ReleaseEngineGoldenTest, CalibrationAndSamplesMatchPinnedLiterals) {
     options.threads = 2;
     auto engine = pipeline::ReleaseEngine::Create(artifact, options);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-    EXPECT_EQ(AcceptanceBitsHash(engine.value()->calibrated_acceptance()),
+    EXPECT_EQ(AcceptanceBitsHash(
+                  AgmSamplerOf(*engine.value()).calibrated_acceptance()),
               c.acceptance_hash);
     pipeline::SampleRequest base;
     base.seed = 7;
