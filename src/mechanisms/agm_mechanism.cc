@@ -7,6 +7,8 @@
 
 namespace agmdp::mechanisms {
 
+using pipeline::InvalidArtifact;
+
 namespace {
 
 /// Base seed of the calibration substream family. The calibration draw is
@@ -24,7 +26,7 @@ AgmSampler::AgmSampler(const agm::AgmParams& params,
       base_options_(std::move(base)),
       default_refine_iterations_(default_refine_iterations) {}
 
-util::Result<std::shared_ptr<const ArtifactSampler>> AgmSampler::Build(
+util::Result<std::unique_ptr<const ArtifactSampler>> AgmSampler::Build(
     const pipeline::ReleaseArtifact& artifact,
     const pipeline::EngineOptions& options, util::WorkerPool* pool) {
   const pipeline::StructuralModelSpec* spec =
@@ -50,7 +52,7 @@ util::Result<std::shared_ptr<const ArtifactSampler>> AgmSampler::Build(
   } else {
     base.generator = spec->generator;
   }
-  std::shared_ptr<AgmSampler> sampler(new AgmSampler(
+  std::unique_ptr<AgmSampler> sampler(new AgmSampler(
       artifact.params, std::move(base), options.default_refine_iterations));
 
   if (options.calibrate && sampler->base_options_.acceptance_iterations > 0) {
@@ -63,7 +65,7 @@ util::Result<std::shared_ptr<const ArtifactSampler>> AgmSampler::Build(
     if (!acceptance.ok()) return acceptance.status();
     sampler->calibrated_acceptance_ = std::move(acceptance).value();
   }
-  return std::shared_ptr<const ArtifactSampler>(std::move(sampler));
+  return std::unique_ptr<const ArtifactSampler>(std::move(sampler));
 }
 
 util::Result<graph::AttributedGraph> AgmSampler::Sample(

@@ -30,7 +30,7 @@ class AgmSampler final : public ArtifactSampler {
   /// Resolves the artifact's structural model, bakes the artifact's
   /// acceptance defaults into `options.sample`, and calibrates on `pool`
   /// when `options.calibrate` is set and the artifact's loop is not empty.
-  static util::Result<std::shared_ptr<const ArtifactSampler>> Build(
+  static util::Result<std::unique_ptr<const ArtifactSampler>> Build(
       const pipeline::ReleaseArtifact& artifact,
       const pipeline::EngineOptions& options, util::WorkerPool* pool);
 

@@ -12,6 +12,8 @@
 
 namespace agmdp::mechanisms {
 
+using pipeline::InvalidArtifact;
+
 namespace {
 
 util::Status Invalid(const std::string& what) {
@@ -50,9 +52,9 @@ uint32_t ResolveBlocks(uint32_t configured, graph::NodeId n) {
 
 class CommunitySampler final : public ArtifactSampler {
  public:
-  static util::Result<std::shared_ptr<const ArtifactSampler>> Build(
+  static util::Result<std::unique_ptr<const ArtifactSampler>> Build(
       const pipeline::ReleaseArtifact& artifact) {
-    auto sampler = std::make_shared<CommunitySampler>();
+    auto sampler = std::make_unique<CommunitySampler>();
     const pipeline::MechanismPayload& payload = artifact.payload;
     sampler->w_ = artifact.params.w;
     sampler->node_blocks_ = payload.node_blocks;
@@ -90,7 +92,7 @@ class CommunitySampler final : public ArtifactSampler {
       if (!alias.ok()) return alias.status();
       sampler->attr_samplers_.push_back(std::move(alias).value());
     }
-    return std::shared_ptr<const ArtifactSampler>(std::move(sampler));
+    return std::unique_ptr<const ArtifactSampler>(std::move(sampler));
   }
 
   util::Result<graph::AttributedGraph> Sample(
@@ -252,7 +254,8 @@ util::Result<pipeline::ReleaseArtifact> FitCommunityDp(
 
 // A private partition of n nodes into num_blocks communities, a noised
 // count per unordered block pair, and the shared block-payload checks.
-util::Status ValidateCommunityPayload(const pipeline::ReleaseArtifact& artifact) {
+util::Status ValidateCommunityPayload(
+    const pipeline::ReleaseArtifact& artifact) {
   const pipeline::MechanismPayload& p = artifact.payload;
   const size_t blocks = p.num_blocks;
   if (blocks == 0 || p.node_blocks.empty()) {

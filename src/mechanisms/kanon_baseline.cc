@@ -11,6 +11,8 @@
 
 namespace agmdp::mechanisms {
 
+using pipeline::InvalidArtifact;
+
 namespace {
 
 util::Status Invalid(const std::string& what) {
@@ -30,9 +32,9 @@ uint32_t ResolveK(uint32_t configured, double epsilon, graph::NodeId n) {
 
 class KanonSampler final : public ArtifactSampler {
  public:
-  static util::Result<std::shared_ptr<const ArtifactSampler>> Build(
+  static util::Result<std::unique_ptr<const ArtifactSampler>> Build(
       const pipeline::ReleaseArtifact& artifact) {
-    auto sampler = std::make_shared<KanonSampler>();
+    auto sampler = std::make_unique<KanonSampler>();
     const pipeline::MechanismPayload& payload = artifact.payload;
     sampler->w_ = artifact.params.w;
     sampler->degrees_ = artifact.params.degree_sequence;
@@ -49,7 +51,7 @@ class KanonSampler final : public ArtifactSampler {
       if (!alias.ok()) return alias.status();
       sampler->attr_samplers_.push_back(std::move(alias).value());
     }
-    return std::shared_ptr<const ArtifactSampler>(std::move(sampler));
+    return std::unique_ptr<const ArtifactSampler>(std::move(sampler));
   }
 
   util::Result<graph::AttributedGraph> Sample(

@@ -8,6 +8,8 @@
 
 namespace agmdp::mechanisms {
 
+using pipeline::InvalidArtifact;
+
 namespace {
 
 const std::vector<MechanismSpec>& Registry() {
@@ -40,10 +42,6 @@ std::string MechanismNameList() {
     out += spec.name;
   }
   return out;
-}
-
-util::Status InvalidArtifact(const std::string& what) {
-  return util::Status::InvalidArgument("release artifact: " + what);
 }
 
 util::Status ValidateBlockPayload(const pipeline::ReleaseArtifact& artifact) {

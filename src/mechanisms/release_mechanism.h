@@ -103,7 +103,7 @@ struct MechanismSpec {
   /// Builds the sampler of a validated artifact. The sampler may keep
   /// references into `artifact`, which must outlive it (the engine owns
   /// both). `pool` is the engine's pool, free during the call.
-  std::function<util::Result<std::shared_ptr<const ArtifactSampler>>(
+  std::function<util::Result<std::unique_ptr<const ArtifactSampler>>(
       const pipeline::ReleaseArtifact& artifact,
       const pipeline::EngineOptions& options, util::WorkerPool* pool)>
       make_sampler;
@@ -117,10 +117,6 @@ std::vector<std::string> MechanismNames();
 
 /// "agm, community_dp, kanon_baseline" — for error messages.
 std::string MechanismNameList();
-
-/// InvalidArgument("release artifact: " + what): the error of every
-/// scheme's artifact check, worded like the common ones.
-util::Status InvalidArtifact(const std::string& what);
 
 /// The checks both block-model payloads (community_dp, kanon_baseline)
 /// need: every node_blocks entry below num_blocks, 0 <= w <= 20, and one

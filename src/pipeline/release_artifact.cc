@@ -90,6 +90,8 @@ util::Result<uint64_t> RequireUint64String(const util::JsonValue& object,
 
 }  // namespace
 
+util::Status InvalidArtifact(const std::string& what) { return Invalid(what); }
+
 ReleaseArtifact MakeReleaseArtifact(const FitResult& fit,
                                     const PipelineConfig& config) {
   ReleaseArtifact artifact = MakeReleaseArtifact(fit.params, config);

@@ -98,6 +98,10 @@ ReleaseArtifact MakeReleaseArtifact(const FitResult& fit,
 ReleaseArtifact MakeReleaseArtifact(const agm::AgmParams& params,
                                     const PipelineConfig& config);
 
+/// InvalidArgument("release artifact: " + what): the error of every
+/// artifact check, the common ones and each mechanism's own.
+util::Status InvalidArtifact(const std::string& what);
+
 /// Structural validation: supported schema version, named model, valid
 /// parameters, sane knobs and ledger entries. Run by the reader and by
 /// ReleaseEngine::Create.

@@ -52,6 +52,9 @@ util::Result<std::unique_ptr<ReleaseEngine>> ReleaseEngine::Create(
 ReleaseEngine::ReleaseEngine(ReleaseArtifact artifact, int pool_workers)
     : artifact_(std::move(artifact)), pool_(pool_workers) {}
 
+// Out of line: the sampler's type is incomplete in the header.
+ReleaseEngine::~ReleaseEngine() = default;
+
 uint64_t ReleaseEngine::ApproxBytes() const {
   // Per-worker overhead approximates a parked thread: kernel stack plus
   // pool bookkeeping. Deliberately round — the cache budget is a resource

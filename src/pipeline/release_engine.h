@@ -92,6 +92,7 @@ class ReleaseEngine {
   static util::Result<std::unique_ptr<ReleaseEngine>> Create(
       ReleaseArtifact artifact, const EngineOptions& options = {});
 
+  ~ReleaseEngine();
   ReleaseEngine(const ReleaseEngine&) = delete;
   ReleaseEngine& operator=(const ReleaseEngine&) = delete;
 
@@ -133,7 +134,7 @@ class ReleaseEngine {
 
   /// Declared before the sampler, which may reference it.
   const ReleaseArtifact artifact_;
-  std::shared_ptr<const mechanisms::ArtifactSampler> sampler_;
+  std::unique_ptr<const mechanisms::ArtifactSampler> sampler_;
   /// The persistent serving pool. WorkerPool::Run is not reentrant, so
   /// every multi-worker use holds pool_mutex_; single samples only
   /// try-lock it, so they never wait for each other.
