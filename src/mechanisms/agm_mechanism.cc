@@ -7,8 +7,6 @@
 
 namespace agmdp::mechanisms {
 
-using pipeline::InvalidArtifact;
-
 namespace {
 
 /// Base seed of the calibration substream family. The calibration draw is
@@ -107,7 +105,7 @@ MechanismSpec AgmMechanism() {
   // The release lives entirely in `params`.
   spec.validate = [](const pipeline::ReleaseArtifact& artifact) {
     if (!artifact.payload.Empty()) {
-      return InvalidArtifact(
+      return pipeline::InvalidArtifact(
           "agm artifacts must not carry a mechanism payload");
     }
     return agm::ValidateAgmParams(artifact.params);
