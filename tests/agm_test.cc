@@ -467,9 +467,13 @@ TEST(AgmDpTest, AllThetaFMethodsRunEndToEnd) {
 // to how shards are drawn or merged must keep every bit. The cases cover a
 // hub-reweighting calibration over two filtered iterations, a proposal
 // budget so tight that no shard fills its quota (the merge reads all 64
-// shards and still falls short), and a small dense sequence whose
-// cross-shard duplicates make the merge read well past the minimum shard
-// count without hub reweighting (the pilot itself is returned).
+// shards and still falls short), a small dense sequence whose cross-shard
+// duplicates make the merge read well past the minimum shard count without
+// hub reweighting (the pilot itself is returned), and a filter-starved
+// pass: ΘF asks for nearly every edge to join two of the rare attribute-1
+// nodes, so the calibrated acceptance floors the other two configurations
+// at min_acceptance, every shard spends its default 200 x quota budget on
+// filter rejections, and the merge falls well short of the target.
 TEST(ShardedFclGoldenTest, SampleMatchesPinnedLiteralsAtAnyPoolSize) {
   struct Case {
     const char* name;
@@ -477,24 +481,34 @@ TEST(ShardedFclGoldenTest, SampleMatchesPinnedLiteralsAtAnyPoolSize) {
     bool skewed;  // heavy-tailed with hubs, else every degree is 12
     uint64_t max_proposals_per_edge;
     int acceptance_iterations;
+    std::vector<double> theta_x;
+    std::vector<double> theta_f;
     uint64_t attributes_hash;
     uint64_t adjacency_hash;
     uint64_t canonical_hash;
     uint64_t next_draw;
   };
-  static const Case kCases[] = {
-      {"skewed", 3000, true, 200, 2, 0xbc8dca6f77576fc3ULL,
-       0x3874c104e600e7f9ULL, 0x14e1144c60381ff7ULL, 0x8adb7853e62975f2ULL},
-      {"budget-starved", 3000, true, 1, 1, 0xbc8dca6f77576fc3ULL,
-       0x2209e450c06014d8ULL, 0x6e320c5196bde0a6ULL, 0x52692091915360f0ULL},
-      {"duplicate-heavy", 24, false, 200, 1, 0xb10c03b8634d1742ULL,
-       0xf3093de613d5d0adULL, 0xd7e8a3b5274f3f11ULL, 0xcb91462c98dd0872ULL},
+  const std::vector<double> kThetaX = {0.6, 0.4};
+  const std::vector<double> kThetaF = {0.5, 0.2, 0.3};
+  const Case kCases[] = {
+      {"skewed", 3000, true, 200, 2, kThetaX, kThetaF,
+       0xbc8dca6f77576fc3ULL, 0x3874c104e600e7f9ULL, 0x14e1144c60381ff7ULL,
+       0x8adb7853e62975f2ULL},
+      {"budget-starved", 3000, true, 1, 1, kThetaX, kThetaF,
+       0xbc8dca6f77576fc3ULL, 0x2209e450c06014d8ULL, 0x6e320c5196bde0a6ULL,
+       0x52692091915360f0ULL},
+      {"duplicate-heavy", 24, false, 200, 1, kThetaX, kThetaF,
+       0xb10c03b8634d1742ULL, 0xf3093de613d5d0adULL, 0xd7e8a3b5274f3f11ULL,
+       0xcb91462c98dd0872ULL},
+      {"filter-starved", 3000, true, 200, 1, {0.97, 0.03},
+       {1e-4, 1e-4, 0.9998}, 0x06029c051eed17e2ULL, 0x6448024defb71519ULL,
+       0xefa76e01c5274599ULL, 0x52692091915360f0ULL},
   };
   for (const Case& c : kCases) {
     AgmParams params;
     params.w = 1;
-    params.theta_x = {0.6, 0.4};
-    params.theta_f = {0.5, 0.2, 0.3};
+    params.theta_x = c.theta_x;
+    params.theta_f = c.theta_f;
     util::Rng degree_rng(29);
     params.degree_sequence.resize(c.nodes);
     for (graph::NodeId i = 0; i < c.nodes; ++i) {

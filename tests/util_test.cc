@@ -228,6 +228,33 @@ TEST(AliasSamplerTest, SingleCategory) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(sampler.value().Sample(rng), 0u);
 }
 
+// The exact draw stream of Sample: UniformIndex(n) picks the bucket, then
+// one UniformDouble() < prob picks it or its alias. The table mixes zero
+// weights (prob 0: always redirected), one dominant weight (a donor for
+// every small bucket) and buckets Vose's leftover lists force to prob 1.0
+// (never redirected). The literals were recorded before the select went
+// branch-free; any change to the select or to its draws moves them.
+TEST(AliasSamplerTest, DrawStreamMatchesPinnedLiterals) {
+  auto sampler = AliasSampler::Build(
+      {0.0, 0.1, 6.0, 0.0, 0.2, 0.3, 1.0 / 3.0, 0.0, 2.0 / 3.0, 0.7});
+  ASSERT_TRUE(sampler.ok());
+  Rng rng(59);
+  std::vector<size_t> first;
+  for (int i = 0; i < 64; ++i) first.push_back(sampler.value().Sample(rng));
+  const std::vector<size_t> kFirst = {
+      2, 2, 9, 2, 2, 2, 2, 2, 8, 4, 2, 8, 2, 5, 8, 2, 2, 2, 2, 8, 2, 2,
+      2, 2, 2, 2, 2, 2, 8, 2, 2, 2, 2, 2, 2, 4, 2, 2, 2, 2, 2, 2, 2, 2,
+      2, 2, 2, 9, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 8, 2, 8, 9, 9, 2};
+  EXPECT_EQ(first, kFirst);
+  uint64_t hash = 1469598103934665603ULL;  // FNV-1a over the indices
+  for (int i = 0; i < 100000; ++i) {
+    hash ^= sampler.value().Sample(rng);
+    hash *= 1099511628211ULL;
+  }
+  EXPECT_EQ(hash, 0xa555fa40a793ec24ULL);
+  EXPECT_EQ(rng.Next(), 0x8b9b0dd2699c956dULL);
+}
+
 TEST(AliasSamplerTest, MassOfReportsNormalizedInput) {
   auto sampler = AliasSampler::Build({1.0, 3.0});
   ASSERT_TRUE(sampler.ok());
