@@ -172,6 +172,36 @@ util::Result<FclPlan> BuildFclPlan(const std::vector<uint32_t>& degrees,
   return plan;
 }
 
+// One shard of ShardedProposalPass: draws from `rng` until `quota`
+// distinct edges pass `filter` or `budget` proposals are spent. Each
+// proposal draws u, draws v, rejects u == v, looks {u, v} up once in the
+// dedup set and only then asks the filter; an accepted pair is stored in
+// the slot that lookup found (the set is reserved for `quota` keys, so no
+// insert rehashes). The bounds arrive as parameters and a table filter as
+// its TableView, so the loop keeps them in registers instead of reloading
+// them after every store into the set. `Filter` is EdgeFilter::TableView
+// or EdgeFilter.
+template <typename Filter>
+std::vector<graph::Edge> DrawShard(const util::AliasSampler& sampler,
+                                   uint64_t quota, uint64_t budget,
+                                   const Filter& filter, util::Rng rng) {
+  util::FlatEdgeSet seen(quota);
+  std::vector<graph::Edge> edges(quota);
+  uint64_t count = 0;
+  for (uint64_t proposals = 0; count < quota && proposals < budget;
+       ++proposals) {
+    const auto u = static_cast<graph::NodeId>(sampler.Sample(rng));
+    const auto v = static_cast<graph::NodeId>(sampler.Sample(rng));
+    if (u == v) continue;
+    const util::FlatEdgeSet::Slot slot = seen.Find(graph::PackEdge(u, v));
+    if (slot.found || !filter.Accept(u, v, rng)) continue;
+    seen.InsertAt(slot);
+    edges[count++] = graph::Edge(u, v);
+  }
+  edges.resize(count);
+  return edges;
+}
+
 // One sharded proposal pass of the parallel Fast Chung-Lu sampler, merged
 // into `out` (a graph::Graph or a models::FclPilot). Shard s draws
 // exclusively from util::Rng::Substream(seed_base, stream_offset + s) and
@@ -202,25 +232,14 @@ void ShardedProposalPass(const util::AliasSampler& sampler,
   // Saturate: max_proposals_per_edge is a caller knob, and a wrapped
   // product can silently collapse the budget to ~0 proposals.
   const uint64_t budget = util::SaturatingMul(max_proposals_per_edge, quota);
-  const bool filtered = filter.active();
+  const models::EdgeFilter::TableView table = filter.table_view();
 
   std::vector<std::vector<graph::Edge>> accepted(kProposalShards);
   const auto draw_shard = [&](int s) {
-    util::Rng rng = util::Rng::Substream(
+    const util::Rng rng = util::Rng::Substream(
         seed_base, stream_offset + static_cast<uint64_t>(s));
-    util::FlatEdgeSet seen(quota);
-    std::vector<graph::Edge>& edges = accepted[s];
-    edges.reserve(quota);
-    uint64_t proposals = 0;
-    while (edges.size() < quota && proposals < budget) {
-      ++proposals;
-      const auto u = static_cast<graph::NodeId>(sampler.Sample(rng));
-      const auto v = static_cast<graph::NodeId>(sampler.Sample(rng));
-      if (u == v || seen.Contains(graph::PackEdge(u, v))) continue;
-      if (filtered && !filter.Accept(u, v, rng)) continue;
-      seen.Insert(graph::PackEdge(u, v));
-      edges.emplace_back(u, v);
-    }
+    accepted[s] = table ? DrawShard(sampler, quota, budget, table, rng)
+                        : DrawShard(sampler, quota, budget, filter, rng);
   };
 
   int wave = static_cast<int>(std::min<uint64_t>(

@@ -80,18 +80,35 @@ class EdgeFilter {
   bool active() const { return table_ != nullptr || bool(predicate_); }
   explicit operator bool() const { return active(); }
 
+  /// The table mode's arrays as plain pointers, for a proposal loop that
+  /// reads them once rather than through the shared table on every
+  /// decision. Empty (false) outside the table mode; valid while the
+  /// filter lives.
+  struct TableView {
+    const graph::AttrConfig* node_configs = nullptr;  // x, by node id
+    const double* accept = nullptr;                   // A, dense k*k
+    size_t k = 0;
+
+    explicit operator bool() const { return accept != nullptr; }
+
+    /// The table mode of EdgeFilter::Accept.
+    bool Accept(graph::NodeId u, graph::NodeId v, util::Rng& rng) const {
+      return rng.Bernoulli(
+          accept[static_cast<size_t>(node_configs[u]) * k + node_configs[v]]);
+    }
+  };
+
+  TableView table_view() const {
+    if (table_ == nullptr) return {};
+    return {table_->node_configs.data(), table_->accept.data(), table_->k};
+  }
+
   /// Accept/reject the proposed edge {u, v}. The table path consumes one
   /// Bernoulli draw from `rng` unless the probability is exactly 0 or 1
   /// (Rng::Bernoulli's own shortcut), a pure function of (x_u, x_v), so the
   /// draw sequence is identical however proposals are sharded.
   bool Accept(graph::NodeId u, graph::NodeId v, util::Rng& rng) const {
-    if (table_ != nullptr) {
-      const Table& t = *table_;
-      const double p =
-          t.accept[static_cast<size_t>(t.node_configs[u]) * t.k +
-                   t.node_configs[v]];
-      return rng.Bernoulli(p);
-    }
+    if (table_ != nullptr) return table_view().Accept(u, v, rng);
     if (predicate_) return predicate_(u, v, rng);
     return true;
   }

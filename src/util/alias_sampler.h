@@ -24,19 +24,20 @@ class AliasSampler {
   /// sum; returns InvalidArgument otherwise.
   static Result<AliasSampler> Build(const std::vector<double>& weights);
 
-  /// Draws one index.
+  /// Draws one index: UniformIndex(n) picks bucket i, then one
+  /// UniformDouble() < prob keeps i or redirects to its alias. The choice
+  /// is made with a mask instead of a branch: the comparison is a coin
+  /// flip the branch predictor misses about half the time.
   size_t Sample(Rng& rng) const {
     AGMDP_CHECK(!buckets_.empty());
     const size_t i = rng.UniformIndex(buckets_.size());
     const Bucket& b = buckets_[i];
-    return rng.UniformDouble() < b.prob ? i : b.alias;
+    const size_t keep = size_t{0} - size_t{rng.UniformDouble() < b.prob};
+    return b.alias ^ ((i ^ b.alias) & keep);
   }
 
   /// Number of categories.
   size_t size() const { return buckets_.size(); }
-
-  /// Probability mass assigned to index i (for testing/debugging).
-  double MassOf(size_t i) const { return mass_[i]; }
 
  private:
   AliasSampler() = default;
@@ -47,7 +48,6 @@ class AliasSampler {
   };
 
   std::vector<Bucket> buckets_;
-  std::vector<double> mass_;  // normalized input masses
 };
 
 }  // namespace agmdp::util

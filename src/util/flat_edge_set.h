@@ -47,6 +47,41 @@ class FlatEdgeSet {
     return false;
   }
 
+  /// The outcome of Find: where the key is stored, or, on a miss, the
+  /// empty slot that ends its probe chain.
+  struct Slot {
+    uint64_t key = 0;
+    size_t index = 0;
+    size_t size = 0;  // size() at the lookup, checked by InsertAt
+    bool found = false;
+  };
+
+  /// Looks `key` up in one walk of its probe chain. On a miss the slot is
+  /// where Insert(key) would store it, and InsertAt(slot) stores it there
+  /// without walking the chain again. That holds only while the set stays
+  /// as Find saw it and the insert fits without a rehash: nothing may be
+  /// inserted or erased between the two calls (an Erase's backward shift
+  /// can move keys across the slot), and the set must have been reserved
+  /// for at least size() + 1 keys. InsertAt enforces both. `key` must be
+  /// non-zero and the table allocated (capacity() > 0).
+  Slot Find(uint64_t key) const {
+    AGMDP_CHECK(key != 0 && !keys_.empty());
+    const size_t mask = keys_.size() - 1;
+    size_t i = Hash(key) & mask;
+    while (keys_[i] != 0 && keys_[i] != key) i = (i + 1) & mask;
+    return Slot{key, i, size_, keys_[i] != 0};
+  }
+
+  /// Stores the key of a missed Find in the slot Find returned. Aborts if
+  /// the key was found, the set changed size since the Find, or the insert
+  /// would cross the load limit (Insert would rehash and move the slot).
+  void InsertAt(const Slot& slot) {
+    AGMDP_CHECK(!slot.found && slot.size == size_ &&
+                keys_[slot.index] == 0 && (size_ + 1) * 8 <= keys_.size() * 5);
+    keys_[slot.index] = slot.key;
+    ++size_;
+  }
+
   /// Drops every key, keeping the current capacity.
   void Clear() {
     std::fill(keys_.begin(), keys_.end(), uint64_t{0});

@@ -130,6 +130,111 @@ TEST(FlatEdgeSetTest, ReserveAvoidsGrowthAndClearKeepsCapacity) {
   EXPECT_FALSE(set.Contains(1));
 }
 
+// ------------------------------------------------------- Find/InsertAt --
+
+// Table order of the keys, as ForEach visits them.
+std::vector<uint64_t> TableOrder(const util::FlatEdgeSet& set) {
+  std::vector<uint64_t> keys;
+  set.ForEach([&](uint64_t key) { keys.push_back(key); });
+  return keys;
+}
+
+// The home slot of `key` in a table of `capacity` slots: FlatEdgeSet's
+// private SplitMix64 finalizer, mirrored so a test can place keys on
+// purpose. FindWrapsAroundTheTableEnd checks the mirror through ForEach.
+size_t HomeSlot(uint64_t key, size_t capacity) {
+  key = (key ^ (key >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  key = (key ^ (key >> 27)) * 0x94d049bb133111ebULL;
+  return static_cast<size_t>(key ^ (key >> 31)) & (capacity - 1);
+}
+
+// The first `count` keys from 1 up whose home is the table's last slot.
+std::vector<uint64_t> KeysHomedAtLastSlot(size_t capacity, size_t count) {
+  std::vector<uint64_t> keys;
+  for (uint64_t key = 1; keys.size() < count; ++key) {
+    if (HomeSlot(key, capacity) == capacity - 1) keys.push_back(key);
+  }
+  return keys;
+}
+
+TEST(FlatEdgeSetTest, FindThenInsertAtMatchesInsert) {
+  // A miss's slot is where Insert lands: a twin built with Insert ends in
+  // the same table order. Small key space, so lookups hit often.
+  util::Rng rng(131);
+  util::FlatEdgeSet probed(3000);
+  util::FlatEdgeSet inserted(3000);
+  for (int op = 0; op < 6000; ++op) {
+    const uint64_t key = 1 + rng.UniformIndex(4000);
+    const util::FlatEdgeSet::Slot slot = probed.Find(key);
+    ASSERT_EQ(slot.found, inserted.Contains(key)) << key;
+    ASSERT_EQ(slot.key, key);
+    if (!slot.found && probed.size() < 3000) {
+      probed.InsertAt(slot);
+      ASSERT_TRUE(inserted.Insert(key));
+    }
+  }
+  EXPECT_EQ(probed.size(), inserted.size());
+  EXPECT_EQ(probed.capacity(), inserted.capacity());
+  EXPECT_EQ(TableOrder(probed), TableOrder(inserted));
+}
+
+TEST(FlatEdgeSetTest, FindWrapsAroundTheTableEnd) {
+  util::FlatEdgeSet set(4);
+  ASSERT_EQ(set.capacity(), 16u);
+  // All four keys hash to slot 15: the first takes it, the next wrap to
+  // slots 0 and 1, so table order starts with them and ends with the first.
+  const std::vector<uint64_t> k = KeysHomedAtLastSlot(16, 4);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(set.Insert(k[i]));
+  ASSERT_EQ(TableOrder(set), (std::vector<uint64_t>{k[1], k[2], k[0]}));
+
+  const util::FlatEdgeSet::Slot hit = set.Find(k[2]);
+  EXPECT_TRUE(hit.found);
+  EXPECT_EQ(hit.index, 1u);
+  const util::FlatEdgeSet::Slot miss = set.Find(k[3]);
+  EXPECT_FALSE(miss.found);
+  EXPECT_EQ(miss.index, 2u);  // past the end and two occupied slots
+  set.InsertAt(miss);
+  EXPECT_TRUE(set.Contains(k[3]));
+  EXPECT_EQ(TableOrder(set), (std::vector<uint64_t>{k[1], k[2], k[3], k[0]}));
+}
+
+TEST(FlatEdgeSetTest, FindAfterEraseBackwardShift) {
+  // Erasing the chain head at slot 15 shifts the wrapped keys back one slot
+  // each (k1 to 15, k2 to 0); Find must see the shifted chain, and its miss
+  // slot must be the hole the shift left at slot 1.
+  const std::vector<uint64_t> k = KeysHomedAtLastSlot(16, 4);
+  util::FlatEdgeSet set(4);
+  util::FlatEdgeSet twin(4);
+  for (int i = 0; i < 3; ++i) {
+    set.Insert(k[i]);
+    twin.Insert(k[i]);
+  }
+  ASSERT_TRUE(set.Erase(k[0]));
+  ASSERT_TRUE(twin.Erase(k[0]));
+  EXPECT_FALSE(set.Find(k[0]).found);
+  EXPECT_EQ(set.Find(k[1]).index, 15u);
+  EXPECT_EQ(set.Find(k[2]).index, 0u);
+  const util::FlatEdgeSet::Slot miss = set.Find(k[3]);
+  EXPECT_FALSE(miss.found);
+  EXPECT_EQ(miss.index, 1u);
+  set.InsertAt(miss);
+  twin.Insert(k[3]);
+  EXPECT_EQ(TableOrder(set), TableOrder(twin));
+}
+
+TEST(FlatEdgeSetDeathTest, InsertAtRejectsAStaleOrFullSlot) {
+  util::FlatEdgeSet set(4);
+  const util::FlatEdgeSet::Slot slot = set.Find(7);
+  set.Insert(9);  // the set changed between Find and InsertAt
+  EXPECT_DEATH(set.InsertAt(slot), "AGMDP_CHECK failed");
+
+  // Ten keys fill 16 slots to the 5/8 limit: the eleventh needs a rehash.
+  util::FlatEdgeSet full(4);
+  for (uint64_t key = 1; key <= 10; ++key) full.Insert(key);
+  ASSERT_EQ(full.capacity(), 16u);
+  EXPECT_DEATH(full.InsertAt(full.Find(11)), "AGMDP_CHECK failed");
+}
+
 // ------------------------------------------------- Graph equivalence ----
 
 // The Graph facade over FlatEdgeSet must behave exactly like a reference
