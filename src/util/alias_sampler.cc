@@ -25,7 +25,6 @@ Result<AliasSampler> AliasSampler::Build(const std::vector<double>& weights) {
   const size_t n = weights.size();
   AliasSampler sampler;
   sampler.buckets_.assign(n, Bucket{});
-  sampler.mass_.assign(n, 0.0);
 
   // Vose's algorithm: split scaled masses into "small" (< 1) and "large"
   // (>= 1) worklists and pair each small bucket with a large donor.
@@ -34,8 +33,7 @@ Result<AliasSampler> AliasSampler::Build(const std::vector<double>& weights) {
   small.reserve(n);
   large.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    sampler.mass_[i] = weights[i] / sum;
-    scaled[i] = sampler.mass_[i] * static_cast<double>(n);
+    scaled[i] = weights[i] / sum * static_cast<double>(n);
     if (scaled[i] < 1.0) {
       small.push_back(static_cast<uint32_t>(i));
     } else {
