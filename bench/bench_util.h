@@ -84,16 +84,11 @@ inline util::Result<graph::AttributedGraph> TryLoadDataset(
   return g;
 }
 
+/// TryLoadDataset that aborts the bench on failure.
 inline graph::AttributedGraph LoadDataset(datasets::DatasetId id,
                                           const util::Flags& flags) {
-  const double scale = ScaleFor(id, flags);
-  const auto seed = static_cast<uint64_t>(flags.GetInt("seed", 20160626));
-  auto g = datasets::GenerateDataset(id, scale, seed);
+  auto g = TryLoadDataset(id, flags);
   AGMDP_CHECK_MSG(g.ok(), g.status().ToString().c_str());
-  std::printf("# dataset %s scale=%.3g: n=%u m=%llu\n",
-              datasets::PaperSpec(id).name.c_str(), scale,
-              g.value().num_nodes(),
-              static_cast<unsigned long long>(g.value().num_edges()));
   return std::move(g).value();
 }
 

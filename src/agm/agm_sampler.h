@@ -140,8 +140,8 @@ std::vector<double> ComputeAcceptanceProbabilities(
 
 /// Θ'F of a generated graph, measured over `threads` workers (node-range
 /// partition; exact integer counts, so the result is identical at any
-/// thread count). Equals ComputeThetaF on the graph's snapshot and is
-/// exposed so benches can time the parallel path.
+/// thread count). Equals ComputeThetaF on the graph's snapshot; the
+/// sampler's acceptance loop runs the same measurement on its own pool.
 std::vector<double> MeasureThetaF(const graph::AttributedGraph& g,
                                   int threads);
 

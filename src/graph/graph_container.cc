@@ -540,8 +540,7 @@ util::Result<BinaryGraphInfo> ConvertTextToBinary(
   return info;
 }
 
-util::Result<AttributedCsrGraph> OpenBinarySnapshot(const std::string& path,
-                                                    const OpenOptions& options) {
+util::Result<AttributedCsrGraph> OpenBinarySnapshot(const std::string& path) {
   auto mapped = util::MappedFile::OpenReadOnly(path);
   if (!mapped.ok()) return mapped.status();
   auto file =
@@ -553,20 +552,16 @@ util::Result<AttributedCsrGraph> OpenBinarySnapshot(const std::string& path,
       !st.ok()) {
     return st;
   }
-  if (options.verify_checksums) {
-    if (auto st = VerifyPageChecksums(data, h, path); !st.ok()) return st;
-  }
+  if (auto st = VerifyPageChecksums(data, h, path); !st.ok()) return st;
   const uint64_t* offsets =
       reinterpret_cast<const uint64_t*>(data + h.offsets.offset);
   const NodeId* neighbors =
       reinterpret_cast<const NodeId*>(data + h.neighbors.offset);
   const AttrConfig* attrs =
       reinterpret_cast<const AttrConfig*>(data + h.attributes.offset);
-  if (options.validate) {
-    if (auto st = ValidateSemantics(h, offsets, neighbors, attrs, path);
-        !st.ok()) {
-      return st;
-    }
+  if (auto st = ValidateSemantics(h, offsets, neighbors, attrs, path);
+      !st.ok()) {
+    return st;
   }
   CsrGraph structure =
       CsrGraph::FromExternal(offsets, neighbors, static_cast<NodeId>(h.num_nodes),

@@ -61,15 +61,6 @@ struct BinaryGraphOptions {
   uint32_t page_size = 64 * 1024;
 };
 
-struct OpenOptions {
-  /// Verify the per-page CRC table before trusting the mapping.
-  bool verify_checksums = true;
-  /// Re-check the CSR invariants (monotone offsets, sorted simple-graph
-  /// ranges, attribute configs in range) — catches a semantically bogus
-  /// file whose checksums are internally consistent.
-  bool validate = true;
-};
-
 /// Header/summary facts about a container file (`agmdp info`).
 struct BinaryGraphInfo {
   uint32_t format_version = 0;
@@ -112,10 +103,13 @@ util::Result<BinaryGraphInfo> ConvertTextToBinary(
 
 /// Maps a container file and wraps it as an AttributedCsrGraph whose
 /// arrays alias the mapping (the returned snapshot and all copies keep
-/// the mapping alive). Analytics over the result are bitwise-identical
-/// to AttributedCsrGraph::FromGraph on the same graph.
-util::Result<AttributedCsrGraph> OpenBinarySnapshot(
-    const std::string& path, const OpenOptions& options = {});
+/// the mapping alive). Before trusting the mapping it verifies the
+/// per-page CRC table, then re-checks the CSR invariants (monotone
+/// offsets, sorted simple-graph ranges, attribute configs in range),
+/// which catches a semantically bogus file whose checksums are
+/// internally consistent. Analytics over the result are
+/// bitwise-identical to AttributedCsrGraph::FromGraph on the same graph.
+util::Result<AttributedCsrGraph> OpenBinarySnapshot(const std::string& path);
 
 /// Reads header facts and runs the checksum sweep without building a
 /// snapshot. Errors only when the header itself is unusable (bad magic,

@@ -93,8 +93,8 @@ struct ReleaseArtifact {
 ReleaseArtifact MakeReleaseArtifact(const FitResult& fit,
                                     const PipelineConfig& config);
 
-/// Packages bare parameters (no ledger — the non-private baselines and the
-/// legacy SampleRelease path).
+/// Packages bare parameters with no ledger; the rival mechanisms start
+/// from this and add their own payload and spend.
 ReleaseArtifact MakeReleaseArtifact(const agm::AgmParams& params,
                                     const PipelineConfig& config);
 

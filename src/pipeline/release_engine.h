@@ -50,7 +50,7 @@ struct EngineOptions {
   /// Run the acceptance loop once at construction (agm::CalibrateAcceptance
   /// from the fixed calibration substream) and warm-start every request
   /// with its converged acceptance vector. Disable to reproduce the
-  /// paper's cold per-sample loop exactly (the legacy free functions do).
+  /// paper's cold per-sample loop exactly (RunPrivateRelease does).
   bool calibrate = true;
   /// Acceptance refinements per request once calibrated (requests may
   /// override). 0 = trust the calibrated vector: the loop had converged,
@@ -119,8 +119,8 @@ class ReleaseEngine {
       int n, const SampleRequest& base = {}) const;
 
   /// Samples consuming the caller's master stream instead of a request
-  /// substream — the contract of the legacy pipeline::SampleRelease, which
-  /// wraps this. Thread-safe; borrows the pool like Sample with threads > 1.
+  /// substream — the one-shot contract of pipeline::RunPrivateRelease.
+  /// Thread-safe; borrows the pool like Sample with threads > 1.
   util::Result<graph::AttributedGraph> SampleFromStream(util::Rng& rng) const;
 
  private:

@@ -35,18 +35,6 @@ agm::AgmDpOptions MakeLearnOptions(const PipelineConfig& config,
   return options;
 }
 
-// An uncalibrated single-use engine reproducing the legacy free-function
-// sampling semantics exactly: cold acceptance loop, config sample knobs,
-// pool sized by config.sample.threads.
-util::Result<std::unique_ptr<ReleaseEngine>> MakeOneShotEngine(
-    ReleaseArtifact artifact, const PipelineConfig& config) {
-  EngineOptions options;
-  options.threads = config.sample.threads;
-  options.calibrate = false;
-  options.sample = config.sample;
-  return ReleaseEngine::Create(std::move(artifact), options);
-}
-
 // The fit half, with the config already validated (shared by
 // FitPrivateParams and RunPrivateRelease so validation happens in exactly
 // one place, before any budget is spent).
@@ -110,18 +98,6 @@ util::Result<ReleaseArtifact> FitReleaseArtifact(
                             config, rng);
 }
 
-util::Result<graph::AttributedGraph> SampleRelease(
-    const agm::AgmParams& params, const PipelineConfig& config,
-    util::Rng& rng) {
-  // Sampling spends no budget, so fit-side fields (epsilon, split,
-  // estimator knobs) are deliberately not validated here; engine creation
-  // checks everything sampling actually reads (model resolution,
-  // acceptance knobs, parameter sanity).
-  auto engine = MakeOneShotEngine(MakeReleaseArtifact(params, config), config);
-  if (!engine.ok()) return engine.status();
-  return engine.value()->SampleFromStream(rng);
-}
-
 util::Result<ReleaseResult> RunPrivateRelease(
     const graph::AttributedCsrGraph& input, const PipelineConfig& config,
     util::Rng& rng) {
@@ -144,9 +120,15 @@ util::Result<ReleaseResult> RunPrivateRelease(
     stages.push_back({"fit", SecondsSince(start)});
   }
 
-  // One draw from the stream, through an uncalibrated engine.
+  // One draw from the stream, through an uncalibrated single-use engine:
+  // the paper's cold acceptance loop, the config's sampler knobs, and a
+  // pool sized by config.sample.threads.
   const Clock::time_point sample_start = Clock::now();
-  auto engine = MakeOneShotEngine(std::move(artifact), config);
+  EngineOptions options;
+  options.threads = config.sample.threads;
+  options.calibrate = false;
+  options.sample = config.sample;
+  auto engine = ReleaseEngine::Create(std::move(artifact), options);
   if (!engine.ok()) return engine.status();
   auto synthetic = engine.value()->SampleFromStream(rng);
   if (!synthetic.ok()) return synthetic.status();

@@ -17,10 +17,10 @@
 //
 // These free functions are thin wrappers over the handle-based serving
 // layer (release_artifact.h / release_engine.h): FitReleaseArtifact
-// packages a fit for storage, and the sampling halves below construct an
-// uncalibrated ReleaseEngine per call so one-shot and serving paths share
-// one code path. Long-lived consumers should hold a ReleaseEngine instead
-// of looping over these — see DESIGN.md "Serving layer".
+// packages a fit for storage, and RunPrivateRelease samples through an
+// uncalibrated ReleaseEngine so one-shot and serving paths share one code
+// path. Long-lived consumers should hold a ReleaseEngine instead of
+// looping over these — see DESIGN.md "Serving layer".
 #pragma once
 
 #include "src/graph/csr.h"
@@ -49,18 +49,12 @@ util::Result<ReleaseArtifact> FitReleaseArtifact(
 
 /// Snapshot-and-delegate shims for perfbench, which materializes its input
 /// and may not change outside a benchmark change. Nothing else calls them;
-/// the benchmark change that retires bench_perf deletes them.
+/// the benchmark change that points perfbench at snapshots deletes them.
 util::Result<FitResult> FitPrivateParams(const graph::AttributedGraph& input,
                                          const PipelineConfig& config,
                                          util::Rng& rng);
 util::Result<ReleaseArtifact> FitReleaseArtifact(
     const graph::AttributedGraph& input, const PipelineConfig& config,
-    util::Rng& rng);
-
-/// Samples a synthetic graph from already-learned parameters under
-/// `config`'s model and sampler settings. Pure post-processing.
-util::Result<graph::AttributedGraph> SampleRelease(
-    const agm::AgmParams& params, const PipelineConfig& config,
     util::Rng& rng);
 
 /// The end-to-end private release: fit + sample under one accountant, with

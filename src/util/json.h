@@ -1,6 +1,6 @@
 // Minimal streaming JSON writer and recursive-descent reader for the
-// machine-readable artifacts (BENCH_perf.json, BENCH_sweep.json, and the
-// release-artifact files the serving layer exchanges).
+// machine-readable artifacts (BENCH_sweep.json, BENCH_mechanisms.json, and
+// the release-artifact files the serving layer exchanges).
 //
 // The writer emits deterministically formatted output: keys appear in the
 // order they are written and numbers are rendered with a fixed printf

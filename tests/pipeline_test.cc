@@ -16,6 +16,7 @@
 #include "src/dp/ladder_mechanism.h"
 #include "src/graph/graph_container.h"
 #include "src/graph/graph_source.h"
+#include "src/pipeline/release_engine.h"
 #include "src/pipeline/release_pipeline.h"
 #include "src/util/rng.h"
 #include "tests/golden_hash.h"
@@ -210,8 +211,16 @@ TEST(SamplerDeterminismTest, IdenticalGraphAcross124Threads) {
       config.model = model;
       config.sample.acceptance_iterations = 2;
       config.sample.threads = threads;
+      // The one-shot engine RunPrivateRelease samples through.
+      pipeline::EngineOptions options;
+      options.threads = threads;
+      options.calibrate = false;
+      options.sample = config.sample;
+      auto engine = pipeline::ReleaseEngine::Create(
+          pipeline::MakeReleaseArtifact(fit.value().params, config), options);
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
       util::Rng rng(42);
-      auto sampled = pipeline::SampleRelease(fit.value().params, config, rng);
+      auto sampled = engine.value()->SampleFromStream(rng);
       ASSERT_TRUE(sampled.ok()) << sampled.status().ToString();
       if (threads == 1) {
         reference = std::move(sampled).value();

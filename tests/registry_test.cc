@@ -271,7 +271,8 @@ TEST_F(RegistryTest, CheckpointCompactsAndIsDeterministic) {
     // The registry stays fully usable across the checkpoint fd swap.
     ASSERT_TRUE(reg.value()->Put("lastfm", "c", TestArtifact(0.7)).ok());
   }
-  // Same history, byte-identical files — the bench determinism contract.
+  // Same history, byte-identical files — the contract crash recovery
+  // depends on.
   EXPECT_EQ(ReadAll(path_a), ReadAll(path_b));
 
   auto reopened = ArtifactRegistry::Open(path_a, Capped(5.0));
