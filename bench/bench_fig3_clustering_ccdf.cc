@@ -9,9 +9,9 @@
 
 #include "bench/bench_util.h"
 #include "src/eval/utility_report.h"
-#include "src/graph/clustering.h"
 #include "src/graph/csr.h"
 #include "src/graph/degree.h"
+#include "src/graph/fused_eval.h"
 #include "src/graph/triangle_count.h"
 #include "src/models/bter.h"
 #include "src/models/chung_lu.h"
@@ -30,7 +30,7 @@ void PrintSeries(const char* dataset, const char* model,
                  const graph::Graph& g, size_t points) {
   const graph::CsrGraph snapshot = graph::CsrGraph::FromGraph(g);
   std::printf("# %s %s avg_local_cc=%.4f\n", dataset, model,
-              graph::AverageLocalClustering(snapshot));
+              graph::FusedEvaluate(snapshot).clustering.avg_local_clustering);
   for (const auto& [x, y] : eval::ClusteringCcdfSeries(snapshot, points)) {
     std::printf("%s %s %.5f %.6f\n", dataset, model, x, y);
   }

@@ -24,8 +24,9 @@
 // is collected in two sweeps over the neighbor arrays (SIMD-dispatched,
 // sharded over `analytics_threads` workers; <= 0 selects hardware
 // concurrency), and the metric families derive from those partials through
-// the same formula tails the per-metric CSR kernels use, so results are
-// bitwise-identical at any thread count and on either dispatch arm. The
+// fixed formula tails (graph/clustering.h, stats/assortativity.h), so
+// results are bitwise-identical at any thread count and on either dispatch
+// arm. The
 // AttributedGraph entry points snapshot their input and delegate.
 #pragma once
 

@@ -6,42 +6,39 @@
 
 namespace agmdp::graph {
 
-namespace {
-
-// Shared formula bodies: the Graph kernels the generators call and the
-// CsrGraph kernels must stay bitwise-identical (DESIGN.md snapshot
-// contract), so each formula exists exactly once, templated over the
-// representation.
-
-template <typename AnyGraph>
-std::vector<double> CoefficientsFromTriangles(
-    const AnyGraph& g, const std::vector<uint64_t>& triangles) {
-  std::vector<double> coeffs(g.num_nodes(), 0.0);
+ClusteringStats ClusteringStatsFromTriangles(
+    const CsrGraph& g, std::vector<uint64_t> per_node_triangles) {
+  ClusteringStats stats;
+  stats.per_node_triangles = std::move(per_node_triangles);
+  stats.local_coefficients.assign(g.num_nodes(), 0.0);
+  uint64_t corner_sum = 0;
+  double coefficient_sum = 0.0;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    uint64_t d = g.Degree(v);
+    const uint64_t d = g.Degree(v);
+    const uint64_t t = stats.per_node_triangles[v];
     if (d >= 2) {
-      coeffs[v] = 2.0 * static_cast<double>(triangles[v]) /
-                  (static_cast<double>(d) * static_cast<double>(d - 1));
+      stats.local_coefficients[v] =
+          2.0 * static_cast<double>(t) /
+          (static_cast<double>(d) * static_cast<double>(d - 1));
     }
+    corner_sum += t;
+    coefficient_sum += stats.local_coefficients[v];
   }
-  return coeffs;
+  stats.triangles = corner_sum / 3;  // each triangle has three corners
+  stats.wedges = CountWedges(g);
+  if (g.num_nodes() > 0) {
+    stats.avg_local_clustering =
+        coefficient_sum / static_cast<double>(g.num_nodes());
+  }
+  if (stats.wedges > 0) {
+    stats.global_clustering = 3.0 * static_cast<double>(stats.triangles) /
+                              static_cast<double>(stats.wedges);
+  }
+  return stats;
 }
 
-double MeanCoefficient(const std::vector<double>& coeffs) {
-  if (coeffs.empty()) return 0.0;
-  double sum = 0.0;
-  for (double c : coeffs) sum += c;
-  return sum / static_cast<double>(coeffs.size());
-}
-
-double GlobalFromCounts(uint64_t triangles, uint64_t wedges) {
-  if (wedges == 0) return 0.0;
-  return 3.0 * static_cast<double>(triangles) / static_cast<double>(wedges);
-}
-
-template <typename AnyGraph>
-std::vector<double> DegreeWiseFromCoefficients(
-    const AnyGraph& g, const std::vector<double>& coeffs) {
+std::vector<double> DegreeWiseClusteringFromCoefficients(
+    const CsrGraph& g, const std::vector<double>& coeffs) {
   std::vector<double> sum(g.MaxDegree() + 1, 0.0);
   std::vector<uint64_t> count(g.MaxDegree() + 1, 0);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -52,62 +49,6 @@ std::vector<double> DegreeWiseFromCoefficients(
     if (count[d] > 0) sum[d] /= static_cast<double>(count[d]);
   }
   return sum;
-}
-
-}  // namespace
-
-std::vector<double> LocalClusteringCoefficients(const Graph& g) {
-  return CoefficientsFromTriangles(g, PerNodeTriangles(g));
-}
-
-std::vector<double> LocalClusteringCoefficients(const CsrGraph& g,
-                                                int threads) {
-  return CoefficientsFromTriangles(g, PerNodeTriangles(g, threads));
-}
-
-double AverageLocalClustering(const Graph& g) {
-  return MeanCoefficient(LocalClusteringCoefficients(g));
-}
-
-double AverageLocalClustering(const CsrGraph& g, int threads) {
-  return MeanCoefficient(LocalClusteringCoefficients(g, threads));
-}
-
-double GlobalClusteringCoefficient(const CsrGraph& g, int threads) {
-  return GlobalFromCounts(CountTriangles(g, threads), CountWedges(g));
-}
-
-std::vector<double> DegreeWiseClustering(const Graph& g) {
-  return DegreeWiseFromCoefficients(g, LocalClusteringCoefficients(g));
-}
-
-std::vector<double> DegreeWiseClustering(const CsrGraph& g, int threads) {
-  return DegreeWiseFromCoefficients(g,
-                                    LocalClusteringCoefficients(g, threads));
-}
-
-ClusteringStats ComputeClusteringStats(const CsrGraph& g, int threads) {
-  return ClusteringStatsFromTriangles(g, PerNodeTriangles(g, threads));
-}
-
-ClusteringStats ClusteringStatsFromTriangles(
-    const CsrGraph& g, std::vector<uint64_t> per_node_triangles) {
-  ClusteringStats stats;
-  stats.per_node_triangles = std::move(per_node_triangles);
-  stats.local_coefficients =
-      CoefficientsFromTriangles(g, stats.per_node_triangles);
-  uint64_t corner_sum = 0;
-  for (uint64_t t : stats.per_node_triangles) corner_sum += t;
-  stats.triangles = corner_sum / 3;  // each triangle has three corners
-  stats.wedges = CountWedges(g);
-  stats.avg_local_clustering = MeanCoefficient(stats.local_coefficients);
-  stats.global_clustering = GlobalFromCounts(stats.triangles, stats.wedges);
-  return stats;
-}
-
-std::vector<double> DegreeWiseClusteringFromCoefficients(
-    const CsrGraph& g, const std::vector<double>& coeffs) {
-  return DegreeWiseFromCoefficients(g, coeffs);
 }
 
 }  // namespace agmdp::graph

@@ -1,8 +1,5 @@
 #include "src/graph/components.h"
 
-#include <algorithm>
-
-
 namespace agmdp::graph {
 
 std::vector<uint32_t> ConnectedComponents(const Graph& g,
@@ -30,29 +27,6 @@ std::vector<uint32_t> ConnectedComponents(const Graph& g,
   }
   if (num_components != nullptr) *num_components = next_label;
   return label;
-}
-
-bool IsConnected(const Graph& g) {
-  uint32_t count = 0;
-  ConnectedComponents(g, &count);
-  return count <= 1;
-}
-
-std::vector<NodeId> LargestComponent(const Graph& g) {
-  uint32_t count = 0;
-  std::vector<uint32_t> label = ConnectedComponents(g, &count);
-  if (count == 0) return {};
-  std::vector<uint64_t> sizes(count, 0);
-  for (uint32_t l : label) ++sizes[l];
-  uint32_t best =
-      static_cast<uint32_t>(std::max_element(sizes.begin(), sizes.end()) -
-                            sizes.begin());
-  std::vector<NodeId> nodes;
-  nodes.reserve(sizes[best]);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (label[v] == best) nodes.push_back(v);
-  }
-  return nodes;
 }
 
 }  // namespace agmdp::graph

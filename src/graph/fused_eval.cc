@@ -13,9 +13,9 @@ namespace internal {
 
 namespace {
 
-// Forward orientation by the (degree, id) total order — the same order the
-// standalone triangle kernels rank by, built here by direct comparison so
-// no O(n log n) rank sort is needed. Counting and filling both touch only
+// Forward orientation by the (degree, id) total order — the same order
+// CountTriangles ranks by, built here by direct comparison so no
+// O(n log n) rank sort is needed. Counting and filling both touch only
 // slots their node range owns.
 ForwardAdjacency BuildDegreeOrderedForward(const CsrGraph& g, int threads) {
   const NodeId n = g.num_nodes();
@@ -85,19 +85,17 @@ std::vector<uint64_t> FusedPerNodeTriangles(const CsrGraph& g, int threads,
 // Sweep A: one pass over the canonical (u < v) edges collecting every
 // edge-level tally and the degree-assortativity partials. Integer tallies
 // merge order-free; the double partials land in slots owned by their
-// source node and reduce in node order afterwards — the exact chain of
-// the standalone assortativity kernel.
+// source node and reduce in node order afterwards.
 struct SweepAResult {
   std::vector<uint64_t> degree_histogram;
   std::vector<uint64_t> mixing_counts;
-  std::map<std::pair<uint32_t, uint32_t>, uint64_t> joint_degree_counts;
   double sum_xy = 0.0;
   double sum_x = 0.0;
   double sum_x2 = 0.0;
 };
 
 SweepAResult SweepA(const CsrGraph& g, const AttrConfig* attrs, uint32_t k,
-                    const FusedOptions& opts) {
+                    int threads) {
   const NodeId n = g.num_nodes();
   SweepAResult result;
   result.degree_histogram.assign(static_cast<size_t>(g.MaxDegree()) + 1, 0);
@@ -108,10 +106,9 @@ SweepAResult SweepA(const CsrGraph& g, const AttrConfig* attrs, uint32_t k,
   struct Local {
     std::vector<uint64_t> hist;
     std::vector<uint64_t> mixing;
-    std::map<std::pair<uint32_t, uint32_t>, uint64_t> joint;
   };
   util::ParallelTally(
-      n, opts.threads,
+      n, threads,
       [&] {
         Local local;
         local.hist.assign(result.degree_histogram.size(), 0);
@@ -121,16 +118,14 @@ SweepAResult SweepA(const CsrGraph& g, const AttrConfig* attrs, uint32_t k,
       [&](Local& local, uint64_t begin, uint64_t end) {
         for (uint64_t ui = begin; ui < end; ++ui) {
           const auto u = static_cast<NodeId>(ui);
-          const uint32_t du_int = g.Degree(u);
-          ++local.hist[du_int];
-          const double du = du_int;
+          ++local.hist[g.Degree(u)];
+          const double du = g.Degree(u);
           double a = 0.0, b = 0.0, c = 0.0;
           const NeighborRange range = g.Neighbors(u);
           for (const NodeId* v =
                    std::upper_bound(range.begin(), range.end(), u);
                v != range.end(); ++v) {
-            const uint32_t dv_int = g.Degree(*v);
-            const double dv = dv_int;
+            const double dv = g.Degree(*v);
             a += 2.0 * du * dv;
             b += du + dv;
             c += du * du + dv * dv;
@@ -138,10 +133,6 @@ SweepAResult SweepA(const CsrGraph& g, const AttrConfig* attrs, uint32_t k,
               const AttrConfig x = attrs[u], y = attrs[*v];
               ++local.mixing[static_cast<size_t>(x) * k + y];
               ++local.mixing[static_cast<size_t>(y) * k + x];
-            }
-            if (opts.joint_degree) {
-              ++local.joint[{std::min(du_int, dv_int),
-                             std::max(du_int, dv_int)}];
             }
           }
           pxy[ui] = a;
@@ -155,9 +146,6 @@ SweepAResult SweepA(const CsrGraph& g, const AttrConfig* attrs, uint32_t k,
         }
         for (size_t i = 0; i < local.mixing.size(); ++i) {
           result.mixing_counts[i] += local.mixing[i];
-        }
-        for (const auto& [key, count] : local.joint) {
-          result.joint_degree_counts[key] += count;
         }
       });
   for (NodeId u = 0; u < n; ++u) {
@@ -215,12 +203,11 @@ FusedStats FusedEvaluateImpl(const CsrGraph& g, const AttrConfig* attrs,
   stats.num_edges = g.num_edges();
   const uint32_t k = num_attributes >= 0 ? NumNodeConfigs(num_attributes) : 0;
 
-  SweepAResult sweep_a = SweepA(g, attrs, k, opts);
+  SweepAResult sweep_a = SweepA(g, attrs, k, opts.threads);
   stats.degree_histogram = std::move(sweep_a.degree_histogram);
   stats.assort_sum_xy = sweep_a.sum_xy;
   stats.assort_sum_x = sweep_a.sum_x;
   stats.assort_sum_x2 = sweep_a.sum_x2;
-  stats.joint_degree_counts = std::move(sweep_a.joint_degree_counts);
 
   if (num_attributes >= 0) {
     stats.num_configs = k;
@@ -234,10 +221,6 @@ FusedStats FusedEvaluateImpl(const CsrGraph& g, const AttrConfig* attrs,
   if (opts.triangles) {
     stats.clustering = ClusteringStatsFromTriangles(
         g, FusedPerNodeTriangles(g, opts.threads, opts.isa));
-    if (opts.degree_wise_clustering) {
-      stats.degree_wise_clustering = DegreeWiseClusteringFromCoefficients(
-          g, stats.clustering.local_coefficients);
-    }
   }
   return stats;
 }

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <numeric>
 
-#include "src/util/check.h"
 #include "src/util/parallel.h"
 
 namespace agmdp::graph {
@@ -96,20 +95,6 @@ uint64_t CountTriangles(const CsrGraph& g, int threads) {
   return CountTrianglesImpl(g, threads);
 }
 
-uint64_t CountTrianglesBrute(const Graph& g) {
-  const NodeId n = g.num_nodes();
-  uint64_t triangles = 0;
-  for (NodeId a = 0; a < n; ++a) {
-    for (NodeId b = a + 1; b < n; ++b) {
-      if (!g.HasEdge(a, b)) continue;
-      for (NodeId c = b + 1; c < n; ++c) {
-        if (g.HasEdge(a, c) && g.HasEdge(b, c)) ++triangles;
-      }
-    }
-  }
-  return triangles;
-}
-
 uint64_t CountWedges(const CsrGraph& g) {
   uint64_t wedges = 0;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -117,77 +102,6 @@ uint64_t CountWedges(const CsrGraph& g) {
     wedges += d * (d - 1) / 2;
   }
   return wedges;
-}
-
-std::vector<uint64_t> PerNodeTriangles(const Graph& g) {
-  const NodeId n = g.num_nodes();
-  std::vector<uint64_t> counts(n, 0);
-  // Edge iterator: each edge's common-neighbor count is the number of
-  // triangles through that edge; a triangle has three edges and each of its
-  // corners sits on two of them, so crediting both endpoints of every edge
-  // counts each corner exactly twice.
-  g.ForEachEdge([&](NodeId u, NodeId v) {
-    uint32_t t = g.CommonNeighborCount(u, v);
-    counts[u] += t;
-    counts[v] += t;
-  });
-  for (auto& c : counts) {
-    AGMDP_CHECK(c % 2 == 0);
-    c /= 2;
-  }
-  return counts;
-}
-
-std::vector<uint64_t> PerNodeTriangles(const CsrGraph& g, int threads) {
-  const NodeId n = g.num_nodes();
-  std::vector<uint64_t> counts(n, 0);
-  if (n == 0) return counts;
-
-  // Forward edge positions: node u's canonical edges {u, v} with v > u are
-  // the tail of its sorted neighbor range; fwd_offsets[u] is the global
-  // index of the first one.
-  std::vector<uint64_t> fwd_offsets(static_cast<size_t>(n) + 1, 0);
-  for (NodeId u = 0; u < n; ++u) {
-    const NeighborRange range = g.Neighbors(u);
-    const uint64_t forward = static_cast<uint64_t>(
-        range.end() - std::upper_bound(range.begin(), range.end(), u));
-    fwd_offsets[u + 1] = fwd_offsets[u] + forward;
-  }
-
-  // Phase 1 (parallel): merge-join common-neighbor count of every canonical
-  // edge — the number of triangles through that edge — into a slot owned by
-  // its position.
-  std::vector<uint32_t> edge_triangles(fwd_offsets[n]);
-  util::ParallelNodeRanges(n, threads, [&](uint64_t begin, uint64_t end) {
-    for (uint64_t u = begin; u < end; ++u) {
-      const NodeId node = static_cast<NodeId>(u);
-      const NeighborRange range = g.Neighbors(node);
-      const NodeId* v = std::upper_bound(range.begin(), range.end(), node);
-      uint64_t slot = fwd_offsets[u];
-      for (; v != range.end(); ++v) {
-        edge_triangles[slot++] = g.CommonNeighborCount(node, *v);
-      }
-    }
-  });
-
-  // Phase 2 (sequential, integer): credit both endpoints of every edge —
-  // each corner of a triangle sits on two of its edges, so every node is
-  // credited exactly twice per triangle.
-  for (NodeId u = 0; u < n; ++u) {
-    const NeighborRange range = g.Neighbors(u);
-    const NodeId* v = std::upper_bound(range.begin(), range.end(), u);
-    uint64_t slot = fwd_offsets[u];
-    for (; v != range.end(); ++v) {
-      const uint32_t t = edge_triangles[slot++];
-      counts[u] += t;
-      counts[*v] += t;
-    }
-  }
-  for (auto& c : counts) {
-    AGMDP_CHECK(c % 2 == 0);
-    c /= 2;
-  }
-  return counts;
 }
 
 util::Result<uint32_t> MaxCommonNeighborCount(const CsrGraph& g,

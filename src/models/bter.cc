@@ -5,7 +5,9 @@
 #include <numeric>
 
 #include "src/graph/clustering.h"
+#include "src/graph/csr.h"
 #include "src/graph/degree.h"
+#include "src/graph/fused_eval.h"
 #include "src/util/alias_sampler.h"
 #include "src/util/check.h"
 
@@ -14,7 +16,9 @@ namespace agmdp::models {
 BterParams FitBter(const graph::Graph& g) {
   BterParams params;
   params.degrees = graph::DegreeSequence(g);
-  params.clustering_by_degree = graph::DegreeWiseClustering(g);
+  const graph::CsrGraph snapshot = graph::CsrGraph::FromGraph(g);
+  params.clustering_by_degree = graph::DegreeWiseClusteringFromCoefficients(
+      snapshot, graph::FusedEvaluate(snapshot).clustering.local_coefficients);
   return params;
 }
 

@@ -1,36 +1,6 @@
 #include "src/models/erdos_renyi.h"
 
-#include <cmath>
-
 namespace agmdp::models {
-
-graph::Graph ErdosRenyiGnp(graph::NodeId n, double p, util::Rng& rng) {
-  graph::Graph g(n);
-  if (p <= 0.0 || n < 2) return g;
-  if (p >= 1.0) {
-    for (graph::NodeId u = 0; u < n; ++u) {
-      for (graph::NodeId v = u + 1; v < n; ++v) g.AddEdge(u, v);
-    }
-    return g;
-  }
-  // Batagelj-Brandes skipping: walk the strictly-upper-triangular pair list
-  // with geometric jumps.
-  const double log_q = std::log(1.0 - p);
-  int64_t v = 1, w = -1;
-  while (v < static_cast<int64_t>(n)) {
-    double u = rng.UniformDouble();
-    if (u <= 0.0) u = 0x1.0p-53;
-    w += 1 + static_cast<int64_t>(std::floor(std::log(u) / log_q));
-    while (w >= v && v < static_cast<int64_t>(n)) {
-      w -= v;
-      ++v;
-    }
-    if (v < static_cast<int64_t>(n)) {
-      g.AddEdge(static_cast<graph::NodeId>(w), static_cast<graph::NodeId>(v));
-    }
-  }
-  return g;
-}
 
 graph::Graph ErdosRenyiGnm(graph::NodeId n, uint64_t m, util::Rng& rng) {
   graph::Graph g(n);

@@ -8,10 +8,6 @@
 
 namespace agmdp::models {
 
-/// G(n, p): each pair independently an edge with probability p. Uses
-/// geometric edge skipping, O(n + m) expected time.
-graph::Graph ErdosRenyiGnp(graph::NodeId n, double p, util::Rng& rng);
-
 /// G(n, m): exactly m distinct edges sampled uniformly (m is capped at
 /// C(n, 2)).
 graph::Graph ErdosRenyiGnm(graph::NodeId n, uint64_t m, util::Rng& rng);

@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/graph/clustering.h"
+#include "src/graph/csr.h"
+#include "src/graph/fused_eval.h"
 #include "src/graph/triangle_count.h"
 #include "src/util/check.h"
 
@@ -100,7 +101,8 @@ double CalibrateTriadProbability(const HolmeKimOptions& base, double target,
     auto g = HolmeKim(pilot_nodes, options, rng);
     AGMDP_CHECK(g.ok());
     if (metric == TriadTarget::kAvgClustering) {
-      return graph::AverageLocalClustering(g.value());
+      return graph::FusedEvaluate(graph::CsrGraph::FromGraph(g.value()))
+          .clustering.avg_local_clustering;
     }
     return static_cast<double>(graph::CountTriangles(g.value())) /
            static_cast<double>(pilot_nodes);

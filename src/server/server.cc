@@ -56,7 +56,6 @@ util::Result<std::unique_ptr<Server>> Server::Start(
     registry::RegistryOptions registry_options;
     registry_options.default_dataset_cap = options.default_dataset_cap;
     registry_options.dataset_caps = options.dataset_caps;
-    registry_options.fsync = options.registry_fsync;
     auto registry = registry::ArtifactRegistry::Open(options.registry_path,
                                                      registry_options);
     if (!registry.ok()) return registry.status();
@@ -392,7 +391,7 @@ bool Server::NextBatch(std::vector<Job>* batch) {
   // By value: growing `batch` below reallocates and would dangle a
   // reference into it.
   const Request head = batch->front().request;
-  if (options_.batching && head.op == RequestOp::kSample) {
+  if (head.op == RequestOp::kSample) {
     for (auto it = queue_.begin(); it != queue_.end();) {
       if (Compatible(head, it->request)) {
         batch->push_back(std::move(*it));

@@ -70,8 +70,6 @@ struct ServerOptions {
   double default_tenant_budget = 0.0;
   /// Per-tenant epsilon budget overrides.
   std::vector<std::pair<std::string, double>> tenant_budgets;
-  /// Coalesce compatible queued sample requests into one SampleMany call.
-  bool batching = true;
   /// Path of the durable ArtifactRegistry. Empty = no registry: tenant
   /// charges are memory-only (lost on restart) and registry-resolved loads
   /// are refused. With a registry, every fresh ledger debit is journaled
@@ -82,8 +80,6 @@ struct ServerOptions {
   /// registry::RegistryOptions).
   double default_dataset_cap = 0.0;
   std::vector<std::pair<std::string, double>> dataset_caps;
-  /// fsync registry appends (disable only in tests).
-  bool registry_fsync = true;
   /// Once a request line has started arriving, the client has this long to
   /// finish it before the connection is reaped with DeadlineExceeded
   /// (slow-loris defense). <= 0 disables.
@@ -197,9 +193,9 @@ class Server {
   void ConnectionLoop(Connection* conn);
   void WorkerLoop();
 
-  /// Pops one job; when it is a sample request and batching is on, also
-  /// drains every queued compatible job (same name/seed/refine) into
-  /// `batch`. Returns false at shutdown with the queue drained.
+  /// Pops one job; when it is a sample request, also drains every queued
+  /// compatible job (same name/seed/refine) into `batch`. Returns false at
+  /// shutdown with the queue drained.
   bool NextBatch(std::vector<Job>* batch);
   /// Executes a batch: coalesces contiguous sequence runs into SampleMany
   /// calls and answers every job. Falls back to per-job Handle() for

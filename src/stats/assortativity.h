@@ -4,58 +4,38 @@
 // natural held-out statistics for judging whether AGM-DP preserved the
 // correlations it never directly optimized.
 //
-// Summation contract (shared by these kernels and the fused evaluation
-// kernel, graph/fused_eval.h, so they agree bitwise): floating-point edge
-// terms accumulate into a per-source-node partial over the node's
-// ascending-sorted forward neighbors, and the partials reduce sequentially
-// in node order. The per-node partials are parallelized over `threads`
-// workers (<= 0 selects hardware concurrency); mixing-matrix and homophily
-// tallies are integers, so any partition reduces to the same result.
+// The fused evaluation kernel (graph/fused_eval.h) accumulates every
+// partial in one edge sweep: the degree sums as per-source-node partials
+// over ascending forward neighbors, reduced in node order, and the mixing
+// and homophily tallies as integers. These finalizers turn those partials
+// into the statistics.
 #pragma once
 
+#include <cstdint>
 #include <vector>
-
-#include "src/graph/csr.h"
 
 namespace agmdp::stats {
 
-/// Pearson correlation of endpoint degrees over edges, in [-1, 1]. Returns
-/// 0 for degenerate graphs (no edges / constant degrees).
-double DegreeAssortativity(const graph::CsrGraph& g, int threads = 1);
-
-/// Discrete assortativity for the node attribute configuration:
-/// (tr(e) - sum(e^2)) / (1 - sum(e^2)) where e is the normalized mixing
-/// matrix over edges and sum(e^2) is the sum of its squared entries.
-/// Newman's coefficient subtracts sum_a a_a b_a (row sum times column sum)
-/// instead; the two agree when every row of e has at most one non-zero
-/// entry. 1 = perfect homophily, negative = heterophily. Returns 0 for
-/// edgeless graphs or single-category mixes.
-double AttributeAssortativity(const graph::AttributedCsrGraph& g,
-                              int threads = 1);
-
-/// Per-attribute homophily: for each of the w attribute bits, the fraction
-/// of edges whose endpoints agree on that bit. Length num_attributes();
-/// every entry is 0 for edgeless graphs.
-std::vector<double> PerAttributeHomophily(const graph::AttributedCsrGraph& g,
-                                          int threads = 1);
-
-// Finalizers shared with the fused kernel: the fused sweep produces the
-// same node-order-reduced partial sums and integer tallies the kernels
-// above accumulate, and these tails turn either source into the statistic
-// through ONE formula body.
-
-/// Pearson correlation over the 2m ordered endpoint pairs from the three
-/// accumulated degree sums; 0 for edgeless or constant-degree graphs.
+/// Pearson correlation of endpoint degrees over the 2m ordered endpoint
+/// pairs, in [-1, 1], from the three accumulated degree sums; 0 for
+/// edgeless or constant-degree graphs.
 double DegreeAssortativityFromSums(double sum_xy, double sum_x,
                                    double sum_x2, uint64_t num_edges);
 
-/// Newman's coefficient from the k x k row-major integer tallies over
-/// ordered edge endpoints; 0 for edgeless graphs or single-category mixes.
+/// Discrete assortativity for the node attribute configuration from the
+/// k x k row-major integer tallies over ordered edge endpoints:
+/// (tr(e) - sum(e^2)) / (1 - sum(e^2)) where e is the normalized mixing
+/// matrix and sum(e^2) is the sum of its squared entries. Newman's
+/// coefficient subtracts sum_a a_a b_a (row sum times column sum) instead;
+/// the two agree when every row of e has at most one non-zero entry.
+/// 1 = perfect homophily, negative = heterophily. Returns 0 for edgeless
+/// graphs or single-category mixes.
 double AttributeAssortativityFromMixingCounts(
     const std::vector<uint64_t>& counts, uint32_t k, uint64_t num_edges);
 
-/// Same-value edge fraction per attribute bit from per-bit agreement
-/// tallies; every entry is 0 for edgeless graphs.
+/// Per-attribute homophily: for each attribute bit, the fraction of edges
+/// whose endpoints agree on it, from per-bit agreement tallies; every
+/// entry is 0 for edgeless graphs.
 std::vector<double> PerAttributeHomophilyFromCounts(
     const std::vector<uint64_t>& counts, uint64_t num_edges);
 

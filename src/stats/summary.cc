@@ -14,8 +14,7 @@ GraphSummary Summarize(const graph::CsrGraph& g, int threads) {
   s.max_degree = g.MaxDegree();
   s.avg_degree = graph::AverageDegree(g);
   // The fused pass serves all three statistics from one run of the
-  // SIMD-dispatched triangle sweep (same values as ComputeClusteringStats,
-  // bit for bit).
+  // SIMD-dispatched triangle sweep.
   graph::FusedOptions opts;
   opts.threads = threads;
   const graph::FusedStats fused = graph::FusedEvaluate(g, opts);

@@ -50,14 +50,6 @@ double Rng::Exponential(double rate) {
   return -std::log(u) / rate;
 }
 
-double Rng::Gaussian() {
-  // Box-Muller; one value per call (the twin is discarded for simplicity).
-  double u1 = UniformDouble();
-  if (u1 <= 0.0) u1 = 0x1.0p-53;
-  double u2 = UniformDouble();
-  return std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
-}
-
 uint64_t Rng::Geometric(double p) {
   AGMDP_CHECK(p > 0.0 && p <= 1.0);
   if (p >= 1.0) return 0;

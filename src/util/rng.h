@@ -85,9 +85,6 @@ class Rng {
   /// rate > 0.
   double Exponential(double rate);
 
-  /// Samples a standard normal via Box-Muller.
-  double Gaussian();
-
   /// Samples Geometric over {0,1,2,...} with success probability p in (0,1]:
   /// P[X = k] = (1-p)^k p.
   uint64_t Geometric(double p);

@@ -12,12 +12,12 @@
 #include "src/dp/laplace_mechanism.h"
 #include "src/dp/sample_aggregate.h"
 #include "src/graph/triangle_count.h"
-#include "src/models/erdos_renyi.h"
 #include "src/pipeline/release_pipeline.h"
 #include "src/stats/metrics.h"
 #include "src/util/parallel.h"
 #include "src/util/rng.h"
 #include "tests/golden_hash.h"
+#include "tests/test_support.h"
 
 namespace agmdp::agm {
 namespace {
@@ -38,7 +38,7 @@ Snapshot TinyGraph() {
 // A homophilous random attributed graph for statistical tests.
 Snapshot RandomAttributed(graph::NodeId n, double p, int w, uint64_t seed) {
   util::Rng rng(seed);
-  graph::AttributedGraph g(models::ErdosRenyiGnp(n, p, rng), w);
+  graph::AttributedGraph g(test_support::ErdosRenyiGnp(n, p, rng), w);
   std::vector<double> theta_x(graph::NumNodeConfigs(w),
                               1.0 / graph::NumNodeConfigs(w));
   datasets::HomophilyOptions options;
@@ -225,7 +225,8 @@ std::vector<double> SampleAggregateOracle(const graph::AttributedGraph& g,
 TEST(ThetaFTest, SampleAggregateMatchesInducedSubgraphOracle) {
   for (uint64_t seed : {40u, 41u, 42u}) {
     util::Rng graph_rng(seed);
-    graph::AttributedGraph g(models::ErdosRenyiGnp(120, 0.08, graph_rng), 2);
+    graph::AttributedGraph g(
+        test_support::ErdosRenyiGnp(120, 0.08, graph_rng), 2);
     std::vector<graph::AttrConfig> attrs(g.num_nodes());
     for (graph::AttrConfig& a : attrs) {
       a = static_cast<graph::AttrConfig>(graph_rng.UniformIndex(4));

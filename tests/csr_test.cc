@@ -1,8 +1,9 @@
 // CsrGraph snapshot layer: FromGraph round-trip equivalence against the
 // mutable Graph, edge cases (empty / star / complete), and the determinism
 // contract of the parallel analytics kernels — every metric computed via
-// the snapshot must match the Graph kernels the generators use where both
-// exist, and be bitwise-identical across 1/2/4 analytics threads.
+// the snapshot must match the reference kernels of analytics_oracle.h on
+// the mutable Graph, and be bitwise-identical across 1/2/4 analytics
+// threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include "src/graph/clustering.h"
 #include "src/graph/csr.h"
 #include "src/graph/degree.h"
+#include "src/graph/fused_eval.h"
 #include "src/graph/graph.h"
 #include "src/graph/triangle_count.h"
 #include "src/stats/assortativity.h"
@@ -21,6 +23,7 @@
 #include "src/stats/joint_degree.h"
 #include "src/stats/metrics.h"
 #include "src/util/rng.h"
+#include "tests/analytics_oracle.h"
 
 namespace agmdp::graph {
 namespace {
@@ -60,9 +63,10 @@ TEST(CsrGraphTest, EmptyGraph) {
   EXPECT_EQ(csr.MaxDegree(), 0u);
   EXPECT_EQ(CountTriangles(csr), 0u);
   EXPECT_EQ(CountWedges(csr), 0u);
-  EXPECT_TRUE(PerNodeTriangles(csr).empty());
-  EXPECT_TRUE(LocalClusteringCoefficients(csr).empty());
-  EXPECT_EQ(AverageLocalClustering(csr), 0.0);
+  const ClusteringStats clustering = FusedEvaluate(csr).clustering;
+  EXPECT_TRUE(clustering.per_node_triangles.empty());
+  EXPECT_TRUE(clustering.local_coefficients.empty());
+  EXPECT_EQ(clustering.avg_local_clustering, 0.0);
 }
 
 TEST(CsrGraphTest, EdgelessGraph) {
@@ -109,7 +113,8 @@ TEST(CsrGraphTest, CompleteGraph) {
       EXPECT_EQ(csr.HasEdge(u, v), u != v);
     }
   }
-  const std::vector<double> cc = LocalClusteringCoefficients(csr);
+  const std::vector<double> cc =
+      FusedEvaluate(csr).clustering.local_coefficients;
   for (double c : cc) EXPECT_EQ(c, 1.0);
 }
 
@@ -159,15 +164,16 @@ TEST(CsrGraphTest, ForEachEdgeIsCanonicalOrder) {
 TEST(CsrKernelsTest, TriangleKernelsMatchGraphKernelsAtEveryThreadCount) {
   const Graph g = RandomGraph(60, 0.12, 13);
   const CsrGraph csr = CsrGraph::FromGraph(g);
-  const uint64_t brute = CountTrianglesBrute(g);
+  const uint64_t brute = oracle::CountTrianglesBrute(g);
   EXPECT_EQ(CountTriangles(g), brute);
-  const std::vector<uint64_t> per_node = PerNodeTriangles(g);
+  const std::vector<uint64_t> per_node = oracle::PerNodeTriangles(g);
   uint64_t wedges = 0;
   for (uint64_t d : DegreeSequence(g)) wedges += d * (d - 1) / 2;
   EXPECT_EQ(CountWedges(csr), wedges);
   for (int threads : {1, 2, 4}) {
     EXPECT_EQ(CountTriangles(csr, threads), brute);
-    EXPECT_EQ(PerNodeTriangles(csr, threads), per_node);
+    EXPECT_EQ(FusedEvaluate(csr, {threads}).clustering.per_node_triangles,
+              per_node);
   }
 }
 
@@ -185,7 +191,7 @@ TEST(CsrKernelsTest, TriangleKernelAgreesAfterAddRemoveChurn) {
       g.RemoveEdge(u, v);
     }
     if (step % 500 != 499) continue;
-    const uint64_t brute = CountTrianglesBrute(g);
+    const uint64_t brute = oracle::CountTrianglesBrute(g);
     ASSERT_GT(brute, 0u);
     EXPECT_EQ(CountTriangles(g), brute) << "step " << step;
     const CsrGraph csr = CsrGraph::FromGraph(g);
@@ -199,15 +205,17 @@ TEST(CsrKernelsTest, TriangleKernelAgreesAfterAddRemoveChurn) {
 TEST(CsrKernelsTest, ClusteringBitwiseEqualAtEveryThreadCount) {
   const Graph g = RandomGraph(60, 0.12, 14);
   const CsrGraph csr = CsrGraph::FromGraph(g);
-  const std::vector<double> cc = LocalClusteringCoefficients(g);
+  const std::vector<double> cc = oracle::LocalClusteringCoefficients(g);
   const double global = 3.0 * static_cast<double>(CountTriangles(g)) /
                         static_cast<double>(CountWedges(csr));
   for (int threads : {1, 2, 4}) {
-    EXPECT_EQ(LocalClusteringCoefficients(csr, threads), cc);
-    EXPECT_EQ(AverageLocalClustering(csr, threads),
-              AverageLocalClustering(g));
-    EXPECT_EQ(GlobalClusteringCoefficient(csr, threads), global);
-    EXPECT_EQ(DegreeWiseClustering(csr, threads), DegreeWiseClustering(g));
+    const ClusteringStats stats = FusedEvaluate(csr, {threads}).clustering;
+    EXPECT_EQ(stats.local_coefficients, cc);
+    EXPECT_EQ(stats.avg_local_clustering, oracle::AverageLocalClustering(g));
+    EXPECT_EQ(stats.global_clustering, global);
+    EXPECT_EQ(DegreeWiseClusteringFromCoefficients(csr,
+                                                   stats.local_coefficients),
+              oracle::DegreeWiseClustering(g));
   }
 }
 
@@ -215,31 +223,40 @@ TEST(CsrKernelsTest, ClusteringStatsBundleMatchesStandaloneKernels) {
   const Graph g = RandomGraph(60, 0.12, 18);
   const CsrGraph csr = CsrGraph::FromGraph(g);
   for (int threads : {1, 2, 4}) {
-    const ClusteringStats stats = ComputeClusteringStats(csr, threads);
-    EXPECT_EQ(stats.per_node_triangles, PerNodeTriangles(g));
-    EXPECT_EQ(stats.local_coefficients, LocalClusteringCoefficients(g));
+    const ClusteringStats stats = FusedEvaluate(csr, {threads}).clustering;
+    EXPECT_EQ(stats.per_node_triangles, oracle::PerNodeTriangles(g));
+    EXPECT_EQ(stats.local_coefficients, oracle::LocalClusteringCoefficients(g));
     EXPECT_EQ(stats.triangles, CountTriangles(g));
     EXPECT_EQ(stats.wedges, CountWedges(csr));
-    EXPECT_EQ(stats.global_clustering, GlobalClusteringCoefficient(csr));
+    EXPECT_EQ(stats.global_clustering,
+              oracle::GlobalClusteringCoefficient(csr));
   }
 }
 
 // The kernels' values are checked against brute-force definitions in
-// fuzz_test.cc; here every thread count must reproduce the 1-thread bits.
+// fuzz_test.cc; here every thread count must reproduce the oracle's bits.
 TEST(CsrKernelsTest, StatsBitwiseEqualAtEveryThreadCount) {
   const AttributedGraph g = RandomAttributed(70, 0.1, 3, 15);
   const AttributedCsrGraph snapshot = AttributedCsrGraph::FromGraph(g);
   const CsrGraph& csr = snapshot.structure;
-  const double degree_assort = stats::DegreeAssortativity(csr);
-  const double attr_assort = stats::AttributeAssortativity(snapshot);
-  const std::vector<double> homophily = stats::PerAttributeHomophily(snapshot);
+  const double degree_assort = oracle::DegreeAssortativity(csr);
+  const double attr_assort = oracle::AttributeAssortativity(snapshot);
+  const std::vector<double> homophily = oracle::PerAttributeHomophily(snapshot);
   const auto joint = stats::JointDegreeDistribution(csr);
   const std::vector<double> counts = agm::ComputeConnectionCounts(snapshot);
   const std::vector<double> theta_f = agm::ComputeThetaF(snapshot);
   for (int threads : {1, 2, 4}) {
-    EXPECT_EQ(stats::DegreeAssortativity(csr, threads), degree_assort);
-    EXPECT_EQ(stats::AttributeAssortativity(snapshot, threads), attr_assort);
-    EXPECT_EQ(stats::PerAttributeHomophily(snapshot, threads), homophily);
+    const FusedStats fused = FusedEvaluate(snapshot, {threads});
+    EXPECT_EQ(stats::DegreeAssortativityFromSums(
+                  fused.assort_sum_xy, fused.assort_sum_x,
+                  fused.assort_sum_x2, fused.num_edges),
+              degree_assort);
+    EXPECT_EQ(stats::AttributeAssortativityFromMixingCounts(
+                  fused.mixing_counts, fused.num_configs, fused.num_edges),
+              attr_assort);
+    EXPECT_EQ(stats::PerAttributeHomophilyFromCounts(fused.homophily_counts,
+                                                     fused.num_edges),
+              homophily);
     EXPECT_EQ(stats::JointDegreeDistribution(csr, threads), joint);
     EXPECT_EQ(agm::ComputeConnectionCounts(snapshot, threads), counts);
     EXPECT_EQ(agm::ComputeThetaF(snapshot, threads), theta_f);
@@ -298,7 +315,7 @@ TEST(CsrEvalTest, CcdfSeriesMatchTheirDefinitions) {
   for (int threads : {1, 2, 4}) {
     EXPECT_EQ(eval::ClusteringCcdfSeries(csr, 30, threads),
               stats::DownsampleCcdf(
-                  stats::Ccdf(LocalClusteringCoefficients(g)), 30));
+                  stats::Ccdf(oracle::LocalClusteringCoefficients(g)), 30));
   }
 }
 

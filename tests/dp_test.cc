@@ -13,8 +13,8 @@
 #include "src/dp/smooth_sensitivity.h"
 #include "src/graph/csr.h"
 #include "src/graph/degree.h"
-#include "src/models/erdos_renyi.h"
 #include "src/util/rng.h"
+#include "tests/test_support.h"
 
 namespace agmdp::dp {
 namespace {
@@ -174,7 +174,7 @@ std::vector<graph::Edge> TruncateOracle(const graph::Graph& g, uint32_t k) {
 
 TEST(EdgeTruncationTest, BoundsAllDegrees) {
   util::Rng rng(10);
-  graph::Graph g = models::ErdosRenyiGnp(60, 0.3, rng);
+  graph::Graph g = test_support::ErdosRenyiGnp(60, 0.3, rng);
   for (uint32_t k : {2u, 5u, 10u}) {
     graph::CsrGraph t = TruncateEdges(Csr(g), k);
     EXPECT_LE(t.MaxDegree(), k) << "k=" << k;
@@ -183,20 +183,20 @@ TEST(EdgeTruncationTest, BoundsAllDegrees) {
 
 TEST(EdgeTruncationTest, IdentityWhenKAtLeastMaxDegree) {
   util::Rng rng(11);
-  graph::Graph g = models::ErdosRenyiGnp(40, 0.2, rng);
+  graph::Graph g = test_support::ErdosRenyiGnp(40, 0.2, rng);
   graph::CsrGraph t = TruncateEdges(Csr(g), g.MaxDegree());
   EXPECT_EQ(t.num_edges(), g.num_edges());
 }
 
 TEST(EdgeTruncationTest, Deterministic) {
   util::Rng rng(12);
-  graph::Graph g = models::ErdosRenyiGnp(50, 0.3, rng);
+  graph::Graph g = test_support::ErdosRenyiGnp(50, 0.3, rng);
   EXPECT_EQ(Edges(TruncateEdges(Csr(g), 4)), Edges(TruncateEdges(Csr(g), 4)));
 }
 
 TEST(EdgeTruncationTest, OnlyRemovesEdges) {
   util::Rng rng(13);
-  graph::Graph g = models::ErdosRenyiGnp(50, 0.3, rng);
+  graph::Graph g = test_support::ErdosRenyiGnp(50, 0.3, rng);
   for (const graph::Edge& e : Edges(TruncateEdges(Csr(g), 3))) {
     EXPECT_TRUE(g.HasEdge(e.u, e.v));
   }
@@ -218,7 +218,7 @@ TEST(EdgeTruncationTest, StarTruncatesToKEdges) {
 TEST(EdgeTruncationTest, SnapshotPassMatchesCanonicalWalkOracle) {
   util::Rng rng(15);
   for (int trial = 0; trial < 10; ++trial) {
-    graph::Graph g = models::ErdosRenyiGnp(80, 0.15, rng);
+    graph::Graph g = test_support::ErdosRenyiGnp(80, 0.15, rng);
     for (uint32_t k : {1u, 3u, 8u}) {
       const graph::CsrGraph t = TruncateEdges(Csr(g), k);
       const std::vector<graph::Edge> kept = TruncateOracle(g, k);
@@ -241,7 +241,7 @@ TEST(EdgeTruncationTest, EdgeAdditionPerturbsAtMostThreeEdges) {
   // yield truncated graphs differing in at most 3 edges.
   util::Rng rng(14);
   for (int trial = 0; trial < 20; ++trial) {
-    graph::Graph g = models::ErdosRenyiGnp(30, 0.25, rng);
+    graph::Graph g = test_support::ErdosRenyiGnp(30, 0.25, rng);
     graph::Graph g2 = g;
     // add one random absent edge
     for (;;) {
@@ -285,7 +285,7 @@ TEST(IsotonicRegressionTest, PoolsViolators) {
 TEST(IsotonicRegressionTest, OutputIsMonotone) {
   util::Rng rng(15);
   std::vector<double> v(200);
-  for (double& x : v) x = rng.Gaussian() * 10.0;
+  for (double& x : v) x = test_support::Gaussian(rng) * 10.0;
   std::vector<double> fit = IsotonicRegressionL2(v);
   for (size_t i = 1; i < fit.size(); ++i) EXPECT_LE(fit[i - 1], fit[i]);
 }
@@ -320,7 +320,7 @@ TEST(IsotonicRegressionTest, PreservesMean) {
 
 TEST(DpDegreeSequenceTest, OutputSortedAndInRange) {
   util::Rng rng(16);
-  graph::Graph g = models::ErdosRenyiGnp(100, 0.1, rng);
+  graph::Graph g = test_support::ErdosRenyiGnp(100, 0.1, rng);
   std::vector<uint32_t> s =
       DpDegreeSequence(graph::DegreeSequence(g), 0.5, rng);
   ASSERT_EQ(s.size(), 100u);
@@ -332,7 +332,7 @@ TEST(DpDegreeSequenceTest, ConstrainedInferenceBeatsRawNoise) {
   // The whole point of Hay et al.: the isotonic projection cancels most of
   // the Laplace noise. Compare L1 errors against the sorted true sequence.
   util::Rng rng(17);
-  graph::Graph g = models::ErdosRenyiGnp(400, 0.02, rng);
+  graph::Graph g = test_support::ErdosRenyiGnp(400, 0.02, rng);
   std::vector<uint32_t> truth = graph::SortedDegreeSequence(graph::CsrGraph::FromGraph(g));
   const double eps = 0.1;
   double err_ci = 0.0, err_raw = 0.0;
@@ -349,7 +349,7 @@ TEST(DpDegreeSequenceTest, ConstrainedInferenceBeatsRawNoise) {
 
 TEST(DpDegreeSequenceTest, AccurateAtLargeEpsilon) {
   util::Rng rng(18);
-  graph::Graph g = models::ErdosRenyiGnp(200, 0.05, rng);
+  graph::Graph g = test_support::ErdosRenyiGnp(200, 0.05, rng);
   std::vector<uint32_t> truth = graph::SortedDegreeSequence(graph::CsrGraph::FromGraph(g));
   std::vector<uint32_t> s =
       DpDegreeSequence(graph::DegreeSequence(g), 1000.0, rng);
@@ -389,7 +389,7 @@ TEST(SmoothSensitivityTest, NeverBelowLocalAndNeverAboveGlobal) {
 
 TEST(SmoothSensitivityTest, ScaleDecreasesWithEpsilon) {
   util::Rng rng(19);
-  graph::Graph g = models::ErdosRenyiGnp(100, 0.1, rng);
+  graph::Graph g = test_support::ErdosRenyiGnp(100, 0.1, rng);
   const double s1 = SmoothLaplaceScaleQF(g.MaxDegree(), g.num_nodes(), 0.1,
                                         1e-6);
   const double s2 = SmoothLaplaceScaleQF(g.MaxDegree(), g.num_nodes(), 1.0,
@@ -399,7 +399,7 @@ TEST(SmoothSensitivityTest, ScaleDecreasesWithEpsilon) {
 
 TEST(SmoothSensitivityTest, NodeDpScaleExceedsEdgeDpScale) {
   util::Rng rng(20);
-  graph::Graph g = models::ErdosRenyiGnp(100, 0.1, rng);
+  graph::Graph g = test_support::ErdosRenyiGnp(100, 0.1, rng);
   const uint32_t k = 5;
   const double node_scale =
       NodeDpSmoothLaplaceScaleQF(g.MaxDegree(), k, g.num_nodes(), 0.5, 0.01);

@@ -12,10 +12,10 @@
 #include "src/dp/constrained_inference.h"
 #include "src/dp/edge_truncation.h"
 #include "src/dp/ladder_mechanism.h"
-#include "src/graph/clustering.h"
 #include "src/graph/components.h"
 #include "src/graph/csr.h"
 #include "src/graph/degree.h"
+#include "src/graph/fused_eval.h"
 #include "src/graph/paths.h"
 #include "src/graph/triangle_count.h"
 #include "src/models/chung_lu.h"
@@ -24,6 +24,7 @@
 #include "src/stats/ccdf.h"
 #include "src/stats/metrics.h"
 #include "src/util/rng.h"
+#include "tests/test_support.h"
 
 namespace agmdp {
 namespace {
@@ -33,16 +34,18 @@ namespace {
 TEST(EdgeCasesTest, EmptyGraphAlgorithms) {
   graph::Graph g(0);
   EXPECT_EQ(graph::CountTriangles(g), 0u);
-  EXPECT_DOUBLE_EQ(graph::AverageLocalClustering(g), 0.0);
   const graph::CsrGraph csr = graph::CsrGraph::FromGraph(g);
+  const graph::ClusteringStats clustering =
+      graph::FusedEvaluate(csr).clustering;
+  EXPECT_DOUBLE_EQ(clustering.avg_local_clustering, 0.0);
   EXPECT_EQ(graph::CountWedges(csr), 0u);
-  EXPECT_DOUBLE_EQ(graph::GlobalClusteringCoefficient(csr), 0.0);
+  EXPECT_DOUBLE_EQ(clustering.global_clustering, 0.0);
   EXPECT_DOUBLE_EQ(graph::AverageDegree(csr), 0.0);
   uint32_t components = 99;
   graph::ConnectedComponents(g, &components);
   EXPECT_EQ(components, 0u);
-  EXPECT_TRUE(graph::IsConnected(g));  // vacuously
-  EXPECT_TRUE(graph::LargestComponent(g).empty());
+  EXPECT_TRUE(test_support::IsConnected(g));  // vacuously
+  EXPECT_TRUE(test_support::LargestComponent(g).empty());
 }
 
 TEST(EdgeCasesTest, SingleNodeGraph) {

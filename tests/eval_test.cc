@@ -6,9 +6,11 @@
 
 #include "src/eval/aggregate.h"
 #include "src/eval/utility_report.h"
+#include "src/graph/fused_eval.h"
 #include "src/stats/assortativity.h"
 #include "src/stats/metrics.h"
 #include "src/util/rng.h"
+#include "tests/analytics_oracle.h"
 
 namespace agmdp::eval {
 namespace {
@@ -34,6 +36,13 @@ graph::AttributedGraph Path() {
 
 graph::AttributedCsrGraph Snap(const graph::AttributedGraph& g) {
   return graph::AttributedCsrGraph::FromGraph(g);
+}
+
+// The library's per-attribute homophily (fused tallies, then finalizer).
+std::vector<double> Homophily(const graph::AttributedGraph& g) {
+  const graph::FusedStats fused = graph::FusedEvaluate(Snap(g));
+  return stats::PerAttributeHomophilyFromCounts(fused.homophily_counts,
+                                                fused.num_edges);
 }
 
 // Profiles the original's snapshot, then scores the release against it.
@@ -70,13 +79,13 @@ TEST(MetricPrimitivesTest, KlDivergenceClosedForms) {
 
 TEST(MetricPrimitivesTest, PerAttributeHomophilyClosedForms) {
   // Triangle with bits 0,1,0: edges (0,1) differ, (0,2) agree, (1,2) differ.
-  const std::vector<double> h = stats::PerAttributeHomophily(Snap(Triangle()));
+  const std::vector<double> h = Homophily(Triangle());
   ASSERT_EQ(h.size(), 1u);
   EXPECT_NEAR(h[0], 1.0 / 3.0, 1e-12);
 
   // Edgeless graph: all zeros.
   graph::AttributedGraph empty(3, 2);
-  const std::vector<double> h0 = stats::PerAttributeHomophily(Snap(empty));
+  const std::vector<double> h0 = Homophily(empty);
   ASSERT_EQ(h0.size(), 2u);
   EXPECT_DOUBLE_EQ(h0[0], 0.0);
   EXPECT_DOUBLE_EQ(h0[1], 0.0);
@@ -86,7 +95,7 @@ TEST(MetricPrimitivesTest, PerAttributeHomophilyClosedForms) {
   two.structure().AddEdge(0, 1);
   two.set_attribute(0, 0b01);
   two.set_attribute(1, 0b11);
-  const std::vector<double> h2 = stats::PerAttributeHomophily(Snap(two));
+  const std::vector<double> h2 = Homophily(two);
   ASSERT_EQ(h2.size(), 2u);
   EXPECT_DOUBLE_EQ(h2[0], 1.0);  // both have bit 0 set
   EXPECT_DOUBLE_EQ(h2[1], 0.0);  // bit 1 differs
@@ -163,9 +172,9 @@ TEST(ProfileGraphTest, MatchesDirectStatistics) {
   util::Rng rng(3);
   const StructuralProfile profile = ProfileGraph(g, 8, rng);
   EXPECT_DOUBLE_EQ(profile.degree_assortativity,
-                   stats::DegreeAssortativity(Snap(g).structure));
+                   oracle::DegreeAssortativity(Snap(g).structure));
   EXPECT_DOUBLE_EQ(profile.attribute_assortativity,
-                   stats::AttributeAssortativity(Snap(g)));
+                   oracle::AttributeAssortativity(Snap(g)));
   ASSERT_EQ(profile.homophily.size(), 1u);
   EXPECT_NEAR(profile.homophily[0], 1.0 / 3.0, 1e-12);
   // K3: every pair at distance 1.

@@ -10,18 +10,18 @@
 #include "src/agm/agm_sampler.h"
 #include "src/dp/geometric_mechanism.h"
 #include "src/dp/ladder_mechanism.h"
-#include "src/graph/clustering.h"
 #include "src/graph/degree.h"
 #include "src/graph/graph_io.h"
 #include "src/graph/subgraph_counts.h"
 #include "src/graph/triangle_count.h"
 #include "src/models/bter.h"
 #include "src/models/chung_lu.h"
-#include "src/models/erdos_renyi.h"
 #include "src/models/holme_kim.h"
 #include "src/pipeline/release_artifact.h"
 #include "src/stats/metrics.h"
 #include "src/util/rng.h"
+#include "tests/analytics_oracle.h"
+#include "tests/test_support.h"
 
 namespace agmdp {
 namespace {
@@ -93,7 +93,7 @@ TEST(DpKStarCountTest, TinyGraphReturnsZero) {
 TEST(DpKStarCountTest, NonNegativeAndBounded) {
   util::Rng rng(7);
   const graph::CsrGraph g =
-      graph::CsrGraph::FromGraph(models::ErdosRenyiGnp(50, 0.2, rng));
+      graph::CsrGraph::FromGraph(test_support::ErdosRenyiGnp(50, 0.2, rng));
   const double max_stars =
       50.0 * static_cast<double>(graph::BinomialOrSaturate(49, 3));
   for (double eps : {0.05, 0.5, 5.0}) {
@@ -109,7 +109,7 @@ TEST(DpKStarCountTest, NonNegativeAndBounded) {
 TEST(DpKStarCountTest, ConcentratesAtLargeEpsilon) {
   util::Rng rng(8);
   const graph::CsrGraph g =
-      graph::CsrGraph::FromGraph(models::ErdosRenyiGnp(80, 0.1, rng));
+      graph::CsrGraph::FromGraph(test_support::ErdosRenyiGnp(80, 0.1, rng));
   const auto truth = static_cast<double>(graph::CountKStars(g, 2));
   double sum = 0.0;
   const int trials = 200;
@@ -122,7 +122,7 @@ TEST(DpKStarCountTest, ConcentratesAtLargeEpsilon) {
 TEST(DpKStarCountTest, ErrorShrinksWithEpsilon) {
   util::Rng rng(9);
   const graph::CsrGraph g =
-      graph::CsrGraph::FromGraph(models::ErdosRenyiGnp(100, 0.08, rng));
+      graph::CsrGraph::FromGraph(test_support::ErdosRenyiGnp(100, 0.08, rng));
   const auto truth = static_cast<double>(graph::CountKStars(g, 3));
   auto mean_err = [&](double eps) {
     double total = 0.0;
@@ -174,7 +174,7 @@ TEST(BterTest, ReproducesClusteringBetterThanFcl) {
   options.triad_probability = 0.8;
   auto input = models::HolmeKim(1200, options, rng);
   ASSERT_TRUE(input.ok());
-  const double target = graph::AverageLocalClustering(input.value());
+  const double target = oracle::AverageLocalClustering(input.value());
 
   auto bter = models::GenerateBter(models::FitBter(input.value()), rng);
   ASSERT_TRUE(bter.ok());
@@ -183,9 +183,9 @@ TEST(BterTest, ReproducesClusteringBetterThanFcl) {
   ASSERT_TRUE(fcl.ok());
 
   const double err_bter =
-      std::fabs(graph::AverageLocalClustering(bter.value()) - target);
+      std::fabs(oracle::AverageLocalClustering(bter.value()) - target);
   const double err_fcl =
-      std::fabs(graph::AverageLocalClustering(fcl.value()) - target);
+      std::fabs(oracle::AverageLocalClustering(fcl.value()) - target);
   EXPECT_LT(err_bter, err_fcl);
 }
 

@@ -1,10 +1,11 @@
 // Fused evaluation kernel (graph/fused_eval.h): randomized differential
-// tests against the per-metric CSR kernels. Every FusedStats field must be
-// bitwise-identical to its standalone counterpart across 1/2/4 analytics
-// threads and on BOTH dispatch arms (scalar and, where the host supports
-// it, AVX2) — the determinism contract DESIGN.md promises for the eval
-// path. At report level, EvaluateRelease is checked against a test-local
-// one-pass-per-metric oracle built from the same per-metric kernels.
+// tests against the per-metric reference kernels of analytics_oracle.h.
+// Every FusedStats field must be bitwise-identical to its oracle
+// counterpart across 1/2/4 analytics threads and on BOTH dispatch arms
+// (scalar and, where the host supports it, AVX2) — the determinism
+// contract DESIGN.md promises for the eval path. At report level,
+// EvaluateRelease is checked against a test-local one-pass-per-metric
+// report built from the same oracles.
 // Also covers the histogram-based finalizers (KS / CCDF / degree
 // distribution) and the vectorized Hellinger primitive against their
 // expanded scalar forms.
@@ -27,10 +28,10 @@
 #include "src/graph/triangle_count.h"
 #include "src/stats/assortativity.h"
 #include "src/stats/ccdf.h"
-#include "src/stats/joint_degree.h"
 #include "src/stats/metrics.h"
 #include "src/util/rng.h"
 #include "src/util/simd.h"
+#include "tests/analytics_oracle.h"
 
 namespace agmdp::graph {
 namespace {
@@ -105,13 +106,12 @@ TEST(FusedEvalTest, MatchesPerMetricKernelsOnEveryArmAndThreadCount) {
 
     // Per-metric oracles (computed once; all deterministic).
     const std::vector<uint64_t> hist = DegreeHistogram(csr);
-    const ClusteringStats clustering = ComputeClusteringStats(csr);
-    const std::vector<double> degree_wise = DegreeWiseClustering(csr);
-    const double degree_assort = stats::DegreeAssortativity(csr);
-    const double attr_assort = stats::AttributeAssortativity(g);
-    const std::vector<double> homophily = stats::PerAttributeHomophily(g);
+    const ClusteringStats clustering = oracle::ComputeClusteringStats(csr);
+    const std::vector<double> degree_wise = oracle::DegreeWiseClustering(csr);
+    const double degree_assort = oracle::DegreeAssortativity(csr);
+    const double attr_assort = oracle::AttributeAssortativity(g);
+    const std::vector<double> homophily = oracle::PerAttributeHomophily(g);
     const std::vector<double> connection = agm::ComputeConnectionCounts(g);
-    const auto joint = stats::JointDegreeDistribution(csr);
 
     for (util::SimdIsa isa : TestableArms()) {
       for (int threads : {1, 2, 4}) {
@@ -121,8 +121,6 @@ TEST(FusedEvalTest, MatchesPerMetricKernelsOnEveryArmAndThreadCount) {
         FusedOptions opts;
         opts.threads = threads;
         opts.isa = isa;
-        opts.degree_wise_clustering = true;
-        opts.joint_degree = true;
         const FusedStats fused = FusedEvaluate(g, opts);
 
         EXPECT_EQ(fused.num_nodes, csr.num_nodes());
@@ -139,7 +137,9 @@ TEST(FusedEvalTest, MatchesPerMetricKernelsOnEveryArmAndThreadCount) {
                   clustering.avg_local_clustering);
         EXPECT_EQ(fused.clustering.global_clustering,
                   clustering.global_clustering);
-        EXPECT_EQ(fused.degree_wise_clustering, degree_wise);
+        EXPECT_EQ(DegreeWiseClusteringFromCoefficients(
+                      csr, fused.clustering.local_coefficients),
+                  degree_wise);
 
         EXPECT_EQ(stats::DegreeAssortativityFromSums(
                       fused.assort_sum_xy, fused.assort_sum_x,
@@ -160,14 +160,6 @@ TEST(FusedEvalTest, MatchesPerMetricKernelsOnEveryArmAndThreadCount) {
         EXPECT_EQ(agm::ThetaFFromConnectionCounts(fused.connection_counts,
                                                   fused.num_edges),
                   agm::ComputeThetaF(g));
-
-        // Joint-degree tallies normalize to the dK-2 mass map exactly.
-        std::map<std::pair<uint32_t, uint32_t>, double> fused_joint;
-        const double m = static_cast<double>(fused.num_edges);
-        for (const auto& [key, count] : fused.joint_degree_counts) {
-          fused_joint[key] = static_cast<double>(count) / m;
-        }
-        EXPECT_EQ(fused_joint, joint);
       }
     }
   }
@@ -197,7 +189,7 @@ TEST(FusedEvalTest, TrianglesOffLeavesClusteringEmpty) {
   EXPECT_EQ(stats::DegreeAssortativityFromSums(
                 fused.assort_sum_xy, fused.assort_sum_x, fused.assort_sum_x2,
                 fused.num_edges),
-            stats::DegreeAssortativity(csr));
+            oracle::DegreeAssortativity(csr));
 }
 
 // Direct arm-vs-arm comparison of the whole struct on a denser graph (the
@@ -211,8 +203,6 @@ TEST(FusedEvalTest, DispatchArmsProduceIdenticalStats) {
   const AttributedCsrGraph g =
       AttributedCsrGraph::FromGraph(RandomAttributed(150, 0.08, 4, 91));
   FusedOptions opts;
-  opts.degree_wise_clustering = true;
-  opts.joint_degree = true;
   opts.isa = arms[0];
   const FusedStats a = FusedEvaluate(g, opts);
   opts.isa = arms[1];
@@ -226,17 +216,17 @@ TEST(FusedEvalTest, DispatchArmsProduceIdenticalStats) {
   EXPECT_EQ(a.clustering.wedges, b.clustering.wedges);
   EXPECT_EQ(a.clustering.avg_local_clustering, b.clustering.avg_local_clustering);
   EXPECT_EQ(a.clustering.global_clustering, b.clustering.global_clustering);
-  EXPECT_EQ(a.degree_wise_clustering, b.degree_wise_clustering);
   EXPECT_EQ(a.mixing_counts, b.mixing_counts);
   EXPECT_EQ(a.homophily_counts, b.homophily_counts);
   EXPECT_EQ(a.connection_counts, b.connection_counts);
-  EXPECT_EQ(a.joint_degree_counts, b.joint_degree_counts);
 }
 
 // ------------------------------------------------- full evaluation stack --
 
 // The one-pass-per-metric evaluation: every statistic of both graphs from
-// its own CSR kernel, then the same error formulas EvaluateRelease applies.
+// its own kernel (the oracles, and the library's ThetaF and degree
+// kernels at `threads`), then the same error formulas EvaluateRelease
+// applies.
 eval::UtilityReport MultipassReport(const AttributedCsrGraph& original,
                                     const AttributedCsrGraph& released,
                                     int threads) {
@@ -258,8 +248,8 @@ eval::UtilityReport MultipassReport(const AttributedCsrGraph& original,
   report.degree_kl = stats::KlDivergence(dist0, dist1);
   report.degree_ccdf_distance = report.errors.degree_ks;
 
-  const ClusteringStats c0 = ComputeClusteringStats(g0, threads);
-  const ClusteringStats c1 = ComputeClusteringStats(g1, threads);
+  const ClusteringStats c0 = oracle::ComputeClusteringStats(g0);
+  const ClusteringStats c1 = oracle::ComputeClusteringStats(g1);
   report.clustering_ccdf_distance =
       stats::KsDistance(c0.local_coefficients, c1.local_coefficients);
   report.errors.avg_clustering_re = stats::RelativeError(
@@ -274,13 +264,12 @@ eval::UtilityReport MultipassReport(const AttributedCsrGraph& original,
                            static_cast<double>(g0.num_edges()));
 
   report.degree_assortativity_delta =
-      stats::DegreeAssortativity(g1, threads) -
-      stats::DegreeAssortativity(g0, threads);
+      oracle::DegreeAssortativity(g1) - oracle::DegreeAssortativity(g0);
   report.attribute_assortativity_delta =
-      stats::AttributeAssortativity(released, threads) -
-      stats::AttributeAssortativity(original, threads);
-  const std::vector<double> h0 = stats::PerAttributeHomophily(original, threads);
-  const std::vector<double> h1 = stats::PerAttributeHomophily(released, threads);
+      oracle::AttributeAssortativity(released) -
+      oracle::AttributeAssortativity(original);
+  const std::vector<double> h0 = oracle::PerAttributeHomophily(original);
+  const std::vector<double> h1 = oracle::PerAttributeHomophily(released);
   for (size_t a = 0; a < std::min(h0.size(), h1.size()); ++a) {
     report.homophily_delta.push_back(h1[a] - h0[a]);
   }

@@ -1,6 +1,6 @@
 // Randomized differential tests: every fast graph algorithm is checked
 // against a brute-force reference on random graphs across seeds and
-// densities (the CSR analytics kernels on snapshots of those graphs), and
+// densities (the fused analytics kernel on snapshots of those graphs), and
 // the dynamic Graph structure is fuzzed against a simple edge-set model.
 #include <gtest/gtest.h>
 
@@ -9,16 +9,17 @@
 #include <vector>
 
 #include "src/graph/attributed_graph.h"
-#include "src/graph/clustering.h"
 #include "src/graph/components.h"
 #include "src/graph/csr.h"
 #include "src/graph/degree.h"
+#include "src/graph/fused_eval.h"
 #include "src/graph/paths.h"
 #include "src/graph/subgraph_counts.h"
 #include "src/graph/triangle_count.h"
-#include "src/models/erdos_renyi.h"
 #include "src/stats/assortativity.h"
 #include "src/util/rng.h"
+#include "tests/analytics_oracle.h"
+#include "tests/test_support.h"
 
 namespace agmdp::graph {
 namespace {
@@ -65,7 +66,7 @@ TEST(GraphFuzzTest, MatchesSetModelUnderRandomMutations) {
 
 TEST(GraphFuzzTest, DegreesConsistentWithAdjacency) {
   util::Rng rng(2);
-  Graph g = models::ErdosRenyiGnp(60, 0.15, rng);
+  Graph g = test_support::ErdosRenyiGnp(60, 0.15, rng);
   for (int step = 0; step < 3000; ++step) {
     auto u = static_cast<NodeId>(rng.UniformIndex(60));
     auto v = static_cast<NodeId>(rng.UniformIndex(60));
@@ -91,7 +92,7 @@ class DifferentialTest : public ::testing::TestWithParam<uint64_t> {
   Graph RandomGraph(util::Rng& rng) {
     const NodeId n = 20 + rng.UniformIndex(25);
     const double p = 0.02 + rng.UniformDouble() * 0.4;
-    return models::ErdosRenyiGnp(static_cast<NodeId>(n), p, rng);
+    return test_support::ErdosRenyiGnp(static_cast<NodeId>(n), p, rng);
   }
 
   AttributedGraph RandomAttributed(util::Rng& rng, int w) {
@@ -107,7 +108,7 @@ TEST_P(DifferentialTest, TriangleCountMatchesBrute) {
   util::Rng rng(GetParam());
   for (int trial = 0; trial < 4; ++trial) {
     Graph g = RandomGraph(rng);
-    EXPECT_EQ(CountTriangles(g), CountTrianglesBrute(g));
+    EXPECT_EQ(CountTriangles(g), oracle::CountTrianglesBrute(g));
   }
 }
 
@@ -130,7 +131,8 @@ TEST_P(DifferentialTest, CommonNeighborsMatchBrute) {
 TEST_P(DifferentialTest, LocalClusteringMatchesDefinition) {
   util::Rng rng(GetParam() + 2000);
   Graph g = RandomGraph(rng);
-  std::vector<double> fast = LocalClusteringCoefficients(g);
+  std::vector<double> fast =
+      FusedEvaluate(CsrGraph::FromGraph(g)).clustering.local_coefficients;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     const auto& nbrs = g.Neighbors(v);
     const uint64_t d = nbrs.size();
@@ -191,7 +193,7 @@ TEST_P(DifferentialTest, ComponentsMatchUnionFind) {
 TEST_P(DifferentialTest, BfsMatchesFloydWarshallOnSmallGraphs) {
   util::Rng rng(GetParam() + 5000);
   const NodeId n = 18;
-  Graph g = models::ErdosRenyiGnp(n, 0.15, rng);
+  Graph g = test_support::ErdosRenyiGnp(n, 0.15, rng);
   constexpr uint32_t kInf = 1u << 30;
   std::vector<std::vector<uint32_t>> dist(n, std::vector<uint32_t>(n, kInf));
   for (NodeId v = 0; v < n; ++v) dist[v][v] = 0;
@@ -248,7 +250,11 @@ TEST_P(DifferentialTest, DegreeAssortativityMatchesPearsonDefinition) {
     const double expected = var > 0.0 ? cov / var : 0.0;
     const CsrGraph csr = CsrGraph::FromGraph(g);
     for (int threads : {1, 4}) {
-      EXPECT_NEAR(stats::DegreeAssortativity(csr, threads), expected, 1e-9);
+      const FusedStats f = FusedEvaluate(csr, {threads});
+      EXPECT_NEAR(stats::DegreeAssortativityFromSums(
+                      f.assort_sum_xy, f.assort_sum_x, f.assort_sum_x2,
+                      f.num_edges),
+                  expected, 1e-9);
     }
   }
 }
@@ -276,8 +282,10 @@ TEST_P(DifferentialTest, AttributeAssortativityMatchesMixingDefinition) {
                                 : (trace - squared) / (1.0 - squared);
     const AttributedCsrGraph snapshot = AttributedCsrGraph::FromGraph(g);
     for (int threads : {1, 4}) {
-      EXPECT_NEAR(stats::AttributeAssortativity(snapshot, threads), expected,
-                  1e-9);
+      const FusedStats f = FusedEvaluate(snapshot, {threads});
+      EXPECT_NEAR(stats::AttributeAssortativityFromMixingCounts(
+                      f.mixing_counts, f.num_configs, f.num_edges),
+                  expected, 1e-9);
     }
   }
 }
@@ -296,8 +304,10 @@ TEST_P(DifferentialTest, PerAttributeHomophilyMatchesEdgeFractions) {
     }
     const AttributedCsrGraph snapshot = AttributedCsrGraph::FromGraph(g);
     for (int threads : {1, 4}) {
+      const FusedStats f = FusedEvaluate(snapshot, {threads});
       const std::vector<double> fast =
-          stats::PerAttributeHomophily(snapshot, threads);
+          stats::PerAttributeHomophilyFromCounts(f.homophily_counts,
+                                                 f.num_edges);
       ASSERT_EQ(fast.size(), expected.size());
       for (int a = 0; a < w; ++a) EXPECT_NEAR(fast[a], expected[a], 1e-9);
     }

@@ -7,9 +7,11 @@
 #include "src/graph/components.h"
 #include "src/graph/csr.h"
 #include "src/graph/degree.h"
+#include "src/graph/fused_eval.h"
 #include "src/graph/triangle_count.h"
-#include "src/models/erdos_renyi.h"
 #include "src/util/rng.h"
+#include "tests/analytics_oracle.h"
+#include "tests/test_support.h"
 
 namespace agmdp::graph {
 namespace {
@@ -20,6 +22,12 @@ Graph Triangle() {
   g.AddEdge(1, 2);
   g.AddEdge(0, 2);
   return g;
+}
+
+// The library's clustering family of a graph (the fused kernel's triangle
+// sweep and formula tail).
+ClusteringStats Clustering(const Graph& g) {
+  return FusedEvaluate(CsrGraph::FromGraph(g)).clustering;
 }
 
 Graph CompleteGraph(NodeId n) {
@@ -61,8 +69,8 @@ class TriangleAgreementTest : public ::testing::TestWithParam<double> {};
 TEST_P(TriangleAgreementTest, FastMatchesBruteForce) {
   util::Rng rng(1234 + static_cast<uint64_t>(GetParam() * 100));
   for (int trial = 0; trial < 5; ++trial) {
-    Graph g = models::ErdosRenyiGnp(40, GetParam(), rng);
-    EXPECT_EQ(CountTriangles(g), CountTrianglesBrute(g));
+    Graph g = test_support::ErdosRenyiGnp(40, GetParam(), rng);
+    EXPECT_EQ(CountTriangles(g), oracle::CountTrianglesBrute(g));
   }
 }
 
@@ -78,8 +86,8 @@ TEST(WedgeCountTest, StarAndTriangle) {
 
 TEST(PerNodeTrianglesTest, MatchesTotal) {
   util::Rng rng(99);
-  Graph g = models::ErdosRenyiGnp(50, 0.2, rng);
-  std::vector<uint64_t> per_node = PerNodeTriangles(g);
+  Graph g = test_support::ErdosRenyiGnp(50, 0.2, rng);
+  std::vector<uint64_t> per_node = Clustering(g).per_node_triangles;
   uint64_t sum = std::accumulate(per_node.begin(), per_node.end(),
                                  uint64_t{0});
   EXPECT_EQ(sum, 3 * CountTriangles(g));  // each triangle has 3 corners
@@ -110,7 +118,7 @@ TEST(MaxCommonNeighborTest, UpperBoundsEveryEdgeEffect) {
   // count, so amax must bound the per-edge triangle deltas (the ladder's
   // local sensitivity argument).
   util::Rng rng(7);
-  Graph g = models::ErdosRenyiGnp(40, 0.25, rng);
+  Graph g = test_support::ErdosRenyiGnp(40, 0.25, rng);
   auto amax = MaxCommonNeighborCount(CsrGraph::FromGraph(g), 10'000'000);
   ASSERT_TRUE(amax.ok());
   const uint64_t before = CountTriangles(g);
@@ -126,18 +134,18 @@ TEST(MaxCommonNeighborTest, UpperBoundsEveryEdgeEffect) {
 // ------------------------------------------------------------- Clustering --
 
 TEST(ClusteringTest, TriangleIsFullyClustered) {
-  Graph g = Triangle();
-  std::vector<double> local = LocalClusteringCoefficients(g);
-  for (double c : local) EXPECT_DOUBLE_EQ(c, 1.0);
-  EXPECT_DOUBLE_EQ(AverageLocalClustering(g), 1.0);
-  EXPECT_DOUBLE_EQ(GlobalClusteringCoefficient(CsrGraph::FromGraph(g)), 1.0);
+  const ClusteringStats stats = Clustering(Triangle());
+  for (double c : stats.local_coefficients) EXPECT_DOUBLE_EQ(c, 1.0);
+  EXPECT_DOUBLE_EQ(stats.avg_local_clustering, 1.0);
+  EXPECT_DOUBLE_EQ(stats.global_clustering, 1.0);
 }
 
 TEST(ClusteringTest, StarHasZeroClustering) {
   Graph g(5);
   for (NodeId v = 1; v < 5; ++v) g.AddEdge(0, v);
-  EXPECT_DOUBLE_EQ(AverageLocalClustering(g), 0.0);
-  EXPECT_DOUBLE_EQ(GlobalClusteringCoefficient(CsrGraph::FromGraph(g)), 0.0);
+  const ClusteringStats stats = Clustering(g);
+  EXPECT_DOUBLE_EQ(stats.avg_local_clustering, 0.0);
+  EXPECT_DOUBLE_EQ(stats.global_clustering, 0.0);
 }
 
 TEST(ClusteringTest, PaperFormulaOnMixedGraph) {
@@ -147,13 +155,14 @@ TEST(ClusteringTest, PaperFormulaOnMixedGraph) {
   g.AddEdge(1, 2);
   g.AddEdge(0, 2);
   g.AddEdge(0, 3);
-  std::vector<double> local = LocalClusteringCoefficients(g);
+  const ClusteringStats stats = Clustering(g);
+  const std::vector<double>& local = stats.local_coefficients;
   EXPECT_DOUBLE_EQ(local[0], 1.0 / 3.0);  // d=3, one triangle
   EXPECT_DOUBLE_EQ(local[1], 1.0);
   EXPECT_DOUBLE_EQ(local[3], 0.0);        // degree 1
   // Global: 3 * 1 triangle / (3 + C(3,2)) wedges = 3 / 5... wedges: node0
   // C(3,2)=3, node1 C(2,2)=1, node2 C(2,2)=1 -> 5 wedges.
-  EXPECT_DOUBLE_EQ(GlobalClusteringCoefficient(CsrGraph::FromGraph(g)), 3.0 / 5.0);
+  EXPECT_DOUBLE_EQ(stats.global_clustering, 3.0 / 5.0);
 }
 
 TEST(ClusteringTest, GlobalVsLocalEmphasis) {
@@ -166,7 +175,8 @@ TEST(ClusteringTest, GlobalVsLocalEmphasis) {
   g.AddEdge(0, 3);
   g.AddEdge(0, 4);
   g.AddEdge(0, 5);  // hub 0
-  EXPECT_NE(AverageLocalClustering(g), GlobalClusteringCoefficient(CsrGraph::FromGraph(g)));
+  const ClusteringStats stats = Clustering(g);
+  EXPECT_NE(stats.avg_local_clustering, stats.global_clustering);
 }
 
 // ------------------------------------------------------------- Components --
@@ -176,7 +186,7 @@ TEST(ComponentsTest, SingleComponent) {
   uint32_t count = 0;
   ConnectedComponents(g, &count);
   EXPECT_EQ(count, 1u);
-  EXPECT_TRUE(IsConnected(g));
+  EXPECT_TRUE(test_support::IsConnected(g));
 }
 
 TEST(ComponentsTest, CountsIsolatedNodes) {
@@ -186,7 +196,7 @@ TEST(ComponentsTest, CountsIsolatedNodes) {
   std::vector<uint32_t> label = ConnectedComponents(g, &count);
   EXPECT_EQ(count, 4u);  // {0,1}, {2}, {3}, {4}
   EXPECT_EQ(label[0], label[1]);
-  EXPECT_FALSE(IsConnected(g));
+  EXPECT_FALSE(test_support::IsConnected(g));
 }
 
 TEST(ComponentsTest, LargestComponentExtraction) {
@@ -195,7 +205,7 @@ TEST(ComponentsTest, LargestComponentExtraction) {
   g.AddEdge(1, 2);
   g.AddEdge(2, 3);  // component of 4
   g.AddEdge(4, 5);  // component of 2
-  std::vector<NodeId> largest = LargestComponent(g);
+  std::vector<NodeId> largest = test_support::LargestComponent(g);
   EXPECT_EQ(largest, (std::vector<NodeId>{0, 1, 2, 3}));
 }
 

@@ -6,8 +6,8 @@
 
 #include "src/dp/ladder_mechanism.h"
 #include "src/graph/triangle_count.h"
-#include "src/models/erdos_renyi.h"
 #include "src/util/rng.h"
+#include "tests/test_support.h"
 
 namespace agmdp::dp {
 namespace {
@@ -21,7 +21,7 @@ graph::CsrGraph CompleteGraph(graph::NodeId n) {
 }
 
 graph::CsrGraph Gnp(graph::NodeId n, double p, util::Rng& rng) {
-  return graph::CsrGraph::FromGraph(models::ErdosRenyiGnp(n, p, rng));
+  return graph::CsrGraph::FromGraph(test_support::ErdosRenyiGnp(n, p, rng));
 }
 
 graph::CsrGraph Edgeless(graph::NodeId n) {

@@ -5,8 +5,6 @@
 #include <numeric>
 #include <string>
 
-#include "src/graph/clustering.h"
-#include "src/graph/components.h"
 #include "src/graph/csr.h"
 #include "src/graph/degree.h"
 #include "src/graph/triangle_count.h"
@@ -18,7 +16,9 @@
 #include "src/models/tcl.h"
 #include "src/models/tricycle.h"
 #include "src/util/rng.h"
+#include "tests/analytics_oracle.h"
 #include "tests/golden_hash.h"
+#include "tests/test_support.h"
 
 namespace agmdp::models {
 namespace {
@@ -31,7 +31,8 @@ TEST(ErdosRenyiTest, GnpEdgeCountNearExpectation) {
   const double p = 0.1;
   double total = 0.0;
   for (int i = 0; i < 10; ++i) {
-    total += static_cast<double>(ErdosRenyiGnp(n, p, rng).num_edges());
+    total += static_cast<double>(
+        test_support::ErdosRenyiGnp(n, p, rng).num_edges());
   }
   const double expected = p * n * (n - 1) / 2.0;
   EXPECT_NEAR(total / 10.0, expected, expected * 0.05);
@@ -39,8 +40,8 @@ TEST(ErdosRenyiTest, GnpEdgeCountNearExpectation) {
 
 TEST(ErdosRenyiTest, GnpExtremes) {
   util::Rng rng(2);
-  EXPECT_EQ(ErdosRenyiGnp(50, 0.0, rng).num_edges(), 0u);
-  EXPECT_EQ(ErdosRenyiGnp(10, 1.0, rng).num_edges(), 45u);
+  EXPECT_EQ(test_support::ErdosRenyiGnp(50, 0.0, rng).num_edges(), 0u);
+  EXPECT_EQ(test_support::ErdosRenyiGnp(10, 1.0, rng).num_edges(), 45u);
 }
 
 TEST(ErdosRenyiTest, GnmExactEdgeCount) {
@@ -295,7 +296,7 @@ TEST(PostProcessTest, ConnectsOrphans) {
   auto pi = BuildPiSampler(desired, false);
   ASSERT_TRUE(pi.ok());
   PostProcessGraph(&g, desired, pi.value(), rng);
-  EXPECT_TRUE(graph::IsConnected(g));
+  EXPECT_TRUE(test_support::IsConnected(g));
 }
 
 TEST(PostProcessTest, ReportsAddedEdges) {
@@ -316,7 +317,7 @@ TEST(PostProcessTest, ReportsAddedEdges) {
       EXPECT_NE(e.u, e.v);
     }
   }
-  EXPECT_TRUE(graph::IsConnected(g));
+  EXPECT_TRUE(test_support::IsConnected(g));
 }
 
 TEST(PostProcessTest, KeepsEdgeCountNearTarget) {
@@ -329,7 +330,7 @@ TEST(PostProcessTest, KeepsEdgeCountNearTarget) {
   auto pi = BuildPiSampler(desired, false);
   ASSERT_TRUE(pi.ok());
   PostProcessGraph(&g, desired, pi.value(), rng);
-  EXPECT_TRUE(graph::IsConnected(g));
+  EXPECT_TRUE(test_support::IsConnected(g));
   EXPECT_NEAR(static_cast<double>(g.num_edges()), static_cast<double>(target),
               static_cast<double>(target) * 0.35);
 }
@@ -338,7 +339,7 @@ TEST(PostProcessTest, NoopOnConnectedGraph) {
   util::Rng rng(14);
   graph::Graph g = ErdosRenyiGnm(30, 100, rng);
   // Densify until connected for a stable premise.
-  while (!graph::IsConnected(g)) g = ErdosRenyiGnm(30, 150, rng);
+  while (!test_support::IsConnected(g)) g = ErdosRenyiGnm(30, 150, rng);
   graph::Graph before = g;
   std::vector<uint32_t> desired = graph::DegreeSequence(g);
   auto pi = BuildPiSampler(desired, false);
@@ -392,7 +393,7 @@ TEST(TriCycLeTest, OutputConnectedWithPostProcessing) {
   for (size_t i = 0; i < 50; ++i) degrees[i] = 5;
   auto result = GenerateTriCycLe(degrees, 50, rng);
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(graph::IsConnected(result.value().graph));
+  EXPECT_TRUE(test_support::IsConnected(result.value().graph));
 }
 
 TEST(TriCycLeTest, StallGuardTerminates) {
@@ -467,7 +468,7 @@ TEST(TclTest, FitRhoRecoversOrdering) {
 
 TEST(TclTest, FitRhoInUnitInterval) {
   util::Rng rng(26);
-  graph::Graph g = ErdosRenyiGnp(100, 0.08, rng);
+  graph::Graph g = test_support::ErdosRenyiGnp(100, 0.08, rng);
   const double rho = FitTclRho(g, rng);
   EXPECT_GE(rho, 0.0);
   EXPECT_LE(rho, 1.0);
@@ -493,7 +494,7 @@ TEST(HolmeKimTest, ConnectedByConstruction) {
   options.triad_probability = 0.6;
   auto g = HolmeKim(500, options, rng);
   ASSERT_TRUE(g.ok());
-  EXPECT_TRUE(graph::IsConnected(g.value()));
+  EXPECT_TRUE(test_support::IsConnected(g.value()));
 }
 
 TEST(HolmeKimTest, AverageDegreeTracksTwiceEdgesPerNode) {
@@ -523,9 +524,9 @@ TEST(HolmeKimTest, TriadProbabilityRaisesClustering) {
   HolmeKimOptions clustered = flat;
   clustered.triad_probability = 0.9;
   const double c_flat =
-      graph::AverageLocalClustering(HolmeKim(1500, flat, rng).value());
+      oracle::AverageLocalClustering(HolmeKim(1500, flat, rng).value());
   const double c_clustered =
-      graph::AverageLocalClustering(HolmeKim(1500, clustered, rng).value());
+      oracle::AverageLocalClustering(HolmeKim(1500, clustered, rng).value());
   EXPECT_GT(c_clustered, c_flat * 2.0);
 }
 
@@ -537,7 +538,7 @@ TEST(HolmeKimTest, CalibrationApproachesTarget) {
   options.triad_probability =
       CalibrateTriadProbability(options, target, 1500, rng);
   const double achieved =
-      graph::AverageLocalClustering(HolmeKim(1500, options, rng).value());
+      oracle::AverageLocalClustering(HolmeKim(1500, options, rng).value());
   EXPECT_NEAR(achieved, target, 0.06);
 }
 
@@ -549,7 +550,7 @@ TEST(HolmeKimTest, MaxDegreeCapHolds) {
   auto g = HolmeKim(2000, options, rng);
   ASSERT_TRUE(g.ok());
   EXPECT_LE(g.value().MaxDegree(), 25u);
-  EXPECT_TRUE(graph::IsConnected(g.value()));
+  EXPECT_TRUE(test_support::IsConnected(g.value()));
 }
 
 // ---------------------------------------------------------------- golden --

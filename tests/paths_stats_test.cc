@@ -3,15 +3,16 @@
 #include <limits>
 
 #include "src/datasets/homophily.h"
-#include "src/graph/clustering.h"
+#include "src/graph/fused_eval.h"
 #include "src/graph/paths.h"
 #include "src/graph/subgraph_counts.h"
 #include "src/graph/triangle_count.h"
-#include "src/models/erdos_renyi.h"
+#include "src/models/bter.h"
 #include "src/models/holme_kim.h"
 #include "src/stats/assortativity.h"
 #include "src/stats/joint_degree.h"
 #include "src/util/rng.h"
+#include "tests/test_support.h"
 
 namespace agmdp {
 namespace {
@@ -34,6 +35,20 @@ graph::CsrGraph Snap(const graph::Graph& g) {
 }
 graph::AttributedCsrGraph Snap(const graph::AttributedGraph& g) {
   return graph::AttributedCsrGraph::FromGraph(g);
+}
+
+// The library's assortativity statistics: the fused kernel's edge sweep
+// (no triangle sweep), then the finalizers.
+constexpr graph::FusedOptions kEdgeSweep{1, util::SimdIsa::kAuto, false};
+double DegreeAssortativity(const graph::Graph& g) {
+  const graph::FusedStats f = graph::FusedEvaluate(Snap(g), kEdgeSweep);
+  return stats::DegreeAssortativityFromSums(f.assort_sum_xy, f.assort_sum_x,
+                                            f.assort_sum_x2, f.num_edges);
+}
+double AttributeAssortativity(const graph::AttributedGraph& g) {
+  const graph::FusedStats f = graph::FusedEvaluate(Snap(g), kEdgeSweep);
+  return stats::AttributeAssortativityFromMixingCounts(
+      f.mixing_counts, f.num_configs, f.num_edges);
 }
 
 // ------------------------------------------------------------------ Paths --
@@ -64,7 +79,7 @@ TEST(PathsTest, PathStatsOnStar) {
 
 TEST(PathsTest, SampledStatsApproximateFull) {
   util::Rng rng(2);
-  graph::Graph g = models::ErdosRenyiGnp(300, 0.03, rng);
+  graph::Graph g = test_support::ErdosRenyiGnp(300, 0.03, rng);
   graph::PathStats full = graph::EstimatePathStats(Snap(g), 300, rng);
   graph::PathStats sampled = graph::EstimatePathStats(Snap(g), 60, rng);
   EXPECT_NEAR(sampled.avg_path_length, full.avg_path_length,
@@ -85,20 +100,20 @@ TEST(PathsTest, SmallWorldDiameter) {
 // ---------------------------------------------------------- Assortativity --
 
 TEST(AssortativityTest, StarIsDisassortative) {
-  EXPECT_LT(stats::DegreeAssortativity(Snap(StarGraph(10))), -0.99);
+  EXPECT_LT(DegreeAssortativity(StarGraph(10)), -0.99);
 }
 
 TEST(AssortativityTest, RegularGraphIsDegenerate) {
   // A cycle: constant degrees, zero variance -> defined as 0.
   graph::Graph g(6);
   for (graph::NodeId v = 0; v < 6; ++v) g.AddEdge(v, (v + 1) % 6);
-  EXPECT_DOUBLE_EQ(stats::DegreeAssortativity(Snap(g)), 0.0);
+  EXPECT_DOUBLE_EQ(DegreeAssortativity(g), 0.0);
 }
 
 TEST(AssortativityTest, ErdosRenyiNearZero) {
   util::Rng rng(4);
-  graph::Graph g = models::ErdosRenyiGnp(800, 0.02, rng);
-  EXPECT_NEAR(stats::DegreeAssortativity(Snap(g)), 0.0, 0.08);
+  graph::Graph g = test_support::ErdosRenyiGnp(800, 0.02, rng);
+  EXPECT_NEAR(DegreeAssortativity(g), 0.0, 0.08);
 }
 
 TEST(AssortativityTest, PerfectAttributeHomophily) {
@@ -111,7 +126,7 @@ TEST(AssortativityTest, PerfectAttributeHomophily) {
   g.structure().AddEdge(4, 5);
   g.structure().AddEdge(3, 5);
   ASSERT_TRUE(g.SetAttributes({0, 0, 0, 1, 1, 1}).ok());
-  EXPECT_NEAR(stats::AttributeAssortativity(Snap(g)), 1.0, 1e-9);
+  EXPECT_NEAR(AttributeAssortativity(g), 1.0, 1e-9);
 }
 
 TEST(AssortativityTest, PerfectHeterophilyIsNegative) {
@@ -120,29 +135,29 @@ TEST(AssortativityTest, PerfectHeterophilyIsNegative) {
   g.structure().AddEdge(0, 2);
   g.structure().AddEdge(1, 3);
   ASSERT_TRUE(g.SetAttributes({0, 0, 1, 1}).ok());
-  EXPECT_LT(stats::AttributeAssortativity(Snap(g)), -0.99);
+  EXPECT_LT(AttributeAssortativity(g), -0.99);
 }
 
 TEST(AssortativityTest, HomophilySwapsRaiseAssortativity) {
   util::Rng rng(5);
-  graph::AttributedGraph g(models::ErdosRenyiGnp(400, 0.03, rng), 2);
+  graph::AttributedGraph g(test_support::ErdosRenyiGnp(400, 0.03, rng), 2);
   std::vector<double> theta = {0.25, 0.25, 0.25, 0.25};
   datasets::HomophilyOptions weak;
   weak.max_swaps = 1;
   ASSERT_TRUE(
       datasets::AssignHomophilousAttributes(&g, theta, weak, rng).ok());
-  const double before = stats::AttributeAssortativity(Snap(g));
+  const double before = AttributeAssortativity(g);
   datasets::HomophilyOptions strong;
   strong.target_same_fraction = 0.7;
   ASSERT_TRUE(
       datasets::AssignHomophilousAttributes(&g, theta, strong, rng).ok());
-  EXPECT_GT(stats::AttributeAssortativity(Snap(g)), before + 0.1);
+  EXPECT_GT(AttributeAssortativity(g), before + 0.1);
 }
 
 TEST(AssortativityTest, SingleConfigIsDegenerate) {
   graph::AttributedGraph g(3, 1);
   g.structure().AddEdge(0, 1);
-  EXPECT_DOUBLE_EQ(stats::AttributeAssortativity(Snap(g)), 0.0);
+  EXPECT_DOUBLE_EQ(AttributeAssortativity(g), 0.0);
 }
 
 // --------------------------------------------------------- SubgraphCounts --
@@ -161,7 +176,7 @@ TEST(SubgraphCountsTest, BinomialSaturatesInsteadOfOverflowing) {
 
 TEST(SubgraphCountsTest, TwoStarsAreWedges) {
   util::Rng rng(6);
-  graph::Graph g = models::ErdosRenyiGnp(100, 0.05, rng);
+  graph::Graph g = test_support::ErdosRenyiGnp(100, 0.05, rng);
   EXPECT_EQ(graph::CountKStars(Snap(g), 2), graph::CountWedges(Snap(g)));
 }
 
@@ -189,7 +204,7 @@ TEST(JointDegreeTest, PathGraphDistribution) {
 
 TEST(JointDegreeTest, MassSumsToOne) {
   util::Rng rng(20);
-  graph::Graph g = models::ErdosRenyiGnp(100, 0.06, rng);
+  graph::Graph g = test_support::ErdosRenyiGnp(100, 0.06, rng);
   double total = 0.0;
   for (const auto& [key, mass] : stats::JointDegreeDistribution(Snap(g))) {
     total += mass;
@@ -199,7 +214,7 @@ TEST(JointDegreeTest, MassSumsToOne) {
 
 TEST(JointDegreeTest, DistanceZeroForSameGraph) {
   util::Rng rng(21);
-  graph::Graph g = models::ErdosRenyiGnp(80, 0.08, rng);
+  graph::Graph g = test_support::ErdosRenyiGnp(80, 0.08, rng);
   EXPECT_DOUBLE_EQ(stats::JointDegreeDistance(Snap(g), Snap(g)), 0.0);
 }
 
@@ -213,13 +228,13 @@ TEST(JointDegreeTest, DisjointSupportsHaveDistanceOne) {
 
 TEST(JointDegreeTest, SeparatesAssortativeFromRandom) {
   util::Rng rng(22);
-  graph::Graph er = models::ErdosRenyiGnp(500, 0.02, rng);
+  graph::Graph er = test_support::ErdosRenyiGnp(500, 0.02, rng);
   models::HolmeKimOptions options;
   options.edges_per_node = 5;
   auto hk = models::HolmeKim(500, options, rng);
   ASSERT_TRUE(hk.ok());
   // Same graph family is closer to itself than to a different family.
-  graph::Graph er2 = models::ErdosRenyiGnp(500, 0.02, rng);
+  graph::Graph er2 = test_support::ErdosRenyiGnp(500, 0.02, rng);
   EXPECT_LT(stats::JointDegreeDistance(Snap(er), Snap(er2)),
             stats::JointDegreeDistance(Snap(er), Snap(hk.value())));
 }
@@ -232,7 +247,7 @@ TEST(DegreeWiseClusteringTest, TriangleWithPendant) {
   g.AddEdge(1, 2);
   g.AddEdge(0, 2);
   g.AddEdge(0, 3);
-  std::vector<double> profile = graph::DegreeWiseClustering(g);
+  std::vector<double> profile = models::FitBter(g).clustering_by_degree;
   ASSERT_EQ(profile.size(), 4u);
   EXPECT_DOUBLE_EQ(profile[1], 0.0);          // pendant node
   EXPECT_DOUBLE_EQ(profile[2], 1.0);          // nodes 1, 2
@@ -246,7 +261,8 @@ TEST(DegreeWiseClusteringTest, DecaysWithDegreeOnClusteredGraphs) {
   options.triad_probability = 0.8;
   auto g = models::HolmeKim(3000, options, rng);
   ASSERT_TRUE(g.ok());
-  std::vector<double> profile = graph::DegreeWiseClustering(g.value());
+  std::vector<double> profile =
+      models::FitBter(g.value()).clustering_by_degree;
   // Low-degree clustering should exceed hub clustering (standard social-
   // network shape).
   const uint32_t dmax = g.value().MaxDegree();

@@ -12,9 +12,9 @@
 #include "src/agm/theta_x.h"
 #include "src/datasets/datasets.h"
 #include "src/graph/attribute_encoding.h"
-#include "src/graph/components.h"
 #include "src/pipeline/release_pipeline.h"
 #include "src/util/rng.h"
+#include "tests/test_support.h"
 
 namespace agmdp {
 namespace {
@@ -95,7 +95,7 @@ TEST_P(PipelineSweepTest, ReleaseIsWellFormedAndBudgetExact) {
 
   // TriCycLe keeps the synthetic graph connected (orphan post-processing).
   if (model != 0) {
-    EXPECT_TRUE(graph::IsConnected(out.structure()));
+    EXPECT_TRUE(test_support::IsConnected(out.structure()));
   }
 }
 

@@ -23,8 +23,8 @@
 #include "src/graph/csr.h"
 #include "src/graph/degree.h"
 #include "src/graph/triangle_count.h"
-#include "src/models/erdos_renyi.h"
 #include "src/util/rng.h"
+#include "tests/test_support.h"
 
 namespace agmdp {
 namespace {
@@ -38,7 +38,7 @@ double L1Diff(const std::vector<double>& a, const std::vector<double>& b) {
 
 graph::AttributedGraph RandomInput(graph::NodeId n, double p, int w,
                                    util::Rng& rng) {
-  graph::AttributedGraph g(models::ErdosRenyiGnp(n, p, rng), w);
+  graph::AttributedGraph g(test_support::ErdosRenyiGnp(n, p, rng), w);
   std::vector<graph::AttrConfig> attrs(n);
   for (auto& a : attrs) {
     a = static_cast<graph::AttrConfig>(

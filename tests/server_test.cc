@@ -711,7 +711,6 @@ TEST(ServerTcpTest, FullQueueShedsLoadWithTypedRejection) {
   server::ServerOptions options = TestServerOptions();
   options.worker_threads = 1;
   options.max_queue = 1;
-  options.batching = false;
   auto started = server::Server::Start(options);
   ASSERT_TRUE(started.ok()) << started.status().ToString();
   server::Server& daemon = *started.value();
@@ -730,7 +729,9 @@ TEST(ServerTcpTest, FullQueueShedsLoadWithTypedRejection) {
   ASSERT_TRUE(client.ok());
   // One heavy request occupies the worker, then a burst of pipelined
   // requests overruns the one-slot queue: the overflow must come back as
-  // immediate typed RESOURCE_EXHAUSTED, not be buffered.
+  // immediate typed RESOURCE_EXHAUSTED, not be buffered. Every request has
+  // its own seed, so no two are batch-compatible and each queued request
+  // holds its own slot.
   constexpr int kBurst = 16;
   for (int i = 0; i < 1 + kBurst; ++i) {
     server::Request request;
@@ -738,7 +739,7 @@ TEST(ServerTcpTest, FullQueueShedsLoadWithTypedRejection) {
     request.id = static_cast<uint64_t>(i) + 1;
     request.tenant = "alice";
     request.name = "m";
-    request.seed = 7;
+    request.seed = 7 + static_cast<uint64_t>(i);
     request.sequence = static_cast<uint64_t>(i) * 4;
     request.count = i == 0 ? 4 : 1;
     ASSERT_TRUE(client.value().Send(request).ok());

@@ -3,11 +3,11 @@
 #include <cmath>
 
 #include "src/graph/graph.h"
-#include "src/models/erdos_renyi.h"
 #include "src/stats/ccdf.h"
 #include "src/stats/metrics.h"
 #include "src/stats/summary.h"
 #include "src/util/rng.h"
+#include "tests/test_support.h"
 
 namespace agmdp::stats {
 namespace {
@@ -69,7 +69,7 @@ TEST(MetricsTest, KsHandlesDifferentLengths) {
 TEST(MetricsTest, DegreeDistributionSumsToOne) {
   util::Rng rng(1);
   const graph::CsrGraph g =
-      graph::CsrGraph::FromGraph(models::ErdosRenyiGnp(100, 0.05, rng));
+      graph::CsrGraph::FromGraph(test_support::ErdosRenyiGnp(100, 0.05, rng));
   std::vector<double> dist = DegreeDistribution(g);
   double sum = 0.0;
   for (double x : dist) sum += x;
@@ -79,7 +79,7 @@ TEST(MetricsTest, DegreeDistributionSumsToOne) {
 TEST(MetricsTest, DegreeHellingerZeroForSameGraph) {
   util::Rng rng(2);
   const graph::CsrGraph g =
-      graph::CsrGraph::FromGraph(models::ErdosRenyiGnp(80, 0.05, rng));
+      graph::CsrGraph::FromGraph(test_support::ErdosRenyiGnp(80, 0.05, rng));
   EXPECT_DOUBLE_EQ(
       HellingerDistance(DegreeDistribution(g), DegreeDistribution(g)), 0.0);
 }

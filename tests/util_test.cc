@@ -11,6 +11,7 @@
 #include "src/util/json.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
+#include "tests/test_support.h"
 
 namespace agmdp::util {
 namespace {
@@ -150,7 +151,7 @@ TEST(RngTest, GaussianMoments) {
   const int trials = 200000;
   double sum = 0.0, sq = 0.0;
   for (int i = 0; i < trials; ++i) {
-    double x = rng.Gaussian();
+    double x = test_support::Gaussian(rng);
     sum += x;
     sq += x * x;
   }

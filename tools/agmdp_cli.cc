@@ -59,9 +59,9 @@
 //   serve      [--port=0] [--host=127.0.0.1] [--workers=2]
 //              [--engine-threads=1] [--queue=64] [--cache-mb=256]
 //              [--tenant-budget=EPS] [--budgets=alice:1.5,bob:0.7]
-//              [--no-batching] [--port-file=FILE] [--registry=FILE]
+//              [--port-file=FILE] [--registry=FILE]
 //              [--dataset-cap=EPS] [--dataset-caps=lastfm:2.0]
-//              [--no-registry-fsync] [--read-timeout-ms=30000]
+//              [--read-timeout-ms=30000]
 //              [--idle-timeout-ms=300000] [--write-timeout-ms=30000]
 //              Run the multi-tenant sampling daemon (src/server): engines
 //              behind a byte-budgeted LRU cache, per-tenant epsilon
@@ -744,7 +744,6 @@ util::Result<registry::RegistryOptions> RegistryOptionsFromFlags(
   auto caps = ParseNamedEpsilons(flags, "dataset-caps");
   if (!caps.ok()) return caps.status();
   options.dataset_caps = std::move(caps).value();
-  options.fsync = !flags.GetBool("no-registry-fsync", false);
   return options;
 }
 
@@ -889,14 +888,12 @@ int CmdServe(const util::Flags& flags) {
   auto budgets = ParseNamedEpsilons(flags, "budgets");
   if (!budgets.ok()) return FailUsage(budgets.status());
   options.tenant_budgets = std::move(budgets).value();
-  options.batching = !flags.GetBool("no-batching", false);
 
   options.registry_path = flags.GetString("registry", "");
   auto registry_options = RegistryOptionsFromFlags(flags);
   if (!registry_options.ok()) return FailUsage(registry_options.status());
   options.default_dataset_cap = registry_options.value().default_dataset_cap;
   options.dataset_caps = std::move(registry_options.value().dataset_caps);
-  options.registry_fsync = registry_options.value().fsync;
   auto read_timeout = IntFlag(flags, "read-timeout-ms", 30'000, 0);
   if (!read_timeout.ok()) return FailUsage(read_timeout.status());
   options.read_timeout_ms = static_cast<int>(read_timeout.value());
