@@ -474,7 +474,9 @@ TEST(AgmDpTest, AllThetaFMethodsRunEndToEnd) {
 // pass: ΘF asks for nearly every edge to join two of the rare attribute-1
 // nodes, so the calibrated acceptance floors the other two configurations
 // at min_acceptance, every shard spends its default 200 x quota budget on
-// filter rejections, and the merge falls well short of the target.
+// filter rejections, and the merge falls well short of the target. The
+// unfiltered case runs no acceptance iteration, so its graph is the cold,
+// unfiltered sharded pass alone.
 TEST(ShardedFclGoldenTest, SampleMatchesPinnedLiteralsAtAnyPoolSize) {
   struct Case {
     const char* name;
@@ -504,6 +506,9 @@ TEST(ShardedFclGoldenTest, SampleMatchesPinnedLiteralsAtAnyPoolSize) {
       {"filter-starved", 3000, true, 200, 1, {0.97, 0.03},
        {1e-4, 1e-4, 0.9998}, 0x06029c051eed17e2ULL, 0x6448024defb71519ULL,
        0xefa76e01c5274599ULL, 0x52692091915360f0ULL},
+      {"unfiltered", 3000, true, 200, 0, kThetaX, kThetaF,
+       0xbc8dca6f77576fc3ULL, 0x6653ece8914baaaeULL, 0xf89b8f48a2246280ULL,
+       0xed22a98849852340ULL},
   };
   for (const Case& c : kCases) {
     AgmParams params;

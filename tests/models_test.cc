@@ -613,40 +613,52 @@ TEST(GeneratorGoldenTest, FastChungLuMatchesPinnedLiterals) {
   // cFCL's three branches: hubs reweighted (skewed); no hub candidate at
   // all (flat, every degree 4); and one candidate (degree 14 among 4s)
   // whose pilot degree already reaches its target, so the pilot is kept.
+  // The filter is absent, AGM's acceptance table, or a predicate that
+  // draws from the caller's stream (the predicate row pins the draw order
+  // of a filter the table path does not cover).
   enum Sequence { kSkewed, kFlat, kReachedHub };
+  enum Filter { kNone, kTable, kPredicate };
   struct Case {
     Sequence sequence;
-    bool filtered;
+    Filter filter;
     uint64_t seed;
     bool pilot_kept;
     GeneratorGolden want;
   };
   static const Case kCases[] = {
-      {kSkewed, false, 17, false,
+      {kSkewed, kNone, 17, false,
        {0x5277081228f40718ULL, 0x518f0cf1f2ec8136ULL, 0xb6e467ae758a789cULL,
         0xbb503b5b41e8739dULL}},
-      {kSkewed, true, 17, false,
+      {kSkewed, kTable, 17, false,
        {0xe505a2272d741f3dULL, 0x2ec1b740e42af4bfULL, 0x026b9782d48511e1ULL,
         0xa677cdfa0e3ad26cULL}},
-      {kFlat, false, 18, true,
+      {kFlat, kNone, 18, true,
        {0x087f974bd4905a3dULL, 0x7a4f3dfd95b1680dULL, 0x8bf5572d266cd625ULL,
         0xd0cb9c46de350cfbULL}},
-      {kFlat, true, 18, true,
+      {kFlat, kTable, 18, true,
        {0x80cebce33e92a0f1ULL, 0x2e596bf5dad27987ULL, 0x3def6aa1c1f190f5ULL,
         0x903a07a76b863bcbULL}},
-      {kReachedHub, false, 18, true,
+      {kReachedHub, kNone, 18, true,
        {0x9a3e6671cca410d6ULL, 0xb86dd36a46f7189aULL, 0x6e1efc9db6ca78b6ULL,
         0x1bc81871ce0b3479ULL}},
+      {kSkewed, kPredicate, 17, false,
+       {0xa5da4939eaec8cc5ULL, 0x80bf43c2fda55e6dULL, 0x811cd33c47c3d0f5ULL,
+        0xf2df57748004c826ULL}},
   };
   constexpr graph::NodeId kNodes = 600;
   for (const Case& c : kCases) {
-    SCOPED_TRACE("sequence " + std::to_string(c.sequence) +
-                 (c.filtered ? " filtered" : " unfiltered"));
+    SCOPED_TRACE("sequence " + std::to_string(c.sequence) + " filter " +
+                 std::to_string(c.filter));
     std::vector<uint32_t> degrees(kNodes, 4);
     if (c.sequence == kSkewed) degrees = SkewedDegrees(kNodes, 41);
     if (c.sequence == kReachedHub) degrees[0] = 14;
     ChungLuOptions options;
-    if (c.filtered) options.filter = AlternatingFilter(kNodes);
+    if (c.filter == kTable) options.filter = AlternatingFilter(kNodes);
+    if (c.filter == kPredicate) {
+      options.filter = [](graph::NodeId u, graph::NodeId v, util::Rng& rng) {
+        return (u + v) % 3 != 0 || rng.Bernoulli(0.4);
+      };
+    }
     std::vector<graph::Edge> order;
     options.insertion_order = &order;
     util::Rng rng(c.seed);
