@@ -12,9 +12,7 @@
 #include "src/dp/laplace_mechanism.h"
 #include "src/graph/attribute_encoding.h"
 #include "src/graph/triangle_count.h"
-#include "src/util/alias_sampler.h"
 #include "src/util/check.h"
-#include "src/util/flat_edge_set.h"
 #include "src/util/math_util.h"
 #include "src/util/parallel.h"
 
@@ -142,13 +140,17 @@ int SamplerWorkers(int threads) {
 
 // The per-sample invariants of the sharded FCL path, built once per
 // SampleAgmGraph call and reused across every acceptance iteration: the pi
-// weights, the alias table over them, and the edge target. Only the cFCL
-// calibration pass (whose weights depend on the pilot of the current
-// iteration) still builds a fresh alias table.
+// weights, the edge target, and the pi tables over those weights, one form
+// for unfiltered passes and one for table-filtered ones, each built at its
+// first pass. The attribute vector is fixed for the whole sample, so every
+// iteration's acceptance table shares the attribute classes of the first.
+// Only the cFCL calibration pass (whose weights depend on the pilot of the
+// current iteration) still builds fresh tables.
 struct FclPlan {
   std::vector<double> weights;
-  std::optional<util::AliasSampler> sampler;  // engaged iff target > 0
   uint64_t target = 0;
+  std::optional<models::PiTables> by_node;   // no filter
+  std::optional<models::PiTables> by_class;  // acceptance-table filter
 };
 
 util::Result<FclPlan> BuildFclPlan(const std::vector<uint32_t>& degrees,
@@ -164,42 +166,21 @@ util::Result<FclPlan> BuildFclPlan(const std::vector<uint32_t>& degrees,
   plan.target = std::min(
       options.target_edges > 0 ? options.target_edges : total_degree / 2,
       graph::MaxPossibleEdges(static_cast<graph::NodeId>(degrees.size())));
-  if (plan.target == 0) return plan;  // empty result; no pi table needed
-  plan.weights.assign(degrees.begin(), degrees.end());
-  auto sampler = util::AliasSampler::Build(plan.weights);
-  if (!sampler.ok()) return sampler.status();
-  plan.sampler = std::move(sampler).value();
+  if (plan.target > 0) plan.weights.assign(degrees.begin(), degrees.end());
   return plan;
 }
 
-// One shard of ShardedProposalPass: draws from `rng` until `quota`
-// distinct edges pass `filter` or `budget` proposals are spent. Each
-// proposal draws u, draws v, rejects u == v, looks {u, v} up once in the
-// dedup set and only then asks the filter; an accepted pair is stored in
-// the slot that lookup found (the set is reserved for `quota` keys, so no
-// insert rehashes). The bounds arrive as parameters and a table filter as
-// its TableView, so the loop keeps them in registers instead of reloading
-// them after every store into the set. `Filter` is EdgeFilter::TableView
-// or EdgeFilter.
-template <typename Filter>
-std::vector<graph::Edge> DrawShard(const util::AliasSampler& sampler,
-                                   uint64_t quota, uint64_t budget,
-                                   const Filter& filter, util::Rng rng) {
-  util::FlatEdgeSet seen(quota);
-  std::vector<graph::Edge> edges(quota);
-  uint64_t count = 0;
-  for (uint64_t proposals = 0; count < quota && proposals < budget;
-       ++proposals) {
-    const auto u = static_cast<graph::NodeId>(sampler.Sample(rng));
-    const auto v = static_cast<graph::NodeId>(sampler.Sample(rng));
-    if (u == v) continue;
-    const util::FlatEdgeSet::Slot slot = seen.Find(graph::PackEdge(u, v));
-    if (slot.found || !filter.Accept(u, v, rng)) continue;
-    seen.InsertAt(slot);
-    edges[count++] = graph::Edge(u, v);
+// The plan's pi tables in the form `filter` needs, built on first use.
+util::Result<const models::PiTables*> PlanTables(
+    FclPlan& plan, const models::EdgeFilter& filter) {
+  std::optional<models::PiTables>& tables =
+      filter.table_view() ? plan.by_class : plan.by_node;
+  if (!tables) {
+    auto built = models::PiTables::Build(plan.weights, filter);
+    if (!built.ok()) return built.status();
+    tables = std::move(built).value();
   }
-  edges.resize(count);
-  return edges;
+  return &*tables;
 }
 
 // One sharded proposal pass of the parallel Fast Chung-Lu sampler, merged
@@ -215,10 +196,9 @@ std::vector<graph::Edge> DrawShard(const util::AliasSampler& sampler,
 // is a function of (seed_base, stream_offset) alone — the pool only changes
 // which worker runs which shard and how many are drawn ahead of the merge.
 template <typename Out>
-void ShardedProposalPass(const util::AliasSampler& sampler,
+void ShardedProposalPass(const models::CandidateKernel& kernel,
                          uint64_t target_edges,
                          uint64_t max_proposals_per_edge,
-                         const models::EdgeFilter& filter,
                          util::WorkerPool& pool, uint64_t seed_base,
                          uint64_t stream_offset, Out& out,
                          std::vector<graph::Edge>* insertion_order) {
@@ -232,14 +212,13 @@ void ShardedProposalPass(const util::AliasSampler& sampler,
   // Saturate: max_proposals_per_edge is a caller knob, and a wrapped
   // product can silently collapse the budget to ~0 proposals.
   const uint64_t budget = util::SaturatingMul(max_proposals_per_edge, quota);
-  const models::EdgeFilter::TableView table = filter.table_view();
 
   std::vector<std::vector<graph::Edge>> accepted(kProposalShards);
   const auto draw_shard = [&](int s) {
-    const util::Rng rng = util::Rng::Substream(
-        seed_base, stream_offset + static_cast<uint64_t>(s));
-    accepted[s] = table ? DrawShard(sampler, quota, budget, table, rng)
-                        : DrawShard(sampler, quota, budget, filter, rng);
+    accepted[s] = models::DrawShard(
+        kernel, quota, budget,
+        util::Rng::Substream(seed_base,
+                             stream_offset + static_cast<uint64_t>(s)));
   };
 
   int wave = static_cast<int>(std::min<uint64_t>(
@@ -265,11 +244,11 @@ void ShardedProposalPass(const util::AliasSampler& sampler,
 // Parallel counterpart of models::FastChungLu through the same cFCL routine
 // (models::RunFcl; the pilot it measures is the deterministic shard merge,
 // so the calibration is reproducible too). The calibrated pass uses the
-// next block of sub-streams. The first pass reuses the plan's prebuilt
-// alias table; only the calibrated pass, whose weights depend on the pilot,
-// builds a fresh one.
+// next block of sub-streams. The first pass reuses the plan's pi tables;
+// only the calibrated pass, whose weights depend on the pilot, builds
+// fresh ones.
 util::Result<graph::Graph> ShardedFastChungLu(
-    const std::vector<uint32_t>& degrees, const FclPlan& plan,
+    const std::vector<uint32_t>& degrees, FclPlan& plan,
     const models::ChungLuOptions& options, util::WorkerPool& pool,
     uint64_t seed_base) {
   const uint64_t target = plan.target;
@@ -277,12 +256,14 @@ util::Result<graph::Graph> ShardedFastChungLu(
     if (options.insertion_order != nullptr) options.insertion_order->clear();
     return graph::Graph(static_cast<graph::NodeId>(degrees.size()));
   }
+  auto pi = PlanTables(plan, options.filter);
+  if (!pi.ok()) return pi.status();
   return models::RunFcl(
-      degrees, target, plan.weights, *plan.sampler, options,
-      [&](const util::AliasSampler& sampler, auto& out,
+      degrees, target, plan.weights, *pi.value(), options,
+      [&](const models::CandidateKernel& kernel, auto& out,
           std::vector<graph::Edge>* insertion_order, bool calibrated) {
-        ShardedProposalPass(sampler, target, options.max_proposals_per_edge,
-                            options.filter, pool, seed_base,
+        ShardedProposalPass(kernel, target, options.max_proposals_per_edge,
+                            pool, seed_base,
                             calibrated ? kProposalShards : 0, out,
                             insertion_order);
       });
@@ -328,13 +309,14 @@ std::vector<double> MeasureThetaFWithPool(const graph::AttributedGraph& g,
 util::Result<graph::Graph> GenerateStructure(
     const AgmParams& params, const AgmSampleOptions& options,
     const std::vector<graph::AttrConfig>& attrs,
-    const std::vector<double>& acceptance, const FclPlan* fcl_plan,
+    const std::vector<double>& acceptance, FclPlan* fcl_plan,
     util::WorkerPool& pool, util::Rng& rng) {
   models::EdgeFilter filter;
   if (!acceptance.empty()) {
     // Dense acceptance table: attribute lookups and the triangular
-    // edge-config encoding are precomputed once per iteration, so the inner
-    // proposal loops pay two array loads per decision.
+    // edge-config encoding are precomputed once per iteration. The FCL
+    // passes stratify their proposals by it (models::CandidateKernel);
+    // TriCycLe's rewiring pays two array loads per decision.
     filter = models::EdgeFilter::FromAcceptanceTable(attrs, acceptance,
                                                      params.w);
   }
@@ -407,7 +389,7 @@ util::Result<std::vector<double>> RunAcceptanceLoop(
   }
   util::WorkerPool& pool = *pool_ptr;
   std::optional<FclPlan> plan_storage;
-  const FclPlan* fcl_plan = nullptr;
+  FclPlan* fcl_plan = nullptr;
   if (!options.generator && options.model == StructuralModelKind::kFcl) {
     auto plan = BuildFclPlan(params.degree_sequence, options.fcl);
     if (!plan.ok()) return plan.status();

@@ -78,24 +78,14 @@ util::Result<graph::Graph> FastChungLu(const std::vector<uint32_t>& degrees,
   const uint64_t max_proposals =
       util::SaturatingMul(options.max_proposals_per_edge, target);
   std::vector<double> weights(degrees.begin(), degrees.end());
-  auto sampler = util::AliasSampler::Build(weights);
-  if (!sampler.ok()) return sampler.status();
-  // The proposal loop: both endpoints from pi, self-loops and duplicates
-  // rejected, then the filter; `out` is the graph or the cFCL pilot.
-  const auto pass = [&](const util::AliasSampler& pi, auto& out,
+  auto pi = PiTables::Build(weights, options.filter);
+  if (!pi.ok()) return pi.status();
+  // One proposal pass into `out`, the graph or the cFCL pilot.
+  const auto pass = [&](const CandidateKernel& kernel, auto& out,
                         std::vector<graph::Edge>* insertion_order, bool) {
-    uint64_t proposals = 0;
-    while (out.num_edges() < target && proposals < max_proposals) {
-      ++proposals;
-      auto u = static_cast<graph::NodeId>(pi.Sample(rng));
-      auto v = static_cast<graph::NodeId>(pi.Sample(rng));
-      if (u == v || out.HasEdge(u, v)) continue;
-      if (!AcceptEdge(options.filter, u, v, rng)) continue;
-      out.AddEdge(u, v);
-      if (insertion_order != nullptr) insertion_order->emplace_back(u, v);
-    }
+    ProposeInto(kernel, rng, max_proposals, target, out, insertion_order);
   };
-  return RunFcl(degrees, target, std::move(weights), sampler.value(), options,
+  return RunFcl(degrees, target, std::move(weights), pi.value(), options,
                 pass);
 }
 

@@ -2,7 +2,8 @@
 // bias correction (the cFCL variant the paper uses; Section 3.3).
 //
 // FCL samples both endpoints of each edge from the degree-proportional pi
-// distribution and rejects self-loops and duplicates. Rejection hits
+// distribution and rejects self-loops and duplicates (the proposal loop is
+// models::CandidateKernel, proposal_kernel.h). Rejection hits
 // high-degree nodes hardest (their proposals collide more often), biasing
 // realized degrees low; cFCL compensates with one calibration pass that
 // reweights pi by the observed shortfall (DESIGN.md substitution #5).
@@ -14,6 +15,7 @@
 
 #include "src/graph/graph.h"
 #include "src/models/edge_filter.h"
+#include "src/models/proposal_kernel.h"
 #include "src/util/alias_sampler.h"
 #include "src/util/flat_edge_set.h"
 #include "src/util/rng.h"
@@ -85,19 +87,21 @@ bool ReweightHubs(const std::vector<uint32_t>& degrees,
                   const FclPilot& pilot, std::vector<double>* weights);
 
 /// The (c)FCL routine of the sequential FastChungLu and the AGM sampler's
-/// sharded FCL. `pass(sampler, out, insertion_order, calibrated)` runs one
-/// proposal pass into `out` (a graph::Graph, or an FclPilot with a null
-/// order), stopping at `target_edges` (> 0, at most C(n, 2)). With bias
-/// correction and at least one hub a pilot pass is measured first; if
-/// ReweightHubs changes nothing the pilot is the result, rebuilt by adding
-/// its edges in order (same adjacency and insertion order as a graph
-/// pass), otherwise it is freed and the graph is drawn from the new
-/// weights (`calibrated` set). Without a hub the first pass is the result.
+/// sharded FCL. `pass(kernel, out, insertion_order, calibrated)` runs one
+/// proposal pass of `kernel` (pi through options.filter) into `out` (a
+/// graph::Graph, or an FclPilot with a null order), stopping at
+/// `target_edges` (> 0, at most C(n, 2)). `pi` holds the tables of
+/// `weights` built for options.filter. With bias correction and at least
+/// one hub a pilot pass is measured first; if ReweightHubs changes nothing
+/// the pilot is the result, rebuilt by adding its edges in order (same
+/// adjacency and insertion order as a graph pass), otherwise it is freed
+/// and the graph is drawn from the new weights (`calibrated` set). Without
+/// a hub the first pass is the result.
 template <typename Pass>
 util::Result<graph::Graph> RunFcl(const std::vector<uint32_t>& degrees,
                                   uint64_t target_edges,
                                   std::vector<double> weights,
-                                  const util::AliasSampler& sampler,
+                                  const PiTables& pi,
                                   const ChungLuOptions& options,
                                   const Pass& pass) {
   std::vector<graph::Edge>* order = options.insertion_order;
@@ -111,17 +115,19 @@ util::Result<graph::Graph> RunFcl(const std::vector<uint32_t>& degrees,
     }
     return g;
   };
-  const auto graph_pass = [&](const util::AliasSampler& s, bool calibrated) {
+  const auto graph_pass = [&](const CandidateKernel& kernel,
+                              bool calibrated) {
     graph::Graph g = reserved_graph();
-    pass(s, g, order, calibrated);
+    pass(kernel, g, order, calibrated);
     return g;
   };
+  const CandidateKernel kernel(pi, options.filter);
   const std::vector<graph::NodeId> hubs =
       options.bias_correction ? FclHubs(degrees) : std::vector<graph::NodeId>{};
-  if (hubs.empty()) return graph_pass(sampler, false);
+  if (hubs.empty()) return graph_pass(kernel, false);
   {
     FclPilot pilot(target_edges);
-    pass(sampler, pilot, nullptr, false);
+    pass(kernel, pilot, nullptr, false);
     if (!ReweightHubs(degrees, hubs, pilot, &weights)) {
       graph::Graph g = reserved_graph();
       for (const graph::Edge& e : pilot.edges) g.AddEdge(e.u, e.v);
@@ -129,9 +135,9 @@ util::Result<graph::Graph> RunFcl(const std::vector<uint32_t>& degrees,
       return g;
     }
   }
-  auto calibrated = util::AliasSampler::Build(weights);
+  auto calibrated = pi.Reweighted(weights);
   if (!calibrated.ok()) return calibrated.status();
-  return graph_pass(calibrated.value(), true);
+  return graph_pass(CandidateKernel(calibrated.value(), options.filter), true);
 }
 
 }  // namespace agmdp::models

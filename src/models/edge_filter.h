@@ -5,15 +5,17 @@
 // filter accepts with probability A(F_w(x_u, x_v)). A default-constructed
 // filter accepts everything (plain structural sampling).
 //
-// EdgeFilter is a concrete class, not a std::function: the AGM hot path
-// evaluates it once per proposal inside the FCL/TriCycLe inner loops, and
-// the table mode below turns that evaluation into two array loads — the
-// per-node attribute configurations are a flat array indexed by node id,
-// and the acceptance probabilities a dense 2^w x 2^w matrix indexed by the
-// endpoint configurations — so neither EncodeEdgeConfig's triangular-index
-// arithmetic nor a type-erased std::function call survives on the hot path.
-// Arbitrary predicates (tests, registry top-up models) still plug in
-// through the custom mode, which keeps the old std::function behavior.
+// EdgeFilter is a concrete class, not a std::function. Its table mode
+// holds the per-node attribute configurations as a flat array indexed by
+// node id and the acceptance probabilities as a dense 2^w x 2^w matrix
+// indexed by the endpoint configurations, so a decision is two array
+// loads and a coin. The rewiring loops of TriCycLe and TCL evaluate it
+// once per proposal; the pi x pi proposal loops (FCL, the registry
+// top-up) instead read the table through models::CandidateKernel, which
+// draws the proposals the filter would accept directly
+// (proposal_kernel.h). Arbitrary predicates (tests, registry top-up
+// models) still plug in through the custom mode, which keeps the old
+// std::function behavior.
 #pragma once
 
 #include <functional>
@@ -80,35 +82,34 @@ class EdgeFilter {
   bool active() const { return table_ != nullptr || bool(predicate_); }
   explicit operator bool() const { return active(); }
 
-  /// The table mode's arrays as plain pointers, for a proposal loop that
-  /// reads them once rather than through the shared table on every
-  /// decision. Empty (false) outside the table mode; valid while the
-  /// filter lives.
+  /// The table mode's arrays as plain pointers, for the candidate kernel
+  /// that stratifies proposals by them. Empty (false) outside the table
+  /// mode; valid while the filter lives.
   struct TableView {
     const graph::AttrConfig* node_configs = nullptr;  // x, by node id
+    size_t num_nodes = 0;                             // length of x
     const double* accept = nullptr;                   // A, dense k*k
     size_t k = 0;
 
     explicit operator bool() const { return accept != nullptr; }
-
-    /// The table mode of EdgeFilter::Accept.
-    bool Accept(graph::NodeId u, graph::NodeId v, util::Rng& rng) const {
-      return rng.Bernoulli(
-          accept[static_cast<size_t>(node_configs[u]) * k + node_configs[v]]);
-    }
   };
 
   TableView table_view() const {
     if (table_ == nullptr) return {};
-    return {table_->node_configs.data(), table_->accept.data(), table_->k};
+    return {table_->node_configs.data(), table_->node_configs.size(),
+            table_->accept.data(), table_->k};
   }
 
   /// Accept/reject the proposed edge {u, v}. The table path consumes one
   /// Bernoulli draw from `rng` unless the probability is exactly 0 or 1
-  /// (Rng::Bernoulli's own shortcut), a pure function of (x_u, x_v), so the
-  /// draw sequence is identical however proposals are sharded.
+  /// (Rng::Bernoulli's own shortcut), a pure function of (x_u, x_v).
   bool Accept(graph::NodeId u, graph::NodeId v, util::Rng& rng) const {
-    if (table_ != nullptr) return table_view().Accept(u, v, rng);
+    if (table_ != nullptr) {
+      return rng.Bernoulli(
+          table_->accept[static_cast<size_t>(table_->node_configs[u]) *
+                             table_->k +
+                         table_->node_configs[v]]);
+    }
     if (predicate_) return predicate_(u, v, rng);
     return true;
   }

@@ -8,6 +8,7 @@
 #include "src/models/chung_lu.h"
 #include "src/models/erdos_renyi.h"
 #include "src/models/holme_kim.h"
+#include "src/models/proposal_kernel.h"
 
 namespace agmdp::pipeline {
 
@@ -52,18 +53,13 @@ graph::Graph ApplyFilterWithTopUp(graph::Graph base,
   });
   if (g.num_edges() >= target) return g;
 
-  auto sampler =
-      models::BuildPiSampler(graph::DegreeSequence(base), /*exclude_degree_one=*/false);
-  if (!sampler.ok()) return g;
-  uint64_t budget = 200 * (target - g.num_edges());
-  while (g.num_edges() < target && budget > 0) {
-    --budget;
-    const auto u = static_cast<graph::NodeId>(sampler.value().Sample(rng));
-    const auto v = static_cast<graph::NodeId>(sampler.value().Sample(rng));
-    if (u == v || g.HasEdge(u, v)) continue;
-    if (!models::AcceptEdge(filter, u, v, rng)) continue;
-    g.AddEdge(u, v);
-  }
+  const std::vector<uint32_t> degrees = graph::DegreeSequence(base);
+  auto pi = models::PiTables::Build(
+      std::vector<double>(degrees.begin(), degrees.end()), filter);
+  if (!pi.ok()) return g;
+  models::ProposeInto(models::CandidateKernel(pi.value(), filter), rng,
+                      200 * (target - g.num_edges()), target, g,
+                      /*order=*/nullptr);
   return g;
 }
 

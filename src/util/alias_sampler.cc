@@ -1,30 +1,17 @@
 #include "src/util/alias_sampler.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/util/check.h"
 
 namespace agmdp::util {
 
-Result<AliasSampler> AliasSampler::Build(const std::vector<double>& weights) {
-  if (weights.empty()) {
-    return Status::InvalidArgument("AliasSampler: empty weight vector");
-  }
+void BuildAliasBuckets(const double* weights, size_t n,
+                       AliasBucket* buckets) {
   double sum = 0.0;
-  for (double w : weights) {
-    if (w < 0.0 || !std::isfinite(w)) {
-      return Status::InvalidArgument(
-          "AliasSampler: weights must be finite and non-negative");
-    }
-    sum += w;
-  }
-  if (sum <= 0.0) {
-    return Status::InvalidArgument("AliasSampler: weights sum to zero");
-  }
-
-  const size_t n = weights.size();
-  AliasSampler sampler;
-  sampler.buckets_.assign(n, Bucket{});
+  for (size_t i = 0; i < n; ++i) sum += weights[i];
+  std::fill(buckets, buckets + n, AliasBucket{});
 
   // Vose's algorithm: split scaled masses into "small" (< 1) and "large"
   // (>= 1) worklists and pair each small bucket with a large donor.
@@ -46,8 +33,8 @@ Result<AliasSampler> AliasSampler::Build(const std::vector<double>& weights) {
     small.pop_back();
     uint32_t l = large.back();
     large.pop_back();
-    sampler.buckets_[s].prob = scaled[s];
-    sampler.buckets_[s].alias = l;
+    buckets[s].prob = scaled[s];
+    buckets[s].alias = l;
     scaled[l] = (scaled[l] + scaled[s]) - 1.0;
     if (scaled[l] < 1.0) {
       small.push_back(l);
@@ -56,9 +43,28 @@ Result<AliasSampler> AliasSampler::Build(const std::vector<double>& weights) {
     }
   }
   // Numerical leftovers: everything remaining gets probability 1 of itself.
-  for (uint32_t l : large) sampler.buckets_[l].prob = 1.0;
-  for (uint32_t s : small) sampler.buckets_[s].prob = 1.0;
+  for (uint32_t l : large) buckets[l].prob = 1.0;
+  for (uint32_t s : small) buckets[s].prob = 1.0;
+}
 
+Result<AliasSampler> AliasSampler::Build(const std::vector<double>& weights) {
+  if (weights.empty()) {
+    return Status::InvalidArgument("AliasSampler: empty weight vector");
+  }
+  double sum = 0.0;
+  for (double w : weights) {
+    if (w < 0.0 || !std::isfinite(w)) {
+      return Status::InvalidArgument(
+          "AliasSampler: weights must be finite and non-negative");
+    }
+    sum += w;
+  }
+  if (sum <= 0.0) {
+    return Status::InvalidArgument("AliasSampler: weights sum to zero");
+  }
+  AliasSampler sampler;
+  sampler.buckets_.resize(weights.size());
+  BuildAliasBuckets(weights.data(), weights.size(), sampler.buckets_.data());
   return sampler;
 }
 
