@@ -495,17 +495,17 @@ TEST(ShardedFclGoldenTest, SampleMatchesPinnedLiteralsAtAnyPoolSize) {
   const std::vector<double> kThetaF = {0.5, 0.2, 0.3};
   const Case kCases[] = {
       {"skewed", 3000, true, 200, 2, kThetaX, kThetaF,
-       0xbc8dca6f77576fc3ULL, 0x3874c104e600e7f9ULL, 0x14e1144c60381ff7ULL,
+       0xbc8dca6f77576fc3ULL, 0x9560cbd0ce1dae89ULL, 0xd777ac2f043cc55fULL,
        0x8adb7853e62975f2ULL},
       {"budget-starved", 3000, true, 1, 1, kThetaX, kThetaF,
-       0xbc8dca6f77576fc3ULL, 0x2209e450c06014d8ULL, 0x6e320c5196bde0a6ULL,
+       0xbc8dca6f77576fc3ULL, 0xfacf8383784fcf7fULL, 0xd120af932131c345ULL,
        0x52692091915360f0ULL},
       {"duplicate-heavy", 24, false, 200, 1, kThetaX, kThetaF,
-       0xb10c03b8634d1742ULL, 0xf3093de613d5d0adULL, 0xd7e8a3b5274f3f11ULL,
+       0xb10c03b8634d1742ULL, 0x71c4ef766e62cbfeULL, 0xb56781a057d0ca7aULL,
        0xcb91462c98dd0872ULL},
       {"filter-starved", 3000, true, 200, 1, {0.97, 0.03},
-       {1e-4, 1e-4, 0.9998}, 0x06029c051eed17e2ULL, 0x6448024defb71519ULL,
-       0xefa76e01c5274599ULL, 0x52692091915360f0ULL},
+       {1e-4, 1e-4, 0.9998}, 0x06029c051eed17e2ULL, 0x5c1f9ea4938e49eaULL,
+       0x4476af947a4f513eULL, 0x52692091915360f0ULL},
       {"unfiltered", 3000, true, 200, 0, kThetaX, kThetaF,
        0xbc8dca6f77576fc3ULL, 0x6653ece8914baaaeULL, 0xf89b8f48a2246280ULL,
        0xed22a98849852340ULL},

@@ -630,14 +630,14 @@ TEST(GeneratorGoldenTest, FastChungLuMatchesPinnedLiterals) {
        {0x5277081228f40718ULL, 0x518f0cf1f2ec8136ULL, 0xb6e467ae758a789cULL,
         0xbb503b5b41e8739dULL}},
       {kSkewed, kTable, 17, false,
-       {0xe505a2272d741f3dULL, 0x2ec1b740e42af4bfULL, 0x026b9782d48511e1ULL,
-        0xa677cdfa0e3ad26cULL}},
+       {0x25f5b1b76688a6c2ULL, 0x067bd54ffacaf6e0ULL, 0x0cf921665d83aa9eULL,
+        0x37adb0e995f9ea05ULL}},
       {kFlat, kNone, 18, true,
        {0x087f974bd4905a3dULL, 0x7a4f3dfd95b1680dULL, 0x8bf5572d266cd625ULL,
         0xd0cb9c46de350cfbULL}},
       {kFlat, kTable, 18, true,
-       {0x80cebce33e92a0f1ULL, 0x2e596bf5dad27987ULL, 0x3def6aa1c1f190f5ULL,
-        0x903a07a76b863bcbULL}},
+       {0x6dba1838460c291aULL, 0xbef51b095c7e23feULL, 0x1e7a3a06576f545aULL,
+        0xf55d0d54a976368eULL}},
       {kReachedHub, kNone, 18, true,
        {0x9a3e6671cca410d6ULL, 0xb86dd36a46f7189aULL, 0x6e1efc9db6ca78b6ULL,
         0x1bc81871ce0b3479ULL}},
@@ -692,9 +692,9 @@ TEST(GeneratorGoldenTest, TriCycLeMatchesPinnedLiterals) {
         0xbd272f6347fd6307ULL},
        1464, 3241},
       {true,
-       {0, 0xc44aa7f8dfd3689cULL, 0xf9b4349e02657828ULL,
-        0x09692ddbcd8744baULL},
-       1443, 3197},
+       {0, 0x65ede3b80b3d5c0dULL, 0xff18af3ab315b413ULL,
+        0xc1433b2617b675c3ULL},
+       1557, 3015},
   };
   constexpr graph::NodeId kNodes = 600;
   const std::vector<uint32_t> degrees = SkewedDegrees(kNodes, 43);
@@ -722,8 +722,8 @@ TEST(GeneratorGoldenTest, TclMatchesPinnedLiterals) {
        {0, 0xdb15a7a25ac42c6eULL, 0x52ff7ef37ef685beULL,
         0xb7199d37dd597bc4ULL}},
       {true,
-       {0, 0x52520cd772b079feULL, 0x63d8abb2bb0e5918ULL,
-        0x008a10edb474a6ccULL}},
+       {0, 0xfb2b00f5d3b2e99fULL, 0x289d39b5efa91207ULL,
+        0xa3fc0ee8b48611baULL}},
   };
   constexpr graph::NodeId kNodes = 600;
   const std::vector<uint32_t> degrees = SkewedDegrees(kNodes, 47);

@@ -414,29 +414,29 @@ struct GoldenCase {
 TEST(ReleaseEngineGoldenTest, CalibrationAndSamplesMatchPinnedLiterals) {
   static const GoldenCase kCases[] = {
       {"tricycle", 1, 0.01, 0xe6b40968d5ddc147ULL,
-       {0xf7f25f37cc815260ULL, 0x1901e5a166a4807fULL,
-        0x5b70522e4687987bULL, 0x11948c409945778eULL},
-       0x95c343f3c5ec44a0ULL},
-      {"tricycle", 3, 0.01, 0xcf2b5237f9ba3953ULL,
-       {0xb16562079165f764ULL, 0x6af32ad07cf7ba3aULL,
-        0x424573af7572f571ULL, 0x30d5182bc7a092d3ULL},
-       0x961c20acffda2732ULL},
-      {"tricycle", 4, 1.5, 0x54f163fdef7c2316ULL,
-       {0xb6dd1631cf3701c3ULL, 0x98af06c6b00bd9a2ULL,
-        0xbe378568c62d0ddcULL, 0xa769397d2ca74511ULL},
-       0x7805d8c49717f6c7ULL},
+       {0xc4c53545d5cd8cc6ULL, 0xbe45d73bc135aa8bULL,
+        0x79936d544cb9c58fULL, 0x3c99edb13bfcf288ULL},
+       0x9d2f17267f6324f9ULL},
+      {"tricycle", 3, 0.01, 0x905f043b9c236929ULL,
+       {0xc2528f5c9ccf302bULL, 0x65866f72aebe21a1ULL,
+        0xdb14f1e965b1ef1eULL, 0x0f371d798e416619ULL},
+       0x168805faf190ce7cULL},
+      {"tricycle", 4, 1.5, 0xb7f782ee8fa37cd9ULL,
+       {0x28f171065333293cULL, 0x1f15ea843a758f46ULL,
+        0xbd56f24e183a7f17ULL, 0x3e943023859f7d17ULL},
+       0x56433324e8f4284cULL},
       {"fcl", 1, 0.01, 0xc35e8e5b0e4d579aULL,
-       {0xf91a877537b1f17dULL, 0x2591fd87dec3251dULL,
-        0x2c86621c7fe8c41cULL, 0x619b85fbf9cba842ULL},
-       0xf8f710802e15f307ULL},
-      {"fcl", 3, 0.01, 0xa41610b1c47b8752ULL,
-       {0xf208ec4b4287df8fULL, 0x4e70eed19f92fad4ULL,
-        0x38eadb7f0f689b08ULL, 0x73d5d6e651336b5bULL},
-       0x1a86a8d675614dc3ULL},
-      {"fcl", 4, 1.5, 0xae2c5a11e17a27ecULL,
-       {0x7812d2606f75b4a4ULL, 0x7efd06201194875eULL,
-        0xccfa4e7719793043ULL, 0xd5cb4dc2620b85e5ULL},
-       0x1e53251995df1fdcULL},
+       {0x86c816bbc1bbaabeULL, 0x6710367405af85fcULL,
+        0x8ddce1c85dbeebe1ULL, 0xfd7b97a4c4588f0bULL},
+       0x382a80a03e1e7296ULL},
+      {"fcl", 3, 0.01, 0x06d9513a8b927856ULL,
+       {0x5c515c950f851d80ULL, 0xed2e722406f6092aULL,
+        0xca30bab0a0014c14ULL, 0xe2a3e1a9ca565196ULL},
+       0x6031d8099ebcfedfULL},
+      {"fcl", 4, 1.5, 0xc6b01d81ae1a2eacULL,
+       {0x7d4a7c77643cf36cULL, 0x284cbe4664825510ULL,
+        0xd11b48eeb4013cbdULL, 0x2f24c02976ca69c5ULL},
+       0xb2e7e0116087b1edULL},
   };
   auto input = datasets::GenerateDataset(datasets::DatasetId::kPetster, 0.1, 4);
   ASSERT_TRUE(input.ok()) << input.status().ToString();
