@@ -23,20 +23,25 @@ ClassWeights BuildClassWeights(std::shared_ptr<const AttributeClasses> classes,
   out.mass.assign(k, 0.0);
   out.self_mass.assign(k, 0.0);
   out.buckets.resize(classes->members.size());
-  std::vector<double> scratch;
+  std::vector<double> class_weights;
+  std::vector<util::AliasBucket> table;
   for (size_t c = 0; c < k; ++c) {
     const uint32_t first = classes->begin[c];
-    const uint32_t last = classes->begin[c + 1];
-    scratch.clear();
-    for (uint32_t i = first; i < last; ++i) {
-      const double w = weights[classes->members[i]];
-      scratch.push_back(w);
+    const graph::NodeId* members = classes->members.data() + first;
+    const uint32_t size = classes->begin[c + 1] - first;
+    class_weights.clear();
+    for (uint32_t i = 0; i < size; ++i) {
+      const double w = weights[members[i]];
+      class_weights.push_back(w);
       out.mass[c] += w;
       out.self_mass[c] += w * w;
     }
-    if (out.mass[c] > 0.0) {
-      util::BuildAliasBuckets(scratch.data(), scratch.size(),
-                              out.buckets.data() + first);
+    if (out.mass[c] <= 0.0) continue;
+    table.resize(size);
+    util::BuildAliasBuckets(class_weights.data(), size, table.data());
+    for (uint32_t i = 0; i < size; ++i) {
+      out.buckets[first + i] = {table[i].prob, members[i],
+                                members[table[i].alias]};
     }
   }
   out.classes = std::move(classes);
@@ -136,9 +141,10 @@ CandidateKernel::CandidateKernel(const PiTables& pi,
   const ClassWeights& weights = *pi.classes_;
   const AttributeClasses& classes = *weights.classes;
   const size_t k = classes.size();
-  // Pair indices a * k + b must fit the alias table's 32-bit targets.
-  AGMDP_CHECK(k <= 0xffff);
+  // Class indices are packed 16 bits apiece into class_pairs.
+  AGMDP_CHECK(k <= 0x10000);
   std::vector<double> m(k * k, 0.0);
+  table_.class_pairs.resize(k * k);
   double total_mass = 0.0;
   double rate = 0.0;
   for (size_t a = 0; a < k; ++a) {
@@ -158,10 +164,10 @@ CandidateKernel::CandidateKernel(const PiTables& pi,
       }
       m[a * k + b] = accept * pairs;
       rate += m[a * k + b];
+      table_.class_pairs[a * k + b] = static_cast<uint32_t>(a << 16 | b);
     }
   }
   table_.classes = &weights;
-  table_.num_classes = k;
   if (rate > 0.0) {
     auto pairs = util::AliasSampler::Build(m);
     AGMDP_CHECK_OK(pairs.status());

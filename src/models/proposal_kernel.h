@@ -64,19 +64,28 @@ struct AttributeClasses {
 /// bucket array laid out like `members`. A class of zero mass has no table
 /// and is never drawn.
 struct ClassWeights {
-  /// Draws a member of class c (Pi_c > 0) with probability pi_u / Pi_c.
+  /// An alias bucket holding node ids, so a draw reads no other array.
+  struct Bucket {
+    double prob = 0.0;        // keep `node` with this probability
+    graph::NodeId node = 0;   // the member at this position
+    graph::NodeId alias = 0;  // otherwise this member
+  };
+
+  /// Draws a member of class c (Pi_c > 0) with probability pi_u / Pi_c:
+  /// the draws and the branch-free select of AliasSampler::Sample.
   graph::NodeId Sample(size_t c, util::Rng& rng) const {
     const uint32_t first = classes->begin[c];
-    return classes->members[first +
-                            util::AliasDraw(buckets.data() + first,
-                                            classes->begin[c + 1] - first,
-                                            rng)];
+    const Bucket& b =
+        buckets[first + rng.UniformIndex(classes->begin[c + 1] - first)];
+    const graph::NodeId keep =
+        graph::NodeId{0} - graph::NodeId{rng.UniformDouble() < b.prob};
+    return b.alias ^ ((b.node ^ b.alias) & keep);
   }
 
   std::shared_ptr<const AttributeClasses> classes;
   std::vector<double> mass;       // Pi_c
   std::vector<double> self_mass;  // S_c
-  std::vector<util::AliasBucket> buckets;
+  std::vector<Bucket> buckets;
 };
 
 class CandidateKernel;
@@ -160,12 +169,10 @@ class CandidateKernel {
           1.0 + std::floor(std::log(1.0 - rng.UniformDouble()) / log1m_q);
       if (!(gap < 0x1p64) || static_cast<uint64_t>(gap) > left) return false;
       left -= static_cast<uint64_t>(gap);
-      const size_t pair = pairs->Sample(rng);
-      const size_t a = pair / num_classes;
-      const size_t b = pair % num_classes;
+      const uint32_t pair = class_pairs[pairs->Sample(rng)];
       do {
-        u = classes->Sample(a, rng);
-        v = classes->Sample(b, rng);
+        u = classes->Sample(pair >> 16, rng);
+        v = classes->Sample(pair & 0xffff, rng);
       } while (u == v);
       return true;
     }
@@ -174,8 +181,8 @@ class CandidateKernel {
     }
 
     const ClassWeights* classes = nullptr;
-    std::optional<util::AliasSampler> pairs;  // over a * num_classes + b
-    size_t num_classes = 0;
+    std::optional<util::AliasSampler> pairs;  // over p = a * k + b
+    std::vector<uint32_t> class_pairs;        // p -> a << 16 | b
     double log1m_q = 0.0;  // log1p(-q); -inf when q rounds to 1
   };
 

@@ -25,21 +25,8 @@ struct AliasBucket {
 
 /// Fills buckets[0, n) with Vose's alias table over weights[0, n), which
 /// must be finite and non-negative with a positive sum (the caller checks).
-/// Alias targets index the same range, so one flat array can hold the
-/// tables of many ranges.
+/// Alias targets index the same range.
 void BuildAliasBuckets(const double* weights, size_t n, AliasBucket* buckets);
-
-/// Draws one index from a table of BuildAliasBuckets: UniformIndex(n)
-/// picks bucket i, then one UniformDouble() < prob keeps i or redirects to
-/// its alias. The choice is made with a mask instead of a branch: the
-/// comparison is a coin flip the branch predictor misses about half the
-/// time.
-inline size_t AliasDraw(const AliasBucket* buckets, size_t n, Rng& rng) {
-  const size_t i = rng.UniformIndex(n);
-  const AliasBucket& b = buckets[i];
-  const size_t keep = size_t{0} - size_t{rng.UniformDouble() < b.prob};
-  return b.alias ^ ((i ^ b.alias) & keep);
-}
 
 /// \brief Samples indices i in [0, n) with probability weights[i] / sum(w).
 class AliasSampler {
@@ -48,10 +35,16 @@ class AliasSampler {
   /// sum; returns InvalidArgument otherwise.
   static Result<AliasSampler> Build(const std::vector<double>& weights);
 
-  /// Draws one index (AliasDraw over the whole table).
+  /// Draws one index: UniformIndex(n) picks bucket i, then one
+  /// UniformDouble() < prob keeps i or redirects to its alias. The choice
+  /// is made with a mask instead of a branch: the comparison is a coin
+  /// flip the branch predictor misses about half the time.
   size_t Sample(Rng& rng) const {
     AGMDP_CHECK(!buckets_.empty());
-    return AliasDraw(buckets_.data(), buckets_.size(), rng);
+    const size_t i = rng.UniformIndex(buckets_.size());
+    const AliasBucket& b = buckets_[i];
+    const size_t keep = size_t{0} - size_t{rng.UniformDouble() < b.prob};
+    return b.alias ^ ((i ^ b.alias) & keep);
   }
 
   /// Number of categories.
