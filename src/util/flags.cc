@@ -25,6 +25,12 @@ Flags Flags::Parse(int argc, char** argv) {
   return flags;
 }
 
+std::vector<std::string> Flags::names() const {
+  std::vector<std::string> out;
+  for (const auto& [name, value] : values_) out.push_back(name);
+  return out;
+}
+
 bool Flags::Has(const std::string& name) const {
   return values_.count(name) > 0;
 }

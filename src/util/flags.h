@@ -47,6 +47,9 @@ class Flags {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
+  /// The names of every --flag given, sorted.
+  std::vector<std::string> names() const;
+
  private:
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;

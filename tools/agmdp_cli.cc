@@ -122,10 +122,11 @@
 // exits non-zero with the closest-matching suggestion.
 //
 // Exit codes: 0 success, 1 runtime failure (a fit/sample/serve step
-// returned an error), 2 usage error (unknown subcommand, malformed or
-// out-of-range flag value, unreadable input named on the command line, or
-// a retired flag: fit --params-out and sample --params were superseded by
-// release artifacts).
+// returned an error), 2 usage error (unknown subcommand, a flag the
+// subcommand does not accept — the message names the closest one —,
+// malformed or out-of-range flag value, unreadable input named on the
+// command line, or a retired flag: fit --params-out and sample --params
+// were superseded by release artifacts).
 #include <unistd.h>
 
 #include <algorithm>
@@ -180,56 +181,93 @@ int FailUsage(const util::Status& status) {
   return 2;
 }
 
-/// (name, one-line example, summary) for help and suggestions.
+/// (name, one-line example, summary, accepted flags) for help, suggestions
+/// and the unknown-flag check.
 struct SubcommandDoc {
   const char* name;
   const char* example;
   const char* summary;
+  std::vector<std::string> flags;
 };
 
+/// `extra` plus the flags ConfigFromFlags reads.
+std::vector<std::string> WithConfigFlags(std::vector<std::string> extra) {
+  for (const char* name :
+       {"epsilon", "mechanism", "model", "k-anonymity", "t-closeness",
+        "community-blocks", "threads", "accept_iters", "truncation_k"}) {
+    extra.emplace_back(name);
+  }
+  return extra;
+}
+
 const std::vector<SubcommandDoc>& Subcommands() {
+  // The retired --params-out / --params stay accepted names, so they fail
+  // with their own message instead of the unknown-flag one.
   static const std::vector<SubcommandDoc> docs = {
       {"generate", "agmdp generate --dataset=lastfm --scale=0.1 --out=data",
-       "generate a synthetic stand-in dataset"},
+       "generate a synthetic stand-in dataset",
+       {"dataset", "scale", "seed", "out"}},
       {"fit",
        "agmdp fit --in=data --epsilon=0.69 --model=fcl "
        "--artifact-out=release.artifact.json",
        "learn DP parameters, write a release artifact (the only step that "
-       "reads the data)"},
+       "reads the data)",
+       WithConfigFlags({"in", "seed", "artifact-out", "params-out"})},
       {"sample",
        "agmdp sample --artifact=release.artifact.json --samples=4 "
        "--out=synthetic",
-       "serve synthetic graphs from an artifact (free post-processing)"},
+       "serve synthetic graphs from an artifact (free post-processing)",
+       WithConfigFlags({"artifact", "samples", "serve-threads",
+                        "refine_iters", "refine-iters", "seed", "cold",
+                        "out", "params"})},
       {"synthesize", "agmdp synthesize --in=data --epsilon=0.69 --out=syn",
-       "fit + sample in one step, with stage timings"},
+       "fit + sample in one step, with stage timings",
+       WithConfigFlags({"in", "seed", "out"})},
       {"models", "agmdp models",
-       "list the registered release mechanisms and structural models"},
+       "list the registered release mechanisms and structural models",
+       {}},
       {"stats", "agmdp stats --in=data",
-       "structural summary and assortativity/path statistics"},
+       "structural summary and assortativity/path statistics",
+       {"in", "analytics-threads", "seed", "bfs_samples"}},
       {"evaluate", "agmdp evaluate --in=data --synthetic=syn",
-       "the full utility metric suite between two graphs"},
+       "the full utility metric suite between two graphs",
+       {"in", "synthetic", "analytics-threads"}},
       {"sweep",
        "agmdp sweep --datasets=lastfm --mechanisms=agm,community_dp "
        "--eps=0.3,0.69 --repeats=3 [--reuse-fit]",
-       "dataset x mechanism x epsilon utility grid -> BENCH_sweep.json"},
+       "dataset x mechanism x epsilon utility grid -> BENCH_sweep.json",
+       {"datasets", "scale", "mechanisms", "models", "eps", "repeats",
+        "threads", "sampler-threads", "accept_iters", "analytics-threads",
+        "seed", "reuse-fit", "reuse_fit", "out", "no-timing"}},
       {"serve",
        "agmdp serve --port=7411 --cache-mb=256 --tenant-budget=2.0",
-       "multi-tenant sampling daemon (engine cache + epsilon ledger)"},
+       "multi-tenant sampling daemon (engine cache + epsilon ledger)",
+       {"host", "port", "workers", "engine-threads", "queue", "cache-mb",
+        "tenant-budget", "budgets", "registry", "dataset-cap",
+        "dataset-caps", "read-timeout-ms", "idle-timeout-ms",
+        "write-timeout-ms", "port-file"}},
       {"client",
        "agmdp client --port=7411 --op=sample --name=m --samples=4 "
        "--out=syn",
-       "one request against a running daemon"},
+       "one request against a running daemon",
+       {"host", "port", "op", "tenant", "name", "dataset", "artifact",
+        "seed", "sequence", "samples", "refine_iters", "out", "timeout-ms",
+        "retries"}},
       {"registry",
        "agmdp registry put --registry=spend.reg "
        "--artifact=release.artifact.json --dataset=lastfm --name=m",
-       "inspect or mutate the durable artifact registry offline"},
+       "inspect or mutate the durable artifact registry offline",
+       {"registry", "dataset-cap", "dataset-caps", "dataset", "name",
+        "artifact"}},
       {"convert", "agmdp convert data data.agmbin",
-       "streaming text -> checksummed binary container conversion"},
+       "streaming text -> checksummed binary container conversion",
+       {"in", "out", "page-size"}},
       {"info", "agmdp info data.agmbin",
-       "container header summary + full checksum verification"},
+       "container header summary + full checksum verification",
+       {"in"}},
       {"export", "agmdp export --in=data --out=graph.graphml",
-       "GraphML export for external tools"},
-      {"help", "agmdp help", "this overview"},
+       "GraphML export for external tools", {"in", "out"}},
+      {"help", "agmdp help", "this overview", {}},
   };
   return docs;
 }
@@ -260,6 +298,32 @@ size_t EditDistance(const std::string& a, const std::string& b) {
     }
   }
   return row[b.size()];
+}
+
+/// A flag the subcommand does not read is a usage error naming the closest
+/// accepted flag: a typo such as --analytics-treads would otherwise run
+/// with the default silently.
+util::Status CheckFlags(const SubcommandDoc& doc, const util::Flags& flags) {
+  for (const std::string& name : flags.names()) {
+    if (std::find(doc.flags.begin(), doc.flags.end(), name) !=
+        doc.flags.end()) {
+      continue;
+    }
+    std::string message = "unknown flag --" + name + " for '" + doc.name + "'";
+    const std::string* closest = nullptr;
+    size_t best = ~size_t{0};
+    for (const std::string& accepted : doc.flags) {
+      const size_t distance = EditDistance(name, accepted);
+      if (distance < best) {
+        best = distance;
+        closest = &accepted;
+      }
+    }
+    message += closest != nullptr ? " — did you mean --" + *closest + "?"
+                                  : ", which takes no flags";
+    return util::Status::InvalidArgument(message);
+  }
+  return util::Status::OK();
 }
 
 int UnknownCommand(const std::string& command) {
@@ -1162,9 +1226,14 @@ int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
   util::Flags flags = util::Flags::Parse(argc - 1, argv + 1);
-  if (command == "help" || command == "--help" || command == "-h") {
-    return CmdHelp();
-  }
+  if (command == "--help" || command == "-h") return CmdHelp();
+  const auto& docs = Subcommands();
+  const auto doc = std::find_if(
+      docs.begin(), docs.end(),
+      [&](const SubcommandDoc& d) { return command == d.name; });
+  if (doc == docs.end()) return UnknownCommand(command);
+  if (auto st = CheckFlags(*doc, flags); !st.ok()) return FailUsage(st);
+  if (command == "help") return CmdHelp();
   if (command == "generate") return CmdGenerate(flags);
   if (command == "fit") return CmdFit(flags);
   if (command == "sample") return CmdSample(flags);
@@ -1179,5 +1248,5 @@ int main(int argc, char** argv) {
   if (command == "convert") return CmdConvert(flags);
   if (command == "info") return CmdInfo(flags);
   if (command == "export") return CmdExport(flags);
-  return UnknownCommand(command);
+  return UnknownCommand(command);  // listed but not dispatched
 }
