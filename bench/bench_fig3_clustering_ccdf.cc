@@ -5,10 +5,10 @@
 // TriCycLe track the original distribution, with TriCycLe at least as close
 // on most datasets.
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/eval/utility_report.h"
 #include "src/graph/csr.h"
 #include "src/graph/degree.h"
 #include "src/graph/fused_eval.h"
@@ -17,21 +17,25 @@
 #include "src/models/chung_lu.h"
 #include "src/models/tcl.h"
 #include "src/models/tricycle.h"
+#include "src/stats/ccdf.h"
 #include "src/util/rng.h"
 
 namespace {
 
 using namespace agmdp;
 
-// One immutable CSR snapshot per generated graph, reused for the average
-// and the CCDF series; the mutable Graph is only the generation-side
-// representation.
+// One fused triangle sweep per generated graph: its local coefficients
+// give both the average and the CCDF series (the mutable Graph is only the
+// generation-side representation).
 void PrintSeries(const char* dataset, const char* model,
                  const graph::Graph& g, size_t points) {
-  const graph::CsrGraph snapshot = graph::CsrGraph::FromGraph(g);
+  graph::FusedStats fused =
+      graph::FusedEvaluate(graph::CsrGraph::FromGraph(g));
   std::printf("# %s %s avg_local_cc=%.4f\n", dataset, model,
-              graph::FusedEvaluate(snapshot).clustering.avg_local_clustering);
-  for (const auto& [x, y] : eval::ClusteringCcdfSeries(snapshot, points)) {
+              fused.clustering.avg_local_clustering);
+  for (const auto& [x, y] : stats::DownsampleCcdf(
+           stats::Ccdf(std::move(fused.clustering.local_coefficients)),
+           points)) {
     std::printf("%s %s %.5f %.6f\n", dataset, model, x, y);
   }
 }
