@@ -1,6 +1,7 @@
 #include "src/dp/geometric_mechanism.h"
 
 #include <cmath>
+#include <limits>
 
 #include "src/util/check.h"
 
@@ -15,8 +16,12 @@ int64_t TwoSidedGeometricNoise(double epsilon, double sensitivity,
   // 1 + Geometric(1 - alpha), with a uniform sign.
   const double p_zero = (1.0 - alpha) / (1.0 + alpha);
   if (rng.Bernoulli(p_zero)) return 0;
-  const auto magnitude =
-      static_cast<int64_t>(1 + rng.Geometric(1.0 - alpha));
+  // 1 + Geometric, saturated: a saturated draw must not wrap to 0.
+  const uint64_t failures = rng.Geometric(1.0 - alpha);
+  const int64_t magnitude =
+      failures < static_cast<uint64_t>(std::numeric_limits<int64_t>::max())
+          ? static_cast<int64_t>(1 + failures)
+          : std::numeric_limits<int64_t>::max();
   return rng.Bernoulli(0.5) ? magnitude : -magnitude;
 }
 

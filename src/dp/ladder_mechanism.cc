@@ -7,6 +7,7 @@
 #include "src/graph/subgraph_counts.h"
 #include "src/graph/triangle_count.h"
 #include "src/util/check.h"
+#include "src/util/math_util.h"
 
 namespace agmdp::dp {
 
@@ -116,7 +117,7 @@ util::Result<int64_t> DpTriangleCount(const graph::CsrGraph& g, double epsilon,
   }
   if (in_tail) {
     // Geometric over width-cap rungs beyond t_sat.
-    rung = t_sat + 1 + rng.Geometric(1.0 - q);
+    rung = util::SaturatingAdd(t_sat + 1, rng.Geometric(1.0 - q));
   }
 
   int64_t result = true_count;
@@ -204,7 +205,7 @@ util::Result<double> DpKStarCount(const graph::CsrGraph& g, uint32_t k,
     }
     u -= rung_weight[t];
   }
-  if (in_tail) rung = t_sat + 1 + rng.Geometric(1.0 - q);
+  if (in_tail) rung = util::SaturatingAdd(t_sat + 1, rng.Geometric(1.0 - q));
 
   double result = true_count;
   if (rung > 0) {

@@ -48,26 +48,6 @@ ClassWeights BuildClassWeights(std::shared_ptr<const AttributeClasses> classes,
   return out;
 }
 
-// The AliasSampler contract, checked where the table form builds no
-// AliasSampler over the weights.
-util::Status CheckWeights(const std::vector<double>& weights) {
-  if (weights.empty()) {
-    return util::Status::InvalidArgument("AliasSampler: empty weight vector");
-  }
-  double sum = 0.0;
-  for (double w : weights) {
-    if (w < 0.0 || !std::isfinite(w)) {
-      return util::Status::InvalidArgument(
-          "AliasSampler: weights must be finite and non-negative");
-    }
-    sum += w;
-  }
-  if (sum <= 0.0) {
-    return util::Status::InvalidArgument("AliasSampler: weights sum to zero");
-  }
-  return util::Status::OK();
-}
-
 }  // namespace
 
 AttributeClasses AttributeClasses::Build(const graph::AttrConfig* configs,
@@ -96,33 +76,27 @@ AttributeClasses AttributeClasses::Build(const graph::AttrConfig* configs,
 
 util::Result<PiTables> PiTables::Build(const std::vector<double>& weights,
                                        const EdgeFilter& filter) {
-  PiTables out;
-  const EdgeFilter::TableView table = filter.table_view();
-  if (!table) {
-    auto nodes = util::AliasSampler::Build(weights);
-    if (!nodes.ok()) return nodes.status();
-    out.nodes_ = std::move(nodes).value();
-    return out;
+  // The form is set by which member is engaged; Reweighted fills it.
+  PiTables form;
+  if (const EdgeFilter::TableView table = filter.table_view()) {
+    AGMDP_CHECK(table.num_nodes >= weights.size());
+    form.classes_.emplace();
+    form.classes_->classes = std::make_shared<const AttributeClasses>(
+        AttributeClasses::Build(table.node_configs, weights.size(), table.k));
   }
-  if (auto st = CheckWeights(weights); !st.ok()) return st;
-  AGMDP_CHECK(table.num_nodes >= weights.size());
-  out.classes_ = BuildClassWeights(
-      std::make_shared<const AttributeClasses>(AttributeClasses::Build(
-          table.node_configs, weights.size(), table.k)),
-      weights);
-  return out;
+  return form.Reweighted(weights);
 }
 
 util::Result<PiTables> PiTables::Reweighted(
     const std::vector<double>& weights) const {
   PiTables out;
-  if (nodes_) {
+  if (!classes_) {
     auto nodes = util::AliasSampler::Build(weights);
     if (!nodes.ok()) return nodes.status();
     out.nodes_ = std::move(nodes).value();
     return out;
   }
-  if (auto st = CheckWeights(weights); !st.ok()) return st;
+  if (auto st = util::CheckAliasWeights(weights); !st.ok()) return st;
   AGMDP_CHECK(weights.size() == classes_->classes->members.size());
   out.classes_ = BuildClassWeights(classes_->classes, weights);
   return out;

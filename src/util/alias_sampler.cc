@@ -47,7 +47,7 @@ void BuildAliasBuckets(const double* weights, size_t n,
   for (uint32_t s : small) buckets[s].prob = 1.0;
 }
 
-Result<AliasSampler> AliasSampler::Build(const std::vector<double>& weights) {
+Status CheckAliasWeights(const std::vector<double>& weights) {
   if (weights.empty()) {
     return Status::InvalidArgument("AliasSampler: empty weight vector");
   }
@@ -62,6 +62,11 @@ Result<AliasSampler> AliasSampler::Build(const std::vector<double>& weights) {
   if (sum <= 0.0) {
     return Status::InvalidArgument("AliasSampler: weights sum to zero");
   }
+  return Status::OK();
+}
+
+Result<AliasSampler> AliasSampler::Build(const std::vector<double>& weights) {
+  if (auto st = CheckAliasWeights(weights); !st.ok()) return st;
   AliasSampler sampler;
   sampler.buckets_.resize(weights.size());
   BuildAliasBuckets(weights.data(), weights.size(), sampler.buckets_.data());

@@ -23,6 +23,10 @@ struct AliasBucket {
   uint32_t alias = 0;  // otherwise redirect to this index
 };
 
+/// The weight contract of an alias table: non-empty, finite and
+/// non-negative with a positive sum; InvalidArgument otherwise.
+Status CheckAliasWeights(const std::vector<double>& weights);
+
 /// Fills buckets[0, n) with Vose's alias table over weights[0, n), which
 /// must be finite and non-negative with a positive sum (the caller checks).
 /// Alias targets index the same range.
@@ -31,8 +35,8 @@ void BuildAliasBuckets(const double* weights, size_t n, AliasBucket* buckets);
 /// \brief Samples indices i in [0, n) with probability weights[i] / sum(w).
 class AliasSampler {
  public:
-  /// Builds the alias table. Weights must be non-negative with a positive
-  /// sum; returns InvalidArgument otherwise.
+  /// Builds the alias table; InvalidArgument unless CheckAliasWeights
+  /// passes.
   static Result<AliasSampler> Build(const std::vector<double>& weights);
 
   /// Draws one index: UniformIndex(n) picks bucket i, then one

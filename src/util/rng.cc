@@ -1,6 +1,7 @@
 #include "src/util/rng.h"
 
 #include <cmath>
+#include <limits>
 
 #include "src/util/check.h"
 
@@ -55,7 +56,11 @@ uint64_t Rng::Geometric(double p) {
   if (p >= 1.0) return 0;
   double u = UniformDouble();
   if (u <= 0.0) u = 0x1.0p-53;
-  return static_cast<uint64_t>(std::floor(std::log(u) / std::log1p(-p)));
+  // Saturate: below p ~ 2e-18 the quotient can pass 2^64, where the cast
+  // is undefined. Every representable value keeps its bits.
+  const double k = std::floor(std::log(u) / std::log1p(-p));
+  return k < 0x1p64 ? static_cast<uint64_t>(k)
+                    : std::numeric_limits<uint64_t>::max();
 }
 
 Rng Rng::Fork() { return Rng(Next()); }

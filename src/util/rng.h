@@ -86,7 +86,8 @@ class Rng {
   double Exponential(double rate);
 
   /// Samples Geometric over {0,1,2,...} with success probability p in (0,1]:
-  /// P[X = k] = (1-p)^k p.
+  /// P[X = k] = (1-p)^k p, saturating at the largest uint64 (reachable for
+  /// p below about 2e-18).
   uint64_t Geometric(double p);
 
   /// Returns an independent child generator (seeded from this stream), for

@@ -13,11 +13,13 @@
 #include "src/models/erdos_renyi.h"
 #include "src/models/holme_kim.h"
 #include "src/models/post_process.h"
+#include "src/models/proposal_kernel.h"
 #include "src/models/tcl.h"
 #include "src/models/tricycle.h"
 #include "src/util/rng.h"
 #include "tests/analytics_oracle.h"
 #include "tests/golden_hash.h"
+#include "tests/proposal_oracle.h"
 #include "tests/test_support.h"
 
 namespace agmdp::models {
@@ -282,6 +284,72 @@ TEST(ChungLuTest, TargetClampedToCompleteGraph) {
     EXPECT_EQ(tri.value().achieved_triangles, 1u);
     EXPECT_EQ(tri.value().proposals, 200u * 3u);
   }
+}
+
+// -------------------------------------------------------- CandidateKernel --
+
+TEST(CandidateKernelTest, AttributeClassesGroupNodesByConfiguration) {
+  const std::vector<graph::AttrConfig> configs = {3, 0, 3, 1, 0, 3};
+  const AttributeClasses classes =
+      AttributeClasses::Build(configs.data(), configs.size(), /*k=*/4);
+  EXPECT_EQ(classes.config, (std::vector<graph::AttrConfig>{0, 1, 3}));
+  EXPECT_EQ(classes.begin, (std::vector<uint32_t>{0, 2, 3, 6}));
+  EXPECT_EQ(classes.members,
+            (std::vector<graph::NodeId>{1, 4, 3, 0, 2, 5}));
+}
+
+TEST(CandidateKernelTest, PiArmIsTheRejectionLoopDrawForDraw) {
+  // Without an acceptance table the kernel's shards are the old loop's,
+  // bit for bit: unfiltered, and with a predicate drawing from the stream.
+  const std::vector<double> weights = {5, 1, 1, 2, 9, 1, 1, 3, 1, 1};
+  const EdgeFilter predicate = [](graph::NodeId u, graph::NodeId v,
+                                  util::Rng& rng) {
+    return (u + v) % 3 != 0 || rng.Bernoulli(0.4);
+  };
+  for (const EdgeFilter& filter : {EdgeFilter(), predicate}) {
+    const PiTables pi = PiTables::Build(weights, filter).value();
+    const util::AliasSampler alias = util::AliasSampler::Build(weights).value();
+    for (uint64_t seed = 0; seed < 20; ++seed) {
+      EXPECT_EQ(DrawShard(CandidateKernel(pi, filter), 12, 60,
+                          util::Rng::Substream(7, seed)),
+                oracle::RejectionDrawShard(alias, 12, 60, filter,
+                                           util::Rng::Substream(7, seed)));
+    }
+  }
+}
+
+TEST(CandidateKernelTest, TableArmEdgeCases) {
+  std::vector<graph::AttrConfig> configs(40);
+  for (graph::NodeId i = 0; i < 40; ++i) configs[i] = i % 2;
+  const std::vector<double> weights(40, 1.0);
+  // A table that rejects every pair: the budget is spent at once.
+  const EdgeFilter none = EdgeFilter::FromAcceptanceTable(configs, {0, 0, 0}, 1);
+  const PiTables pi = PiTables::Build(weights, none).value();
+  EXPECT_TRUE(DrawShard(CandidateKernel(pi, none), 10, ~uint64_t{0},
+                        util::Rng(1))
+                  .empty());
+  // Only 0-1 pairs pass: every candidate crosses the classes, and the
+  // gaps of a tiny rate overrun even a saturated budget without an
+  // out-of-range cast.
+  const EdgeFilter cross =
+      EdgeFilter::FromAcceptanceTable(configs, {0, 1, 0}, 1);
+  for (const graph::Edge& e :
+       DrawShard(CandidateKernel(pi, cross), 30, 1000, util::Rng(2))) {
+    EXPECT_NE(configs[e.u], configs[e.v]);
+  }
+  const EdgeFilter rare =
+      EdgeFilter::FromAcceptanceTable(configs, {1e-300, 1e-300, 1e-300}, 1);
+  EXPECT_TRUE(DrawShard(CandidateKernel(pi, rare), 10, ~uint64_t{0},
+                        util::Rng(3))
+                  .empty());
+  // A class of one member has no distinct pair: 0-0 draws never stall.
+  configs.assign(40, 1);
+  configs[0] = 0;
+  const EdgeFilter lone = EdgeFilter::FromAcceptanceTable(configs, {1, 0, 0}, 1);
+  EXPECT_TRUE(DrawShard(CandidateKernel(PiTables::Build(weights, lone).value(),
+                                        lone),
+                        10, 1000, util::Rng(4))
+                  .empty());
 }
 
 // ------------------------------------------------------------ PostProcess --

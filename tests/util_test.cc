@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <string>
@@ -168,6 +169,16 @@ TEST(RngTest, GeometricMean) {
   // E[X] = (1 - p) / p = 3.
   EXPECT_NEAR(sum / trials, 3.0, 0.1);
   EXPECT_EQ(rng.Geometric(1.0), 0u);
+}
+
+TEST(RngTest, GeometricSaturatesInsteadOfOverflowingTheCast) {
+  // At p = 1e-300 every draw is past 2^64; at p = 1e-19 about one in six
+  // is (a float-cast-overflow under the sanitizer build before).
+  Rng rng(41);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(rng.Geometric(1e-300), std::numeric_limits<uint64_t>::max());
+    EXPECT_GE(rng.Geometric(1e-19), uint64_t{1} << 40);
+  }
 }
 
 TEST(RngTest, ForkProducesIndependentStream) {
