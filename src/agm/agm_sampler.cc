@@ -175,6 +175,9 @@ util::Result<const models::PiTables*> PlanTables(
     FclPlan& plan, const models::EdgeFilter& filter) {
   std::optional<models::PiTables>& tables =
       filter.table_view() ? plan.by_class : plan.by_node;
+  // Once the passes are filtered they stay filtered: the unfiltered form
+  // is not needed again.
+  if (filter.table_view()) plan.by_node.reset();
   if (!tables) {
     auto built = models::PiTables::Build(plan.weights, filter);
     if (!built.ok()) return built.status();
