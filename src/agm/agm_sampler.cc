@@ -142,8 +142,9 @@ int SamplerWorkers(int threads) {
 // SampleAgmGraph call and reused across every acceptance iteration: the pi
 // weights, the edge target, and the pi tables over those weights, one form
 // for unfiltered passes and one for table-filtered ones, each built at its
-// first pass. The attribute vector is fixed for the whole sample, so every
-// iteration's acceptance table shares the attribute classes of the first.
+// first pass (the unfiltered one is dropped at the first filtered pass).
+// The attribute vector is fixed for the whole sample, so every iteration's
+// acceptance table shares the attribute classes of the first.
 // Only the cFCL calibration pass (whose weights depend on the pilot of the
 // current iteration) still builds fresh tables.
 struct FclPlan {
@@ -175,9 +176,7 @@ util::Result<const models::PiTables*> PlanTables(
     FclPlan& plan, const models::EdgeFilter& filter) {
   std::optional<models::PiTables>& tables =
       filter.table_view() ? plan.by_class : plan.by_node;
-  // Once the passes are filtered they stay filtered: the unfiltered form
-  // is not needed again.
-  if (filter.table_view()) plan.by_node.reset();
+  if (filter.table_view()) plan.by_node.reset();  // never unfiltered again
   if (!tables) {
     auto built = models::PiTables::Build(plan.weights, filter);
     if (!built.ok()) return built.status();
