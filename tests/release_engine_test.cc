@@ -410,7 +410,8 @@ struct GoldenCase {
 // changes any calibrated vector or sampled graph fails here. The cases
 // cover both loop exits: the iteration limit (1 and 3 iterations) and the
 // tolerance exit at the second iteration (a tolerance above 1 always
-// holds, as acceptance values lie in [0, 1]).
+// holds, as acceptance values lie in [0, 1]), and every registered
+// structural model.
 TEST(ReleaseEngineGoldenTest, CalibrationAndSamplesMatchPinnedLiterals) {
   static const GoldenCase kCases[] = {
       {"tricycle", 1, 0.01, 0xe6b40968d5ddc147ULL,
@@ -437,6 +438,18 @@ TEST(ReleaseEngineGoldenTest, CalibrationAndSamplesMatchPinnedLiterals) {
        {0x7d4a7c77643cf36cULL, 0x284cbe4664825510ULL,
         0xd11b48eeb4013cbdULL, 0x2f24c02976ca69c5ULL},
        0xb2e7e0116087b1edULL},
+      {"bter", 3, 0.01, 0x154bd33c2d15dba3ULL,
+       {0xd4bd1becb0c8f826ULL, 0x50f18be71842c0d0ULL,
+        0xd6c65c5fa8986ae4ULL, 0x0417746cefdc335cULL},
+       0x313d78bcd5795823ULL},
+      {"holme_kim", 3, 0.01, 0xedb28a38c6be1ffeULL,
+       {0x4887737ed5a33972ULL, 0x9811eda939769fb9ULL,
+        0x87b2617d2503f4aaULL, 0x51c35d3a425f12e2ULL},
+       0xfbdc53784598eb78ULL},
+      {"erdos_renyi", 3, 0.01, 0x0924f06f3823cf68ULL,
+       {0xd9d5d794d0d21e97ULL, 0x8723e4e590789daeULL,
+        0x428aef2fb4e1d01bULL, 0x6583928eb145b2acULL},
+       0xc0e4958b4c31c215ULL},
   };
   auto input = datasets::GenerateDataset(datasets::DatasetId::kPetster, 0.1, 4);
   ASSERT_TRUE(input.ok()) << input.status().ToString();
