@@ -144,14 +144,12 @@ int RunAgmDpTable(datasets::DatasetId id, const util::Flags& flags) {
     pipeline::PipelineConfig config;
     config.model = tricycle ? "tricycle" : "fcl";
     config.sample.acceptance_iterations = iters;
-    config.sample.threads = threads;
     pipeline::EngineOptions engine_options;
     engine_options.threads = threads;
     // No calibration warm start: each trial runs the cold acceptance loop
     // of SampleAgmGraph on the exact parameters — only the fit is
     // amortized across trials.
     engine_options.calibrate = false;
-    engine_options.sample = config.sample;
     auto engine = pipeline::ReleaseEngine::Create(
         pipeline::MakeReleaseArtifact(exact, config), engine_options);
     AGMDP_CHECK_MSG(engine.ok(), engine.status().ToString().c_str());

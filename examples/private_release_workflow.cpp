@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   config.epsilon = flags.GetDouble("epsilon", std::log(2.0));
   config.model = flags.GetString("model", "tricycle");
   config.sample.acceptance_iterations = 3;
-  config.sample.threads = static_cast<int>(flags.GetInt("threads", 1));
+  const int threads = static_cast<int>(flags.GetInt("threads", 1));
 
   auto input = datasets::GenerateDataset(dataset, 1.0, 11);
   if (!input.ok()) {
@@ -103,8 +103,7 @@ int main(int argc, char** argv) {
 
   // ---- build the serving engine and draw the whole batch ----
   pipeline::EngineOptions engine_options;
-  engine_options.threads = config.sample.threads;
-  engine_options.sample = config.sample;
+  engine_options.threads = threads;
   auto engine = pipeline::ReleaseEngine::Create(std::move(artifact).value(),
                                                 engine_options);
   if (!engine.ok()) {

@@ -58,12 +58,11 @@ util::Result<AgmParams> LearnAgmParamsDp(
           " exceeds the node count " + std::to_string(n));
     }
   }
-  const bool tricycle = options.model == StructuralModelKind::kTriCycLe;
 
   dp::BudgetSplit split = options.split;
   if (split.total() <= 0.0) {
-    split = tricycle ? dp::BudgetSplit::EvenFourWay(options.epsilon)
-                     : dp::BudgetSplit::FclThreeWay(options.epsilon);
+    split = options.triangles ? dp::BudgetSplit::EvenFourWay(options.epsilon)
+                              : dp::BudgetSplit::FclThreeWay(options.epsilon);
   }
   if (split.total() > options.epsilon + 1e-9) {
     return util::Status::InvalidArgument(
@@ -110,7 +109,7 @@ util::Result<AgmParams> LearnAgmParamsDp(
                                 rng);
   });
 
-  if (tricycle) {
+  if (options.triangles) {
     if (auto st = accountant.Spend(split.triangles, "triangles"); !st.ok()) {
       return st;
     }

@@ -31,7 +31,10 @@ enum class ThetaFMethod {
 
 struct AgmDpOptions {
   double epsilon = 1.0;
-  StructuralModelKind model = StructuralModelKind::kTriCycLe;
+  /// Whether ΘM includes a triangle-count target (TriCycLe and the other
+  /// models that read one). Selects the default split: even four-way with
+  /// a triangle share, FCL's S-heavy three-way without.
+  bool triangles = true;
   ThetaFMethod theta_f_method = ThetaFMethod::kEdgeTruncation;
   /// Truncation parameter for ΘF; 0 selects the paper's n^(1/3) heuristic.
   uint32_t truncation_k = 0;

@@ -12,6 +12,7 @@
 #include "src/dp/laplace_mechanism.h"
 #include "src/graph/attribute_encoding.h"
 #include "src/graph/triangle_count.h"
+#include "src/models/chung_lu.h"
 #include "src/util/check.h"
 #include "src/util/math_util.h"
 #include "src/util/parallel.h"
@@ -128,18 +129,13 @@ namespace {
 
 // The fixed shard count of the parallel hot path (kSamplerProposalShards,
 // agm_sampler.h). Work is always split into this many shards — never into
-// `threads` shards — so the per-shard random sub-streams, and therefore the
-// merged output, do not depend on how many workers happen to execute them.
+// one shard per worker — so the per-shard random sub-streams, and therefore
+// the merged output, do not depend on how many workers happen to execute
+// them.
 constexpr int kProposalShards = kSamplerProposalShards;
 
-// Worker count for the sampler's persistent pool: the hardware concurrency
-// (or the explicit request), never more than the shard count.
-int SamplerWorkers(int threads) {
-  return std::min(util::ResolveThreadCount(threads), kProposalShards);
-}
-
-// The per-sample invariants of the sharded FCL path, built once per
-// SampleAgmGraph call and reused across every acceptance iteration: the pi
+// The per-sample invariants of the sharded FCL path, built when the model
+// is bound to a sample and reused across every acceptance iteration: the pi
 // weights, the edge target, and the pi tables over those weights, one form
 // for unfiltered passes and one for table-filtered ones, each built at its
 // first pass (the unfiltered one is dropped at the first filtered pass).
@@ -154,18 +150,14 @@ struct FclPlan {
   std::optional<models::PiTables> by_class;  // acceptance-table filter
 };
 
-util::Result<FclPlan> BuildFclPlan(const std::vector<uint32_t>& degrees,
-                                   const models::ChungLuOptions& options) {
-  if (degrees.empty()) {
-    return util::Status::InvalidArgument("FastChungLu: empty degree sequence");
-  }
+FclPlan BuildFclPlan(const std::vector<uint32_t>& degrees) {
   uint64_t total_degree = 0;
   for (uint32_t d : degrees) total_degree += d;
   FclPlan plan;
   // A simple graph cannot hold more edges than this; the clamp bounds every
   // quota- and reservation-derived allocation of the passes.
   plan.target = std::min(
-      options.target_edges > 0 ? options.target_edges : total_degree / 2,
+      total_degree / 2,
       graph::MaxPossibleEdges(static_cast<graph::NodeId>(degrees.size())));
   if (plan.target > 0) plan.weights.assign(degrees.begin(), degrees.end());
   return plan;
@@ -271,10 +263,29 @@ util::Result<graph::Graph> ShardedFastChungLu(
       });
 }
 
-// Θ'F counted over the pool's workers (node-range partition; exact integer
-// counts, so the result is identical at any worker count).
-std::vector<double> MeasureThetaFWithPool(const graph::AttributedGraph& g,
-                                          util::WorkerPool& pool) {
+}  // namespace
+
+StructuralModel ShardedFclModel(uint64_t max_proposals_per_edge) {
+  return [max_proposals_per_edge](const AgmParams& params,
+                                  util::WorkerPool& pool) -> StructuralDraw {
+    return [&params, &pool, max_proposals_per_edge,
+            plan = BuildFclPlan(params.degree_sequence)](
+               const models::EdgeFilter& filter,
+               util::Rng& rng) mutable -> util::Result<graph::Graph> {
+      models::ChungLuOptions options;
+      options.max_proposals_per_edge = max_proposals_per_edge;
+      options.filter = filter;
+      // One master draw keys the whole sharded pass, so the master stream
+      // advances identically at any pool size.
+      const uint64_t seed_base = rng.Next();
+      return ShardedFastChungLu(params.degree_sequence, plan, options, pool,
+                                seed_base);
+    };
+  };
+}
+
+std::vector<double> MeasureThetaF(const graph::AttributedGraph& g,
+                                  util::WorkerPool& pool) {
   const int w = g.num_attributes();
   const uint64_t n = g.num_nodes();
   const uint32_t dim = graph::NumEdgeConfigs(w);
@@ -305,52 +316,6 @@ std::vector<double> MeasureThetaFWithPool(const graph::AttributedGraph& g,
                                static_cast<double>(g.num_edges() + 1));
 }
 
-// Generates the edge set for the current acceptance vector (empty = none).
-// `fcl_plan` is the hoisted per-sample FCL state (null on the TriCycLe and
-// registry-generator paths, which do not use it).
-util::Result<graph::Graph> GenerateStructure(
-    const AgmParams& params, const AgmSampleOptions& options,
-    const std::vector<graph::AttrConfig>& attrs,
-    const std::vector<double>& acceptance, FclPlan* fcl_plan,
-    util::WorkerPool& pool, util::Rng& rng) {
-  models::EdgeFilter filter;
-  if (!acceptance.empty()) {
-    // Dense acceptance table: attribute lookups and the triangular
-    // edge-config encoding are precomputed once per iteration. The FCL
-    // passes stratify their proposals by it (models::CandidateKernel);
-    // TriCycLe's rewiring pays two array loads per decision.
-    filter = models::EdgeFilter::FromAcceptanceTable(attrs, acceptance,
-                                                     params.w);
-  }
-
-  if (options.generator) return options.generator(params, filter, rng);
-
-  if (options.model == StructuralModelKind::kFcl) {
-    AGMDP_CHECK(fcl_plan != nullptr);
-    models::ChungLuOptions fcl = options.fcl;
-    fcl.filter = filter;
-    // One master draw keys the whole sharded pass, so the master stream
-    // advances identically at any thread count.
-    const uint64_t seed_base = rng.Next();
-    return ShardedFastChungLu(params.degree_sequence, *fcl_plan, fcl, pool,
-                              seed_base);
-  }
-  // TriCycLe's oldest-edge rewiring chain is inherently sequential (every
-  // swap depends on the full edge-age state); it stays on the master stream.
-  models::TriCycLeOptions tri = options.tricycle;
-  tri.filter = filter;
-  return models::GenerateTriCycLeGraph(params.degree_sequence,
-                                       params.target_triangles, rng, tri);
-}
-
-}  // namespace
-
-std::vector<double> MeasureThetaF(const graph::AttributedGraph& g,
-                                  int threads) {
-  util::WorkerPool pool(SamplerWorkers(threads));
-  return MeasureThetaFWithPool(g, pool);
-}
-
 namespace {
 
 // Algorithm 3 lines 6-18, shared by SampleAgmGraph and CalibrateAcceptance:
@@ -360,7 +325,8 @@ namespace {
 // once it has computed the vector, before its structural generation; the
 // stream up to that point, and so the vector, is the same either way.
 util::Result<std::vector<double>> RunAcceptanceLoop(
-    const AgmParams& params, const AgmSampleOptions& options, util::Rng& rng,
+    const AgmParams& params, const StructuralModel& model,
+    const AgmSampleOptions& options, util::WorkerPool& pool, util::Rng& rng,
     graph::AttributedGraph* graph_out) {
   if (params.degree_sequence.empty()) {
     return util::Status::InvalidArgument("SampleAgmGraph: empty degree sequence");
@@ -379,45 +345,39 @@ util::Result<std::vector<double>> RunAcceptanceLoop(
   std::vector<double> a_old =
       warm != nullptr ? *warm : std::vector<double>{};
 
-  // The pool and the FCL invariants (pi weights + alias table) live for the
-  // whole sample: one thread spawn and one alias build per sample, not one
-  // per acceptance iteration. A caller-provided pool (the serving layer's
-  // persistent one) removes even the per-sample spawn.
-  std::optional<util::WorkerPool> owned_pool;
-  util::WorkerPool* pool_ptr = options.pool;
-  if (pool_ptr == nullptr) {
-    owned_pool.emplace(SamplerWorkers(options.threads));
-    pool_ptr = &*owned_pool;
-  }
-  util::WorkerPool& pool = *pool_ptr;
-  std::optional<FclPlan> plan_storage;
-  FclPlan* fcl_plan = nullptr;
-  if (!options.generator && options.model == StructuralModelKind::kFcl) {
-    auto plan = BuildFclPlan(params.degree_sequence, options.fcl);
-    if (!plan.ok()) return plan.status();
-    plan_storage = std::move(plan).value();
-    fcl_plan = &*plan_storage;
-  }
+  // The model's per-sample state (FCL's pi tables) lives in the draw, so it
+  // is built once per sample, not once per acceptance iteration.
+  const StructuralDraw draw = model(params, pool);
 
   // Line 6: fresh attribute vectors X̃ ~ ΘX.
   auto attrs = SampleAttributes(params.theta_x, n, rng);
   if (!attrs.ok()) return attrs.status();
 
-  // Line 7: temporary edge set. The cold start generates it unfiltered;
-  // a warm start (serving layer) filters it by the calibrated acceptance
-  // vector straight away.
-  auto structure = GenerateStructure(params, options, attrs.value(), a_old,
-                                     fcl_plan, pool, rng);
-  if (!structure.ok()) return structure.status();
-
-  graph::AttributedGraph synthetic(std::move(structure).value(), params.w);
-  AGMDP_CHECK_OK(synthetic.SetAttributes(attrs.value()));
+  // Lines 7 and 17: the edge set for the current acceptance vector. The
+  // cold start generates it unfiltered; a warm start (serving layer)
+  // filters it by the calibrated acceptance vector straight away. The
+  // dense acceptance table precomputes attribute lookups and the
+  // triangular edge-config encoding once per iteration.
+  const auto generate = [&]() -> util::Result<graph::AttributedGraph> {
+    models::EdgeFilter filter;
+    if (!a_old.empty()) {
+      filter = models::EdgeFilter::FromAcceptanceTable(attrs.value(), a_old,
+                                                       params.w);
+    }
+    auto structure = draw(filter, rng);
+    if (!structure.ok()) return structure.status();
+    graph::AttributedGraph g(std::move(structure).value(), params.w);
+    AGMDP_CHECK_OK(g.SetAttributes(attrs.value()));
+    return g;
+  };
+  auto first = generate();
+  if (!first.ok()) return first.status();
+  graph::AttributedGraph synthetic = std::move(first).value();
 
   // Lines 9-18: iterate acceptance probabilities to convergence (starting
   // from the warm-start vector when one was supplied).
   for (int iter = 0; iter < options.acceptance_iterations; ++iter) {
-    const std::vector<double> observed =
-        MeasureThetaFWithPool(synthetic, pool);
+    const std::vector<double> observed = MeasureThetaF(synthetic, pool);
     std::vector<double> acceptance = ComputeAcceptanceProbabilities(
         params.theta_f, observed, a_old, options.min_acceptance);
 
@@ -434,11 +394,9 @@ util::Result<std::vector<double>> RunAcceptanceLoop(
       break;
     }
 
-    auto refreshed = GenerateStructure(params, options, attrs.value(), a_old,
-                                       fcl_plan, pool, rng);
+    auto refreshed = generate();
     if (!refreshed.ok()) return refreshed.status();
-    synthetic = graph::AttributedGraph(std::move(refreshed).value(), params.w);
-    AGMDP_CHECK_OK(synthetic.SetAttributes(attrs.value()));
+    synthetic = std::move(refreshed).value();
     if (converged) break;
   }
   if (graph_out != nullptr) *graph_out = std::move(synthetic);
@@ -448,18 +406,20 @@ util::Result<std::vector<double>> RunAcceptanceLoop(
 }  // namespace
 
 util::Result<graph::AttributedGraph> SampleAgmGraph(
-    const AgmParams& params, const AgmSampleOptions& options,
-    util::Rng& rng) {
+    const AgmParams& params, const StructuralModel& model,
+    const AgmSampleOptions& options, util::WorkerPool& pool, util::Rng& rng) {
   graph::AttributedGraph synthetic;
-  auto acceptance = RunAcceptanceLoop(params, options, rng, &synthetic);
+  auto acceptance =
+      RunAcceptanceLoop(params, model, options, pool, rng, &synthetic);
   if (!acceptance.ok()) return acceptance.status();
   return synthetic;
 }
 
 util::Result<std::vector<double>> CalibrateAcceptance(
-    const AgmParams& params, const AgmSampleOptions& options,
-    util::Rng& rng) {
-  return RunAcceptanceLoop(params, options, rng, /*graph_out=*/nullptr);
+    const AgmParams& params, const StructuralModel& model,
+    const AgmSampleOptions& options, util::WorkerPool& pool, util::Rng& rng) {
+  return RunAcceptanceLoop(params, model, options, pool, rng,
+                           /*graph_out=*/nullptr);
 }
 
 }  // namespace agmdp::agm

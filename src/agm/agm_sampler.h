@@ -8,7 +8,9 @@
 //     A(y) = R(y) / sup R,   R(y) = ΘF(y) / Θ'F(y)  (optionally × A_old),
 // which are then pushed *into* the structural model's own sampling loop as
 // an edge filter (the paper's modification that makes rewiring models like
-// TriCycLe compatible with AGM). The loop iterates until A converges.
+// TriCycLe compatible with AGM). The loop iterates until A converges. It
+// sees every model M the same way, as a StructuralModel that binds the
+// parameters to a per-sample draw taking the filter.
 #pragma once
 
 #include <cstdint>
@@ -17,9 +19,7 @@
 
 #include "src/graph/attributed_graph.h"
 #include "src/graph/csr.h"
-#include "src/models/chung_lu.h"
 #include "src/models/edge_filter.h"
-#include "src/models/tricycle.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
 
@@ -29,11 +29,8 @@ class WorkerPool;
 
 namespace agmdp::agm {
 
-/// Which structural model M the AGM pipeline plugs in.
-enum class StructuralModelKind { kFcl, kTriCycLe };
-
 /// The fixed shard count of the sampler's parallel hot path (work is always
-/// split into this many shards, never into `threads` shards — the
+/// split into this many shards, never into one shard per worker — the
 /// determinism contract). Exported so pool-owning callers
 /// (pipeline::ReleaseEngine) can cap their worker counts at the number of
 /// shards that can ever run at once.
@@ -69,27 +66,32 @@ util::Status ValidateAgmParams(const AgmParams& params);
 /// baselines of Tables 2-5.
 AgmParams LearnAgmParams(const graph::AttributedCsrGraph& g);
 
-/// Pluggable structural-model hook: given the (private) AGM parameters and
-/// the attribute-acceptance filter, generate an edge set. Used by the
-/// pipeline's model registry to plug models beyond the two builtins into
-/// the AGM loop without this layer knowing about them.
-using StructuralGenerator = std::function<util::Result<graph::Graph>(
-    const AgmParams& params, const models::EdgeFilter& filter,
-    util::Rng& rng)>;
+/// One structural-model draw inside a sample: generates an edge set through
+/// the current acceptance filter (empty on a cold start, unfiltered). The
+/// model's per-sample state, reused across the sample's acceptance
+/// iterations, lives inside the draw.
+using StructuralDraw = std::function<util::Result<graph::Graph>(
+    const models::EdgeFilter& filter, util::Rng& rng)>;
 
+/// A structural model M (Section 4): binds the AGM parameters, which must
+/// outlive the draw, and the sampler's worker pool to a per-sample draw.
+/// Every model plugs into the acceptance loop through this one contract;
+/// the pipeline's model registry lists them by name.
+using StructuralModel = std::function<StructuralDraw(
+    const AgmParams& params, util::WorkerPool& pool)>;
+
+/// The paper's FCL as a structural model: the sharded parallel cFCL
+/// sampler. Each draw takes one master draw as the base of its per-shard
+/// sub-streams (util::Rng::Substream), splits the proposals into
+/// kSamplerProposalShards shards run on the pool and merges them in shard
+/// order, so its output is bitwise-identical at any pool size. The pi
+/// tables are built once per sample and reused across its acceptance
+/// iterations. A shard gives up after `max_proposals_per_edge` proposals
+/// per edge of its quota.
+StructuralModel ShardedFclModel(uint64_t max_proposals_per_edge = 200);
+
+/// The acceptance-loop settings.
 struct AgmSampleOptions {
-  StructuralModelKind model = StructuralModelKind::kTriCycLe;
-  /// Overrides `model` when set (registry-provided structural models).
-  StructuralGenerator generator;
-  /// Worker threads for the sampler hot path (sharded FCL edge proposals
-  /// and Θ'F measurement). 0 = hardware concurrency. SampleAgmGraph spawns
-  /// one persistent util::WorkerPool per call and reuses it across every
-  /// acceptance iteration. The output graph is bitwise-identical for a
-  /// given seed at any thread count: the work is split into a fixed number
-  /// of shards with deterministic per-shard sub-streams
-  /// (util::Rng::Substream), and shard results are merged in shard order —
-  /// threads only change the schedule, never the stream.
-  int threads = 1;
   /// Acceptance-probability refinement iterations ("A tended to converge
   /// after just a few iterations", Section 4).
   int acceptance_iterations = 3;
@@ -99,13 +101,6 @@ struct AgmSampleOptions {
   /// target mass (prevents live-locking the proposal loops; deviation
   /// documented in DESIGN.md).
   double min_acceptance = 1e-3;
-  /// Borrowed worker pool for the sampler hot path. When null (the
-  /// default) SampleAgmGraph spawns its own pool per call; the serving
-  /// layer (pipeline::ReleaseEngine) passes its persistent pool instead so
-  /// repeated sampling pays zero thread-spawn cost. The pool never affects
-  /// output (see the determinism notes on `threads`), and `threads` is
-  /// ignored when a pool is supplied.
-  util::WorkerPool* pool = nullptr;
   /// Warm-start acceptance vector A (size NumEdgeConfigs(w)). When set, the
   /// first structural generation is already filtered by it and the
   /// refinement loop starts from it as A_old — the serving layer passes the
@@ -113,13 +108,14 @@ struct AgmSampleOptions {
   /// the cold iterations. Null reproduces the paper's cold start
   /// (unfiltered first generation).
   const std::vector<double>* initial_acceptance = nullptr;
-  models::TriCycLeOptions tricycle;
-  models::ChungLuOptions fcl;
 };
 
-/// Runs the sampling loop and returns the synthetic attributed graph.
+/// Runs the sampling loop with structural model `model` and returns the
+/// synthetic attributed graph. The model's draws and the Θ'F measurements
+/// run on `pool`, which never changes the output.
 util::Result<graph::AttributedGraph> SampleAgmGraph(
-    const AgmParams& params, const AgmSampleOptions& options, util::Rng& rng);
+    const AgmParams& params, const StructuralModel& model,
+    const AgmSampleOptions& options, util::WorkerPool& pool, util::Rng& rng);
 
 /// Runs the same loop for its final acceptance vector alone — what a warm
 /// start should pass as `initial_acceptance` (the serving layer's
@@ -129,7 +125,8 @@ util::Result<graph::AttributedGraph> SampleAgmGraph(
 /// returns. With zero iterations this is the warm-start vector passed
 /// straight through (empty on a cold start).
 util::Result<std::vector<double>> CalibrateAcceptance(
-    const AgmParams& params, const AgmSampleOptions& options, util::Rng& rng);
+    const AgmParams& params, const StructuralModel& model,
+    const AgmSampleOptions& options, util::WorkerPool& pool, util::Rng& rng);
 
 /// Builds the acceptance vector A from target ΘF, observed Θ'F and the
 /// previous A (pass empty for none). Exposed for unit testing.
@@ -138,11 +135,11 @@ std::vector<double> ComputeAcceptanceProbabilities(
     const std::vector<double>& theta_f_observed,
     const std::vector<double>& a_old, double min_acceptance);
 
-/// Θ'F of a generated graph, measured over `threads` workers (node-range
+/// Θ'F of a generated graph, measured over the pool's workers (node-range
 /// partition; exact integer counts, so the result is identical at any
-/// thread count). Equals ComputeThetaF on the graph's snapshot; the
-/// sampler's acceptance loop runs the same measurement on its own pool.
+/// pool size). Equals ComputeThetaF on the graph's snapshot; the
+/// acceptance loop runs it once per iteration.
 std::vector<double> MeasureThetaF(const graph::AttributedGraph& g,
-                                  int threads);
+                                  util::WorkerPool& pool);
 
 }  // namespace agmdp::agm

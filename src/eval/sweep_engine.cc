@@ -83,7 +83,6 @@ void RunCellReuseFit(const SweepInput& input,
   // only the fitting protocol, not the sampling one — cells stay
   // comparable against the default refit grid.
   engine_options.calibrate = false;
-  engine_options.sample = config.sample;
   auto engine = pipeline::ReleaseEngine::Create(std::move(artifact).value(),
                                                 engine_options);
   if (!engine.ok()) {
@@ -131,7 +130,7 @@ void RunCell(const SweepInput& input, const ReferenceProfile& reference,
   // default there so Validate's registry check passes.
   if (cell->mechanism == "agm") config.model = cell->model;
   config.split = spec.split;
-  config.sample.threads = spec.sampler_threads;
+  config.threads = spec.sampler_threads;
   config.sample.acceptance_iterations = spec.acceptance_iterations;
 
   if (spec.reuse_fit) {

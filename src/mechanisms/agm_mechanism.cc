@@ -4,6 +4,7 @@
 
 #include "src/pipeline/model_registry.h"
 #include "src/pipeline/release_pipeline.h"
+#include "src/util/parallel.h"
 
 namespace agmdp::mechanisms {
 
@@ -18,15 +19,16 @@ constexpr uint64_t kCalibrationSeed = 0xa6dca11b7a7e5eedULL;
 }  // namespace
 
 AgmSampler::AgmSampler(const agm::AgmParams& params,
-                       agm::AgmSampleOptions base,
+                       agm::StructuralModel model, agm::AgmSampleOptions base,
                        int default_refine_iterations)
     : params_(params),
-      base_options_(std::move(base)),
+      model_(std::move(model)),
+      base_options_(base),
       default_refine_iterations_(default_refine_iterations) {}
 
 util::Result<std::unique_ptr<const ArtifactSampler>> AgmSampler::Build(
     const pipeline::ReleaseArtifact& artifact,
-    const pipeline::EngineOptions& options, util::WorkerPool* pool) {
+    const pipeline::EngineOptions& options, util::WorkerPool& pool) {
   const pipeline::StructuralModelSpec* spec =
       pipeline::FindStructuralModel(artifact.model);
   if (spec == nullptr) {
@@ -36,30 +38,18 @@ util::Result<std::unique_ptr<const ArtifactSampler>> AgmSampler::Build(
         pipeline::StructuralModelNameList() + ")");
   }
 
-  // Resolve the sampler options once: caller knobs, then the artifact's
-  // baked acceptance settings, then the registry's model binding.
-  agm::AgmSampleOptions base = options.sample;
+  agm::AgmSampleOptions base;
   base.acceptance_iterations = artifact.acceptance_iterations;
   base.acceptance_tolerance = artifact.acceptance_tolerance;
   base.min_acceptance = artifact.min_acceptance;
-  base.pool = nullptr;
-  base.initial_acceptance = nullptr;
-  if (spec->builtin) {
-    base.model = spec->kind;
-    base.generator = nullptr;
-  } else {
-    base.generator = spec->generator;
-  }
   std::unique_ptr<AgmSampler> sampler(new AgmSampler(
-      artifact.params, std::move(base), options.default_refine_iterations));
+      artifact.params, spec->model, base, options.default_refine_iterations));
 
-  if (options.calibrate && sampler->base_options_.acceptance_iterations > 0) {
-    agm::AgmSampleOptions calibration = sampler->base_options_;
-    calibration.pool = pool;
+  if (options.calibrate && base.acceptance_iterations > 0) {
     util::Rng rng =
         util::Rng::Substream(kCalibrationSeed, artifact.config_fingerprint);
-    auto acceptance = agm::CalibrateAcceptance(artifact.params, calibration,
-                                               rng);
+    auto acceptance = agm::CalibrateAcceptance(artifact.params, spec->model,
+                                               base, pool, rng);
     if (!acceptance.ok()) return acceptance.status();
     sampler->calibrated_acceptance_ = std::move(acceptance).value();
   }
@@ -76,11 +66,10 @@ util::Result<graph::AttributedGraph> AgmSampler::Sample(
                                          : default_refine_iterations_;
   }
   if (pool != nullptr) {
-    resolved.pool = pool;
-  } else {
-    resolved.threads = 1;
+    return agm::SampleAgmGraph(params_, model_, resolved, *pool, rng);
   }
-  return agm::SampleAgmGraph(params_, resolved, rng);
+  util::WorkerPool inline_pool(1);
+  return agm::SampleAgmGraph(params_, model_, resolved, inline_pool, rng);
 }
 
 uint64_t AgmSampler::ApproxBytes() const {

@@ -5,7 +5,8 @@
 // (pipeline::FitPrivateParams), packaged with the config fingerprint.
 //
 // Sampling: the artifact's structural model, resolved through the
-// structural-model registry, behind the acceptance loop of Algorithm 1.
+// structural-model registry, behind the acceptance loop of Algorithm 1 at
+// the artifact's acceptance settings. Every model is served the same way.
 // The sampler amortizes what does not depend on the individual sample:
 // when EngineOptions::calibrate is set it runs the acceptance loop once at
 // construction (agm::CalibrateAcceptance, on the engine pool, from a
@@ -27,14 +28,14 @@ namespace agmdp::mechanisms {
 /// artifact's parameters, which must outlive it.
 class AgmSampler final : public ArtifactSampler {
  public:
-  /// Resolves the artifact's structural model, bakes the artifact's
-  /// acceptance defaults into `options.sample`, and calibrates on `pool`
+  /// Resolves the artifact's structural model and calibrates on `pool`
   /// when `options.calibrate` is set and the artifact's loop is not empty.
   static util::Result<std::unique_ptr<const ArtifactSampler>> Build(
       const pipeline::ReleaseArtifact& artifact,
-      const pipeline::EngineOptions& options, util::WorkerPool* pool);
+      const pipeline::EngineOptions& options, util::WorkerPool& pool);
 
-  /// Runs on `pool` when one is handed in, inline (threads = 1) otherwise.
+  /// Runs on `pool` when one is handed in, inline on a one-worker pool
+  /// (which starts no thread) otherwise.
   util::Result<graph::AttributedGraph> Sample(
       util::Rng& rng, int refine_iterations,
       util::WorkerPool* pool) const override;
@@ -48,12 +49,13 @@ class AgmSampler final : public ArtifactSampler {
   }
 
  private:
-  AgmSampler(const agm::AgmParams& params, agm::AgmSampleOptions base,
-             int default_refine_iterations);
+  AgmSampler(const agm::AgmParams& params, agm::StructuralModel model,
+             agm::AgmSampleOptions base, int default_refine_iterations);
 
   const agm::AgmParams& params_;
-  /// Registry-resolved sampler options (model kind / generator bound,
-  /// artifact acceptance defaults applied).
+  /// The registry's binding of the artifact's model.
+  agm::StructuralModel model_;
+  /// The artifact's acceptance settings.
   agm::AgmSampleOptions base_options_;
   /// Acceptance refinements per calibrated request that does not set its
   /// own count.

@@ -287,7 +287,7 @@ MechanismSpec CommunityDpMechanism() {
   spec.fit = FitCommunityDp;
   spec.validate = ValidateCommunityPayload;
   spec.make_sampler = [](const pipeline::ReleaseArtifact& artifact,
-                         const pipeline::EngineOptions&, util::WorkerPool*) {
+                         const pipeline::EngineOptions&, util::WorkerPool&) {
     return CommunitySampler::Build(artifact);
   };
   return spec;

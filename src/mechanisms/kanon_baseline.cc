@@ -207,7 +207,7 @@ MechanismSpec KanonBaselineMechanism() {
   spec.fit = FitKanonBaseline;
   spec.validate = ValidateKanonPayload;
   spec.make_sampler = [](const pipeline::ReleaseArtifact& artifact,
-                         const pipeline::EngineOptions&, util::WorkerPool*) {
+                         const pipeline::EngineOptions&, util::WorkerPool&) {
     return KanonSampler::Build(artifact);
   };
   return spec;

@@ -105,7 +105,7 @@ struct MechanismSpec {
   /// both). `pool` is the engine's pool, free during the call.
   std::function<util::Result<std::unique_ptr<const ArtifactSampler>>(
       const pipeline::ReleaseArtifact& artifact,
-      const pipeline::EngineOptions& options, util::WorkerPool* pool)>
+      const pipeline::EngineOptions& options, util::WorkerPool& pool)>
       make_sampler;
 };
 

@@ -9,6 +9,9 @@ namespace agmdp::models {
 
 namespace {
 
+// Outer rounds before the remaining orphans are attached without deletions.
+constexpr uint32_t kMaxRounds = 50;
+
 // Deletes an approximately uniform random edge: a degree-weighted endpoint
 // via uniform node draws, then a uniform incident edge. (Exact uniformity
 // over edges would need an edge index; the paper only asks for "a random
@@ -41,7 +44,6 @@ uint32_t MainComponentLabel(const std::vector<uint32_t>& label,
 
 void PostProcessGraph(graph::Graph* g, const std::vector<uint32_t>& desired,
                       const util::AliasSampler& pi, util::Rng& rng,
-                      const PostProcessOptions& options,
                       std::vector<graph::Edge>* added) {
   AGMDP_CHECK(g != nullptr);
   AGMDP_CHECK(desired.size() == g->num_nodes());
@@ -52,7 +54,7 @@ void PostProcessGraph(graph::Graph* g, const std::vector<uint32_t>& desired,
   for (uint32_t d : desired) desired_total += d;
   const uint64_t target_edges = desired_total / 2;
 
-  for (uint32_t round = 0; round < options.max_rounds; ++round) {
+  for (uint32_t round = 0; round < kMaxRounds; ++round) {
     uint32_t num_components = 0;
     std::vector<uint32_t> label = graph::ConnectedComponents(*g,
                                                              &num_components);

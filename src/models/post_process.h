@@ -17,22 +17,17 @@
 
 namespace agmdp::models {
 
-struct PostProcessOptions {
-  /// Outer rounds before giving up on the "delete a random edge" dance and
-  /// attaching remaining orphans without deletions (guaranteeing
-  /// connectivity at the cost of a few extra edges; documented deviation).
-  uint32_t max_rounds = 50;
-};
-
 /// Rewires orphaned nodes into the main connected component. `desired` is
 /// the degree sequence of the original input graph (per synthetic node id);
 /// `pi` samples attachment targets with probability proportional to desired
 /// degree. Mutates `g` in place. If `added` is non-null it receives the
 /// edges inserted by post-processing (in insertion order), so callers that
-/// track edge age can register them.
+/// track edge age can register them. After 50 outer rounds it gives up on
+/// the "delete a random edge" dance and attaches the remaining orphans
+/// without deletions (guaranteeing connectivity at the cost of a few extra
+/// edges; documented deviation).
 void PostProcessGraph(graph::Graph* g, const std::vector<uint32_t>& desired,
                       const util::AliasSampler& pi, util::Rng& rng,
-                      const PostProcessOptions& options = {},
                       std::vector<graph::Edge>* added = nullptr);
 
 }  // namespace agmdp::models

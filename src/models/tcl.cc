@@ -8,6 +8,15 @@
 
 namespace agmdp::models {
 
+namespace {
+
+constexpr uint64_t kMaxProposalsPerEdge = 200;
+constexpr int kEmIterations = 20;
+constexpr size_t kEmSampleEdges = 5000;
+constexpr double kInitialRho = 0.5;
+
+}  // namespace
+
 util::Result<graph::Graph> GenerateTcl(const std::vector<uint32_t>& degrees,
                                        double rho, util::Rng& rng,
                                        const TclOptions& options) {
@@ -17,16 +26,19 @@ util::Result<graph::Graph> GenerateTcl(const std::vector<uint32_t>& degrees,
   if (rho < 0.0 || rho > 1.0) {
     return util::Status::InvalidArgument("TCL: rho must be in [0, 1]");
   }
+  const auto n = static_cast<graph::NodeId>(degrees.size());
   uint64_t total_degree = 0;
   for (uint32_t d : degrees) total_degree += d;
-  const uint64_t m_target = total_degree / 2;
-  if (m_target == 0) return graph::Graph(static_cast<graph::NodeId>(degrees.size()));
+  // A simple graph holds at most C(n, 2) edges; the clamp also bounds the
+  // proposal budget, which a complete graph spends on duplicates alone.
+  const uint64_t m_target =
+      std::min(total_degree / 2, graph::MaxPossibleEdges(n));
+  if (m_target == 0) return graph::Graph(n);
 
   auto pi = BuildPiSampler(degrees, /*exclude_degree_one=*/false);
   if (!pi.ok()) return pi.status();
 
   ChungLuOptions seed_options;
-  seed_options.bias_correction = options.seed_bias_correction;
   seed_options.filter = options.filter;
   std::vector<graph::Edge> insertion_order;
   seed_options.insertion_order = &insertion_order;
@@ -41,7 +53,7 @@ util::Result<graph::Graph> GenerateTcl(const std::vector<uint32_t>& degrees,
   uint64_t seed_edges_left = insertion_order.size();
 
   const uint64_t max_proposals =
-      util::SaturatingMul(options.max_proposals_factor, m_target);
+      util::SaturatingMul(kMaxProposalsPerEdge, m_target);
   uint64_t proposals = 0;
   while (seed_edges_left > 0 && proposals < max_proposals) {
     ++proposals;
@@ -69,15 +81,11 @@ util::Result<graph::Graph> GenerateTcl(const std::vector<uint32_t>& degrees,
     --seed_edges_left;
   }
 
-  if (options.post_process) {
-    PostProcessGraph(&g, degrees, pi.value(), rng,
-                     options.post_process_options, nullptr);
-  }
+  PostProcessGraph(&g, degrees, pi.value(), rng);
   return g;
 }
 
-double FitTclRho(const graph::Graph& g, util::Rng& rng,
-                 const TclFitOptions& options) {
+double FitTclRho(const graph::Graph& g, util::Rng& rng) {
   const uint64_t m = g.num_edges();
   if (m == 0) return 0.0;
 
@@ -85,14 +93,14 @@ double FitTclRho(const graph::Graph& g, util::Rng& rng,
   // shuffle of the canonical edge list when the sample is large, reservoir
   // otherwise is unnecessary at these sizes).
   std::vector<graph::Edge> edges = g.CanonicalEdges();
-  if (edges.size() > options.sample_edges) {
+  if (edges.size() > kEmSampleEdges) {
     rng.Shuffle(&edges);
-    edges.resize(options.sample_edges);
+    edges.resize(kEmSampleEdges);
   }
 
   const double two_m = 2.0 * static_cast<double>(m);
-  double rho = std::clamp(options.initial_rho, 1e-6, 1.0 - 1e-6);
-  for (int iter = 0; iter < options.em_iterations; ++iter) {
+  double rho = kInitialRho;
+  for (int iter = 0; iter < kEmIterations; ++iter) {
     double responsibility_sum = 0.0;
     size_t counted = 0;
     for (const graph::Edge& e : edges) {

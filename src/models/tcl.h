@@ -22,36 +22,25 @@
 namespace agmdp::models {
 
 struct TclOptions {
-  /// Run Algorithm 2 orphan rewiring on the final graph.
-  bool post_process = true;
-  /// cFCL bias correction for the seed graph.
-  bool seed_bias_correction = true;
-  /// Proposal budget as a multiple of m (the replacement loop is not
-  /// guaranteed to terminate when an acceptance filter is active).
-  uint64_t max_proposals_factor = 200;
   /// Optional AGM acceptance filter.
   EdgeFilter filter;
-  PostProcessOptions post_process_options;
 };
 
 /// Generates a TCL graph with expected degrees `degrees` and transitive
-/// closure probability `rho` in [0, 1].
+/// closure probability `rho` in [0, 1]: a bias-corrected cFCL seed, the
+/// replacement loop, then Algorithm 2 orphan rewiring on the final graph.
+/// The loop gives up after 200 * m proposals, m = min(sum(d) / 2, C(n, 2))
+/// (it is not guaranteed to terminate when an acceptance filter is active
+/// or the graph is complete).
 util::Result<graph::Graph> GenerateTcl(const std::vector<uint32_t>& degrees,
                                        double rho, util::Rng& rng,
                                        const TclOptions& options = {});
 
-struct TclFitOptions {
-  int em_iterations = 20;
-  /// Edges sampled per EM pass (all edges if the graph is smaller).
-  size_t sample_edges = 5000;
-  double initial_rho = 0.5;
-};
-
-/// EM estimate of rho on an input graph. For a sampled edge {i, j} the
-/// transitive likelihood P_TC(j | i) = (1/d_i) sum_{k in Γ(i) ∩ Γ(j)} 1/d_k
-/// is computed exactly; the CL likelihood is pi(j) = d_j / 2m. Returns rho
-/// in [0, 1].
-double FitTclRho(const graph::Graph& g, util::Rng& rng,
-                 const TclFitOptions& options = {});
+/// EM estimate of rho on an input graph: 20 passes from rho = 0.5 over a
+/// sample of 5000 edges (all edges if the graph is smaller). For a sampled
+/// edge {i, j} the transitive likelihood
+/// P_TC(j | i) = (1/d_i) sum_{k in Γ(i) ∩ Γ(j)} 1/d_k is computed exactly;
+/// the CL likelihood is pi(j) = d_j / 2m. Returns rho in [0, 1].
+double FitTclRho(const graph::Graph& g, util::Rng& rng);
 
 }  // namespace agmdp::models

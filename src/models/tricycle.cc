@@ -79,7 +79,7 @@ util::Result<TriCycLeResult> Rewire(const std::vector<uint32_t>& degrees,
 
   // pi with degree-one nodes excluded (falling back to inclusion when the
   // sequence has no higher-degree mass at all).
-  bool exclude = options.exclude_degree_one;
+  bool exclude = true;
   auto pi = BuildPiSampler(degrees, exclude);
   if (!pi.ok() && exclude) {
     exclude = false;
@@ -96,7 +96,6 @@ util::Result<TriCycLeResult> Rewire(const std::vector<uint32_t>& degrees,
     }
   }
   ChungLuOptions seed_options;
-  seed_options.bias_correction = options.seed_bias_correction;
   seed_options.target_edges =
       exclude ? (m_target > degree_one ? m_target - degree_one : 1) : m_target;
   seed_options.filter = options.filter;
@@ -110,8 +109,7 @@ util::Result<TriCycLeResult> Rewire(const std::vector<uint32_t>& degrees,
   // afterwards from the whole history, holding each live edge once.
   std::vector<graph::Edge> added;
   if (options.post_process) {
-    PostProcessGraph(&g, degrees, pi.value(), rng,
-                     options.post_process_options, &added);
+    PostProcessGraph(&g, degrees, pi.value(), rng, &added);
   }
   EdgeAgeQueue age = EdgeAgeQueue::FromHistory(g, insertion_order, added);
   std::vector<graph::Edge>().swap(insertion_order);  // the queue holds it now
@@ -162,8 +160,7 @@ util::Result<TriCycLeResult> Rewire(const std::vector<uint32_t>& degrees,
   }
 
   if (options.post_process) {
-    PostProcessGraph(&g, degrees, pi.value(), rng,
-                     options.post_process_options, nullptr);
+    PostProcessGraph(&g, degrees, pi.value(), rng);
   }
 
   result.proposals = proposals;

@@ -9,10 +9,11 @@
 // (the paper's anti-livelock detail). The process ends when the target
 // triangle count n∆ is reached.
 //
-// Extensions from Section 3.3 are implemented and on by default: degree-one
-// nodes are excluded from pi and from the seed graph (they cannot join
-// triangles) and orphaned nodes are rewired by PostProcessGraph, applied to
-// the seed and to the final graph.
+// Extensions from Section 3.3 are always on: degree-one nodes are excluded
+// from pi and from the seed graph (they cannot join triangles; the cFCL
+// seed is bias-corrected), and orphaned nodes are rewired by
+// PostProcessGraph, applied to the seed and to the final graph unless
+// `post_process` is cleared.
 #pragma once
 
 #include <cstdint>
@@ -28,20 +29,14 @@
 namespace agmdp::models {
 
 struct TriCycLeOptions {
-  /// Exclude degree-one nodes from pi / the seed and wire them up in
-  /// post-processing (the paper's orphan extension).
-  bool exclude_degree_one = true;
   /// Run Algorithm 2 on the seed and final graphs.
   bool post_process = true;
-  /// cFCL bias correction for the seed graph.
-  bool seed_bias_correction = true;
   /// Rewiring proposal budget; 0 means 200 * m. Guards the paper's
   /// potentially unbounded loop (documented deviation).
   uint64_t max_proposals = 0;
   /// Optional AGM acceptance filter, applied to proposed transitive edges
   /// and to the seed graph (Section 4).
   EdgeFilter filter;
-  PostProcessOptions post_process_options;
 };
 
 struct TriCycLeResult {

@@ -9,6 +9,7 @@
 #include "src/models/erdos_renyi.h"
 #include "src/models/holme_kim.h"
 #include "src/models/proposal_kernel.h"
+#include "src/models/tricycle.h"
 
 namespace agmdp::pipeline {
 
@@ -105,48 +106,48 @@ util::Result<graph::Graph> GenerateBterFromParams(
   return ApplyFilterWithTopUp(std::move(base).value(), filter, rng);
 }
 
+util::Result<graph::Graph> GenerateTriCycLe(const agm::AgmParams& params,
+                                            const models::EdgeFilter& filter,
+                                            util::Rng& rng) {
+  // TriCycLe's oldest-edge rewiring chain is inherently sequential (every
+  // swap depends on the full edge-age state); it stays on the master stream.
+  models::TriCycLeOptions options;
+  options.filter = filter;
+  return models::GenerateTriCycLeGraph(params.degree_sequence,
+                                       params.target_triangles, rng, options);
+}
+
+using Generator = util::Result<graph::Graph> (*)(const agm::AgmParams&,
+                                                 const models::EdgeFilter&,
+                                                 util::Rng&);
+
+// A model with no per-sample state that runs on the master stream alone.
+agm::StructuralModel OnMasterStream(Generator generate) {
+  return [generate](const agm::AgmParams& params,
+                    util::WorkerPool&) -> agm::StructuralDraw {
+    return [generate, &params](const models::EdgeFilter& filter,
+                               util::Rng& rng) {
+      return generate(params, filter, rng);
+    };
+  };
+}
+
 std::vector<StructuralModelSpec> BuildRegistry() {
-  std::vector<StructuralModelSpec> registry;
-
-  StructuralModelSpec tricycle;
-  tricycle.name = "tricycle";
-  tricycle.description =
-      "TriCycLe rewiring model (paper's pick; triangle-preserving)";
-  tricycle.needs_triangles = true;
-  tricycle.builtin = true;
-  tricycle.kind = agm::StructuralModelKind::kTriCycLe;
-  registry.push_back(std::move(tricycle));
-
-  StructuralModelSpec fcl;
-  fcl.name = "fcl";
-  fcl.description = "bias-corrected Fast Chung-Lu (degree sequence only)";
-  fcl.builtin = true;
-  fcl.kind = agm::StructuralModelKind::kFcl;
-  registry.push_back(std::move(fcl));
-
-  StructuralModelSpec bter;
-  bter.name = "bter";
-  bter.description =
-      "BTER driven by the private degree sequence and triangle target";
-  bter.needs_triangles = true;
-  bter.generator = GenerateBterFromParams;
-  registry.push_back(std::move(bter));
-
-  StructuralModelSpec holme_kim;
-  holme_kim.name = "holme_kim";
-  holme_kim.description =
-      "Holme-Kim powerlaw-cluster growth calibrated to the private targets";
-  holme_kim.needs_triangles = true;
-  holme_kim.generator = GenerateHolmeKim;
-  registry.push_back(std::move(holme_kim));
-
-  StructuralModelSpec er;
-  er.name = "erdos_renyi";
-  er.description = "Erdos-Renyi G(n, m) baseline (structure-free null model)";
-  er.generator = GenerateErdosRenyi;
-  registry.push_back(std::move(er));
-
-  return registry;
+  return {
+      {"tricycle",
+       "TriCycLe rewiring model (paper's pick; triangle-preserving)", true,
+       OnMasterStream(GenerateTriCycLe)},
+      {"fcl", "bias-corrected Fast Chung-Lu (degree sequence only)", false,
+       agm::ShardedFclModel()},
+      {"bter", "BTER driven by the private degree sequence and triangle target",
+       true, OnMasterStream(GenerateBterFromParams)},
+      {"holme_kim",
+       "Holme-Kim powerlaw-cluster growth calibrated to the private targets",
+       true, OnMasterStream(GenerateHolmeKim)},
+      {"erdos_renyi",
+       "Erdos-Renyi G(n, m) baseline (structure-free null model)", false,
+       OnMasterStream(GenerateErdosRenyi)},
+  };
 }
 
 const std::vector<StructuralModelSpec>& Registry() {

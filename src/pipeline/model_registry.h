@@ -1,13 +1,13 @@
 // Structural-model registry: the set of models the release pipeline can
 // plug into the AGM sampling loop, keyed by name.
 //
-// The two paper models (FCL, TriCycLe) are "builtin": the AGM sampler has
-// dedicated fast paths for them (the sharded parallel Chung-Lu sampler and
-// the sequential rewiring chain). Every other entry supplies an
-// agm::StructuralGenerator that builds an edge set from the private
-// parameters (degree sequence, optionally a triangle target) and the
-// attribute-acceptance filter — adding a scenario is one registry entry,
-// with budget accounting and CLI/bench wiring inherited for free.
+// Every entry is the same kind of object, an agm::StructuralModel that
+// binds the private parameters (degree sequence, optionally a triangle
+// target) and the sampler's pool to a per-sample draw through the
+// attribute-acceptance filter. The paper's two models are the sharded
+// parallel FCL sampler and the TriCycLe rewiring chain; the rest wrap
+// their generators. Adding a scenario is one registry entry, with budget
+// accounting and CLI/bench wiring inherited for free.
 #pragma once
 
 #include <string>
@@ -23,12 +23,7 @@ struct StructuralModelSpec {
   /// Whether ΘM includes a DP triangle-count target for this model (and
   /// therefore whether the default budget split reserves a share for it).
   bool needs_triangles = false;
-  /// True for the sampler's builtin fast paths (fcl / tricycle).
-  bool builtin = false;
-  /// Valid when `builtin`.
-  agm::StructuralModelKind kind = agm::StructuralModelKind::kFcl;
-  /// Valid when not `builtin`.
-  agm::StructuralGenerator generator;
+  agm::StructuralModel model;
 };
 
 /// Returns the spec registered under `name`, or nullptr if unknown.

@@ -2,7 +2,7 @@
 //
 // A PipelineConfig describes one release end to end: the global epsilon and
 // its split, the structural model (by registry name), the ΘF estimator, and
-// the sampler settings. A ReleaseResult carries everything an auditor or a
+// the acceptance-loop settings. A ReleaseResult carries everything an auditor or a
 // benchmark needs afterwards: the synthetic graph, the learned parameters,
 // the PrivacyAccountant ledger (whose spends sum to the global epsilon),
 // and per-stage wall-clock timings.
@@ -53,10 +53,11 @@ struct PipelineConfig {
   /// before any spend); 0 selects sqrt(n).
   uint32_t sa_group_size = 0;
   dp::LadderOptions ladder;
-  /// Sampler options (acceptance iterations, threads, model-specific
-  /// knobs). `sample.model` and `sample.generator` are overridden by the
-  /// registry resolution of `model`.
+  /// Acceptance-loop settings, baked into the release artifact.
   agm::AgmSampleOptions sample;
+  /// Sampler workers of RunPrivateRelease's one-shot engine and the CLI
+  /// `sample` default (0 = hardware concurrency). Never changes the output.
+  int threads = 1;
 
   /// Full structural validation, performed before any budget is spent:
   /// the model must be registered, epsilon finite and positive, the budget

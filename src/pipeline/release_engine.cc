@@ -43,7 +43,7 @@ util::Result<std::unique_ptr<ReleaseEngine>> ReleaseEngine::Create(
   std::unique_ptr<ReleaseEngine> engine(
       new ReleaseEngine(std::move(artifact), pool_workers));
   auto sampler =
-      mechanism->make_sampler(engine->artifact_, options, &engine->pool_);
+      mechanism->make_sampler(engine->artifact_, options, engine->pool_);
   if (!sampler.ok()) return sampler.status();
   engine->sampler_ = std::move(sampler).value();
   return engine;

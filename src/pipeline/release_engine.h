@@ -41,8 +41,10 @@ class ArtifactSampler;
 namespace agmdp::pipeline {
 
 /// Engine construction knobs. The engine sizes its pool from `threads`
-/// and forwards all four to the scheme's make_sampler; the other three
+/// and forwards all three to the scheme's make_sampler; the other two
 /// steer agm's sampler, and schemes without an acceptance loop ignore them.
+/// Everything else about a sample (its structural model and acceptance
+/// settings) comes from the artifact.
 struct EngineOptions {
   /// Serving pool workers (0 = hardware concurrency, capped at the sampler
   /// shard count). The pool size never affects sampled bits.
@@ -57,10 +59,6 @@ struct EngineOptions {
   /// so steady-state serving is one filtered generation per sample. At
   /// most agm::kMaxAcceptanceIterations.
   int default_refine_iterations = 0;
-  /// Model-specific sampler knobs (FCL/TriCycLe options etc.). The model /
-  /// generator / acceptance settings inside are overridden by the registry
-  /// resolution of the artifact's model and the artifact's baked defaults.
-  agm::AgmSampleOptions sample;
 };
 
 /// \brief One deterministic serving request.

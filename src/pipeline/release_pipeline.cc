@@ -24,8 +24,7 @@ agm::AgmDpOptions MakeLearnOptions(const PipelineConfig& config,
                                    const StructuralModelSpec& spec) {
   agm::AgmDpOptions options;
   options.epsilon = config.epsilon;
-  options.model = spec.needs_triangles ? agm::StructuralModelKind::kTriCycLe
-                                       : agm::StructuralModelKind::kFcl;
+  options.triangles = spec.needs_triangles;
   options.theta_f_method = config.theta_f_method;
   options.truncation_k = config.truncation_k;
   options.smooth_delta = config.smooth_delta;
@@ -121,13 +120,12 @@ util::Result<ReleaseResult> RunPrivateRelease(
   }
 
   // One draw from the stream, through an uncalibrated single-use engine:
-  // the paper's cold acceptance loop, the config's sampler knobs, and a
-  // pool sized by config.sample.threads.
+  // the paper's cold acceptance loop at the artifact's acceptance settings,
+  // on a pool sized by config.threads.
   const Clock::time_point sample_start = Clock::now();
   EngineOptions options;
-  options.threads = config.sample.threads;
+  options.threads = config.threads;
   options.calibrate = false;
-  options.sample = config.sample;
   auto engine = ReleaseEngine::Create(std::move(artifact), options);
   if (!engine.ok()) return engine.status();
   auto synthetic = engine.value()->SampleFromStream(rng);

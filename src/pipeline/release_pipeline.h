@@ -12,7 +12,7 @@
 //     RunPrivateRelease reads the sensitive input; sampling is pure
 //     post-processing and can be repeated at no additional privacy cost.
 //   * Determinism — for a fixed config and Rng seed the synthetic graph is
-//     bitwise-identical at any `sample.threads` setting (see
+//     bitwise-identical at any `threads` setting (see
 //     agm_sampler.h and DESIGN.md).
 //
 // These free functions are thin wrappers over the handle-based serving

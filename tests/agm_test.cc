@@ -12,6 +12,7 @@
 #include "src/dp/laplace_mechanism.h"
 #include "src/dp/sample_aggregate.h"
 #include "src/graph/triangle_count.h"
+#include "src/pipeline/model_registry.h"
 #include "src/pipeline/release_pipeline.h"
 #include "src/stats/metrics.h"
 #include "src/util/parallel.h"
@@ -23,6 +24,11 @@ namespace agmdp::agm {
 namespace {
 
 using Snapshot = graph::AttributedCsrGraph;
+
+// The structural-model registry's binding of `name`.
+const StructuralModel& RegistryModel(const char* name) {
+  return pipeline::FindStructuralModel(name)->model;
+}
 
 // A small attributed graph with known parameters: 4 nodes, w=1.
 Snapshot TinyGraph() {
@@ -312,7 +318,10 @@ TEST(AgmSamplerTest, ValidatesDimensions) {
   params.theta_x = {1.0};  // wrong size for w=2
   params.theta_f = std::vector<double>(10, 0.1);
   params.degree_sequence = {1, 1};
-  EXPECT_FALSE(SampleAgmGraph(params, AgmSampleOptions{}, rng).ok());
+  util::WorkerPool pool(1);
+  EXPECT_FALSE(SampleAgmGraph(params, RegistryModel("tricycle"),
+                              AgmSampleOptions{}, pool, rng)
+                   .ok());
 }
 
 TEST(AgmSamplerTest, AcceptanceIterationsImproveCorrelations) {
@@ -321,16 +330,17 @@ TEST(AgmSamplerTest, AcceptanceIterationsImproveCorrelations) {
   const Snapshot g = RandomAttributed(400, 0.03, 2, 21);
   AgmParams params = LearnAgmParams(g);
   AgmSampleOptions no_filter;
-  no_filter.model = StructuralModelKind::kFcl;
   no_filter.acceptance_iterations = 0;
   AgmSampleOptions filtered = no_filter;
   filtered.acceptance_iterations = 5;
+  const StructuralModel& fcl = RegistryModel("fcl");
+  util::WorkerPool pool(1);
 
   double err_plain = 0.0, err_filtered = 0.0;
   for (int trial = 0; trial < 5; ++trial) {
     util::Rng rng(22 + trial);
-    auto a = SampleAgmGraph(params, no_filter, rng);
-    auto b = SampleAgmGraph(params, filtered, rng);
+    auto a = SampleAgmGraph(params, fcl, no_filter, pool, rng);
+    auto b = SampleAgmGraph(params, fcl, filtered, pool, rng);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     EXPECT_EQ(b.value().num_nodes(), 400u);
@@ -347,10 +357,11 @@ TEST(AgmSamplerTest, TriCycLePipelineApproachesTriangleTarget) {
   const Snapshot g = RandomAttributed(200, 0.06, 2, 23);
   AgmParams params = LearnAgmParams(g);
   AgmSampleOptions options;
-  options.model = StructuralModelKind::kTriCycLe;
   options.acceptance_iterations = 2;
+  util::WorkerPool pool(1);
   util::Rng rng(24);
-  auto synthetic = SampleAgmGraph(params, options, rng);
+  auto synthetic =
+      SampleAgmGraph(params, RegistryModel("tricycle"), options, pool, rng);
   ASSERT_TRUE(synthetic.ok());
   const uint64_t achieved =
       graph::CountTriangles(synthetic.value().structure());
@@ -441,9 +452,9 @@ TEST(AgmDpTest, DeterministicGivenSeed) {
 TEST(AgmDpTest, NonPrivateBaselineRuns) {
   util::Rng rng(34);
   const Snapshot g = RandomAttributed(100, 0.06, 2, 35);
-  AgmSampleOptions options;
-  options.model = StructuralModelKind::kFcl;
-  auto result = SampleAgmGraph(LearnAgmParams(g), options, rng);
+  util::WorkerPool pool(1);
+  auto result = SampleAgmGraph(LearnAgmParams(g), RegistryModel("fcl"),
+                               AgmSampleOptions{}, pool, rng);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().num_nodes(), 100u);
 }
@@ -529,12 +540,11 @@ TEST(ShardedFclGoldenTest, SampleMatchesPinnedLiteralsAtAnyPoolSize) {
                    std::to_string(workers));
       util::WorkerPool pool(workers);
       AgmSampleOptions options;
-      options.model = StructuralModelKind::kFcl;
-      options.pool = &pool;
       options.acceptance_iterations = c.acceptance_iterations;
-      options.fcl.max_proposals_per_edge = c.max_proposals_per_edge;
       util::Rng rng(31);
-      auto sampled = SampleAgmGraph(params, options, rng);
+      auto sampled =
+          SampleAgmGraph(params, ShardedFclModel(c.max_proposals_per_edge),
+                         options, pool, rng);
       ASSERT_TRUE(sampled.ok()) << sampled.status().ToString();
       const graph::AttributedGraph& g = sampled.value();
       golden::GoldenHash attributes;

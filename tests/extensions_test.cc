@@ -17,8 +17,10 @@
 #include "src/models/bter.h"
 #include "src/models/chung_lu.h"
 #include "src/models/holme_kim.h"
+#include "src/pipeline/model_registry.h"
 #include "src/pipeline/release_artifact.h"
 #include "src/stats/metrics.h"
+#include "src/util/parallel.h"
 #include "src/util/rng.h"
 #include "tests/analytics_oracle.h"
 #include "tests/test_support.h"
@@ -279,11 +281,15 @@ TEST(StoredParamsTest, SampledGraphFromStoredParamsMatchesDirect) {
   auto loaded = pipeline::ReadReleaseArtifact(path);
   ASSERT_TRUE(loaded.ok());
 
+  const agm::StructuralModel& tricycle =
+      pipeline::FindStructuralModel("tricycle")->model;
   agm::AgmSampleOptions options;
   options.acceptance_iterations = 1;
+  util::WorkerPool pool(1);
   util::Rng rng1(77), rng2(77);
-  auto direct = agm::SampleAgmGraph(params, options, rng1);
-  auto via_disk = agm::SampleAgmGraph(loaded.value().params, options, rng2);
+  auto direct = agm::SampleAgmGraph(params, tricycle, options, pool, rng1);
+  auto via_disk = agm::SampleAgmGraph(loaded.value().params, tricycle,
+                                      options, pool, rng2);
   ASSERT_TRUE(direct.ok());
   ASSERT_TRUE(via_disk.ok());
   EXPECT_EQ(direct.value().structure().CanonicalEdges(),

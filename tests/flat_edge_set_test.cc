@@ -14,6 +14,7 @@
 #include "src/agm/theta_f.h"
 #include "src/agm/theta_x.h"
 #include "src/graph/graph.h"
+#include "src/pipeline/model_registry.h"
 #include "src/util/flat_edge_set.h"
 #include "src/util/math_util.h"
 #include "src/util/parallel.h"
@@ -343,23 +344,24 @@ agm::AgmParams SmallParams(int w, util::Rng& rng) {
 }
 
 // The rewritten hot path must stay bitwise-identical at 1/2/4 threads for
-// both builtin models, both with acceptance filtering (iterations > 0) and
+// both paper models, both with acceptance filtering (iterations > 0) and
 // without (iterations == 0 leaves the initial unfiltered structure).
 TEST(SamplerHotPathDeterminismTest, BitwiseIdenticalAcrossThreads) {
   util::Rng setup_rng(7);
   for (int w : {1, 2}) {
     const agm::AgmParams params = SmallParams(w, setup_rng);
-    for (auto model :
-         {agm::StructuralModelKind::kFcl, agm::StructuralModelKind::kTriCycLe}) {
+    for (const char* name : {"fcl", "tricycle"}) {
+      const agm::StructuralModel& model =
+          pipeline::FindStructuralModel(name)->model;
       for (int iterations : {0, 2}) {
         graph::AttributedGraph reference;
         for (int threads : {1, 2, 4}) {
           agm::AgmSampleOptions options;
-          options.model = model;
-          options.threads = threads;
           options.acceptance_iterations = iterations;
+          util::WorkerPool pool(threads);
           util::Rng rng(99);
-          auto sampled = agm::SampleAgmGraph(params, options, rng);
+          auto sampled =
+              agm::SampleAgmGraph(params, model, options, pool, rng);
           ASSERT_TRUE(sampled.ok()) << sampled.status().ToString();
           if (threads == 1) {
             reference = std::move(sampled).value();
@@ -387,12 +389,12 @@ TEST(SamplerHotPathDeterminismTest, ExtremeProposalBudgetSaturates) {
   const agm::AgmParams params = SmallParams(1, setup_rng);
 
   agm::AgmSampleOptions options;
-  options.model = agm::StructuralModelKind::kFcl;
   options.acceptance_iterations = 1;
-  // 2^63 per edge: any even quota wraps the product to exactly 0.
-  options.fcl.max_proposals_per_edge = 1ULL << 63;
+  util::WorkerPool pool(1);
   util::Rng rng(5);
-  auto sampled = agm::SampleAgmGraph(params, options, rng);
+  // 2^63 per edge: any even quota wraps the product to exactly 0.
+  auto sampled = agm::SampleAgmGraph(
+      params, agm::ShardedFclModel(1ULL << 63), options, pool, rng);
   ASSERT_TRUE(sampled.ok()) << sampled.status().ToString();
   EXPECT_GT(sampled.value().num_edges(), 100u);
 }

@@ -267,7 +267,8 @@ TEST(ChungLuTest, InsertionOrderRecorded) {
 // On a complete graph every further proposal is a duplicate: the target
 // is clamped to C(n, 2) so the call returns the triangle at once instead of
 // proposing for 200 x sum(degrees) / 2 rounds, and TriCycLe's default
-// rewiring budget is bounded the same way.
+// rewiring budget and TCL's replacement budget are bounded the same way
+// (unclamped, the d = 4e9 TCL call would propose for hours).
 TEST(ChungLuTest, TargetClampedToCompleteGraph) {
   for (uint32_t d : {100000u, 4000000000u}) {
     util::Rng rng(12);
@@ -283,6 +284,12 @@ TEST(ChungLuTest, TargetClampedToCompleteGraph) {
     ASSERT_TRUE(tri.ok());
     EXPECT_EQ(tri.value().achieved_triangles, 1u);
     EXPECT_EQ(tri.value().proposals, 200u * 3u);
+
+    // Every TCL proposal on the complete graph is a duplicate, so only the
+    // clamped budget of 200 * 3 proposals ends the replacement loop.
+    auto tcl = GenerateTcl({d, d, d}, /*rho=*/0.5, rng);
+    ASSERT_TRUE(tcl.ok());
+    EXPECT_EQ(tcl.value().num_edges(), 3u);
   }
 }
 
@@ -376,7 +383,7 @@ TEST(PostProcessTest, ReportsAddedEdges) {
   auto pi = BuildPiSampler(desired, false);
   ASSERT_TRUE(pi.ok());
   std::vector<graph::Edge> added;
-  PostProcessGraph(&g, desired, pi.value(), rng, PostProcessOptions{}, &added);
+  PostProcessGraph(&g, desired, pi.value(), rng, &added);
   EXPECT_FALSE(added.empty());
   for (const graph::Edge& e : added) {
     // Post-processing may later delete an added edge while balancing the

@@ -18,6 +18,7 @@
 #include "src/graph/graph_source.h"
 #include "src/pipeline/release_engine.h"
 #include "src/pipeline/release_pipeline.h"
+#include "src/util/parallel.h"
 #include "src/util/rng.h"
 #include "tests/golden_hash.h"
 
@@ -210,12 +211,10 @@ TEST(SamplerDeterminismTest, IdenticalGraphAcross124Threads) {
       pipeline::PipelineConfig config;
       config.model = model;
       config.sample.acceptance_iterations = 2;
-      config.sample.threads = threads;
       // The one-shot engine RunPrivateRelease samples through.
       pipeline::EngineOptions options;
       options.threads = threads;
       options.calibrate = false;
-      options.sample = config.sample;
       auto engine = pipeline::ReleaseEngine::Create(
           pipeline::MakeReleaseArtifact(fit.value().params, config), options);
       ASSERT_TRUE(engine.ok()) << engine.status().ToString();
@@ -239,7 +238,7 @@ TEST(SamplerDeterminismTest, EndToEndReleaseIsThreadCountInvariant) {
     pipeline::PipelineConfig config;
     config.model = "fcl";
     config.sample.acceptance_iterations = 2;
-    config.sample.threads = threads;
+    config.threads = threads;
     util::Rng rng(29);
     auto result = pipeline::RunPrivateRelease(Snapshot(), config, rng);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -254,7 +253,8 @@ TEST(SamplerDeterminismTest, EndToEndReleaseIsThreadCountInvariant) {
 TEST(SamplerDeterminismTest, ParallelThetaFMatchesSequential) {
   const std::vector<double> expected = agm::ComputeThetaF(Snapshot());
   for (int threads : {1, 2, 4, 0}) {
-    const std::vector<double> measured = agm::MeasureThetaF(Input(), threads);
+    util::WorkerPool pool(threads);
+    const std::vector<double> measured = agm::MeasureThetaF(Input(), pool);
     ASSERT_EQ(measured.size(), expected.size());
     for (size_t y = 0; y < expected.size(); ++y) {
       EXPECT_DOUBLE_EQ(measured[y], expected[y]) << "threads=" << threads;
@@ -296,7 +296,7 @@ TEST(GoldenReleaseTest, ChecksummedReleaseAndLedgerReproduceAcrossThreads) {
       config.epsilon = std::log(2.0);
       config.model = model;
       config.sample.acceptance_iterations = 2;
-      config.sample.threads = threads;
+      config.threads = threads;
       util::Rng rng(kSeed);
       auto result = pipeline::RunPrivateRelease(Snapshot(), config, rng);
       ASSERT_TRUE(result.ok()) << model << ": " << result.status().ToString();

@@ -405,7 +405,7 @@ util::Result<pipeline::PipelineConfig> ConfigFromFlags(
   config.community_blocks = static_cast<uint32_t>(community_blocks.value());
   auto threads = IntFlag(flags, "threads", 1, 0);
   if (!threads.ok()) return threads.status();
-  config.sample.threads = static_cast<int>(threads.value());
+  config.threads = static_cast<int>(threads.value());
   auto accept_iters =
       IntFlag(flags, "accept_iters", 3, 0, agm::kMaxAcceptanceIterations);
   if (!accept_iters.ok()) return accept_iters.status();
@@ -507,7 +507,7 @@ int CmdSample(const util::Flags& flags) {
   if (!samples_flag.ok()) return FailUsage(samples_flag.status());
   const int samples = static_cast<int>(samples_flag.value());
   auto serve_threads =
-      IntFlag(flags, "serve-threads", config.sample.threads, 0);
+      IntFlag(flags, "serve-threads", config.threads, 0);
   if (!serve_threads.ok()) return FailUsage(serve_threads.status());
   // Both spellings accepted (the table harness flags use underscores).
   const std::string refine_name =
@@ -535,7 +535,6 @@ int CmdSample(const util::Flags& flags) {
   options.threads = static_cast<int>(serve_threads.value());
   options.calibrate = !flags.GetBool("cold", false);
   options.default_refine_iterations = static_cast<int>(refine.value());
-  options.sample = config.sample;
   auto engine = pipeline::ReleaseEngine::Create(std::move(artifact), options);
   if (!engine.ok()) return Fail(engine.status());
 
@@ -549,7 +548,7 @@ int CmdSample(const util::Flags& flags) {
     // parallelize across samples instead. The bits are identical either
     // way.
     pipeline::SampleRequest request = base;
-    request.threads = util::ResolveThreadCount(config.sample.threads);
+    request.threads = util::ResolveThreadCount(config.threads);
     auto g = engine.value()->Sample(request);
     if (!g.ok()) return Fail(g.status());
     graphs.value().push_back(std::move(g).value());
