@@ -195,14 +195,4 @@ std::vector<std::pair<double, double>> DegreeCcdfSeries(
       stats::CcdfFromHistogram(graph::DegreeHistogram(g)), max_points);
 }
 
-std::vector<std::pair<double, double>> ClusteringCcdfSeries(
-    const graph::CsrGraph& g, size_t max_points, int analytics_threads) {
-  graph::FusedOptions opts;
-  opts.threads = analytics_threads;
-  return stats::DownsampleCcdf(
-      stats::Ccdf(std::move(
-          graph::FusedEvaluate(g, opts).clustering.local_coefficients)),
-      max_points);
-}
-
 }  // namespace agmdp::eval

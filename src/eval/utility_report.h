@@ -155,8 +155,4 @@ StructuralProfile ProfileGraph(const graph::AttributedCsrGraph& g,
 std::vector<std::pair<double, double>> DegreeCcdfSeries(
     const graph::CsrGraph& g, size_t max_points);
 
-/// Local-clustering-coefficient CCDF, downsampled likewise (Figure 3).
-std::vector<std::pair<double, double>> ClusteringCcdfSeries(
-    const graph::CsrGraph& g, size_t max_points, int analytics_threads = 1);
-
 }  // namespace agmdp::eval

@@ -313,7 +313,12 @@ TEST(CsrEvalTest, CcdfSeriesMatchTheirDefinitions) {
                 stats::Ccdf(std::vector<double>(degrees.begin(), degrees.end())),
                 30));
   for (int threads : {1, 2, 4}) {
-    EXPECT_EQ(eval::ClusteringCcdfSeries(csr, 30, threads),
+    FusedOptions opts;
+    opts.threads = threads;
+    EXPECT_EQ(stats::DownsampleCcdf(
+                  stats::Ccdf(
+                      FusedEvaluate(csr, opts).clustering.local_coefficients),
+                  30),
               stats::DownsampleCcdf(
                   stats::Ccdf(oracle::LocalClusteringCoefficients(g)), 30));
   }

@@ -8,6 +8,7 @@
 #include "src/eval/utility_report.h"
 #include "src/graph/fused_eval.h"
 #include "src/stats/assortativity.h"
+#include "src/stats/ccdf.h"
 #include "src/stats/metrics.h"
 #include "src/util/rng.h"
 #include "tests/analytics_oracle.h"
@@ -198,7 +199,10 @@ TEST(CcdfSeriesTest, DegreeAndClusteringSeriesAreCcdfs) {
   EXPECT_DOUBLE_EQ(series[1].second, 0.0);
 
   // All clustering coefficients are 0: a single point (0, 0).
-  const auto cc = ClusteringCcdfSeries(g.structure, 30);
+  const auto cc = stats::DownsampleCcdf(
+      stats::Ccdf(
+          graph::FusedEvaluate(g.structure).clustering.local_coefficients),
+      30);
   ASSERT_EQ(cc.size(), 1u);
   EXPECT_DOUBLE_EQ(cc[0].first, 0.0);
   EXPECT_DOUBLE_EQ(cc[0].second, 0.0);
