@@ -247,7 +247,6 @@ util::Result<graph::Graph> ShardedFastChungLu(
     uint64_t seed_base) {
   const uint64_t target = plan.target;
   if (target == 0) {
-    if (options.insertion_order != nullptr) options.insertion_order->clear();
     return graph::Graph(static_cast<graph::NodeId>(degrees.size()));
   }
   auto pi = PlanTables(plan, options.filter);
