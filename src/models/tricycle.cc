@@ -80,10 +80,10 @@ util::Result<TriCycLeResult> Rewire(const std::vector<uint32_t>& degrees,
   // pi with degree-one nodes excluded (falling back to inclusion when the
   // sequence has no higher-degree mass at all).
   bool exclude = true;
-  auto pi = BuildPiSampler(degrees, exclude);
-  if (!pi.ok() && exclude) {
+  auto pi = BuildPiSampler(degrees, /*exclude_degree_one=*/true);
+  if (!pi.ok()) {
     exclude = false;
-    pi = BuildPiSampler(degrees, false);
+    pi = BuildPiSampler(degrees, /*exclude_degree_one=*/false);
   }
   if (!pi.ok()) return pi.status();
 

@@ -10,10 +10,9 @@
 // triangle count n∆ is reached.
 //
 // Extensions from Section 3.3 are always on: degree-one nodes are excluded
-// from pi and from the seed graph (they cannot join triangles; the cFCL
-// seed is bias-corrected), and orphaned nodes are rewired by
-// PostProcessGraph, applied to the seed and to the final graph unless
-// `post_process` is cleared.
+// from pi and from the bias-corrected cFCL seed graph, as they cannot join
+// triangles, and orphaned nodes are rewired by PostProcessGraph, applied to
+// the seed and to the final graph unless `post_process` is cleared.
 #pragma once
 
 #include <cstdint>

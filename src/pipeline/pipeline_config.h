@@ -2,10 +2,10 @@
 //
 // A PipelineConfig describes one release end to end: the global epsilon and
 // its split, the structural model (by registry name), the ΘF estimator, and
-// the acceptance-loop settings. A ReleaseResult carries everything an auditor or a
-// benchmark needs afterwards: the synthetic graph, the learned parameters,
-// the PrivacyAccountant ledger (whose spends sum to the global epsilon),
-// and per-stage wall-clock timings.
+// the acceptance-loop settings. A ReleaseResult carries everything an
+// auditor or a benchmark needs afterwards: the synthetic graph, the learned
+// parameters, the PrivacyAccountant ledger (whose spends sum to the global
+// epsilon), and per-stage wall-clock timings.
 #pragma once
 
 #include <cstdint>
