@@ -1,6 +1,8 @@
 #include "src/server/protocol.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "src/agm/agm_sampler.h"
 
@@ -365,20 +367,47 @@ util::Result<Response> ParseResponse(const std::string& line) {
 }
 
 uint64_t GraphChecksum(const graph::AttributedGraph& g) {
+  constexpr uint64_t kPrime = 1099511628211ULL;
+  // kPrime^5 mod 2^64: a 32-bit value's last byte step and the four steps
+  // of its zero high bytes (h ^= 0; h *= kPrime) fold into one multiply.
+  constexpr uint64_t kPrime5 = kPrime * kPrime * kPrime * kPrime * kPrime;
   uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](uint64_t x) {
+  // One FNV-1a step per little-endian byte of a 64-bit value.
+  const auto mix64 = [&h](uint64_t x) {
     for (int i = 0; i < 8; ++i) {
       h ^= (x >> (8 * i)) & 0xffu;
-      h *= 1099511628211ULL;
+      h *= kPrime;
     }
   };
-  mix(g.num_nodes());
-  mix(static_cast<uint64_t>(g.num_attributes()));
-  for (const graph::Edge& e : g.structure().CanonicalEdges()) {
-    mix(e.u);
-    mix(e.v);
+  // The same eight steps for a value below 2^32, whose high bytes are 0.
+  const auto mix32 = [&h](uint32_t x) {
+    for (int i = 0; i < 3; ++i) {
+      h ^= (x >> (8 * i)) & 0xffu;
+      h *= kPrime;
+    }
+    h ^= x >> 24;
+    h *= kPrime5;
+  };
+  static_assert(sizeof(graph::NodeId) == 4 && sizeof(graph::AttrConfig) == 4,
+                "node ids and attribute configurations are mixed by mix32");
+  mix64(g.num_nodes());
+  mix64(static_cast<uint64_t>(g.num_attributes()));
+  // The canonical edge list, node by node: u ascends, and each node's
+  // neighbors above it are sorted in one reused buffer.
+  const graph::Graph& structure = g.structure();
+  std::vector<graph::NodeId> above;
+  for (graph::NodeId u = 0; u < structure.num_nodes(); ++u) {
+    above.clear();
+    for (graph::NodeId v : structure.Neighbors(u)) {
+      if (u < v) above.push_back(v);
+    }
+    std::sort(above.begin(), above.end());
+    for (graph::NodeId v : above) {
+      mix32(u);
+      mix32(v);
+    }
   }
-  for (graph::AttrConfig a : g.attributes()) mix(a);
+  for (graph::AttrConfig a : g.attributes()) mix32(a);
   return h;
 }
 

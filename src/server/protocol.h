@@ -129,10 +129,16 @@ std::string SerializeResponse(const Response& response);
 /// emits; the embedded status round-trips code and message.
 util::Result<Response> ParseResponse(const std::string& line);
 
-/// FNV-1a over the graph dimensions, canonical edge list and attribute
-/// vector — a stable fingerprint of a released graph, identical across
-/// processes and machines for identical graphs. (The same checksum the
-/// golden-release pipeline tests use.)
+/// FNV-1a over the little-endian bytes of the graph dimensions (node count,
+/// attribute count), the canonical edge list (u, v per edge, u < v,
+/// lexicographic) and the attribute vector, eight bytes per value — a
+/// stable fingerprint of a released graph, identical across processes and
+/// machines for identical graphs. One pass, no edge list: each node's
+/// neighbors above it are sorted in one reused buffer and mixed from it,
+/// and a 32-bit value's last byte and four zero high bytes cost one
+/// multiply by the FNV prime's fifth power. The value equals the byte-wise
+/// reference (tests/checksum_oracle.h) and is pinned by
+/// ProtocolTest.GraphChecksumWireValueIsPinned.
 uint64_t GraphChecksum(const graph::AttributedGraph& g);
 
 }  // namespace agmdp::server

@@ -20,6 +20,7 @@
 #include "src/pipeline/release_pipeline.h"
 #include "src/util/parallel.h"
 #include "src/util/rng.h"
+#include "tests/checksum_oracle.h"
 #include "tests/golden_hash.h"
 
 namespace agmdp {
@@ -262,26 +263,6 @@ TEST(SamplerDeterminismTest, ParallelThetaFMatchesSequential) {
   }
 }
 
-// FNV-1a over the canonical edge list, the attribute vector and the graph
-// dimensions — a stable fingerprint of a released graph.
-uint64_t GraphChecksum(const graph::AttributedGraph& g) {
-  uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (x >> (8 * i)) & 0xffu;
-      h *= 1099511628211ULL;
-    }
-  };
-  mix(g.num_nodes());
-  mix(static_cast<uint64_t>(g.num_attributes()));
-  for (const graph::Edge& e : g.structure().CanonicalEdges()) {
-    mix(e.u);
-    mix(e.v);
-  }
-  for (graph::AttrConfig a : g.attributes()) mix(a);
-  return h;
-}
-
 // Golden-release regression: a fixed seed and a fixed PipelineConfig must
 // reproduce the same checksummed released edge list at 1, 2 and 4 sampler
 // threads and across repeated runs, with a ledger that sums exactly to the
@@ -301,7 +282,8 @@ TEST(GoldenReleaseTest, ChecksummedReleaseAndLedgerReproduceAcrossThreads) {
       auto result = pipeline::RunPrivateRelease(Snapshot(), config, rng);
       ASSERT_TRUE(result.ok()) << model << ": " << result.status().ToString();
 
-      const uint64_t checksum = GraphChecksum(result.value().graph);
+      const uint64_t checksum =
+          oracle::ByteWiseGraphChecksum(result.value().graph);
       if (golden == 0) {
         golden = checksum;
       } else {

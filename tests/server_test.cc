@@ -27,6 +27,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "src/agm/agm_sampler.h"
@@ -38,6 +39,7 @@
 #include "src/server/engine_cache.h"
 #include "src/server/protocol.h"
 #include "src/server/server.h"
+#include "tests/checksum_oracle.h"
 #include "src/server/tenant_ledger.h"
 #include "src/util/rng.h"
 
@@ -213,6 +215,34 @@ TEST(ProtocolTest, GraphChecksumWireValueIsPinned) {
   g.structure().AddEdge(3, 2);
   ASSERT_TRUE(g.SetAttributes({0, 1, 2, 3, 1}).ok());
   EXPECT_EQ(server::GraphChecksum(g), 10640730778975414816ULL);
+}
+
+TEST(ProtocolTest, GraphChecksumMatchesTheByteWiseReference) {
+  // The pinned graph's values fit in one byte; these reach past 2^8 and
+  // 2^16 in node ids (n = 70,000) and up to 2^16 - 1 in configurations
+  // (w = 16), so every byte the one-pass form folds is exercised.
+  util::Rng rng(31);
+  for (const auto& [n, w, edges] :
+       {std::tuple<graph::NodeId, int, int>{0, 0, 0},
+        {1, 3, 0},
+        {300, 2, 900},
+        {70000, 16, 200000},
+        {70000, 1, 3000}}) {
+    graph::AttributedGraph g(n, w);
+    for (int i = 0; i < edges; ++i) {
+      const auto u = static_cast<graph::NodeId>(rng.UniformIndex(n));
+      const auto v = static_cast<graph::NodeId>(rng.UniformIndex(n));
+      if (u != v) g.structure().AddEdge(u, v);
+    }
+    std::vector<graph::AttrConfig> attrs(n);
+    for (graph::AttrConfig& a : attrs) {
+      a = static_cast<graph::AttrConfig>(rng.UniformIndex(uint64_t{1} << w));
+    }
+    if (w == 16 && n > 0) attrs[n - 1] = 0xffff;
+    ASSERT_TRUE(g.SetAttributes(attrs).ok());
+    EXPECT_EQ(server::GraphChecksum(g), oracle::ByteWiseGraphChecksum(g))
+        << "n=" << n << " w=" << w;
+  }
 }
 
 TEST(ProtocolTest, ResponseRoundTripsStatusGraphsAndStats) {
