@@ -50,6 +50,57 @@ ClassWeights BuildClassWeights(std::shared_ptr<const AttributeClasses> classes,
 
 }  // namespace
 
+CandidateGap::CandidateGap(double q)
+    : log1m_q(q < 1.0 ? std::log1p(-q)
+                      : -std::numeric_limits<double>::infinity()) {
+  if (q < kMinFastRate) return;
+  // Why U <= fast_below bounds the gap: 1 - U is exact, and when
+  // 1 - fast_below is within a factor 1 - 2^-12 of (1 - q)^h, then
+  // log(1 - U) >= h log1p(-q) - 2^-11 and the ratio is below h + 1, so the
+  // gap is at most 1 + h <= 2h. Otherwise the rounding of fast_below
+  // (under 2^-52) outweighs (1 - q)^h, which is then below 2^-41, so
+  // h |log1p(-q)| > 28.4; every U is at most 1 - 2^-53, so the ratio is
+  // below 36.8 / |log1p(-q)| < 1.3 h and the gap at most 1 + 1.3h <= 2h.
+  const double h = std::max(2.0, std::ceil(3.0 / q));
+  bound = 2 * static_cast<uint64_t>(h);
+  fast_below = -std::expm1(h * log1m_q);
+  // The largest U at or below the threshold (UniformDouble draws multiples
+  // of 2^-53) stays within the bound.
+  const double largest =
+      std::min(std::floor(fast_below * 0x1p53), 0x1p53 - 1) * 0x1p-53;
+  AGMDP_CHECK(Exact(largest) <= static_cast<double>(bound));
+}
+
+bool CandidateKernel::TableArm::ChargeExact(double uniform,
+                                            PassBudget& budget) const {
+  const double exact = gap.Exact(uniform);
+  // Checked against 2^64 as a double before the cast, so a huge gap (tiny
+  // q) never overflows it; such a gap exceeds any budget.
+  if (!(exact < 0x1p64)) return false;
+  const auto proposals = static_cast<uint64_t>(exact);
+  if (proposals > budget.left - budget.charged) {
+    // The budget could bind: settle the pending candidates' exact gaps by
+    // replaying their draws.
+    util::Rng replay = budget.replay;
+    graph::NodeId u = 0;
+    graph::NodeId v = 0;
+    for (; budget.pending > 0; --budget.pending) {
+      budget.left -=
+          static_cast<uint64_t>(gap.Exact(replay.UniformDouble()));
+      DrawPair(replay, u, v);
+    }
+    budget.charged = 0;
+    if (proposals > budget.left) return false;
+  }
+  if (budget.pending == 0) {
+    budget.left -= proposals;
+  } else {
+    budget.charged += proposals;
+    ++budget.pending;
+  }
+  return true;
+}
+
 AttributeClasses AttributeClasses::Build(const graph::AttrConfig* configs,
                                          size_t n, size_t k) {
   std::vector<uint32_t> count(k, 0);
@@ -146,9 +197,7 @@ CandidateKernel::CandidateKernel(const PiTables& pi,
     auto pairs = util::AliasSampler::Build(m);
     AGMDP_CHECK_OK(pairs.status());
     table_.pairs = std::move(pairs).value();
-    const double q = std::min(rate / (total_mass * total_mass), 1.0);
-    table_.log1m_q = q < 1.0 ? std::log1p(-q)
-                             : -std::numeric_limits<double>::infinity();
+    table_.gap = CandidateGap(std::min(rate / (total_mass * total_mass), 1.0));
   }
 }
 

@@ -88,6 +88,50 @@ struct ClassWeights {
   std::vector<Bucket> buckets;
 };
 
+/// \brief The table arm's gap: the proposals up to and including the next
+/// candidate, 1 + Geometric(q), read from one UniformDouble U as
+///     Exact(U) = 1 + floor(log(1 - U) / log1p(-q))
+/// (the skip of Batagelj and Brandes, Phys. Rev. E 71, 2005).
+///
+/// The gap only feeds the pass's budget test, so most candidates need not
+/// evaluate the log: with h = max(2, ceil(3 / q)), every U <= fast_below =
+/// -expm1(h log1p(-q)) gives Exact(U) <= 1 + h, and such a candidate may be
+/// charged `bound` = 2h proposals instead; the factor of two absorbs the
+/// rounding of expm1, log and the division. About e^-3 of the candidates
+/// (1 - q)^h lie above the threshold. Below kMinFastRate the bound, near
+/// 6 / q, would reach the budget's usual 200 proposals per edge within a
+/// pass's candidates and force settles (CandidateKernel::TableArm), so
+/// there `bound` is 0 and every gap is exact.
+struct CandidateGap {
+  static constexpr double kMinFastRate = 1.0 / 16;
+
+  /// The gap of candidate rate q in (0, 1].
+  explicit CandidateGap(double q);
+
+  /// The gap U draws, as a double: huge (tiny q) gaps are compared with
+  /// 2^64 before any cast.
+  double Exact(double uniform) const {
+    return 1.0 + std::floor(std::log(1.0 - uniform) / log1m_q);
+  }
+
+  double log1m_q = 0.0;      // log1p(-q); -inf when q rounds to 1
+  uint64_t bound = 0;        // charged per log-free candidate; 0: none is
+  double fast_below = -1.0;  // U <= this gives Exact(U) <= bound
+};
+
+/// The proposal budget of one pass as the arms spend it. The pi arm counts
+/// `left` down proposal by proposal; the table arm charges its log-free
+/// candidates an upper bound and counts exactly only when the budget could
+/// bind (CandidateKernel::TableArm).
+struct PassBudget {
+  explicit PassBudget(uint64_t budget) : left(budget) {}
+
+  uint64_t left;         // proposals left, exact as of the last settle
+  uint64_t charged = 0;  // charged since then; at least the proposals spent
+  uint64_t pending = 0;  // candidates charged since then
+  util::Rng replay;      // the stream just before the first of them
+};
+
 class CandidateKernel;
 
 /// pi of one weight vector in the form a pass draws from: the alias table
@@ -115,8 +159,8 @@ class PiTables {
 ///
 /// Run(loop) calls loop(arm) with the pass's arm, whose two calls make a
 /// proposal loop:
-///   - Propose(rng, left, u, v) draws the next candidate pair within the
-///     `left` proposals still in the budget and subtracts the proposals it
+///   - Propose(rng, budget, u, v) draws the next candidate pair within the
+///     proposals still in the PassBudget and charges the proposals it
 ///     consumed; false when the budget runs out first.
 ///   - Admit(u, v, rng) is the filter's test after the caller's dedup test
 ///     (always true in the table arm, whose candidates have passed it).
@@ -139,10 +183,10 @@ class CandidateKernel {
   /// Draws u, then v, from pi over all nodes: one proposal each, a
   /// self-loop spends its proposal and draws again.
   struct PiArm {
-    bool Propose(util::Rng& rng, uint64_t& left, graph::NodeId& u,
+    bool Propose(util::Rng& rng, PassBudget& budget, graph::NodeId& u,
                  graph::NodeId& v) const {
-      while (left > 0) {
-        --left;
+      while (budget.left > 0) {
+        --budget.left;
         u = static_cast<graph::NodeId>(pi->Sample(rng));
         v = static_cast<graph::NodeId>(pi->Sample(rng));
         if (u != v) return true;
@@ -158,32 +202,55 @@ class CandidateKernel {
   };
 
   /// Skips straight to the proposals the acceptance table lets through.
+  ///
+  /// A candidate's draws are its gap's U, the class-pair alias draw and the
+  /// two member draws, redrawn while u == v; none of them depends on the
+  /// gap or on what the loop does with the pair. A log-free candidate
+  /// (CandidateGap) is charged `gap.bound` while the charged total stays
+  /// within the budget; any other is charged its exact gap while that fits.
+  /// When neither fits the arm settles: it replays the draws of the
+  /// candidates charged since the last settle from the saved stream,
+  /// counts their exact gaps, and tests the current one against the exact
+  /// remainder. A candidate passes exactly when the per-candidate loop
+  /// (the exact gap of every candidate, tests/proposal_oracle.h) would
+  /// pass it, so a pass stops at the same candidate with the same stream.
   struct TableArm {
-    bool Propose(util::Rng& rng, uint64_t& left, graph::NodeId& u,
+    bool Propose(util::Rng& rng, PassBudget& budget, graph::NodeId& u,
                  graph::NodeId& v) const {
       if (!pairs) return false;  // no pair passes the filter
-      // Proposals up to and including the next candidate: 1 + Geometric(q).
-      // Checked against 2^64 as a double before the cast, so a huge gap
-      // (tiny q) never overflows it.
-      const double gap =
-          1.0 + std::floor(std::log(1.0 - rng.UniformDouble()) / log1m_q);
-      if (!(gap < 0x1p64) || static_cast<uint64_t>(gap) > left) return false;
-      left -= static_cast<uint64_t>(gap);
-      const uint32_t pair = class_pairs[pairs->Sample(rng)];
-      do {
-        u = classes->Sample(pair >> 16, rng);
-        v = classes->Sample(pair & 0xffff, rng);
-      } while (u == v);
+      if (budget.pending == 0) budget.replay = rng;
+      const double uniform = rng.UniformDouble();
+      if (uniform <= gap.fast_below &&
+          budget.left - budget.charged >= gap.bound) {
+        budget.charged += gap.bound;
+        ++budget.pending;
+      } else if (!ChargeExact(uniform, budget)) {
+        return false;
+      }
+      DrawPair(rng, u, v);
       return true;
     }
     bool Admit(graph::NodeId, graph::NodeId, util::Rng&) const {
       return true;
     }
 
+    /// A candidate's pair: the class pair, then u and v within it.
+    void DrawPair(util::Rng& rng, graph::NodeId& u, graph::NodeId& v) const {
+      const uint32_t pair = class_pairs[pairs->Sample(rng)];
+      do {
+        u = classes->Sample(pair >> 16, rng);
+        v = classes->Sample(pair & 0xffff, rng);
+      } while (u == v);
+    }
+
+    /// Charges the exact gap of `uniform`, settling first when the bound
+    /// leaves too little; false when the exact remainder is too small.
+    bool ChargeExact(double uniform, PassBudget& budget) const;
+
     const ClassWeights* classes = nullptr;
     std::optional<util::AliasSampler> pairs;  // over p = a * k + b
     std::vector<uint32_t> class_pairs;        // p -> a << 16 | b
-    double log1m_q = 0.0;  // log1p(-q); -inf when q rounds to 1
+    CandidateGap gap{1.0};
   };
 
  private:
@@ -202,7 +269,7 @@ void ProposeInto(const CandidateKernel& kernel, util::Rng& rng,
   kernel.Run([&](const auto& arm) {
     graph::NodeId u = 0;
     graph::NodeId v = 0;
-    uint64_t left = budget;
+    PassBudget left(budget);
     while (out.num_edges() < target && arm.Propose(rng, left, u, v)) {
       if (out.HasEdge(u, v) || !arm.Admit(u, v, rng)) continue;
       out.AddEdge(u, v);
@@ -225,7 +292,7 @@ inline std::vector<graph::Edge> DrawShard(const CandidateKernel& kernel,
   kernel.Run([&](const auto& arm) {
     graph::NodeId u = 0;
     graph::NodeId v = 0;
-    uint64_t left = budget;
+    PassBudget left(budget);
     while (count < quota && arm.Propose(rng, left, u, v)) {
       const util::FlatEdgeSet::Slot slot = seen.Find(graph::PackEdge(u, v));
       if (slot.found || !arm.Admit(u, v, rng)) continue;

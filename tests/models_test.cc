@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <numeric>
 #include <string>
 
@@ -357,6 +358,157 @@ TEST(CandidateKernelTest, TableArmEdgeCases) {
                                         lone),
                         10, 1000, util::Rng(4))
                   .empty());
+}
+
+// Two streams are equal when their next outputs are; four outputs pin the
+// 256-bit state.
+bool SameStream(util::Rng a, util::Rng b) {
+  for (int i = 0; i < 4; ++i) {
+    if (a.Next() != b.Next()) return false;
+  }
+  return true;
+}
+
+TEST(CandidateKernelTest, CandidateGapBoundsEveryLogFreeGap) {
+  for (const double q : {1.0, std::nextafter(1.0, 0.0), 0.975, 0.5, 0.1,
+                         CandidateGap::kMinFastRate, 0.05, 0.02, 1e-300}) {
+    const CandidateGap gap(q);
+    if (q < CandidateGap::kMinFastRate) {
+      EXPECT_EQ(gap.bound, 0u) << q;
+      EXPECT_LT(gap.fast_below, 0.0) << q;
+      continue;
+    }
+    // About 95% of candidates skip the log.
+    EXPECT_GT(gap.fast_below, 0.95) << q;
+    EXPECT_GE(gap.bound, 4u) << q;
+    // The top 2^16 values UniformDouble can draw at or below the threshold,
+    // and 2^16 uniform ones below it, all stay within the bound.
+    const double top =
+        std::min(std::floor(gap.fast_below * 0x1p53), 0x1p53 - 1);
+    util::Rng rng(17);
+    uint64_t over = 0;
+    for (int i = 0; i < 65536; ++i) {
+      const double near = std::max(top - i, 0.0) * 0x1p-53;
+      const double below = rng.UniformDouble() * gap.fast_below;
+      for (const double u : {near, below}) {
+        if (!(gap.Exact(u) <= static_cast<double>(gap.bound))) ++over;
+        if (q == 1.0 && gap.Exact(u) != 1.0) ++over;
+      }
+    }
+    EXPECT_EQ(over, 0u) << q;
+  }
+}
+
+// Two attribute classes over 40 nodes and one acceptance value `accept`
+// for every class pair: with uniform weights the candidate rate is
+// q = accept * (1 - 1/40).
+struct UniformTable {
+  explicit UniformTable(double accept, std::vector<double> w = {})
+      : weights(w.empty() ? std::vector<double>(40, 1.0) : std::move(w)),
+        filter(EdgeFilter::FromAcceptanceTable(Configs(), {accept, accept,
+                                                           accept},
+                                               1)),
+        pi(PiTables::Build(weights, filter).value()),
+        kernel(pi, filter) {}
+
+  static std::vector<graph::AttrConfig> Configs() {
+    std::vector<graph::AttrConfig> configs(40);
+    for (graph::NodeId i = 0; i < 40; ++i) configs[i] = i % 2;
+    return configs;
+  }
+
+  std::vector<double> weights;
+  EdgeFilter filter;
+  PiTables pi;
+  CandidateKernel kernel;
+};
+
+TEST(CandidateKernelTest, LogFreeGapsMatchTheExactLoop) {
+  std::vector<double> skewed(40);
+  for (size_t i = 0; i < skewed.size(); ++i) skewed[i] = 1.0 + (i * 7) % 13;
+  std::vector<std::unique_ptr<UniformTable>> tables;
+  for (const double q : {1.0, 0.5, 0.05, 0.02, 1e-300}) {
+    tables.push_back(std::make_unique<UniformTable>(q / 0.975));
+  }
+  tables.push_back(std::make_unique<UniformTable>(0.3, skewed));
+  for (const auto& table : tables) {
+    const CandidateKernel::TableArm* arm = oracle::TableArmOf(table->kernel);
+    ASSERT_NE(arm, nullptr);
+    const double q = -std::expm1(arm->gap.log1m_q);
+    for (const uint64_t quota : {1, 2, 7, 60, 300}) {
+      // Budgets that bind before the first candidate, in mid-pass (most
+      // of them after a settle) and never.
+      for (const uint64_t budget : {uint64_t{0}, uint64_t{1}, uint64_t{40},
+                                    uint64_t{400}, ~uint64_t{0}}) {
+        for (uint64_t seed = 0; seed < 6; ++seed) {
+          util::Rng exact = util::Rng::Substream(9, seed);
+          EXPECT_EQ(DrawShard(table->kernel, quota, budget,
+                              util::Rng::Substream(9, seed)),
+                    oracle::ExactDrawShard(*arm, quota, budget, exact))
+              << "q=" << q << " quota=" << quota << " budget=" << budget;
+
+          // A top-up from a non-empty graph, as the registry's is.
+          graph::Graph fast(40);
+          graph::Graph slow(40);
+          for (graph::NodeId i = 0; i + 3 < 40; i += 3) {
+            fast.AddEdge(i, i + 3);
+            slow.AddEdge(i, i + 3);
+          }
+          const uint64_t target = fast.num_edges() + quota;
+          std::vector<graph::Edge> fast_order;
+          std::vector<graph::Edge> slow_order;
+          util::Rng fast_rng = util::Rng::Substream(10, seed);
+          util::Rng slow_rng = util::Rng::Substream(10, seed);
+          ProposeInto(table->kernel, fast_rng, budget, target, fast,
+                      &fast_order);
+          oracle::ExactProposeInto(*arm, slow_rng, budget, target, slow,
+                                   &slow_order);
+          EXPECT_EQ(fast.CanonicalEdges(), slow.CanonicalEdges());
+          EXPECT_EQ(fast_order, slow_order);
+          EXPECT_TRUE(SameStream(fast_rng, slow_rng))
+              << "q=" << q << " quota=" << quota << " budget=" << budget;
+        }
+      }
+    }
+  }
+}
+
+TEST(CandidateKernelTest, SettleMidPassKeepsTheExactStream) {
+  // At q = 0.5 a log-free candidate is charged 12 proposals against a mean
+  // gap of 2, so a budget of 100 runs out of charge after eight of them
+  // while most of it is left: the arm settles and goes on drawing.
+  const UniformTable table(0.5 / 0.975);
+  const CandidateKernel::TableArm* arm = oracle::TableArmOf(table.kernel);
+  ASSERT_NE(arm, nullptr);
+  ASSERT_EQ(arm->gap.bound, 12u);
+  int settles_mid_pass = 0;
+  for (uint64_t seed = 0; seed < 20; ++seed) {
+    util::Rng fast_rng = util::Rng::Substream(11, seed);
+    util::Rng slow_rng = util::Rng::Substream(11, seed);
+    PassBudget budget(100);
+    uint64_t left = 100;
+    for (;;) {
+      graph::NodeId u = 0;
+      graph::NodeId v = 0;
+      graph::NodeId x = 0;
+      graph::NodeId y = 0;
+      const uint64_t pending = budget.pending;
+      const bool fast = arm->Propose(fast_rng, budget, u, v);
+      const bool slow = oracle::ExactPropose(*arm, slow_rng, left, x, y);
+      ASSERT_EQ(fast, slow) << "seed=" << seed;
+      ASSERT_TRUE(SameStream(fast_rng, slow_rng)) << "seed=" << seed;
+      if (!fast) break;
+      ASSERT_EQ(u, x);
+      ASSERT_EQ(v, y);
+      // Settled: the pending candidates' exact gaps were counted.
+      if (pending > 0 && budget.pending == 0) {
+        ++settles_mid_pass;
+        EXPECT_EQ(budget.left, left);
+      }
+      EXPECT_LE(budget.left - budget.charged, left);
+    }
+  }
+  EXPECT_GT(settles_mid_pass, 0);
 }
 
 // ------------------------------------------------------------ PostProcess --
