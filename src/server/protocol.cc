@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <type_traits>
 #include <vector>
 
 #include "src/agm/agm_sampler.h"
@@ -366,49 +367,79 @@ util::Result<Response> ParseResponse(const std::string& line) {
   return response;
 }
 
+namespace {
+
+constexpr uint64_t kFnvPrime = 1099511628211ULL;
+
+constexpr uint64_t FnvPrimePower(int exponent) {
+  uint64_t power = 1;
+  for (int i = 0; i < exponent; ++i) power *= kFnvPrime;
+  return power;
+}
+
+// FNV-1a's eight byte steps (h ^= byte; h *= kFnvPrime) over the
+// little-endian bytes of x < 2^(8 * kBytes). Its high bytes are zero and
+// h ^= 0 leaves h alone, so their steps and the last low byte's multiply
+// fold into one multiply by kFnvPrime^(9 - kBytes).
+template <int kBytes>
+uint64_t MixNarrow(uint64_t h, uint32_t x) {
+  for (int i = 0; i + 1 < kBytes; ++i) {
+    h ^= (x >> (8 * i)) & 0xffu;
+    h *= kFnvPrime;
+  }
+  h ^= x >> (8 * (kBytes - 1));
+  return h * FnvPrimePower(9 - kBytes);
+}
+
+// Calls fn(std::integral_constant<int, B>) with B the low bytes that hold
+// every value up to `max_value`.
+template <typename Fn>
+uint64_t WithNarrowBytes(uint32_t max_value, const Fn& fn) {
+  if (max_value < (1u << 8)) return fn(std::integral_constant<int, 1>{});
+  if (max_value < (1u << 16)) return fn(std::integral_constant<int, 2>{});
+  if (max_value < (1u << 24)) return fn(std::integral_constant<int, 3>{});
+  return fn(std::integral_constant<int, 4>{});
+}
+
+}  // namespace
+
 uint64_t GraphChecksum(const graph::AttributedGraph& g) {
-  constexpr uint64_t kPrime = 1099511628211ULL;
-  // kPrime^5 mod 2^64: a 32-bit value's last byte step and the four steps
-  // of its zero high bytes (h ^= 0; h *= kPrime) fold into one multiply.
-  constexpr uint64_t kPrime5 = kPrime * kPrime * kPrime * kPrime * kPrime;
-  uint64_t h = 1469598103934665603ULL;
-  // One FNV-1a step per little-endian byte of a 64-bit value.
-  const auto mix64 = [&h](uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (x >> (8 * i)) & 0xffu;
-      h *= kPrime;
-    }
-  };
-  // The same eight steps for a value below 2^32, whose high bytes are 0.
-  const auto mix32 = [&h](uint32_t x) {
-    for (int i = 0; i < 3; ++i) {
-      h ^= (x >> (8 * i)) & 0xffu;
-      h *= kPrime;
-    }
-    h ^= x >> 24;
-    h *= kPrime5;
-  };
   static_assert(sizeof(graph::NodeId) == 4 && sizeof(graph::AttrConfig) == 4,
-                "node ids and attribute configurations are mixed by mix32");
-  mix64(g.num_nodes());
-  mix64(static_cast<uint64_t>(g.num_attributes()));
-  // The canonical edge list, node by node: u ascends, and each node's
-  // neighbors above it are sorted in one reused buffer.
-  const graph::Graph& structure = g.structure();
-  std::vector<graph::NodeId> above;
-  for (graph::NodeId u = 0; u < structure.num_nodes(); ++u) {
-    above.clear();
-    for (graph::NodeId v : structure.Neighbors(u)) {
-      if (u < v) above.push_back(v);
-    }
-    std::sort(above.begin(), above.end());
-    for (graph::NodeId v : above) {
-      mix32(u);
-      mix32(v);
+                "node ids and attribute configurations are 32-bit values");
+  uint64_t h = 1469598103934665603ULL;
+  for (const uint64_t header :
+       {uint64_t{g.num_nodes()}, static_cast<uint64_t>(g.num_attributes())}) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (header >> (8 * i)) & 0xffu;
+      h *= kFnvPrime;
     }
   }
-  for (graph::AttrConfig a : g.attributes()) mix32(a);
-  return h;
+  // The canonical edge list, node by node: u ascends, and each node's
+  // neighbors above it are sorted in one reused buffer. Node ids are below
+  // num_nodes(), so the narrowest mix that holds the largest id serves all.
+  const graph::Graph& structure = g.structure();
+  const graph::NodeId n = structure.num_nodes();
+  h = WithNarrowBytes(n > 0 ? n - 1 : 0, [&](auto bytes) {
+    std::vector<graph::NodeId> above;
+    for (graph::NodeId u = 0; u < n; ++u) {
+      above.clear();
+      for (graph::NodeId v : structure.Neighbors(u)) {
+        if (u < v) above.push_back(v);
+      }
+      std::sort(above.begin(), above.end());
+      for (graph::NodeId v : above) {
+        h = MixNarrow<bytes>(MixNarrow<bytes>(h, u), v);
+      }
+    }
+    return h;
+  });
+  const std::vector<graph::AttrConfig>& attrs = g.attributes();
+  const graph::AttrConfig max_attr =
+      attrs.empty() ? 0 : *std::max_element(attrs.begin(), attrs.end());
+  return WithNarrowBytes(max_attr, [&](auto bytes) {
+    for (graph::AttrConfig a : attrs) h = MixNarrow<bytes>(h, a);
+    return h;
+  });
 }
 
 }  // namespace agmdp::server

@@ -135,9 +135,10 @@ util::Result<Response> ParseResponse(const std::string& line);
 /// stable fingerprint of a released graph, identical across processes and
 /// machines for identical graphs. One pass, no edge list: each node's
 /// neighbors above it are sorted in one reused buffer and mixed from it,
-/// and a 32-bit value's last byte and four zero high bytes cost one
-/// multiply by the FNV prime's fifth power. The value equals the byte-wise
-/// reference (tests/checksum_oracle.h) and is pinned by
+/// and the steps of a value's zero high bytes fold into one multiply by a
+/// power of the FNV prime: node ids below 2^16, say, cost two multiplies
+/// instead of eight. The value equals the byte-wise reference
+/// (tests/checksum_oracle.h) and is pinned by
 /// ProtocolTest.GraphChecksumWireValueIsPinned.
 uint64_t GraphChecksum(const graph::AttributedGraph& g);
 

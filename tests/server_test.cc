@@ -219,13 +219,16 @@ TEST(ProtocolTest, GraphChecksumWireValueIsPinned) {
 
 TEST(ProtocolTest, GraphChecksumMatchesTheByteWiseReference) {
   // The pinned graph's values fit in one byte; these reach past 2^8 and
-  // 2^16 in node ids (n = 70,000) and up to 2^16 - 1 in configurations
-  // (w = 16), so every byte the one-pass form folds is exercised.
+  // 2^16 in node ids (n = 70,000) and in configurations (up to 2^20 - 1 at
+  // w = 20, the largest w), so every width the one-pass form mixes with
+  // below 2^24 is exercised.
   util::Rng rng(31);
   for (const auto& [n, w, edges] :
        {std::tuple<graph::NodeId, int, int>{0, 0, 0},
         {1, 3, 0},
+        {200, 8, 500},
         {300, 2, 900},
+        {300, 20, 900},
         {70000, 16, 200000},
         {70000, 1, 3000}}) {
     graph::AttributedGraph g(n, w);
@@ -238,7 +241,7 @@ TEST(ProtocolTest, GraphChecksumMatchesTheByteWiseReference) {
     for (graph::AttrConfig& a : attrs) {
       a = static_cast<graph::AttrConfig>(rng.UniformIndex(uint64_t{1} << w));
     }
-    if (w == 16 && n > 0) attrs[n - 1] = 0xffff;
+    if (w >= 16 && n > 0) attrs[n - 1] = (1u << w) - 1;
     ASSERT_TRUE(g.SetAttributes(attrs).ok());
     EXPECT_EQ(server::GraphChecksum(g), oracle::ByteWiseGraphChecksum(g))
         << "n=" << n << " w=" << w;
