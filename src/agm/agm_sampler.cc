@@ -142,12 +142,20 @@ constexpr int kProposalShards = kSamplerProposalShards;
 // The attribute vector is fixed for the whole sample, so every iteration's
 // acceptance table shares the attribute classes of the first.
 // Only the cFCL calibration pass (whose weights depend on the pilot of the
-// current iteration) still builds fresh tables.
+// current iteration) rebuilds its tables, in the plan's FclScratch.
+//
+// The plan also owns the passes' scratch, reused across shards, across the
+// pilot and calibrated passes and across iterations: each shard's accepted
+// edges (keyed by shard) and the dedup sets (keyed by the task that draws
+// the shard, never by the worker that runs the task).
 struct FclPlan {
   std::vector<double> weights;
   uint64_t target = 0;
   std::optional<models::PiTables> by_node;   // no filter
   std::optional<models::PiTables> by_class;  // acceptance-table filter
+  models::FclScratch fcl;
+  std::vector<std::vector<graph::Edge>> shard_edges;  // by shard
+  std::vector<util::FlatEdgeSet> shard_seen;          // by task
 };
 
 FclPlan BuildFclPlan(const std::vector<uint32_t>& degrees) {
@@ -170,7 +178,8 @@ util::Result<const models::PiTables*> PlanTables(
       filter.table_view() ? plan.by_class : plan.by_node;
   if (filter.table_view()) plan.by_node.reset();  // never unfiltered again
   if (!tables) {
-    auto built = models::PiTables::Build(plan.weights, filter);
+    auto built =
+        models::PiTables::Build(plan.weights, filter, &plan.fcl.worklist);
     if (!built.ok()) return built.status();
     tables = std::move(built).value();
   }
@@ -186,15 +195,17 @@ util::Result<const models::PiTables*> PlanTables(
 // duplicates dropped, stopping at the target. Shards are drawn lazily, in
 // merge order: first the ceil(target / quota) shards the merge needs at the
 // least, then one shard per worker at a time until the merge reaches the
-// target, so shards after that point are never drawn. Every quantity here
-// is a function of (seed_base, stream_offset) alone — the pool only changes
-// which worker runs which shard and how many are drawn ahead of the merge.
+// target, so shards after that point are never drawn. A wave runs as at
+// most one task per worker, task t drawing shards t, t + tasks, ... with
+// the plan's dedup set t. Every quantity here is a function of
+// (seed_base, stream_offset) alone — the pool only changes which worker
+// runs which task and how many shards are drawn ahead of the merge.
 template <typename Out>
 void ShardedProposalPass(const models::CandidateKernel& kernel,
                          uint64_t target_edges,
                          uint64_t max_proposals_per_edge,
                          util::WorkerPool& pool, uint64_t seed_base,
-                         uint64_t stream_offset, Out& out,
+                         uint64_t stream_offset, FclPlan& plan, Out& out,
                          std::vector<graph::Edge>* insertion_order) {
   // Over-provision each shard a little beyond target/shards: cross-shard
   // duplicates only surface at merge time, and the surplus lets the merge
@@ -207,21 +218,27 @@ void ShardedProposalPass(const models::CandidateKernel& kernel,
   // product can silently collapse the budget to ~0 proposals.
   const uint64_t budget = util::SaturatingMul(max_proposals_per_edge, quota);
 
-  std::vector<std::vector<graph::Edge>> accepted(kProposalShards);
-  const auto draw_shard = [&](int s) {
-    accepted[s] = models::DrawShard(
-        kernel, quota, budget,
-        util::Rng::Substream(seed_base,
-                             stream_offset + static_cast<uint64_t>(s)));
-  };
-
+  std::vector<std::vector<graph::Edge>>& accepted = plan.shard_edges;
+  accepted.resize(kProposalShards);
   int wave = static_cast<int>(std::min<uint64_t>(
       (target_edges + quota - 1) / quota, kProposalShards));
   int drawn = 0;
   while (drawn < kProposalShards) {
     const int first = drawn;
     drawn = std::min(kProposalShards, drawn + wave);
-    pool.Run(drawn - first, [&](int i) { draw_shard(first + i); });
+    const int tasks = std::min(drawn - first, pool.num_workers());
+    if (plan.shard_seen.size() < static_cast<size_t>(tasks)) {
+      plan.shard_seen.resize(tasks);
+    }
+    pool.Run(tasks, [&](int t) {
+      for (int s = first + t; s < drawn; s += tasks) {
+        models::DrawShard(
+            kernel, quota, budget,
+            util::Rng::Substream(seed_base,
+                                 stream_offset + static_cast<uint64_t>(s)),
+            plan.shard_seen[t], accepted[s]);
+      }
+    });
     for (int s = first; s < drawn; ++s) {
       for (const graph::Edge& e : accepted[s]) {
         if (out.num_edges() >= target_edges) return;
@@ -229,7 +246,6 @@ void ShardedProposalPass(const models::CandidateKernel& kernel,
           insertion_order->push_back(e);
         }
       }
-      std::vector<graph::Edge>().swap(accepted[s]);  // merged; free it
     }
     wave = pool.num_workers();
   }
@@ -239,8 +255,8 @@ void ShardedProposalPass(const models::CandidateKernel& kernel,
 // (models::RunFcl; the pilot it measures is the deterministic shard merge,
 // so the calibration is reproducible too). The calibrated pass uses the
 // next block of sub-streams. The first pass reuses the plan's pi tables;
-// only the calibrated pass, whose weights depend on the pilot, builds
-// fresh ones.
+// only the calibrated pass, whose weights depend on the pilot, rebuilds
+// its own, in the plan's scratch.
 util::Result<graph::Graph> ShardedFastChungLu(
     const std::vector<uint32_t>& degrees, FclPlan& plan,
     const models::ChungLuOptions& options, util::WorkerPool& pool,
@@ -252,12 +268,12 @@ util::Result<graph::Graph> ShardedFastChungLu(
   auto pi = PlanTables(plan, options.filter);
   if (!pi.ok()) return pi.status();
   return models::RunFcl(
-      degrees, target, plan.weights, *pi.value(), options,
+      degrees, target, plan.weights, *pi.value(), options, plan.fcl,
       [&](const models::CandidateKernel& kernel, auto& out,
           std::vector<graph::Edge>* insertion_order, bool calibrated) {
         ShardedProposalPass(kernel, target, options.max_proposals_per_edge,
                             pool, seed_base,
-                            calibrated ? kProposalShards : 0, out,
+                            calibrated ? kProposalShards : 0, plan, out,
                             insertion_order);
       });
 }

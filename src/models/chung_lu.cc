@@ -77,16 +77,16 @@ util::Result<graph::Graph> FastChungLu(const std::vector<uint32_t>& degrees,
   // can silently collapse the proposal budget to ~0.
   const uint64_t max_proposals =
       util::SaturatingMul(options.max_proposals_per_edge, target);
-  std::vector<double> weights(degrees.begin(), degrees.end());
-  auto pi = PiTables::Build(weights, options.filter);
+  const std::vector<double> weights(degrees.begin(), degrees.end());
+  FclScratch scratch;
+  auto pi = PiTables::Build(weights, options.filter, &scratch.worklist);
   if (!pi.ok()) return pi.status();
   // One proposal pass into `out`, the graph or the cFCL pilot.
   const auto pass = [&](const CandidateKernel& kernel, auto& out,
                         std::vector<graph::Edge>* insertion_order, bool) {
     ProposeInto(kernel, rng, max_proposals, target, out, insertion_order);
   };
-  return RunFcl(degrees, target, std::move(weights), pi.value(), options,
-                pass);
+  return RunFcl(degrees, target, weights, pi.value(), options, scratch, pass);
 }
 
 }  // namespace agmdp::models

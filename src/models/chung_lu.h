@@ -86,6 +86,17 @@ bool ReweightHubs(const std::vector<uint32_t>& degrees,
                   const std::vector<graph::NodeId>& hubs,
                   const FclPilot& pilot, std::vector<double>* weights);
 
+/// Storage RunFcl reuses from call to call: the calibrated weights and pi
+/// tables and the alias builder's worklist. The AGM sampler keeps one per
+/// sample (its FclPlan), so a warm acceptance iteration allocates none of
+/// them. The pilot is not kept: it is freed before the calibrated pass
+/// builds its graph, which may reuse that memory.
+struct FclScratch {
+  std::vector<double> weights;
+  PiTables calibrated;
+  std::vector<uint32_t> worklist;
+};
+
 /// The (c)FCL routine of the sequential FastChungLu and the AGM sampler's
 /// sharded FCL. `pass(kernel, out, insertion_order, calibrated)` runs one
 /// proposal pass of `kernel` (pi through options.filter) into `out` (a
@@ -95,15 +106,15 @@ bool ReweightHubs(const std::vector<uint32_t>& degrees,
 /// one hub a pilot pass is measured first; if ReweightHubs changes nothing
 /// the pilot is the result, rebuilt by adding its edges in order (same
 /// adjacency and insertion order as a graph pass), otherwise it is freed
-/// and the graph is drawn from the new weights (`calibrated` set). Without
-/// a hub the first pass is the result.
+/// and the graph is drawn from the new weights (`calibrated` set), built in
+/// `scratch`. Without a hub the first pass is the result.
 template <typename Pass>
 util::Result<graph::Graph> RunFcl(const std::vector<uint32_t>& degrees,
                                   uint64_t target_edges,
-                                  std::vector<double> weights,
+                                  const std::vector<double>& weights,
                                   const PiTables& pi,
                                   const ChungLuOptions& options,
-                                  const Pass& pass) {
+                                  FclScratch& scratch, const Pass& pass) {
   std::vector<graph::Edge>* order = options.insertion_order;
   const auto reserved_graph = [&] {
     graph::Graph g(static_cast<graph::NodeId>(degrees.size()));
@@ -128,16 +139,18 @@ util::Result<graph::Graph> RunFcl(const std::vector<uint32_t>& degrees,
   {
     FclPilot pilot(target_edges);
     pass(kernel, pilot, nullptr, false);
-    if (!ReweightHubs(degrees, hubs, pilot, &weights)) {
+    scratch.weights.assign(weights.begin(), weights.end());
+    if (!ReweightHubs(degrees, hubs, pilot, &scratch.weights)) {
       graph::Graph g = reserved_graph();
       for (const graph::Edge& e : pilot.edges) g.AddEdge(e.u, e.v);
       if (order != nullptr) *order = std::move(pilot.edges);
       return g;
     }
   }
-  auto calibrated = pi.Reweighted(weights);
-  if (!calibrated.ok()) return calibrated.status();
-  return graph_pass(CandidateKernel(calibrated.value(), options.filter), true);
+  const util::Status reweighted =
+      pi.ReweightInto(scratch.weights, scratch.worklist, scratch.calibrated);
+  if (!reweighted.ok()) return reweighted;
+  return graph_pass(CandidateKernel(scratch.calibrated, options.filter), true);
 }
 
 }  // namespace agmdp::models

@@ -16,36 +16,38 @@ namespace {
 // unbounded, so it counts as zero.
 constexpr double kSelfPairTolerance = 1e-12;
 
-ClassWeights BuildClassWeights(std::shared_ptr<const AttributeClasses> classes,
-                               const std::vector<double>& weights) {
-  ClassWeights out;
+// Fills `out` (reusing its storage) with pi within each class of `classes`.
+void BuildClassWeights(std::shared_ptr<const AttributeClasses> classes,
+                       const std::vector<double>& weights,
+                       std::vector<uint32_t>& worklist, ClassWeights& out) {
   const size_t k = classes->size();
   out.mass.assign(k, 0.0);
   out.self_mass.assign(k, 0.0);
   out.buckets.resize(classes->members.size());
-  std::vector<double> class_weights;
-  std::vector<util::AliasBucket> table;
   for (size_t c = 0; c < k; ++c) {
     const uint32_t first = classes->begin[c];
     const graph::NodeId* members = classes->members.data() + first;
     const uint32_t size = classes->begin[c + 1] - first;
-    class_weights.clear();
     for (uint32_t i = 0; i < size; ++i) {
       const double w = weights[members[i]];
-      class_weights.push_back(w);
       out.mass[c] += w;
       out.self_mass[c] += w * w;
     }
-    if (out.mass[c] <= 0.0) continue;
-    table.resize(size);
-    util::BuildAliasBuckets(class_weights.data(), size, table.data());
+    ClassWeights::Bucket* buckets = out.buckets.data() + first;
+    if (out.mass[c] <= 0.0) {
+      std::fill(buckets, buckets + size, ClassWeights::Bucket{});
+      continue;
+    }
+    // Built over member positions, then the positions become node ids.
+    util::BuildAliasBuckets(
+        [&](size_t i) { return weights[members[i]]; }, size, buckets,
+        worklist);
     for (uint32_t i = 0; i < size; ++i) {
-      out.buckets[first + i] = {table[i].prob, members[i],
-                                members[table[i].alias]};
+      buckets[i].node = members[i];
+      buckets[i].alias = members[buckets[i].alias];
     }
   }
   out.classes = std::move(classes);
-  return out;
 }
 
 }  // namespace
@@ -126,8 +128,9 @@ AttributeClasses AttributeClasses::Build(const graph::AttrConfig* configs,
 }
 
 util::Result<PiTables> PiTables::Build(const std::vector<double>& weights,
-                                       const EdgeFilter& filter) {
-  // The form is set by which member is engaged; Reweighted fills it.
+                                       const EdgeFilter& filter,
+                                       std::vector<uint32_t>* worklist) {
+  // The form is set by which member is engaged; ReweightInto fills it.
   PiTables form;
   if (const EdgeFilter::TableView table = filter.table_view()) {
     AGMDP_CHECK(table.num_nodes >= weights.size());
@@ -135,22 +138,33 @@ util::Result<PiTables> PiTables::Build(const std::vector<double>& weights,
     form.classes_->classes = std::make_shared<const AttributeClasses>(
         AttributeClasses::Build(table.node_configs, weights.size(), table.k));
   }
-  return form.Reweighted(weights);
+  std::vector<uint32_t> local;
+  PiTables out;
+  if (auto st = form.ReweightInto(weights, worklist != nullptr ? *worklist
+                                                                : local,
+                                  out);
+      !st.ok()) {
+    return st;
+  }
+  return out;
 }
 
-util::Result<PiTables> PiTables::Reweighted(
-    const std::vector<double>& weights) const {
-  PiTables out;
+util::Status PiTables::ReweightInto(const std::vector<double>& weights,
+                                    std::vector<uint32_t>& worklist,
+                                    PiTables& out) const {
   if (!classes_) {
     auto nodes = util::AliasSampler::Build(weights);
     if (!nodes.ok()) return nodes.status();
+    out.classes_.reset();
     out.nodes_ = std::move(nodes).value();
-    return out;
+    return util::Status::OK();
   }
   if (auto st = util::CheckAliasWeights(weights); !st.ok()) return st;
   AGMDP_CHECK(weights.size() == classes_->classes->members.size());
-  out.classes_ = BuildClassWeights(classes_->classes, weights);
-  return out;
+  out.nodes_.reset();
+  if (!out.classes_) out.classes_.emplace();
+  BuildClassWeights(classes_->classes, weights, worklist, *out.classes_);
+  return util::Status::OK();
 }
 
 CandidateKernel::CandidateKernel(const PiTables& pi,

@@ -141,12 +141,18 @@ class PiTables {
  public:
   /// Weights must be finite and non-negative with a positive sum (the
   /// AliasSampler contract); a table filter must cover every node.
+  /// `worklist`, when given, is the alias builder's scratch (a caller that
+  /// builds again keeps it; see util::BuildAliasBuckets).
   static util::Result<PiTables> Build(const std::vector<double>& weights,
-                                      const EdgeFilter& filter);
+                                      const EdgeFilter& filter,
+                                      std::vector<uint32_t>* worklist =
+                                          nullptr);
 
-  /// The same form over new weights; a table form keeps its classes (cFCL's
-  /// calibrated pass).
-  util::Result<PiTables> Reweighted(const std::vector<double>& weights) const;
+  /// Rebuilds `out` in this form over new weights, reusing out's storage;
+  /// a table form keeps its classes (cFCL's calibrated pass).
+  util::Status ReweightInto(const std::vector<double>& weights,
+                            std::vector<uint32_t>& worklist,
+                            PiTables& out) const;
 
  private:
   friend class CandidateKernel;
@@ -279,29 +285,31 @@ void ProposeInto(const CandidateKernel& kernel, util::Rng& rng,
 }
 
 /// One shard of the sharded FCL pass: draws from `rng` until `quota`
-/// distinct edges are accepted or `budget` proposals are spent. Each
-/// candidate is looked up once in the shard's dedup set and, when new (and
-/// admitted), stored in the slot that lookup found (the set is reserved
-/// for `quota` keys, so no insert rehashes).
-inline std::vector<graph::Edge> DrawShard(const CandidateKernel& kernel,
-                                          uint64_t quota, uint64_t budget,
-                                          util::Rng rng) {
-  util::FlatEdgeSet seen(quota);
-  std::vector<graph::Edge> edges(quota);
-  uint64_t count = 0;
+/// distinct edges are accepted or `budget` proposals are spent, leaving the
+/// accepted edges in `edges` in acceptance order. Each candidate is looked
+/// up once in the dedup set `seen` and, when new (and admitted), stored in
+/// the slot that lookup found. The set is cleared and reserved for twice
+/// `quota` keys, so no insert rehashes and a lookup rarely probes past its
+/// first slot. Both buffers are the caller's scratch: a sampler keeps them
+/// across shards and passes, so a warm shard allocates nothing.
+inline void DrawShard(const CandidateKernel& kernel, uint64_t quota,
+                      uint64_t budget, util::Rng rng, util::FlatEdgeSet& seen,
+                      std::vector<graph::Edge>& edges) {
+  seen.Clear();
+  seen.Reserve(2 * quota);
+  edges.clear();
+  edges.reserve(quota);
   kernel.Run([&](const auto& arm) {
     graph::NodeId u = 0;
     graph::NodeId v = 0;
     PassBudget left(budget);
-    while (count < quota && arm.Propose(rng, left, u, v)) {
+    while (edges.size() < quota && arm.Propose(rng, left, u, v)) {
       const util::FlatEdgeSet::Slot slot = seen.Find(graph::PackEdge(u, v));
       if (slot.found || !arm.Admit(u, v, rng)) continue;
       seen.InsertAt(slot);
-      edges[count++] = graph::Edge(u, v);
+      edges.emplace_back(u, v);
     }
   });
-  edges.resize(count);
-  return edges;
 }
 
 }  // namespace agmdp::models

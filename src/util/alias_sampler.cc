@@ -7,46 +7,6 @@
 
 namespace agmdp::util {
 
-void BuildAliasBuckets(const double* weights, size_t n,
-                       AliasBucket* buckets) {
-  double sum = 0.0;
-  for (size_t i = 0; i < n; ++i) sum += weights[i];
-  std::fill(buckets, buckets + n, AliasBucket{});
-
-  // Vose's algorithm: split scaled masses into "small" (< 1) and "large"
-  // (>= 1) worklists and pair each small bucket with a large donor.
-  std::vector<double> scaled(n);
-  std::vector<uint32_t> small, large;
-  small.reserve(n);
-  large.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    scaled[i] = weights[i] / sum * static_cast<double>(n);
-    if (scaled[i] < 1.0) {
-      small.push_back(static_cast<uint32_t>(i));
-    } else {
-      large.push_back(static_cast<uint32_t>(i));
-    }
-  }
-
-  while (!small.empty() && !large.empty()) {
-    uint32_t s = small.back();
-    small.pop_back();
-    uint32_t l = large.back();
-    large.pop_back();
-    buckets[s].prob = scaled[s];
-    buckets[s].alias = l;
-    scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-    if (scaled[l] < 1.0) {
-      small.push_back(l);
-    } else {
-      large.push_back(l);
-    }
-  }
-  // Numerical leftovers: everything remaining gets probability 1 of itself.
-  for (uint32_t l : large) buckets[l].prob = 1.0;
-  for (uint32_t s : small) buckets[s].prob = 1.0;
-}
-
 Status CheckAliasWeights(const std::vector<double>& weights) {
   if (weights.empty()) {
     return Status::InvalidArgument("AliasSampler: empty weight vector");
@@ -69,7 +29,9 @@ Result<AliasSampler> AliasSampler::Build(const std::vector<double>& weights) {
   if (auto st = CheckAliasWeights(weights); !st.ok()) return st;
   AliasSampler sampler;
   sampler.buckets_.resize(weights.size());
-  BuildAliasBuckets(weights.data(), weights.size(), sampler.buckets_.data());
+  std::vector<uint32_t> worklist;
+  BuildAliasBuckets([&](size_t i) { return weights[i]; }, weights.size(),
+                    sampler.buckets_.data(), worklist);
   return sampler;
 }
 

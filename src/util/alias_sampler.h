@@ -8,6 +8,8 @@
 // proposed edge, making this the hottest load in structural sampling.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -27,10 +29,52 @@ struct AliasBucket {
 /// non-negative with a positive sum; InvalidArgument otherwise.
 Status CheckAliasWeights(const std::vector<double>& weights);
 
-/// Fills buckets[0, n) with Vose's alias table over weights[0, n), which
-/// must be finite and non-negative with a positive sum (the caller checks).
-/// Alias targets index the same range.
-void BuildAliasBuckets(const double* weights, size_t n, AliasBucket* buckets);
+/// Fills buckets[0, n) with Vose's alias table over weight(0), ...,
+/// weight(n - 1), which must be finite and non-negative with a positive sum
+/// (the caller checks). A Bucket has a double `prob` and an integer `alias`
+/// field; alias targets index the same range. The scaled masses are kept
+/// in the buckets' `prob` fields, and the small and large worklists share
+/// `worklist` (grown to n entries) from its two ends, so a caller that
+/// keeps the worklist builds tables without allocating.
+template <typename Weight, typename Bucket>
+void BuildAliasBuckets(const Weight& weight, size_t n, Bucket* buckets,
+                       std::vector<uint32_t>& worklist) {
+  double sum = 0.0;
+  for (size_t i = 0; i < n; ++i) sum += weight(i);
+  std::fill(buckets, buckets + n, Bucket{});
+  if (worklist.size() < n) worklist.resize(n);
+
+  // Vose's algorithm: split scaled masses into "small" (< 1) and "large"
+  // (>= 1) stacks and pair each small bucket with a large donor. An index
+  // is on at most one stack, so small grows up from the worklist's front
+  // and large down from its back.
+  uint32_t* const front = worklist.data();
+  uint32_t* const back = front + n;
+  uint32_t* small_end = front;
+  uint32_t* large_begin = back;
+  for (size_t i = 0; i < n; ++i) {
+    buckets[i].prob = weight(i) / sum * static_cast<double>(n);
+    if (buckets[i].prob < 1.0) {
+      *small_end++ = static_cast<uint32_t>(i);
+    } else {
+      *--large_begin = static_cast<uint32_t>(i);
+    }
+  }
+  while (small_end != front && large_begin != back) {
+    const uint32_t s = *--small_end;
+    const uint32_t l = *large_begin++;
+    buckets[s].alias = l;
+    buckets[l].prob = (buckets[l].prob + buckets[s].prob) - 1.0;
+    if (buckets[l].prob < 1.0) {
+      *small_end++ = l;
+    } else {
+      *--large_begin = l;
+    }
+  }
+  // Numerical leftovers: everything remaining gets probability 1 of itself.
+  for (const uint32_t* i = front; i != small_end; ++i) buckets[*i].prob = 1.0;
+  for (const uint32_t* i = large_begin; i != back; ++i) buckets[*i].prob = 1.0;
+}
 
 /// \brief Samples indices i in [0, n) with probability weights[i] / sum(w).
 class AliasSampler {

@@ -318,8 +318,8 @@ TEST(CandidateKernelTest, PiArmIsTheRejectionLoopDrawForDraw) {
     const PiTables pi = PiTables::Build(weights, filter).value();
     const util::AliasSampler alias = util::AliasSampler::Build(weights).value();
     for (uint64_t seed = 0; seed < 20; ++seed) {
-      EXPECT_EQ(DrawShard(CandidateKernel(pi, filter), 12, 60,
-                          util::Rng::Substream(7, seed)),
+      EXPECT_EQ(oracle::DrawShardEdges(CandidateKernel(pi, filter), 12, 60,
+                                        util::Rng::Substream(7, seed)),
                 oracle::RejectionDrawShard(alias, 12, 60, filter,
                                            util::Rng::Substream(7, seed)));
     }
@@ -333,8 +333,8 @@ TEST(CandidateKernelTest, TableArmEdgeCases) {
   // A table that rejects every pair: the budget is spent at once.
   const EdgeFilter none = EdgeFilter::FromAcceptanceTable(configs, {0, 0, 0}, 1);
   const PiTables pi = PiTables::Build(weights, none).value();
-  EXPECT_TRUE(DrawShard(CandidateKernel(pi, none), 10, ~uint64_t{0},
-                        util::Rng(1))
+  EXPECT_TRUE(oracle::DrawShardEdges(CandidateKernel(pi, none), 10,
+                                     ~uint64_t{0}, util::Rng(1))
                   .empty());
   // Only 0-1 pairs pass: every candidate crosses the classes, and the
   // gaps of a tiny rate overrun even a saturated budget without an
@@ -342,21 +342,22 @@ TEST(CandidateKernelTest, TableArmEdgeCases) {
   const EdgeFilter cross =
       EdgeFilter::FromAcceptanceTable(configs, {0, 1, 0}, 1);
   for (const graph::Edge& e :
-       DrawShard(CandidateKernel(pi, cross), 30, 1000, util::Rng(2))) {
+       oracle::DrawShardEdges(CandidateKernel(pi, cross), 30, 1000,
+                              util::Rng(2))) {
     EXPECT_NE(configs[e.u], configs[e.v]);
   }
   const EdgeFilter rare =
       EdgeFilter::FromAcceptanceTable(configs, {1e-300, 1e-300, 1e-300}, 1);
-  EXPECT_TRUE(DrawShard(CandidateKernel(pi, rare), 10, ~uint64_t{0},
-                        util::Rng(3))
+  EXPECT_TRUE(oracle::DrawShardEdges(CandidateKernel(pi, rare), 10,
+                                     ~uint64_t{0}, util::Rng(3))
                   .empty());
   // A class of one member has no distinct pair: 0-0 draws never stall.
   configs.assign(40, 1);
   configs[0] = 0;
   const EdgeFilter lone = EdgeFilter::FromAcceptanceTable(configs, {1, 0, 0}, 1);
-  EXPECT_TRUE(DrawShard(CandidateKernel(PiTables::Build(weights, lone).value(),
-                                        lone),
-                        10, 1000, util::Rng(4))
+  const PiTables lone_pi = PiTables::Build(weights, lone).value();
+  EXPECT_TRUE(oracle::DrawShardEdges(CandidateKernel(lone_pi, lone), 10, 1000,
+                                     util::Rng(4))
                   .empty());
 }
 
@@ -431,6 +432,8 @@ TEST(CandidateKernelTest, LogFreeGapsMatchTheExactLoop) {
     tables.push_back(std::make_unique<UniformTable>(q / 0.975));
   }
   tables.push_back(std::make_unique<UniformTable>(0.3, skewed));
+  util::FlatEdgeSet seen;
+  std::vector<graph::Edge> edges;
   for (const auto& table : tables) {
     const CandidateKernel::TableArm* arm = oracle::TableArmOf(table->kernel);
     ASSERT_NE(arm, nullptr);
@@ -441,10 +444,12 @@ TEST(CandidateKernelTest, LogFreeGapsMatchTheExactLoop) {
       for (const uint64_t budget : {uint64_t{0}, uint64_t{1}, uint64_t{40},
                                     uint64_t{400}, ~uint64_t{0}}) {
         for (uint64_t seed = 0; seed < 6; ++seed) {
+          // The shard scratch is reused across every case, as a sampler's
+          // plan reuses it across shards.
+          DrawShard(table->kernel, quota, budget,
+                    util::Rng::Substream(9, seed), seen, edges);
           util::Rng exact = util::Rng::Substream(9, seed);
-          EXPECT_EQ(DrawShard(table->kernel, quota, budget,
-                              util::Rng::Substream(9, seed)),
-                    oracle::ExactDrawShard(*arm, quota, budget, exact))
+          EXPECT_EQ(edges, oracle::ExactDrawShard(*arm, quota, budget, exact))
               << "q=" << q << " quota=" << quota << " budget=" << budget;
 
           // A top-up from a non-empty graph, as the registry's is.

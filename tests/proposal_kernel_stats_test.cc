@@ -172,7 +172,8 @@ Sample KernelSample(const std::vector<graph::AttrConfig>& configs,
   const PiTables pi = PiTables::Build(SkewedWeights(), filter).value();
   const CandidateKernel kernel(pi, filter);
   return Collect(configs, [&](int s) {
-    return DrawShard(kernel, kQuota, kBudget, util::Rng::Substream(202, s));
+    return oracle::DrawShardEdges(kernel, kQuota, kBudget,
+                                  util::Rng::Substream(202, s));
   });
 }
 

@@ -47,6 +47,16 @@ inline std::vector<graph::Edge> RejectionDrawShard(
   return edges;
 }
 
+/// models::DrawShard into fresh scratch: the shard's accepted edges.
+inline std::vector<graph::Edge> DrawShardEdges(
+    const models::CandidateKernel& kernel, uint64_t quota, uint64_t budget,
+    util::Rng rng) {
+  util::FlatEdgeSet seen;
+  std::vector<graph::Edge> edges;
+  models::DrawShard(kernel, quota, budget, rng, seen, edges);
+  return edges;
+}
+
 /// The table arm of `kernel`; null when the kernel draws from the pi arm.
 inline const models::CandidateKernel::TableArm* TableArmOf(
     const models::CandidateKernel& kernel) {
