@@ -145,16 +145,17 @@ constexpr int kProposalShards = kSamplerProposalShards;
 // current iteration) rebuilds its tables, in the plan's FclScratch.
 //
 // The plan also owns the passes' scratch, reused across shards, across the
-// pilot and calibrated passes and across iterations: each shard's accepted
-// edges (keyed by shard) and the dedup sets (keyed by the task that draws
-// the shard, never by the worker that runs the task).
+// pilot and calibrated passes and across iterations: the accepted edges of
+// each shard of a wave (keyed by its place in the wave) and the dedup sets
+// (keyed by the task that draws the shard, never by the worker that runs
+// the task).
 struct FclPlan {
   std::vector<double> weights;
   uint64_t target = 0;
   std::optional<models::PiTables> by_node;   // no filter
   std::optional<models::PiTables> by_class;  // acceptance-table filter
   models::FclScratch fcl;
-  std::vector<std::vector<graph::Edge>> shard_edges;  // by shard
+  std::vector<std::vector<graph::Edge>> shard_edges;  // by place in wave
   std::vector<util::FlatEdgeSet> shard_seen;          // by task
 };
 
@@ -193,13 +194,16 @@ util::Result<const models::PiTables*> PlanTables(
 // sampler, only among *accepted* edges, so a filter-rejected pair can be
 // re-proposed); the shards are merged in shard order with cross-shard
 // duplicates dropped, stopping at the target. Shards are drawn lazily, in
-// merge order: first the ceil(target / quota) shards the merge needs at the
-// least, then one shard per worker at a time until the merge reaches the
-// target, so shards after that point are never drawn. A wave runs as at
-// most one task per worker, task t drawing shards t, t + tasks, ... with
-// the plan's dedup set t. Every quantity here is a function of
-// (seed_base, stream_offset) alone — the pool only changes which worker
-// runs which task and how many shards are drawn ahead of the merge.
+// merge order and in waves: with several workers, first the
+// ceil(target / quota) shards the merge needs at the least, then one shard
+// per worker at a time until the merge reaches the target; with one
+// worker, one shard at a time. Shards after that point are never drawn. A
+// wave runs as at most one task per worker, task t drawing the wave's
+// shards t, t + tasks, ... with the plan's dedup set t into the plan's
+// buffers, keyed by the shard's place in the wave. Every quantity here is
+// a function of (seed_base, stream_offset) alone — the pool only changes
+// which worker runs which task and how many shards are drawn ahead of the
+// merge.
 template <typename Out>
 void ShardedProposalPass(const models::CandidateKernel& kernel,
                          uint64_t target_edges,
@@ -218,15 +222,20 @@ void ShardedProposalPass(const models::CandidateKernel& kernel,
   // product can silently collapse the budget to ~0 proposals.
   const uint64_t budget = util::SaturatingMul(max_proposals_per_edge, quota);
 
+  const int workers = pool.num_workers();
+  int wave = workers == 1 ? 1
+                          : static_cast<int>(std::min<uint64_t>(
+                                (target_edges + quota - 1) / quota,
+                                kProposalShards));
   std::vector<std::vector<graph::Edge>>& accepted = plan.shard_edges;
-  accepted.resize(kProposalShards);
-  int wave = static_cast<int>(std::min<uint64_t>(
-      (target_edges + quota - 1) / quota, kProposalShards));
   int drawn = 0;
   while (drawn < kProposalShards) {
     const int first = drawn;
     drawn = std::min(kProposalShards, drawn + wave);
-    const int tasks = std::min(drawn - first, pool.num_workers());
+    const int tasks = std::min(drawn - first, workers);
+    if (accepted.size() < static_cast<size_t>(drawn - first)) {
+      accepted.resize(drawn - first);
+    }
     if (plan.shard_seen.size() < static_cast<size_t>(tasks)) {
       plan.shard_seen.resize(tasks);
     }
@@ -236,18 +245,18 @@ void ShardedProposalPass(const models::CandidateKernel& kernel,
             kernel, quota, budget,
             util::Rng::Substream(seed_base,
                                  stream_offset + static_cast<uint64_t>(s)),
-            plan.shard_seen[t], accepted[s]);
+            plan.shard_seen[t], accepted[s - first]);
       }
     });
     for (int s = first; s < drawn; ++s) {
-      for (const graph::Edge& e : accepted[s]) {
+      for (const graph::Edge& e : accepted[s - first]) {
         if (out.num_edges() >= target_edges) return;
         if (out.AddEdge(e.u, e.v) && insertion_order != nullptr) {
           insertion_order->push_back(e);
         }
       }
     }
-    wave = pool.num_workers();
+    wave = workers;
   }
 }
 
