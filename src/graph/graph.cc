@@ -70,7 +70,7 @@ void Graph::ReserveNeighbors(const std::vector<uint32_t>& degrees) {
   AGMDP_CHECK(degrees.size() == adj_.size());
   const uint32_t max_degree = num_nodes() > 0 ? num_nodes() - 1 : 0;
   for (size_t v = 0; v < adj_.size(); ++v) {
-    adj_[v].reserve(std::min(degrees[v], max_degree));
+    adj_[v].reserve(std::min(degrees[v] + degrees[v] / 4 + 2, max_degree));
   }
 }
 

@@ -118,8 +118,11 @@ class Graph {
   }
 
   /// Pre-sizes each node's neighbor list for the degree it is expected to
-  /// reach (`degrees[v]`, one entry per node, clamped to n - 1), so a
-  /// generator adding edges one by one stops reallocating the lists.
+  /// reach (`degrees[v]`, one entry per node) plus a quarter and two more,
+  /// clamped to n - 1, so a generator adding edges one by one stops
+  /// reallocating the lists: a realized degree scatters around its
+  /// expectation, and without the margin a warm FCL sample of the 2,643-node
+  /// Epinions stand-in reallocated about a thousand lists.
   void ReserveNeighbors(const std::vector<uint32_t>& degrees);
 
  private:
