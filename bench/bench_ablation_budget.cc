@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
       options.split.theta_f = split.f * eps;
       options.split.degree_seq = split.s * eps;
       options.split.triangles = split.t * eps;
-      options.sample.acceptance_iterations = 2;
+      options.acceptance_iterations = 2;
       eval::ReportAccumulator accumulator;
       for (int t = 0; t < trials; ++t) {
         auto result = pipeline::RunPrivateRelease(input, options, rng);

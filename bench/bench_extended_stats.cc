@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
       pipeline::PipelineConfig options;
       options.epsilon = eps;
       options.model = tricycle ? "tricycle" : "fcl";
-      options.sample.acceptance_iterations = 2;
+      options.acceptance_iterations = 2;
       eval::StructuralProfile mean;
       for (int t = 0; t < trials; ++t) {
         auto result = pipeline::RunPrivateRelease(input, options, rng);

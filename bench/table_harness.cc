@@ -143,7 +143,7 @@ int RunAgmDpTable(datasets::DatasetId id, const util::Flags& flags) {
   for (bool tricycle : {false, true}) {
     pipeline::PipelineConfig config;
     config.model = tricycle ? "tricycle" : "fcl";
-    config.sample.acceptance_iterations = iters;
+    config.acceptance_iterations = iters;
     pipeline::EngineOptions engine_options;
     engine_options.threads = threads;
     // No calibration warm start: each trial runs the cold acceptance loop

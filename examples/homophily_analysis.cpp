@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
   pipeline::PipelineConfig options;
   options.epsilon = epsilon;
   options.model = "tricycle";
-  options.sample.acceptance_iterations = 3;
+  options.acceptance_iterations = 3;
   auto tricl = pipeline::RunPrivateRelease(snapshot, options, rng);
   if (!tricl.ok()) return 1;
   std::printf("AGMDP-TriCL synthetic (eps=%.2f):    %.3f (homophily %.3f)\n",

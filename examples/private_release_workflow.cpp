@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   pipeline::PipelineConfig config;
   config.epsilon = flags.GetDouble("epsilon", std::log(2.0));
   config.model = flags.GetString("model", "tricycle");
-  config.sample.acceptance_iterations = 3;
+  config.acceptance_iterations = 3;
   const int threads = static_cast<int>(flags.GetInt("threads", 1));
 
   auto input = datasets::GenerateDataset(dataset, 1.0, 11);

@@ -131,7 +131,7 @@ void RunCell(const SweepInput& input, const ReferenceProfile& reference,
   if (cell->mechanism == "agm") config.model = cell->model;
   config.split = spec.split;
   config.threads = spec.sampler_threads;
-  config.sample.acceptance_iterations = spec.acceptance_iterations;
+  config.acceptance_iterations = spec.acceptance_iterations;
 
   if (spec.reuse_fit) {
     RunCellReuseFit(input, reference, spec, config, cell_index, cell);

@@ -116,9 +116,9 @@ util::Status PipelineConfig::Validate() const {
   if (!(smooth_delta > 0.0 && smooth_delta < 1.0)) {
     return Invalid("smooth_delta must lie in (0, 1)");
   }
-  return ValidateAcceptanceKnobs(sample.acceptance_iterations,
-                                 sample.acceptance_tolerance,
-                                 sample.min_acceptance);
+  return ValidateAcceptanceKnobs(acceptance_iterations,
+                                 acceptance_tolerance,
+                                 min_acceptance);
 }
 
 uint64_t PipelineConfig::Fingerprint() const {
@@ -135,9 +135,9 @@ uint64_t PipelineConfig::Fingerprint() const {
   fnv.Mix(static_cast<uint64_t>(sa_group_size));
   fnv.Mix(ladder.max_exact_work);
   fnv.Mix(static_cast<uint64_t>(ladder.force_degree_bound));
-  fnv.Mix(static_cast<uint64_t>(sample.acceptance_iterations));
-  fnv.Mix(sample.acceptance_tolerance);
-  fnv.Mix(sample.min_acceptance);
+  fnv.Mix(static_cast<uint64_t>(acceptance_iterations));
+  fnv.Mix(acceptance_tolerance);
+  fnv.Mix(min_acceptance);
   // Guarded so every pre-mechanism AGM fingerprint is unchanged: the
   // calibration substream is keyed on the fingerprint, and re-keying it
   // would silently shift the serving bits of every stored AGM release.

@@ -53,8 +53,11 @@ struct PipelineConfig {
   /// before any spend); 0 selects sqrt(n).
   uint32_t sa_group_size = 0;
   dp::LadderOptions ladder;
-  /// Acceptance-loop settings, baked into the release artifact.
-  agm::AgmSampleOptions sample;
+  /// Acceptance-loop settings, baked into the release artifact (the
+  /// meaning of each is agm::AgmSampleOptions's).
+  int acceptance_iterations = 3;
+  double acceptance_tolerance = 0.01;
+  double min_acceptance = 1e-3;
   /// Sampler workers of RunPrivateRelease's one-shot engine and the CLI
   /// `sample` default (0 = hardware concurrency). Never changes the output.
   int threads = 1;

@@ -108,9 +108,9 @@ ReleaseArtifact MakeReleaseArtifact(const agm::AgmParams& params,
   artifact.model = config.model;
   artifact.config_fingerprint = config.Fingerprint();
   artifact.params = params;
-  artifact.acceptance_iterations = config.sample.acceptance_iterations;
-  artifact.acceptance_tolerance = config.sample.acceptance_tolerance;
-  artifact.min_acceptance = config.sample.min_acceptance;
+  artifact.acceptance_iterations = config.acceptance_iterations;
+  artifact.acceptance_tolerance = config.acceptance_tolerance;
+  artifact.min_acceptance = config.min_acceptance;
   return artifact;
 }
 

@@ -376,7 +376,7 @@ pipeline::PipelineConfig DpConfig(double epsilon, const char* model) {
   pipeline::PipelineConfig config;
   config.epsilon = epsilon;
   config.model = model;
-  config.sample.acceptance_iterations = 1;
+  config.acceptance_iterations = 1;
   return config;
 }
 

@@ -166,7 +166,7 @@ TEST(EdgeCasesTest, AgmDpOnMinimalGraph) {
   util::Rng rng(9);
   pipeline::PipelineConfig config;
   config.epsilon = 1.0;
-  config.sample.acceptance_iterations = 1;
+  config.acceptance_iterations = 1;
   auto result = pipeline::RunPrivateRelease(
       graph::AttributedCsrGraph::FromGraph(g), config, rng);
   ASSERT_TRUE(result.ok());

@@ -45,7 +45,7 @@ class EndToEndTest : public ::testing::Test {
     pipeline::PipelineConfig config;
     config.epsilon = epsilon;
     config.model = model;
-    config.sample.acceptance_iterations = acceptance_iterations;
+    config.acceptance_iterations = acceptance_iterations;
     return pipeline::RunPrivateRelease(*snapshot_, config, rng);
   }
 

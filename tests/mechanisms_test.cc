@@ -42,7 +42,7 @@ pipeline::PipelineConfig Config(const std::string& mechanism, double epsilon) {
   pipeline::PipelineConfig config;
   config.mechanism = mechanism;
   config.epsilon = epsilon;
-  config.sample.acceptance_iterations = 1;
+  config.acceptance_iterations = 1;
   return config;
 }
 

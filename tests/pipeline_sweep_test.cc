@@ -45,7 +45,7 @@ TEST_P(PipelineSweepTest, ReleaseIsWellFormedAndBudgetExact) {
   config.epsilon = epsilon;
   config.model = model == 0 ? "fcl" : "tricycle";
   config.theta_f_method = static_cast<agm::ThetaFMethod>(method);
-  config.sample.acceptance_iterations = 1;
+  config.acceptance_iterations = 1;
   util::Rng rng(1000 + model * 100 + method * 10 +
                 static_cast<uint64_t>(epsilon * 7));
 

@@ -83,7 +83,7 @@ TEST(ReleasePipelineTest, LedgerSumsExactlyToEpsilonForEveryModel) {
     pipeline::PipelineConfig config;
     config.epsilon = std::log(2.0);
     config.model = model;
-    config.sample.acceptance_iterations = 1;
+    config.acceptance_iterations = 1;
     util::Rng rng(7);
     auto result = pipeline::RunPrivateRelease(Snapshot(), config, rng);
     ASSERT_TRUE(result.ok()) << model << ": " << result.status().ToString();
@@ -129,7 +129,7 @@ TEST(ReleasePipelineTest, FitAloneCarriesFullLedgerAndStageTimings) {
 TEST(ReleasePipelineTest, ReleaseRecordsSampleStageAndTotalTime) {
   pipeline::PipelineConfig config;
   config.model = "fcl";
-  config.sample.acceptance_iterations = 1;
+  config.acceptance_iterations = 1;
   util::Rng rng(13);
   auto result = pipeline::RunPrivateRelease(Snapshot(), config, rng);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -211,7 +211,7 @@ TEST(SamplerDeterminismTest, IdenticalGraphAcross124Threads) {
     for (int threads : {1, 2, 4}) {
       pipeline::PipelineConfig config;
       config.model = model;
-      config.sample.acceptance_iterations = 2;
+      config.acceptance_iterations = 2;
       // The one-shot engine RunPrivateRelease samples through.
       pipeline::EngineOptions options;
       options.threads = threads;
@@ -238,7 +238,7 @@ TEST(SamplerDeterminismTest, EndToEndReleaseIsThreadCountInvariant) {
   for (int threads : {1, 4}) {
     pipeline::PipelineConfig config;
     config.model = "fcl";
-    config.sample.acceptance_iterations = 2;
+    config.acceptance_iterations = 2;
     config.threads = threads;
     util::Rng rng(29);
     auto result = pipeline::RunPrivateRelease(Snapshot(), config, rng);
@@ -276,7 +276,7 @@ TEST(GoldenReleaseTest, ChecksummedReleaseAndLedgerReproduceAcrossThreads) {
       pipeline::PipelineConfig config;
       config.epsilon = std::log(2.0);
       config.model = model;
-      config.sample.acceptance_iterations = 2;
+      config.acceptance_iterations = 2;
       config.threads = threads;
       util::Rng rng(kSeed);
       auto result = pipeline::RunPrivateRelease(Snapshot(), config, rng);

@@ -54,7 +54,7 @@ pipeline::PipelineConfig TestConfig(const std::string& model) {
   pipeline::PipelineConfig config;
   config.epsilon = std::log(2.0);
   config.model = model;
-  config.sample.acceptance_iterations = 2;
+  config.acceptance_iterations = 2;
   return config;
 }
 
@@ -462,8 +462,8 @@ TEST(ReleaseEngineGoldenTest, CalibrationAndSamplesMatchPinnedLiterals) {
                  std::to_string(c.acceptance_tolerance));
     pipeline::PipelineConfig config;
     config.model = c.model;
-    config.sample.acceptance_iterations = c.acceptance_iterations;
-    config.sample.acceptance_tolerance = c.acceptance_tolerance;
+    config.acceptance_iterations = c.acceptance_iterations;
+    config.acceptance_tolerance = c.acceptance_tolerance;
     const pipeline::ReleaseArtifact artifact =
         pipeline::MakeReleaseArtifact(params, config);
 
@@ -537,11 +537,11 @@ TEST(PipelineConfigValidateTest, CatchesBadConfigsBeforeAnyBudgetIsSpent) {
   EXPECT_TRUE(config.Validate().ok());
 
   config = pipeline::PipelineConfig();
-  config.sample.acceptance_iterations = -1;
+  config.acceptance_iterations = -1;
   EXPECT_FALSE(config.Validate().ok());
 
   config = pipeline::PipelineConfig();
-  config.sample.min_acceptance = 1.5;
+  config.min_acceptance = 1.5;
   EXPECT_FALSE(config.Validate().ok());
 
   // The pipeline entry points surface the same typed error.

@@ -61,7 +61,7 @@ pipeline::PipelineConfig TestConfig() {
   pipeline::PipelineConfig config;
   config.epsilon = std::log(2.0);
   config.model = "fcl";
-  config.sample.acceptance_iterations = 2;
+  config.acceptance_iterations = 2;
   return config;
 }
 

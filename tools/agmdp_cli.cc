@@ -409,7 +409,7 @@ util::Result<pipeline::PipelineConfig> ConfigFromFlags(
   auto accept_iters =
       IntFlag(flags, "accept_iters", 3, 0, agm::kMaxAcceptanceIterations);
   if (!accept_iters.ok()) return accept_iters.status();
-  config.sample.acceptance_iterations = static_cast<int>(accept_iters.value());
+  config.acceptance_iterations = static_cast<int>(accept_iters.value());
   auto truncation_k = IntFlag(flags, "truncation_k", 0, 0);
   if (!truncation_k.ok()) return truncation_k.status();
   config.truncation_k = static_cast<uint32_t>(truncation_k.value());
@@ -528,7 +528,7 @@ int CmdSample(const util::Flags& flags) {
   pipeline::ReleaseArtifact artifact = std::move(loaded).value();
   if (flags.Has("model")) artifact.model = config.model;
   if (flags.Has("accept_iters")) {
-    artifact.acceptance_iterations = config.sample.acceptance_iterations;
+    artifact.acceptance_iterations = config.acceptance_iterations;
   }
 
   pipeline::EngineOptions options;
