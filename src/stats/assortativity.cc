@@ -28,17 +28,19 @@ double AttributeAssortativityFromMixingCounts(
   for (size_t i = 0; i < counts.size(); ++i) {
     mixing[i] = static_cast<double>(counts[i]) / total;
   }
-  double trace = 0.0, squared = 0.0;
+  double trace = 0.0, random = 0.0;
   for (uint32_t a = 0; a < k; ++a) {
     trace += mixing[static_cast<size_t>(a) * k + a];
-    // (e^2)_aa summed over a = sum over a,b of e_ab * e_ba; e is symmetric.
+    // a_a * b_a, the diagonal mass of random mixing; e is symmetric, so the
+    // column sum b_a equals the row sum a_a.
+    double row = 0.0;
     for (uint32_t b = 0; b < k; ++b) {
-      const double e_ab = mixing[static_cast<size_t>(a) * k + b];
-      squared += e_ab * e_ab;
+      row += mixing[static_cast<size_t>(a) * k + b];
     }
+    random += row * row;
   }
-  if (1.0 - squared <= 1e-12) return 0.0;  // single category: undefined -> 0
-  return (trace - squared) / (1.0 - squared);
+  if (1.0 - random <= 1e-12) return 0.0;  // single category: undefined -> 0
+  return (trace - random) / (1.0 - random);
 }
 
 std::vector<double> PerAttributeHomophilyFromCounts(

@@ -23,13 +23,12 @@ double DegreeAssortativityFromSums(double sum_xy, double sum_x,
                                    double sum_x2, uint64_t num_edges);
 
 /// Discrete assortativity for the node attribute configuration from the
-/// k x k row-major integer tallies over ordered edge endpoints:
-/// (tr(e) - sum(e^2)) / (1 - sum(e^2)) where e is the normalized mixing
-/// matrix and sum(e^2) is the sum of its squared entries. Newman's
-/// coefficient subtracts sum_a a_a b_a (row sum times column sum) instead;
-/// the two agree when every row of e has at most one non-zero entry.
-/// 1 = perfect homophily, negative = heterophily. Returns 0 for edgeless
-/// graphs or single-category mixes.
+/// k x k row-major integer tallies over ordered edge endpoints, after
+/// Newman (2003): (tr(e) - sum_a a_a b_a) / (1 - sum_a a_a b_a), where e is
+/// the normalized mixing matrix and a_a, b_a are its row and column sums
+/// (equal here: e is symmetric). 1 = perfect homophily, 0 = mixing at
+/// random, negative = heterophily. Returns 0 for edgeless graphs or
+/// single-category mixes.
 double AttributeAssortativityFromMixingCounts(
     const std::vector<uint64_t>& counts, uint32_t k, uint64_t num_edges);
 

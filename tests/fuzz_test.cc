@@ -263,8 +263,9 @@ TEST_P(DifferentialTest, AttributeAssortativityMatchesMixingDefinition) {
   util::Rng rng(GetParam() + 8000);
   for (int w : {1, 2, 3}) {
     const AttributedGraph g = RandomAttributed(rng, w);
-    // The documented coefficient over the normalized mixing matrix e of
-    // ordered edge endpoints: (tr(e) - sum of e_ab^2) / (1 - sum of e_ab^2).
+    // Newman's (2003) coefficient over the normalized mixing matrix e of
+    // ordered edge endpoints: (tr(e) - sum_a a_a b_a) / (1 - sum_a a_a b_a),
+    // with a_a the row sums and b_a the column sums of e.
     const uint32_t k = NumNodeConfigs(w);
     std::vector<double> e(static_cast<size_t>(k) * k, 0.0);
     const double total = 2.0 * static_cast<double>(g.num_edges());
@@ -272,14 +273,19 @@ TEST_P(DifferentialTest, AttributeAssortativityMatchesMixingDefinition) {
       e[g.attribute(u) * k + g.attribute(v)] += 1.0 / total;
       e[g.attribute(v) * k + g.attribute(u)] += 1.0 / total;
     });
-    double trace = 0.0, squared = 0.0;
+    double trace = 0.0, random = 0.0;
     for (uint32_t a = 0; a < k; ++a) {
       trace += e[a * k + a];
-      for (uint32_t b = 0; b < k; ++b) squared += e[a * k + b] * e[a * k + b];
+      double row = 0.0, column = 0.0;
+      for (uint32_t b = 0; b < k; ++b) {
+        row += e[a * k + b];
+        column += e[b * k + a];
+      }
+      random += row * column;
     }
-    const double expected = g.num_edges() == 0 || 1.0 - squared <= 1e-12
+    const double expected = g.num_edges() == 0 || 1.0 - random <= 1e-12
                                 ? 0.0
-                                : (trace - squared) / (1.0 - squared);
+                                : (trace - random) / (1.0 - random);
     const AttributedCsrGraph snapshot = AttributedCsrGraph::FromGraph(g);
     for (int threads : {1, 4}) {
       const FusedStats f = FusedEvaluate(snapshot, {threads});

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "src/graph/graph.h"
+#include "src/stats/assortativity.h"
 #include "src/stats/ccdf.h"
 #include "src/stats/metrics.h"
 #include "src/stats/summary.h"
@@ -13,6 +14,25 @@ namespace agmdp::stats {
 namespace {
 
 // ----------------------------------------------------------------- Metrics --
+
+TEST(AssortativityTest, AttributeCoefficientIsNewmans) {
+  // Tallies over ordered endpoints of a 2 x 2 mix (row-major, 2m in all).
+  // Uniform mixing is random mixing: Newman's r is 0, not the 1/3 that
+  // subtracting the squared entries of e gives.
+  EXPECT_DOUBLE_EQ(AttributeAssortativityFromMixingCounts({1, 1, 1, 1}, 2, 2),
+                   0.0);
+  EXPECT_DOUBLE_EQ(AttributeAssortativityFromMixingCounts({2, 0, 0, 2}, 2, 2),
+                   1.0);
+  EXPECT_DOUBLE_EQ(AttributeAssortativityFromMixingCounts({0, 2, 2, 0}, 2, 2),
+                   -1.0);
+  // Unequal classes: e = [[0.4, 0.1], [0.1, 0.4]] scaled from 10 endpoints
+  // with a = b = (0.5, 0.5) gives (0.8 - 0.5) / (1 - 0.5) = 0.6.
+  EXPECT_NEAR(AttributeAssortativityFromMixingCounts({4, 1, 1, 4}, 2, 5), 0.6,
+              1e-12);
+  // One category, or no edges: undefined, reported as 0.
+  EXPECT_EQ(AttributeAssortativityFromMixingCounts({4, 0, 0, 0}, 2, 2), 0.0);
+  EXPECT_EQ(AttributeAssortativityFromMixingCounts({0, 0, 0, 0}, 2, 0), 0.0);
+}
 
 TEST(MetricsTest, RelativeError) {
   EXPECT_DOUBLE_EQ(RelativeError(11.0, 10.0), 0.1);
