@@ -18,12 +18,18 @@
 // per-class alias tables pick u and v, redrawn together while u == v. A
 // duplicate candidate still spends its proposals, so quotas, budgets and
 // shortfalls keep their distribution while the work falls from O(proposed)
-// to O(candidates).
+// to O(candidates). The gap's log is taken only when the budget could bind
+// (CandidateGap, TableArm); a pass still stops at the same candidate, with
+// the same stream, as with one log per candidate.
 //
 // Without a table (no filter, or a predicate) the pi arm draws u, then v,
 // from the alias table over all nodes, one proposal each, and the loop asks
 // the filter after its dedup test: the per-proposal stream of a plain
 // rejection loop, draw for draw.
+//
+// DrawShard fills a dedup set and an edge buffer its caller owns; the AGM
+// sampler keeps them in its per-sample plan, so a warm shard allocates
+// nothing.
 #pragma once
 
 #include <cmath>
@@ -97,14 +103,15 @@ struct ClassWeights {
 /// evaluate the log: with h = max(2, ceil(3 / q)), every U <= fast_below =
 /// -expm1(h log1p(-q)) gives Exact(U) <= 1 + h, and such a candidate may be
 /// charged `bound` = 2h proposals instead; the factor of two absorbs the
-/// rounding of expm1, log and the division. About e^-3 of the candidates
-/// (1 - q)^h lie above the threshold. Below kMinFastRate the bound, near
-/// 6 / q, would reach the budget's usual 200 proposals per edge within a
-/// pass's candidates and force settles (CandidateKernel::TableArm), so
-/// there `bound` is 0 and every gap is exact.
+/// rounding of expm1, log and the division. A share (1 - q)^h <= e^-3 of
+/// the candidates lies above the threshold. Below kMinFastRate the bound,
+/// near 6 / q, would reach the budget's usual 200 proposals per edge
+/// within a pass's candidates and force settles (CandidateKernel::TableArm),
+/// so there `bound` is 0 and every gap is exact.
 struct CandidateGap {
   static constexpr double kMinFastRate = 1.0 / 16;
 
+  CandidateGap() = default;
   /// The gap of candidate rate q in (0, 1].
   explicit CandidateGap(double q);
 
@@ -256,7 +263,7 @@ class CandidateKernel {
     const ClassWeights* classes = nullptr;
     std::optional<util::AliasSampler> pairs;  // over p = a * k + b
     std::vector<uint32_t> class_pairs;        // p -> a << 16 | b
-    CandidateGap gap{1.0};
+    CandidateGap gap;
   };
 
  private:
