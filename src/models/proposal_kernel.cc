@@ -140,12 +140,9 @@ util::Result<PiTables> PiTables::Build(const std::vector<double>& weights,
   }
   std::vector<uint32_t> local;
   PiTables out;
-  if (auto st = form.ReweightInto(weights, worklist != nullptr ? *worklist
-                                                                : local,
-                                  out);
-      !st.ok()) {
-    return st;
-  }
+  const util::Status built = form.ReweightInto(
+      weights, worklist != nullptr ? *worklist : local, out);
+  if (!built.ok()) return built;
   return out;
 }
 

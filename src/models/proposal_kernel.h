@@ -282,8 +282,8 @@ void ProposeInto(const CandidateKernel& kernel, util::Rng& rng,
   kernel.Run([&](const auto& arm) {
     graph::NodeId u = 0;
     graph::NodeId v = 0;
-    PassBudget left(budget);
-    while (out.num_edges() < target && arm.Propose(rng, left, u, v)) {
+    PassBudget remaining(budget);
+    while (out.num_edges() < target && arm.Propose(rng, remaining, u, v)) {
       if (out.HasEdge(u, v) || !arm.Admit(u, v, rng)) continue;
       out.AddEdge(u, v);
       if (order != nullptr) order->emplace_back(u, v);
@@ -309,8 +309,8 @@ inline void DrawShard(const CandidateKernel& kernel, uint64_t quota,
   kernel.Run([&](const auto& arm) {
     graph::NodeId u = 0;
     graph::NodeId v = 0;
-    PassBudget left(budget);
-    while (edges.size() < quota && arm.Propose(rng, left, u, v)) {
+    PassBudget remaining(budget);
+    while (edges.size() < quota && arm.Propose(rng, remaining, u, v)) {
       const util::FlatEdgeSet::Slot slot = seen.Find(graph::PackEdge(u, v));
       if (slot.found || !arm.Admit(u, v, rng)) continue;
       seen.InsertAt(slot);
