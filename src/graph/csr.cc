@@ -42,47 +42,49 @@ CsrGraph& CsrGraph::operator=(const CsrGraph& other) {
 
 CsrGraph CsrGraph::FromGraph(const Graph& g) {
   const NodeId n = g.num_nodes();
-  CsrGraph csr;
-  csr.num_nodes_ = n;
-  csr.num_edges_ = g.num_edges();
-  csr.owned_offsets_.resize(static_cast<size_t>(n) + 1, 0);
+  std::vector<uint64_t> offsets(static_cast<size_t>(n) + 1, 0);
   for (NodeId v = 0; v < n; ++v) {
-    csr.owned_offsets_[v + 1] = csr.owned_offsets_[v] + g.Degree(v);
+    offsets[v + 1] = offsets[v] + g.Degree(v);
   }
-  csr.owned_neighbors_.resize(csr.owned_offsets_[n]);
+  std::vector<NodeId> neighbors(offsets[n]);
   for (NodeId v = 0; v < n; ++v) {
     const std::vector<NodeId>& adj = g.Neighbors(v);
-    NodeId* out = csr.owned_neighbors_.data() + csr.owned_offsets_[v];
+    NodeId* out = neighbors.data() + offsets[v];
     std::copy(adj.begin(), adj.end(), out);
     std::sort(out, out + adj.size());
   }
-  csr.FinishFromViews();
-  return csr;
+  return FromArrays(std::move(offsets), std::move(neighbors));
 }
 
 CsrGraph CsrGraph::FromCanonicalEdges(NodeId n,
                                       const std::vector<Edge>& edges) {
-  CsrGraph csr;
-  csr.num_nodes_ = n;
-  csr.num_edges_ = edges.size();
-  csr.owned_offsets_.resize(static_cast<size_t>(n) + 1, 0);
+  std::vector<uint64_t> offsets(static_cast<size_t>(n) + 1, 0);
   for (const Edge& e : edges) {
-    ++csr.owned_offsets_[e.u + 1];
-    ++csr.owned_offsets_[e.v + 1];
+    ++offsets[e.u + 1];
+    ++offsets[e.v + 1];
   }
   for (NodeId v = 0; v < n; ++v) {
-    csr.owned_offsets_[v + 1] += csr.owned_offsets_[v];
+    offsets[v + 1] += offsets[v];
   }
   // Canonical order visits every edge {w, x} with w < x before any edge
   // {x, y}, each group ascending — so appending both endpoints in that
   // order leaves every neighbor range sorted.
-  std::vector<uint64_t> cursor(csr.owned_offsets_.begin(),
-                               csr.owned_offsets_.end() - 1);
-  csr.owned_neighbors_.resize(csr.owned_offsets_[n]);
+  std::vector<uint64_t> cursor(offsets.begin(), offsets.end() - 1);
+  std::vector<NodeId> neighbors(offsets[n]);
   for (const Edge& e : edges) {
-    csr.owned_neighbors_[cursor[e.u]++] = e.v;
-    csr.owned_neighbors_[cursor[e.v]++] = e.u;
+    neighbors[cursor[e.u]++] = e.v;
+    neighbors[cursor[e.v]++] = e.u;
   }
+  return FromArrays(std::move(offsets), std::move(neighbors));
+}
+
+CsrGraph CsrGraph::FromArrays(std::vector<uint64_t> offsets,
+                              std::vector<NodeId> neighbors) {
+  CsrGraph csr;
+  csr.num_nodes_ = static_cast<NodeId>(offsets.size() - 1);
+  csr.num_edges_ = neighbors.size() / 2;
+  csr.owned_offsets_ = std::move(offsets);
+  csr.owned_neighbors_ = std::move(neighbors);
   csr.FinishFromViews();
   return csr;
 }
@@ -146,11 +148,18 @@ AttributedCsrGraph& AttributedCsrGraph::operator=(
 }
 
 AttributedCsrGraph AttributedCsrGraph::FromGraph(const AttributedGraph& g) {
+  return FromArrays(CsrGraph::FromGraph(g.structure()), g.attributes(),
+                    g.num_attributes());
+}
+
+AttributedCsrGraph AttributedCsrGraph::FromArrays(
+    CsrGraph structure, std::vector<AttrConfig> attributes,
+    int num_attributes) {
   AttributedCsrGraph snapshot;
-  snapshot.structure = CsrGraph::FromGraph(g.structure());
-  snapshot.owned_attributes_ = g.attributes();
+  snapshot.structure = std::move(structure);
+  snapshot.owned_attributes_ = std::move(attributes);
   snapshot.attributes_ = snapshot.owned_attributes_.data();
-  snapshot.num_attributes = g.num_attributes();
+  snapshot.num_attributes = num_attributes;
   return snapshot;
 }
 

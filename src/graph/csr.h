@@ -10,7 +10,8 @@
 // merge-join set intersections on sorted ranges instead of hash probes.
 //
 // The arrays are *views*: a snapshot either owns them (FromGraph copies
-// out of the adjacency lists) or borrows them from external storage
+// out of the adjacency lists, FromArrays adopts the text reader's) or
+// borrows them from external storage
 // (FromExternal — the mmap-backed binary graph container,
 // graph/graph_container.h, points the views straight into the mapped
 // file and parks the mapping in a shared_ptr owner). Every kernel reads
@@ -62,6 +63,13 @@ class CsrGraph {
   /// filtered ForEachEdge walk (dp::TruncateEdges) rebuilds into sorted
   /// ranges without a sort.
   static CsrGraph FromCanonicalEdges(NodeId n, const std::vector<Edge>& edges);
+
+  /// Takes ownership of ready-made arrays: `offsets` has n + 1 entries and
+  /// `neighbors` the 2m endpoints, each range sorted (the text reader,
+  /// graph/graph_io.h, fills them). The caller vouches for the CSR
+  /// invariants, as for FromExternal.
+  static CsrGraph FromArrays(std::vector<uint64_t> offsets,
+                             std::vector<NodeId> neighbors);
 
   /// Wraps externally owned arrays without copying: `offsets` has
   /// num_nodes + 1 entries, `neighbors` has 2 * num_edges, and `owner`
@@ -123,7 +131,7 @@ class CsrGraph {
   const uint64_t* offsets_ = nullptr;  // n + 1 range bounds into neighbors
   const NodeId* neighbors_ = nullptr;  // 2m endpoints, sorted within a node
 
-  // Owned backing (FromGraph) — empty for external snapshots.
+  // Owned backing (FromArrays) — empty for external snapshots.
   std::vector<uint64_t> owned_offsets_;
   std::vector<NodeId> owned_neighbors_;
   // External backing (FromExternal) — shared across copies.
@@ -140,6 +148,11 @@ class CsrGraph {
 /// into the same external storage as the structure.
 struct AttributedCsrGraph {
   static AttributedCsrGraph FromGraph(const AttributedGraph& g);
+  /// Owning counterpart of FromExternal: `attributes` has
+  /// structure.num_nodes() entries.
+  static AttributedCsrGraph FromArrays(CsrGraph structure,
+                                       std::vector<AttrConfig> attributes,
+                                       int num_attributes);
   /// External-attributes counterpart of CsrGraph::FromExternal: `attrs`
   /// has structure.num_nodes() entries inside storage kept alive by
   /// `owner`.

@@ -245,60 +245,39 @@ util::Status ValidateSemantics(const BinaryGraphHeader& h,
   return util::Status::OK();
 }
 
-std::string At(const std::string& path, uint64_t line_no) {
-  return " at " + path + ":" + std::to_string(line_no);
+// Sizes `path` for header `h` and maps it read-write (zero-filled, so
+// sections a writer leaves alone read back as zeros). Both writers start
+// here.
+util::Result<util::MappedFile> CreateContainer(const std::string& path,
+                                               const BinaryGraphHeader& h) {
+  if (auto st = util::CheckFault("container.create"); !st.ok()) return st;
+  return util::MappedFile::CreateReadWrite(path, h.file_bytes);
 }
 
-// Reads the "n <count> w <width>" attribute header; *line_no advances to
-// the header's line. Validation errors match the text-loader idiom.
-util::Status ReadAttrHeader(std::ifstream& in, const std::string& path,
-                            uint64_t expected_nodes, uint64_t* line_no,
-                            uint64_t* w) {
-  std::string line;
-  uint64_t n = 0;
-  while (std::getline(in, line)) {
-    ++*line_no;
-    if (textio::IsSkippableLine(line)) continue;
-    if (!textio::ParseAttrHeader(line, &n, w)) {
-      return util::Status::IoError("bad attribute header" + At(path, *line_no));
-    }
-    if (n != expected_nodes) {
-      return util::Status::IoError("attribute/edge node count mismatch" +
-                                   At(path, *line_no));
-    }
-    if (*w > 20) {
-      return util::Status::IoError("attribute count out of range [0, 20]: " +
-                                   std::to_string(*w) + At(path, *line_no));
-    }
-    return util::Status::OK();
-  }
-  return util::Status::IoError("empty attribute file: " + path);
+// Writes the checksums and flushes the mapping. Both writers end here.
+util::Status FinishContainer(util::MappedFile* file, BinaryGraphHeader* h) {
+  FinalizeChecksums(file->mutable_data(), h);
+  if (auto st = util::CheckFault("container.sync"); !st.ok()) return st;
+  return file->Sync();
 }
 
-// Error-path helper: finds the line of the `which`-th occurrence (1-based)
-// of the undirected edge {a, b} so duplicate reports can cite the exact
-// offending line. Returns 0 when not found (file changed underneath us).
-uint64_t FindEdgeOccurrenceLine(const std::string& path, uint64_t a,
-                                uint64_t b, int which) {
-  std::ifstream in(path);
-  std::string line;
-  uint64_t line_no = 0;
-  bool have_header = false;
-  int seen = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (textio::IsSkippableLine(line)) continue;
-    if (!have_header) {
-      have_header = true;
-      continue;
-    }
-    uint64_t u = 0, v = 0;
-    if (!textio::ParseTwoUints(line, &u, &v)) continue;
-    if ((u == a && v == b) || (u == b && v == a)) {
-      if (++seen == which) return line_no;
-    }
-  }
-  return 0;
+BinaryGraphInfo InfoFromHeader(const BinaryGraphHeader& h) {
+  BinaryGraphInfo info;
+  info.format_version = h.version;
+  info.page_size = h.page_size;
+  info.num_nodes = h.num_nodes;
+  info.num_edges = h.num_edges;
+  info.num_attributes = h.num_attributes;
+  info.num_data_pages = h.num_data_pages;
+  info.file_bytes = h.file_bytes;
+  return info;
+}
+
+util::Status CheckPageSize(const BinaryGraphOptions& options) {
+  if (ValidPageSize(options.page_size)) return util::Status::OK();
+  return util::Status::InvalidArgument(
+      "page size must be a power of two >= 4096, got " +
+      std::to_string(options.page_size));
 }
 
 }  // namespace
@@ -313,17 +292,12 @@ bool IsBinaryGraphFile(const std::string& path) {
 util::Status WriteBinaryGraph(const AttributedGraph& g,
                               const std::string& path,
                               const BinaryGraphOptions& options) {
-  if (!ValidPageSize(options.page_size)) {
-    return util::Status::InvalidArgument(
-        "page size must be a power of two >= 4096, got " +
-        std::to_string(options.page_size));
-  }
+  if (auto st = CheckPageSize(options); !st.ok()) return st;
   const NodeId n = g.num_nodes();
   BinaryGraphHeader h =
       MakeHeader(n, g.num_edges(),
                  static_cast<uint32_t>(g.num_attributes()), options.page_size);
-  if (auto st = util::CheckFault("container.create"); !st.ok()) return st;
-  auto mapped = util::MappedFile::CreateReadWrite(path, h.file_bytes);
+  auto mapped = CreateContainer(path, h);
   if (!mapped.ok()) return mapped.status();
   util::MappedFile file = std::move(mapped).value();
   uint8_t* data = file.mutable_data();
@@ -347,195 +321,39 @@ util::Status WriteBinaryGraph(const AttributedGraph& g,
   if (n > 0) {
     std::memcpy(attrs, g.attributes().data(), h.attributes.bytes);
   }
-  FinalizeChecksums(data, &h);
-  if (auto st = util::CheckFault("container.sync"); !st.ok()) return st;
-  return file.Sync();
+  return FinishContainer(&file, &h);
 }
 
 util::Result<BinaryGraphInfo> ConvertTextToBinary(
     const std::string& text_path, const std::string& bin_path,
-    const ConvertOptions& options) {
-  if (!ValidPageSize(options.binary.page_size)) {
-    return util::Status::InvalidArgument(
-        "page size must be a power of two >= 4096, got " +
-        std::to_string(options.binary.page_size));
-  }
+    const BinaryGraphOptions& options) {
+  if (auto st = CheckPageSize(options); !st.ok()) return st;
   auto resolved = ResolveTextGraphPaths(text_path);
   if (!resolved.ok()) return resolved.status();
-  const TextGraphPaths& paths = resolved.value();
 
-  // Pass 1: count degrees (the only O(n) heap state) and validate every
-  // edge line, so pass 2 can stream endpoints straight into the mapping.
-  std::ifstream in(paths.edges);
-  if (!in.is_open()) {
-    return util::Status::IoError("cannot open for reading: " + paths.edges);
-  }
-  std::string line;
-  uint64_t line_no = 0;
-  uint64_t n = 0;
-  bool have_header = false;
-  std::vector<uint32_t> degrees;
-  uint64_t num_edges = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (textio::IsSkippableLine(line)) continue;
-    if (!have_header) {
-      if (!textio::ParseEdgeHeader(line, &n)) {
-        return util::Status::IoError("bad edge-list header" +
-                                     At(paths.edges, line_no));
-      }
-      if (n > std::numeric_limits<NodeId>::max()) {
-        return util::Status::IoError("node count overflows NodeId" +
-                                     At(paths.edges, line_no));
-      }
-      degrees.assign(n, 0);
-      have_header = true;
-      continue;
-    }
-    uint64_t u = 0, v = 0;
-    if (!textio::ParseTwoUints(line, &u, &v)) {
-      return util::Status::IoError("bad edge" + At(paths.edges, line_no));
-    }
-    if (u == v) {
-      return util::Status::IoError("self-loop" + At(paths.edges, line_no));
-    }
-    if (u >= n || v >= n) {
-      return util::Status::IoError("edge out of range" +
-                                   At(paths.edges, line_no));
-    }
-    if (degrees[u] == std::numeric_limits<uint32_t>::max() ||
-        degrees[v] == std::numeric_limits<uint32_t>::max()) {
-      return util::Status::IoError("degree overflow" + At(paths.edges, line_no));
-    }
-    ++degrees[u];
-    ++degrees[v];
-    ++num_edges;
-  }
-  if (!have_header) {
-    return util::Status::IoError("missing edge-list header in " + paths.edges);
-  }
-  in.close();
-
-  uint64_t w = 0;
-  std::ifstream attrs_in;
-  uint64_t attrs_line_no = 0;
-  if (paths.has_attrs) {
-    attrs_in.open(paths.attrs);
-    if (!attrs_in.is_open()) {
-      return util::Status::IoError("cannot open for reading: " + paths.attrs);
-    }
-    if (auto st = ReadAttrHeader(attrs_in, paths.attrs, n, &attrs_line_no, &w);
-        !st.ok()) {
-      return st;
-    }
-  }
-
-  BinaryGraphHeader h = MakeHeader(n, num_edges, static_cast<uint32_t>(w),
-                                   options.binary.page_size);
-  if (auto st = util::CheckFault("container.create"); !st.ok()) return st;
-  auto mapped = util::MappedFile::CreateReadWrite(bin_path, h.file_bytes);
-  if (!mapped.ok()) return mapped.status();
-  util::MappedFile file = std::move(mapped).value();
-  uint8_t* data = file.mutable_data();
-  uint64_t* offsets = reinterpret_cast<uint64_t*>(data + h.offsets.offset);
-  NodeId* neighbors = reinterpret_cast<NodeId*>(data + h.neighbors.offset);
-  AttrConfig* attrs = reinterpret_cast<AttrConfig*>(data + h.attributes.offset);
-
-  offsets[0] = 0;
-  for (uint64_t v = 0; v < n; ++v) {
-    offsets[v + 1] = offsets[v] + degrees[v];
-  }
-  degrees.clear();
-  degrees.shrink_to_fit();
-
-  // Pass 2: place both endpoints of each edge through a per-node write
-  // cursor, directly into the mapped neighbors section.
-  std::vector<uint64_t> cursor(offsets, offsets + n);
-  in.open(paths.edges);
-  if (!in.is_open()) {
-    return util::Status::IoError("cannot open for reading: " + paths.edges);
-  }
-  line_no = 0;
-  have_header = false;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (textio::IsSkippableLine(line)) continue;
-    if (!have_header) {
-      have_header = true;
-      continue;
-    }
-    uint64_t u = 0, v = 0;
-    if (!textio::ParseTwoUints(line, &u, &v) || u >= n || v >= n || u == v ||
-        cursor[u] >= offsets[u + 1] || cursor[v] >= offsets[v + 1]) {
-      return util::Status::IoError("edge file changed during conversion" +
-                                   At(paths.edges, line_no));
-    }
-    neighbors[cursor[u]++] = static_cast<NodeId>(v);
-    neighbors[cursor[v]++] = static_cast<NodeId>(u);
-  }
-  for (uint64_t v = 0; v < n; ++v) {
-    if (cursor[v] != offsets[v + 1]) {
-      return util::Status::IoError("edge file changed during conversion: " +
-                                   paths.edges);
-    }
-  }
-  cursor.clear();
-  cursor.shrink_to_fit();
-
-  // Sort each range in place in the mapping; a duplicate edge shows up as
-  // adjacent equal endpoints.
-  for (uint64_t v = 0; v < n; ++v) {
-    NodeId* first = neighbors + offsets[v];
-    NodeId* last = neighbors + offsets[v + 1];
-    std::sort(first, last);
-    const NodeId* dup = std::adjacent_find(first, last);
-    if (dup != last) {
-      const uint64_t dup_line =
-          FindEdgeOccurrenceLine(paths.edges, v, *dup, 2);
-      return util::Status::IoError(
-          "duplicate edge" +
-          (dup_line > 0 ? At(paths.edges, dup_line)
-                        : (" between " + std::to_string(v) + " and " +
-                           std::to_string(*dup) + " in " + paths.edges)));
-    }
-  }
-
-  // Attribute pass: stream configs into the mapped section (ftruncate
-  // zero-fill already matches the w = 0 / missing-file default).
-  if (paths.has_attrs) {
-    const AttrConfig limit = NumNodeConfigs(static_cast<int>(w));
-    while (std::getline(attrs_in, line)) {
-      ++attrs_line_no;
-      if (textio::IsSkippableLine(line)) continue;
-      uint64_t v = 0, config = 0;
-      if (!textio::ParseTwoUints(line, &v, &config)) {
-        return util::Status::IoError("bad attribute line" +
-                                     At(paths.attrs, attrs_line_no));
-      }
-      if (v >= n) {
-        return util::Status::IoError("attribute node id out of range" +
-                                     At(paths.attrs, attrs_line_no));
-      }
-      if (config >= limit) {
-        return util::Status::IoError("attribute config out of range" +
-                                     At(paths.attrs, attrs_line_no));
-      }
-      attrs[v] = static_cast<AttrConfig>(config);
-    }
-  }
-
-  FinalizeChecksums(data, &h);
-  if (auto st = util::CheckFault("container.sync"); !st.ok()) return st;
-  if (auto st = file.Sync(); !st.ok()) return st;
-
-  BinaryGraphInfo info;
-  info.format_version = h.version;
-  info.page_size = h.page_size;
-  info.num_nodes = h.num_nodes;
-  info.num_edges = h.num_edges;
-  info.num_attributes = h.num_attributes;
-  info.num_data_pages = h.num_data_pages;
-  info.file_bytes = h.file_bytes;
+  // The text reader places its arrays straight into the output mapping;
+  // the zero-filled attribute section is the w = 0 default.
+  BinaryGraphHeader h{};
+  util::MappedFile file;
+  auto st = ReadTextGraph(
+      resolved.value(),
+      [&](const TextGraphShape& shape) -> util::Result<TextGraphArrays> {
+        h = MakeHeader(shape.num_nodes, shape.num_edges,
+                       static_cast<uint32_t>(shape.num_attributes),
+                       options.page_size);
+        auto mapped = CreateContainer(bin_path, h);
+        if (!mapped.ok()) return mapped.status();
+        file = std::move(mapped).value();
+        uint8_t* data = file.mutable_data();
+        return TextGraphArrays{
+            reinterpret_cast<uint64_t*>(data + h.offsets.offset),
+            reinterpret_cast<NodeId*>(data + h.neighbors.offset),
+            reinterpret_cast<AttrConfig*>(data + h.attributes.offset)};
+      });
+  if (!st.ok()) return st;
+  st = FinishContainer(&file, &h);
+  if (!st.ok()) return st;
+  BinaryGraphInfo info = InfoFromHeader(h);
   info.checksums_ok = true;
   return info;
 }
@@ -580,14 +398,7 @@ util::Result<BinaryGraphInfo> ReadBinaryGraphInfo(const std::string& path) {
       !st.ok()) {
     return st;
   }
-  BinaryGraphInfo info;
-  info.format_version = h.version;
-  info.page_size = h.page_size;
-  info.num_nodes = h.num_nodes;
-  info.num_edges = h.num_edges;
-  info.num_attributes = h.num_attributes;
-  info.num_data_pages = h.num_data_pages;
-  info.file_bytes = h.file_bytes;
+  BinaryGraphInfo info = InfoFromHeader(h);
   const util::Status sweep = VerifyPageChecksums(file.data(), h, path);
   info.checksums_ok = sweep.ok();
   if (!sweep.ok()) info.checksum_error = sweep.ToString();

@@ -1,12 +1,14 @@
 // Single-file, paged, checksummed binary graph container (".agmbin").
 //
-// Motivation: the text edge-list loader re-parses and re-canonicalizes an
-// entire graph on every open — minutes for the full-scale datasets the
-// sweep harness replays dozens of times. The container stores the CSR
+// Motivation: opening a text graph parses and sorts the whole edge list
+// again, twice over the file, on every open. The container stores the CSR
 // arrays the analytics kernels actually read, so opening a graph is one
 // mmap plus a checksum sweep, and the resulting AttributedCsrGraph points
 // straight into the mapping (no parse, no copy, bitwise-identical
-// analytics to the in-RAM FromGraph path).
+// analytics to the in-RAM FromGraph path). The two writers are
+// WriteBinaryGraph (from an AttributedGraph) and ConvertTextToBinary,
+// which runs the one text decoder (graph::ReadTextGraph) with the mapping
+// as its array storage.
 //
 // File layout (little-endian, all sections page-aligned):
 //
@@ -87,19 +89,18 @@ util::Status WriteBinaryGraph(const AttributedGraph& g,
                               const std::string& path,
                               const BinaryGraphOptions& options = {});
 
-struct ConvertOptions {
-  BinaryGraphOptions binary;
-};
-
 /// Streaming text -> binary conversion. `text_path` names either a
 /// `<prefix>` (with `<prefix>.edges` / optional `<prefix>.attrs`) or the
-/// `.edges` file itself; a missing attribute file converts as w = 0.
-/// Peak heap is O(num_nodes) — degree counts plus a write cursor — never
-/// O(num_edges): neighbor endpoints stream straight into the read-write
-/// mapping of the output file and are sorted in place there.
+/// `.edges` file itself; a missing attribute file converts as w = 0. The
+/// text is decoded by graph::ReadTextGraph (src/graph/graph_io.h), the
+/// reader GraphSource::Open uses, so both report the same errors in the
+/// same order; it places the arrays straight into the read-write mapping
+/// of the output file and sorts the neighbor ranges in place there. Peak
+/// heap is O(num_nodes) (degree counts, then a write cursor), never
+/// O(num_edges).
 util::Result<BinaryGraphInfo> ConvertTextToBinary(
     const std::string& text_path, const std::string& bin_path,
-    const ConvertOptions& options = {});
+    const BinaryGraphOptions& options = {});
 
 /// Maps a container file and wraps it as an AttributedCsrGraph whose
 /// arrays alias the mapping (the returned snapshot and all copies keep

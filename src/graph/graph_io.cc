@@ -1,14 +1,20 @@
 #include "src/graph/graph_io.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <limits>
+#include <vector>
 
 namespace agmdp::graph {
 
-namespace textio {
-
 namespace {
+
+// ------------------------------------------------ line parsing --
+// Allocation-free parsers over one reused line buffer. All skip leading
+// blanks, accept only non-negative decimals (a leading '-' is a parse
+// failure, not a wrapped huge value) and tolerate trailing content after
+// the parsed fields.
 
 // Advances past spaces, tabs and stray '\r' (CRLF input).
 void SkipBlanks(const char** p) {
@@ -45,40 +51,86 @@ bool ParseTag(const char** p, char tag) {
   return true;
 }
 
-}  // namespace
-
-bool IsSkippableLine(const std::string& line) {
-  const char* p = line.c_str();
-  SkipBlanks(&p);
-  return *p == '\0' || *p == '#';
-}
-
+// Parses "<u> <v>" from an edge or attribute body line.
 bool ParseTwoUints(const std::string& line, uint64_t* a, uint64_t* b) {
   const char* p = line.c_str();
   return ParseUint(&p, a) && ParseUint(&p, b);
 }
 
+// Parses the edge-list header "n <count>".
 bool ParseEdgeHeader(const std::string& line, uint64_t* n) {
   const char* p = line.c_str();
   return ParseTag(&p, 'n') && ParseUint(&p, n);
 }
 
+// Parses the attribute header "n <count> w <width>".
 bool ParseAttrHeader(const std::string& line, uint64_t* n, uint64_t* w) {
   const char* p = line.c_str();
   return ParseTag(&p, 'n') && ParseUint(&p, n) && ParseTag(&p, 'w') &&
          ParseUint(&p, w);
 }
 
-}  // namespace textio
-
-namespace {
-
-util::Status OpenForRead(const std::string& path, std::ifstream* in) {
-  in->open(path);
-  if (!in->is_open()) {
-    return util::Status::IoError("cannot open for reading: " + path);
+// Yields the lines of a text file that carry data, skipping blank lines
+// (possibly just "\r") and '#' comments, and keeps the 1-based number of
+// the current line so every error can name its position.
+class LineReader {
+ public:
+  util::Status Open(const std::string& path) {
+    path_ = path;
+    line_no_ = 0;
+    in_.close();
+    in_.open(path);
+    if (!in_.is_open()) {
+      return util::Status::IoError("cannot open for reading: " + path);
+    }
+    return util::Status::OK();
   }
-  return util::Status::OK();
+
+  // Advances to the next data line; false at the end of the file.
+  bool Next() {
+    while (std::getline(in_, line_)) {
+      ++line_no_;
+      const char* p = line_.c_str();
+      SkipBlanks(&p);
+      if (*p != '\0' && *p != '#') return true;
+    }
+    return false;
+  }
+
+  const std::string& line() const { return line_; }
+
+  // IoError "<what> at <path>:<line>".
+  util::Status Error(const std::string& what) const {
+    return util::Status::IoError(what + " at " + path_ + ":" +
+                                 std::to_string(line_no_));
+  }
+
+ private:
+  std::ifstream in_;
+  std::string path_;
+  std::string line_;
+  uint64_t line_no_ = 0;
+};
+
+// Error path of the duplicate check: rescans the edge file for the second
+// occurrence of the edge {a, b}, so the report names that line.
+util::Status DuplicateEdgeError(const std::string& path, uint64_t a,
+                                uint64_t b) {
+  LineReader lines;
+  if (lines.Open(path).ok() && lines.Next()) {  // past the header
+    bool seen = false;
+    while (lines.Next()) {
+      uint64_t u = 0, v = 0;
+      if (!ParseTwoUints(lines.line(), &u, &v)) continue;
+      if ((u == a && v == b) || (u == b && v == a)) {
+        if (seen) return lines.Error("duplicate edge");
+        seen = true;
+      }
+    }
+  }
+  // The file changed underneath: name the edge instead of a line.
+  return util::Status::IoError("duplicate edge between " + std::to_string(a) +
+                               " and " + std::to_string(b) + " in " + path);
 }
 
 util::Status OpenForWrite(const std::string& path, std::ofstream* out) {
@@ -89,58 +141,8 @@ util::Status OpenForWrite(const std::string& path, std::ofstream* out) {
   return util::Status::OK();
 }
 
-// Every parse error carries the exact input position.
-std::string At(const std::string& path, uint64_t line_no) {
-  return " at " + path + ":" + std::to_string(line_no);
-}
-
 bool FileExists(const std::string& path) {
   return std::ifstream(path).good();
-}
-
-util::Result<Graph> ReadEdgeList(const std::string& path) {
-  std::ifstream in;
-  if (auto st = OpenForRead(path, &in); !st.ok()) return st;
-  // One line buffer reused across the whole file; the cursor parsers in
-  // textio read it in place (no per-line stream or string allocation).
-  std::string line;
-  Graph g;
-  bool have_header = false;
-  uint64_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (textio::IsSkippableLine(line)) continue;
-    if (!have_header) {
-      uint64_t n = 0;
-      if (!textio::ParseEdgeHeader(line, &n)) {
-        return util::Status::IoError("bad edge-list header" + At(path, line_no));
-      }
-      if (n > std::numeric_limits<NodeId>::max()) {
-        return util::Status::IoError("node count overflows NodeId" +
-                                     At(path, line_no));
-      }
-      g = Graph(static_cast<NodeId>(n));
-      have_header = true;
-      continue;
-    }
-    uint64_t u = 0, v = 0;
-    if (!textio::ParseTwoUints(line, &u, &v)) {
-      return util::Status::IoError("bad edge" + At(path, line_no));
-    }
-    if (u == v) {
-      return util::Status::IoError("self-loop" + At(path, line_no));
-    }
-    if (u >= g.num_nodes() || v >= g.num_nodes()) {
-      return util::Status::IoError("edge out of range" + At(path, line_no));
-    }
-    if (!g.AddEdge(static_cast<NodeId>(u), static_cast<NodeId>(v))) {
-      return util::Status::IoError("duplicate edge" + At(path, line_no));
-    }
-  }
-  if (!have_header) {
-    return util::Status::IoError("missing edge-list header in " + path);
-  }
-  return g;
 }
 
 }  // namespace
@@ -230,64 +232,115 @@ util::Status WriteGraphMl(const AttributedCsrGraph& g,
   return util::Status::OK();
 }
 
-util::Result<AttributedGraph> ReadAttributedGraphFiles(
-    const TextGraphPaths& paths) {
-  auto edges = ReadEdgeList(paths.edges);
-  if (!edges.ok()) return edges.status();
-  if (!paths.has_attrs) {
-    return AttributedGraph(std::move(edges).value(), 0);
+util::Status ReadTextGraph(const TextGraphPaths& paths,
+                           const TextGraphPlacement& place) {
+  // Pass 1: validate every edge line and count degrees, the only O(n)
+  // state, so pass 2 can place endpoints straight into the arrays.
+  LineReader edges;
+  if (auto st = edges.Open(paths.edges); !st.ok()) return st;
+  if (!edges.Next()) {
+    return util::Status::IoError("missing edge-list header in " + paths.edges);
+  }
+  uint64_t n = 0;
+  if (!ParseEdgeHeader(edges.line(), &n)) {
+    return edges.Error("bad edge-list header");
+  }
+  if (n > std::numeric_limits<NodeId>::max()) {
+    return edges.Error("node count overflows NodeId");
+  }
+  std::vector<uint32_t> degrees(n, 0);
+  TextGraphShape shape;
+  shape.num_nodes = static_cast<NodeId>(n);
+  while (edges.Next()) {
+    uint64_t u = 0, v = 0;
+    if (!ParseTwoUints(edges.line(), &u, &v)) return edges.Error("bad edge");
+    if (u == v) return edges.Error("self-loop");
+    if (u >= n || v >= n) return edges.Error("edge out of range");
+    if (degrees[u] == std::numeric_limits<uint32_t>::max() ||
+        degrees[v] == std::numeric_limits<uint32_t>::max()) {
+      return edges.Error("degree overflow");
+    }
+    ++degrees[u];
+    ++degrees[v];
+    ++shape.num_edges;
   }
 
-  const std::string& path = paths.attrs;
-  std::ifstream in;
-  if (auto st = OpenForRead(path, &in); !st.ok()) return st;
-  std::string line;
-  uint64_t line_no = 0;
-  uint64_t n = 0, w = 0;
-  bool have_header = false;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (textio::IsSkippableLine(line)) continue;
-    if (!textio::ParseAttrHeader(line, &n, &w)) {
-      return util::Status::IoError("bad attribute header" + At(path, line_no));
+  LineReader attrs;
+  if (paths.has_attrs) {
+    if (auto st = attrs.Open(paths.attrs); !st.ok()) return st;
+    if (!attrs.Next()) {
+      return util::Status::IoError("empty attribute file: " + paths.attrs);
     }
-    have_header = true;
-    break;
-  }
-  if (!have_header) {
-    return util::Status::IoError("empty attribute file: " + path);
-  }
-  if (n != edges.value().num_nodes()) {
-    return util::Status::IoError("attribute/edge node count mismatch" +
-                                 At(path, line_no));
-  }
-  // Validate before constructing: the AttributedGraph constructor (and
-  // NumNodeConfigs below) treat an out-of-range w as a fatal invariant
-  // violation, but for file input it must surface as a Status error.
-  if (w > 20) {
-    return util::Status::IoError("attribute count out of range [0, 20]: " +
-                                 std::to_string(w) + At(path, line_no));
-  }
-  AttributedGraph g(std::move(edges).value(), static_cast<int>(w));
-  const AttrConfig limit = NumNodeConfigs(static_cast<int>(w));
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (textio::IsSkippableLine(line)) continue;
-    uint64_t v = 0, config = 0;
-    if (!textio::ParseTwoUints(line, &v, &config)) {
-      return util::Status::IoError("bad attribute line" + At(path, line_no));
+    uint64_t attr_nodes = 0, w = 0;
+    if (!ParseAttrHeader(attrs.line(), &attr_nodes, &w)) {
+      return attrs.Error("bad attribute header");
     }
-    if (v >= n) {
-      return util::Status::IoError("attribute node id out of range" +
-                                   At(path, line_no));
+    if (attr_nodes != n) {
+      return attrs.Error("attribute/edge node count mismatch");
     }
-    if (config >= limit) {
-      return util::Status::IoError("attribute config out of range" +
-                                   At(path, line_no));
+    if (w > 20) {
+      return attrs.Error("attribute count out of range [0, 20]: " +
+                         std::to_string(w));
     }
-    g.set_attribute(static_cast<NodeId>(v), static_cast<AttrConfig>(config));
+    shape.num_attributes = static_cast<int>(w);
   }
-  return g;
+
+  auto placed = place(shape);
+  if (!placed.ok()) return placed.status();
+  const TextGraphArrays& out = placed.value();
+  out.offsets[0] = 0;
+  for (uint64_t v = 0; v < n; ++v) {
+    out.offsets[v + 1] = out.offsets[v] + degrees[v];
+  }
+  degrees.clear();
+  degrees.shrink_to_fit();
+
+  // Pass 2: place both endpoints of each edge through a per-node cursor.
+  // Every line passed pass 1, so any surprise means the file changed.
+  const std::string changed = "edge file changed between reads";
+  std::vector<uint64_t> cursor(out.offsets, out.offsets + n);
+  if (auto st = edges.Open(paths.edges); !st.ok()) return st;
+  if (!edges.Next()) return edges.Error(changed);  // the header
+  while (edges.Next()) {
+    uint64_t u = 0, v = 0;
+    if (!ParseTwoUints(edges.line(), &u, &v) || u >= n || v >= n || u == v ||
+        cursor[u] == out.offsets[u + 1] || cursor[v] == out.offsets[v + 1]) {
+      return edges.Error(changed);
+    }
+    out.neighbors[cursor[u]++] = static_cast<NodeId>(v);
+    out.neighbors[cursor[v]++] = static_cast<NodeId>(u);
+  }
+  for (uint64_t v = 0; v < n; ++v) {
+    if (cursor[v] != out.offsets[v + 1]) {
+      return util::Status::IoError(changed + ": " + paths.edges);
+    }
+  }
+  cursor.clear();
+  cursor.shrink_to_fit();
+
+  // Sort each range in place; a duplicate edge shows up as adjacent equal
+  // endpoints.
+  for (uint64_t v = 0; v < n; ++v) {
+    NodeId* first = out.neighbors + out.offsets[v];
+    NodeId* last = out.neighbors + out.offsets[v + 1];
+    std::sort(first, last);
+    const NodeId* dup = std::adjacent_find(first, last);
+    if (dup != last) return DuplicateEdgeError(paths.edges, v, *dup);
+  }
+
+  if (paths.has_attrs) {
+    const AttrConfig limit = NumNodeConfigs(shape.num_attributes);
+    while (attrs.Next()) {
+      uint64_t v = 0, config = 0;
+      if (!ParseTwoUints(attrs.line(), &v, &config)) {
+        return attrs.Error("bad attribute line");
+      }
+      if (v >= n) return attrs.Error("attribute node id out of range");
+      if (config >= limit) return attrs.Error("attribute config out of range");
+      out.attributes[v] = static_cast<AttrConfig>(config);
+    }
+  }
+  return util::Status::OK();
 }
 
 }  // namespace agmdp::graph

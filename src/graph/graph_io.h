@@ -9,15 +9,19 @@
 //   n <num_nodes> w <num_attributes>
 //   <node_id> <config>   config is the bit-packed attribute vector
 //
-// The reader here is the *text backend* behind the unified ingestion entry
-// point graph::GraphSource::Open (src/graph/graph_source.h), which
-// auto-detects text vs the binary container (src/graph/graph_container.h)
-// by magic bytes. Call sites open graphs through GraphSource (or, with
-// already-resolved paths, ReadAttributedGraphFiles) and write them through
-// graph::WriteGraph.
+// ReadTextGraph is the one decoder of this format. It streams the edge
+// file twice and never builds an adjacency-list Graph: the caller places
+// the CSR arrays, and both callers do so differently.
+//   * graph::GraphSource::Open (src/graph/graph_source.h) places them in
+//     owned vectors and wraps them as the snapshot every consumer reads;
+//   * graph::ConvertTextToBinary (src/graph/graph_container.h) places them
+//     in the read-write mapping of the output container, so a conversion
+//     keeps O(num_nodes) heap.
+// Graphs are written through graph::WriteGraph.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "src/graph/attributed_graph.h"
@@ -52,32 +56,38 @@ struct TextGraphPaths {
 /// attribute file means w = 0). NotFound when no edge file exists.
 util::Result<TextGraphPaths> ResolveTextGraphPaths(const std::string& path);
 
-/// Reads a text graph from already-resolved file paths. When
-/// `paths.has_attrs` is false the result has zero attributes (all
-/// configs 0). Every parse error names its `path:line`.
-util::Result<AttributedGraph> ReadAttributedGraphFiles(
-    const TextGraphPaths& paths);
+/// Shape of a text graph, known once the reader's first pass is done.
+struct TextGraphShape {
+  NodeId num_nodes = 0;
+  uint64_t num_edges = 0;
+  int num_attributes = 0;
+};
 
-/// Allocation-free line parsing shared by the text readers above and the
-/// streaming text→binary converter (graph_container.cc). All parsers skip
-/// leading blanks, accept only non-negative decimals (a leading '-' is a
-/// parse failure, not a wrapped huge value) and tolerate trailing content
-/// after the parsed fields, matching the historical istream behavior.
-namespace textio {
+/// Storage for one text graph: num_nodes + 1 offsets, 2 * num_edges
+/// neighbors and num_nodes attribute configs. The configs must arrive
+/// zero-filled (nodes without an attribute line keep config 0).
+struct TextGraphArrays {
+  uint64_t* offsets = nullptr;
+  NodeId* neighbors = nullptr;
+  AttrConfig* attributes = nullptr;
+};
 
-/// True for lines the text formats ignore: blank (possibly just "\r") or
-/// starting with '#'.
-bool IsSkippableLine(const std::string& line);
+/// Called once per read, with the final shape; its error ends the read.
+using TextGraphPlacement =
+    std::function<util::Result<TextGraphArrays>(const TextGraphShape&)>;
 
-/// Parses "<u> <v>" from an edge or attribute body line.
-bool ParseTwoUints(const std::string& line, uint64_t* a, uint64_t* b);
-
-/// Parses the edge-list header "n <count>".
-bool ParseEdgeHeader(const std::string& line, uint64_t* n);
-
-/// Parses the attribute header "n <count> w <width>".
-bool ParseAttrHeader(const std::string& line, uint64_t* n, uint64_t* w);
-
-}  // namespace textio
+/// Decodes a text graph into the arrays `place` returns: CSR offsets,
+/// ascending neighbor ranges and configs, the same arrays
+/// AttributedCsrGraph::FromGraph builds. Without an attribute file the
+/// graph has w = 0. Every error is IoError, and each parse error names
+/// its `path:line`. Errors come in this order, whatever lines they sit on:
+///   1. the edge file (header, parse, range, self-loop, degree overflow);
+///   2. the attribute header;
+///   3. a duplicate edge (the line of its second occurrence);
+///   4. the attribute lines.
+/// The edge file is read twice; one that changes between the reads fails
+/// rather than yield a graph no single version of the file describes.
+util::Status ReadTextGraph(const TextGraphPaths& paths,
+                           const TextGraphPlacement& place);
 
 }  // namespace agmdp::graph

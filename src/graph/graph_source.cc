@@ -1,7 +1,9 @@
 #include "src/graph/graph_source.h"
 
+#include <cstdint>
 #include <cstring>
 #include <utility>
+#include <vector>
 
 #include "src/graph/graph_container.h"
 #include "src/graph/graph_io.h"
@@ -29,10 +31,25 @@ util::Result<GraphSource> GraphSource::Open(const std::string& path) {
   }
   auto resolved = ResolveTextGraphPaths(path);
   if (!resolved.ok()) return resolved.status();
-  auto parsed = ReadAttributedGraphFiles(resolved.value());
-  if (!parsed.ok()) return parsed.status();
+  std::vector<uint64_t> offsets;
+  std::vector<NodeId> neighbors;
+  std::vector<AttrConfig> attributes;
+  int num_attributes = 0;
+  auto st = ReadTextGraph(
+      resolved.value(),
+      [&](const TextGraphShape& shape) -> util::Result<TextGraphArrays> {
+        offsets.resize(uint64_t{shape.num_nodes} + 1);
+        neighbors.resize(2 * shape.num_edges);
+        attributes.resize(shape.num_nodes);
+        num_attributes = shape.num_attributes;
+        return TextGraphArrays{offsets.data(), neighbors.data(),
+                               attributes.data()};
+      });
+  if (!st.ok()) return st;
   source.format_ = Format::kText;
-  source.snapshot_ = AttributedCsrGraph::FromGraph(parsed.value());
+  source.snapshot_ = AttributedCsrGraph::FromArrays(
+      CsrGraph::FromArrays(std::move(offsets), std::move(neighbors)),
+      std::move(attributes), num_attributes);
   return source;
 }
 

@@ -9,7 +9,8 @@
 //     arrays alias the checksum-verified mmap, or
 //   * a text graph — `<prefix>`, `<prefix>.edges` or a bare edge-list
 //     file, with `<prefix>.attrs` optional (missing means w = 0) —
-//     parsed once into an owned snapshot.
+//     streamed twice into an owned snapshot by graph::ReadTextGraph
+//     (src/graph/graph_io.h), the decoder `agmdp convert` shares.
 //
 // Consumers read snapshot(), which works identically for both formats:
 // analytics, the private fit and the GraphML export all take it as is.
@@ -37,8 +38,8 @@ class GraphSource {
 
   /// Opens a graph from disk, auto-detecting the format by magic bytes.
   /// Binary containers are checksum-verified and validated; text inputs
-  /// are parsed with line-numbered errors. NotFound when nothing usable
-  /// exists at `path`.
+  /// are decoded by ReadTextGraph, with its line-numbered errors in its
+  /// order. NotFound when nothing usable exists at `path`.
   static util::Result<GraphSource> Open(const std::string& path);
 
   Format format() const { return format_; }

@@ -1,9 +1,7 @@
 #include "src/pipeline/release_artifact.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -27,65 +25,6 @@ util::Status CheckSchemaVersion(int version) {
                    std::to_string(kReleaseArtifactSchemaVersion) + ")");
   }
   return util::Status::OK();
-}
-
-// ------------------------------------------------- typed JSON field access
-
-util::Result<const util::JsonValue*> Require(const util::JsonValue& object,
-                                             const std::string& key) {
-  const util::JsonValue* field = object.Find(key);
-  if (field == nullptr) return Invalid("missing field '" + key + "'");
-  return field;
-}
-
-util::Result<double> RequireNumber(const util::JsonValue& object,
-                                   const std::string& key) {
-  auto field = Require(object, key);
-  if (!field.ok()) return field.status();
-  if (!field.value()->is_number()) {
-    return Invalid("field '" + key + "' must be a number");
-  }
-  return field.value()->number_value();
-}
-
-util::Result<std::string> RequireString(const util::JsonValue& object,
-                                        const std::string& key) {
-  auto field = Require(object, key);
-  if (!field.ok()) return field.status();
-  if (!field.value()->is_string()) {
-    return Invalid("field '" + key + "' must be a string");
-  }
-  return field.value()->string_value();
-}
-
-util::Result<int> RequireInt(const util::JsonValue& object,
-                             const std::string& key) {
-  auto number = RequireNumber(object, key);
-  if (!number.ok()) return number.status();
-  const double value = number.value();
-  if (value != std::floor(value) || std::fabs(value) > 1e9) {
-    return Invalid("field '" + key + "' must be a small integer");
-  }
-  return static_cast<int>(value);
-}
-
-// uint64 values travel as decimal strings: JSON numbers are doubles and
-// lose integers above 2^53.
-util::Result<uint64_t> RequireUint64String(const util::JsonValue& object,
-                                           const std::string& key) {
-  auto text = RequireString(object, key);
-  if (!text.ok()) return text.status();
-  const std::string& s = text.value();
-  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) {
-    return Invalid("field '" + key + "' must be a decimal uint64 string");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(s.c_str(), &end, 10);
-  if (errno == ERANGE || end == nullptr || *end != '\0') {
-    return Invalid("field '" + key + "' overflows uint64");
-  }
-  return static_cast<uint64_t>(value);
 }
 
 }  // namespace
@@ -245,8 +184,10 @@ util::Result<ReleaseArtifact> ReleaseArtifactFromJson(
   if (!parsed.ok()) return parsed.status();
   const util::JsonValue& root = parsed.value();
   if (!root.is_object()) return Invalid("top-level value must be an object");
+  const util::JsonFields fields(util::StatusCode::kInvalidArgument,
+                                "release artifact: ");
 
-  auto schema = RequireString(root, "schema");
+  auto schema = fields.RequireString(root, "schema");
   if (!schema.ok()) return schema.status();
   if (schema.value() != kSchemaName) {
     return Invalid("schema '" + schema.value() + "' is not '" + kSchemaName +
@@ -254,7 +195,7 @@ util::Result<ReleaseArtifact> ReleaseArtifactFromJson(
   }
 
   ReleaseArtifact artifact;
-  auto version = RequireInt(root, "schema_version");
+  auto version = fields.RequireInteger<int>(root, "schema_version");
   if (!version.ok()) return version.status();
   artifact.schema_version = version.value();
   // Reject a bumped version before touching any other field: a future
@@ -263,7 +204,7 @@ util::Result<ReleaseArtifact> ReleaseArtifactFromJson(
     return st;
   }
 
-  auto model = RequireString(root, "model");
+  auto model = fields.RequireString(root, "model");
   if (!model.ok()) return model.status();
   artifact.model = model.value();
 
@@ -271,57 +212,60 @@ util::Result<ReleaseArtifact> ReleaseArtifactFromJson(
   // construction; a present tag must be a string, and ValidateReleaseArtifact
   // below rejects values this build does not serve.
   if (root.Find("mechanism") != nullptr) {
-    auto mechanism = RequireString(root, "mechanism");
+    auto mechanism = fields.RequireString(root, "mechanism");
     if (!mechanism.ok()) return mechanism.status();
     artifact.mechanism = mechanism.value();
   }
 
-  auto fingerprint = RequireUint64String(root, "config_fingerprint");
+  auto fingerprint = fields.RequireUint64String(root, "config_fingerprint");
   if (!fingerprint.ok()) return fingerprint.status();
   artifact.config_fingerprint = fingerprint.value();
 
-  auto budget = RequireNumber(root, "epsilon_budget");
+  auto budget = fields.RequireNumber(root, "epsilon_budget");
   if (!budget.ok()) return budget.status();
   artifact.epsilon_budget = budget.value();
-  auto spent = RequireNumber(root, "epsilon_spent");
+  auto spent = fields.RequireNumber(root, "epsilon_spent");
   if (!spent.ok()) return spent.status();
   artifact.epsilon_spent = spent.value();
 
-  auto ledger = Require(root, "ledger");
+  auto ledger = fields.Require(root, "ledger");
   if (!ledger.ok()) return ledger.status();
   if (!ledger.value()->is_array()) return Invalid("'ledger' must be an array");
   for (const util::JsonValue& entry : ledger.value()->array_items()) {
     if (!entry.is_object()) return Invalid("ledger entries must be objects");
-    auto stage = RequireString(entry, "stage");
+    auto stage = fields.RequireString(entry, "stage");
     if (!stage.ok()) return stage.status();
-    auto epsilon = RequireNumber(entry, "epsilon");
+    auto epsilon = fields.RequireNumber(entry, "epsilon");
     if (!epsilon.ok()) return epsilon.status();
     artifact.ledger.emplace_back(stage.value(), epsilon.value());
   }
 
-  auto defaults = Require(root, "sample_defaults");
+  auto defaults = fields.Require(root, "sample_defaults");
   if (!defaults.ok()) return defaults.status();
-  auto iterations = RequireInt(*defaults.value(), "acceptance_iterations");
+  auto iterations =
+      fields.RequireInteger<int>(*defaults.value(), "acceptance_iterations");
   if (!iterations.ok()) return iterations.status();
   artifact.acceptance_iterations = iterations.value();
-  auto tolerance = RequireNumber(*defaults.value(), "acceptance_tolerance");
+  auto tolerance =
+      fields.RequireNumber(*defaults.value(), "acceptance_tolerance");
   if (!tolerance.ok()) return tolerance.status();
   artifact.acceptance_tolerance = tolerance.value();
-  auto min_acceptance = RequireNumber(*defaults.value(), "min_acceptance");
+  auto min_acceptance =
+      fields.RequireNumber(*defaults.value(), "min_acceptance");
   if (!min_acceptance.ok()) return min_acceptance.status();
   artifact.min_acceptance = min_acceptance.value();
 
-  auto params = Require(root, "params");
+  auto params = fields.Require(root, "params");
   if (!params.ok()) return params.status();
   const util::JsonValue& p = *params.value();
   if (!p.is_object()) return Invalid("'params' must be an object");
-  auto w = RequireInt(p, "w");
+  auto w = fields.RequireInteger<int>(p, "w");
   if (!w.ok()) return w.status();
   artifact.params.w = w.value();
 
-  auto read_theta = [&p](const std::string& key,
+  auto read_theta = [&p, &fields](const std::string& key,
                          std::vector<double>* out) -> util::Status {
-    auto field = Require(p, key);
+    auto field = fields.Require(p, key);
     if (!field.ok()) return field.status();
     if (!field.value()->is_array()) {
       return Invalid("'" + key + "' must be an array");
@@ -342,7 +286,7 @@ util::Result<ReleaseArtifact> ReleaseArtifactFromJson(
     return st;
   }
 
-  auto degrees = Require(p, "degree_sequence");
+  auto degrees = fields.Require(p, "degree_sequence");
   if (!degrees.ok()) return degrees.status();
   if (!degrees.value()->is_array()) {
     return Invalid("'degree_sequence' must be an array");
@@ -350,14 +294,15 @@ util::Result<ReleaseArtifact> ReleaseArtifactFromJson(
   artifact.params.degree_sequence.reserve(
       degrees.value()->array_items().size());
   for (const util::JsonValue& item : degrees.value()->array_items()) {
-    const double value = item.is_number() ? item.number_value() : -1.0;
-    if (value < 0.0 || value > 4294967295.0 || value != std::floor(value)) {
+    uint32_t degree = 0;
+    if (!item.is_number() ||
+        !util::JsonNumberToInteger(item.number_value(), &degree)) {
       return Invalid("'degree_sequence' entries must be uint32 integers");
     }
-    artifact.params.degree_sequence.push_back(static_cast<uint32_t>(value));
+    artifact.params.degree_sequence.push_back(degree);
   }
 
-  auto triangles = RequireUint64String(p, "target_triangles");
+  auto triangles = fields.RequireUint64String(p, "target_triangles");
   if (!triangles.ok()) return triangles.status();
   artifact.params.target_triangles = triangles.value();
 
@@ -367,9 +312,9 @@ util::Result<ReleaseArtifact> ReleaseArtifactFromJson(
       return Invalid("'mechanism_payload' must be an object for mechanism '" +
                      artifact.mechanism + "'");
     }
-    auto read_doubles = [payload](const std::string& key,
+    auto read_doubles = [payload, &fields](const std::string& key,
                                   std::vector<double>* out) -> util::Status {
-      auto field = Require(*payload, key);
+      auto field = fields.Require(*payload, key);
       if (!field.ok()) return field.status();
       if (!field.value()->is_array()) {
         return Invalid("'" + key + "' must be an array");
@@ -383,20 +328,10 @@ util::Result<ReleaseArtifact> ReleaseArtifactFromJson(
       }
       return util::Status::OK();
     };
-    auto read_uint32 = [payload](const std::string& key)
-        -> util::Result<uint32_t> {
-      auto number = RequireNumber(*payload, key);
-      if (!number.ok()) return number.status();
-      const double value = number.value();
-      if (value < 0.0 || value > 4294967295.0 || value != std::floor(value)) {
-        return Invalid("'" + key + "' must be a uint32 integer");
-      }
-      return static_cast<uint32_t>(value);
-    };
-    auto num_blocks = read_uint32("num_blocks");
+    auto num_blocks = fields.RequireInteger<uint32_t>(*payload, "num_blocks");
     if (!num_blocks.ok()) return num_blocks.status();
     artifact.payload.num_blocks = num_blocks.value();
-    auto blocks_field = Require(*payload, "node_blocks");
+    auto blocks_field = fields.Require(*payload, "node_blocks");
     if (!blocks_field.ok()) return blocks_field.status();
     if (!blocks_field.value()->is_array()) {
       return Invalid("'node_blocks' must be an array");
@@ -404,11 +339,12 @@ util::Result<ReleaseArtifact> ReleaseArtifactFromJson(
     artifact.payload.node_blocks.reserve(
         blocks_field.value()->array_items().size());
     for (const util::JsonValue& item : blocks_field.value()->array_items()) {
-      const double value = item.is_number() ? item.number_value() : -1.0;
-      if (value < 0.0 || value > 4294967295.0 || value != std::floor(value)) {
+      uint32_t block = 0;
+      if (!item.is_number() ||
+          !util::JsonNumberToInteger(item.number_value(), &block)) {
         return Invalid("'node_blocks' entries must be uint32 integers");
       }
-      artifact.payload.node_blocks.push_back(static_cast<uint32_t>(value));
+      artifact.payload.node_blocks.push_back(block);
     }
     if (auto st = read_doubles("block_edges", &artifact.payload.block_edges);
         !st.ok()) {
@@ -418,10 +354,11 @@ util::Result<ReleaseArtifact> ReleaseArtifactFromJson(
         !st.ok()) {
       return st;
     }
-    auto k_anonymity = read_uint32("k_anonymity");
+    auto k_anonymity =
+        fields.RequireInteger<uint32_t>(*payload, "k_anonymity");
     if (!k_anonymity.ok()) return k_anonymity.status();
     artifact.payload.k_anonymity = k_anonymity.value();
-    auto t_closeness = RequireNumber(*payload, "t_closeness");
+    auto t_closeness = fields.RequireNumber(*payload, "t_closeness");
     if (!t_closeness.ok()) return t_closeness.status();
     artifact.payload.t_closeness = t_closeness.value();
   } else if (payload != nullptr) {

@@ -66,10 +66,9 @@ uint64_t ReleaseEngine::ApproxBytes() const {
 }
 
 util::Result<graph::AttributedGraph> ReleaseEngine::Draw(
-    util::Rng& rng, int refine_iterations, bool borrow_pool) const {
+    util::Rng& rng, int refine_iterations) const {
   std::unique_lock<std::mutex> lock(pool_mutex_, std::defer_lock);
-  const bool borrowed =
-      borrow_pool && pool_.num_workers() > 1 && lock.try_lock();
+  const bool borrowed = pool_.num_workers() > 1 && lock.try_lock();
   return sampler_->Sample(rng, refine_iterations, borrowed ? &pool_ : nullptr);
 }
 
@@ -79,8 +78,7 @@ util::Result<graph::AttributedGraph> ReleaseEngine::Sample(
     return st;
   }
   util::Rng rng = util::Rng::Substream(request.seed, request.sequence);
-  return Draw(rng, request.refine_iterations,
-              /*borrow_pool=*/request.threads > 1);
+  return Draw(rng, request.refine_iterations);
 }
 
 util::Result<std::vector<graph::AttributedGraph>> ReleaseEngine::SampleMany(
@@ -95,7 +93,7 @@ util::Result<std::vector<graph::AttributedGraph>> ReleaseEngine::SampleMany(
   if (n == 1) {
     // A single request gains nothing from cross-sample fan-out.
     util::Rng rng = util::Rng::Substream(base.seed, base.sequence);
-    auto sample = Draw(rng, base.refine_iterations, /*borrow_pool=*/true);
+    auto sample = Draw(rng, base.refine_iterations);
     if (!sample.ok()) return sample.status();
     std::vector<graph::AttributedGraph> graphs;
     graphs.push_back(std::move(sample).value());
@@ -108,7 +106,7 @@ util::Result<std::vector<graph::AttributedGraph>> ReleaseEngine::SampleMany(
     std::unique_lock<std::mutex> lock(pool_mutex_, std::defer_lock);
     if (pool_.num_workers() > 1) lock.lock();
     pool_.Run(n, [&](int i) {
-      // Task i is exactly Sample({seed, sequence + i, refine, threads: 1})
+      // Task i is exactly Sample({seed, sequence + i, refine}) run inline
       // — a pure function of the request, so scheduling cannot change it.
       util::Rng rng = util::Rng::Substream(
           base.seed, base.sequence + static_cast<uint64_t>(i));
@@ -128,7 +126,7 @@ util::Result<std::vector<graph::AttributedGraph>> ReleaseEngine::SampleMany(
 
 util::Result<graph::AttributedGraph> ReleaseEngine::SampleFromStream(
     util::Rng& rng) const {
-  return Draw(rng, /*refine_iterations=*/-1, /*borrow_pool=*/true);
+  return Draw(rng, /*refine_iterations=*/-1);
 }
 
 }  // namespace agmdp::pipeline

@@ -70,10 +70,6 @@ struct SampleRequest {
   /// agm::kMaxAcceptanceIterations (larger values are InvalidArgument).
   /// Ignored (full cold loop) when the engine is not calibrated.
   int refine_iterations = -1;
-  /// Intra-sample sampler workers: 1 (default) runs inline on the calling
-  /// thread; > 1 borrows the engine pool when it is free (inline
-  /// otherwise), so requests never wait on each other. Never changes bits.
-  int threads = 1;
 };
 
 /// \brief A fit-once / sample-many serving handle over a ReleaseArtifact.
@@ -106,29 +102,31 @@ class ReleaseEngine {
   uint64_t ApproxBytes() const;
 
   /// Serves one request. Thread-safe; see the determinism contract above.
+  /// The sample borrows the engine pool when the pool is free and runs
+  /// inline otherwise, so requests never wait on each other. The pool
+  /// never changes bits.
   util::Result<graph::AttributedGraph> Sample(
       const SampleRequest& request) const;
 
   /// Serves requests (seed, sequence), ..., (seed, sequence + n - 1) over
   /// the engine pool and returns the graphs in sequence order. Equal to a
   /// sequential Sample loop, at any pool size. A batch of one skips the
-  /// fan-out and is served like Sample with threads > 1.
+  /// fan-out and is served like Sample.
   util::Result<std::vector<graph::AttributedGraph>> SampleMany(
       int n, const SampleRequest& base = {}) const;
 
   /// Samples consuming the caller's master stream instead of a request
   /// substream — the one-shot contract of pipeline::RunPrivateRelease.
-  /// Thread-safe; borrows the pool like Sample with threads > 1.
+  /// Thread-safe; borrows the pool like Sample.
   util::Result<graph::AttributedGraph> SampleFromStream(util::Rng& rng) const;
 
  private:
   ReleaseEngine(ReleaseArtifact artifact, int pool_workers);
 
-  /// One sample from `rng`: on the pool when `borrow_pool`, the pool has
-  /// more than one worker and is free; inline otherwise.
+  /// One sample from `rng`: on the pool when it has more than one worker
+  /// and is free; inline otherwise.
   util::Result<graph::AttributedGraph> Draw(util::Rng& rng,
-                                            int refine_iterations,
-                                            bool borrow_pool) const;
+                                            int refine_iterations) const;
 
   /// Declared before the sampler, which may reference it.
   const ReleaseArtifact artifact_;

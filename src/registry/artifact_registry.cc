@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <tuple>
 
@@ -127,49 +126,6 @@ util::Status SyncDirectoryOf(const std::string& path) {
   }
   ::close(fd);
   return st;
-}
-
-// ---- record field helpers (mirrors the release-artifact reader idiom) ----
-
-util::Result<std::string> RequireString(const util::JsonValue& object,
-                                        const std::string& key) {
-  const util::JsonValue* field = object.Find(key);
-  if (field == nullptr || !field->is_string()) {
-    return util::Status::Corruption("registry record field '" + key +
-                                    "' missing or not a string");
-  }
-  return field->string_value();
-}
-
-util::Result<double> RequireNumber(const util::JsonValue& object,
-                                   const std::string& key) {
-  const util::JsonValue* field = object.Find(key);
-  if (field == nullptr || !field->is_number()) {
-    return util::Status::Corruption("registry record field '" + key +
-                                    "' missing or not a number");
-  }
-  return field->number_value();
-}
-
-// uint64 values travel as decimal strings: JSON numbers are doubles and
-// lose integers above 2^53.
-util::Result<uint64_t> RequireUint64String(const util::JsonValue& object,
-                                           const std::string& key) {
-  auto text = RequireString(object, key);
-  if (!text.ok()) return text.status();
-  const std::string& s = text.value();
-  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) {
-    return util::Status::Corruption("registry record field '" + key +
-                                    "' is not a decimal uint64 string");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(s.c_str(), &end, 10);
-  if (errno == ERANGE || end == nullptr || *end != '\0') {
-    return util::Status::Corruption("registry record field '" + key +
-                                    "' overflows uint64");
-  }
-  return static_cast<uint64_t>(value);
 }
 
 }  // namespace
@@ -351,7 +307,9 @@ util::Status ArtifactRegistry::ApplyRecordLocked(const std::string& payload) {
   if (!record.is_object()) {
     return util::Status::Corruption("registry record is not a JSON object");
   }
-  auto type = RequireString(record, "type");
+  const util::JsonFields fields(util::StatusCode::kCorruption,
+                                "registry record: ");
+  auto type = fields.RequireString(record, "type");
   if (!type.ok()) return type.status();
 
   auto apply_charge = [this](const std::string& dataset, uint64_t key,
@@ -396,9 +354,9 @@ util::Status ArtifactRegistry::ApplyRecordLocked(const std::string& payload) {
 
   const std::string& kind = type.value();
   if (kind == "charge") {
-    auto dataset = RequireString(record, "dataset");
-    auto key = RequireUint64String(record, "release_key");
-    auto epsilon = RequireNumber(record, "epsilon");
+    auto dataset = fields.RequireString(record, "dataset");
+    auto key = fields.RequireUint64String(record, "release_key");
+    auto epsilon = fields.RequireNumber(record, "epsilon");
     if (!dataset.ok()) return dataset.status();
     if (!key.ok()) return key.status();
     if (!epsilon.ok()) return epsilon.status();
@@ -406,9 +364,9 @@ util::Status ArtifactRegistry::ApplyRecordLocked(const std::string& payload) {
     return util::Status::OK();
   }
   if (kind == "artifact") {
-    auto dataset = RequireString(record, "dataset");
-    auto name = RequireString(record, "name");
-    auto artifact_json = RequireString(record, "artifact_json");
+    auto dataset = fields.RequireString(record, "dataset");
+    auto name = fields.RequireString(record, "name");
+    auto artifact_json = fields.RequireString(record, "artifact_json");
     if (!dataset.ok()) return dataset.status();
     if (!name.ok()) return name.status();
     if (!artifact_json.ok()) return artifact_json.status();
@@ -416,8 +374,8 @@ util::Status ArtifactRegistry::ApplyRecordLocked(const std::string& payload) {
                           artifact_json.value(), /*record_history=*/true);
   }
   if (kind == "gc") {
-    auto dataset = RequireString(record, "dataset");
-    auto name = RequireString(record, "name");
+    auto dataset = fields.RequireString(record, "dataset");
+    auto name = fields.RequireString(record, "name");
     if (!dataset.ok()) return dataset.status();
     if (!name.ok()) return name.status();
     auto it = entries_.find(EntryKey(dataset.value(), name.value()));
@@ -437,9 +395,9 @@ util::Status ArtifactRegistry::ApplyRecordLocked(const std::string& payload) {
     return util::Status::OK();
   }
   if (kind == "tenant_charge") {
-    auto tenant = RequireString(record, "tenant");
-    auto key = RequireUint64String(record, "release_key");
-    auto epsilon = RequireNumber(record, "epsilon");
+    auto tenant = fields.RequireString(record, "tenant");
+    auto key = fields.RequireUint64String(record, "release_key");
+    auto epsilon = fields.RequireNumber(record, "epsilon");
     if (!tenant.ok()) return tenant.status();
     if (!key.ok()) return key.status();
     if (!epsilon.ok()) return epsilon.status();
@@ -461,7 +419,7 @@ util::Status ArtifactRegistry::ApplyRecordLocked(const std::string& payload) {
           "registry checkpoint record is missing its sections");
     }
     for (const util::JsonValue& row : datasets->array_items()) {
-      auto dataset = RequireString(row, "dataset");
+      auto dataset = fields.RequireString(row, "dataset");
       if (!dataset.ok()) return dataset.status();
       const util::JsonValue* charges = row.Find("charges");
       if (charges == nullptr || !charges->is_array()) {
@@ -469,17 +427,17 @@ util::Status ArtifactRegistry::ApplyRecordLocked(const std::string& payload) {
             "registry checkpoint dataset row has no charges array");
       }
       for (const util::JsonValue& charge : charges->array_items()) {
-        auto key = RequireUint64String(charge, "release_key");
-        auto epsilon = RequireNumber(charge, "epsilon");
+        auto key = fields.RequireUint64String(charge, "release_key");
+        auto epsilon = fields.RequireNumber(charge, "epsilon");
         if (!key.ok()) return key.status();
         if (!epsilon.ok()) return epsilon.status();
         apply_charge(dataset.value(), key.value(), epsilon.value());
       }
     }
     for (const util::JsonValue& row : artifacts->array_items()) {
-      auto dataset = RequireString(row, "dataset");
-      auto name = RequireString(row, "name");
-      auto artifact_json = RequireString(row, "artifact_json");
+      auto dataset = fields.RequireString(row, "dataset");
+      auto name = fields.RequireString(row, "name");
+      auto artifact_json = fields.RequireString(row, "artifact_json");
       if (!dataset.ok()) return dataset.status();
       if (!name.ok()) return name.status();
       if (!artifact_json.ok()) return artifact_json.status();
@@ -491,7 +449,7 @@ util::Status ArtifactRegistry::ApplyRecordLocked(const std::string& payload) {
       }
     }
     for (const util::JsonValue& row : tenants->array_items()) {
-      auto tenant = RequireString(row, "tenant");
+      auto tenant = fields.RequireString(row, "tenant");
       if (!tenant.ok()) return tenant.status();
       const util::JsonValue* charges = row.Find("charges");
       if (charges == nullptr || !charges->is_array()) {
@@ -499,8 +457,8 @@ util::Status ArtifactRegistry::ApplyRecordLocked(const std::string& payload) {
             "registry checkpoint tenant row has no charges array");
       }
       for (const util::JsonValue& charge : charges->array_items()) {
-        auto key = RequireUint64String(charge, "release_key");
-        auto epsilon = RequireNumber(charge, "epsilon");
+        auto key = fields.RequireUint64String(charge, "release_key");
+        auto epsilon = fields.RequireNumber(charge, "epsilon");
         if (!key.ok()) return key.status();
         if (!epsilon.ok()) return epsilon.status();
         tenant_charges_[tenant.value()].emplace(key.value(), epsilon.value());
@@ -513,14 +471,14 @@ util::Status ArtifactRegistry::ApplyRecordLocked(const std::string& payload) {
             "registry checkpoint history section is not an array");
       }
       for (const util::JsonValue& row_json : history->array_items()) {
-        auto dataset = RequireString(row_json, "dataset");
-        auto name = RequireString(row_json, "name");
-        auto mechanism = RequireString(row_json, "mechanism");
-        auto model = RequireString(row_json, "model");
-        auto key = RequireUint64String(row_json, "release_key");
+        auto dataset = fields.RequireString(row_json, "dataset");
+        auto name = fields.RequireString(row_json, "name");
+        auto mechanism = fields.RequireString(row_json, "mechanism");
+        auto model = fields.RequireString(row_json, "model");
+        auto key = fields.RequireUint64String(row_json, "release_key");
         auto fingerprint =
-            RequireUint64String(row_json, "config_fingerprint");
-        auto epsilon = RequireNumber(row_json, "epsilon");
+            fields.RequireUint64String(row_json, "config_fingerprint");
+        auto epsilon = fields.RequireNumber(row_json, "epsilon");
         if (!dataset.ok()) return dataset.status();
         if (!name.ok()) return name.status();
         if (!mechanism.ok()) return mechanism.status();

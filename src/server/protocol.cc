@@ -76,67 +76,45 @@ void AppendDouble(std::string* out, const std::string& key, double value,
   *out += util::JsonNumberExact(value);
 }
 
-util::Status Invalid(const std::string& what) {
-  return util::Status::InvalidArgument("protocol: " + what);
+// Every protocol field is optional (an absent key keeps its default);
+// present ones go through the shared typed readers.
+const util::JsonFields& Fields() {
+  static const util::JsonFields fields(util::StatusCode::kInvalidArgument,
+                                       "protocol: ");
+  return fields;
 }
+
+util::Status Invalid(const std::string& what) { return Fields().Error(what); }
 
 /// Reads a non-negative integer member that may arrive as a JSON number
 /// (when it fits a double exactly) or as a decimal string (always exact).
 util::Status ReadUint64(const JsonValue& object, const std::string& key,
                         uint64_t* out) {
   const JsonValue* member = object.Find(key);
-  if (member == nullptr) return util::Status::OK();  // keep default
-  if (member->is_string()) {
-    const std::string& text = member->string_value();
-    if (text.empty()) return Invalid("'" + key + "' must be an integer");
-    uint64_t value = 0;
-    for (char c : text) {
-      if (c < '0' || c > '9') {
-        return Invalid("'" + key + "' must be an integer");
-      }
-      const uint64_t digit = static_cast<uint64_t>(c - '0');
-      if (value > (UINT64_MAX - digit) / 10) {
-        return Invalid("'" + key + "' overflows uint64");
-      }
-      value = value * 10 + digit;
-    }
-    *out = value;
-    return util::Status::OK();
-  }
-  if (member->is_number()) {
-    const double v = member->number_value();
-    if (v < 0 || v != static_cast<double>(static_cast<uint64_t>(v))) {
-      return Invalid("'" + key + "' must be a non-negative integer");
-    }
-    *out = static_cast<uint64_t>(v);
-    return util::Status::OK();
-  }
-  return Invalid("'" + key + "' must be an integer");
+  if (member == nullptr) return util::Status::OK();
+  auto value = member->is_string()
+                   ? Fields().RequireUint64String(object, key)
+                   : Fields().RequireInteger<uint64_t>(object, key);
+  if (!value.ok()) return value.status();
+  *out = value.value();
+  return util::Status::OK();
 }
 
 util::Status ReadInt(const JsonValue& object, const std::string& key,
                      int* out) {
-  const JsonValue* member = object.Find(key);
-  if (member == nullptr) return util::Status::OK();
-  if (!member->is_number() ||
-      member->number_value() !=
-          static_cast<double>(static_cast<int64_t>(member->number_value()))) {
-    return Invalid("'" + key + "' must be an integer");
-  }
-  const double v = member->number_value();
-  if (v < -2147483648.0 || v > 2147483647.0) {
-    return Invalid("'" + key + "' is out of range");
-  }
-  *out = static_cast<int>(v);
+  if (object.Find(key) == nullptr) return util::Status::OK();
+  auto value = Fields().RequireInteger<int>(object, key);
+  if (!value.ok()) return value.status();
+  *out = value.value();
   return util::Status::OK();
 }
 
 util::Status ReadString(const JsonValue& object, const std::string& key,
                         std::string* out) {
-  const JsonValue* member = object.Find(key);
-  if (member == nullptr) return util::Status::OK();
-  if (!member->is_string()) return Invalid("'" + key + "' must be a string");
-  *out = member->string_value();
+  if (object.Find(key) == nullptr) return util::Status::OK();
+  auto value = Fields().RequireString(object, key);
+  if (!value.ok()) return value.status();
+  *out = std::move(value).value();
   return util::Status::OK();
 }
 

@@ -415,50 +415,61 @@ void Server::ExecuteBatch(std::vector<Job>& batch) {
     ++stats_.batches;
     stats_.batched_requests += batch.size();
   }
-  const Request& head = batch.front().request;
+  std::vector<const Request*> requests;
+  requests.reserve(batch.size());
+  for (const Job& job : batch) requests.push_back(&job.request);
+  const std::vector<Response> responses = ServeSamples(requests);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    WriteResponse(batch[i].conn, responses[i]);
+  }
+}
+
+std::vector<Response> Server::ServeSamples(
+    const std::vector<const Request*>& requests) {
+  std::vector<Response> responses(requests.size());
+  const Request& head = *requests.front();
   auto lease = cache_.Lookup(head.name);
   if (!lease.ok()) {
-    for (Job& job : batch) {
-      WriteResponse(job.conn, ErrorResponse(job.request.id, lease.status()));
+    for (size_t i = 0; i < requests.size(); ++i) {
+      responses[i] = ErrorResponse(requests[i]->id, lease.status());
     }
-    return;
+    return responses;
   }
   const pipeline::ReleaseEngine& engine = *lease.value();
   const uint64_t release_key = pipeline::ReleaseArtifactReleaseKey(
       engine.artifact());
 
-  // Every tenant pays (idempotently) before any sampling happens; jobs
-  // whose tenant is out of budget drop out of the batch with a typed
-  // error while the rest proceed.
-  std::vector<Job*> active;
-  for (Job& job : batch) {
-    auto st = ChargeTenant(job.request.tenant, release_key,
+  // Every tenant pays (idempotently) before any sampling happens; requests
+  // whose tenant is out of budget drop out with a typed error while the
+  // rest proceed.
+  std::vector<size_t> active;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    auto st = ChargeTenant(requests[i]->tenant, release_key,
                            engine.artifact().epsilon_spent);
     if (st.ok()) {
-      active.push_back(&job);
+      active.push_back(i);
     } else {
-      WriteResponse(job.conn, ErrorResponse(job.request.id, std::move(st)));
+      responses[i] = ErrorResponse(requests[i]->id, std::move(st));
     }
   }
-  std::sort(active.begin(), active.end(), [](const Job* a, const Job* b) {
-    return a->request.sequence < b->request.sequence;
+  std::sort(active.begin(), active.end(), [&](size_t a, size_t b) {
+    return requests[a]->sequence < requests[b]->sequence;
   });
 
   // Coalesce contiguous sequence ranges into single SampleMany calls of at
   // most kMaxSampleCount graphs (ParseRequest caps each count, and the
-  // sum stays an int). Each graph is a pure function of (seed, sequence),
-  // so the regrouping is bitwise-identical to serving every request alone.
+  // sum stays an int).
   size_t i = 0;
   while (i < active.size()) {
-    const uint64_t run_start = active[i]->request.sequence;
-    uint64_t run_end = run_start + static_cast<uint64_t>(
-                                       active[i]->request.count);
+    const Request& first = *requests[active[i]];
+    const uint64_t run_start = first.sequence;
+    uint64_t run_end = run_start + static_cast<uint64_t>(first.count);
     size_t j = i + 1;
-    while (j < active.size() && active[j]->request.sequence == run_end &&
+    while (j < active.size() && requests[active[j]]->sequence == run_end &&
            run_end - run_start + static_cast<uint64_t>(
-                                     active[j]->request.count) <=
+                                     requests[active[j]]->count) <=
                static_cast<uint64_t>(kMaxSampleCount)) {
-      run_end += static_cast<uint64_t>(active[j]->request.count);
+      run_end += static_cast<uint64_t>(requests[active[j]]->count);
       ++j;
     }
     pipeline::SampleRequest base;
@@ -467,28 +478,26 @@ void Server::ExecuteBatch(std::vector<Job>& batch) {
     base.refine_iterations = head.refine_iterations;
     auto graphs = engine.SampleMany(static_cast<int>(run_end - run_start),
                                     base);
-    if (!graphs.ok()) {
-      for (size_t k = i; k < j; ++k) {
-        WriteResponse(active[k]->conn,
-                      ErrorResponse(active[k]->request.id, graphs.status()));
+    size_t offset = 0;
+    for (size_t k = i; k < j; ++k) {
+      const Request& request = *requests[active[k]];
+      if (!graphs.ok()) {
+        responses[active[k]] = ErrorResponse(request.id, graphs.status());
+        continue;
       }
-    } else {
       std::vector<graph::AttributedGraph>& all = graphs.value();
-      size_t offset = 0;
-      for (size_t k = i; k < j; ++k) {
-        const size_t count = static_cast<size_t>(active[k]->request.count);
-        std::vector<graph::AttributedGraph> slice(
-            std::make_move_iterator(all.begin() +
-                                    static_cast<ptrdiff_t>(offset)),
-            std::make_move_iterator(all.begin() +
-                                    static_cast<ptrdiff_t>(offset + count)));
-        offset += count;
-        WriteResponse(active[k]->conn,
-                      FinishSample(active[k]->request, std::move(slice)));
-      }
+      const size_t count = static_cast<size_t>(request.count);
+      std::vector<graph::AttributedGraph> slice(
+          std::make_move_iterator(all.begin() +
+                                  static_cast<ptrdiff_t>(offset)),
+          std::make_move_iterator(all.begin() +
+                                  static_cast<ptrdiff_t>(offset + count)));
+      offset += count;
+      responses[active[k]] = FinishSample(request, std::move(slice));
     }
     i = j;
   }
+  return responses;
 }
 
 void Server::WorkerLoop() {
@@ -501,7 +510,7 @@ Response Server::Handle(const Request& request) {
     case RequestOp::kLoad:
       return HandleLoad(request);
     case RequestOp::kSample:
-      return HandleSample(request);
+      return std::move(ServeSamples({&request}).front());
     case RequestOp::kPin: {
       Response response;
       response.id = request.id;
@@ -598,26 +607,6 @@ Response Server::HandleLoad(const Request& request) {
   response.stats.emplace_back(
       "cache_bytes_in_use", static_cast<double>(cache_.Stats().bytes_in_use));
   return response;
-}
-
-Response Server::HandleSample(const Request& request) {
-  auto lease = cache_.Lookup(request.name);
-  if (!lease.ok()) return ErrorResponse(request.id, lease.status());
-  const pipeline::ReleaseEngine& engine = *lease.value();
-  if (auto st = ChargeTenant(
-          request.tenant,
-          pipeline::ReleaseArtifactReleaseKey(engine.artifact()),
-          engine.artifact().epsilon_spent);
-      !st.ok()) {
-    return ErrorResponse(request.id, std::move(st));
-  }
-  pipeline::SampleRequest base;
-  base.seed = request.seed;
-  base.sequence = request.sequence;
-  base.refine_iterations = request.refine_iterations;
-  auto graphs = engine.SampleMany(request.count, base);
-  if (!graphs.ok()) return ErrorResponse(request.id, graphs.status());
-  return FinishSample(request, std::move(graphs).value());
 }
 
 Response Server::FinishSample(const Request& request,

@@ -174,8 +174,16 @@ class Server {
   void StopInternal(bool drain);
 
   Response HandleLoad(const Request& request);
-  Response HandleSample(const Request& request);
   Response HandleStats(const Request& request);
+
+  /// Serves a group of compatible sample requests (same name/seed/refine)
+  /// and returns their responses in the given order: one lease, every
+  /// tenant charged before any sampling, contiguous sequence runs
+  /// coalesced into SampleMany calls. Handle() passes one request, a
+  /// worker its batch; each graph depends only on (seed, sequence), so
+  /// the grouping never changes a bit.
+  std::vector<Response> ServeSamples(
+      const std::vector<const Request*>& requests);
 
   /// Debits the in-memory ledger and, when the debit is fresh and a
   /// registry is open, journals it durably. The request fails if the
@@ -197,9 +205,8 @@ class Server {
   /// compatible job (same name/seed/refine) into `batch`. Returns false at
   /// shutdown with the queue drained.
   bool NextBatch(std::vector<Job>* batch);
-  /// Executes a batch: coalesces contiguous sequence runs into SampleMany
-  /// calls and answers every job. Falls back to per-job Handle() for
-  /// non-sample ops and singleton batches.
+  /// Answers every job of a batch: a singleton through Handle(), a group
+  /// of two or more through ServeSamples (and the batch counters).
   void ExecuteBatch(std::vector<Job>& batch);
 
   void WriteResponse(Connection* conn, const Response& response);

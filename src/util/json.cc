@@ -420,4 +420,57 @@ const JsonValue* JsonValue::Find(const std::string& key) const {
   return nullptr;
 }
 
+Status JsonFields::Error(const std::string& what) const {
+  return Status::FromCodeMessage(code_, prefix_ + what);
+}
+
+Result<const JsonValue*> JsonFields::Require(const JsonValue& object,
+                                             const std::string& key) const {
+  const JsonValue* field = object.Find(key);
+  if (field == nullptr) return Error("missing field '" + key + "'");
+  return field;
+}
+
+Result<std::string> JsonFields::RequireString(const JsonValue& object,
+                                              const std::string& key) const {
+  auto field = Require(object, key);
+  if (!field.ok()) return field.status();
+  if (!field.value()->is_string()) {
+    return Error("field '" + key + "' must be a string");
+  }
+  return field.value()->string_value();
+}
+
+Result<double> JsonFields::RequireNumber(const JsonValue& object,
+                                         const std::string& key) const {
+  auto field = Require(object, key);
+  if (!field.ok()) return field.status();
+  if (!field.value()->is_number()) {
+    return Error("field '" + key + "' must be a number");
+  }
+  return field.value()->number_value();
+}
+
+Result<uint64_t> JsonFields::RequireUint64String(
+    const JsonValue& object, const std::string& key) const {
+  auto text = RequireString(object, key);
+  if (!text.ok()) return text.status();
+  const std::string& s = text.value();
+  if (s.empty()) {
+    return Error("field '" + key + "' must be a decimal uint64 string");
+  }
+  uint64_t value = 0;
+  for (char c : s) {
+    if (c < '0' || c > '9') {
+      return Error("field '" + key + "' must be a decimal uint64 string");
+    }
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (value > (std::numeric_limits<uint64_t>::max() - digit) / 10) {
+      return Error("field '" + key + "' overflows uint64");
+    }
+    value = value * 10 + digit;
+  }
+  return value;
+}
+
 }  // namespace agmdp::util

@@ -11,7 +11,10 @@
 // significant digits, so doubles written that way round-trip bit-exactly.
 #pragma once
 
+#include <cmath>
+#include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -146,6 +149,62 @@ class JsonValue {
   std::string string_;
   std::vector<JsonValue> items_;
   std::vector<std::pair<std::string, JsonValue>> members_;
+};
+
+/// Converts a JSON number to the integer type Int when it is an integer
+/// inside Int's range; false otherwise (NaN and infinities included). The
+/// range check comes before the cast, because converting a double outside
+/// the target type's range is undefined behaviour.
+template <typename Int>
+bool JsonNumberToInteger(double v, Int* out) {
+  // Int holds [min, max + 1); both bounds are powers of two (or 0), so
+  // exact doubles.
+  constexpr double min = static_cast<double>(std::numeric_limits<Int>::min());
+  constexpr double end =
+      2.0 * static_cast<double>(std::numeric_limits<Int>::max() / 2 + 1);
+  if (!(v >= min && v < end) || v != std::trunc(v)) return false;
+  *out = static_cast<Int>(v);
+  return true;
+}
+
+/// \brief Typed member access for the decoders of untrusted JSON: the
+/// release artifact, the registry journal and the daemon protocol. The
+/// checks are shared; each decoder names the status code and message
+/// prefix its errors carry.
+class JsonFields {
+ public:
+  JsonFields(StatusCode code, std::string prefix)
+      : code_(code), prefix_(std::move(prefix)) {}
+
+  /// The decoder's error: its code, and `what` after its prefix.
+  Status Error(const std::string& what) const;
+
+  Result<const JsonValue*> Require(const JsonValue& object,
+                                   const std::string& key) const;
+  Result<std::string> RequireString(const JsonValue& object,
+                                    const std::string& key) const;
+  Result<double> RequireNumber(const JsonValue& object,
+                               const std::string& key) const;
+  /// A JSON number holding an integer in Int's range.
+  template <typename Int>
+  Result<Int> RequireInteger(const JsonValue& object,
+                             const std::string& key) const {
+    auto number = RequireNumber(object, key);
+    if (!number.ok()) return number.status();
+    Int value{};
+    if (!JsonNumberToInteger(number.value(), &value)) {
+      return Error("field '" + key + "' must be an integer in range");
+    }
+    return value;
+  }
+  /// A uint64 written as a decimal string: JSON numbers are doubles and
+  /// lose integers above 2^53.
+  Result<uint64_t> RequireUint64String(const JsonValue& object,
+                                       const std::string& key) const;
+
+ private:
+  StatusCode code_;
+  std::string prefix_;
 };
 
 }  // namespace agmdp::util

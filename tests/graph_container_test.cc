@@ -19,6 +19,10 @@
 #include "src/graph/csr.h"
 #include "src/graph/graph_container.h"
 #include "src/graph/graph_io.h"
+#include "src/graph/graph_source.h"
+#include "src/util/rng.h"
+#include "tests/test_support.h"
+#include "tests/text_graph_doors.h"
 
 namespace agmdp::graph {
 namespace {
@@ -72,20 +76,25 @@ class GraphContainerTest : public ::testing::Test {
   std::vector<std::string> paths_;
 };
 
-void ExpectSnapshotsEqual(const AttributedCsrGraph& a,
-                          const AttributedCsrGraph& b) {
-  ASSERT_EQ(a.num_nodes(), b.num_nodes());
-  ASSERT_EQ(a.num_edges(), b.num_edges());
-  ASSERT_EQ(a.num_attributes, b.num_attributes);
-  EXPECT_EQ(a.structure.MaxDegree(), b.structure.MaxDegree());
-  EXPECT_EQ(a.structure.degrees(), b.structure.degrees());
-  for (NodeId v = 0; v < a.num_nodes(); ++v) {
-    const NeighborRange ra = a.structure.Neighbors(v);
-    const NeighborRange rb = b.structure.Neighbors(v);
-    ASSERT_EQ(ra.size(), rb.size()) << "node " << v;
-    EXPECT_TRUE(std::equal(ra.begin(), ra.end(), rb.begin()))
-        << "neighbor range differs at node " << v;
-    EXPECT_EQ(a.attribute(v), b.attribute(v)) << "node " << v;
+using test_support::ExpectSnapshotsEqual;
+
+// Rewrites a text file the way hand-edited input looks: comment and blank
+// lines between the data lines, and CRLF endings on some of them.
+void Decorate(const std::string& path, util::Rng& rng) {
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  std::ofstream out(path, std::ios::trunc);
+  for (const std::string& line : lines) {
+    switch (rng.UniformIndex(6)) {
+      case 0: out << "# comment " << line << "\n"; break;
+      case 1: out << "\n"; break;
+      case 2: out << " \t\r\n"; break;
+      default: break;
+    }
+    out << line << (rng.UniformIndex(2) == 0 ? "\r\n" : "\n");
   }
 }
 
@@ -125,9 +134,7 @@ TEST_F(GraphContainerTest, ConverterProducesSameBytesAsMemoryWriter) {
   const std::string from_ram = TempPath("from_ram.agmbin");
   const std::string from_text = TempPath("from_text.agmbin");
   ASSERT_TRUE(WriteBinaryGraph(g, from_ram, SmallPages()).ok());
-  ConvertOptions options;
-  options.binary = SmallPages();
-  auto info = ConvertTextToBinary(prefix, from_text, options);
+  auto info = ConvertTextToBinary(prefix, from_text, SmallPages());
   ASSERT_TRUE(info.ok()) << info.status().ToString();
   EXPECT_EQ(info.value().num_nodes, g.num_nodes());
   EXPECT_EQ(info.value().num_edges, g.num_edges());
@@ -135,6 +142,44 @@ TEST_F(GraphContainerTest, ConverterProducesSameBytesAsMemoryWriter) {
 
   EXPECT_EQ(ReadAll(from_ram), ReadAll(from_text))
       << "streaming converter and in-RAM writer must emit identical files";
+
+  // One reader, two front doors: on random graphs (isolated nodes, w = 0
+  // with and without an attribute file, comments, blank lines, CRLF), the
+  // text snapshot is array-equal to FromGraph and the conversion is
+  // byte-equal to the in-RAM writer.
+  struct Case {
+    NodeId n;
+    double p;
+    int w;
+    bool attrs_file;
+  };
+  util::Rng rng(20260);
+  for (const Case& c : {Case{0, 0.0, 0, true}, Case{1, 0.0, 0, false},
+                        Case{40, 0.04, 3, true}, Case{300, 0.02, 20, true},
+                        Case{60, 0.1, 0, false}, Case{60, 0.1, 0, true}}) {
+    SCOPED_TRACE("n=" + std::to_string(c.n) + " w=" + std::to_string(c.w) +
+                 (c.attrs_file ? " with" : " without") + " .attrs");
+    AttributedGraph random(test_support::ErdosRenyiGnp(c.n, c.p, rng), c.w);
+    for (NodeId v = 0; v < c.n; ++v) {
+      random.set_attribute(v, static_cast<AttrConfig>(rng.UniformIndex(
+                                  NumNodeConfigs(c.w))));
+    }
+    ASSERT_TRUE(WriteAttributedGraph(random, prefix).ok());
+    Decorate(prefix + ".edges", rng);
+    Decorate(prefix + ".attrs", rng);
+    if (!c.attrs_file) std::remove((prefix + ".attrs").c_str());
+
+    auto source = GraphSource::Open(prefix);
+    ASSERT_TRUE(source.ok()) << source.status().ToString();
+    EXPECT_FALSE(source.value().snapshot().structure.is_external());
+    ExpectSnapshotsEqual(AttributedCsrGraph::FromGraph(random),
+                         source.value().snapshot());
+
+    ASSERT_TRUE(WriteBinaryGraph(random, from_ram, SmallPages()).ok());
+    auto converted = ConvertTextToBinary(prefix, from_text, SmallPages());
+    ASSERT_TRUE(converted.ok()) << converted.status().ToString();
+    EXPECT_EQ(ReadAll(from_ram), ReadAll(from_text));
+  }
 }
 
 TEST_F(GraphContainerTest, MmapEvalBitwiseIdenticalToInRamAcrossThreads) {

@@ -11,6 +11,7 @@
 #include "src/graph/graph.h"
 #include "src/graph/graph_io.h"
 #include "src/graph/graph_source.h"
+#include "tests/text_graph_doors.h"
 
 namespace agmdp::graph {
 namespace {
@@ -232,11 +233,10 @@ class GraphIoTest : public ::testing::Test {
     return testing::TempDir() + "/" + name;
   }
 
-  // A bare edge-list file through the text reader (zero attributes).
-  static util::Result<AttributedGraph> ReadEdges(const std::string& path) {
-    TextGraphPaths paths;
-    paths.edges = path;
-    return ReadAttributedGraphFiles(paths);
+  // A bare edge-list file through both front doors of the text reader
+  // (zero attributes).
+  static util::Result<AttributedCsrGraph> ReadEdges(const std::string& path) {
+    return test_support::ReadThroughBothDoors(path);
   }
 };
 
@@ -251,8 +251,8 @@ TEST_F(GraphIoTest, EdgeListRoundTrip) {
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().num_nodes(), 6u);
   EXPECT_EQ(back.value().num_edges(), 3u);
-  EXPECT_EQ(back.value().num_attributes(), 0);
-  EXPECT_TRUE(back.value().structure().HasEdge(2, 5));
+  EXPECT_EQ(back.value().num_attributes, 0);
+  EXPECT_TRUE(back.value().structure.HasEdge(2, 5));
   std::remove(path.c_str());
 }
 

@@ -263,7 +263,6 @@ TEST(MechanismServingGoldenTest, SamplesMatchPinnedLiterals) {
       pipeline::SampleRequest request;
       request.seed = 5;
       request.sequence = 7;
-      request.threads = threads;
       auto single = engine.value()->Sample(request);
       ASSERT_TRUE(single.ok()) << single.status().ToString();
       EXPECT_EQ(server::GraphChecksum(single.value()), c.single_checksum);

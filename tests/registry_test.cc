@@ -388,6 +388,39 @@ TEST_F(RegistryTest, MidJournalCorruptionIsNotATornTail) {
       << reg.status().ToString();
 }
 
+TEST_F(RegistryTest, ChecksummedRecordWithMistypedFieldIsCorruption) {
+  const std::string path = TempPath("mistyped");
+  { ASSERT_TRUE(ArtifactRegistry::Open(path, RegistryOptions{}).ok()); }
+  const std::string header = ReadAll(path);
+  // A frame: payload length and CRC32C (little-endian), then the payload.
+  auto frame = [](const std::string& payload) {
+    std::string out;
+    for (const uint32_t word :
+         {static_cast<uint32_t>(payload.size()),
+          util::Crc32c(payload.data(), payload.size())}) {
+      for (int shift = 0; shift < 32; shift += 8) {
+        out += static_cast<char>((word >> shift) & 0xff);
+      }
+    }
+    return out + payload;
+  };
+  const std::string charge =
+      "{\"type\":\"charge\",\"dataset\":\"lastfm\",\"release_key\":\"7\",";
+  WriteAll(path, header + frame(charge + "\"epsilon\":0.5}"));
+  {
+    auto reg = ArtifactRegistry::Open(path, RegistryOptions{});
+    ASSERT_TRUE(reg.ok()) << reg.status().ToString();
+    EXPECT_EQ(reg.value()->Stats().recovered_records, 1u);
+  }
+  // The same record with a string epsilon passes its CRC, so it is not a
+  // torn tail: it is corruption.
+  WriteAll(path, header + frame(charge + "\"epsilon\":\"0.5\"}"));
+  auto reg = ArtifactRegistry::Open(path, RegistryOptions{});
+  ASSERT_FALSE(reg.ok());
+  EXPECT_EQ(reg.status().code(), util::StatusCode::kCorruption)
+      << reg.status().ToString();
+}
+
 TEST_F(RegistryTest, HeaderDamageYieldsTypedErrors) {
   const std::string path = TempPath("header");
   {

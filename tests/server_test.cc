@@ -205,6 +205,23 @@ TEST(ProtocolTest, MalformedRequestsAreTypedErrors) {
   EXPECT_TRUE(server::ParseRequest(refine_at_cap).ok()) << refine_at_cap;
 }
 
+TEST(ProtocolTest, OutOfRangeNumbersAreInvalidArgumentNotCasts) {
+  // Each is range-checked before any conversion to an integer type (the
+  // conversion of an out-of-range double is undefined behaviour).
+  for (const char* field : {"id", "seed", "sequence", "count", "refine"}) {
+    for (const char* value :
+         {"1e20", "-1e30", "1e300", "18446744073709551616"}) {
+      const std::string line =
+          std::string("{\"op\":\"sample\",\"name\":\"x\",\"") + field +
+          "\":" + value + "}";
+      auto parsed = server::ParseRequest(line);
+      ASSERT_FALSE(parsed.ok()) << line;
+      EXPECT_EQ(parsed.status().code(), util::StatusCode::kInvalidArgument)
+          << line;
+    }
+  }
+}
+
 TEST(ProtocolTest, GraphChecksumWireValueIsPinned) {
   // Clients store checksums: any change to this value is a protocol break.
   graph::AttributedGraph g(5, 2);

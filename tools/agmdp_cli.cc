@@ -24,9 +24,10 @@
 //              ReleaseEngine (pure post-processing; repeatable at no extra
 //              privacy cost). N > 1 writes PREFIX_0 .. PREFIX_<N-1> via
 //              the engine's batched SampleMany, parallelized across
-//              samples by --serve-threads; with N = 1, --threads still
-//              sets the intra-sample sampler workers. --cold disables the
-//              calibrated warm start (full per-sample acceptance loop).
+//              samples by --serve-threads (default --threads); with N = 1
+//              the one sample runs its sampler shards on that pool.
+//              --cold disables the calibrated warm start (full
+//              per-sample acceptance loop).
 //   synthesize --in=PREFIX --epsilon=0.69 --out=PREFIX2 [--model=NAME]
 //              [--threads=T]
 //              fit + sample in one step, with stage timings.
@@ -538,24 +539,13 @@ int CmdSample(const util::Flags& flags) {
   auto engine = pipeline::ReleaseEngine::Create(std::move(artifact), options);
   if (!engine.ok()) return Fail(engine.status());
 
+  // One sample runs its sampler shards on the engine pool; a batch
+  // spreads the samples over it instead. The bits are identical either
+  // way.
   pipeline::SampleRequest base;
   base.seed = static_cast<uint64_t>(seed.value());
-  util::Result<std::vector<graph::AttributedGraph>> graphs =
-      std::vector<graph::AttributedGraph>{};
-  if (samples == 1) {
-    // A single request keeps --threads as *intra-sample* sampler workers
-    // (the pre-serving behavior, 0 = hardware concurrency); batches
-    // parallelize across samples instead. The bits are identical either
-    // way.
-    pipeline::SampleRequest request = base;
-    request.threads = util::ResolveThreadCount(config.threads);
-    auto g = engine.value()->Sample(request);
-    if (!g.ok()) return Fail(g.status());
-    graphs.value().push_back(std::move(g).value());
-  } else {
-    graphs = engine.value()->SampleMany(samples, base);
-    if (!graphs.ok()) return Fail(graphs.status());
-  }
+  auto graphs = engine.value()->SampleMany(samples, base);
+  if (!graphs.ok()) return Fail(graphs.status());
 
   const std::string out = flags.GetString("out", "synthetic");
   for (int i = 0; i < samples; ++i) {
@@ -1141,11 +1131,11 @@ int CmdConvert(const util::Flags& flags) {
     return FailUsage(util::Status::InvalidArgument(
         "usage: agmdp convert <text-prefix-or-edges> <out.agmbin>"));
   }
-  graph::ConvertOptions options;
-  auto page_size = IntFlag(flags, "page-size", options.binary.page_size,
-                           4096, std::numeric_limits<uint32_t>::max());
+  graph::BinaryGraphOptions options;
+  auto page_size = IntFlag(flags, "page-size", options.page_size, 4096,
+                           std::numeric_limits<uint32_t>::max());
   if (!page_size.ok()) return FailUsage(page_size.status());
-  options.binary.page_size = static_cast<uint32_t>(page_size.value());
+  options.page_size = static_cast<uint32_t>(page_size.value());
   auto info = graph::ConvertTextToBinary(in, out, options);
   if (!info.ok()) {
     // A missing input named on the command line is a usage error (exit
