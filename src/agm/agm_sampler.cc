@@ -145,8 +145,10 @@ constexpr int kProposalShards = kSamplerProposalShards;
 // current iteration) rebuilds its tables, in the plan's FclScratch.
 //
 // The plan also owns the passes' scratch, reused across shards, across the
-// pilot and calibrated passes and across iterations: the accepted edges of
-// each shard of a wave (keyed by its place in the wave) and the dedup sets
+// pilot and calibrated passes and across iterations. The one-worker pass
+// keeps one mark bit per slot of its output's edge table and the slots the
+// current shard marked. The wave path keeps the accepted edges of each
+// shard of a wave (keyed by its place in the wave) and the dedup sets
 // (keyed by the task that draws the shard, never by the worker that runs
 // the task).
 struct FclPlan {
@@ -155,8 +157,10 @@ struct FclPlan {
   std::optional<models::PiTables> by_node;   // no filter
   std::optional<models::PiTables> by_class;  // acceptance-table filter
   models::FclScratch fcl;
-  std::vector<std::vector<graph::Edge>> shard_edges;  // by place in wave
-  std::vector<util::FlatEdgeSet> shard_seen;          // by task
+  std::vector<uint64_t> slot_marks;                   // one worker
+  std::vector<size_t> marked_slots;                   // one worker
+  std::vector<std::vector<graph::Edge>> shard_edges;  // waves, by place
+  std::vector<util::FlatEdgeSet> shard_seen;          // waves, by task
 };
 
 FclPlan BuildFclPlan(const std::vector<uint32_t>& degrees) {
@@ -187,23 +191,70 @@ util::Result<const models::PiTables*> PlanTables(
   return &*tables;
 }
 
+// The one-worker sharded pass: shards s = 0, 1, ... drawn in merge order
+// straight into `out`, one output-table lookup per candidate. A shard
+// accepts a candidate exactly when models::DrawShard would: one its own
+// earlier candidates did not accept (no mark on the candidate's slot) that
+// the filter admits. An accepted candidate marks its slot and counts
+// toward the quota; it joins `out` unless an earlier shard put it there,
+// which is the merge dropping a cross-shard duplicate. The pass stops at
+// the target, where the merge stops; a shard's stream is private to it,
+// so stopping mid-shard leaves every edge, adjacency order and insertion
+// order as the wave path's. `out` is reserved for the target (RunFcl), so
+// a found slot stays valid until AddEdgeAt; the marks are cleared from the
+// shard's slot list, O(quota) per shard.
+template <typename Out>
+void OneWorkerProposalPass(const models::CandidateKernel& kernel,
+                           uint64_t target_edges, uint64_t quota,
+                           uint64_t budget, uint64_t seed_base,
+                           uint64_t stream_offset, FclPlan& plan, Out& out,
+                           std::vector<graph::Edge>* insertion_order) {
+  std::vector<uint64_t>& marks = plan.slot_marks;
+  std::vector<size_t>& marked = plan.marked_slots;
+  marks.assign((out.edge_slot_count() + 63) / 64, 0);
+  marked.reserve(quota);
+  kernel.Run([&](const auto& arm) {
+    for (int s = 0; s < kProposalShards; ++s) {
+      util::Rng rng = util::Rng::Substream(
+          seed_base, stream_offset + static_cast<uint64_t>(s));
+      models::PassBudget remaining(budget);
+      marked.clear();
+      graph::NodeId u = 0;
+      graph::NodeId v = 0;
+      while (marked.size() < quota && arm.Propose(rng, remaining, u, v)) {
+        const util::FlatEdgeSet::Slot slot = out.FindEdgeSlot(u, v);
+        uint64_t& word = marks[slot.index / 64];
+        const uint64_t bit = uint64_t{1} << (slot.index % 64);
+        if ((word & bit) != 0 || !arm.Admit(u, v, rng)) continue;
+        word |= bit;
+        marked.push_back(slot.index);
+        if (slot.found) continue;  // accepted by an earlier shard
+        out.AddEdgeAt(slot, u, v);
+        if (insertion_order != nullptr) insertion_order->emplace_back(u, v);
+        if (out.num_edges() >= target_edges) return;
+      }
+      for (size_t i : marked) marks[i / 64] = 0;
+    }
+  });
+}
+
 // One sharded proposal pass of the parallel Fast Chung-Lu sampler, merged
 // into `out` (a graph::Graph or a models::FclPilot). Shard s draws
 // exclusively from util::Rng::Substream(seed_base, stream_offset + s) and
 // collects its accepted edges locally (deduplicating, like the sequential
 // sampler, only among *accepted* edges, so a filter-rejected pair can be
 // re-proposed); the shards are merged in shard order with cross-shard
-// duplicates dropped, stopping at the target. Shards are drawn lazily, in
-// merge order and in waves: with several workers, first the
+// duplicates dropped, stopping at the target. With one worker the shards
+// are drawn straight into `out` (OneWorkerProposalPass). With several they
+// are drawn lazily, in merge order and in waves: first the
 // ceil(target / quota) shards the merge needs at the least, then one shard
-// per worker at a time until the merge reaches the target; with one
-// worker, one shard at a time. Shards after that point are never drawn. A
-// wave runs as at most one task per worker, task t drawing the wave's
-// shards t, t + tasks, ... with the plan's dedup set t into the plan's
-// buffers, keyed by the shard's place in the wave. Every quantity here is
-// a function of (seed_base, stream_offset) alone — the pool only changes
-// which worker runs which task and how many shards are drawn ahead of the
-// merge.
+// per worker at a time until the merge reaches the target. Shards after
+// that point are never drawn. A wave runs as at most one task per worker,
+// task t drawing the wave's shards t, t + tasks, ... with the plan's dedup
+// set t into the plan's buffers, keyed by the shard's place in the wave.
+// Every quantity here is a function of (seed_base, stream_offset) alone —
+// the pool only changes which worker runs which task and how many shards
+// are drawn ahead of the merge.
 template <typename Out>
 void ShardedProposalPass(const models::CandidateKernel& kernel,
                          uint64_t target_edges,
@@ -223,10 +274,13 @@ void ShardedProposalPass(const models::CandidateKernel& kernel,
   const uint64_t budget = util::SaturatingMul(max_proposals_per_edge, quota);
 
   const int workers = pool.num_workers();
-  int wave = workers == 1 ? 1
-                          : static_cast<int>(std::min<uint64_t>(
-                                (target_edges + quota - 1) / quota,
-                                kProposalShards));
+  if (workers == 1) {
+    OneWorkerProposalPass(kernel, target_edges, quota, budget, seed_base,
+                          stream_offset, plan, out, insertion_order);
+    return;
+  }
+  int wave = static_cast<int>(std::min<uint64_t>(
+      (target_edges + quota - 1) / quota, kProposalShards));
   std::vector<std::vector<graph::Edge>>& accepted = plan.shard_edges;
   int drawn = 0;
   while (drawn < kProposalShards) {
@@ -266,7 +320,7 @@ void ShardedProposalPass(const models::CandidateKernel& kernel,
 // next block of sub-streams. The first pass reuses the plan's pi tables;
 // only the calibrated pass, whose weights depend on the pilot, rebuilds
 // its own, in the plan's scratch.
-util::Result<graph::Graph> ShardedFastChungLu(
+util::Result<graph::Graph> PlannedShardedFcl(
     const std::vector<uint32_t>& degrees, FclPlan& plan,
     const models::ChungLuOptions& options, util::WorkerPool& pool,
     uint64_t seed_base) {
@@ -289,6 +343,18 @@ util::Result<graph::Graph> ShardedFastChungLu(
 
 }  // namespace
 
+util::Result<graph::Graph> ShardedFastChungLu(
+    const std::vector<uint32_t>& degrees, const models::EdgeFilter& filter,
+    uint64_t max_proposals_per_edge, util::WorkerPool& pool,
+    uint64_t seed_base, std::vector<graph::Edge>* insertion_order) {
+  FclPlan plan = BuildFclPlan(degrees);
+  models::ChungLuOptions options;
+  options.max_proposals_per_edge = max_proposals_per_edge;
+  options.filter = filter;
+  options.insertion_order = insertion_order;
+  return PlannedShardedFcl(degrees, plan, options, pool, seed_base);
+}
+
 StructuralModel ShardedFclModel(uint64_t max_proposals_per_edge) {
   return [max_proposals_per_edge](const AgmParams& params,
                                   util::WorkerPool& pool) -> StructuralDraw {
@@ -302,8 +368,8 @@ StructuralModel ShardedFclModel(uint64_t max_proposals_per_edge) {
       // One master draw keys the whole sharded pass, so the master stream
       // advances identically at any pool size.
       const uint64_t seed_base = rng.Next();
-      return ShardedFastChungLu(params.degree_sequence, plan, options, pool,
-                                seed_base);
+      return PlannedShardedFcl(params.degree_sequence, plan, options, pool,
+                               seed_base);
     };
   };
 }

@@ -76,6 +76,27 @@ class Graph {
     return edge_set_.Contains(PackEdge(u, v));
   }
 
+  /// Looks {u, v} up in the edge table in one probe walk
+  /// (util::FlatEdgeSet::Find): the slot that holds it, or the empty slot
+  /// AddEdgeAt stores it in. u != v, both in range, and the graph must be
+  /// reserved (ReserveEdges) for the edges it will hold.
+  util::FlatEdgeSet::Slot FindEdgeSlot(NodeId u, NodeId v) const {
+    return edge_set_.Find(PackEdge(u, v));
+  }
+
+  /// Adds {u, v}, absent per the FindEdgeSlot(u, v) that returned `slot`,
+  /// with no further mutation in between (FlatEdgeSet::InsertAt aborts
+  /// otherwise). Same adjacency and count as AddEdge.
+  void AddEdgeAt(const util::FlatEdgeSet::Slot& slot, NodeId u, NodeId v) {
+    edge_set_.InsertAt(slot);
+    adj_[u].push_back(v);
+    adj_[v].push_back(u);
+    ++num_edges_;
+  }
+
+  /// The number of edge-table slots a FindEdgeSlot index lies below.
+  size_t edge_slot_count() const { return edge_set_.capacity(); }
+
   uint32_t Degree(NodeId v) const {
     return static_cast<uint32_t>(adj_[v].size());
   }

@@ -56,19 +56,28 @@ util::Result<graph::Graph> FastChungLu(const std::vector<uint32_t>& degrees,
 
 /// \brief The cFCL pilot pass's output. cFCL reads only its realized
 /// degrees, so it dedups into a flat edge set instead of building a Graph
-/// (same HasEdge/AddEdge/num_edges, so one proposal loop fills either).
+/// (the same edge calls as graph::Graph, FindEdgeSlot/AddEdgeAt included,
+/// so one proposal loop fills either).
 struct FclPilot {
   explicit FclPilot(uint64_t target_edges) : seen(target_edges) {
     edges.reserve(target_edges);
-  }
-  bool HasEdge(graph::NodeId u, graph::NodeId v) const {
-    return seen.Contains(graph::PackEdge(u, v));
   }
   bool AddEdge(graph::NodeId u, graph::NodeId v) {
     if (!seen.Insert(graph::PackEdge(u, v))) return false;
     edges.emplace_back(u, v);
     return true;
   }
+  util::FlatEdgeSet::Slot FindEdgeSlot(graph::NodeId u,
+                                       graph::NodeId v) const {
+    return seen.Find(graph::PackEdge(u, v));
+  }
+  void AddEdgeAt(const util::FlatEdgeSet::Slot& slot, graph::NodeId u,
+                 graph::NodeId v) {
+    seen.InsertAt(slot);
+    edges.emplace_back(u, v);
+  }
+  void ReserveEdges(uint64_t expected) { seen.Reserve(expected); }
+  size_t edge_slot_count() const { return seen.capacity(); }
   uint64_t num_edges() const { return edges.size(); }
 
   util::FlatEdgeSet seen;

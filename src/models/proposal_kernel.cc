@@ -16,38 +16,50 @@ namespace {
 // unbounded, so it counts as zero.
 constexpr double kSelfPairTolerance = 1e-12;
 
-// Fills `out` (reusing its storage) with pi within each class of `classes`.
-void BuildClassWeights(std::shared_ptr<const AttributeClasses> classes,
-                       const std::vector<double>& weights,
-                       std::vector<uint32_t>& worklist, ClassWeights& out) {
+// Fills `out` (reusing its storage) with pi within each class of
+// `classes`. Each member's weight is read once: the mass pass stages it in
+// its bucket's `prob` field, where the alias build reads it back, and
+// checks it against the alias weight contract on the way. A vector that
+// breaks the contract gets util::CheckAliasWeights's status.
+util::Status BuildClassWeights(std::shared_ptr<const AttributeClasses> classes,
+                               const std::vector<double>& weights,
+                               std::vector<uint32_t>& worklist,
+                               ClassWeights& out) {
   const size_t k = classes->size();
   out.mass.assign(k, 0.0);
   out.self_mass.assign(k, 0.0);
   out.buckets.resize(classes->members.size());
+  bool positive = false;
   for (size_t c = 0; c < k; ++c) {
     const uint32_t first = classes->begin[c];
     const graph::NodeId* members = classes->members.data() + first;
     const uint32_t size = classes->begin[c + 1] - first;
+    ClassWeights::Bucket* buckets = out.buckets.data() + first;
+    bool valid = true;
     for (uint32_t i = 0; i < size; ++i) {
       const double w = weights[members[i]];
+      valid &= (w >= 0.0) & (w <= std::numeric_limits<double>::max());
+      buckets[i].prob = w;
       out.mass[c] += w;
       out.self_mass[c] += w * w;
     }
-    ClassWeights::Bucket* buckets = out.buckets.data() + first;
+    if (!valid) return util::CheckAliasWeights(weights);
     if (out.mass[c] <= 0.0) {
       std::fill(buckets, buckets + size, ClassWeights::Bucket{});
       continue;
     }
+    positive = true;
     // Built over member positions, then the positions become node ids.
-    util::BuildAliasBuckets(
-        [&](size_t i) { return weights[members[i]]; }, size, buckets,
-        worklist);
+    util::BuildAliasBuckets([&](size_t i) { return buckets[i].prob; }, size,
+                            out.mass[c], buckets, worklist);
     for (uint32_t i = 0; i < size; ++i) {
       buckets[i].node = members[i];
       buckets[i].alias = members[buckets[i].alias];
     }
   }
+  if (!positive) return util::CheckAliasWeights(weights);
   out.classes = std::move(classes);
+  return util::Status::OK();
 }
 
 }  // namespace
@@ -156,12 +168,11 @@ util::Status PiTables::ReweightInto(const std::vector<double>& weights,
     out.nodes_ = std::move(nodes).value();
     return util::Status::OK();
   }
-  if (auto st = util::CheckAliasWeights(weights); !st.ok()) return st;
   AGMDP_CHECK(weights.size() == classes_->classes->members.size());
   out.nodes_.reset();
   if (!out.classes_) out.classes_.emplace();
-  BuildClassWeights(classes_->classes, weights, worklist, *out.classes_);
-  return util::Status::OK();
+  return BuildClassWeights(classes_->classes, weights, worklist,
+                           *out.classes_);
 }
 
 CandidateKernel::CandidateKernel(const PiTables& pi,

@@ -274,18 +274,22 @@ class CandidateKernel {
 /// One proposal pass into `out` (a graph::Graph or an FclPilot): candidates
 /// until `out` holds `target` edges or `budget` proposals are spent; a
 /// candidate already in `out` is dropped. `order`, when non-null, receives
-/// the added edges in insertion order.
+/// the added edges in insertion order. `out` is reserved for `target`
+/// edges, so each candidate is looked up once (FindEdgeSlot) and, when new
+/// (and admitted), stored in the slot that lookup found.
 template <typename Out>
 void ProposeInto(const CandidateKernel& kernel, util::Rng& rng,
                  uint64_t budget, uint64_t target, Out& out,
                  std::vector<graph::Edge>* order) {
+  out.ReserveEdges(target);
   kernel.Run([&](const auto& arm) {
     graph::NodeId u = 0;
     graph::NodeId v = 0;
     PassBudget remaining(budget);
     while (out.num_edges() < target && arm.Propose(rng, remaining, u, v)) {
-      if (out.HasEdge(u, v) || !arm.Admit(u, v, rng)) continue;
-      out.AddEdge(u, v);
+      const util::FlatEdgeSet::Slot slot = out.FindEdgeSlot(u, v);
+      if (slot.found || !arm.Admit(u, v, rng)) continue;
+      out.AddEdgeAt(slot, u, v);
       if (order != nullptr) order->emplace_back(u, v);
     }
   });

@@ -415,13 +415,16 @@ uint64_t EstimateArtifactBytes(const ReleaseArtifact& artifact) {
 }
 
 uint64_t ReleaseArtifactReleaseKey(const ReleaseArtifact& artifact) {
+  return ReleaseKeyOfJson(ReleaseArtifactToJson(artifact));
+}
+
+uint64_t ReleaseKeyOfJson(const std::string& artifact_json) {
   // FNV-1a over the canonical JSON serialization: two artifacts are the
   // same *release* exactly when every fitted value matches bit for bit.
   // (config_fingerprint alone cannot tell releases apart — two fits of the
   // same config from different data or seeds share it.)
-  const std::string body = ReleaseArtifactToJson(artifact);
   uint64_t h = 1469598103934665603ULL;
-  for (char c : body) {
+  for (char c : artifact_json) {
     h ^= static_cast<unsigned char>(c);
     h *= 1099511628211ULL;
   }

@@ -128,7 +128,13 @@ uint64_t EstimateArtifactBytes(const ReleaseArtifact& artifact);
 /// of the canonical JSON serialization. The server's per-tenant epsilon
 /// ledger charges each tenant once per release key, so re-loading or
 /// re-sampling the same stored release never double-charges while a
-/// different fit — even under the same config fingerprint — does.
+/// different fit — even under the same config fingerprint — does. The
+/// key is a function of the immutable artifact, so the server computes it
+/// once per load, not per sample.
 uint64_t ReleaseArtifactReleaseKey(const ReleaseArtifact& artifact);
+
+/// The release key of the artifact whose ReleaseArtifactToJson is
+/// `artifact_json`, for a caller that already holds that body.
+uint64_t ReleaseKeyOfJson(const std::string& artifact_json);
 
 }  // namespace agmdp::pipeline

@@ -606,7 +606,7 @@ util::Status ArtifactRegistry::Put(const std::string& dataset,
     return st;
   }
   const std::string artifact_json = pipeline::ReleaseArtifactToJson(artifact);
-  const uint64_t release_key = pipeline::ReleaseArtifactReleaseKey(artifact);
+  const uint64_t release_key = pipeline::ReleaseKeyOfJson(artifact_json);
   const double epsilon = artifact.epsilon_spent;
 
   std::lock_guard<std::mutex> lock(mu_);
@@ -693,13 +693,15 @@ util::Status ArtifactRegistry::Put(const std::string& dataset,
 }
 
 util::Result<pipeline::ReleaseArtifact> ArtifactRegistry::Resolve(
-    const std::string& dataset, const std::string& name) const {
+    const std::string& dataset, const std::string& name,
+    uint64_t* release_key) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(EntryKey(dataset, name));
   if (it == entries_.end()) {
     return util::Status::NotFound("registry has no release '" + dataset +
                                   "/" + name + "'");
   }
+  if (release_key != nullptr) *release_key = it->second.release_key;
   return it->second.artifact;
 }
 

@@ -148,9 +148,13 @@ class ArtifactRegistry {
   util::Status Put(const std::string& dataset, const std::string& name,
                    const pipeline::ReleaseArtifact& artifact);
 
-  /// Looks up the artifact registered under (dataset, name).
+  /// Looks up the artifact registered under (dataset, name). When
+  /// `release_key` is non-null it receives the artifact's
+  /// pipeline::ReleaseArtifactReleaseKey, which the entry holds, so the
+  /// caller need not serialize the artifact to learn it.
   util::Result<pipeline::ReleaseArtifact> Resolve(
-      const std::string& dataset, const std::string& name) const;
+      const std::string& dataset, const std::string& name,
+      uint64_t* release_key = nullptr) const;
 
   /// Drops (dataset, name) from the resolvable set. The epsilon charge
   /// REMAINS — the release happened; deleting the bytes does not refund the

@@ -43,8 +43,8 @@ util::Status EngineCache::MakeRoom(uint64_t needed) {
 }
 
 util::Status EngineCache::Insert(
-    const std::string& name,
-    std::shared_ptr<pipeline::ReleaseEngine> engine) {
+    const std::string& name, std::shared_ptr<pipeline::ReleaseEngine> engine,
+    uint64_t release_key) {
   if (engine == nullptr) {
     return util::Status::InvalidArgument("engine cache: null engine");
   }
@@ -62,7 +62,7 @@ util::Status EngineCache::Insert(
   if (auto st = MakeRoom(bytes); !st.ok()) return st;
   lru_.push_front(name);
   Entry& entry = entries_[name];
-  entry.engine = std::move(engine);
+  entry.lease = {std::move(engine), release_key};
   entry.bytes = bytes;
   entry.lru_pos = lru_.begin();
   stats_.bytes_in_use += bytes;
@@ -70,8 +70,7 @@ util::Status EngineCache::Insert(
   return util::Status();
 }
 
-util::Result<std::shared_ptr<pipeline::ReleaseEngine>> EngineCache::Lookup(
-    const std::string& name) {
+util::Result<EngineLease> EngineCache::Lookup(const std::string& name) {
   const std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(name);
   if (it == entries_.end()) {
@@ -81,7 +80,7 @@ util::Result<std::shared_ptr<pipeline::ReleaseEngine>> EngineCache::Lookup(
   }
   ++stats_.hits;
   lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-  return it->second.engine;
+  return it->second.lease;
 }
 
 bool EngineCache::Contains(const std::string& name) const {

@@ -47,6 +47,13 @@ struct EngineCacheStats {
   uint64_t pinned_entries = 0;
 };
 
+/// A request's hold on a cached engine: the engine, alive while the lease
+/// is, and the release key its entry was admitted with.
+struct EngineLease {
+  std::shared_ptr<pipeline::ReleaseEngine> engine;
+  uint64_t release_key = 0;
+};
+
 /// \brief Byte-budgeted LRU cache of named ReleaseEngines.
 class EngineCache {
  public:
@@ -54,18 +61,21 @@ class EngineCache {
   explicit EngineCache(uint64_t byte_budget) : byte_budget_(byte_budget) {}
 
   /// Admits `engine` under `name`, evicting LRU unpinned entries as needed.
-  /// Replacing an existing unpinned entry is allowed (the old engine is
-  /// dropped first); replacing a pinned entry is FailedPrecondition.
-  /// Returns ResourceExhausted — and leaves the cache unchanged except for
-  /// evictions already performed — when the engine cannot fit.
+  /// `release_key` is the release key of the engine's artifact
+  /// (pipeline/release_artifact.h), computed once by the caller and
+  /// handed back with every lease. Replacing an existing unpinned entry is
+  /// allowed (the old engine and key are dropped first); replacing a
+  /// pinned entry is FailedPrecondition. Returns ResourceExhausted — and
+  /// leaves the cache unchanged except for evictions already performed —
+  /// when the engine cannot fit.
   util::Status Insert(const std::string& name,
-                      std::shared_ptr<pipeline::ReleaseEngine> engine);
+                      std::shared_ptr<pipeline::ReleaseEngine> engine,
+                      uint64_t release_key = 0);
 
   /// Looks up `name`, marks it most-recently-used, and returns a lease
   /// that keeps the engine alive for the duration of the request. NotFound
   /// when absent (counted as a miss).
-  util::Result<std::shared_ptr<pipeline::ReleaseEngine>> Lookup(
-      const std::string& name);
+  util::Result<EngineLease> Lookup(const std::string& name);
 
   /// True if `name` is resident (no LRU touch, no counter change).
   bool Contains(const std::string& name) const;
@@ -81,7 +91,7 @@ class EngineCache {
 
  private:
   struct Entry {
-    std::shared_ptr<pipeline::ReleaseEngine> engine;
+    EngineLease lease;
     uint64_t bytes = 0;
     bool pinned = false;
     /// Position in lru_ (front = most recently used).

@@ -435,9 +435,8 @@ std::vector<Response> Server::ServeSamples(
     }
     return responses;
   }
-  const pipeline::ReleaseEngine& engine = *lease.value();
-  const uint64_t release_key = pipeline::ReleaseArtifactReleaseKey(
-      engine.artifact());
+  const pipeline::ReleaseEngine& engine = *lease.value().engine;
+  const uint64_t release_key = lease.value().release_key;
 
   // Every tenant pays (idempotently) before any sampling happens; requests
   // whose tenant is out of budget drop out with a typed error while the
@@ -564,6 +563,9 @@ util::Status Server::ChargeTenant(const std::string& tenant,
 }
 
 Response Server::HandleLoad(const Request& request) {
+  // The release key, computed once per load and cached with the engine:
+  // a registry entry already holds it, a file's artifact is hashed here.
+  uint64_t release_key = 0;
   util::Result<pipeline::ReleaseArtifact> artifact =
       [&]() -> util::Result<pipeline::ReleaseArtifact> {
     if (!request.dataset.empty()) {
@@ -572,17 +574,19 @@ Response Server::HandleLoad(const Request& request) {
             "server: load by dataset/name needs a daemon started with "
             "--registry");
       }
-      return registry_->Resolve(request.dataset, request.name);
+      return registry_->Resolve(request.dataset, request.name, &release_key);
     }
-    return pipeline::ReadReleaseArtifact(request.artifact);
+    auto read = pipeline::ReadReleaseArtifact(request.artifact);
+    if (read.ok()) {
+      release_key = pipeline::ReleaseArtifactReleaseKey(read.value());
+    }
+    return read;
   }();
   if (!artifact.ok()) return ErrorResponse(request.id, artifact.status());
 
   // The ledger is charged before the (expensive) engine build: the debit
   // is idempotent per release key, so a later cache rejection followed by
   // a retry costs the tenant nothing extra.
-  const uint64_t release_key =
-      pipeline::ReleaseArtifactReleaseKey(artifact.value());
   if (auto st = ChargeTenant(request.tenant, release_key,
                              artifact.value().epsilon_spent);
       !st.ok()) {
@@ -597,7 +601,8 @@ Response Server::HandleLoad(const Request& request) {
   std::shared_ptr<pipeline::ReleaseEngine> shared =
       std::move(engine).value();
   const uint64_t bytes = shared->ApproxBytes();
-  if (auto st = cache_.Insert(request.name, std::move(shared)); !st.ok()) {
+  if (auto st = cache_.Insert(request.name, std::move(shared), release_key);
+      !st.ok()) {
     return ErrorResponse(request.id, std::move(st));
   }
 

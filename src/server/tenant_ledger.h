@@ -11,7 +11,7 @@
 // Semantics:
 //   * Each tenant has a budget (per-tenant override or the default).
 //   * Charge(tenant, release_key, epsilon) debits the tenant ONCE per
-//     release key (ReleaseArtifactReleaseKey): sampling the same release a
+//     release key (pipeline/release_artifact.h): sampling the same release a
 //     thousand times, or re-loading it after an eviction, is free — the
 //     paper's Theorem 2 post-processing guarantee. A *different* release
 //     is a new debit.

@@ -27,10 +27,12 @@ Status CheckAliasWeights(const std::vector<double>& weights) {
 
 Result<AliasSampler> AliasSampler::Build(const std::vector<double>& weights) {
   if (auto st = CheckAliasWeights(weights); !st.ok()) return st;
+  double sum = 0.0;
+  for (double w : weights) sum += w;
   AliasSampler sampler;
   sampler.buckets_.resize(weights.size());
   std::vector<uint32_t> worklist;
-  BuildAliasBuckets([&](size_t i) { return weights[i]; }, weights.size(),
+  BuildAliasBuckets([&](size_t i) { return weights[i]; }, weights.size(), sum,
                     sampler.buckets_.data(), worklist);
   return sampler;
 }

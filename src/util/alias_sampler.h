@@ -30,18 +30,18 @@ struct AliasBucket {
 Status CheckAliasWeights(const std::vector<double>& weights);
 
 /// Fills buckets[0, n) with Vose's alias table over weight(0), ...,
-/// weight(n - 1), which must be finite and non-negative with a positive sum
-/// (the caller checks). A Bucket has a double `prob` and an integer `alias`
-/// field; alias targets index the same range. The scaled masses are kept
-/// in the buckets' `prob` fields, and the small and large worklists share
-/// `worklist` (grown to n entries) from its two ends, so a caller that
-/// keeps the worklist builds tables without allocating.
+/// weight(n - 1), which must be finite and non-negative with the positive
+/// sum `sum`, added in index order (the caller checks and sums). A Bucket
+/// has a double `prob` and an integer `alias` field; alias targets index
+/// the same range. weight(i) is read once, in index order, just before
+/// bucket i is reset, so a caller may stage the weights in the buckets'
+/// `prob` fields. The scaled masses are kept in those fields, and the
+/// small and large worklists share `worklist` (grown to n entries) from
+/// its two ends, so a caller that keeps the worklist builds tables without
+/// allocating.
 template <typename Weight, typename Bucket>
-void BuildAliasBuckets(const Weight& weight, size_t n, Bucket* buckets,
-                       std::vector<uint32_t>& worklist) {
-  double sum = 0.0;
-  for (size_t i = 0; i < n; ++i) sum += weight(i);
-  std::fill(buckets, buckets + n, Bucket{});
+void BuildAliasBuckets(const Weight& weight, size_t n, double sum,
+                       Bucket* buckets, std::vector<uint32_t>& worklist) {
   if (worklist.size() < n) worklist.resize(n);
 
   // Vose's algorithm: split scaled masses into "small" (< 1) and "large"
@@ -53,7 +53,9 @@ void BuildAliasBuckets(const Weight& weight, size_t n, Bucket* buckets,
   uint32_t* small_end = front;
   uint32_t* large_begin = back;
   for (size_t i = 0; i < n; ++i) {
-    buckets[i].prob = weight(i) / sum * static_cast<double>(n);
+    const double scaled = weight(i) / sum * static_cast<double>(n);
+    buckets[i] = Bucket{};
+    buckets[i].prob = scaled;
     if (buckets[i].prob < 1.0) {
       *small_end++ = static_cast<uint32_t>(i);
     } else {

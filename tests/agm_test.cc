@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <set>
 #include <string>
 
 #include "src/agm/agm_dp.h"
@@ -12,6 +13,8 @@
 #include "src/dp/laplace_mechanism.h"
 #include "src/dp/sample_aggregate.h"
 #include "src/graph/triangle_count.h"
+#include "src/models/chung_lu.h"
+#include "src/models/proposal_kernel.h"
 #include "src/pipeline/model_registry.h"
 #include "src/pipeline/release_pipeline.h"
 #include "src/stats/metrics.h"
@@ -558,6 +561,147 @@ TEST(ShardedFclGoldenTest, SampleMatchesPinnedLiteralsAtAnyPoolSize) {
       EXPECT_EQ(canonical, c.canonical_hash);
       EXPECT_EQ(next, c.next_draw);
     }
+  }
+}
+
+// The sharded FCL pass draws a one-worker pool's shards straight into the
+// output and merges a larger pool's waves of drawn-ahead shards. Both must
+// give the same edges, adjacency order and insertion order, pilot and
+// calibrated pass alike.
+TEST(ShardedFclPassTest, OneWorkerPassMatchesTheWavePath) {
+  util::Rng degree_rng(29);
+  std::vector<uint32_t> skewed(3000);
+  for (size_t i = 0; i < skewed.size(); ++i) {
+    skewed[i] = i % 40 == 0
+                    ? static_cast<uint32_t>(40 + degree_rng.UniformIndex(41))
+                    : static_cast<uint32_t>(1 + degree_rng.UniformIndex(6));
+  }
+  std::vector<graph::AttrConfig> configs(skewed.size());
+  for (graph::AttrConfig& x : configs) {
+    x = static_cast<graph::AttrConfig>(degree_rng.UniformIndex(2));
+  }
+  const models::EdgeFilter table =
+      models::EdgeFilter::FromAcceptanceTable(configs, {1.0, 0.3, 0.6}, 1);
+  const models::EdgeFilter coin = [](graph::NodeId u, graph::NodeId v,
+                                     util::Rng& rng) {
+    return rng.Bernoulli((u + v) % 3 == 0 ? 0.9 : 0.4);
+  };
+  // Node 0 is the only hub, and the filter lets its edges through twice as
+  // often as the others, so the pilot meets its degree and is kept.
+  std::vector<uint32_t> kept_pilot(200, 3);
+  kept_pilot[0] = 11;
+  const models::EdgeFilter hub_first = [](graph::NodeId u, graph::NodeId v,
+                                          util::Rng&) {
+    return u == 0 || v == 0 || (u + v) % 2 == 0;
+  };
+  const std::vector<uint32_t> regular(3000, 12);  // no hub: one pass
+  const std::vector<uint32_t> complete(12, 11);   // K12: 66 pairs, quota 4
+
+  struct Case {
+    const char* name;
+    const std::vector<uint32_t>* degrees;
+    models::EdgeFilter filter;
+    uint64_t max_proposals_per_edge;
+  };
+  const Case kCases[] = {
+      {"no filter", &skewed, {}, 200},
+      {"acceptance table", &skewed, table, 200},
+      {"predicate", &skewed, coin, 200},
+      {"target cut in mid-shard", &regular, {}, 200},
+      {"budget-starved", &skewed, table, 1},
+      {"pilot kept", &kept_pilot, hub_first, 200},
+      {"recurring cross-shard duplicates", &complete, {}, 200},
+  };
+  for (const Case& c : kCases) {
+    for (const uint64_t seed_base : {uint64_t{31}, uint64_t{0x5eed}}) {
+      std::vector<graph::Edge> one_order;
+      util::WorkerPool one(1);
+      auto one_worker = ShardedFastChungLu(*c.degrees, c.filter,
+                                           c.max_proposals_per_edge, one,
+                                           seed_base, &one_order);
+      ASSERT_TRUE(one_worker.ok()) << one_worker.status().ToString();
+      const graph::Graph& g = one_worker.value();
+      ASSERT_EQ(one_order.size(), g.num_edges()) << c.name;
+      for (int workers : {2, 4}) {
+        SCOPED_TRACE(std::string(c.name) + " seed " +
+                     std::to_string(seed_base) + " workers " +
+                     std::to_string(workers));
+        std::vector<graph::Edge> wave_order;
+        util::WorkerPool pool(workers);
+        auto wave = ShardedFastChungLu(*c.degrees, c.filter,
+                                       c.max_proposals_per_edge, pool,
+                                       seed_base, &wave_order);
+        ASSERT_TRUE(wave.ok()) << wave.status().ToString();
+        EXPECT_EQ(wave.value().CanonicalEdges(), g.CanonicalEdges());
+        EXPECT_EQ(wave_order, one_order);
+        for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+          ASSERT_EQ(wave.value().Neighbors(v), g.Neighbors(v)) << v;
+        }
+      }
+    }
+  }
+
+  // What makes the cases what they are. A regular degree sequence has no
+  // hub, so its one pass meets the target of 18,000 edges, which no shard
+  // boundary reaches (quota 354 per shard).
+  util::WorkerPool one(1);
+  auto regular_graph = ShardedFastChungLu(regular, {}, 200, one, 31);
+  ASSERT_TRUE(regular_graph.ok());
+  EXPECT_TRUE(models::FclHubs(regular).empty());
+  EXPECT_EQ(regular_graph.value().num_edges(), 18000u);
+  EXPECT_NE(18000u % 354u, 0u);
+
+  // The kept pilot's hub reaches its degree, so the calibration changes no
+  // weight.
+  std::vector<graph::Edge> kept_order;
+  ASSERT_TRUE(
+      ShardedFastChungLu(kept_pilot, hub_first, 200, one, 31, &kept_order)
+          .ok());
+  models::FclPilot pilot(kept_order.size());
+  for (const graph::Edge& e : kept_order) pilot.AddEdge(e.u, e.v);
+  std::vector<double> weights(kept_pilot.begin(), kept_pilot.end());
+  EXPECT_FALSE(models::ReweightHubs(kept_pilot,
+                                    models::FclHubs(kept_pilot), pilot,
+                                    &weights));
+
+  // Replaying K12's shard streams (no hub, so one pass from offset 0):
+  // some shard accepts an edge an earlier shard added and then proposes
+  // it again, before the output fills.
+  auto pi = models::PiTables::Build(
+      std::vector<double>(complete.begin(), complete.end()), {});
+  ASSERT_TRUE(pi.ok());
+  EXPECT_TRUE(models::FclHubs(complete).empty());
+  const models::EdgeFilter none;
+  const models::CandidateKernel kernel(pi.value(), none);
+  const uint64_t target = 66;
+  const uint64_t quota = 4;  // 2 + 2 / 4 + 2
+  for (const uint64_t seed_base : {uint64_t{31}, uint64_t{0x5eed}}) {
+    std::set<uint64_t> output;
+    int recurrences = 0;
+    for (int s = 0; s < kSamplerProposalShards && output.size() < target;
+         ++s) {
+      util::Rng rng =
+          util::Rng::Substream(seed_base, static_cast<uint64_t>(s));
+      models::PassBudget budget(200 * quota);
+      std::set<uint64_t> shard;
+      std::set<uint64_t> from_earlier;  // accepted here, added before
+      kernel.Run([&](const auto& arm) {
+        graph::NodeId u = 0;
+        graph::NodeId v = 0;
+        while (shard.size() < quota && output.size() < target &&
+               arm.Propose(rng, budget, u, v)) {
+          const uint64_t key = graph::PackEdge(u, v);
+          if (shard.count(key) != 0) {
+            recurrences += static_cast<int>(from_earlier.count(key));
+            continue;
+          }
+          if (!arm.Admit(u, v, rng)) continue;
+          shard.insert(key);
+          if (!output.insert(key).second) from_earlier.insert(key);
+        }
+      });
+    }
+    EXPECT_GT(recurrences, 0) << seed_base;
   }
 }
 

@@ -437,7 +437,20 @@ TEST(EngineCacheTest, LeaseKeepsEvictedEngineAlive) {
   // The lease still serves — eviction only drops the cache's reference.
   pipeline::SampleRequest request;
   request.seed = 9;
-  EXPECT_TRUE(lease.value()->Sample(request).ok());
+  EXPECT_TRUE(lease.value().engine->Sample(request).ok());
+}
+
+TEST(EngineCacheTest, LeaseCarriesTheAdmittedReleaseKey) {
+  server::EngineCache cache(0);
+  auto engine = MakeEngine(5);
+  ASSERT_TRUE(cache.Insert("a", engine, 41).ok());
+  auto lease = cache.Lookup("a");
+  ASSERT_TRUE(lease.ok());
+  EXPECT_EQ(lease.value().engine, engine);
+  EXPECT_EQ(lease.value().release_key, 41u);
+  // Re-admitting the name replaces the key with the engine.
+  ASSERT_TRUE(cache.Insert("a", MakeEngine(11), 42).ok());
+  EXPECT_EQ(cache.Lookup("a").value().release_key, 42u);
 }
 
 // ------------------------------------------------------ in-process server --
@@ -1016,6 +1029,72 @@ TEST(ServerTest, RegistryResolvedLoadMatchesTheFileOracle) {
             util::StatusCode::kFailedPrecondition);
   bare.value()->Stop();
   bare.value()->Wait();
+}
+
+// The release key is computed once per load and cached with the engine:
+// every sample re-charges that cached key, which the ledger already holds,
+// so a tenant whose budget is exactly one debit serves 50 samples after a
+// file load and after a registry load, and the durable charge of each
+// load is the artifact's ReleaseArtifactReleaseKey.
+TEST(ServerTest, LoadComputesTheReleaseKeyOnceForEverySample) {
+  const std::string registry_path = RegistryTempPath("release_key");
+  const pipeline::ReleaseArtifact& artifact = FittedArtifact(5);
+  {
+    auto reg = registry::ArtifactRegistry::Open(registry_path, {});
+    ASSERT_TRUE(reg.ok()) << reg.status().ToString();
+    ASSERT_TRUE(reg.value()->Put("petster", "m", artifact).ok());
+  }
+  const double eps = artifact.epsilon_spent;
+  server::ServerOptions options = TestServerOptions();
+  options.registry_path = registry_path;
+  options.default_tenant_budget = 0.0;
+  options.tenant_budgets = {{"file", eps}, {"registry", eps}};
+  auto started = server::Server::Start(options);
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  server::Server& daemon = *started.value();
+
+  server::Request load;
+  load.op = server::RequestOp::kLoad;
+  load.id = 1;
+  load.tenant = "file";
+  load.name = "from_file";
+  load.artifact = ArtifactFile(5);
+  ASSERT_TRUE(daemon.Handle(load).status.ok());
+  load.tenant = "registry";
+  load.artifact.clear();
+  load.dataset = "petster";
+  load.name = "m";
+  ASSERT_TRUE(daemon.Handle(load).status.ok());
+
+  for (const auto& [tenant, name] :
+       {std::pair<std::string, std::string>{"file", "from_file"},
+        std::pair<std::string, std::string>{"registry", "m"}}) {
+    for (uint64_t i = 0; i < 50; ++i) {
+      server::Request sample;
+      sample.op = server::RequestOp::kSample;
+      sample.id = 2 + i;
+      sample.tenant = tenant;
+      sample.name = name;
+      sample.seed = 7;
+      sample.sequence = i;
+      const server::Response response = daemon.Handle(sample);
+      ASSERT_TRUE(response.status.ok())
+          << tenant << " sample " << i << ": " << response.status.ToString();
+    }
+    EXPECT_EQ(daemon.ledger().Spent(tenant), eps) << tenant;
+  }
+
+  const uint64_t key = pipeline::ReleaseArtifactReleaseKey(artifact);
+  std::vector<registry::TenantChargeRow> charges =
+      daemon.registry()->TenantCharges();
+  ASSERT_EQ(charges.size(), 2u);
+  for (const registry::TenantChargeRow& row : charges) {
+    EXPECT_EQ(row.release_key, key) << row.tenant;
+    EXPECT_EQ(row.epsilon, eps) << row.tenant;
+  }
+  daemon.Stop();
+  daemon.Wait();
+  std::remove(registry_path.c_str());
 }
 
 TEST(ServerTest, RestartedDaemonStillEnforcesTenantBudgets) {
