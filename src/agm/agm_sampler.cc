@@ -320,7 +320,7 @@ void ShardedProposalPass(const models::CandidateKernel& kernel,
 // next block of sub-streams. The first pass reuses the plan's pi tables;
 // only the calibrated pass, whose weights depend on the pilot, rebuilds
 // its own, in the plan's scratch.
-util::Result<graph::Graph> PlannedShardedFcl(
+util::Result<graph::Graph> ShardedFastChungLu(
     const std::vector<uint32_t>& degrees, FclPlan& plan,
     const models::ChungLuOptions& options, util::WorkerPool& pool,
     uint64_t seed_base) {
@@ -343,18 +343,6 @@ util::Result<graph::Graph> PlannedShardedFcl(
 
 }  // namespace
 
-util::Result<graph::Graph> ShardedFastChungLu(
-    const std::vector<uint32_t>& degrees, const models::EdgeFilter& filter,
-    uint64_t max_proposals_per_edge, util::WorkerPool& pool,
-    uint64_t seed_base, std::vector<graph::Edge>* insertion_order) {
-  FclPlan plan = BuildFclPlan(degrees);
-  models::ChungLuOptions options;
-  options.max_proposals_per_edge = max_proposals_per_edge;
-  options.filter = filter;
-  options.insertion_order = insertion_order;
-  return PlannedShardedFcl(degrees, plan, options, pool, seed_base);
-}
-
 StructuralModel ShardedFclModel(uint64_t max_proposals_per_edge) {
   return [max_proposals_per_edge](const AgmParams& params,
                                   util::WorkerPool& pool) -> StructuralDraw {
@@ -368,8 +356,8 @@ StructuralModel ShardedFclModel(uint64_t max_proposals_per_edge) {
       // One master draw keys the whole sharded pass, so the master stream
       // advances identically at any pool size.
       const uint64_t seed_base = rng.Next();
-      return PlannedShardedFcl(params.degree_sequence, plan, options, pool,
-                               seed_base);
+      return ShardedFastChungLu(params.degree_sequence, plan, options, pool,
+                                seed_base);
     };
   };
 }

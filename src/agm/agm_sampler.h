@@ -90,17 +90,6 @@ using StructuralModel = std::function<StructuralDraw(
 /// per edge of its quota.
 StructuralModel ShardedFclModel(uint64_t max_proposals_per_edge = 200);
 
-/// One structural draw of ShardedFclModel with a fresh per-sample plan:
-/// the sharded cFCL graph over `degrees` (target: half their sum, clamped
-/// to a simple graph) through `filter`, keyed by `seed_base` (the master
-/// draw a model draw takes). `insertion_order`, when non-null, receives the
-/// graph's edges in insertion order. The pass runs one way on a one-worker
-/// pool and another on a larger one; tests compare the two through this.
-util::Result<graph::Graph> ShardedFastChungLu(
-    const std::vector<uint32_t>& degrees, const models::EdgeFilter& filter,
-    uint64_t max_proposals_per_edge, util::WorkerPool& pool,
-    uint64_t seed_base, std::vector<graph::Edge>* insertion_order = nullptr);
-
 /// The acceptance-loop settings.
 struct AgmSampleOptions {
   /// Acceptance-probability refinement iterations ("A tended to converge

@@ -76,6 +76,7 @@ struct FclPilot {
     seen.InsertAt(slot);
     edges.emplace_back(u, v);
   }
+  // ProposeInto's reservation; a pilot built for its target has the room.
   void ReserveEdges(uint64_t expected) { seen.Reserve(expected); }
   size_t edge_slot_count() const { return seen.capacity(); }
   uint64_t num_edges() const { return edges.size(); }

@@ -161,18 +161,22 @@ util::Result<PiTables> PiTables::Build(const std::vector<double>& weights,
 util::Status PiTables::ReweightInto(const std::vector<double>& weights,
                                     std::vector<uint32_t>& worklist,
                                     PiTables& out) const {
+  out.nodes_.reset();
   if (!classes_) {
+    out.classes_.reset();
     auto nodes = util::AliasSampler::Build(weights);
     if (!nodes.ok()) return nodes.status();
-    out.classes_.reset();
     out.nodes_ = std::move(nodes).value();
     return util::Status::OK();
   }
   AGMDP_CHECK(weights.size() == classes_->classes->members.size());
-  out.nodes_.reset();
   if (!out.classes_) out.classes_.emplace();
-  return BuildClassWeights(classes_->classes, weights, worklist,
-                           *out.classes_);
+  const util::Status built =
+      BuildClassWeights(classes_->classes, weights, worklist, *out.classes_);
+  // The build finds a bad weight partway through, after it has overwritten
+  // some classes: drop the half-built table rather than leave it readable.
+  if (!built.ok()) out.classes_.reset();
+  return built;
 }
 
 CandidateKernel::CandidateKernel(const PiTables& pi,

@@ -156,7 +156,9 @@ class PiTables {
                                           nullptr);
 
   /// Rebuilds `out` in this form over new weights, reusing out's storage;
-  /// a table form keeps its classes (cFCL's calibrated pass).
+  /// a table form keeps its classes (cFCL's calibrated pass). A failed
+  /// call leaves `out` holding no table, so a kernel over it aborts until
+  /// a call succeeds.
   util::Status ReweightInto(const std::vector<double>& weights,
                             std::vector<uint32_t>& worklist,
                             PiTables& out) const;

@@ -49,7 +49,6 @@ graph::Graph ApplyFilterWithTopUp(graph::Graph base,
   if (!filter) return base;
   const uint64_t target = base.num_edges();
   graph::Graph g(base.num_nodes());
-  g.ReserveEdges(target);  // the top-up's FindEdgeSlot needs the room
   base.ForEachEdge([&](graph::NodeId u, graph::NodeId v) {
     if (models::AcceptEdge(filter, u, v, rng)) g.AddEdge(u, v);
   });

@@ -566,9 +566,21 @@ TEST(ShardedFclGoldenTest, SampleMatchesPinnedLiteralsAtAnyPoolSize) {
 
 // The sharded FCL pass draws a one-worker pool's shards straight into the
 // output and merges a larger pool's waves of drawn-ahead shards. Both must
-// give the same edges, adjacency order and insertion order, pilot and
-// calibrated pass alike.
+// give the same edges and adjacency order, pilot and calibrated pass
+// alike.
 TEST(ShardedFclPassTest, OneWorkerPassMatchesTheWavePath) {
+  // One draw of ShardedFclModel on a pool of `workers`; the model keys the
+  // pass with the first draw of Rng(seed).
+  const auto draw = [](const std::vector<uint32_t>& degrees,
+                       const models::EdgeFilter& filter,
+                       uint64_t max_proposals_per_edge, int workers,
+                       uint64_t seed) {
+    AgmParams params;
+    params.degree_sequence = degrees;
+    util::WorkerPool pool(workers);
+    util::Rng rng(seed);
+    return ShardedFclModel(max_proposals_per_edge)(params, pool)(filter, rng);
+  };
   util::Rng degree_rng(29);
   std::vector<uint32_t> skewed(3000);
   for (size_t i = 0; i < skewed.size(); ++i) {
@@ -613,27 +625,19 @@ TEST(ShardedFclPassTest, OneWorkerPassMatchesTheWavePath) {
       {"recurring cross-shard duplicates", &complete, {}, 200},
   };
   for (const Case& c : kCases) {
-    for (const uint64_t seed_base : {uint64_t{31}, uint64_t{0x5eed}}) {
-      std::vector<graph::Edge> one_order;
-      util::WorkerPool one(1);
-      auto one_worker = ShardedFastChungLu(*c.degrees, c.filter,
-                                           c.max_proposals_per_edge, one,
-                                           seed_base, &one_order);
+    for (const uint64_t seed : {uint64_t{31}, uint64_t{0x5eed}}) {
+      auto one_worker =
+          draw(*c.degrees, c.filter, c.max_proposals_per_edge, 1, seed);
       ASSERT_TRUE(one_worker.ok()) << one_worker.status().ToString();
       const graph::Graph& g = one_worker.value();
-      ASSERT_EQ(one_order.size(), g.num_edges()) << c.name;
       for (int workers : {2, 4}) {
-        SCOPED_TRACE(std::string(c.name) + " seed " +
-                     std::to_string(seed_base) + " workers " +
-                     std::to_string(workers));
-        std::vector<graph::Edge> wave_order;
-        util::WorkerPool pool(workers);
-        auto wave = ShardedFastChungLu(*c.degrees, c.filter,
-                                       c.max_proposals_per_edge, pool,
-                                       seed_base, &wave_order);
+        SCOPED_TRACE(std::string(c.name) + " seed " + std::to_string(seed) +
+                     " workers " + std::to_string(workers));
+        auto wave =
+            draw(*c.degrees, c.filter, c.max_proposals_per_edge, workers,
+                 seed);
         ASSERT_TRUE(wave.ok()) << wave.status().ToString();
         EXPECT_EQ(wave.value().CanonicalEdges(), g.CanonicalEdges());
-        EXPECT_EQ(wave_order, one_order);
         for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
           ASSERT_EQ(wave.value().Neighbors(v), g.Neighbors(v)) << v;
         }
@@ -644,21 +648,19 @@ TEST(ShardedFclPassTest, OneWorkerPassMatchesTheWavePath) {
   // What makes the cases what they are. A regular degree sequence has no
   // hub, so its one pass meets the target of 18,000 edges, which no shard
   // boundary reaches (quota 354 per shard).
-  util::WorkerPool one(1);
-  auto regular_graph = ShardedFastChungLu(regular, {}, 200, one, 31);
+  auto regular_graph = draw(regular, {}, 200, 1, 31);
   ASSERT_TRUE(regular_graph.ok());
   EXPECT_TRUE(models::FclHubs(regular).empty());
   EXPECT_EQ(regular_graph.value().num_edges(), 18000u);
   EXPECT_NE(18000u % 354u, 0u);
 
   // The kept pilot's hub reaches its degree, so the calibration changes no
-  // weight.
-  std::vector<graph::Edge> kept_order;
-  ASSERT_TRUE(
-      ShardedFastChungLu(kept_pilot, hub_first, 200, one, 31, &kept_order)
-          .ok());
-  models::FclPilot pilot(kept_order.size());
-  for (const graph::Edge& e : kept_order) pilot.AddEdge(e.u, e.v);
+  // weight (a kept pilot is the output).
+  auto kept = draw(kept_pilot, hub_first, 200, 1, 31);
+  ASSERT_TRUE(kept.ok());
+  models::FclPilot pilot(kept.value().num_edges());
+  kept.value().ForEachEdge(
+      [&](graph::NodeId u, graph::NodeId v) { pilot.AddEdge(u, v); });
   std::vector<double> weights(kept_pilot.begin(), kept_pilot.end());
   EXPECT_FALSE(models::ReweightHubs(kept_pilot,
                                     models::FclHubs(kept_pilot), pilot,
@@ -675,7 +677,8 @@ TEST(ShardedFclPassTest, OneWorkerPassMatchesTheWavePath) {
   const models::CandidateKernel kernel(pi.value(), none);
   const uint64_t target = 66;
   const uint64_t quota = 4;  // 2 + 2 / 4 + 2
-  for (const uint64_t seed_base : {uint64_t{31}, uint64_t{0x5eed}}) {
+  for (const uint64_t seed : {uint64_t{31}, uint64_t{0x5eed}}) {
+    const uint64_t seed_base = util::Rng(seed).Next();
     std::set<uint64_t> output;
     int recurrences = 0;
     for (int s = 0; s < kSamplerProposalShards && output.size() < target;
@@ -701,7 +704,7 @@ TEST(ShardedFclPassTest, OneWorkerPassMatchesTheWavePath) {
         }
       });
     }
-    EXPECT_GT(recurrences, 0) << seed_base;
+    EXPECT_GT(recurrences, 0) << seed;
   }
 }
 

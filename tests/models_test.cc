@@ -361,6 +361,34 @@ TEST(CandidateKernelTest, TableArmEdgeCases) {
                   .empty());
 }
 
+// The class-weight build meets a bad weight only after it has rebuilt the
+// classes before it, so a failed ReweightInto leaves no table to draw from
+// (in either form); the next good call rebuilds one.
+TEST(CandidateKernelDeathTest, FailedReweightLeavesNoTable) {
+  std::vector<graph::AttrConfig> configs(40);
+  for (graph::NodeId i = 0; i < 40; ++i) configs[i] = i % 2;
+  const EdgeFilter table =
+      EdgeFilter::FromAcceptanceTable(configs, {1, 0.5, 1}, 1);
+  const std::vector<double> weights(40, 1.0);
+  std::vector<double> bad = weights;
+  bad[39] = std::nan("");  // odd: the second class
+  std::vector<uint32_t> worklist;
+  for (const EdgeFilter& filter : {EdgeFilter(), table}) {
+    const PiTables pi = PiTables::Build(weights, filter).value();
+    PiTables out;
+    ASSERT_TRUE(pi.ReweightInto(weights, worklist, out).ok());
+    const util::Status failed = pi.ReweightInto(bad, worklist, out);
+    EXPECT_FALSE(failed.ok());
+    EXPECT_EQ(failed.ToString(), util::CheckAliasWeights(bad).ToString());
+    EXPECT_DEATH(CandidateKernel(out, filter), "AGMDP_CHECK failed");
+    ASSERT_TRUE(pi.ReweightInto(weights, worklist, out).ok());
+    EXPECT_EQ(oracle::DrawShardEdges(CandidateKernel(out, filter), 12, 600,
+                                     util::Rng(5)),
+              oracle::DrawShardEdges(CandidateKernel(pi, filter), 12, 600,
+                                     util::Rng(5)));
+  }
+}
+
 // Two streams are equal when their next outputs are; four outputs pin the
 // 256-bit state.
 bool SameStream(util::Rng a, util::Rng b) {
